@@ -19,7 +19,13 @@ from __future__ import annotations
 from typing import Any, List, Optional, Set
 
 from ..runtime.rtypes import ANY, Kind, RType
-from ..runtime.values import rtype_quick
+from ..runtime.values import (
+    QUICK_NA_SCALAR,
+    QUICK_SCALAR,
+    QUICK_VECTOR,
+    RVector,
+    rtype_quick,
+)
 
 #: calls seen with more distinct targets than this are megamorphic.
 MAX_CALL_TARGETS = 3
@@ -30,9 +36,17 @@ MAX_CALL_ARG_PROFILES = 4
 
 
 class ObservedType:
-    """Merged observations of the runtime types at one program point."""
+    """Merged observations of the runtime types at one program point.
 
-    __slots__ = ("kinds", "all_scalar", "saw_na", "count", "stale")
+    ``_last`` is a recording memo, not profile data: the (interned) type
+    merged last.  Merging is idempotent apart from ``count``, so observing
+    that same type again is one identity comparison and a ``count`` bump.
+    The memo only ever names a type already folded into ``kinds`` /
+    ``all_scalar`` / ``saw_na``; whatever rewrites those fields other than
+    by merging (``reset``, ``inject``, ``copy``) drops it.
+    """
+
+    __slots__ = ("kinds", "all_scalar", "saw_na", "count", "stale", "_last")
 
     def __init__(self) -> None:
         self.kinds: Set[Kind] = set()
@@ -42,9 +56,25 @@ class ObservedType:
         #: set by the deoptless feedback-cleanup pass; stale slots are not
         #: trusted by the optimizer.
         self.stale = False
+        self._last: Optional[RType] = None
 
     def record(self, value: Any) -> None:
-        self.record_type(rtype_quick(value))
+        # rtype_quick, inlined for vectors (BinopFeedback.record repeats it
+        # per operand: this runs once per interpreted load)
+        if value.__class__ is RVector:
+            data = value.data
+            if len(data) != 1:
+                t = QUICK_VECTOR[value.kind]
+            elif data[0] is None:
+                t = QUICK_NA_SCALAR[value.kind]
+            else:
+                t = QUICK_SCALAR[value.kind]
+        else:
+            t = rtype_quick(value)
+        if t is self._last:
+            self.count += 1
+        else:
+            self.record_type(t)
 
     def record_type(self, t: RType) -> None:
         self.kinds.add(t.kind)
@@ -53,6 +83,7 @@ class ObservedType:
         if t.maybe_na:
             self.saw_na = True
         self.count += 1
+        self._last = t
 
     @property
     def monomorphic_kind(self) -> Optional[Kind]:
@@ -76,12 +107,14 @@ class ObservedType:
         self.saw_na = False
         self.count = 0
         self.stale = False
+        self._last = None
 
     def inject(self, t: RType) -> None:
         """Replace the observation with ``t`` (used by feedback repair when a
         deopt reason tells us the actual type at this site)."""
         self.reset()
         self.record_type(t)
+        self._last = None
 
     def copy(self) -> "ObservedType":
         c = ObservedType()
@@ -113,8 +146,38 @@ class BinopFeedback:
         self.stale = False
 
     def record(self, lhs: Any, rhs: Any) -> None:
-        self.lhs.record(lhs)
-        self.rhs.record(rhs)
+        # ObservedType.record for each side, written out: one call per
+        # interpreted binary operation instead of three
+        if lhs.__class__ is RVector:
+            data = lhs.data
+            if len(data) != 1:
+                t = QUICK_VECTOR[lhs.kind]
+            elif data[0] is None:
+                t = QUICK_NA_SCALAR[lhs.kind]
+            else:
+                t = QUICK_SCALAR[lhs.kind]
+        else:
+            t = rtype_quick(lhs)
+        obs = self.lhs
+        if t is obs._last:
+            obs.count += 1
+        else:
+            obs.record_type(t)
+        if rhs.__class__ is RVector:
+            data = rhs.data
+            if len(data) != 1:
+                t = QUICK_VECTOR[rhs.kind]
+            elif data[0] is None:
+                t = QUICK_NA_SCALAR[rhs.kind]
+            else:
+                t = QUICK_SCALAR[rhs.kind]
+        else:
+            t = rtype_quick(rhs)
+        obs = self.rhs
+        if t is obs._last:
+            obs.count += 1
+        else:
+            obs.record_type(t)
 
     def copy(self) -> "BinopFeedback":
         c = BinopFeedback()
@@ -135,9 +198,16 @@ class CallFeedback:
     element kind is recorded (not the full RType): profiling runs on every
     baseline call, and the kind is an O(1) read that is stable under the
     NA/scalar widenings the distiller applies anyway.
+
+    ``_last_target`` / ``_last_prof`` are a recording memo like
+    :attr:`ObservedType._last`: the callee and the kind tuple merged last.
+    Targets and profiles only accumulate (or collapse to megamorphic /
+    unbounded, after which merging is a no-op), so seeing both again
+    changes nothing but ``count``.
     """
 
-    __slots__ = ("targets", "megamorphic", "count", "stale", "arg_profiles")
+    __slots__ = ("targets", "megamorphic", "count", "stale", "arg_profiles",
+                 "_last_target", "_last_prof")
 
     def __init__(self) -> None:
         self.targets: List[Any] = []
@@ -147,9 +217,24 @@ class CallFeedback:
         #: distinct argument Kind tuples, insertion-ordered, bounded by
         #: MAX_CALL_ARG_PROFILES (None once the bound is exceeded)
         self.arg_profiles: Optional[List[tuple]] = []
+        self._last_target: Any = None
+        self._last_prof: Optional[tuple] = None
 
     def record(self, target: Any, args: Optional[List[Any]] = None) -> None:
         self.count += 1
+        prof = self._last_prof
+        if (
+            target is self._last_target
+            and prof is not None
+            and args is not None
+            and len(args) == len(prof)
+        ):
+            for a, k in zip(args, prof):
+                if (a.kind if a.__class__ is RVector else rtype_quick(a).kind) is not k:
+                    break
+            else:
+                return
+        self._last_target = target
         if args is not None and self.arg_profiles is not None:
             prof = tuple(rtype_quick(a).kind for a in args)
             if prof not in self.arg_profiles:
@@ -157,6 +242,7 @@ class CallFeedback:
                     self.arg_profiles = None  # unbounded-polymorphic
                 else:
                     self.arg_profiles.append(prof)
+            self._last_prof = prof
         if self.megamorphic:
             return
         for t in self.targets:

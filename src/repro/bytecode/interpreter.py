@@ -28,7 +28,16 @@ from ..runtime.values import (
     mk_lgl,
 )
 from . import opcodes as O
+from .opcodes import (
+    BINOP, BR, BRFALSE, BRTRUE, CALL, CHECK_FUN, COLON, COMPARE, DUP, INDEX1,
+    INDEX2, LD_FUN, LD_VAR, LOGIC, MK_CLOSURE, MK_PROMISE, POP, PUSH_CONST,
+    PUSH_NULL, RETURN, ROT3, SEQ_LENGTH, SET_INDEX1, SET_INDEX2, ST_VAR,
+    ST_VAR_SUPER, UNOP,
+)
 from .feedback import BinopFeedback, BranchFeedback, CallFeedback, ObservedType
+
+# global loads; ``Kind.X`` is a metaclass lookup before CPython 3.12
+_INT, _DBL, _CPLX, _LIST = Kind.INT, Kind.DBL, Kind.CPLX, Kind.LIST
 
 
 def force(value: Any, vm) -> Any:
@@ -42,6 +51,12 @@ def force(value: Any, vm) -> Any:
                 v.named = 2
         return value.value
     return value
+
+
+def force_args(args: List[Any], vm) -> List[Any]:
+    """The argument list of a builtin call, promises forced.  Most arguments
+    are plain values: only promises pay for the :func:`force` call."""
+    return [a if a.__class__ is not RPromise else force(a, vm) for a in args]
 
 
 def bind_value(env: REnvironment, name: str, value: Any) -> None:
@@ -60,6 +75,16 @@ def match_arguments(closure: RClosure, args: List[Any], names, vm) -> REnvironme
     environment)."""
     env = REnvironment(parent=closure.env)
     formals = closure.formals
+
+    if names is None and len(args) <= len(formals):
+        # all positional: argument i binds formal i, the rest take defaults
+        for (nm, _), a in zip(formals, args):
+            _bind_arg(env, nm, a)
+        for nm, default in formals[len(args):]:
+            if default is not None:
+                env.set(nm, RPromise(default, env))
+        return env
+
     formal_names = [f[0] for f in formals]
     bound = [False] * len(formals)
     used = [False] * len(args)
@@ -108,8 +133,7 @@ def _bind_arg(env: REnvironment, name: str, value: Any) -> None:
 def call_function(fn: Any, args: List[Any], names, vm) -> Any:
     """Common call path (also used by the native tier for generic calls)."""
     if isinstance(fn, RBuiltin):
-        forced = [force(a, vm) for a in args]
-        return fn.fn(forced, vm)
+        return fn.fn(force_args(args, vm), vm)
     if isinstance(fn, RClosure):
         return vm.call_closure(fn, args, names)
     raise RError("attempt to apply non-function")
@@ -133,7 +157,9 @@ def run(
     probe-and-insert), and ``state.interp_ops`` is maintained as straight-
     line *batches* — ops retire into a local accumulator that is settled at
     control-flow edges and flushed once on exit, so the totals the cost
-    model reads are exactly those of the per-op reference loop.  Set
+    model reads are exactly those of the per-op reference loop.  Opcodes
+    are compared against this module's own int globals, most frequently
+    executed first (DESIGN.md, "Baseline tier", has the histogram).  Set
     ``RERPO_REF_EXEC=1`` (or ``Config.threaded_dispatch=False``) to run
     :func:`run_ref` instead for differential testing.
     """
@@ -148,6 +174,7 @@ def run(
     if fbslots is None:
         code.seal_feedback()
         fbslots = code.feedback_slots
+    bindings = env.bindings
     state = vm.state
     n = 0       # ops retired into the batch accumulator
     base = pc   # first pc of the current straight-line batch
@@ -157,109 +184,66 @@ def run(
             ins = instrs[pc]
             op = ins[0]
 
-            if op == O.PUSH_CONST:
-                stack.append(consts[ins[1]])
-
-            elif op == O.LD_VAR:
-                v = env.get(names[ins[1]])
-                if isinstance(v, RPromise):
+            if op == LD_VAR:
+                name = names[ins[1]]
+                v = bindings.get(name)
+                if v is None:  # not a local: walk the scope chain (or raise)
+                    v = env.get(name)
+                if v.__class__ is RPromise:
                     v = force(v, vm)
                 fbslots[pc].record(v)
                 stack.append(v)
 
-            elif op == O.ST_VAR:
-                bind_value(env, names[ins[1]], stack.pop())
-
-            elif op == O.ST_VAR_SUPER:
-                v = stack.pop()
-                if isinstance(v, RVector):
-                    v.named = 2
-                env.set_super(names[ins[1]], v)
-
-            elif op == O.LD_FUN:
-                stack.append(env.get_function(names[ins[1]]))
-
-            elif op == O.POP:
-                stack.pop()
-
-            elif op == O.DUP:
-                stack.append(stack[-1])
-
-            elif op == O.ROT3:
-                c = stack.pop()
-                b = stack.pop()
-                a = stack.pop()
-                stack.append(b)
-                stack.append(c)
-                stack.append(a)
-
-            elif op == O.BINOP:
+            elif op == BINOP:
                 rhs = stack.pop()
                 lhs = stack.pop()
                 fbslots[pc].record(lhs, rhs)
                 stack.append(coerce.arith(ins[1], lhs, rhs))
 
-            elif op == O.COMPARE:
-                rhs = stack.pop()
-                lhs = stack.pop()
-                fbslots[pc].record(lhs, rhs)
-                stack.append(coerce.compare(ins[1], lhs, rhs))
+            elif op == ST_VAR:
+                # bind_value, written out
+                name = names[ins[1]]
+                v = stack.pop()
+                if v.__class__ is RVector:
+                    if v.named == 0:
+                        v.named = 1
+                    elif bindings.get(name) is not v:
+                        v.named = 2
+                bindings[name] = v
 
-            elif op == O.LOGIC:
-                rhs = stack.pop()
-                lhs = stack.pop()
-                stack.append(coerce.logic(ins[1], lhs, rhs))
+            elif op == PUSH_CONST:
+                stack.append(consts[ins[1]])
 
-            elif op == O.UNOP:
-                stack.append(coerce.unary(ins[1], stack.pop()))
+            elif op == POP:
+                stack.pop()
 
-            elif op == O.COLON:
-                rhs = stack.pop()
-                lhs = stack.pop()
-                fbslots[pc].record(lhs, rhs)
-                stack.append(coerce.colon(lhs, rhs))
+            elif op == DUP:
+                stack.append(stack[-1])
 
-            elif op == O.INDEX2:
+            elif op == INDEX2:
                 idx = stack.pop()
                 obj = stack.pop()
                 fbslots[pc].record(obj, idx)
                 stack.append(coerce.extract2(obj, idx))
 
-            elif op == O.INDEX1:
-                idx = stack.pop()
-                obj = stack.pop()
-                fbslots[pc].record(obj, idx)
-                stack.append(coerce.extract1(obj, idx))
+            elif op == BRFALSE or op == BRTRUE:
+                cond = stack.pop()
+                truth = cond.is_true() if cond.__class__ is RVector else _truthy(cond)
+                fbslots[pc].record(truth)
+                if (op == BRFALSE) != truth:
+                    target = ins[1]
+                    n += pc - base + 1
+                    pc = target
+                    base = target
+                    continue
 
-            elif op == O.SET_INDEX2:
-                val = stack.pop()
-                idx = stack.pop()
-                obj = stack.pop()
-                fbslots[pc].record(obj, val)
-                stack.append(_set_index2(obj, idx, val))
+            elif op == COMPARE:
+                rhs = stack.pop()
+                lhs = stack.pop()
+                fbslots[pc].record(lhs, rhs)
+                stack.append(coerce.compare(ins[1], lhs, rhs))
 
-            elif op == O.SET_INDEX1:
-                val = stack.pop()
-                idx = stack.pop()
-                obj = stack.pop()
-                fbslots[pc].record(obj, val)
-                stack.append(coerce.assign1(obj, idx, val))
-
-            elif op == O.SEQ_LENGTH:
-                v = stack.pop()
-                fbslots[pc].record(v)
-                if isinstance(v, RVector):
-                    ln = len(v.data)
-                elif v is NULL:
-                    ln = 0
-                else:
-                    ln = 1
-                stack.append(RVector(Kind.INT, [ln]))
-
-            elif op == O.PUSH_NULL:
-                stack.append(NULL)
-
-            elif op == O.BR:
+            elif op == BR:
                 target = ins[1]
                 n += pc - base + 1
                 base = pc + 1
@@ -278,34 +262,94 @@ def run(
                 base = target
                 continue
 
-            elif op == O.BRFALSE or op == O.BRTRUE:
-                cond = stack.pop()
-                truth = cond.is_true() if isinstance(cond, RVector) else _truthy(cond)
-                fbslots[pc].record(truth)
-                if (op == O.BRFALSE) != truth:
-                    target = ins[1]
-                    n += pc - base + 1
-                    pc = target
-                    base = target
-                    continue
+            elif op == LD_FUN:
+                stack.append(env.get_function(names[ins[1]]))
 
-            elif op == O.CALL:
+            elif op == CALL:
                 nargs = ins[1]
-                args = stack[len(stack) - nargs :] if nargs else []
-                del stack[len(stack) - nargs :]
+                if nargs:
+                    args = stack[-nargs:]
+                    del stack[-nargs:]
+                else:
+                    args = []
                 fn = stack.pop()
                 call_names = consts[ins[2]] if ins[2] >= 0 else None
                 fbslots[pc].record(fn, args)
                 stack.append(call_function(fn, args, call_names, vm))
 
-            elif op == O.MK_CLOSURE:
+            elif op == ROT3:
+                c = stack.pop()
+                b = stack.pop()
+                a = stack.pop()
+                stack.append(b)
+                stack.append(c)
+                stack.append(a)
+
+            elif op == SET_INDEX2:
+                val = stack.pop()
+                idx = stack.pop()
+                obj = stack.pop()
+                fbslots[pc].record(obj, val)
+                stack.append(_set_index2(obj, idx, val))
+
+            elif op == PUSH_NULL:
+                stack.append(NULL)
+
+            elif op == RETURN:
+                return stack.pop()
+
+            elif op == MK_PROMISE:
+                stack.append(RPromise(consts[ins[1]], env))
+
+            elif op == COLON:
+                rhs = stack.pop()
+                lhs = stack.pop()
+                fbslots[pc].record(lhs, rhs)
+                stack.append(coerce.colon(lhs, rhs))
+
+            elif op == SEQ_LENGTH:
+                v = stack.pop()
+                fbslots[pc].record(v)
+                if isinstance(v, RVector):
+                    ln = len(v.data)
+                elif v is NULL:
+                    ln = 0
+                else:
+                    ln = 1
+                stack.append(RVector(_INT, [ln]))
+
+            elif op == UNOP:
+                stack.append(coerce.unary(ins[1], stack.pop()))
+
+            elif op == LOGIC:
+                rhs = stack.pop()
+                lhs = stack.pop()
+                stack.append(coerce.logic(ins[1], lhs, rhs))
+
+            elif op == INDEX1:
+                idx = stack.pop()
+                obj = stack.pop()
+                fbslots[pc].record(obj, idx)
+                stack.append(coerce.extract1(obj, idx))
+
+            elif op == SET_INDEX1:
+                val = stack.pop()
+                idx = stack.pop()
+                obj = stack.pop()
+                fbslots[pc].record(obj, val)
+                stack.append(coerce.assign1(obj, idx, val))
+
+            elif op == ST_VAR_SUPER:
+                v = stack.pop()
+                if isinstance(v, RVector):
+                    v.named = 2
+                env.set_super(names[ins[1]], v)
+
+            elif op == MK_CLOSURE:
                 body, formals, fname = consts[ins[1]]
                 stack.append(RClosure(formals, body, env, fname))
 
-            elif op == O.MK_PROMISE:
-                stack.append(RPromise(consts[ins[1]], env))
-
-            elif op == O.CHECK_FUN:
+            elif op == CHECK_FUN:
                 mode = ins[1]
                 if mode == "callable":
                     if not isinstance(stack[-1], (RClosure, RBuiltin)):
@@ -313,9 +357,6 @@ def run(
                 else:  # as_lgl_scalar for && / ||
                     v = stack.pop()
                     stack.append(mk_lgl(v.is_true() if isinstance(v, RVector) else _truthy(v)))
-
-            elif op == O.RETURN:
-                return stack.pop()
 
             else:  # pragma: no cover - unreachable with a correct compiler
                 raise RError("unknown opcode %d" % op)
@@ -555,26 +596,29 @@ def _truthy(value: Any) -> bool:
 def _set_index2(obj: Any, idx: Any, val: Any) -> Any:
     """``x[[i]] <- v`` with GNU-R-style in-place fast path when unshared."""
     if (
-        isinstance(obj, RVector)
+        obj.__class__ is RVector
         and obj.named <= 1
-        and isinstance(val, RVector)
+        and val.__class__ is RVector
         and len(val.data) == 1
-        and obj.kind != Kind.LIST
-        and kind_lub(val.kind, obj.kind) == obj.kind
     ):
-        iv = idx
-        if isinstance(iv, RVector) and len(iv.data) == 1 and iv.kind in (Kind.INT, Kind.DBL):
-            i = iv.data[0]
-            if i is not None:
-                i = int(i)
-                if 1 <= i <= len(obj.data):
-                    x = val.data[0]
-                    if obj.kind == Kind.DBL and isinstance(x, (int, bool)) and x is not None:
-                        x = float(x)
-                    elif obj.kind == Kind.CPLX and isinstance(x, (int, float, bool)) and x is not None:
-                        x = complex(x)
-                    elif obj.kind == Kind.INT and isinstance(x, bool):
-                        x = int(x)
-                    obj.data[i - 1] = x
-                    return obj
+        kind = obj.kind
+        if kind != _LIST and (val.kind == kind or kind_lub(val.kind, kind) == kind):
+            if idx.__class__ is RVector and len(idx.data) == 1 and (
+                idx.kind == _INT or idx.kind == _DBL
+            ):
+                i = idx.data[0]
+                if i is not None:
+                    i = int(i)
+                    if 1 <= i <= len(obj.data):
+                        x = val.data[0]
+                        if kind == _DBL:
+                            if isinstance(x, int):  # bool too; NA stays None
+                                x = float(x)
+                        elif kind == _CPLX:
+                            if isinstance(x, (int, float)):
+                                x = complex(x)
+                        elif kind == _INT and isinstance(x, bool):
+                            x = int(x)
+                        obj.data[i - 1] = x
+                        return obj
     return coerce.assign2(obj, idx, val)

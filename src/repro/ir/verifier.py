@@ -12,11 +12,14 @@ from __future__ import annotations
 from typing import Dict, List, Set
 
 from . import instructions as I
+from .builder import CompilationFailure
 from .cfg import BasicBlock, Graph
 
 
-class VerificationError(Exception):
-    pass
+class VerificationError(CompilationFailure):
+    """A malformed graph.  A compilation failure like any other: every
+    compile entry point counts it, reports it and falls back to the slower
+    path instead of letting it escape into the running program."""
 
 
 def verify(graph: Graph) -> None:

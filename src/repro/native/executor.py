@@ -17,7 +17,12 @@ from __future__ import annotations
 import math
 from typing import Any, List, Optional
 
-from ..bytecode.interpreter import _set_index2, call_function, force as force_value
+from ..bytecode.interpreter import (
+    _set_index2,
+    call_function,
+    force as force_value,
+    force_args,
+)
 from ..deoptless.context import distill_call_context
 from ..osr.framestate import DeoptReason, DeoptReasonKind, FrameState
 from ..runtime import coerce
@@ -163,7 +168,7 @@ def pic_call(cache: list, fn, args, names, vm) -> Any:
         if entry[0] is fn:
             vm.state.pic_hits += 1
             if entry[1]:
-                return fn.fn([force_value(a, vm) for a in args], vm)
+                return fn.fn(force_args(args, vm), vm)
             if names is None and vm.config.ctxdispatch:
                 ver = _pic_context_version(entry[2], fn, args, vm)
                 if ver is not None:
@@ -173,7 +178,7 @@ def pic_call(cache: list, fn, args, names, vm) -> Any:
         if len(cache) >= PIC_SIZE:
             cache.pop(0)
         cache.append((fn, True, None))
-        return fn.fn([force_value(a, vm) for a in args], vm)
+        return fn.fn(force_args(args, vm), vm)
     if isinstance(fn, RClosure):
         if len(cache) >= PIC_SIZE:
             cache.pop(0)

@@ -11,6 +11,7 @@ with specialized unboxed instructions guarded by ``Assume``.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Any, Callable, List, Optional
 
 from .rtypes import Kind, kind_lub
@@ -161,8 +162,31 @@ def _result_kind(op: str, ka: Kind, kb: Kind) -> Kind:
     return k
 
 
+# the enum members the scalar fast returns test, as plain module globals
+_LGL = Kind.LGL
+_INT = Kind.INT
+_DBL = Kind.DBL
+_LIST = Kind.LIST
+
+
 def arith(op: str, lhs: Any, rhs: Any) -> RVector:
-    """Full generic vector arithmetic with coercion, recycling and NA."""
+    """Full generic vector arithmetic with coercion, recycling and NA.
+
+    Two non-NA scalars of one kind whose result keeps that kind (double
+    under every operator, integer under all but ``/`` and ``^``) return
+    first: the general path below would coerce nothing, loop once over the
+    same :func:`_scalar_arith` and allocate the same single result.
+    """
+    if lhs.__class__ is RVector and rhs.__class__ is RVector:
+        kind = lhs.kind
+        if kind is rhs.kind and (
+            kind is _DBL or (kind is _INT and op != "/" and op != "^")
+        ):
+            da, db = lhs.data, rhs.data
+            if len(da) == 1 and len(db) == 1:
+                x, y = da[0], db[0]
+                if x is not None and y is not None:
+                    return RVector(kind, [_scalar_arith(op, x, y)])
     a = as_vector(lhs)
     b = as_vector(rhs)
     if not a.kind.is_numeric or not b.kind.is_numeric:
@@ -214,7 +238,28 @@ def unary(op: str, operand: Any) -> RVector:
 # Comparison and logic
 # ---------------------------------------------------------------------------
 
+_COMPARE_FNS = {
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
 def compare(op: str, lhs: Any, rhs: Any) -> RVector:
+    """Generic vector comparison with coercion, recycling and NA; two
+    non-NA integer or double scalars of one kind return first, as in
+    :func:`arith`."""
+    if lhs.__class__ is RVector and rhs.__class__ is RVector:
+        kind = lhs.kind
+        if kind is rhs.kind and (kind is _DBL or kind is _INT):
+            da, db = lhs.data, rhs.data
+            if len(da) == 1 and len(db) == 1:
+                x, y = da[0], db[0]
+                if x is not None and y is not None:
+                    return RVector(_LGL, [_COMPARE_FNS[op](x, y)])
     a = as_vector(lhs)
     b = as_vector(rhs)
     kind = kind_lub(a.kind, b.kind)
@@ -229,15 +274,7 @@ def compare(op: str, lhs: Any, rhs: Any) -> RVector:
         return RVector(Kind.LGL, [])
     n = max(la, lb)
     out: List[Optional[bool]] = [None] * n
-    fns: dict = {
-        "==": lambda x, y: x == y,
-        "!=": lambda x, y: x != y,
-        "<": lambda x, y: x < y,
-        "<=": lambda x, y: x <= y,
-        ">": lambda x, y: x > y,
-        ">=": lambda x, y: x >= y,
-    }
-    f = fns[op]
+    f = _COMPARE_FNS[op]
     da, db = a.data, b.data
     for i in range(n):
         x, y = da[i % la], db[i % lb]
@@ -360,7 +397,22 @@ def _index_scalar(idx: Any) -> int:
 
 
 def extract2(value: Any, idx: Any) -> Any:
-    """``x[[i]]`` — extract a single element."""
+    """``x[[i]]`` — extract a single element.  An in-bounds integer or
+    double scalar subscript returns first; every other subscript gets its
+    conversion or error from :func:`_index_scalar` below."""
+    if value.__class__ is RVector and idx.__class__ is RVector:
+        data = idx.data
+        if len(data) == 1:
+            i = data[0]
+            if i.__class__ is float:
+                i = int(i)  # truncates, and raises on nan/inf, as _index_scalar
+            if i.__class__ is int:
+                data = value.data
+                if 0 < i <= len(data):
+                    el = data[i - 1]
+                    if value.kind == _LIST:
+                        return el
+                    return RVector(value.kind, [el])
     v = as_vector(value)
     i = _index_scalar(idx)
     if i > len(v.data):

@@ -45,11 +45,17 @@ class Kind(enum.IntEnum):
 
     @property
     def is_numeric(self) -> bool:
-        return Kind.LGL <= self <= Kind.CPLX
+        return _LGL <= self <= _CPLX
 
     @property
     def is_vector(self) -> bool:
-        return Kind.LGL <= self <= Kind.LIST
+        return _LGL <= self <= _LIST
+
+
+# Members as module globals for the predicates above and kind_lub, which run
+# once per generic runtime operation: on CPython < 3.12 ``Kind.X`` goes
+# through the enum metaclass and costs several times a global load.
+_NULL, _LGL, _CPLX, _LIST = Kind.NULL, Kind.LGL, Kind.CPLX, Kind.LIST
 
 
 #: Kinds that unboxed native code can hold directly in a register.
@@ -68,12 +74,12 @@ def kind_lub(a: Kind, b: Kind) -> Kind:
     """
     if a == b:
         return a
-    if a == Kind.NULL:
+    if a == _NULL:
         return b
-    if b == Kind.NULL:
+    if b == _NULL:
         return a
-    if a.is_vector and b.is_vector:
-        return Kind(max(a, b))
+    if _LGL <= a <= _LIST and _LGL <= b <= _LIST:  # both vector kinds
+        return a if a > b else b
     return Kind.ANY
 
 

@@ -21,7 +21,10 @@ from __future__ import annotations
 
 from typing import Any, Callable, List, Optional, Sequence
 
-from .rtypes import Kind, RType, intern_rtype
+from .rtypes import ANY, Kind, RType, intern_rtype
+
+
+_STR = Kind.STR  # a global load; ``Kind.STR`` is a metaclass lookup before 3.12
 
 
 class RError(Exception):
@@ -139,7 +142,7 @@ class RVector:
         v = self.data[0]
         if v is None:
             raise RError("missing value where TRUE/FALSE needed")
-        if self.kind == Kind.STR:
+        if self.kind == _STR:
             if v == "TRUE":
                 return True
             if v == "FALSE":
@@ -238,6 +241,20 @@ class RPromise:
         return "<promise forced=%s>" % self.forced
 
 
+#: interned :class:`RType` per :class:`Kind` for the three shapes
+#: :func:`rtype_quick` distinguishes — a vector of any other length, a
+#: non-NA scalar and an NA scalar.  Indexed by kind; feedback recording
+#: reads them directly so that a profile record costs no call.
+QUICK_VECTOR = tuple(intern_rtype(k, False, False) for k in Kind)
+QUICK_SCALAR = tuple(intern_rtype(k, True, False) for k in Kind)
+QUICK_NA_SCALAR = tuple(intern_rtype(k, True, True) for k in Kind)
+
+_NULL_T = RType(Kind.NULL, scalar=False, maybe_na=False)
+_CLO_T = RType(Kind.CLO, scalar=True, maybe_na=False)
+_BUILTIN_T = RType(Kind.BUILTIN, scalar=True, maybe_na=False)
+_ENV_T = RType(Kind.ENV, scalar=True, maybe_na=False)
+
+
 def rtype_quick(value: Any) -> RType:
     """An O(1) runtime type: like :func:`rtype_of` but NA presence is only
     inspected for scalars (scanning long vectors on every profile record
@@ -245,9 +262,12 @@ def rtype_quick(value: Any) -> RType:
     under-approximated; the optimizer compensates with per-element NA checks
     in its typed vector loads."""
     if isinstance(value, RVector):
-        if len(value.data) == 1:
-            return intern_rtype(value.kind, True, value.data[0] is None)
-        return intern_rtype(value.kind, False, False)
+        data = value.data
+        if len(data) != 1:
+            return QUICK_VECTOR[value.kind]
+        if data[0] is None:
+            return QUICK_NA_SCALAR[value.kind]
+        return QUICK_SCALAR[value.kind]
     return rtype_of(value)
 
 
@@ -256,16 +276,16 @@ def rtype_of(value: Any) -> RType:
     if isinstance(value, RVector):
         return value.rtype()
     if isinstance(value, RNull):
-        return RType(Kind.NULL, scalar=False, maybe_na=False)
+        return _NULL_T
     if isinstance(value, RClosure):
-        return value.rtype()
+        return _CLO_T
     if isinstance(value, RBuiltin):
-        return value.rtype()
+        return _BUILTIN_T
     from .env import REnvironment
 
     if isinstance(value, REnvironment):
-        return RType(Kind.ENV, scalar=True, maybe_na=False)
-    return RType(Kind.ANY)
+        return _ENV_T
+    return ANY
 
 
 # -- convenient scalar constructors used pervasively ---------------------------

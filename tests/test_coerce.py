@@ -298,3 +298,82 @@ def test_assign2_then_extract2_reads_back(xs, idx, val):
 def test_combine_preserves_values(xs):
     parts = [RVector.double([x]) for x in xs]
     assert coerce.combine(parts).data == [float(x) for x in xs]
+
+
+# -- the scalar fast returns are the general path -------------------------------------
+
+#: one operand per case the fast returns must not get wrong: a plain value,
+#: NA, a bool stored in an INT vector, zero, negative zero, inf and nan
+SCALAR_OPERANDS = [
+    (Kind.LGL, True), (Kind.LGL, False), (Kind.LGL, None),
+    (Kind.INT, 3), (Kind.INT, -2), (Kind.INT, 0), (Kind.INT, None), (Kind.INT, True),
+    (Kind.DBL, 2.5), (Kind.DBL, 2.0), (Kind.DBL, 0.0), (Kind.DBL, -0.0),
+    (Kind.DBL, math.inf), (Kind.DBL, -math.inf), (Kind.DBL, math.nan), (Kind.DBL, None),
+    (Kind.CPLX, 1 + 2j), (Kind.CPLX, 0j), (Kind.CPLX, None),
+    (Kind.STR, "a"), (Kind.STR, "1"), (Kind.STR, None),
+]
+
+
+class _General(RVector):
+    """An operand the ``__class__ is RVector`` entry test turns away, so the
+    call takes the general path on the very same data."""
+
+
+def _outcome(fn, *args):
+    """(kind, repr of element 0) or the error raised, plus vectors allocated.
+    ``repr`` keeps ``1``, ``1.0`` and ``True`` (and ``0.0``/``-0.0``) apart."""
+    before = RVector.allocations
+    try:
+        r = fn(*args)
+    except Exception as e:  # noqa: BLE001 - error identity is the point
+        return (type(e).__name__, str(e)), RVector.allocations - before
+    if not isinstance(r, RVector):
+        return ("value", repr(r)), RVector.allocations - before
+    return (r.kind, repr(r.data[0])), RVector.allocations - before
+
+
+@pytest.mark.parametrize("fn,ops", [
+    (coerce.arith, coerce.ARITH_OPS), (coerce.compare, coerce.COMPARE_OPS),
+])
+def test_scalar_operations_are_element_zero_of_the_vector_loop(fn, ops):
+    """``op([x], [y])`` may take the fast return; ``op([x, x], [y, y])`` can
+    only take the general loop.  Same kind, value and error for every
+    operator and operand pair — and, against the general path forced on the
+    scalars themselves, the same number of vectors allocated."""
+    for op in ops:
+        for ka, x in SCALAR_OPERANDS:
+            for kb, y in SCALAR_OPERANDS:
+                case = (op, ka.name, x, kb.name, y)
+                got, got_allocs = _outcome(fn, op, RVector(ka, [x]), RVector(kb, [y]))
+                want, _ = _outcome(fn, op, RVector(ka, [x, x]), RVector(kb, [y, y]))
+                assert got == want, case
+                forced, forced_allocs = _outcome(
+                    fn, op, _General(ka, [x]), _General(kb, [y]))
+                assert (got, got_allocs) == (forced, forced_allocs), case
+
+
+def test_extract2_fast_return_is_the_general_path():
+    """In and out of bounds, every subscript kind and every odd subscript
+    value: the same element, kind, error and allocation count as the general
+    path (forced by an index the entry test turns away)."""
+    vectors = [
+        RVector.integer([10, None, 30]), RVector.double([1.5, -0.0]),
+        RVector.logical([True]), RVector.string(["a", "b"]),
+        RVector.rlist([mk_int(1), NULL, RVector.double([1.0, 2.0])]),
+        RVector.integer([]),
+    ]
+    subscripts = [(Kind.INT, i) for i in (1, 2, 3, 4, 0, -1)] + [
+        (Kind.DBL, f) for f in (1.0, 2.9, 3.0, 3.5, 0.5, -1.0, math.nan, math.inf)
+    ] + SCALAR_OPERANDS
+    for v in vectors:
+        for k, i in subscripts:
+            got = _outcome(coerce.extract2, v, RVector(k, [i]))
+            want = _outcome(coerce.extract2, v, _General(k, [i]))
+            assert got == want, (v, k.name, i)
+        # list elements come back as the stored object, not a copy
+        if v.kind == Kind.LIST:
+            assert coerce.extract2(v, mk_int(3)) is v.data[2]
+    assert _outcome(coerce.extract2, NULL, mk_int(1)) == \
+        _outcome(coerce.extract2, NULL, _General(Kind.INT, [1]))
+    assert _outcome(coerce.extract2, vectors[0], RVector.integer([1, 2])) == \
+        _outcome(coerce.extract2, vectors[0], _General(Kind.INT, [1, 2]))

@@ -7,8 +7,10 @@ from repro.bytecode.feedback import (
     MAX_CALL_TARGETS,
     ObservedType,
 )
+from hypothesis import given, strategies as st
+
 from repro.runtime.rtypes import ANY, Kind
-from repro.runtime.values import RVector, mk_dbl, mk_int
+from repro.runtime.values import NULL, RPromise, RVector, mk_dbl, mk_int
 from conftest import make_vm
 
 
@@ -89,6 +91,110 @@ def test_call_feedback_megamorphic_cutoff():
     for i in range(MAX_CALL_TARGETS + 1):
         fb.record(object())
     assert fb.megamorphic and fb.targets == []
+
+
+# -- the last-seen recording memo ----------------------------------------------
+
+def _obs_state(o):
+    return (set(o.kinds), o.all_scalar, o.saw_na, o.count, o.stale)
+
+
+def test_repeat_observation_only_counts():
+    fb = ObservedType()
+    for x in (1, 2, 3):
+        fb.record(mk_int(x))
+    assert _obs_state(fb) == ({Kind.INT}, True, False, 3, False)
+
+
+def test_int_dbl_int_at_one_site_keeps_both_kinds():
+    fb = ObservedType()
+    fb.record(mk_int(1))
+    fb.record(mk_dbl(1.0))
+    fb.record(mk_int(2))
+    assert fb.kinds == {Kind.INT, Kind.DBL} and fb.count == 3
+
+
+def test_memo_is_cleared_by_reset_inject_and_copy():
+    from repro.runtime.rtypes import scalar
+
+    fb = ObservedType()
+    fb.record(mk_int(1))
+    assert fb._last is not None
+    assert fb.copy()._last is None
+    fb.reset()
+    assert fb._last is None
+    fb.record(mk_int(1))  # must merge again, not just count
+    assert _obs_state(fb) == ({Kind.INT}, True, False, 1, False)
+    fb.inject(scalar(Kind.DBL))
+    assert fb._last is None
+    fb.record(mk_int(1))
+    assert _obs_state(fb) == ({Kind.INT, Kind.DBL}, True, False, 2, False)
+
+    cf = CallFeedback()
+    cf.record(len, [mk_int(1)])
+    assert cf._last_target is len
+    assert cf.copy()._last_target is None and cf.copy()._last_prof is None
+
+
+#: every shape the quick type tells apart, plus non-vector values
+_VALUES = st.sampled_from([
+    lambda: mk_int(1), lambda: mk_int(None), lambda: mk_dbl(2.5),
+    lambda: mk_dbl(None), lambda: RVector.integer([1, 2]),
+    lambda: RVector.integer([None, 2]), lambda: RVector.double([]),
+    lambda: RVector.string(["a"]), lambda: RVector.rlist([mk_int(1)]),
+    lambda: NULL, lambda: len, lambda: RPromise.forced_with(mk_int(1)),
+])
+
+
+@given(st.lists(st.tuples(_VALUES, st.sampled_from(["record", "record", "record",
+                                                    "reset", "inject", "copy"]))))
+def test_memoized_recording_equals_unmemoized(steps):
+    """Whatever is recorded, and wherever ``reset`` / ``inject`` / ``copy``
+    fall in between, the profile equals that of a slot whose memo is dropped
+    before every record (so that it merges in full each time)."""
+    from repro.runtime.rtypes import vector
+
+    fast, slow = ObservedType(), ObservedType()
+    for make, action in steps:
+        if action == "reset":
+            fast.reset(), slow.reset()
+        elif action == "inject":
+            fast.inject(vector(Kind.DBL)), slow.inject(vector(Kind.DBL))
+        elif action == "copy":
+            fast, slow = fast.copy(), slow.copy()
+        else:
+            v = make()
+            slow._last = None
+            fast.record(v), slow.record(v)
+        assert _obs_state(fast) == _obs_state(slow)
+
+
+@given(st.lists(st.tuples(_VALUES, _VALUES)))
+def test_binop_recording_equals_two_observed_types(pairs):
+    fb, lhs, rhs = BinopFeedback(), ObservedType(), ObservedType()
+    for make_l, make_r in pairs:
+        a, b = make_l(), make_r()
+        fb.record(a, b)
+        lhs._last = rhs._last = None
+        lhs.record(a), rhs.record(b)
+    assert _obs_state(fb.lhs) == _obs_state(lhs)
+    assert _obs_state(fb.rhs) == _obs_state(rhs)
+
+
+@given(st.lists(st.tuples(st.integers(0, 5), st.lists(_VALUES, max_size=3),
+                          st.booleans())))
+def test_memoized_call_recording_equals_unmemoized(calls):
+    """Targets going megamorphic, profiles overflowing, ``args=None``
+    records and repeats in any order: same profile as with the memo dropped
+    before every record."""
+    targets = [object() for _ in range(6)]
+    fast, slow = CallFeedback(), CallFeedback()
+    for t, makes, no_args in calls:
+        args = None if no_args else [m() for m in makes]
+        slow._last_target = slow._last_prof = None
+        fast.record(targets[t], args), slow.record(targets[t], args)
+        assert (fast.targets, fast.megamorphic, fast.count, fast.arg_profiles) == \
+            (slow.targets, slow.megamorphic, slow.count, slow.arg_profiles)
 
 
 def test_branch_feedback_bias():

@@ -95,6 +95,25 @@ def test_fannkuch_advance_terminates():
     assert from_r(vm.eval("fannkuch(6L)")) == 10
 
 
+@pytest.mark.parametrize("chaos_seed", [1, 3])
+def test_verification_error_is_a_failed_compile(chaos_seed):
+    """Under chaos an OSR-in continuation of `sieve_run` is built with a phi
+    whose inputs name a non-predecessor block, and the verifier refuses it.
+    That used to escape `vm.eval` as a VerificationError (call 33 with seed
+    1, 49 with seed 3); it must be a failed compile like any other: counted,
+    reported as `osr_in_failed`, and the call finishes in the interpreter.
+    The malformed phi itself is not fixed here: it stays with ROADMAP open
+    item 4 (exhaustive deopt-point checking)."""
+    from repro.bench.programs import REGISTRY
+
+    vm = make_vm(enable_deoptless=True, chaos_rate=1e-4, chaos_seed=chaos_seed)
+    vm.eval(REGISTRY.get("primes").source)
+    for _ in range(90):
+        assert from_r(vm.eval("sieve_run(4000L)")) == 550
+    assert vm.state.compile_failures > 0
+    assert any(e.kind == "osr_in_failed" for e in vm.state.events)
+
+
 # -- the section 4.2 unsoundness anecdote --------------------------------------------
 
 ESCAPED_LOOP_SRC = """
