@@ -8,7 +8,7 @@ deopts on the second, re-speculates on the lub, deopts again and settles on
 generic boxed code; contextual dispatch gives each context its own typed,
 unboxed version selected once at entry.
 
-Both engines (threaded and reference loops) must produce bit-identical
+Both engines (codegen and reference loops) must produce bit-identical
 dispatch signatures *within* each ctxdispatch setting: version selection is
 a policy decision made by the VM, not the executor, so only wall-clock may
 differ between engines.

@@ -10,8 +10,8 @@ registers, and provably forced-once effect-free lazy arguments skip promise
 allocation entirely.
 
 Acceptance (the ISSUE-8 bar): ``Config.escape`` on vs off on the same
-default engine must buy a >=1.5x geomean across the group, and the three
-executors (reference loop, threaded, pycodegen) must produce bit-identical
+default engine must buy a >=1.5x geomean across the group, and the two
+executors (reference loop, pycodegen) must produce bit-identical
 dispatch signatures under *each* escape leg separately.  Like inlining, the
 two legs execute genuinely different op streams (MKENV + register traffic
 vs LD_VAR/ST_VAR through a full environment), so signatures are compared
@@ -36,8 +36,7 @@ ESCAPE_KERNELS = {
 }
 
 
-def _time_escape(name, escape, n, threaded=True, pycodegen=True,
-                 warmup=3, iters=7):
+def _time_escape(name, escape, n, threaded=True, warmup=3, iters=7):
     """Time one workload with escape analysis on or off.
 
     Returns (best wall-clock, unwrapped result, dispatch signature,
@@ -47,7 +46,6 @@ def _time_escape(name, escape, n, threaded=True, pycodegen=True,
     cfg = Config(compile_threshold=1, osr_threshold=50)
     cfg.escape = escape
     cfg.threaded_dispatch = threaded
-    cfg.pycodegen = pycodegen
     vm = RVM(cfg)
     vm.eval(w.source)
     vm.eval(w.setup_code(n))
@@ -115,10 +113,10 @@ def test_escape_speedup(bench_scale):
 
 
 def test_escape_engines_agree(bench_scale):
-    """All three executors produce one dispatch signature per escape leg.
+    """Both executors produce one dispatch signature per escape leg.
 
-    The kernel-accounting contract: reference loop, threaded dispatch, and
-    pycodegen execute the same op stream for a given configuration, so only
+    The kernel-accounting contract: the reference loop and pycodegen
+    execute the same op stream for a given configuration, so only
     wall-clock may differ.  Checked under escape=1 and escape=0 separately —
     the legs themselves differ by design (MKENV + scalar registers vs full
     environment traffic), exactly like the inline 0/1 legs.
@@ -127,15 +125,9 @@ def test_escape_engines_agree(bench_scale):
         n = (n_full if bench_scale == "full" else n_test) // 2 or n_test
         for escape in (True, False):
             _, c_res, c_sig, _ = _time_escape(
-                name, escape=escape, n=n, threaded=True, pycodegen=True,
-                warmup=2, iters=1)
-            _, t_res, t_sig, _ = _time_escape(
-                name, escape=escape, n=n, threaded=True, pycodegen=False,
-                warmup=2, iters=1)
+                name, escape=escape, n=n, threaded=True, warmup=2, iters=1)
             _, r_res, r_sig, _ = _time_escape(
-                name, escape=escape, n=n, threaded=False, pycodegen=False,
-                warmup=2, iters=1)
+                name, escape=escape, n=n, threaded=False, warmup=2, iters=1)
             leg = "escape=%d" % escape
-            assert c_res == t_res == r_res, "%s %s: results diverged" % (name, leg)
-            assert c_sig == t_sig, "%s %s: codegen vs threaded diverged" % (name, leg)
+            assert c_res == r_res, "%s %s: results diverged" % (name, leg)
             assert c_sig == r_sig, "%s %s: codegen vs reference diverged" % (name, leg)

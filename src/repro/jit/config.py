@@ -12,71 +12,18 @@ import os
 from dataclasses import dataclass, field
 
 
-def _threaded_default() -> bool:
-    """Threaded dispatch is the default; ``RERPO_REF_EXEC=1`` selects the
-    reference loop executors in both tiers (differential debugging)."""
-    return os.environ.get("RERPO_REF_EXEC", os.environ.get("REPRO_REF_EXEC", "0")) != "1"
-
-
-def _pycodegen_default() -> bool:
-    """The Python-codegen execution tier is on by default;
-    ``RERPO_PYCODEGEN=0`` falls back to the threaded executor (CI covers
-    that leg).  ``RERPO_REF_EXEC=1`` implies it off — the reference-loop
-    leg must actually run the reference loops."""
-    if os.environ.get("RERPO_REF_EXEC", os.environ.get("REPRO_REF_EXEC", "0")) == "1":
-        return False
-    return os.environ.get("RERPO_PYCODEGEN", os.environ.get("REPRO_PYCODEGEN", "1")) != "0"
-
-
-def _inline_default() -> bool:
-    """Speculative call-target inlining is on by default; ``RERPO_INLINE=0``
-    disables the pass (CI covers the guarded-call path with this leg)."""
-    return os.environ.get("RERPO_INLINE", os.environ.get("REPRO_INLINE", "1")) != "0"
-
-
-def _vectorize_default() -> bool:
-    """Guard-hoisted loop vectorization is on by default; ``RERPO_VECTORIZE=0``
-    disables the pass (CI covers the scalar-loop-only path with this leg)."""
-    return os.environ.get("RERPO_VECTORIZE", os.environ.get("REPRO_VECTORIZE", "1")) != "0"
-
-
-def _escape_default() -> bool:
-    """Global environment escape analysis (opt/escape.py + builder mixed
-    mode) is on by default; ``RERPO_ESCAPE=0`` reverts to the all-or-nothing
-    env-mode heuristic (CI covers that leg)."""
-    return os.environ.get("RERPO_ESCAPE", os.environ.get("REPRO_ESCAPE", "1")) != "0"
-
-
-def _codecache_default() -> bool:
-    """The context-keyed code cache is on by default; ``RERPO_CODECACHE=0``
-    disables it (CI covers the always-recompile path with this leg)."""
-    return os.environ.get("RERPO_CODECACHE", os.environ.get("REPRO_CODECACHE", "1")) != "0"
+def _env_flag(name: str, default: bool) -> bool:
+    """The switch ``RERPO_<name>``, read when a ``Config`` is built: ``0``
+    turns a default-on flag off, ``1`` turns a default-off flag on, anything
+    else keeps the default.  This module is the only reader of the VM's
+    environment names; CI runs one leg per switch."""
+    value = os.environ.get("RERPO_" + name)
+    return value != "0" if default else value == "1"
 
 
 def _codecache_dir_default():
     """Warm-start artifact directory; unset disables persistence."""
-    return os.environ.get("RERPO_CODECACHE_DIR", os.environ.get("REPRO_CODECACHE_DIR")) or None
-
-
-def _ctxdispatch_default() -> bool:
-    """Entry contextual dispatch is on by default; ``RERPO_CTXDISPATCH=0``
-    reverts to the single-version-per-closure baseline (CI covers it)."""
-    return os.environ.get("RERPO_CTXDISPATCH", os.environ.get("REPRO_CTXDISPATCH", "1")) != "0"
-
-
-def _osr_hop_default() -> bool:
-    """Dispatched OSR between compiled versions (version-to-version hops at
-    loop headers + continuation tier-up) is on by default; ``RERPO_OSR_HOP=0``
-    reverts to terminal continuations and generic-only OSR (CI covers it)."""
-    return os.environ.get("RERPO_OSR_HOP", os.environ.get("REPRO_OSR_HOP", "1")) != "0"
-
-
-def _serve_default() -> bool:
-    """The multi-tenant serving layer (repro/serve): shared code cache,
-    fleet-wide background tier-up and request batching.  ``RERPO_SERVE=0``
-    makes :class:`repro.serve.Server` degrade to fully isolated per-tenant
-    VMs (no sharing, no coalescing; CI covers that leg)."""
-    return os.environ.get("RERPO_SERVE", os.environ.get("REPRO_SERVE", "1")) != "0"
+    return os.environ.get("RERPO_CODECACHE_DIR") or None
 
 
 def _tierup_default() -> str:
@@ -84,26 +31,24 @@ def _tierup_default() -> str:
     budgeted drain) or ``bg`` (worker thread).  ``RERPO_REF_EXEC=1`` forces
     ``sync`` — the reference-executor leg asserts bit-identical telemetry,
     which must not depend on drain timing."""
-    if os.environ.get("RERPO_REF_EXEC", os.environ.get("REPRO_REF_EXEC", "0")) == "1":
+    if _env_flag("REF_EXEC", False):
         return "sync"
-    mode = os.environ.get("RERPO_TIERUP", os.environ.get("REPRO_TIERUP", "sync"))
+    mode = os.environ.get("RERPO_TIERUP", "sync")
     return mode if mode in ("sync", "step", "bg") else "sync"
 
 
 @dataclass
 class Config:
     # -- execution engine --------------------------------------------------------
-    #: use the closure-compiled threaded-dispatch executors (both tiers).
-    #: False runs the original if/elif reference loops, which must produce
-    #: identical results and telemetry (tests/test_threaded_equivalence.py).
-    threaded_dispatch: bool = field(default_factory=_threaded_default)
-    #: compile each NativeCode unit to one specialized exec'd Python
-    #: function (native/pycodegen.py) — the fastest tier.  Requires
-    #: ``threaded_dispatch`` (the reference leg turns both off); units the
-    #: emitter declines fall back to the threaded executor per-unit.
-    #: Deliberately absent from ``codecache.config_key``: like the engine
-    #: choice itself, it changes how units *run*, not what is lowered.
-    pycodegen: bool = field(default_factory=_pycodegen_default)
+    #: run the fast engine of each tier: the opcode-ordered bytecode loop
+    #: and one specialized exec'd Python function per NativeCode unit
+    #: (native/pycodegen.py).  False (``RERPO_REF_EXEC=1``) runs the if/elif
+    #: reference loops, which must produce identical results and telemetry
+    #: (tests/test_threaded_equivalence.py) and also run any unit codegen
+    #: declines.  Deliberately absent from ``codecache.config_key``: the
+    #: engine changes how units *run*, not what is lowered.
+    threaded_dispatch: bool = field(
+        default_factory=lambda: not _env_flag("REF_EXEC", False))
 
     # -- tiering ---------------------------------------------------------------
     #: enable the optimizing tier at all
@@ -121,7 +66,9 @@ class Config:
     #: map) instead of falling back to the interpreter, and hot deoptless
     #: continuations are promoted to full entry versions.  Keyed into the
     #: code cache (the flag changes what tier-up lowers and installs).
-    osr_hop: bool = field(default_factory=_osr_hop_default)
+    #: ``RERPO_OSR_HOP=0`` reverts to terminal continuations and
+    #: generic-only OSR.
+    osr_hop: bool = field(default_factory=lambda: _env_flag("OSR_HOP", True))
     #: dispatches into one deoptless continuation (same compiled context)
     #: before it is promoted to a full version in the closure's VersionTable
     cont_tierup_threshold: int = 3
@@ -135,20 +82,23 @@ class Config:
     #: exact per-iteration op/guard/generic counts of the replaced loop), so
     #: the cost model and dispatch signature are engine-independent; the
     #: real speedup shows up in wall-clock only (benchmarks/).
-    vectorize: bool = field(default_factory=_vectorize_default)
+    #: ``RERPO_VECTORIZE=0`` keeps the scalar loops only.
+    vectorize: bool = field(default_factory=lambda: _env_flag("VECTORIZE", True))
     #: global environment escape analysis (opt/escape.py): functions whose
     #: local environment only escapes through analyzable closure/promise
     #: captures compile in mixed mode — provably-local slots become SSA
     #: registers, harmless captures drop their env edge, provably
     #: forced-once effect-free arguments skip promise allocation, and cold
     #: capture branches turn into ``Assume(env-not-captured)`` guards whose
-    #: frame states rematerialize the elided environment at deopt
-    escape: bool = field(default_factory=_escape_default)
+    #: frame states rematerialize the elided environment at deopt.
+    #: ``RERPO_ESCAPE=0`` reverts to the all-or-nothing env-mode heuristic.
+    escape: bool = field(default_factory=lambda: _env_flag("ESCAPE", True))
     #: speculative call-target inlining (opt/inline.py): monomorphic
     #: ``CallFeedback`` sites splice the callee's IR under the existing
     #: identity guard.  Checkpoints inside the inlined body carry nested
     #: FrameStates; deopts there materialize the full frame chain.
-    inline: bool = field(default_factory=_inline_default)
+    #: ``RERPO_INLINE=0`` disables the pass (every call stays guarded).
+    inline: bool = field(default_factory=lambda: _env_flag("INLINE", True))
     #: cost model: max callee bytecode ops for an inline candidate
     inline_max_size: int = 48
     #: cost model: max inlined frame depth (1 = calls from the root function)
@@ -159,8 +109,9 @@ class Config:
     # -- compilation subsystem (jit/codecache.py, jit/compile_queue.py) -----------
     #: context-keyed code cache: compiled units are shared across closures
     #: with content-identical code under the same speculation context, and
-    #: repeat deoptless contexts recover in O(lookup) instead of O(pipeline)
-    codecache: bool = field(default_factory=_codecache_default)
+    #: repeat deoptless contexts recover in O(lookup) instead of O(pipeline).
+    #: ``RERPO_CODECACHE=0`` always recompiles.
+    codecache: bool = field(default_factory=lambda: _env_flag("CODECACHE", True))
     #: LRU eviction bound, in cached compiled instructions
     codecache_budget: int = 100_000
     #: warm-start artifact directory (``RERPO_CODECACHE_DIR``); None disables
@@ -175,13 +126,14 @@ class Config:
     tierup_drain_budget: int = 2000
 
     # -- multi-tenant serving (repro/serve) ---------------------------------------
-    #: master switch for the serving layer: when False, ``serve.Server``
-    #: runs every tenant on a fully isolated VM (no shared code cache, no
+    #: master switch for the serving layer: when False (``RERPO_SERVE=0``),
+    #: ``serve.Server`` runs every tenant on a fully isolated VM (no shared
+    #: code cache, no
     #: fleet compile queue, no cold-start coalescing).  Per-tenant results
     #: and ``dispatch_signature`` are identical either way — sharing only
     #: changes how compiled code is *obtained* (see DESIGN.md,
     #: "Multi-tenant serving")
-    serve: bool = field(default_factory=_serve_default)
+    serve: bool = field(default_factory=lambda: _env_flag("SERVE", True))
     #: fleet-wide LRU budget of the process-shared code cache, in compiled
     #: instructions across all tenants (one budget for the whole fleet, not
     #: per-VM — the point is bounding total resident shared code)
@@ -191,8 +143,9 @@ class Config:
     #: dispatch function entries on a distilled CallContext: polymorphic
     #: call sites split into per-context compiled versions (argument guards
     #: hoisted to the dispatch check, unboxed parameter passing) instead of
-    #: widening the single generic version
-    ctxdispatch: bool = field(default_factory=_ctxdispatch_default)
+    #: widening the single generic version.  ``RERPO_CTXDISPATCH=0`` reverts
+    #: to one version per closure.
+    ctxdispatch: bool = field(default_factory=lambda: _env_flag("CTXDISPATCH", True))
     #: specialized versions per closure, on top of the generic fall-through
     dispatch_versions: int = 4
     #: distinct entry contexts a closure must exhibit before versions are

@@ -58,7 +58,7 @@ class PersistError(Exception):
 
 
 #: NativeCode fields that constitute the replayable lowering output.  The
-#: mutable/per-install fields (closure, invalidated, threaded, pics) are
+#: mutable/per-install fields (closure, invalidated, pyfunc, pics) are
 #: deliberately excluded and reset on load.
 _NC_FIELDS = (
     "name", "ops", "n_regs", "reg_init", "deopts", "kernels", "param_regs",
@@ -204,7 +204,7 @@ def serialize(ncode: NativeCode, root_code: CodeObject, resolver: WorldResolver)
     # pins, builtins, CodeObjects) keep their identity on load.  Emission is
     # forced eagerly here because the stable layer serializes at insert
     # time, before the unit first runs.
-    if getattr(resolver.vm.config, "pycodegen", False):
+    if resolver.vm.config.threaded_dispatch:
         pycodegen.ensure_source(ncode, resolver.vm.state)
     src = getattr(ncode, "pysrc", None)
     if src:
@@ -239,7 +239,6 @@ def deserialize(data: bytes, root_code: CodeObject, resolver: WorldResolver) -> 
         setattr(nc, f, state[f])
     nc.closure = None
     nc.invalidated = False
-    nc.threaded = None
     nc.pics = {}
     nc.cache_template = None
     nc.param_unbox = state.get("param_unbox")

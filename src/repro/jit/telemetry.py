@@ -115,11 +115,12 @@ class Telemetry:
         self.codecache_instrs_saved = 0
         self.codecache_persist_failures = 0
         #: Python-codegen tier (native/pycodegen.py).  Engine-dependent by
-        #: nature (the other engines never emit source) so all three stay
+        #: nature (the reference loop never emits source) so all three stay
         #: out of dispatch_signature(): units is emitter walks performed,
         #: src_reuses counts units whose generated text rode in on a cache
-        #: artifact (warm starts skip codegen), failures counts units the
-        #: emitter declined (they run threaded).
+        #: artifact (warm starts skip codegen), failures counts fallbacks to
+        #: the reference loop (emitter declined, compile()/exec failed,
+        #: argument-count mismatch in a generated function).
         self.pycodegen_units = 0
         self.pycodegen_src_reuses = 0
         self.pycodegen_failures = 0
@@ -237,8 +238,8 @@ class Telemetry:
     def dispatch_signature(self) -> Dict[str, Any]:
         """Execution-engine-independent summary of what this VM executed.
 
-        Everything here must be bit-identical between the threaded-dispatch
-        executors and the ``RERPO_REF_EXEC=1`` reference loops: the exact op
+        Everything here must be bit-identical between the default engines
+        and the ``RERPO_REF_EXEC=1`` reference loops: the exact op
         and guard counts (the cost model's inputs) and the ordered deopt
         event stream (function, kind, pc).  Wall-clock timestamps and other
         engine-dependent details are deliberately excluded.

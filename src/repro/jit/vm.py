@@ -14,10 +14,10 @@
   retire-reprofile-regeneralize loop is exactly the behaviour deoptless is
   designed to avoid.
 
-Both tiers execute through closure-compiled threaded dispatch by default
-(``bytecode/interpreter.py`` fast loop + ``native/threaded.py``); setting
-``RERPO_REF_EXEC=1`` selects the original reference loops, which are kept
-bit-for-bit equivalent in results and telemetry (see DESIGN.md, "Dispatch
+Both tiers run their fast engine by default (``bytecode/interpreter.py``
+fast loop + per-unit generated functions, ``native/pycodegen.py``); setting
+``RERPO_REF_EXEC=1`` selects the reference loops, which are kept bit-for-bit
+equivalent in results and telemetry (see DESIGN.md, "Dispatch
 architecture").
 """
 
@@ -475,7 +475,7 @@ class RVM:
         source at install time (the cache-insert path may already have done
         it; ``ensure_source`` is idempotent).  Binding — compile()/exec —
         stays lazy: clones share the template's bound function."""
-        if self.config.pycodegen and self.config.threaded_dispatch:
+        if self.config.threaded_dispatch:
             pycodegen.ensure_source(ncode, self.state)
 
     def _try_cached_entry(self, closure: RClosure, st: ClosureJitState,

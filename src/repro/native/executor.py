@@ -161,8 +161,8 @@ def pic_call(cache: list, fn, args, names, vm) -> Any:
     ``vercache`` additionally maps distilled call contexts straight to the
     installed version, so steady-state contextual dispatch is one identity
     comparison plus one dict probe.  Semantics are identical either way.
-    Both executors share this helper, so ``pic_hits`` counts the same in
-    each engine for the same program.
+    Both engines share this helper, so ``pic_hits`` counts the same in
+    each for the same program.
     """
     for entry in cache:
         if entry[0] is fn:
@@ -187,21 +187,20 @@ def pic_call(cache: list, fn, args, names, vm) -> Any:
     raise RError("attempt to apply non-function")
 
 
-def execute(ncode: NativeCode, args: List[Any], vm, closure_env=None) -> Any:
-    """Run native code with ``args`` bound to the parameter registers.
-
-    Dispatches to the per-unit generated function (the default, the
-    fastest tier — native/pycodegen.py), the closure-compiled threaded
-    executor (``RERPO_PYCODEGEN=0``), or the if/elif reference loop below
-    (``RERPO_REF_EXEC=1``); all three produce identical results and
+def execute(ncode: NativeCode, args: List[Any], vm, closure_env=None,
+            entry: Optional[int] = None, regs: Optional[List[Any]] = None) -> Any:
+    """Run native code on the engine ``Config.threaded_dispatch`` selects:
+    the per-unit generated function (native/pycodegen.py, the default) or
+    the if/elif reference loop below (``RERPO_REF_EXEC=1``), which is also
+    what runs a unit codegen declines.  Both produce identical results and
     telemetry.
+
+    ``args`` bind to the parameter registers of a fresh register file;
+    ``entry``/``regs`` are the mid-unit form, see :func:`execute_at`.
     """
-    cfg = vm.config
-    if cfg.threaded_dispatch:
-        if cfg.pycodegen:
-            return execute_codegen(ncode, args, vm, closure_env)
-        return execute_threaded(ncode, args, vm, closure_env)
-    return execute_ref(ncode, args, vm, closure_env)
+    if vm.config.threaded_dispatch:
+        return execute_codegen(ncode, args, vm, closure_env, entry, regs)
+    return execute_ref(ncode, args, vm, closure_env, entry or 0, regs)
 
 
 def execute_at(ncode: NativeCode, entry: int, regs: List[Any], vm,
@@ -210,22 +209,15 @@ def execute_at(ncode: NativeCode, entry: int, regs: List[Any], vm,
 
     ``regs`` is a full register image seeded by ``osr_hop`` from an
     ``OsrEntry`` (constants from ``reg_init``, live frame slots per the
-    entry map); execution starts at op index ``entry``, a loop header.  Same
-    engine selection as :func:`execute`; counters are engine-identical.
+    entry map); execution starts at op index ``entry``, a loop header.
     """
-    cfg = vm.config
-    if cfg.threaded_dispatch:
-        if cfg.pycodegen:
-            return execute_codegen(ncode, (), vm, closure_env,
-                                   entry=entry, regs=regs)
-        return execute_threaded(ncode, (), vm, closure_env,
-                                entry=entry, regs=regs)
-    return execute_ref(ncode, (), vm, closure_env, entry=entry, regs=regs)
+    return execute(ncode, (), vm, closure_env, entry, regs)
 
 
 def execute_ref(ncode: NativeCode, args: List[Any], vm, closure_env=None,
                 entry: int = 0, regs: Optional[List[Any]] = None) -> Any:
-    """The reference register-machine loop (kept for differential testing)."""
+    """The reference register-machine loop: the specification the generated
+    code is tested against, and the fallback for units codegen declines."""
     if regs is None:
         regs = list(ncode.reg_init)
         pu = ncode.param_unbox
@@ -594,8 +586,7 @@ def _super_assign_from(env, name: str, value: Any) -> None:
         e = e.parent
 
 
-# imported last: threaded.py pulls the guard/deopt helpers defined above out
-# of this module, so this import must come after they exist
-from .threaded import execute_threaded  # noqa: E402
+# imported last: pycodegen.py pulls the guard/deopt helpers defined above out
+# of this module, so these imports must come after they exist
 from . import kernels as _kernels  # noqa: E402
 from .pycodegen import execute_codegen  # noqa: E402

@@ -69,16 +69,8 @@ SHARE = 54
 # holding only the env-demoted locals; (op, dst, names_tuple, regs_tuple)
 MKENV = 55
 
-# superinstructions (threaded dispatch only; never appear in NativeCode.ops,
-# only in the fused stream the closure compiler consumes).  Each covers two
-# reference ops and is accounted as two in the telemetry.
-GTYPE_UNBOX = 60   # (op, guard_reg, rtype, deopt_id, dst, src)
-CMP_BRT = 61       # (op, cmp_op, dst, a, b, true_idx, false_idx)
-VLOAD_PADD = 62    # (op, vdst, vec, idx, deopt_id, adst, aa, ab)
-BOX_RET = 63       # (op, dst, src, kind)
-FUSED_GAP = 64     # placeholder at the consumed slot; never executed
-
-# bulk vector kernels (opt/vectorize.py).  One dispatch covers a whole
+# bulk vector kernels (opt/vectorize.py); numbered from 65 because persisted
+# artifacts store opcode numbers (56-64 are unused).  One dispatch covers a whole
 # counted loop over the raw unboxed buffer; the single operand indexes the
 # KernelDescr on the NativeCode.  The kernel op itself is *not* accounted as
 # an executed op (it does not exist in scalar executions); instead the kernel
@@ -106,50 +98,15 @@ KERNEL_OPS = frozenset((
 NAMES = {v: k for k, v in list(globals().items()) if isinstance(v, int) and not k.startswith("_")}
 
 
-#: operand field names for the superinstruction tuples; an entry of the form
-#: ``"op:<name>"`` marks a field holding an opcode number (rendered by name)
-#: and ``"@<name>"`` marks a branch-target index.
-_OPERAND_NAMES = {
-    GTYPE_UNBOX: ("guard", "type", "deopt", "dst", "src"),
-    CMP_BRT: ("op:cmp", "dst", "a", "b", "@true", "@false"),
-    VLOAD_PADD: ("vdst", "vec", "idx", "deopt", "adst", "aa", "ab"),
-    BOX_RET: ("dst", "src", "kind"),
-    VSUM: ("kernel",),
-    VMAP_ARITH: ("kernel",),
-    VCMP_REDUCE: ("kernel",),
-    VFILL: ("kernel",),
-    VCOPYN: ("kernel",),
-    VMAP_REDUCE: ("kernel",),
-    VDOT: ("kernel",),
-    VGATHER_REDUCE: ("kernel",),
-    VSUM_STRIDED: ("kernel",),
-}
-
-
-def _render_operand(name, value):
-    if name.startswith("op:"):
-        return "%s=%s" % (name[3:], NAMES.get(value, value))
-    if name.startswith("@"):
-        return "%s=@%s" % (name[1:], value)
-    return "%s=%r" % (name, value)
-
-
 def disassemble(ncode) -> str:
-    """Human-readable op stream; works on both the canonical and the fused
-    stream.  Superinstruction operand tuples are rendered symbolically
-    (field names, opcode operands by name) and ``FUSED_GAP`` placeholders are
-    elided — the printed indices are the original stream positions, so the
-    disassembly still resolves branch targets of the fused stream.
-    """
+    """Human-readable op stream; a kernel op's single operand is rendered
+    ``kernel=<index into NativeCode.kernels>``."""
     ops = getattr(ncode, "ops", ncode)
     lines = []
     for i, op in enumerate(ops):
         code = op[0]
-        if code == FUSED_GAP:
-            continue  # consumed by the superinstruction one slot earlier
-        fields = _OPERAND_NAMES.get(code)
-        if fields is not None:
-            body = " ".join(_render_operand(n, v) for n, v in zip(fields, op[1:]))
+        if code in KERNEL_OPS:
+            body = "kernel=%r" % (op[1],)
         else:
             body = " ".join(repr(x) for x in op[1:])
         lines.append("%4d  %-12s %s" % (i, NAMES.get(code, "?"), body))

@@ -1,28 +1,27 @@
 """NativeCode → specialized Python source — the codegen execution tier.
 
-The threaded executor (native/threaded.py) still pays one Python-level
-indirect call per op: each handler is a closure pulled from an array.  This
-module ends that trajectory the way a real JIT does — by *generating target
-code* per compilation unit.  ``_emit`` walks a lowered
-:class:`~repro.native.lower.NativeCode` and prints straight-line Python
-source: registers become plain locals (``r7``), each op becomes one
+The reference loop (executor.execute_ref) pays an if/elif opcode dispatch
+and a tuple unpack per op.  This module removes both the way a real JIT
+does — by *generating target code* per compilation unit.  ``_emit`` walks a
+lowered :class:`~repro.native.lower.NativeCode` and prints straight-line
+Python source: registers become plain locals (``r7``), each op becomes one
 statement (or a few), guards become ``if``-raise of a :class:`DeoptSignal`
 carrying the op's deopt-descriptor index, and bulk vector kernels become
 direct ``run_kernel`` calls with a statically computed spill/reload set.
 ``compile()``/``exec`` then turns the text into a single specialized
-function cached on the unit (``NativeCode.pyfunc``), shared by clones via
-the same ``cache_template`` back-propagation the threaded tier uses.
+function cached on the unit (``NativeCode.pyfunc``) and back-propagated to
+its ``cache_template`` so later install clones share it.
 
-Equivalence contract (the same one threaded.py honors): results, deopt
-frames and the engine-independent telemetry — ``native_ops``,
-``native_generic_ops``, ``guards_executed`` and the ordered deopt event
-stream — must be bit-identical to the reference if/elif loop.  Op counts
+Equivalence contract: results, deopt frames and the engine-independent
+telemetry — ``native_ops``, ``native_generic_ops``, ``guards_executed`` and
+the ordered deopt event stream — must be bit-identical to the reference
+if/elif loop.  Op counts
 are therefore *statically batched*: the emitter tracks how many ops precede
 each basic-block exit and emits one literal ``_n += k`` instead of per-op
 increments, with every deopt site raising the exact pending totals it would
 have observed in the reference loop.  Chaos-mode RNG draws are emitted
-after each passing guard in op order, so the draw sequence is identical
-across all three engines.
+after each passing guard in op order, so the draw sequence is identical in
+both engines.
 
 Deopt protocol: generated code raises ``DeoptSignal(did, regidx, vals,
 dn, dg, du, observed, kind)`` — the deopt-descriptor index, the registers
@@ -86,7 +85,7 @@ class DeoptSignal(Exception):
 
 class UnsupportedUnit(Exception):
     """Raised by the emitter on an op stream it cannot translate; the unit
-    falls back to the threaded executor."""
+    runs on the reference loop."""
 
 
 def _fail(ncode, vm, closure_env, sig):
@@ -111,6 +110,14 @@ def _fail(ncode, vm, closure_env, sig):
     state.native_generic_ops += sig.dg
     state.guards_executed += sig.du
     return vm.deopt(fs, reason, origin=ncode)
+
+
+def _fallback(ncode, vm, args, closure_env):
+    """A generated ``_unit`` called with an argument count it was not
+    emitted for: the reference loop binds what it is given (counted as a
+    codegen failure; parameter order mirrors ``_fail``)."""
+    vm.state.pycodegen_failures += 1
+    return execute_ref(ncode, args, vm, closure_env)
 
 
 def _na_rtype(v):
@@ -709,7 +716,7 @@ def _shared_env() -> dict:
             "__builtins__": __builtins__,
             "_DS": DeoptSignal,
             "_fail": _fail,
-            "_fallback": execute_threaded,
+            "_fallback": _fallback,
             "_tm": _type_matches,
             "_rq": rtype_quick,
             "_naty": _na_rtype,
@@ -741,11 +748,22 @@ def _shared_env() -> dict:
     return env
 
 
+def _decline(ncode) -> None:
+    """Mark a unit — and the cached template it was cloned from, so the
+    failure is paid once per template, not once per install clone — as
+    untranslatable."""
+    tmpl = ncode.cache_template
+    for unit in (ncode,) if tmpl is None else (ncode, tmpl):
+        unit.pysrc = False
+        unit.pyconsts = None
+        unit.pyfunc = None
+
+
 def ensure_source(ncode, state=None) -> Optional[str]:
     """Emit (once) and cache the unit's generated source + constant pool.
 
     Returns the source text, or None when the unit cannot be translated
-    (``pysrc`` is then the False sentinel and the threaded tier runs it).
+    (``pysrc`` is then the False sentinel and the reference loop runs it).
     """
     src = getattr(ncode, "pysrc", None)
     if src is not None:
@@ -753,8 +771,7 @@ def ensure_source(ncode, state=None) -> Optional[str]:
     try:
         src, consts = _emit(ncode)
     except Exception:
-        ncode.pysrc = False
-        ncode.pyconsts = None
+        _decline(ncode)
         if state is not None:
             state.pycodegen_failures += 1
         return None
@@ -764,7 +781,7 @@ def ensure_source(ncode, state=None) -> Optional[str]:
         state.pycodegen_units += 1
     tmpl = ncode.cache_template
     if tmpl is not None and getattr(tmpl, "pysrc", None) is None:
-        # back-propagate like compile_threaded: later clones start warm
+        # back-propagate: later clones start warm
         tmpl.pysrc = src
         tmpl.pyconsts = consts
     return src
@@ -774,7 +791,8 @@ def bind(ncode, vm):
     """compile()/exec the unit's generated source into its ``pyfunc``.
 
     Returns the callable, or None when codegen is unavailable for this unit
-    (emission or compilation failed — the caller falls back to threaded).
+    (emission or compilation failed — the caller falls back to the
+    reference loop).
     """
     src = getattr(ncode, "pysrc", None)
     if src is False:
@@ -782,6 +800,9 @@ def bind(ncode, vm):
     tmpl = ncode.cache_template
     if src is None and tmpl is not None:
         tsrc = getattr(tmpl, "pysrc", None)
+        if tsrc is False:
+            ncode.pysrc = False
+            return None
         if tsrc:
             src = ncode.pysrc = tsrc
             ncode.pyconsts = tmpl.pyconsts
@@ -801,8 +822,7 @@ def bind(ncode, vm):
         fn = g["_unit"]
     except Exception:
         vm.state.pycodegen_failures += 1
-        ncode.pysrc = False
-        ncode.pyfunc = None
+        _decline(ncode)
         return None
     ncode.pyfunc = fn
     if tmpl is not None and getattr(tmpl, "pyfunc", None) is None:
@@ -814,28 +834,27 @@ def bind(ncode, vm):
 
 def execute_codegen(ncode, args, vm, closure_env=None, entry=None, regs=None):
     """Run a unit through its generated function (binding it on first use);
-    units the emitter declines run on the threaded executor instead."""
+    units the emitter declines run on the reference loop instead."""
     fn = ncode.pyfunc
     if fn is None:
         fn = bind(ncode, vm)
         if fn is None:
-            return execute_threaded(ncode, args, vm, closure_env,
-                                    entry=entry or 0, regs=regs)
+            return execute_ref(ncode, args, vm, closure_env, entry or 0, regs)
     if closure_env is None and ncode.closure is not None:
         closure_env = ncode.closure.env
     return fn(ncode, vm, args, closure_env, entry, regs)
 
 
-# imported last (same pattern as threaded.py): these helpers live in
-# executor.py / threaded.py / kernels.py, which import us at their bottoms
+# imported last: these helpers live in executor.py / kernels.py, and
+# executor.py imports us at its bottom
 from .executor import (  # noqa: E402
     _as_bool,
     _generic_set2,
     _super_assign_from,
     _type_matches,
     build_framestate,
+    execute_ref,
     force_value,
     pic_call,
 )
-from .threaded import execute_threaded  # noqa: E402
 from .kernels import run_kernel  # noqa: E402

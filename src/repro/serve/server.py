@@ -31,7 +31,6 @@ exactly the baseline the serve benchmark measures against.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from collections import deque
@@ -147,9 +146,7 @@ class Server:
                 else probe.serve_shared_budget)
             # the reference-executor leg pins everything synchronous; a
             # fleet pool would reintroduce drain-timing nondeterminism
-            ref_exec = os.environ.get(
-                "RERPO_REF_EXEC", os.environ.get("REPRO_REF_EXEC", "0")) == "1"
-            if compile_workers > 0 and not ref_exec:
+            if compile_workers > 0 and probe.threaded_dispatch:
                 self.fleet = FleetCompileQueue(compile_workers)
                 self.fleet.shared = self.shared
         self.sessions: Dict[str, Session] = {}

@@ -45,7 +45,6 @@ def test_sync_mode_compiles_inline():
 
 def test_default_mode_is_sync(monkeypatch):
     monkeypatch.delenv("RERPO_TIERUP", raising=False)
-    monkeypatch.delenv("REPRO_TIERUP", raising=False)
     vm = make_vm()
     assert vm.config.tierup_mode == "sync"
 

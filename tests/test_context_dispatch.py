@@ -6,7 +6,7 @@ distiller, the bucketed :class:`~repro.deoptless.dispatch.VersionTable`
 dispatch, the acceptance property that a deopt inside one specialized
 version leaves its siblings installed and dispatchable, the PIC's
 ``(callee, context) -> version`` fast path, the narrow code-cache
-invalidation, and threaded-vs-reference engine equivalence under both
+invalidation, and codegen-vs-reference engine equivalence under both
 ``ctxdispatch`` settings.
 """
 
@@ -333,7 +333,7 @@ def test_eviction_knob_retires_cold_version():
 
 @pytest.mark.parametrize("ctxdispatch", [True, False])
 def test_engines_agree_on_dispatch_signature(ctxdispatch):
-    """Version selection is VM policy, not executor behavior: the threaded
+    """Version selection is VM policy, not executor behavior: the codegen
     and reference engines must produce bit-identical dispatch signatures
     within each ctxdispatch setting."""
     results, sigs = [], []

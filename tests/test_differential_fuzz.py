@@ -13,13 +13,12 @@ from hypothesis import given, settings, strategies as st
 from conftest import TIER_CONFIGS, make_vm
 from repro import from_r
 
-#: the three execution engines as Config overrides: reference if/elif loops,
-#: closure-threaded dispatch, and the per-unit Python-codegen tier.  Engine-
-#: looping tests below must leave identical dispatch signatures on all three.
+#: the two execution engines as Config overrides: reference if/elif loops
+#: and the per-unit Python-codegen tier.  Engine-looping tests below must
+#: leave identical dispatch signatures on both.
 ENGINE_LEGS = (
-    dict(threaded_dispatch=False, pycodegen=False),
-    dict(threaded_dispatch=True, pycodegen=False),
-    dict(threaded_dispatch=True, pycodegen=True),
+    dict(threaded_dispatch=False),
+    dict(threaded_dispatch=True),
 )
 
 
@@ -165,7 +164,7 @@ drive <- function(n) {
 def test_inlined_calls_agree_across_tiers_and_engines(src, n):
     """With ``Config.inline`` on, inlined code must match the interpreter
     exactly, and the dispatch signature (op/guard counts + deopt stream)
-    must be identical across the reference, threaded, and codegen engines."""
+    must be identical across the reference and codegen engines."""
     call = "drive(%dL)" % n
     vm_ref = make_vm(enable_jit=False)
     vm_ref.eval(src)
@@ -211,7 +210,7 @@ def test_entry_contexts_agree_across_tiers_and_engines(src, xs, rounds):
     """The same call site alternates int, real, and logical vector
     arguments: with contextual dispatch each context gets its own entry
     version, and the results and the dispatch signature must be identical
-    across the reference, threaded, and codegen engines (and match the pure
+    across the reference and codegen engines (and match the pure
     interpreter's results)."""
     n = len(xs)
     ivec = "c(%s)" % ", ".join("%dL" % x for x in xs)
@@ -377,7 +376,7 @@ ecap <- function(m, n) {
 def test_envcapture_agrees_across_tiers_and_engines(src, n):
     """Mixed env mode (scalar-replaced frames, partial MkEnv, elided
     promises) matches the interpreter exactly on every executor, with one
-    dispatch signature across the reference, threaded, and codegen engines."""
+    dispatch signature across the reference and codegen engines."""
     call = "ecap(2L, %dL)" % n
     vm_ref = make_vm(enable_jit=False)
     vm_ref.eval(src)
@@ -413,7 +412,7 @@ def test_chaos_deopts_inside_elided_env_regions(src, n, seed):
     """Chaos-mode assumption failures inside mixed frames (partial MkEnv +
     scalar registers, possibly with an elided promise live on the stack)
     rematerialize interpreter-identical state on every executor, and the
-    three engines leave identical dispatch signatures."""
+    two engines leave identical dispatch signatures."""
     call = "ecap(2L, %dL)" % n
     vm_ref = make_vm(enable_jit=False)
     vm_ref.eval(src)
@@ -463,7 +462,7 @@ vh_flip <- function(a, b, n) {
 def test_version_hops_agree_across_tiers_and_engines(src, xs, seed):
     """Mid-loop version hops (dispatched OSR + armed re-entry + continuation
     tier-up) are invisible in results and leave one dispatch signature
-    across the reference, threaded, and codegen engines.  The int/real
+    across the reference and codegen engines.  The int/real
     phases alternate call to call, and chaos mode fires assumptions inside
     the deoptless continuations, exercising hop-out, hop-in, and the
     decline/fallback paths under one fixed seed."""

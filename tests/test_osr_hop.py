@@ -218,13 +218,13 @@ def test_hop_telemetry_in_snapshot_not_signature():
 
 def test_hops_are_engine_identical():
     runs = []
-    for threaded, pycodegen in ((True, True), (True, False), (False, False)):
-        vm = _warm_vm(threaded_dispatch=threaded, pycodegen=pycodegen, **CHAOS)
+    for threaded in (True, False):
+        vm = _warm_vm(threaded_dispatch=threaded, **CHAOS)
         results = [from_r(vm.eval(FLIP)) for _ in range(8)]
         runs.append((results, vm.state.osr_hops, vm.state.cont_tierups,
                      vm.state.dispatch_signature()))
     assert runs[0][1] > 0, "no hops in the codegen leg"
-    assert runs[0] == runs[1] == runs[2]
+    assert runs[0] == runs[1]
 
 
 def test_continuation_tier_up_installs_entry_version():

@@ -120,6 +120,17 @@ def test_serve_on_off_signature_neutral():
     srv.close()
 
 
+def test_reference_engine_config_starts_no_fleet_pool():
+    """The reference engine pins tier-up synchronous; what decides is the
+    Config tenants are built from, not the process environment."""
+    for threaded in (False, True):
+        srv = Server(config_factory=lambda: _cfg(threaded_dispatch=threaded),
+                     compile_workers=2)
+        assert srv.shared is not None
+        assert (srv.fleet is not None) == threaded
+        srv.close()
+
+
 def test_serve_off_is_fully_isolated():
     """Config.serve=False (the RERPO_SERVE=0 leg): same Server API, no
     shared infrastructure — every tenant pays its own pipeline."""

@@ -1,11 +1,11 @@
-"""Differential proof that all execution engines are equivalent.
+"""Differential proof that the execution engines are equivalent.
 
-The three execution engines — the original if/elif reference loops
-(``RERPO_REF_EXEC=1``), the closure-compiled threaded dispatchers, and the
-per-unit Python-codegen tier (default) — must be observationally identical:
-same results, same deopt event stream, and the exact same op/guard telemetry
+The two execution engines — the if/elif reference loops
+(``RERPO_REF_EXEC=1``) and the default fast engines (opcode-ordered bytecode
+loop + per-unit Python codegen) — must be observationally identical: same
+results, same deopt event stream, and the exact same op/guard telemetry
 (the cost model's inputs).  Every workload in the benchmark registry is run
-under every engine across tier configurations, including chaos mode with
+under both engines across tier configurations, including chaos mode with
 fixed seeds, and the full dispatch signatures are compared.
 """
 
@@ -34,12 +34,11 @@ ENGINE_CONFIGS = {
     ),
 }
 
-#: the three execution engines, as Config overrides.  ``reference`` is the
-#: semantic spec; the other two must match it bit-for-bit.
+#: the two execution engines, as Config overrides.  ``reference`` is the
+#: semantic spec; ``codegen`` must match it bit-for-bit.
 ENGINES = {
-    "reference": dict(threaded_dispatch=False, pycodegen=False),
-    "threaded": dict(threaded_dispatch=True, pycodegen=False),
-    "codegen": dict(threaded_dispatch=True, pycodegen=True),
+    "reference": dict(threaded_dispatch=False),
+    "codegen": dict(threaded_dispatch=True),
 }
 
 
@@ -52,18 +51,17 @@ def run_workload(name, cfg, engine, repeats=2):
     return results, vm.state.dispatch_signature()
 
 
-@pytest.mark.parametrize("engine", ["threaded", "codegen"])
 @pytest.mark.parametrize("mode", sorted(ENGINE_CONFIGS))
 @pytest.mark.parametrize("name", REGISTRY.names())
-def test_engine_matches_reference(name, mode, engine):
+def test_engine_matches_reference(name, mode):
     cfg = ENGINE_CONFIGS[mode]
-    t_results, t_sig = run_workload(name, cfg, engine)
+    t_results, t_sig = run_workload(name, cfg, "codegen")
     r_results, r_sig = run_workload(name, cfg, "reference")
     assert t_results == r_results, "%s[%s]: results diverged" % (name, mode)
     for key in r_sig:
         assert t_sig[key] == r_sig[key], (
-            "%s[%s]: %s diverged: %s=%r reference=%r"
-            % (name, mode, key, engine, t_sig[key], r_sig[key])
+            "%s[%s]: %s diverged: codegen=%r reference=%r"
+            % (name, mode, key, t_sig[key], r_sig[key])
         )
 
 
@@ -247,38 +245,3 @@ def test_ref_exec_env_var_selects_reference(monkeypatch):
     assert Config().threaded_dispatch is False
     monkeypatch.delenv("RERPO_REF_EXEC")
     assert Config().threaded_dispatch is True
-
-
-def test_threaded_code_is_cached_and_fused():
-    """The handler array is compiled once per NativeCode and contains at
-    least one superinstruction for a vector-summing loop."""
-    from repro.native import ops as N
-    from repro.native.lower import fuse_superinstructions
-
-    vm = make_vm(
-        compile_threshold=1, osr_threshold=50, threaded_dispatch=True,
-        pycodegen=False,  # pin the threaded tier; codegen leaves .threaded unbuilt
-    )
-    vm.eval(
-        """
-        s <- function(v) {
-          n <- length(v); acc <- 0; i <- 1
-          while (i <= n) { acc <- acc + v[[i]]; i <- i + 1 }
-          acc
-        }
-        v <- c(1, 2, 3, 4, 5, 6, 7, 8)
-        r <- 0
-        for (k in 1:30) r <- r + s(v)
-        """
-    )
-    closure = vm.get_global("s")
-    assert closure.jit is not None and closure.jit.version is not None, "nothing compiled"
-    ncodes = [closure.jit.version]
-    fused_ops = set()
-    for nc in ncodes:
-        assert nc.threaded is not None, "threaded handlers not cached"
-        assert len(nc.threaded) == len(nc.ops)
-        fused_ops |= {op[0] for op in fuse_superinstructions(nc.ops)}
-    assert fused_ops & {
-        N.GTYPE_UNBOX, N.CMP_BRT, N.VLOAD_PADD, N.BOX_RET
-    }, "no superinstruction formed in a hot vector loop"
