@@ -48,8 +48,10 @@ from .codecache import Unstable, WorldResolver, stable_closure_hash
 #: bumped to 2 when DeoptDescr grew the escape-analysis rematerialization
 #: fields (promises, escape); to 3 when units grew the dispatched-OSR entry
 #: map (``osr_entries``) and the generated ``_unit`` signature gained the
-#: hop-entry parameters — version-2 codegen sources are uncallable with them
-FORMAT_VERSION = 3
+#: hop-entry parameters — version-2 codegen sources are uncallable with them;
+#: to 4 when generated code stopped raising registers (``_DS``/``_fail``/
+#: ``_fallback`` take other arguments than version-3 sources pass)
+FORMAT_VERSION = 4
 
 
 class PersistError(Exception):

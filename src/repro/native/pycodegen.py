@@ -12,25 +12,37 @@ direct ``run_kernel`` calls with a statically computed spill/reload set.
 function cached on the unit (``NativeCode.pyfunc``) and back-propagated to
 its ``cache_template`` so later install clones share it.
 
+Control flow is *structured*: after jump threading, a block that exactly
+one edge reaches is printed inline at the end of its predecessor (under
+``if rC:`` for a taken branch, straight on otherwise), so a superblock runs
+from a join point to the next one without touching the dispatch variable.
+Only op 0, OSR entry leaders and join points (loop headers among them) are
+arms of the ``while True: if _b == k`` chain; a unit with no other arm than
+op 0 has no loop at all.
+
 Equivalence contract: results, deopt frames and the engine-independent
 telemetry — ``native_ops``, ``native_generic_ops``, ``guards_executed`` and
 the ordered deopt event stream — must be bit-identical to the reference
 if/elif loop.  Op counts
-are therefore *statically batched*: the emitter tracks how many ops precede
-each basic-block exit and emits one literal ``_n += k`` instead of per-op
-increments, with every deopt site raising the exact pending totals it would
-have observed in the reference loop.  Chaos-mode RNG draws are emitted
+are therefore *statically batched*: the emitter carries the pending counts
+along each path through a superblock and emits one literal ``_n += k``
+where the path leaves for an arm (or folds them into the return), with
+every deopt site raising the exact pending totals it would have observed in
+the reference loop.  Chaos-mode RNG draws are emitted
 after each passing guard in op order, so the draw sequence is identical in
 both engines.
 
-Deopt protocol: generated code raises ``DeoptSignal(did, regidx, vals,
-dn, dg, du, observed, kind)`` — the deopt-descriptor index, the registers
-the descriptor chain reads (statically enumerated at emission time) with
-their current values, the pending counter deltas, and the observed
-value/kind overrides.  The top-level ``except`` hands the signal to
-``_fail``, which scatters the values into a register file, builds the
+Deopt protocol: a guard names a *mapping* out of the frame, not a copy of
+it.  Generated code raises ``DeoptSignal(did, dn, dg, du, observed, kind)``
+— the deopt-descriptor index, the pending counter deltas, and the observed
+value/kind overrides — and no registers.  The one top-level ``except``
+hands the signal and ``locals()`` to ``_fail``, which lays the registers
+the descriptor chain reads over the activation's base image (the seeded
+``_regs`` of a hop-entered activation, ``reg_init`` otherwise), builds the
 FrameState through the ordinary ``build_framestate`` descriptor walk, and
 tail-calls ``vm.deopt`` exactly like the reference loop's ``deopt()``.
+Only a bulk kernel's deopt still hands over a register file: its spill
+list, which the kernel has already materialized the frame into.
 
 The generated source is pure text plus an opaque constant pool
 (``NativeCode.pyconsts``, referenced as ``_K[i]``), which is what makes it
@@ -64,23 +76,21 @@ from .lower import branch_targets
 class DeoptSignal(Exception):
     """A failing guard in generated code.
 
-    ``regidx`` lists the registers the deopt descriptor chain reads and
-    ``vals`` their values at the raise site; ``regidx is None`` means
-    ``vals`` *is* the full register file (the kernel spill list, already
-    materialized by ``KernelFrameTemplate``).  ``dn``/``dg``/``du`` are the
-    pending native/generic/guard counter deltas to flush.
+    ``dn``/``dg``/``du`` are the pending native/generic/guard counter deltas
+    to flush.  ``regs`` is None for a scalar site — ``_fail`` reads the
+    registers out of the raising frame — and the full register file for a
+    kernel deopt (the spill list ``KernelFrameTemplate`` materialized).
     """
 
-    def __init__(self, did, regidx, vals, dn, dg, du, observed, kind):
+    def __init__(self, did, dn, dg, du, observed, kind, regs=None):
         Exception.__init__(self)
         self.did = did
-        self.regidx = regidx
-        self.vals = vals
         self.dn = dn
         self.dg = dg
         self.du = du
         self.observed = observed
         self.kind = kind
+        self.regs = regs
 
 
 class UnsupportedUnit(Exception):
@@ -88,16 +98,22 @@ class UnsupportedUnit(Exception):
     runs on the reference loop."""
 
 
-def _fail(ncode, vm, closure_env, sig):
+def _fail(ncode, vm, closure_env, sig, frame, base):
     """Handle a DeoptSignal: rebuild the frame chain and tail-call
-    ``vm.deopt`` — the mirror of the reference loop's ``deopt()``."""
-    if sig.regidx is None:
-        regs = sig.vals
-    else:
-        regs = [None] * ncode.n_regs
-        for r, v in zip(sig.regidx, sig.vals):
-            regs[r] = v
+    ``vm.deopt`` — the mirror of the reference loop's ``deopt()``.
+
+    ``frame`` is the raising activation's ``locals()`` and ``base`` the
+    register image it was hop-entered with (None: entered at op 0)."""
     descr = ncode.deopts[sig.did]
+    regs = sig.regs
+    if regs is None:
+        # registers the generated code never bound keep their base value,
+        # as in the reference loop's register file
+        regs = list(ncode.reg_init if base is None else base)
+        for r in _descr_ref_regs(descr):
+            name = "r%d" % r
+            if name in frame:
+                regs[r] = frame[name]
     fs = build_framestate(ncode, regs, descr, closure_env)
     reason = DeoptReason(
         sig.kind or descr.reason_kind,
@@ -112,10 +128,13 @@ def _fail(ncode, vm, closure_env, sig):
     return vm.deopt(fs, reason, origin=ncode)
 
 
-def _fallback(ncode, vm, args, closure_env):
+def _fallback(ncode, vm, args, closure_env, regs=None):
     """A generated ``_unit`` called with an argument count it was not
     emitted for: the reference loop binds what it is given (counted as a
-    codegen failure; parameter order mirrors ``_fail``)."""
+    codegen failure; parameter order mirrors ``_fail``).  A register image
+    for a unit that was emitted without OSR entries is a caller's bug."""
+    if regs is not None:
+        raise RuntimeError("%s has no OSR entry to be hop-entered at" % ncode.name)
     vm.state.pycodegen_failures += 1
     return execute_ref(ncode, args, vm, closure_env)
 
@@ -184,11 +203,27 @@ _GEN_CALL = {
     N.GEN_ARITH: "_arith", N.GEN_COMPARE: "_cmpf", N.GEN_LOGIC: "_logic",
 }
 
+#: generic ops that are one helper call over their register operands
+_GEN_REGS = {
+    N.GEN_COLON: "_colon", N.GEN_EX2: "_ex2", N.GEN_EX1: "_ex1",
+    N.GEN_SET2: "_set2", N.GEN_SET1: "_set1",
+}
+
+
+#: ``if`` levels a superblock may nest before a taken-branch target is made a
+#: dispatch arm instead.  CPython's tokenizer gives up at 100 indents; the
+#: unit's def/try/while/arm frame and an op's own inner lines take seven.
+_MAX_NEST = 32
+
 
 def _emit(ncode) -> Tuple[str, list]:
     """Walk the canonical op stream and return ``(source, consts)``."""
     ops = ncode.ops
     nops = len(ops)
+    if any(ins[0] not in N.NAMES for ins in ops):
+        # declines the unit wherever the op sits, also in a block no edge
+        # reaches (which the walk below never visits)
+        raise UnsupportedUnit("unknown opcode")
     consts: List[Any] = []
     cindex = {}
 
@@ -216,10 +251,8 @@ def _emit(ncode) -> Tuple[str, list]:
                 parts.append("%s.data[0] is not None" % var)
         return " and ".join(parts)
 
-    leaders = sorted(branch_targets(ops))
-    leaderset = set(leaders)
-    has_branches = any(op[0] in (N.JMP, N.BRT) for op in ops)
-    single = len(leaders) == 1 and not has_branches
+    entries = sorted({e.index for e in ncode.osr_entries.values()})
+    leaderset = branch_targets(ops).union(entries)
     uses_pics = any(op[0] == N.CALLG for op in ops)
 
     maybe_unset = set()  # registers whose entry value may be read
@@ -238,13 +271,52 @@ def _emit(ncode) -> Tuple[str, list]:
             idx = ops[idx][1]
         return idx, fold
 
-    def emit_block(start: int) -> List[Tuple[int, str]]:
-        L: List[Tuple[int, str]] = []
-        written = set()
-        pend = [0, 0, 0]  # pending native / generic / guard counts
+    def successors(i: int) -> tuple:
+        """Threaded targets of the edges leaving the block that starts at ``i``."""
+        while True:
+            ins = ops[i]
+            if ins[0] == N.JMP:
+                return (follow(ins[1])[0],)
+            if ins[0] == N.BRT:
+                return (follow(ins[2])[0], follow(ins[3])[0])
+            i += 1
+            if ins[0] == N.RET or i >= nops:
+                return ()
+            if i in leaderset:
+                return (follow(i)[0],)
+
+    # Plan: count the edges into every leader reachable from an entry point.
+    # Op 0 and the OSR entries are arms whatever reaches them (a hop lands
+    # there); so is every join — a loop header has its entry edge and its
+    # backedge.  A leader one edge reaches is inlined into that edge's block,
+    # and so is a lone RET however many reach it: an edge to it *is* a return.
+    roots = [0] + entries
+    npred = dict.fromkeys(roots, 0)
+    back: List[int] = []  # backedge targets
+    work = list(npred)
+    while work:
+        b = work.pop()
+        for t in successors(b):
+            if t not in npred:
+                work.append(t)
+            npred[t] = npred.get(t, 0) + 1
+            if t <= b and t not in back:
+                back.append(t)
+    armset = set(roots).union(
+        t for t, n in npred.items() if n > 1 and ops[t][0] != N.RET)
+    arms = sorted(armset)  # the nesting cap appends to both
+
+    def emit_block(L: List[Tuple[int, str]], i: int, base: int,
+                   pend: List[int], written: set) -> None:
+        """Emit the superblock at op ``i``, nested ``base`` deep: the block,
+        then inline every block only it reaches — a taken-branch target one
+        ``if`` deeper on copies of ``pend`` (pending native / generic /
+        guard counts) and ``written``, anything else straight on.  Every
+        path ends in a return, a raise or a flushed jump to an arm, so what
+        follows an ``if`` body needs no ``else``."""
 
         def out(ind: int, text: str) -> None:
-            L.append((ind, text))
+            L.append((base + ind, text))
 
         def use(r: int) -> str:
             if r not in written:
@@ -265,25 +337,20 @@ def _emit(ncode) -> Tuple[str, list]:
             )
 
         def raise_stmt(did: int, observed: str = "None", kind: str = "None") -> str:
-            refs = sorted(_descr_ref_regs(ncode.deopts[did]))
-            for r in refs:
-                use(r)
-            idx = "(%s)" % "".join("%d," % r for r in refs)
-            vals = "(%s)" % "".join("r%d," % r for r in refs)
-            dn, dg, du = counters()
-            return "raise _DS(%d, %s, %s, %s, %s, %s, %s, %s)" % (
-                did, idx, vals, dn, dg, du, observed, kind
-            )
+            return "raise _DS(%d, %s, %s, %s, %s, %s)" % (
+                (did,) + counters() + (observed, kind))
 
-        def flush_exit(extra: int = 0) -> List[str]:
-            lines = []
-            if pend[0] + extra:
-                lines.append("_n += %d" % (pend[0] + extra))
+        def jump(ind: int, fold: int, arm: int) -> None:
+            """Leave for an arm over ``fold`` threaded JMPs: the path's one
+            literal counter flush, then the dispatch."""
+            if pend[0] + fold:
+                out(ind, "_n += %d" % (pend[0] + fold))
             if pend[1]:
-                lines.append("_g += %d" % pend[1])
+                out(ind, "_g += %d" % pend[1])
             if pend[2]:
-                lines.append("_u += %d" % pend[2])
-            return lines
+                out(ind, "_u += %d" % pend[2])
+            out(ind, "_b = %d" % arm)
+            out(ind, "continue")
 
         def call_flush() -> None:
             # mirror of the reference loop's pre-call flush: the call op is
@@ -292,51 +359,35 @@ def _emit(ncode) -> Tuple[str, list]:
             out(0, "_n = 0")
             pend[0] = 0
 
-        i = start
         while True:
             ins = ops[i]
             op = ins[0]
             if op not in N.KERNEL_OPS:
                 pend[0] += 1
 
-            if op == N.JMP:
-                tgt, fold = follow(ins[1])
-                for ln in flush_exit(fold):
-                    out(0, ln)
-                out(0, "_b = %d" % tgt)
-                out(0, "continue")
-                return L
-            if op == N.BRT:
-                cond = use(ins[1])
-                tt, tf = follow(ins[2])
-                ft, ff = follow(ins[3])
-                if tf == ff:
-                    for ln in flush_exit(tf):
-                        out(0, ln)
-                    out(0, "_b = %d if %s else %d" % (tt, cond, ft))
-                else:
-                    if pend[1]:
-                        out(0, "_g += %d" % pend[1])
-                    if pend[2]:
-                        out(0, "_u += %d" % pend[2])
-                    out(0, "if %s:" % cond)
-                    out(1, "_n += %d" % (pend[0] + tf))
-                    out(1, "_b = %d" % tt)
-                    out(0, "else:")
-                    out(1, "_n += %d" % (pend[0] + ff))
-                    out(1, "_b = %d" % ft)
-                out(0, "continue")
-                return L
+            edge = None  # (leader, threaded JMPs) when the op ends its block
             if op == N.RET:
-                out(0, "state.native_ops += _n + %d" % pend[0])
-                gexpr = ("_g + %d" % pend[1]) if pend[1] else "_g"
-                uexpr = ("_u + %d" % pend[2]) if pend[2] else "_u"
-                out(0, "state.native_generic_ops += %s" % gexpr)
-                out(0, "state.guards_executed += %s" % uexpr)
-                out(0, "return %s" % use(ins[1]))
-                return L
-
-            if op in _BINOP:
+                dn, dg, du = counters()
+                out(0, "state.native_ops += " + dn)
+                out(0, "state.native_generic_ops += " + dg)
+                out(0, "state.guards_executed += " + du)
+                out(0, "return " + use(ins[1]))
+                return
+            elif op == N.JMP:
+                edge = follow(ins[1])
+            elif op == N.BRT:
+                cond = use(ins[1])
+                (tt, tf), edge = follow(ins[2]), follow(ins[3])
+                if base >= _MAX_NEST and tt not in armset:
+                    armset.add(tt)
+                    arms.append(tt)
+                out(0, "if %s:" % cond)
+                if tt in armset:
+                    jump(1, tf, tt)
+                else:
+                    emit_block(L, tt, base + 1,
+                               [pend[0] + tf, pend[1], pend[2]], set(written))
+            elif op in _BINOP:
                 a, b = use(ins[2]), use(ins[3])
                 out(0, "%s = %s %s %s" % (defn(ins[1]), a, _BINOP[op], b))
             elif op == N.MOVE:
@@ -481,26 +532,10 @@ def _emit(ncode) -> Tuple[str, list]:
                 pend[1] += 1
                 a = use(ins[3])
                 out(0, "%s = _unary(%r, %s)" % (defn(ins[1]), ins[2], a))
-            elif op == N.GEN_COLON:
+            elif op in _GEN_REGS:
                 pend[1] += 1
-                a, b = use(ins[2]), use(ins[3])
-                out(0, "%s = _colon(%s, %s)" % (defn(ins[1]), a, b))
-            elif op == N.GEN_EX2:
-                pend[1] += 1
-                a, b = use(ins[2]), use(ins[3])
-                out(0, "%s = _ex2(%s, %s)" % (defn(ins[1]), a, b))
-            elif op == N.GEN_EX1:
-                pend[1] += 1
-                a, b = use(ins[2]), use(ins[3])
-                out(0, "%s = _ex1(%s, %s)" % (defn(ins[1]), a, b))
-            elif op == N.GEN_SET2:
-                pend[1] += 1
-                a, b, c = use(ins[2]), use(ins[3]), use(ins[4])
-                out(0, "%s = _set2(%s, %s, %s)" % (defn(ins[1]), a, b, c))
-            elif op == N.GEN_SET1:
-                pend[1] += 1
-                a, b, c = use(ins[2]), use(ins[3]), use(ins[4])
-                out(0, "%s = _set1(%s, %s, %s)" % (defn(ins[1]), a, b, c))
+                srcs = ", ".join([use(r) for r in ins[2:]])
+                out(0, "%s = %s(%s)" % (defn(ins[1]), _GEN_REGS[op], srcs))
             elif op == N.GEN_SEQLEN:
                 pend[1] += 1
                 out(0, "_v = %s" % use(ins[2]))
@@ -597,39 +632,33 @@ def _emit(ncode) -> Tuple[str, list]:
                 out(0, 'elif _s == "deopt":')
                 out(1, "state.kernel_elements += _r[7]")
                 dn, dg, du = counters()
-                out(1, "raise _DS(_r[1], None, _rs, %s + _r[4], %s + _r[6], "
-                       "%s + _r[5], _r[2], _r[3])" % (dn, dg, du))
-            else:
+                out(1, "raise _DS(_r[1], %s + _r[4], %s + _r[6], %s + _r[5], "
+                       "_r[2], _r[3], _rs)" % (dn, dg, du))
+            else:  # pragma: no cover - an opcode in N.NAMES without a translation
                 raise UnsupportedUnit("opcode %d" % op)
 
-            i += 1
-            if i >= nops:  # pragma: no cover - lowerer always terminates blocks
-                out(0, 'raise RError("fell off native code")')
-                return L
-            if i in leaderset:
-                tgt, fold = follow(i)
-                for ln in flush_exit(fold):
-                    out(0, ln)
-                out(0, "_b = %d" % tgt)
-                out(0, "continue")
-                return L
+            if edge is None:
+                i += 1
+                if i >= nops:  # pragma: no cover - lowerer always terminates blocks
+                    out(0, 'raise RError("fell off native code")')
+                    return
+                if i not in leaderset:
+                    continue
+                edge = follow(i)
+            i, fold = edge
+            if i in armset:
+                jump(0, fold, i)
+                return
+            pend[0] += fold
 
-    blocks = {leader: emit_block(leader) for leader in leaders}
-
-    # hot-first chain order: blocks that are backedge targets (after jump
-    # threading) come first so loop headers sit at the top of the dispatch
-    back: List[int] = []
-    for i, ins in enumerate(ops):
-        tgts = ()
-        if ins[0] == N.JMP:
-            tgts = (ins[1],)
-        elif ins[0] == N.BRT:
-            tgts = (ins[2], ins[3])
-        for t0 in tgts:
-            t, _fold = follow(t0)
-            if t <= i and t not in back:
-                back.append(t)
-    ordered = back + [l for l in leaders if l not in back]
+    blocks = {}
+    for leader in arms:  # grows while it is walked, see _MAX_NEST
+        blocks[leader] = []
+        emit_block(blocks[leader], leader, 0, [0, 0, 0], set())
+    # hot-first chain order: backedge targets (loop headers) sit at the top
+    ordered = [t for t in back if t in armset] + [t for t in arms if t not in back]
+    # a unit whose only arm is op 0, never jumped to, needs no dispatch loop
+    looped = len(arms) > 1 or 0 in back
 
     lines: List[str] = []
 
@@ -638,57 +667,64 @@ def _emit(ncode) -> Tuple[str, list]:
 
     params = list(ncode.param_regs)
     const_regs = {i for i, v0 in enumerate(ncode.reg_init) if v0 is not None}
+    fallback = "return _fallback(ncode, vm, args, closure_env, _regs)"
 
     render(0, "def _unit(ncode, vm, args, closure_env, _entry=None, _regs=None):")
-    render(1, "if _regs is None and len(args) != %d:" % len(params))
-    render(2, "return _fallback(ncode, vm, args, closure_env)")
     render(1, "state = vm.state")
     render(1, "_ch = vm.chaos_rng if vm.config.chaos_rate > 0.0 else None")
     render(1, "_rate = vm.config.chaos_rate")
     if uses_pics:
         render(1, "_pics = ncode.pics")
+    # only a unit with OSR entries can be hop-entered (execute_at takes its
+    # entry from ncode.osr_entries): the others carry no _regs prologue and
+    # hand a register image to _fallback, which refuses it
+    ind = 2 if entries else 1
+    if entries:
+        render(1, "if _regs is None:")
+        render(2, "if len(args) != %d:" % len(params))
+        render(3, fallback)
+    else:
+        render(1, "if _regs is not None or len(args) != %d:" % len(params))
+        render(2, fallback)
     pset = set(params)
-    render(1, "if _regs is None:")
-    bound = 0
     for r in sorted((const_regs & maybe_unset) - pset):
-        render(2, "r%d = %s" % (r, K(ncode.reg_init[r])))
-        bound += 1
-    for r in sorted(maybe_unset - const_regs - pset):
-        render(2, "r%d = None" % r)
-        bound += 1
+        render(ind, "r%d = %s" % (r, K(ncode.reg_init[r])))
+    unset = sorted(maybe_unset - const_regs - pset)
+    if unset:
+        render(ind, " = ".join(["r%d" % r for r in unset] + ["None"]))
     pu = ncode.param_unbox
     for pos, r in enumerate(params):
         if pu is not None and pu[pos] is not None:
-            render(2, "r%d = args[%d].data[0]" % (r, pos))
+            render(ind, "r%d = args[%d].data[0]" % (r, pos))
         else:
-            render(2, "r%d = args[%d]" % (r, pos))
-        bound += 1
-    if not bound:
-        render(2, "pass")
-    if seen_regs:
+            render(ind, "r%d = args[%d]" % (r, pos))
+    if entries:
         # dispatched-OSR hop: a pre-seeded full register image replaces
         # parameter binding; execution starts at the _entry leader
+        render(2, "_b = 0")
         render(1, "else:")
-        for r in sorted(seen_regs):
-            render(2, "r%d = _regs[%d]" % (r, r))
+        render(2, "[%s] = _regs" % ", ".join(
+            ["r%d" % r if r in seen_regs else "_" for r in range(ncode.n_regs)]))
+        render(2, "_b = _entry")
+    elif looped:
+        render(1, "_b = 0")
     render(1, "_n = 0")
     render(1, "_g = 0")
     render(1, "_u = 0")
     render(1, "try:")
-    if single:
-        for ind, text in blocks[0]:
-            render(2 + ind, text)
-    else:
-        render(2, "_b = 0 if _entry is None else _entry")
+    if looped:
         render(2, "while True:")
-        first = True
-        for leader in ordered:
-            render(3, "%s _b == %d:" % ("if" if first else "elif", leader))
-            first = False
+        for n, leader in enumerate(ordered):
+            render(3, "%s _b == %d:" % ("elif" if n else "if", leader))
             for ind, text in blocks[leader]:
                 render(4 + ind, text)
+        render(3, "else:")
+        render(4, 'raise RError("no native entry at op %d" % _b)')
+    else:
+        for ind, text in blocks[0]:
+            render(2 + ind, text)
     render(1, "except _DS as _sig:")
-    render(2, "return _fail(ncode, vm, closure_env, _sig)")
+    render(2, "return _fail(ncode, vm, closure_env, _sig, locals(), _regs)")
     return "\n".join(lines) + "\n", consts
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterator, Optional, Tuple
 
-from .values import RError
+from .values import RBuiltin, RClosure, RError
 
 
 class REnvironment:
@@ -53,8 +53,6 @@ class REnvironment:
     def get_function(self, name: str) -> Any:
         """Function lookup: like :meth:`get` but skips non-function bindings,
         matching R's rule that ``c <- 1; c(1, 2)`` still finds the builtin."""
-        from .values import RBuiltin, RClosure
-
         env: Optional[REnvironment] = self
         while env is not None:
             if name in env.bindings:
