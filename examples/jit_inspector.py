@@ -232,7 +232,7 @@ ctxdriver <- function(v, n, m) {
 def inspect_context_dispatch() -> None:
     """The entry version tables: one compiled version per call context."""
     vm = RVM(Config(compile_threshold=3, ctxdispatch=True,
-                    dispatch_versions=2, dispatch_evict=False))
+                    dispatch_versions=2))
     vm.eval(CTX_SRC)
     vm.eval("xi <- c(1L, 2L, 3L)")
     vm.eval("xd <- c(1.5, 2.5, 3.5)")
@@ -269,9 +269,8 @@ def inspect_context_dispatch() -> None:
     print("  ctx_compiles=%d ctx_dispatches=%d ctx_pic_hits=%d"
           % (vm.state.ctx_compiles, vm.state.ctx_dispatches,
              vm.state.ctx_pic_hits))
-    print("  table evictions=%d refusals=%d (dispatch_versions=%d, evict=%s)"
-          % (vm.state.dispatch_evictions, vm.state.dispatch_refusals,
-             vm.config.dispatch_versions, vm.config.dispatch_evict))
+    print("  table refusals=%d (dispatch_versions=%d)"
+          % (vm.state.dispatch_refusals, vm.config.dispatch_versions))
     for e in vm.state.events_of("ctx_compile"):
         details = {k: v for k, v in e.details.items()}
         print("  %-20s %-10s %s" % (e.kind, e.fn_name, details))

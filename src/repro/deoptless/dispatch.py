@@ -24,12 +24,10 @@ whole entry list and rebuilt every bucket per insert); within-bucket order
 is descending specificity with ties kept in insertion order, which is what
 the global stable sort produced.
 
-A full table refuses inserts by default (the paper's bound: the caller
-falls back to real deoptimization) and counts the refusals.  With the
-``evict`` knob (``Config.dispatch_evict``) it instead retires the entry
-with the lowest ``(hit count, specificity)`` — rarely dispatched generic
-entries go first — and reports it via ``last_evicted`` so the caller can
-mark the code invalidated and release its code-size accounting.
+A full table refuses inserts, as the paper's and upstream's do: callers ask
+:attr:`ContextTable.full` *before* compiling for a new context and fall
+back — deoptless to real deoptimization, entry dispatch to the generic
+version — counting the refusal (``Telemetry.dispatch_refusals``).
 """
 
 from __future__ import annotations
@@ -50,8 +48,8 @@ class TableEntry:
         self.code = code
         self.hits = 0
         self.spec = ctx.specificity()
-        #: insertion sequence number: the eviction tie-break, and what keeps
-        #: equal-specificity entries in first-inserted-first-scanned order
+        #: insertion sequence number: keeps equal-specificity entries in
+        #: first-inserted-first-scanned order
         self.seq = seq
 
     def __lt__(self, other: "TableEntry") -> bool:
@@ -67,19 +65,14 @@ class TableEntry:
 class ContextTable:
     """Bucketed most-specific-first dispatch over a context partial order."""
 
-    def __init__(self, max_entries: int, evict: bool = False):
+    def __init__(self, max_entries: int):
         self.max_entries = max_entries
-        #: hit-count-weighted eviction instead of refusing when full
-        self.evict = evict
         #: comparability key -> entries, descending specificity
         self._buckets: Dict[tuple, List[TableEntry]] = {}
         self._count = 0
         self._seq = 0
         #: inserts refused because the table was full (telemetry)
         self.refused_inserts = 0
-        self.evictions = 0
-        #: entry displaced by the most recent insert, for caller accounting
-        self.last_evicted: Optional[TableEntry] = None
 
     def _bucket_key(self, ctx) -> tuple:
         raise NotImplementedError
@@ -119,10 +112,8 @@ class ContextTable:
         return None
 
     def insert(self, ctx, code) -> bool:
-        """Add an entry; False when the table bound is hit and eviction is
-        off (the caller must then fall back — for deoptless, to real
-        deoptimization; for entry dispatch, to the generic version)."""
-        self.last_evicted = None
+        """Add an entry, or replace the code of an equal context; False when
+        the table is :attr:`full`."""
         key = self._bucket_key(ctx)
         bucket = self._buckets.get(key)
         if bucket is not None:
@@ -130,11 +121,9 @@ class ContextTable:
                 if e.ctx == ctx:
                     bucket[i] = TableEntry(ctx, code, e.seq)
                     return True
-        if self._count >= self.max_entries:
-            if not self.evict:
-                self.refused_inserts += 1
-                return False
-            self._evict_one()
+        if self.full:
+            self.refused_inserts += 1
+            return False
         if bucket is None:
             bucket = self._buckets[key] = []
         entry = TableEntry(ctx, code, self._seq)
@@ -142,19 +131,6 @@ class ContextTable:
         bisect.insort(bucket, entry)
         self._count += 1
         return True
-
-    def _evict_one(self) -> None:
-        victim = None
-        for bucket in self._buckets.values():
-            for e in bucket:
-                if victim is None or (e.hits, e.spec, e.seq) < (victim.hits, victim.spec, victim.seq):
-                    victim = e
-        if victim is None:  # pragma: no cover - only called when non-empty
-            return
-        self._buckets[self._bucket_key(victim.ctx)].remove(victim)
-        self._count -= 1
-        self.evictions += 1
-        self.last_evicted = victim
 
     def remove(self, code) -> None:
         for key in list(self._buckets):
@@ -189,8 +165,8 @@ class DispatchTable(ContextTable):
     function.
     """
 
-    def __init__(self, max_entries: int = 5, evict: bool = False):
-        super().__init__(max_entries, evict)
+    def __init__(self, max_entries: int = 5):
+        super().__init__(max_entries)
 
     def _bucket_key(self, ctx: DeoptContext) -> tuple:
         return (ctx.pc, ctx.reason.kind)
@@ -206,8 +182,8 @@ class VersionTable(ContextTable):
     generic fall-through installed.
     """
 
-    def __init__(self, max_entries: int = 4, evict: bool = False):
-        super().__init__(max_entries, evict)
+    def __init__(self, max_entries: int = 4):
+        super().__init__(max_entries)
 
     def _bucket_key(self, ctx: CallContext) -> tuple:
         return (len(ctx.arg_types),)

@@ -19,11 +19,12 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from ..bytecode import interpreter
-from ..ir.builder import CompilationFailure, GraphBuilder
+from ..jit import unit
+from ..jit.unit import continuation_args, frame_values
 from ..native.executor import execute
-from ..native.lower import NativeCode, lower
-from ..opt.pipeline import optimize
+from ..native.lower import NativeCode
 from ..osr.framestate import CATASTROPHIC_REASONS, DeoptReason, FrameState
+from ..osr.osr_hop import live_context
 from ..runtime.rtypes import RType
 from .context import DeoptContext, compute_context
 from .dispatch import DispatchTable
@@ -67,14 +68,6 @@ def try_deoptless(vm, fs: FrameState, reason: DeoptReason, origin) -> Any:
         if new is not None:
             if table.insert(ctx, new):
                 vm.state.code_size += new.size
-                victim = table.last_evicted
-                if victim is not None:
-                    # Config.dispatch_evict displaced a cold continuation:
-                    # release its accounting and fence off stale dispatches
-                    table.last_evicted = None
-                    victim.code.invalidated = True
-                    vm.state.code_size -= victim.code.size
-                    vm.state.dispatch_evictions += 1
                 fun = new
             elif fun is None:
                 # table bound reached and nothing compatible: real deopt
@@ -101,74 +94,34 @@ def _recompile(vm, fun: NativeCode, ctx: DeoptContext) -> bool:
     return ctx.distance(compiled_ctx) > vm.config.deoptless_recompile_distance
 
 
-def deoptless_compile(vm, fs: FrameState, reason: DeoptReason, ctx: DeoptContext) -> Optional[NativeCode]:
-    """``deoptlessCompile``: build a specialized continuation for ``ctx``.
-
-    The code cache is consulted first: the key is the code's content hash,
-    the full dispatch context (pc, depth, reason payload, stack/env types)
-    and the *repaired* feedback signature — everything the builder below
-    reads — so a repeat context (same mis-speculation in a sibling closure,
-    a re-evaluated program, or a restarted VM via the warm-start store)
-    recovers in O(lookup) instead of O(pipeline), skipping IR construction,
-    verification and lowering wholesale.
-    """
-    code = fs.code
+def _repaired(vm, code, reason: DeoptReason, ctx: DeoptContext):
+    """The profile a recovery compiles from: the live one cleaned of the
+    refuted fact (section 4.3), unless the repair pass is switched off."""
     if vm.config.deoptless_feedback_repair:
-        feedback = repair_feedback(code, reason, ctx)
-    else:
-        feedback = code.feedback
+        return repair_feedback(code, reason, ctx)
+    return code.feedback
 
-    key = None
-    if vm.code_cache is not None:
-        from ..jit import codecache
 
-        key = codecache.continuation_key(code, ctx, vm.config, feedback)
-        template = vm.code_cache.lookup(key, vm, code)
-        if template is not None:
-            shared = vm.code_cache.last_hit_shared
-            ncode = template.clone_for_install()
-            ncode.closure = fs.fun
-            if shared:
-                # another tenant already compiled this recovery: rebound in
-                # O(lookup), accounted as the compile it replaces so the
-                # session's dispatch_signature is fleet-independent
-                vm._account_shared_rebind(ncode, is_continuation=True)
-            vm.state.emit("codecache_hit", code.name, unit="cont", pc=fs.pc,
-                          size=ncode.size)
-            return ncode
+def deoptless_compile(vm, fs: FrameState, reason: DeoptReason, ctx: DeoptContext) -> Optional[NativeCode]:
+    """``deoptlessCompile``: a specialized continuation for ``ctx``, tagged
+    with it for dispatch and tier-up.
 
+    Policy only — the unit comes from :func:`repro.jit.unit.obtain`, so the
+    code cache is consulted first: the key is the code's content hash, the
+    full dispatch context (pc, depth, reason payload, stack/env types) and
+    the *repaired* feedback signature — everything the builder reads — and
+    a repeat context (same mis-speculation in a sibling closure, a
+    re-evaluated program, another tenant, a restarted VM) recovers in
+    O(lookup) instead of O(pipeline).
+    """
     injected = {}
     if isinstance(reason.observed, RType):
         injected[reason.pc] = reason.observed
-    try:
-        builder = GraphBuilder(
-            vm, code, fs.fun,
-            entry_pc=fs.pc,
-            entry_var_types=dict(ctx.env_types),
-            entry_stack_types=list(ctx.stack_types),
-            is_continuation=True,
-            injected_types=injected,
-            feedback_override=feedback,
-        )
-        graph = builder.build()
-        optimize(graph, vm.config, vm=vm)
-        ncode = lower(graph)
-    except CompilationFailure as e:
-        vm.state.compile_failures += 1
-        vm.state.emit("deoptless_compile_failed", code.name, error=str(e))
-        return None
-    ncode.closure = fs.fun
-    ncode.is_deoptless_continuation = True
-    ncode.deoptless_ctx = ctx
-    if key is not None:
-        vm.code_cache.insert(key, ncode, vm, code)
-    vm.state.deoptless_compiles += 1
-    vm.state.compiles += 1
-    vm.state.compiled_instrs += ncode.size
-    vm.state.lowered_instrs += ncode.size
-    vm.state.emit("deoptless_compile", code.name, pc=fs.pc, size=ncode.size,
-                  reason=reason.kind.value)
-    return ncode
+    return unit.obtain(vm, unit.UnitSpec(
+        "cont", fs.code, fs.fun, pc=fs.pc,
+        var_types=dict(ctx.env_types), stack_types=list(ctx.stack_types),
+        ctx=ctx, injected=injected,
+        feedback=_repaired(vm, fs.code, reason, ctx)))
 
 
 def call_continuation(vm, ncode: NativeCode, fs: FrameState, reason=None) -> Any:
@@ -196,19 +149,7 @@ def call_continuation(vm, ncode: NativeCode, fs: FrameState, reason=None) -> Any
             if (reason is not None
                     and cur + 1 >= vm.config.cont_tierup_threshold):
                 maybe_tier_up_continuation(vm, fs, reason, ctx, st)
-    if ncode.env_elided:
-        if fs.env_values is not None and fs.env is not None:
-            # mixed (escape) frame: locals are split between scalar slots
-            # and the partial environment — merge before buffer-passing
-            values = dict(fs.env.bindings)
-            values.update(fs.env_values)
-        elif fs.env_values is not None:
-            values = fs.env_values
-        else:
-            values = fs.env.bindings
-        args = [values.get(n) for n in ncode.cont_var_names] + list(fs.stack)
-    else:
-        args = [fs.materialize_env()] + list(fs.stack)
+    args = continuation_args(ncode, fs)
     closure_env = fs.closure_env if fs.closure_env is not None else (
         fs.fun.env if fs.fun is not None else None
     )
@@ -240,8 +181,6 @@ def maybe_tier_up_continuation(vm, fs: FrameState, reason: DeoptReason,
     promote to.  One attempt per context, success or not (``cont_hits``
     keeps a None tombstone).
     """
-    from ..osr import osr_hop
-
     st.cont_hits[ctx] = None
     cfg = vm.config
     if not cfg.osr_hop or fs.parent is not None or ctx.depth != 1:
@@ -249,10 +188,10 @@ def maybe_tier_up_continuation(vm, fs: FrameState, reason: DeoptReason,
     closure = fs.fun
     if st.cant_compile:
         return
-    values = osr_hop._frame_values(fs)
+    values = frame_values(fs)
     if values is None:
         return
-    call_ctx = osr_hop._live_context(closure, values)
+    call_ctx = live_context(closure, values)
     if call_ctx is None or call_ctx.specificity() == 0:
         # a context with no discriminating information (zero formals, or
         # nothing known about any argument) would match *every* call: the
@@ -261,14 +200,13 @@ def maybe_tier_up_continuation(vm, fs: FrameState, reason: DeoptReason,
         # churn without an entry check to stand behind
         return
     vt = st.versions
-    if vt is not None:
-        if vt.lookup_exact(call_ctx) is not None:
-            return  # an entry version for this calling pattern already stands
-        if vt.full and not cfg.dispatch_evict:
-            vm.state.dispatch_refusals += 1
-            return
-    if cfg.deoptless_feedback_repair:
-        feedback = repair_feedback(fs.code, reason, ctx)
-    else:
-        feedback = fs.code.feedback
-    vm.promote_continuation(closure, st, call_ctx, feedback)
+    if vt is not None and vt.lookup_exact(call_ctx) is not None:
+        return  # an entry version for this calling pattern already stands
+    if not vm.admits(st):
+        return
+    # through the compile queue, so step/bg modes keep compilation off the
+    # recovery path; compiled under the repaired feedback and
+    # content-addressed in the code cache like any entry version
+    vm.compile_queue.request(unit.UnitSpec(
+        "ctxfn", closure.code, closure, ctx=call_ctx,
+        feedback=_repaired(vm, fs.code, reason, ctx)), promote=True)

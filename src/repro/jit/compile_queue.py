@@ -35,7 +35,10 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Any, List, Optional, Tuple
+from typing import Any, Optional, Tuple
+
+from ..ir.builder import CompilationFailure
+from . import codecache, unit
 
 #: staged in ``ready`` for a request whose build was coalesced with another
 #: tenant's identical in-flight build (fleet mode): at install time the
@@ -45,23 +48,22 @@ COALESCED = object()
 
 
 class CompileRequest:
-    __slots__ = ("closure", "feedback", "seq", "ctx", "promote")
+    __slots__ = ("spec", "seq", "promote")
 
-    def __init__(self, closure, feedback, seq: int, ctx=None, promote=False):
-        self.closure = closure
-        #: snapshot of the per-pc profile at enqueue time (bg mode compiles
-        #: from this, immune to concurrent interpreter mutation)
-        self.feedback = feedback
+    def __init__(self, spec, seq: int, promote=False):
+        #: the :class:`~repro.jit.unit.UnitSpec` to build (``fn`` or
+        #: ``ctxfn``).  Its ``feedback`` is a snapshot of the per-pc profile
+        #: taken at enqueue time: bg mode compiles from it, immune to
+        #: concurrent interpreter mutation
+        self.spec = spec
         self.seq = seq
-        #: CallContext for an entry-specialized version request (continuation
-        #: tier-up); None means the generic whole-function compile
-        self.ctx = ctx
         #: request came from continuation promotion — bumps cont_tierups at
         #: install so the counter means "promotions installed" in every mode
         self.promote = promote
 
     def key(self):
-        return id(self.closure) if self.ctx is None else (id(self.closure), self.ctx)
+        spec = self.spec
+        return id(spec.closure) if spec.ctx is None else (id(spec.closure), spec.ctx)
 
 
 class CompileQueue:
@@ -96,84 +98,63 @@ class CompileQueue:
     # enqueue (main thread)
     # ------------------------------------------------------------------
 
-    def request(self, closure, st):
-        """Tier-up request for ``closure``.  Returns the installed NativeCode
-        when compilation happened synchronously, else None (queued)."""
+    def request(self, spec, promote=False):
+        """Tier-up request for a whole-function unit: the generic version
+        (``fn``) or, for continuation promotion, an entry-context version
+        (``ctxfn``, ``promote=True``).  Compiled inline in sync mode
+        (returns the installed NativeCode or None), else queued (returns
+        None) — unless an equal request already is."""
+        vm = self.vm
         if self.mode == "sync":
-            return self.vm.compile_closure(closure)
-        if id(closure) in self.queued_ids:
-            return None
-        snapshot = {
-            pc: fb.copy() for pc, fb in closure.code.feedback.items()
-        }
-        self._seq += 1
-        req = CompileRequest(closure, snapshot, self._seq)
-        if self.mode == "fleet" and self.fleet is not None:
-            return self._submit_fleet(req)
-        with self.lock:
-            self.pending.append(req)
-            self.queued_ids.add(id(closure))
-            self.wake.notify()
-        self.vm.state.tierup_enqueues += 1
-        self.vm.state.emit("tierup_enqueue", closure.name, mode=self.mode,
-                           queue_depth=len(self.pending))
-        if self.mode == "bg":
-            self._ensure_worker()
-        return None
-
-    def request_context(self, closure, st, ctx, feedback, promote=False):
-        """Tier-up request for an entry-*context* version (continuation
-        promotion).  Inline in sync mode (returns the installed NativeCode
-        or None), queued in step/bg modes (returns None)."""
-        if self.mode == "sync":
-            return self.vm._compile_context_version(closure, st, ctx,
-                                                    feedback_override=feedback)
-        req = CompileRequest(closure, feedback, self._seq + 1, ctx=ctx,
-                             promote=promote)
+            # under the names the benchmark's tracer resolves
+            if spec.kind == "fn":
+                ncode = vm.compile_closure(spec.closure, spec.feedback)
+            else:
+                ncode = vm._compile_context_version(
+                    spec.closure, vm.jit_state(spec.closure), spec.ctx, spec.feedback)
+            return self._installed(spec, promote, ncode)
+        req = CompileRequest(spec, self._seq + 1, promote)
         if req.key() in self.queued_ids:
             return None
         self._seq += 1
-        if self.mode == "fleet" and self.fleet is not None:
-            return self._submit_fleet(req)
+        if spec.feedback is None:
+            spec.feedback = {pc: fb.copy() for pc, fb in spec.code.feedback.items()}
+        fleet = self.fleet if self.mode == "fleet" else None
         with self.lock:
-            self.pending.append(req)
             self.queued_ids.add(req.key())
-            self.wake.notify()
-        self.vm.state.tierup_enqueues += 1
-        self.vm.state.emit("tierup_enqueue", closure.name, mode=self.mode,
-                           queue_depth=len(self.pending), ctx=True)
-        if self.mode == "bg":
+            if fleet is None:
+                self.pending.append(req)
+                self.wake.notify()
+        vm.state.tierup_enqueues += 1
+        vm.state.emit("tierup_enqueue", spec.closure.name, mode=self.mode,
+                      queue_depth=len(self.pending if fleet is None else fleet),
+                      ctx=spec.ctx is not None)
+        if fleet is not None:
+            # the stable digest — the cross-tenant dedup key — is computed
+            # here, on the session thread: it walks this VM's global
+            # environment to name the closures the key pins, which the fleet
+            # workers must not do concurrently with the interpreter
+            fleet.submit(self, req, self._fleet_digest(req))
+        elif self.mode == "bg":
             self._ensure_worker()
-        return None
-
-    def _submit_fleet(self, req: CompileRequest):
-        """Hand a request to the process-wide fleet queue (fleet mode).
-
-        The stable digest — the cross-tenant dedup key — must be computed
-        here, on the session thread: it walks this VM's global environment
-        to name the closures the key pins, which the fleet workers must not
-        do concurrently with the interpreter."""
-        with self.lock:
-            self.queued_ids.add(req.key())
-        self.vm.state.tierup_enqueues += 1
-        self.vm.state.emit("tierup_enqueue", req.closure.name, mode=self.mode,
-                           queue_depth=len(self.fleet), ctx=req.ctx is not None)
-        self.fleet.submit(self, req, self._fleet_digest(req))
         return None
 
     def _fleet_digest(self, req: CompileRequest) -> Optional[str]:
         """Stable digest of the unit this request would build, or None when
         the key pins world-local objects (then dedup is per-VM only)."""
-        from . import codecache
-
         if self.vm.code_cache is None:
             return None
-        if req.ctx is not None:
-            key = codecache.context_entry_key(req.closure, req.ctx,
-                                              self.vm.config, req.feedback)
-        else:
-            key = codecache.entry_key(req.closure, self.vm.config, req.feedback)
-        return codecache.stable_digest(key, codecache.WorldResolver(self.vm))
+        return codecache.stable_digest(req.spec.key(self.vm.config),
+                                       codecache.WorldResolver(self.vm))
+
+    def _installed(self, spec, promote: bool, ncode):
+        """Tail of every successful request, inline or queued: a promoted
+        continuation is counted where its version got installed."""
+        if promote and ncode is not None:
+            self.vm.state.cont_tierups += 1
+            self.vm.state.emit("cont_tierup", spec.closure.name, size=ncode.size,
+                               specificity=spec.ctx.specificity())
+        return ncode
 
     # ------------------------------------------------------------------
     # drain (step mode / tests; also used by bg install path)
@@ -201,66 +182,62 @@ class CompileQueue:
                     break
         return installed
 
+    @staticmethod
+    def _superseded(st, spec) -> bool:
+        """The unit this request asks for got installed while it waited."""
+        if spec.kind == "fn":
+            return st.version is not None
+        return st.versions is not None and st.versions.lookup_exact(spec.ctx) is not None
+
     def _build(self, req: CompileRequest):
         """Run the pipeline for one request; returns NativeCode or None.
         Never raises — failures are recorded against the closure state."""
-        from ..ir.builder import CompilationFailure
-
-        st = self.vm.jit_state(req.closure)
+        vm, spec = self.vm, req.spec
+        st = vm.jit_state(spec.closure)
         if st.cant_compile:
             return None
-        if req.ctx is not None:
-            vt = st.versions
-            if vt is not None and vt.lookup_exact(req.ctx) is not None:
-                self.vm.state.tierup_drops += 1  # promoted while queued
-                return None
-            try:
-                return self.vm.build_context_native(req.closure, req.ctx,
-                                                    req.feedback)
-            except CompilationFailure as e:
-                self.vm._ctx_stop(st, req.ctx)
-                self.vm.state.compile_failures += 1
-                self.vm.state.emit("compile_failed", req.closure.name, error=str(e))
-                return None
-        if st.version is not None:
-            self.vm.state.tierup_drops += 1  # superseded while queued
+        if self._superseded(st, spec):
+            vm.state.tierup_drops += 1
             return None
         try:
-            return self.vm.build_native(req.closure, feedback_override=req.feedback)
+            return unit.build(vm, spec)
         except CompilationFailure as e:
-            st.cant_compile = True
-            self.vm.state.compile_failures += 1
-            self.vm.state.emit("compile_failed", req.closure.name, error=str(e))
+            unit.failed(vm, spec, e)
             return None
 
     def _finish(self, req: CompileRequest, ncode):
-        """Install a built unit (main thread): cache insert + telemetry."""
-        st = self.vm.jit_state(req.closure)
-        if req.ctx is not None:
-            vt = st.versions
-            if ncode is None or st.cant_compile or (
-                    vt is not None and vt.lookup_exact(req.ctx) is not None):
-                if ncode is not None:
-                    self.vm.state.tierup_drops += 1
-                return None
-            installed = self.vm.install_context_compiled(
-                req.closure, st, req.ctx, ncode, feedback=req.feedback)
-            if installed is None:
-                return None
-            self.vm.state.tierup_installs += 1
-            if req.promote:
-                self.vm.state.cont_tierups += 1
-                self.vm.state.emit("cont_tierup", req.closure.name,
-                                   size=installed.size,
-                                   specificity=req.ctx.specificity())
-            return installed
-        if ncode is None or st.version is not None or st.cant_compile:
-            if ncode is not None:
-                self.vm.state.tierup_drops += 1
+        """Install point (session thread) for a staged result: a built
+        unit, None (build failed or superseded), or ``COALESCED``.
+
+        A coalesced request's build ran for another tenant, whose install
+        published the unit's stable form to the shared cache; it is claimed
+        from there (an O(lookup) rebind, accounted with compile parity).  A
+        miss — the origin's install hasn't happened yet, or the entry was
+        evicted/invalidated in the window — drops the request: the closure
+        is still hot, so the tier-up policy simply re-requests on its next
+        call.  Never compiles inline."""
+        vm, spec = self.vm, req.spec
+        st = vm.jit_state(spec.closure)
+        built = ncode is not COALESCED
+        if not built:
+            vm.state.batched_compiles += 1
+            vm.state.emit("batched_compile", spec.closure.name,
+                          ctx=spec.ctx is not None)
+        if ncode is None or st.cant_compile or self._superseded(st, spec):
+            if built and ncode is not None:
+                vm.state.tierup_drops += 1
             return None
-        self.vm.install_compiled(req.closure, st, ncode, feedback=req.feedback)
-        self.vm.state.tierup_installs += 1
-        return st.version
+        if spec.kind == "ctxfn" and not vm.admits(st):
+            return None  # the table filled up meanwhile: discarded uncounted
+        if built:
+            ncode = unit.install(vm, spec, ncode)
+            if ncode is not None:
+                vm.place(spec, ncode)
+        else:
+            ncode = vm.tier_up(spec, probe_only=True)
+        if ncode is not None:
+            vm.state.tierup_installs += 1
+        return self._installed(spec, req.promote, ncode)
 
     # ------------------------------------------------------------------
     # background worker (bg mode)
@@ -316,53 +293,10 @@ class CompileQueue:
                     self.vm.queue_ready = False
                     break
                 req, ncode = self.ready.popleft()
-                if ncode is COALESCED:
-                    res = self._finish_coalesced(req)
-                else:
-                    res = self._finish(req, ncode)
+                res = self._finish(req, ncode)
             if res is not None:
                 installed += 1
         return installed
-
-    def _finish_coalesced(self, req: CompileRequest):
-        """Install point for a request whose build another tenant ran.
-
-        The origin session's install published the unit's stable form to the
-        shared cache; claim it from there (an O(lookup) rebind, accounted
-        with compile parity).  A miss — the origin's install hasn't happened
-        yet, or the entry was evicted/invalidated in the window — drops the
-        request: the closure is still hot, so the tier-up policy simply
-        re-requests on its next call.  Never compiles inline."""
-        vm = self.vm
-        vm.state.batched_compiles += 1
-        vm.state.emit("batched_compile", req.closure.name,
-                      ctx=req.ctx is not None)
-        st = vm.jit_state(req.closure)
-        if st.cant_compile:
-            return None
-        if req.ctx is not None:
-            vt = st.versions
-            if vt is not None and vt.lookup_exact(req.ctx) is not None:
-                return None  # promoted while queued
-            ncode = vm._compile_context_version(
-                req.closure, st, req.ctx,
-                feedback_override=req.feedback, probe_only=True)
-            if ncode is None:
-                return None
-            vm.state.tierup_installs += 1
-            if req.promote:
-                vm.state.cont_tierups += 1
-                vm.state.emit("cont_tierup", req.closure.name,
-                              size=ncode.size,
-                              specificity=req.ctx.specificity())
-            return ncode
-        if st.version is not None:
-            return None  # superseded while queued
-        ncode = vm._try_cached_entry(req.closure, st, req.feedback)
-        if ncode is None:
-            return None
-        vm.state.tierup_installs += 1
-        return ncode
 
     def join(self, timeout: float = 5.0) -> bool:
         """Wait until the worker has no pending/unstaged work (tests)."""

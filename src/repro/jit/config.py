@@ -153,10 +153,6 @@ class Config:
     dispatch_min_contexts: int = 2
     #: deopts attributed to one context before it stops being respecialized
     dispatch_max_context_deopts: int = 2
-    #: when a dispatch/version table is full, evict the entry with the
-    #: lowest (hit count, specificity) instead of refusing the insert.
-    #: Default off: the paper's tables refuse at the bound.
-    dispatch_evict: bool = False
 
     # -- deoptless (the paper's contribution) -----------------------------------
     enable_deoptless: bool = False

@@ -95,8 +95,6 @@ class Telemetry:
         self.ctx_compiles = 0
         #: dispatches served by the PIC's (callee, context) -> version cache
         self.ctx_pic_hits = 0
-        #: version/dispatch-table entries displaced by Config.dispatch_evict
-        self.dispatch_evictions = 0
         #: inserts refused because a dispatch/version table was full
         self.dispatch_refusals = 0
         #: context-keyed code cache (jit/codecache.py).  All cache counters
@@ -308,7 +306,6 @@ class Telemetry:
             "ctx_dispatches": self.ctx_dispatches,
             "ctx_compiles": self.ctx_compiles,
             "ctx_pic_hits": self.ctx_pic_hits,
-            "dispatch_evictions": self.dispatch_evictions,
             "dispatch_refusals": self.dispatch_refusals,
             "codecache_hits": self.codecache_hits,
             "codecache_misses": self.codecache_misses,

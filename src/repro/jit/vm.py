@@ -32,21 +32,19 @@ from ..bytecode.compiler import CodeObject, Compiler
 from ..deoptless import engine as deoptless_engine
 from ..deoptless.context import distill_call_context
 from ..deoptless.dispatch import DispatchTable, VersionTable
-from ..ir.builder import CompilationFailure, GraphBuilder
-from ..native import pycodegen
 from ..native.executor import execute
-from ..native.lower import NativeCode, lower
-from ..opt.pipeline import optimize
+from ..native.lower import NativeCode
 from ..osr import osr_hop, osr_in, osr_out
 from ..osr.framestate import CATASTROPHIC_REASONS, DeoptReason, DeoptReasonKind, FrameState
 from ..runtime.builtins import install_builtins
 from ..runtime.env import REnvironment
 from ..runtime.values import NULL, RClosure, RError, RPromise, RVector
-from . import codecache
+from . import unit
 from .codecache import CodeCache
 from .compile_queue import CompileQueue
 from .config import Config, CostModel
 from .telemetry import Telemetry
+from .unit import UnitSpec
 
 
 class ClosureJitState:
@@ -61,9 +59,7 @@ class ClosureJitState:
     def __init__(self, config: Config):
         self.call_count = 0
         self.version: Optional[NativeCode] = None
-        self.deoptless_table = DispatchTable(
-            config.deoptless_max_continuations, evict=config.dispatch_evict
-        )
+        self.deoptless_table = DispatchTable(config.deoptless_max_continuations)
         self.deopt_count = 0
         self.cant_compile = False
         #: positional default values when all defaults are constants
@@ -286,125 +282,68 @@ class RVM:
         fails = st.ctx_fail_counts
         if fails is not None and fails.get(ctx, 0) >= cfg.dispatch_max_context_deopts:
             return None
-        if vt is not None and vt.full and not cfg.dispatch_evict:
-            # checked before compiling so a saturated table costs nothing
-            self.state.dispatch_refusals += 1
+        if not self.admits(st):
             return None
         return self._compile_context_version(closure, st, ctx)
+
+    # ------------------------------------------------------------------
+    # compilation: policy over jit/unit.py
+    # ------------------------------------------------------------------
 
     def _compile_context_version(self, closure: RClosure, st: ClosureJitState,
                                  ctx, feedback_override=None,
                                  probe_only: bool = False) -> Optional[NativeCode]:
-        """Compile (or fetch from the code cache) the version assuming
-        ``ctx`` at entry and install it into the closure's version table.
-        ``feedback_override`` is the profile the build consumes instead of
-        the live one (continuation tier-up passes the *repaired* feedback).
-        ``probe_only`` restricts to the cache-hit path (fleet-coalesced
-        installs must never run the pipeline on the session thread)."""
-        if self.code_cache is not None:
-            key = codecache.context_entry_key(closure, ctx, self.config,
-                                              feedback_override)
-            template = self.code_cache.lookup(key, self, closure.code)
-            if template is not None:
-                shared = self.code_cache.last_hit_shared
-                ncode = template.clone_for_install()
-                ncode.closure = closure
-                ncode.is_context_version = True
-                ncode.call_context = ctx
-                if not self._install_version(st, ctx, ncode):
-                    return None
-                self.state.code_size += ncode.size
-                if shared:
-                    self._account_shared_rebind(ncode)
-                self.state.emit("codecache_hit", closure.name, unit="ctxfn",
-                                size=ncode.size)
-                return ncode
-        if probe_only:
-            return None
-        try:
-            ncode = self.build_context_native(closure, ctx, feedback_override)
-        except CompilationFailure:
-            self._ctx_stop(st, ctx)
-            return None
-        return self.install_context_compiled(closure, st, ctx, ncode,
-                                             feedback=feedback_override)
+        """Policy: the version assuming ``ctx`` at entry lives in the
+        closure's version table.  ``feedback_override`` is the profile the
+        build consumes instead of the live one (continuation tier-up passes
+        the *repaired* feedback)."""
+        return self.tier_up(UnitSpec("ctxfn", closure.code, closure, ctx=ctx,
+                                     feedback=feedback_override), probe_only)
 
-    def build_context_native(self, closure: RClosure, ctx,
-                             feedback_override=None) -> NativeCode:
-        """Bare pipeline for an entry-specialized version (no installation,
-        no telemetry); raises CompilationFailure.  Like :meth:`build_native`
-        this is the unit of work the background compile queue may run
-        off-thread."""
-        builder = GraphBuilder(self, closure.code, closure, entry_ctx=ctx,
-                               feedback_override=feedback_override)
-        graph = builder.build()
-        optimize(graph, self.config, vm=self)
-        return lower(graph, drop_deopt_exits=self.config.unsound_drop_deopt_exits)
+    def compile_closure(self, closure: RClosure, feedback_override=None) -> Optional[NativeCode]:
+        """Policy: synchronous tier-up, the generic version lives in the
+        closure's entry slot."""
+        return self.tier_up(UnitSpec("fn", closure.code, closure,
+                                     feedback=feedback_override))
 
-    def install_context_compiled(self, closure: RClosure, st: ClosureJitState,
-                                 ctx, ncode: NativeCode,
-                                 feedback=None) -> Optional[NativeCode]:
-        """Install a freshly built context version (main thread): version
-        table insert, codegen prep, cache insert, telemetry."""
-        if not ncode.env_elided:
-            # an env-mode unit takes the [env] calling convention — useless
-            # as an entry-dispatched version; don't keep trying this context
-            self._ctx_stop(st, ctx)
-            return None
-        ncode.closure = closure
-        ncode.is_context_version = True
-        ncode.call_context = ctx
-        if not self._install_version(st, ctx, ncode):
-            return None
-        self._prepare_codegen(ncode)
-        self.state.compiles += 1
-        self.state.compiled_instrs += ncode.size
-        self.state.lowered_instrs += ncode.size
-        self.state.code_size += ncode.size
-        self.state.ctx_compiles += 1
-        self.state.emit("ctx_compile", closure.name, size=ncode.size,
-                        specificity=ctx.specificity(),
-                        n_versions=len(st.versions) if st.versions else 0)
-        if self.code_cache is not None:
-            key = codecache.context_entry_key(closure, ctx, self.config, feedback)
-            self.code_cache.insert(key, ncode, self, closure.code)
+    def maybe_tier_up(self, closure: RClosure, st: ClosureJitState) -> Optional[NativeCode]:
+        """Tier-up policy point: compile inline (sync mode), else install a
+        cached unit or queue a request (step/bg/fleet modes)."""
+        if self.compile_queue.mode == "sync":
+            return self.compile_closure(closure)
+        spec = UnitSpec("fn", closure.code, closure)
+        return self.tier_up(spec, probe_only=True) or self.compile_queue.request(spec)
+
+    def tier_up(self, spec: UnitSpec, probe_only: bool = False) -> Optional[NativeCode]:
+        """Obtain a whole-function unit (DESIGN.md, "Obtaining a compiled
+        unit") and put it where calls find it."""
+        ncode = unit.obtain(self, spec, probe_only)
+        if ncode is not None:
+            self.place(spec, ncode)
         return ncode
 
-    def promote_continuation(self, closure: RClosure, st: ClosureJitState,
-                             ctx, feedback) -> Optional[NativeCode]:
-        """Continuation tier-up (dispatched OSR, part 2): a deoptless
-        continuation that keeps being dispatched is promoted to a full entry
-        version compiled under the *repaired* feedback, installed in the
-        closure's version table and content-addressed in the code cache —
-        repeat recoveries then dispatch at the call boundary in O(lookup).
-        Routed through the compile queue so step/bg modes keep compilation
-        off the recovery path."""
-        ncode = self.compile_queue.request_context(closure, st, ctx, feedback,
-                                                   promote=True)
-        if ncode is None:
-            return None  # queued (step/bg) or compile refused
-        self.state.cont_tierups += 1
-        self.state.emit("cont_tierup", closure.name, size=ncode.size,
-                        specificity=ctx.specificity())
-        return ncode
-
-    def _install_version(self, st: ClosureJitState, ctx, ncode: NativeCode) -> bool:
+    def admits(self, st: ClosureJitState) -> bool:
+        """The full-table rule for entry versions: refuse, as the paper and
+        upstream do, and count it.  Asked before a ``ctxfn`` unit is
+        compiled, queued or installed, so a saturated table costs nothing."""
         vt = st.versions
-        if vt is None:
-            vt = st.versions = VersionTable(
-                self.config.dispatch_versions, evict=self.config.dispatch_evict
-            )
-        if not vt.insert(ctx, ncode):
+        if vt is not None and vt.full:
             self.state.dispatch_refusals += 1
             return False
-        victim = vt.last_evicted
-        if victim is not None:
-            vt.last_evicted = None
-            victim.code.invalidated = True
-            self.state.code_size -= victim.code.size
-            self.state.dispatch_evictions += 1
-            self.state.invalidations += 1
         return True
+
+    def place(self, spec: UnitSpec, ncode: NativeCode) -> None:
+        """The two install paths: a ``fn`` unit takes the closure's entry
+        slot, a ``ctxfn`` unit an entry of its version table (which
+        :meth:`admits` found room in)."""
+        st = self.jit_state(spec.closure)
+        if spec.kind == "fn":
+            st.version = ncode
+        else:
+            if st.versions is None:
+                st.versions = VersionTable(self.config.dispatch_versions)
+            st.versions.insert(spec.ctx, ncode)
+        self.state.code_size += ncode.size
 
     def _ctx_stop(self, st: ClosureJitState, ctx) -> None:
         """Stop attempting to specialize ``ctx`` (compile failed / env mode)
@@ -412,92 +351,6 @@ class RVM:
         if st.ctx_fail_counts is None:
             st.ctx_fail_counts = {}
         st.ctx_fail_counts[ctx] = self.config.dispatch_max_context_deopts
-
-    # ------------------------------------------------------------------
-    # compilation
-    # ------------------------------------------------------------------
-
-    def maybe_tier_up(self, closure: RClosure, st: ClosureJitState) -> Optional[NativeCode]:
-        """Tier-up policy point: consult the code cache, then either compile
-        inline (sync mode) or queue a request (step/bg modes)."""
-        if self.compile_queue.mode == "sync":
-            return self.compile_closure(closure)
-        ncode = self._try_cached_entry(closure, st)
-        if ncode is not None:
-            return ncode
-        return self.compile_queue.request(closure, st)
-
-    def compile_closure(self, closure: RClosure, feedback_override=None) -> Optional[NativeCode]:
-        """Synchronous tier-up: cache lookup, else full pipeline + insert."""
-        st = self.jit_state(closure)
-        ncode = self._try_cached_entry(closure, st, feedback_override)
-        if ncode is not None:
-            return ncode
-        try:
-            ncode = self.build_native(closure, feedback_override)
-        except CompilationFailure as e:
-            st.cant_compile = True
-            self.state.compile_failures += 1
-            self.state.emit("compile_failed", closure.name, error=str(e))
-            return None
-        return self.install_compiled(closure, st, ncode, feedback=feedback_override)
-
-    def build_native(self, closure: RClosure, feedback_override=None) -> NativeCode:
-        """The bare pipeline (build → optimize → lower), no installation and
-        no telemetry.  Raises CompilationFailure.  Also the unit of work the
-        background compile queue runs off-thread."""
-        builder = GraphBuilder(self, closure.code, closure,
-                               feedback_override=feedback_override)
-        graph = builder.build()
-        optimize(graph, self.config, vm=self)
-        return lower(graph, drop_deopt_exits=self.config.unsound_drop_deopt_exits)
-
-    def install_compiled(self, closure: RClosure, st: ClosureJitState,
-                         ncode: NativeCode, feedback=None) -> NativeCode:
-        """Install freshly compiled code as the closure's version; inserts
-        into the code cache under the profile codegen actually consumed
-        (``feedback``: the snapshot a queued build compiled from)."""
-        if self.code_cache is not None:
-            key = codecache.entry_key(closure, self.config, feedback)
-            self.code_cache.insert(key, ncode, self, closure.code)
-        ncode.closure = closure
-        st.version = ncode
-        self._prepare_codegen(ncode)
-        self.state.compiles += 1
-        self.state.compiled_instrs += ncode.size
-        self.state.lowered_instrs += ncode.size
-        self.state.code_size += ncode.size
-        self.state.emit("compile", closure.name, size=ncode.size, env_elided=ncode.env_elided)
-        return ncode
-
-    def _prepare_codegen(self, ncode: NativeCode) -> None:
-        """Codegen-tier install hook: emit the unit's specialized Python
-        source at install time (the cache-insert path may already have done
-        it; ``ensure_source`` is idempotent).  Binding — compile()/exec —
-        stays lazy: clones share the template's bound function."""
-        if self.config.threaded_dispatch:
-            pycodegen.ensure_source(ncode, self.state)
-
-    def _try_cached_entry(self, closure: RClosure, st: ClosureJitState,
-                          feedback_override=None) -> Optional[NativeCode]:
-        """Install a cached unit compiled for this (code, context), if any.
-        A hit bumps code_size but NOT compiles/compiled_instrs — no
-        compilation happened, which is exactly the measured saving."""
-        if self.code_cache is None:
-            return None
-        key = codecache.entry_key(closure, self.config, feedback_override)
-        template = self.code_cache.lookup(key, self, closure.code)
-        if template is None:
-            return None
-        shared = self.code_cache.last_hit_shared
-        ncode = template.clone_for_install()
-        ncode.closure = closure
-        st.version = ncode
-        self.state.code_size += ncode.size
-        if shared:
-            self._account_shared_rebind(ncode)
-        self.state.emit("codecache_hit", closure.name, unit="fn", size=ncode.size)
-        return ncode
 
     def _account_shared_rebind(self, ncode: NativeCode,
                                is_continuation: bool = False) -> None:

@@ -38,6 +38,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterator, List, Optional
 
 from ..deoptless.context import distill_call_context
+from ..jit.unit import frame_values
 from ..native import executor
 from ..native.lower import NativeCode, OsrEntry
 from ..runtime.env import REnvironment
@@ -60,7 +61,7 @@ def _decline(vm, fn_name: str, pc: int, why: str) -> None:
 # version selection
 # ---------------------------------------------------------------------------
 
-def _live_context(closure, values: Dict[str, Any]):
+def live_context(closure, values: Dict[str, Any]):
     """Distill a CallContext from the formals' *current* values (they may
     have been overwritten since entry).  None when a formal is unbound or
     the shape exceeds what contexts describe."""
@@ -126,8 +127,8 @@ def seed_registers(vm, ncode: NativeCode, entry: OsrEntry,
                    fn_name: str, pc: int) -> Optional[List[Any]]:
     """Build the target's full register file for a hop at ``entry``.
 
-    ``values`` is the frame's merged locals (scalar half overriding the
-    partial env, same convention as ``call_continuation``); ``env_obj`` is a
+    ``values`` is the frame's merged locals (:func:`frame_values`);
+    ``env_obj`` is a
     zero-argument thunk producing the materialized environment when the
     target runs env-mode.  Returns None (after decline accounting) when the
     live state does not fit the entry map.
@@ -184,6 +185,25 @@ def seed_registers(vm, ncode: NativeCode, entry: OsrEntry,
 # hop sites
 # ---------------------------------------------------------------------------
 
+def _hop(vm, fs, values: Dict[str, Any], live_ctx, via: str,
+         exclude: Optional[NativeCode] = None):
+    """The body of both hop sites: seed the first candidate version that
+    admits the frame, count and announce the hop.  Returns the arguments
+    ``executor.execute_at`` resumes with, or None."""
+    closure_env = fs.closure_env if fs.closure_env is not None else fs.fun.env
+    name, pc = fs.code.name, fs.pc
+    for ncode in select_versions(fs.fun.jit, pc, live_ctx, exclude=exclude):
+        entry = ncode.osr_entries[pc]
+        regs = seed_registers(vm, ncode, entry, values, list(fs.stack),
+                              fs.materialize_env, closure_env, name, pc)
+        if regs is not None:
+            vm.state.osr_hops += 1
+            vm.state.emit("osr_hop", name, pc=pc, size=ncode.size, via=via,
+                          target="ctx" if ncode.is_context_version else "generic")
+            return ncode, entry.index, regs, vm, closure_env
+    return None
+
+
 def try_hop_out(vm, fs, origin: Optional[NativeCode]) -> Any:
     """Dispatched OSR at a deopt: re-enter a surviving version mid-loop.
 
@@ -193,71 +213,32 @@ def try_hop_out(vm, fs, origin: Optional[NativeCode]) -> Any:
     that just mis-speculated).  Root frames only: inlined-frame deopts keep
     the parent-chain resume convention.
     """
-    fun = fs.fun
-    if fs.parent is not None or fun is None or fun.jit is None:
+    if fs.parent is not None or fs.fun is None or fs.fun.jit is None:
         return NO_HOP
-    values = _frame_values(fs)
+    values = frame_values(fs)
     if values is None:
         return NO_HOP
-    live_ctx = _live_context(fun, values)
-    closure_env = fs.closure_env if fs.closure_env is not None else fun.env
-    for ncode in select_versions(fun.jit, fs.pc, live_ctx, exclude=origin):
-        entry = ncode.osr_entries[fs.pc]
-        regs = seed_registers(vm, ncode, entry, values, list(fs.stack),
-                              fs.materialize_env, closure_env,
-                              fs.code.name, fs.pc)
-        if regs is None:
-            continue
-        vm.state.osr_hops += 1
-        vm.state.emit("osr_hop", fs.code.name, pc=fs.pc, size=ncode.size,
-                      via="deopt",
-                      target="ctx" if ncode.is_context_version else "generic")
-        return executor.execute_at(ncode, entry.index, regs, vm, closure_env)
-    return NO_HOP
+    hop = _hop(vm, fs, values, live_context(fs.fun, values), "deopt", origin)
+    return executor.execute_at(*hop) if hop is not None else NO_HOP
 
 
-def try_hop_in(vm, code, env: REnvironment, pc: int, closure, st) -> Any:
-    """Dispatched OSR at a hot interpreter loop: enter an *installed*
-    version at the header instead of compiling a one-shot continuation.
+def try_hop_in(vm, fs) -> Any:
+    """Dispatched OSR at a hot interpreter loop (``fs`` is the interpreter's
+    frame, see ``osr_in.try_osr_in``): enter an *installed* version at the
+    header instead of compiling a one-shot continuation.
 
     The operand stack is empty at backedge targets (loop-lowering
     invariant), so only the environment transfers.
     """
-    values = env.bindings
-    live_ctx = _live_context(closure, values)
+    values = fs.env.bindings
+    live_ctx = live_context(fs.fun, values)
     if live_ctx is not None:
         # same polymorphism bookkeeping as entry dispatch: the loop's live
         # context is evidence even when no version matches yet
-        seen = st.seen_contexts
-        if seen is None:
-            seen = st.seen_contexts = []
-        if live_ctx not in seen and len(seen) < 8:
-            seen.append(live_ctx)
-    closure_env = closure.env
-    for ncode in select_versions(st, pc, live_ctx):
-        entry = ncode.osr_entries[pc]
-        regs = seed_registers(vm, ncode, entry, values, [],
-                              lambda: env, closure_env, code.name, pc)
-        if regs is None:
-            continue
-        vm.state.osr_hops += 1
-        vm.state.emit("osr_hop", code.name, pc=pc, size=ncode.size,
-                      via="osr_in",
-                      target="ctx" if ncode.is_context_version else "generic")
-        return executor.execute_at(ncode, entry.index, regs, vm, closure_env)
-    return NO_HOP
-
-
-def _frame_values(fs) -> Optional[Dict[str, Any]]:
-    """Merged locals of a materialized frame: the scalar-replaced half
-    overrides the (possibly partial) environment, mirroring
-    ``call_continuation``'s buffer-passing convention."""
-    if fs.env_values is not None and fs.env is not None:
-        values = dict(fs.env.bindings)
-        values.update(fs.env_values)
-        return values
-    if fs.env_values is not None:
-        return fs.env_values
-    if fs.env is not None:
-        return fs.env.bindings
-    return None
+        st = fs.fun.jit
+        if st.seen_contexts is None:
+            st.seen_contexts = []
+        if live_ctx not in st.seen_contexts and len(st.seen_contexts) < 8:
+            st.seen_contexts.append(live_ctx)
+    hop = _hop(vm, fs, values, live_ctx, "osr_in")
+    return executor.execute_at(*hop) if hop is not None else NO_HOP

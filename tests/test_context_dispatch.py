@@ -134,24 +134,11 @@ def test_version_table_duplicate_insert_replaces_in_place():
 
 
 def test_version_table_refuses_when_full():
-    vt = VersionTable(max_entries=1, evict=False)
+    vt = VersionTable(max_entries=1)
     assert vt.insert(ctx(INT_S), FakeCode())
     assert not vt.insert(ctx(DBL_S), FakeCode())
     assert vt.refused_inserts == 1
     assert len(vt) == 1
-
-
-def test_version_table_evicts_least_hit_entry():
-    vt = VersionTable(max_entries=2, evict=True)
-    cold, hot = FakeCode(), FakeCode()
-    vt.insert(ctx(INT_S), cold)
-    vt.insert(ctx(DBL_S), hot)
-    for _ in range(5):
-        assert vt.dispatch(ctx(DBL_S)) is hot
-    assert vt.insert(ctx(INT_V), FakeCode())
-    assert vt.evictions == 1
-    assert vt.last_evicted is not None and vt.last_evicted.code is cold
-    assert vt.dispatch(ctx(DBL_S)) is hot  # the hot entry survived
 
 
 def test_version_table_remove_by_identity():
@@ -292,7 +279,7 @@ def test_pic_caches_context_version_pairs():
     assert vm.state.ctx_pic_hits > h0
 
 
-# -- eviction / refusal telemetry ------------------------------------------------
+# -- refusal telemetry -----------------------------------------------------------
 
 
 def test_full_table_refuses_and_counts():
@@ -305,26 +292,7 @@ def test_full_table_refuses_and_counts():
     st = vm.global_env.get("h").jit
     assert len(st.versions) == 1
     assert vm.state.dispatch_refusals > 0
-    assert vm.state.dispatch_evictions == 0
     # the generic fall-through still serves the refused context
-    assert from_r(vm.eval("h(1.5, 2.5)")) == 4.0
-
-
-def test_eviction_knob_retires_cold_version():
-    vm = make_vm(compile_threshold=1, osr_threshold=50,
-                 ctxdispatch=True, dispatch_versions=1, dispatch_evict=True)
-    vm.eval("h <- function(a, b) a + b")
-    for _ in range(4):
-        vm.eval("h(1L, 2L)")
-        vm.eval("h(1.5, 2.5)")
-    st = vm.global_env.get("h").jit
-    assert len(st.versions) == 1
-    assert vm.state.dispatch_evictions > 0
-    assert vm.state.dispatch_refusals == 0
-    # the surviving entry is the most recently compiled context
-    (c, code), = st.versions.entries
-    assert not code.invalidated
-    assert from_r(vm.eval("h(1L, 2L)")) == 3
     assert from_r(vm.eval("h(1.5, 2.5)")) == 4.0
 
 
