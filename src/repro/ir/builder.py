@@ -587,6 +587,7 @@ class GraphBuilder:
 
         self.in_values: Dict[int, "ValState"] = {}
         self.pending_phis: Dict[int, "ValState"] = {}
+        self.sealed: set = set()  # bc blocks a translated edge leads to
 
         # pre-create phis for every join / loop-header block so edges can be
         # sealed in any order
@@ -676,16 +677,17 @@ class GraphBuilder:
 
     def _translate_block(self, b: BcBlock) -> None:
         bb = self.ir_blocks[b.start]
+        if b.start not in self.sealed:
+            # bc-reachable but IR-unreachable: cold-branch speculation cut
+            # every forward edge into it (bc order is RPO: they came first —
+            # a loop header left with back edges only is dead, phis or not).
+            # The empty IR block is dropped by recompute_preds/rpo.
+            return
         if b.start in self.pending_phis:
             canonical = self.pending_phis[b.start]
             vals = ValState(list(canonical.stack), dict(canonical.vars))
-        elif b.start in self.in_values:
-            vals = self.in_values[b.start]
         else:
-            # bc-reachable but IR-unreachable: its only incoming edge was cut
-            # by a cold-branch speculation.  Leave the IR block empty; it has
-            # no predecessors and is dropped by recompute_preds/rpo.
-            return
+            vals = self.in_values[b.start]
         self.cur = vals
         self.cur_bb = bb
         self.cur_block_start = b.start
@@ -709,6 +711,7 @@ class GraphBuilder:
         self._seal_edge_from(self.cur_bb, succ_start, out)
 
     def _seal_edge_from(self, pred_bb: BasicBlock, succ_start: int, out: "ValState") -> None:
+        self.sealed.add(succ_start)
         succ = self.blocks[succ_start]
         if succ.is_join or succ.is_loop_header:
             self._add_phi_inputs(succ_start, pred_bb, out)
