@@ -64,19 +64,22 @@ def try_deoptless(vm, fs: FrameState, reason: DeoptReason, origin) -> Any:
     table: DispatchTable = fs.fun.jit.deoptless_table
     fun: Optional[NativeCode] = table.dispatch(ctx)
     if fun is None or _recompile(vm, fun, ctx):
-        new = deoptless_compile(vm, fs, reason, ctx)
-        if new is not None:
-            if table.insert(ctx, new):
-                vm.state.code_size += new.size
-                fun = new
-            elif fun is None:
-                # table bound reached and nothing compatible: real deopt
+        if table.full:
+            # never fetch or compile what cannot be inserted: a too-generic
+            # continuation keeps serving; with nothing compatible, real deopt
+            if fun is None:
                 vm.state.dispatch_refusals += 1
                 vm.state.deoptless_bailouts += 1
                 return MISS
-        elif fun is None:
-            vm.state.deoptless_misses += 1
-            return MISS
+        else:
+            new = deoptless_compile(vm, fs, reason, ctx)
+            if new is not None:
+                table.insert(ctx, new)
+                vm.state.code_size += new.size
+                fun = new
+            elif fun is None:
+                vm.state.deoptless_misses += 1
+                return MISS
 
     vm.state.deoptless_dispatches += 1
     vm.state.emit(

@@ -89,13 +89,18 @@ def test_results_identical_to_interpreter_across_phases():
 
 
 def test_table_bound_falls_back_to_real_deopt():
-    vm = deoptless_vm(deoptless_max_continuations=1)
+    # OSR-in off: the tier-down's interpreter must not compile its way back
+    vm = deoptless_vm(deoptless_max_continuations=1, enable_osr_in=False)
     vm.eval("sumfn(xd, 3L)")  # fills the single slot
     assert vm.state.deoptless_compiles == 1
     clo = vm.global_env.get("sumfn")
+    st = vm.state
+    before = (st.compiles, st.codecache_hits, st.ir_verifies)
     vm.eval("sumfn(xc, 2L)")  # no slot left: normal deoptimization
-    assert vm.state.deoptless_bailouts >= 1
+    assert st.deoptless_bailouts == 1 and st.dispatch_refusals == 1
     assert clo.jit.version is None, "fallback path retires the code"
+    # refused before a continuation was fetched or compiled for the context
+    assert (st.compiles, st.codecache_hits, st.ir_verifies) == before
 
 
 def test_no_recursive_deoptless():
