@@ -18,13 +18,13 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from ..bytecode import interpreter
 from ..jit import unit
 from ..jit.unit import continuation_args, frame_values
 from ..native.executor import execute
 from ..native.lower import NativeCode
 from ..osr.framestate import CATASTROPHIC_REASONS, DeoptReason, FrameState
 from ..osr.osr_hop import live_context
+from ..osr.osr_out import unwind_parents
 from ..runtime.rtypes import RType
 from .context import DeoptContext, compute_context
 from .dispatch import DispatchTable
@@ -156,18 +156,10 @@ def call_continuation(vm, ncode: NativeCode, fs: FrameState, reason=None) -> Any
     closure_env = fs.closure_env if fs.closure_env is not None else (
         fs.fun.env if fs.fun is not None else None
     )
-    result = execute(ncode, args, vm, closure_env=closure_env)
     # If the deopt happened inside an *inlined* frame, the continuation only
-    # covered the innermost (callee) frame; unwind the recorded parent chain
-    # in the interpreter, pushing each callee's return value (same resume
-    # convention as osr_out.resume_in_interpreter).
-    parent = fs.parent
-    while parent is not None:
-        stack = list(parent.stack)
-        stack.append(result)
-        result = interpreter.run(parent.code, parent.materialize_env(), vm, stack, parent.pc)
-        parent = parent.parent
-    return result
+    # covered the innermost (callee) frame: the recorded parent chain resumes
+    # in the interpreter, as after a real deopt.
+    return unwind_parents(vm, fs, execute(ncode, args, vm, closure_env=closure_env))
 
 
 def maybe_tier_up_continuation(vm, fs: FrameState, reason: DeoptReason,

@@ -51,7 +51,8 @@ def try_osr_in(vm, code, env, pc: int, closure=None) -> Tuple[bool, Any]:
         return (False, None)
     vm.state.osr_ins += 1
     vm.state.code_size += ncode.size
-    vm.state.emit("osr_in", code.name, pc=pc, size=ncode.size)
+    vm.state.emit("osr_in", code.name, pc=pc, size=ncode.size,
+                  env_elided=ncode.env_elided)
     result = execute(ncode, unit.continuation_args(ncode, fs), vm,
                      closure_env=fs.closure_env)
     # single-use continuation: release the code (paper section 4.2)

@@ -30,16 +30,16 @@ def resume_in_interpreter(vm, fs: FrameState) -> Any:
     path (``osr_hop``), the very next backedge can hop back into compiled
     code instead of interpreting out the loop.
     """
-    result = interpreter.run(fs.code, fs.materialize_env(), vm, list(fs.stack),
-                             fs.pc, fs.fun)
+    return unwind_parents(vm, fs, interpreter.run(
+        fs.code, fs.materialize_env(), vm, list(fs.stack), fs.pc, fs.fun))
+
+
+def unwind_parents(vm, fs: FrameState, result: Any) -> Any:
+    """Resume the frames enclosing ``fs`` once it returned ``result`` — from
+    the interpreter above, or from a deoptless continuation."""
     parent = fs.parent
     while parent is not None:
-        # the caller frame was recorded at the pc *after* the inlined call,
-        # with the callee and its arguments already popped: push the return
-        # value and let the interpreter carry on from there
-        stack = list(parent.stack)
-        stack.append(result)
-        result = interpreter.run(parent.code, parent.materialize_env(), vm, stack,
-                                 parent.pc, parent.fun)
+        result = interpreter.run(parent.code, parent.materialize_env(), vm,
+                                 list(parent.stack) + [result], parent.pc, parent.fun)
         parent = parent.parent
     return result

@@ -104,6 +104,35 @@ def test_parent_frames_resume_after_continuation():
         assert from_r(vm.eval("f(%d, %d)" % (n, t))) == expected_f(n, t)
 
 
+def test_resumed_caller_keeps_its_closure():
+    """The caller frame resumed after an inlined-frame recovery is still
+    ``run``'s activation: when its loop tiers back up, OSR-in compiles it
+    as closure code (register-promoted locals), not as top-level code
+    against a shared environment — the unwind must pass the owning closure,
+    as ``osr_out.resume_in_interpreter`` does."""
+    src = """
+add1 <- function(x) x + 1L
+run <- function(n, xs) { s <- 0; for (i in 1:n) s <- s + add1(xs[[i]]); s }
+mk <- function(k) { l <- list(); for (i in 1:90) { if (i < k) l[[i]] <- i else l[[i]] <- i + 0.5 }; l }
+"""
+    vm = make_vm(enable_deoptless=True, compile_threshold=2, osr_threshold=50,
+                 inline=True)
+    vm.eval(src)
+    vm.eval("xi <- mk(1000L); xm <- mk(10L)")
+    for _ in range(4):
+        vm.eval("run(90L, xi)")
+    assert vm.state.inlined_frames >= 1
+    n = len(vm.state.events)
+    r = vm.eval("run(90L, xm)")  # elements turn double at i = 10
+    assert from_r(r) == sum(i + 1 for i in range(1, 10)) + sum(i + 1.5 for i in range(10, 91))
+    first = vm.state.events[n]
+    assert (first.kind, first.fn_name) == ("deopt", "add1"), "inside the inlinee"
+    assert vm.state.deoptless_dispatches >= 1
+    resumed = [e for e in vm.state.events[n:] if e.kind == "osr_in"]
+    assert resumed and resumed[0].fn_name == "run"
+    assert resumed[0].details["env_elided"]
+
+
 def test_warm_path_still_runs_retained_fast_code():
     vm = warmed_deoptless()
     vm.eval("f(12, 6)")
