@@ -123,7 +123,7 @@ def _tag(ncode: NativeCode, spec: UnitSpec) -> NativeCode:
     return ncode
 
 
-def failed(vm, spec: UnitSpec, error: Exception, counted: bool = True) -> None:
+def failed(vm, spec: UnitSpec, error: Exception) -> None:
     """A build raised: counted and reported once, and the kind's stop flag
     set so the same request is not retried — ``cant_compile`` for the
     closure, the context's deopt budget for a version, ``osr_disabled`` for
@@ -135,9 +135,8 @@ def failed(vm, spec: UnitSpec, error: Exception, counted: bool = True) -> None:
         vm._ctx_stop(vm.jit_state(spec.closure), spec.ctx)
     elif spec.kind == "osr":
         spec.code.osr_disabled = True
-    if counted:
-        vm.state.compile_failures += 1
-        vm.state.emit(_KINDS[spec.kind][0], spec.code.name, error=str(error))
+    vm.state.compile_failures += 1
+    vm.state.emit(_KINDS[spec.kind][0], spec.code.name, error=str(error))
 
 
 def install(vm, spec: UnitSpec, ncode: NativeCode, key=None) -> Optional[NativeCode]:
@@ -195,8 +194,7 @@ def obtain(vm, spec: UnitSpec, probe_only: bool = False) -> Optional[NativeCode]
     try:
         ncode = build(vm, spec)
     except CompilationFailure as e:
-        # as before the fold: an inline ctxfn failure only sets the stop flag
-        failed(vm, spec, e, counted=spec.kind != "ctxfn")
+        failed(vm, spec, e)
         return None
     return install(vm, spec, ncode, key)
 
