@@ -33,6 +33,13 @@ from .feedback_repair import repair_feedback
 #: sentinel: deoptless did not handle the deopt, fall through to normal path
 MISS = object()
 
+#: recompile when the best matching continuation is more than this many
+#: lattice steps more generic than the current context
+RECOMPILE_DISTANCE = 4
+#: dispatches into one continuation (same compiled context) before it is
+#: promoted to a full version in the closure's VersionTable
+CONT_TIERUP_THRESHOLD = 3
+
 
 def deoptless_condition(vm, fs: FrameState, reason: DeoptReason, origin) -> bool:
     """``deoptlessCondition`` — which deopts deoptless even attempts."""
@@ -94,7 +101,7 @@ def _recompile(vm, fun: NativeCode, ctx: DeoptContext) -> bool:
     compiled_ctx = getattr(fun, "deoptless_ctx", None)
     if compiled_ctx is None:
         return False
-    return ctx.distance(compiled_ctx) > vm.config.deoptless_recompile_distance
+    return ctx.distance(compiled_ctx) > RECOMPILE_DISTANCE
 
 
 def _repaired(vm, code, reason: DeoptReason, ctx: DeoptContext):
@@ -149,8 +156,7 @@ def call_continuation(vm, ncode: NativeCode, fs: FrameState, reason=None) -> Any
         cur = hits.get(ctx, 0)
         if cur is not None:
             hits[ctx] = cur + 1
-            if (reason is not None
-                    and cur + 1 >= vm.config.cont_tierup_threshold):
+            if reason is not None and cur + 1 >= CONT_TIERUP_THRESHOLD:
                 maybe_tier_up_continuation(vm, fs, reason, ctx, st)
     args = continuation_args(ncode, fs)
     closure_env = fs.closure_env if fs.closure_env is not None else (
@@ -166,7 +172,7 @@ def maybe_tier_up_continuation(vm, fs: FrameState, reason: DeoptReason,
                                ctx: DeoptContext, st) -> None:
     """Continuation tier-up (dispatched OSR, part 2).
 
-    A continuation dispatched ``cont_tierup_threshold`` times is evidence
+    A continuation dispatched ``CONT_TIERUP_THRESHOLD`` times is evidence
     the entry speculation is systematically wrong for this calling pattern:
     promote it to a *full* entry version compiled under the repaired
     feedback (no re-speculation of the refuted fact) and install it in the

@@ -46,6 +46,9 @@ from . import codecache, unit
 #: compiling.  Distinct from None (= build failed / superseded).
 COALESCED = object()
 
+#: compiled-instruction budget of a ``drain()`` call that names none
+DRAIN_BUDGET = 2000
+
 
 class CompileRequest:
     __slots__ = ("spec", "seq", "promote")
@@ -162,10 +165,10 @@ class CompileQueue:
 
     def drain(self, budget: Optional[int] = None) -> int:
         """Compile+install queued requests until ``budget`` compiled
-        instructions are spent (default ``Config.tierup_drain_budget``;
-        pass 0 for unbounded).  Returns the number of installs."""
+        instructions are spent (default :data:`DRAIN_BUDGET`; pass 0 for
+        unbounded).  Returns the number of installs."""
         if budget is None:
-            budget = self.vm.config.tierup_drain_budget
+            budget = DRAIN_BUDGET
         installed = 0
         spent = 0
         while True:

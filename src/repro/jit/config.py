@@ -69,9 +69,6 @@ class Config:
     #: ``RERPO_OSR_HOP=0`` reverts to terminal continuations and
     #: generic-only OSR.
     osr_hop: bool = field(default_factory=lambda: _env_flag("OSR_HOP", True))
-    #: dispatches into one deoptless continuation (same compiled context)
-    #: before it is promoted to a full version in the closure's VersionTable
-    cont_tierup_threshold: int = 3
 
     # -- speculation -----------------------------------------------------------
     enable_speculation: bool = True
@@ -122,8 +119,6 @@ class Config:
     #: until an explicit budgeted ``vm.drain_compile_queue()``, "bg" on a
     #: worker thread with main-thread installs
     tierup_mode: str = field(default_factory=_tierup_default)
-    #: default compiled-instruction budget per ``drain()`` call (0: unbounded)
-    tierup_drain_budget: int = 2000
 
     # -- multi-tenant serving (repro/serve) ---------------------------------------
     #: master switch for the serving layer: when False (``RERPO_SERVE=0``),
@@ -148,11 +143,6 @@ class Config:
     ctxdispatch: bool = field(default_factory=lambda: _env_flag("CTXDISPATCH", True))
     #: specialized versions per closure, on top of the generic fall-through
     dispatch_versions: int = 4
-    #: distinct entry contexts a closure must exhibit before versions are
-    #: compiled (1 would specialize monomorphic entries, pure overhead)
-    dispatch_min_contexts: int = 2
-    #: deopts attributed to one context before it stops being respecialized
-    dispatch_max_context_deopts: int = 2
 
     # -- deoptless (the paper's contribution) -----------------------------------
     enable_deoptless: bool = False
@@ -161,9 +151,6 @@ class Config:
     #: context bounds (paper: stack <= 16, environment <= 32)
     deoptless_max_stack: int = 16
     deoptless_max_env: int = 32
-    #: recompile when the best matching continuation is more than this many
-    #: lattice steps more generic than the current context
-    deoptless_recompile_distance: int = 4
     #: apply the type-feedback cleanup + inference pass (section 4.3)
     deoptless_feedback_repair: bool = True
 

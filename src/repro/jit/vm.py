@@ -47,6 +47,13 @@ from .telemetry import Telemetry
 from .unit import UnitSpec
 
 
+#: distinct entry contexts a closure must exhibit before versions are
+#: compiled (1 would specialize monomorphic entries, pure overhead)
+MIN_CONTEXTS = 2
+#: deopts attributed to one context before it stops being respecialized
+MAX_CONTEXT_DEOPTS = 2
+
+
 class ClosureJitState:
     """Per-closure compilation state (hangs off ``RClosure.jit``)."""
 
@@ -275,12 +282,12 @@ class RVM:
             if len(seen) >= 8:
                 return None
             seen.append(ctx)
-        if len(seen) < cfg.dispatch_min_contexts:
+        if len(seen) < MIN_CONTEXTS:
             return None
         if st.cant_compile or st.deopt_count >= cfg.max_deopts_per_function:
             return None
         fails = st.ctx_fail_counts
-        if fails is not None and fails.get(ctx, 0) >= cfg.dispatch_max_context_deopts:
+        if fails is not None and fails.get(ctx, 0) >= MAX_CONTEXT_DEOPTS:
             return None
         if not self.admits(st):
             return None
@@ -350,7 +357,7 @@ class RVM:
         without poisoning the closure's generic compilation."""
         if st.ctx_fail_counts is None:
             st.ctx_fail_counts = {}
-        st.ctx_fail_counts[ctx] = self.config.dispatch_max_context_deopts
+        st.ctx_fail_counts[ctx] = MAX_CONTEXT_DEOPTS
 
     def _account_shared_rebind(self, ncode: NativeCode,
                                is_continuation: bool = False) -> None:
