@@ -88,9 +88,7 @@ class ContextTable:
     def entries(self) -> List[Tuple[object, object]]:
         """All (context, code) pairs, most-specific first (the old flat-list
         view, kept for tests and the inspector)."""
-        flat = [e for bucket in self._buckets.values() for e in bucket]
-        flat.sort(key=lambda e: (-e.spec, e.seq))
-        return [(e.ctx, e.code) for e in flat]
+        return [(e.ctx, e.code) for e in self.iter_entries()]
 
     def iter_entries(self) -> List[TableEntry]:
         flat = [e for bucket in self._buckets.values() for e in bucket]
@@ -165,9 +163,6 @@ class DispatchTable(ContextTable):
     function.
     """
 
-    def __init__(self, max_entries: int = 5):
-        super().__init__(max_entries)
-
     def _bucket_key(self, ctx: DeoptContext) -> tuple:
         return (ctx.pc, ctx.reason.kind)
 
@@ -181,9 +176,6 @@ class VersionTable(ContextTable):
     of them can retire exactly that entry, leaving the siblings and the
     generic fall-through installed.
     """
-
-    def __init__(self, max_entries: int = 4):
-        super().__init__(max_entries)
 
     def _bucket_key(self, ctx: CallContext) -> tuple:
         return (len(ctx.arg_types),)

@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from ..jit import unit
-from ..jit.unit import continuation_args, frame_values
 from ..native.executor import execute
 from ..native.lower import NativeCode
 from ..osr.framestate import CATASTROPHIC_REASONS, DeoptReason, FrameState
@@ -27,7 +26,6 @@ from ..osr.osr_hop import live_context
 from ..osr.osr_out import unwind_parents
 from ..runtime.rtypes import RType
 from .context import DeoptContext, compute_context
-from .dispatch import DispatchTable
 from .feedback_repair import repair_feedback
 
 #: sentinel: deoptless did not handle the deopt, fall through to normal path
@@ -68,9 +66,9 @@ def try_deoptless(vm, fs: FrameState, reason: DeoptReason, origin) -> Any:
         vm.state.deoptless_bailouts += 1
         return MISS
 
-    table: DispatchTable = fs.fun.jit.deoptless_table
+    table = fs.fun.jit.deoptless_table
     fun: Optional[NativeCode] = table.dispatch(ctx)
-    if fun is None or _recompile(vm, fun, ctx):
+    if fun is None or _recompile(fun, ctx):
         if table.full:
             # never fetch or compile what cannot be inserted: a too-generic
             # continuation keeps serving; with nothing compatible, real deopt
@@ -96,12 +94,9 @@ def try_deoptless(vm, fs: FrameState, reason: DeoptReason, origin) -> Any:
     return call_continuation(vm, fun, fs, reason)
 
 
-def _recompile(vm, fun: NativeCode, ctx: DeoptContext) -> bool:
+def _recompile(fun: NativeCode, ctx: DeoptContext) -> bool:
     """``recompile`` heuristic: the matching continuation is too generic."""
-    compiled_ctx = getattr(fun, "deoptless_ctx", None)
-    if compiled_ctx is None:
-        return False
-    return ctx.distance(compiled_ctx) > RECOMPILE_DISTANCE
+    return ctx.distance(fun.deoptless_ctx) > RECOMPILE_DISTANCE
 
 
 def _repaired(vm, code, reason: DeoptReason, ctx: DeoptContext):
@@ -114,16 +109,12 @@ def _repaired(vm, code, reason: DeoptReason, ctx: DeoptContext):
 
 def deoptless_compile(vm, fs: FrameState, reason: DeoptReason, ctx: DeoptContext) -> Optional[NativeCode]:
     """``deoptlessCompile``: a specialized continuation for ``ctx``, tagged
-    with it for dispatch and tier-up.
-
-    Policy only — the unit comes from :func:`repro.jit.unit.obtain`, so the
-    code cache is consulted first: the key is the code's content hash, the
-    full dispatch context (pc, depth, reason payload, stack/env types) and
-    the *repaired* feedback signature — everything the builder reads — and
-    a repeat context (same mis-speculation in a sibling closure, a
-    re-evaluated program, another tenant, a restarted VM) recovers in
-    O(lookup) instead of O(pipeline).
-    """
+    with it for dispatch and tier-up.  Obtained like any unit
+    (:func:`repro.jit.unit.obtain`), so a repeat context — the same
+    mis-speculation in a sibling closure, a re-evaluated program, another
+    tenant, a restarted VM — recovers in O(lookup) instead of O(pipeline):
+    the cache key holds everything the builder reads, the full dispatch
+    context and the *repaired* feedback signature included."""
     injected = {}
     if isinstance(reason.observed, RType):
         injected[reason.pc] = reason.observed
@@ -135,13 +126,8 @@ def deoptless_compile(vm, fs: FrameState, reason: DeoptReason, ctx: DeoptContext
 
 
 def call_continuation(vm, ncode: NativeCode, fs: FrameState, reason=None) -> Any:
-    """Invoke a continuation, passing the extracted state directly.
-
-    The calling convention matches the paper's: the environment is *not*
-    materialized for register-promoted code — locals are passed in a buffer
-    (here: the argument list); env-mode continuations receive the live or
-    re-materialized environment object.
-    """
+    """Invoke a continuation, passing the extracted state directly (the
+    paper's calling convention, :func:`repro.jit.unit.continuation_args`)."""
     # Register hotness with the owning closure's jit state: every dispatch
     # into a continuation (cached or fresh) counts toward tier-up.  Keyed on
     # the context the continuation was *compiled* for, so repeat recoveries
@@ -158,7 +144,7 @@ def call_continuation(vm, ncode: NativeCode, fs: FrameState, reason=None) -> Any
             hits[ctx] = cur + 1
             if reason is not None and cur + 1 >= CONT_TIERUP_THRESHOLD:
                 maybe_tier_up_continuation(vm, fs, reason, ctx, st)
-    args = continuation_args(ncode, fs)
+    args = unit.continuation_args(ncode, fs)
     closure_env = fs.closure_env if fs.closure_env is not None else (
         fs.fun.env if fs.fun is not None else None
     )
@@ -183,13 +169,12 @@ def maybe_tier_up_continuation(vm, fs: FrameState, reason: DeoptReason,
     keeps a None tombstone).
     """
     st.cont_hits[ctx] = None
-    cfg = vm.config
-    if not cfg.osr_hop or fs.parent is not None or ctx.depth != 1:
+    if not vm.config.osr_hop or fs.parent is not None or ctx.depth != 1:
         return
     closure = fs.fun
     if st.cant_compile:
         return
-    values = frame_values(fs)
+    values = unit.frame_values(fs)
     if values is None:
         return
     call_ctx = live_context(closure, values)

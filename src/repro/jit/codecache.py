@@ -502,9 +502,6 @@ class CodeCache:
         self._disk_digests: set = set()
         self._loaded_buckets: set = set()
         self._dirty_buckets: set = set()
-        #: keys whose IR was verified when first compiled (the "verify once
-        #: per distinct key" satellite: hits skip build/verify/lower wholesale)
-        self.verified: set = set()
         #: stable digest -> exact key currently charged to the budget.  One
         #: stable form is one unit of resident code no matter how many exact
         #: keys (re-evaluated worlds, sibling closures) resolve to it; this
@@ -586,13 +583,10 @@ class CodeCache:
 
     # -- insert / eviction ----------------------------------------------------
 
-    def insert(self, key: tuple, ncode, vm, root_code: CodeObject,
-               verified: bool = True) -> None:
+    def insert(self, key: tuple, ncode, vm, root_code: CodeObject) -> None:
         resolver = WorldResolver(vm)
         digest = stable_digest(key, resolver)
         self._admit(key, ncode, vm, root_code, digest=digest)
-        if verified:
-            self.verified.add(key)
         self._stable_insert(key, ncode, vm, root_code, resolver, digest)
 
     def _drop_entry(self, key: tuple) -> CacheEntry:

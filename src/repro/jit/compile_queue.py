@@ -51,22 +51,20 @@ DRAIN_BUDGET = 2000
 
 
 class CompileRequest:
-    __slots__ = ("spec", "seq", "promote")
+    __slots__ = ("spec", "promote")
 
-    def __init__(self, spec, seq: int, promote=False):
+    def __init__(self, spec, promote=False):
         #: the :class:`~repro.jit.unit.UnitSpec` to build (``fn`` or
         #: ``ctxfn``).  Its ``feedback`` is a snapshot of the per-pc profile
         #: taken at enqueue time: bg mode compiles from it, immune to
         #: concurrent interpreter mutation
         self.spec = spec
-        self.seq = seq
         #: request came from continuation promotion — bumps cont_tierups at
         #: install so the counter means "promotions installed" in every mode
         self.promote = promote
 
     def key(self):
-        spec = self.spec
-        return id(spec.closure) if spec.ctx is None else (id(spec.closure), spec.ctx)
+        return id(self.spec.closure), self.spec.ctx
 
 
 class CompileQueue:
@@ -84,14 +82,11 @@ class CompileQueue:
         self.idle = threading.Condition(self.lock)
         self.worker: Optional[threading.Thread] = None
         self.stopping = False
-        self._seq = 0
         #: requests popped by the worker but not yet staged to ``ready``
         self.inflight = 0
         #: serve.FleetCompileQueue when mode == "fleet" (Server wires it)
         self.fleet = None
-        #: serializes pipeline runs against this VM: the fleet pool may pick
-        #: up two of this session's requests on different workers, and the
-        #: builder/optimizer read (and log to) shared VM state
+        #: serializes pipeline runs against this VM (:meth:`build_off_thread`)
         self.build_lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -113,13 +108,11 @@ class CompileQueue:
             if spec.kind == "fn":
                 ncode = vm.compile_closure(spec.closure, spec.feedback)
             else:
-                ncode = vm._compile_context_version(
-                    spec.closure, vm.jit_state(spec.closure), spec.ctx, spec.feedback)
+                ncode = vm._compile_context_version(spec.closure, spec.ctx, spec.feedback)
             return self._installed(spec, promote, ncode)
-        req = CompileRequest(spec, self._seq + 1, promote)
+        req = CompileRequest(spec, promote)
         if req.key() in self.queued_ids:
             return None
-        self._seq += 1
         if spec.feedback is None:
             spec.feedback = {pc: fb.copy() for pc, fb in spec.code.feedback.items()}
         fleet = self.fleet if self.mode == "fleet" else None
@@ -169,8 +162,7 @@ class CompileQueue:
         unbounded).  Returns the number of installs."""
         if budget is None:
             budget = DRAIN_BUDGET
-        installed = 0
-        spent = 0
+        installed = spent = 0
         while True:
             with self.lock:
                 if not self.pending:
@@ -192,9 +184,23 @@ class CompileQueue:
             return st.version is not None
         return st.versions is not None and st.versions.lookup_exact(spec.ctx) is not None
 
+    def build_off_thread(self, req: CompileRequest):
+        """:meth:`_build` as bg and fleet workers run it: the interpreter
+        may mutate a callee's feedback set under the builder mid-iteration
+        (``RuntimeError``) — retry from a fresh read, give up after three.
+        Under ``build_lock``: the fleet pool may pick up two of this
+        session's requests, and the pipeline reads shared per-VM state."""
+        with self.build_lock:
+            for _ in range(3):
+                try:
+                    return self._build(req)
+                except RuntimeError:
+                    continue
+        return None
+
     def _build(self, req: CompileRequest):
         """Run the pipeline for one request; returns NativeCode or None.
-        Never raises — failures are recorded against the closure state."""
+        Failures are recorded against the closure state, never raised."""
         vm, spec = self.vm, req.spec
         st = vm.jit_state(spec.closure)
         if st.cant_compile:
@@ -265,15 +271,7 @@ class CompileQueue:
                 req = self.pending.popleft()
                 self.queued_ids.discard(req.key())
                 self.inflight += 1
-            ncode = None
-            for _ in range(3):
-                try:
-                    ncode = self._build(req)
-                    break
-                except RuntimeError:
-                    # the interpreter mutated a callee's feedback set under
-                    # us mid-iteration; retry from a fresh read
-                    continue
+            ncode = self.build_off_thread(req)
             with self.lock:
                 self.ready.append((req, ncode))
                 self.inflight -= 1

@@ -1,26 +1,20 @@
 """Obtaining a compiled unit: one description, one build, one install.
 
 Whole functions, entry-context versions, OSR-in continuations and deoptless
-continuations are the same job — translate a ``CodeObject`` from some pc
-under some assumed types and feedback — so they share one path
-(DESIGN.md, "Obtaining a compiled unit"):
-
-* :class:`UnitSpec` says *what* to compile (upstream Ř's
-  ``ContinuationContext``, widened by ``pc = 0`` for whole functions);
-* :func:`build` is the pipeline, build → optimize → lower.  It installs
-  nothing and touches no table, so background and fleet workers may run it;
-* :func:`install` is the effectful half, session thread only: counters,
-  cache insert, codegen prep, event;
-* :func:`obtain` is cache hit → clone, else build → install.
-
-*Where* the unit then lives (entry slot, version table, dispatch table,
-nowhere) and *when* one is wanted is policy and stays with the callers:
+continuations are one job — translate a ``CodeObject`` from some pc under
+assumed types and feedback — and share one path (DESIGN.md, "Obtaining a
+compiled unit"): a :class:`UnitSpec` says *what*; :func:`build` is the
+pipeline, which installs nothing, so background and fleet workers may run
+it; :func:`install` is the effectful half, session thread only;
+:func:`obtain` is cache hit → clone, else build → install.  *When* a unit
+is wanted and *where* it then lives is policy and stays with the callers:
 ``RVM.compile_closure``, ``RVM._compile_context_version``,
-``deoptless.engine.deoptless_compile`` and ``osr.osr_in.try_osr_in``.
+``deoptless.engine.deoptless_compile``, ``osr.osr_in.try_osr_in``.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from ..ir.builder import CompilationFailure, GraphBuilder
@@ -39,38 +33,26 @@ _KINDS = {
 }
 
 
+@dataclass(eq=False)
 class UnitSpec:
-    """Everything the pipeline reads for one unit, and nothing else.
+    """Everything the pipeline reads for one unit — upstream Ř's
+    ``ContinuationContext``, widened by ``pc = 0`` for whole functions."""
 
-    ``ctx`` is the assumed ``CallContext`` of a ``ctxfn`` and the
-    ``DeoptContext`` of a ``cont``; ``feedback`` is the profile to compile
-    from when it is not the live one (a queue snapshot, a repaired copy).
-    """
-
-    __slots__ = ("kind", "code", "closure", "pc", "var_types", "stack_types",
-                 "ctx", "injected", "feedback")
-
-    def __init__(self, kind: str, code, closure, pc: int = 0,
-                 var_types: Optional[Dict[str, Any]] = None,
-                 stack_types: Optional[List[Any]] = None, ctx=None,
-                 injected: Optional[Dict[int, Any]] = None, feedback=None):
-        self.kind = kind
-        self.code = code
-        self.closure = closure
-        self.pc = pc
-        self.var_types = var_types
-        self.stack_types = stack_types
-        self.ctx = ctx
-        self.injected = injected
-        self.feedback = feedback
-
-    @property
-    def whole(self) -> bool:
-        """Entered at pc 0 through the call convention, not mid-frame."""
-        return self.kind in ("fn", "ctxfn")
+    kind: str  # "fn" | "ctxfn" | "osr" | "cont"
+    code: Any
+    closure: Any
+    pc: int = 0
+    var_types: Optional[Dict[str, Any]] = None
+    stack_types: Optional[List[Any]] = None
+    #: the assumed CallContext of a ctxfn, the DeoptContext of a cont
+    ctx: Any = None
+    injected: Optional[Dict[int, Any]] = None
+    #: the profile to compile from when it is not the live one (a queue
+    #: snapshot, a repaired copy)
+    feedback: Any = None
 
     def key(self, config) -> tuple:
-        """The code-cache key, per kind exactly ``codecache``'s tuples."""
+        """The code-cache key: per kind exactly ``codecache``'s tuples."""
         if self.kind == "fn":
             return codecache.entry_key(self.closure, config, self.feedback)
         if self.kind == "ctxfn":
@@ -89,15 +71,16 @@ def build(vm, spec: UnitSpec) -> NativeCode:
     The two per-kind differences live here: only whole-function units honour
     ``unsound_drop_deopt_exits`` (the section 4.1 experiment measures
     function code size), and an ``osr`` unit with no closure is top-level
-    code, whose environment is the shared global one callees observe —
-    it is never elided.
+    code, whose environment is the shared global one callees observe — it
+    is never elided.
     """
+    whole = spec.kind in ("fn", "ctxfn")
     builder = GraphBuilder(
         vm, spec.code, spec.closure,
         entry_pc=spec.pc,
         entry_var_types=spec.var_types,
         entry_stack_types=spec.stack_types,
-        is_continuation=not spec.whole,
+        is_continuation=not whole,
         injected_types=spec.injected,
         feedback_override=spec.feedback,
         entry_ctx=spec.ctx if spec.kind == "ctxfn" else None,
@@ -107,8 +90,7 @@ def build(vm, spec: UnitSpec) -> NativeCode:
         builder.graph.env_elided = False
     graph = builder.build()
     optimize(graph, vm.config, vm=vm)
-    return lower(graph, drop_deopt_exits=spec.whole
-                 and vm.config.unsound_drop_deopt_exits)
+    return lower(graph, drop_deopt_exits=whole and vm.config.unsound_drop_deopt_exits)
 
 
 def _tag(ncode: NativeCode, spec: UnitSpec) -> NativeCode:
@@ -125,10 +107,9 @@ def _tag(ncode: NativeCode, spec: UnitSpec) -> NativeCode:
 
 def failed(vm, spec: UnitSpec, error: Exception) -> None:
     """A build raised: counted and reported once, and the kind's stop flag
-    set so the same request is not retried — ``cant_compile`` for the
-    closure, the context's deopt budget for a version, ``osr_disabled`` for
-    the code; a continuation has none (the deopt that wanted it tiers down
-    and the next one may carry another context)."""
+    set so the request is not retried — ``cant_compile`` on the closure, the
+    context's deopt budget for a version, ``osr_disabled`` on the code.  A
+    continuation has none: the deopt that wanted it tiers down."""
     if spec.kind == "fn":
         vm.jit_state(spec.closure).cant_compile = True
     elif spec.kind == "ctxfn":
@@ -146,8 +127,7 @@ def install(vm, spec: UnitSpec, ncode: NativeCode, key=None) -> Optional[NativeC
     if spec.kind == "ctxfn" and not ncode.env_elided:
         # an env-mode unit takes the [env] calling convention — useless as
         # an entry-dispatched version.  Dropped uncounted, as before the
-        # paths were folded (a continuation built for a table that then
-        # refuses it *is* counted: that pipeline's output was usable).
+        # paths were folded (a build that raises is counted).
         vm._ctx_stop(vm.jit_state(spec.closure), spec.ctx)
         return None
     _tag(ncode, spec)

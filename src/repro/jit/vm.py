@@ -38,7 +38,7 @@ from ..osr import osr_hop, osr_in, osr_out
 from ..osr.framestate import CATASTROPHIC_REASONS, DeoptReason, DeoptReasonKind, FrameState
 from ..runtime.builtins import install_builtins
 from ..runtime.env import REnvironment
-from ..runtime.values import NULL, RClosure, RError, RPromise, RVector
+from ..runtime.values import NULL, RClosure, RVector
 from . import unit
 from .codecache import CodeCache
 from .compile_queue import CompileQueue
@@ -291,21 +291,20 @@ class RVM:
             return None
         if not self.admits(st):
             return None
-        return self._compile_context_version(closure, st, ctx)
+        return self._compile_context_version(closure, ctx)
 
     # ------------------------------------------------------------------
     # compilation: policy over jit/unit.py
     # ------------------------------------------------------------------
 
-    def _compile_context_version(self, closure: RClosure, st: ClosureJitState,
-                                 ctx, feedback_override=None,
-                                 probe_only: bool = False) -> Optional[NativeCode]:
+    def _compile_context_version(self, closure: RClosure, ctx,
+                                 feedback_override=None) -> Optional[NativeCode]:
         """Policy: the version assuming ``ctx`` at entry lives in the
         closure's version table.  ``feedback_override`` is the profile the
         build consumes instead of the live one (continuation tier-up passes
         the *repaired* feedback)."""
         return self.tier_up(UnitSpec("ctxfn", closure.code, closure, ctx=ctx,
-                                     feedback=feedback_override), probe_only)
+                                     feedback=feedback_override))
 
     def compile_closure(self, closure: RClosure, feedback_override=None) -> Optional[NativeCode]:
         """Policy: synchronous tier-up, the generic version lives in the
@@ -333,8 +332,7 @@ class RVM:
         """The full-table rule for entry versions: refuse, as the paper and
         upstream do, and count it.  Asked before a ``ctxfn`` unit is
         compiled, queued or installed, so a saturated table costs nothing."""
-        vt = st.versions
-        if vt is not None and vt.full:
+        if st.versions is not None and st.versions.full:
             self.state.dispatch_refusals += 1
             return False
         return True
@@ -515,14 +513,6 @@ class RVM:
             st.version.invalidated = True
             st.version = None
             self.state.invalidations += 1
-
-    # ------------------------------------------------------------------
-    # introspection helpers (used by tests and the benchmark harness)
-    # ------------------------------------------------------------------
-
-    @property
-    def osr_threshold(self) -> int:
-        return self.config.osr_threshold
 
 
 _MISSING = object()

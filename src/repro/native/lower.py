@@ -318,36 +318,11 @@ class NativeCode:
         sibling's).
         """
         clone = NativeCode.__new__(NativeCode)
-        clone.name = self.name
-        clone.ops = self.ops
-        clone.n_regs = self.n_regs
-        clone.reg_init = self.reg_init
-        clone.deopts = self.deopts
-        clone.kernels = self.kernels
-        clone.param_regs = self.param_regs
-        clone.param_unbox = self.param_unbox
-        clone.call_context = self.call_context
+        clone.__dict__.update(self.__dict__)
         clone.is_context_version = False
-        clone.env_reg = self.env_reg
-        clone.env_elided = self.env_elided
-        clone.cont_var_names = self.cont_var_names
-        clone.cont_stack_size = self.cont_stack_size
-        clone.entry_pc = self.entry_pc
-        clone.is_continuation = self.is_continuation
-        clone.is_deoptless_continuation = self.is_deoptless_continuation
-        clone.inlined_frames = getattr(self, "inlined_frames", 0)
-        clone.bc_code = self.bc_code
         clone.closure = None
         clone.invalidated = False
-        clone.pysrc = getattr(self, "pysrc", None)
-        clone.pyconsts = getattr(self, "pyconsts", None)
-        clone.pyfunc = getattr(self, "pyfunc", None)
-        clone.pics = self.pics
-        clone.osr_entries = self.osr_entries
         clone.cache_template = self
-        ctx = getattr(self, "deoptless_ctx", None)
-        if ctx is not None:
-            clone.deoptless_ctx = ctx
         return clone
 
     @property

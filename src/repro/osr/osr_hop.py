@@ -38,6 +38,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterator, List, Optional
 
 from ..deoptless.context import distill_call_context
+from ..jit.telemetry import dedup_log
 from ..jit.unit import frame_values
 from ..native import executor
 from ..native.lower import NativeCode, OsrEntry
@@ -51,8 +52,6 @@ _MISSING = object()
 
 
 def _decline(vm, fn_name: str, pc: int, why: str) -> None:
-    from ..jit.telemetry import dedup_log
-
     vm.state.osr_hop_declines += 1
     dedup_log(vm.state.osr_hop_decline_log, (fn_name, pc, why))
 

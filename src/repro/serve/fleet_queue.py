@@ -10,7 +10,7 @@ tenants**, keyed on the same stable digest the shared code cache uses.
 Protocol per request group:
 
 * the *origin* (first submitter) has its :class:`~repro.jit.compile_queue.
-  CompileQueue`'s ``_build`` run on a fleet worker, over the feedback
+  CompileQueue`'s ``build_off_thread`` run on a fleet worker, over the feedback
   snapshot taken on the session thread at enqueue time; the built unit is
   staged into the origin's ``ready`` deque — installed (and its stable form
   published to the shared cache) on the origin's own thread at its next
@@ -170,17 +170,7 @@ class FleetCompileQueue:
             for queue, req in waiters:
                 self._stage(queue, req, COALESCED)
             return
-        ncode = None
-        # build_lock: this VM may have several requests spread across the
-        # pool; the builder and optimizer read shared per-VM state
-        with origin_queue.build_lock:
-            for _ in range(3):
-                try:
-                    ncode = origin_queue._build(origin_req)
-                    break
-                except RuntimeError:
-                    # interpreter mutated a feedback set mid-read; retry
-                    continue
+        ncode = origin_queue.build_off_thread(origin_req)
         self.builds += 1
         # retire the dedup entry *before* reading the waiter list: a submit
         # that raced past this point starts a fresh group instead of
