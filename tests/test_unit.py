@@ -36,13 +36,6 @@ SCENARIOS = {
 BASE = dict(compile_threshold=2, ctxdispatch=False, osr_hop=False)
 
 
-def _run(kind, **cfg):
-    extra, calls = SCENARIOS[kind]
-    vm = make_vm(**dict(BASE, **extra, **cfg))
-    vm.eval(SRC)
-    return vm, [from_r(vm.eval(c)) for c in calls]
-
-
 # -- a failed compile is counted once, whatever the path ---------------------------
 
 #: the continuation dispatched three times asks for an entry version: the one
@@ -103,13 +96,13 @@ def _obtain_deltas(kind, shared, tenant, monkeypatch):
                                    if isinstance(after[k], int) and after[k] != before[k]}))
         return ncode
 
-    monkeypatch.setattr(unit, "obtain", obtain)
     extra, calls = SCENARIOS[kind]
     vm = make_vm(**dict(BASE, **extra, codecache=True))
     vm.code_cache.shared, vm.code_cache.tenant = shared, tenant
-    vm.eval(SRC)
-    results = [from_r(vm.eval(c)) for c in calls]
-    monkeypatch.setattr(unit, "obtain", real_obtain)
+    with monkeypatch.context() as patch:
+        patch.setattr(unit, "obtain", obtain)
+        vm.eval(SRC)
+        results = [from_r(vm.eval(c)) for c in calls]
     return vm, results, deltas
 
 
