@@ -87,7 +87,6 @@ def main() -> None:
     inspect_context_dispatch()
     inspect_vectorizer_declines()
     inspect_vectorizer_plans()
-    inspect_escape_verdicts()
     inspect_osr_hops()
     inspect_fleet()
 
@@ -370,83 +369,6 @@ def inspect_vectorizer_plans() -> None:
               % (fn, pc, kind, addressing, outer))
 
 
-#: one function per escape verdict: ``cnt`` captures its accumulator (mixed
-#: — ``total`` is demoted to the partial MkEnv, the loop state stays
-#: scalar), ``lzsum`` routes its argument through a lazily-evaluated
-#: closure call whose promise the analysis elides (scalar), ``dflt`` has a
-#: non-constant default argument, which declines the analysis (env), and
-#: ``coldcap`` hides its only capture on a cold branch — cut away under an
-#: Assume(env-not-captured) guard, so the frame still goes fully scalar
-ESCAPE_SRC = """
-cnt <- function(n) {
-  total <- 0
-  bump <- function(k) total <<- total + k
-  i <- 0
-  while (i < n) {
-    bump(1L)
-    i <- i + 1
-  }
-  total
-}
-lz_add1 <- function(x) x + 1
-lz_use <- function(v) v * 2
-lzsum <- function(n) {
-  s <- 0
-  i <- 0
-  while (i < n) {
-    s <- s + lz_use(lz_add1(i))
-    i <- i + 1
-  }
-  s
-}
-dflt <- function(n, k = n + 1L) {
-  s <- 0
-  i <- 0
-  while (i < n) {
-    s <- s + k
-    i <- i + 1
-  }
-  s
-}
-coldcap <- function(n, t) {
-  s <- 0
-  i <- 0
-  while (i < n) {
-    if (i > t) f <- function() s
-    s <- s + i
-    i <- i + 1
-  }
-  s
-}
-"""
-
-
-def inspect_escape_verdicts() -> None:
-    """Per-function escape verdicts: what was scalar-replaced, what was
-    demoted into the partial environment (and why), what declined."""
-    vm = RVM(Config(compile_threshold=3, escape=True))
-    vm.eval(ESCAPE_SRC)
-    for _ in range(6):
-        vm.eval("cnt(40)")
-        vm.eval("lzsum(40)")
-        vm.eval("dflt(40L)")
-        # the capture in coldcap sits on a never-taken branch: it is cut
-        # away under an Assume(env-not-captured) guard instead of forcing
-        # an environment
-        vm.eval("coldcap(40, 1000)")
-
-    print()
-    print("=" * 70)
-    print("15. ESCAPE VERDICTS (scalar replacement & promise elision)")
-    print("=" * 70)
-    print("  env_elided=%d promise_elided=%d escape_guards=%d env_remat=%d"
-          % (vm.state.env_elided, vm.state.promise_elided,
-             vm.state.escape_guards, vm.state.env_remat))
-    print("  verdict log (fn, verdict, demoted names / blocking reason, times):")
-    for fn, verdict, detail, count in vm.state.escape_log:
-        print("    %-8s %-7s %-44s x%d" % (fn, verdict, detail or "-", count))
-
-
 #: the fig6-style phase flip: the loop body calls a global helper closure,
 #: so its speculatively-inlined identity guard executes every iteration and
 #: chaos mode can fail an assumption *inside* a deoptless continuation —
@@ -489,7 +411,7 @@ def inspect_osr_hops() -> None:
 
     print()
     print("=" * 70)
-    print("16. DISPATCHED OSR (version hops & continuation tier-up)")
+    print("15. DISPATCHED OSR (version hops & continuation tier-up)")
     print("=" * 70)
     clo = vm.global_env.get("hop_flip")
     print("  OSR entry map of the generic version (pc -> seedable slots):")
@@ -542,7 +464,7 @@ def inspect_fleet() -> None:
 
     print()
     print("=" * 70)
-    print("17. FLEET VIEW (one shared code cache behind three sessions)")
+    print("16. FLEET VIEW (one shared code cache behind three sessions)")
     print("=" * 70)
     st = srv.stats()
     sc = st["shared_cache"]

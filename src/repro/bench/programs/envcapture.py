@@ -1,27 +1,18 @@
-"""Closure-heavy microbenchmarks — functions whose local frame is captured.
+"""Closure-heavy programs — functions whose local frame is captured.
 
-These are the environment-escape-analysis workloads (``opt/escape.py``).
-Each hot function creates a closure or a lazy argument, which under the
-classic all-or-nothing heuristic forces *every* local through a
-materialized ``REnvironment``: the loop counter, the bound, and the
-accumulator all pay boxed environment loads and stores per iteration.
-Escape analysis partitions the frame instead — only the genuinely captured
-names live in a partial ``MkEnv`` environment, the loop state stays in
-unboxed SSA registers, and provably forced-once effect-free arguments skip
-promise allocation entirely.
+Each hot function creates a closure or a lazy argument, so it compiles in
+env mode: every local goes through a materialized ``REnvironment``.  They
+are correctness inputs (``tests/test_workloads.py``, the differential
+fuzzer's shapes) for the capture paths of the builder, both executors and
+deopt re-materialization; no benchmark times them.
 
 * ``envcap_counter`` — a counter/accumulator closure: the loop body bumps
-  a captured total through ``<<-`` while the induction state is private.
+  a captured total through ``<<-``.
 * ``envcap_memo`` — a memoizing closure: two captured cache slots are read
-  and written through the environment, the summation loop is private.
+  and written through the environment.
 * ``envcap_lazy`` — a lazy-argument chain: the argument expression calls a
   user closure, so the compiler cannot evaluate it eagerly and emits a
-  promise; the escape analysis proves the consuming call forces it exactly
-  once with no intervening effects and elides the allocation.
-
-The helper closures of ``envcap_lazy`` live at global scope deliberately:
-per-activation closures have unstable identities, which would make the
-thunk's call feedback polymorphic and (correctly) block the elision proof.
+  promise.
 """
 
 from __future__ import annotations
@@ -46,7 +37,7 @@ counter_run <- function(n) {
     call="counter_run({n})",
     n=30000,
     n_test=3000,
-    notes="captured accumulator via <<-; induction state stays scalar",
+    notes="captured accumulator via <<-",
 ))
 
 REGISTRY.add(Workload(
@@ -98,5 +89,5 @@ lazysum_run <- function(n) {
     call="lazysum_run({n})",
     n=30000,
     n_test=3000,
-    notes="lazy-argument chain; the promise allocation is provably elidable",
+    notes="lazy-argument chain: one promise per iteration",
 ))

@@ -366,13 +366,7 @@ def compute_context(fs: FrameState, reason: DeoptReason, config) -> Optional[Deo
     """
     if len(fs.stack) > config.deoptless_max_stack:
         return None
-    if fs.env_values is not None and fs.env is not None:
-        # mixed (escape) frame: the scalar-replaced slots and the partial
-        # environment's bindings are disjoint halves of one logical frame
-        merged = dict(fs.env.bindings)
-        merged.update(fs.env_values)
-        items = merged.items()
-    elif fs.env_values is not None:
+    if fs.env_values is not None:
         items = fs.env_values.items()
     elif fs.env is not None:
         items = fs.env.bindings.items()

@@ -324,36 +324,11 @@ class GraphBuilder:
             ):
                 self.env_mode = True
 
-        # escape analysis: refine the binary env verdict into a per-name
-        # partition (mixed mode).  Lazy import: opt/__init__ transitively
-        # imports this module.
-        self.escape_info = None
-        self._env_names: frozenset = frozenset()
-        self._thunk_fs = None  # set while mini-evaluating an elided thunk
-        if self.env_mode and vm.config.escape and closure is not None:
-            from ..opt.escape import EscapeInfo, analyze_escape
-
-            if is_continuation or entry_pc != 0:
-                # whole-code analysis can prove non-escape, but a partial
-                # environment materialized mid-function cannot absorb
-                # bindings that escaped before the entry (section 4.2)
-                self.escape_info = EscapeInfo("env", "continuation / offset entry")
-            elif any(
-                f[1] is not None and not _const_default(f[1]) for f in closure.formals
-            ):
-                self.escape_info = EscapeInfo("env", "non-constant default arguments")
-            else:
-                self.escape_info = analyze_escape(vm.config, code, closure, self.feedback)
-                if self.escape_info.usable:
-                    self.env_mode = False
-                    self._env_names = self.escape_info.env_names
-
         self.graph = Graph(code.name)
         self.graph.bc_code = code
         self.graph.entry_pc = entry_pc
         self.graph.is_continuation = is_continuation
         self.graph.env_elided = not self.env_mode
-        self.graph.escape_info = self.escape_info
 
         # filled by analyze()
         self.in_states: Dict[int, AbsState] = {}
@@ -419,8 +394,6 @@ class GraphBuilder:
                 and not self.env_mode and not self.is_continuation):
             ctx = self.entry_ctx
             for i, (fname, default) in enumerate(self.closure.formals):
-                if fname in self._env_names:
-                    continue  # lives in the partial environment, untracked
                 if fname not in entry.vars:
                     if ctx is not None and i < len(ctx.arg_types):
                         # proven at dispatch, free to assume here
@@ -475,7 +448,7 @@ class GraphBuilder:
                     st.vars[name] = result  # refinement after the guard
             elif op == O.ST_VAR:
                 v = st.stack.pop()
-                if not self.env_mode and name_of(self.code, ins) not in self._env_names:
+                if not self.env_mode:
                     st.vars[name_of(self.code, ins)] = v
             elif op == O.ST_VAR_SUPER:
                 st.stack.pop()
@@ -625,18 +598,7 @@ class GraphBuilder:
         if not self.is_continuation and self.entry_pc == 0 and self.closure is not None:
             if not self.env_mode:
                 ctx = self.entry_ctx
-                mkenv_names: List[str] = []
-                mkenv_args: List[I.Instr] = []
                 for i, (fname, default) in enumerate(self.closure.formals):
-                    if fname in self._env_names:
-                        # demoted formal: bound (boxed, ANY) straight into
-                        # the partial environment — loads go through MkEnv
-                        p = I.Param(i, fname, ANY)
-                        bb.append(p)
-                        g.params.append(p)
-                        mkenv_names.append(fname)
-                        mkenv_args.append(p)
-                        continue
                     t = ANY
                     if ctx is not None and i < len(ctx.arg_types):
                         t = ctx.arg_types[i]
@@ -647,10 +609,6 @@ class GraphBuilder:
                     bb.append(p)
                     g.params.append(p)
                     vals.vars[fname] = p
-                if self._env_names:
-                    menv = I.MkEnv(mkenv_names, mkenv_args)
-                    bb.append(menv)
-                    self.env_value = menv
         else:
             # continuation: env slots then stack slots
             idx = 0
@@ -778,23 +736,10 @@ class GraphBuilder:
 
     def _framestate(self, pc: int) -> FrameStateDescr:
         """FrameState describing interpreter state *before* the op at ``pc``."""
-        if self._thunk_fs is not None:
-            # mini-evaluating an elided promise thunk: any deopt inside it
-            # exits to the *MK_PROMISE site of the outer frame* — the
-            # interpreter then allocates the real promise and carries on.
-            # Slots read self.cur.vars live: it aliases the outer frame's
-            # dict, so guard refinements made during the thunk are seen.
-            outer_code, mk_pc, snap_stack = self._thunk_fs
-            slots = [(name, v) for name, v in self.cur.vars.items()]
-            return FrameStateDescr(outer_code, mk_pc, slots, list(snap_stack),
-                                   env_value=self.env_value)
         if self.env_mode:
             return FrameStateDescr(self.code, pc, [], list(self.cur.stack), env_value=self.env_value)
-        # scalar or mixed mode: registers in slots, plus the partial
-        # environment (if any) so deopt can rematerialize both halves
         slots = [(name, v) for name, v in self.cur.vars.items()]
-        return FrameStateDescr(self.code, pc, slots, list(self.cur.stack),
-                               env_value=self.env_value)
+        return FrameStateDescr(self.code, pc, slots, list(self.cur.stack))
 
     # -- guard helpers -------------------------------------------------------------------
 
@@ -873,11 +818,8 @@ class GraphBuilder:
             return False
         cur = self.cur.vars.get(name)
         if cur is None:
-            # env-demoted local (lookup starts at the partial environment)
-            # or free variable (lexical chain from the closure env); both
-            # force promises at run time
-            env = self.env_value if name in self._env_names else None
-            v = self.cur_bb.append(I.LdVarEnv(env, name))
+            # free variable: lexical-chain lookup at run time (forces promises)
+            v = self.cur_bb.append(I.LdVarEnv(None, name))
             v.bc_pc = pc
             result_t, guard_t = self._ld_var_plan(pc, ANY)
             if guard_t is not None:
@@ -900,7 +842,7 @@ class GraphBuilder:
     def _op_st_var(self, ins, pc) -> bool:
         name = self.code.names[ins[1]]
         v = self.cur.stack.pop()
-        if self.env_mode or name in self._env_names:
+        if self.env_mode:
             s = self.cur_bb.append(I.StVarEnv(self.env_value, name, self._as_boxed(v, pc)))
             s.bc_pc = pc
         else:
@@ -910,10 +852,7 @@ class GraphBuilder:
     def _op_st_var_super(self, ins, pc) -> bool:
         name = self.code.names[ins[1]]
         v = self._as_boxed(self.cur.stack.pop(), pc)
-        # mixed mode passes None: <<- starts at our parent, and the partial
-        # env's parent IS the closure env, so both forms search identically
-        env = self.env_value if self.env_mode else None
-        s = self.cur_bb.append(I.StVarSuper(env, name, v))
+        s = self.cur_bb.append(I.StVarSuper(self.env_value, name, v))
         s.bc_pc = pc
         return False
 
@@ -941,87 +880,18 @@ class GraphBuilder:
         return False
 
     def _op_mk_closure(self, ins, pc) -> bool:
-        env = self._capture_env(pc)
-        v = self.cur_bb.append(I.MkClosure(env, self.code.consts[ins[1]]))
+        assert self.env_mode, "closure creation requires a materialized environment"
+        v = self.cur_bb.append(I.MkClosure(self.env_value, self.code.consts[ins[1]]))
         v.bc_pc = pc
         self.cur.stack.append(v)
         return False
 
     def _op_mk_promise(self, ins, pc) -> bool:
-        info = self.escape_info
-        if not self.env_mode and info is not None and pc in info.elided:
-            self._eval_elided_thunk(ins, pc)
-            return False
-        v = self.cur_bb.append(I.MkPromise(self._capture_env(pc), self.code.consts[ins[1]]))
+        assert self.env_mode, "promise creation requires a materialized environment"
+        v = self.cur_bb.append(I.MkPromise(self.env_value, self.code.consts[ins[1]]))
         v.bc_pc = pc
         self.cur.stack.append(v)
         return False
-
-    def _capture_env(self, pc: int) -> Optional[I.Instr]:
-        """Which environment a capture created at ``pc`` closes over."""
-        if self.env_mode:
-            assert self.env_value is not None, \
-                "closure creation requires a materialized environment"
-            return self.env_value
-        info = self.escape_info
-        assert info is not None, "capture op reached in scalar mode"
-        if pc in info.harmless:
-            # touches none of our bindings: skip our frame entirely, the
-            # backends substitute the running closure's environment
-            return None
-        # live capture: analysis demoted everything it can touch into the
-        # partial environment, which therefore exists
-        assert self.env_value is not None
-        return self.env_value
-
-    def _eval_elided_thunk(self, ins, pc) -> None:
-        """Promise elision: evaluate the argument thunk eagerly, in-line.
-
-        The thunk's bytecode is translated right here with the *thunk's*
-        code/feedback swapped in (feedback is keyed by thunk pc), but with
-        the value state sharing the outer frame's variable map — scalar
-        loads resolve to our registers, and guard refinements made inside
-        the thunk soundly narrow the outer state.  Every frame state built
-        during the evaluation points at the outer MK_PROMISE site, so any
-        deopt in here resumes by allocating the real promise.
-        """
-        thunk = self.code.consts[ins[1]]
-        outer_code, outer_feedback, outer_cur = self.code, self.feedback, self.cur
-        self._thunk_fs = (outer_code, pc, list(outer_cur.stack))
-        self.code = thunk
-        self.feedback = thunk.feedback
-        self.cur = ValState([], outer_cur.vars)
-        mark = len(self.cur_bb.instrs)
-        result = None
-        try:
-            tpc = 0
-            while True:
-                tins = thunk.code[tpc]
-                if tins[0] == O.RETURN:
-                    result = self.cur.stack.pop()
-                    break
-                _DISPATCH[tins[0]](self, tins, tpc)
-                tpc += 1
-        finally:
-            self.code, self.feedback, self.cur = outer_code, outer_feedback, outer_cur
-            self._thunk_fs = None
-        # guards minted inside the thunk belong to the MK site: deopt
-        # accounting (deopt_sites) must throttle re-elision of *this* site
-        for instr in self.cur_bb.instrs[mark:]:
-            instr.bc_pc = pc
-            if isinstance(instr, I.Assume):
-                instr.reason_pc = pc
-        boxed = self._as_boxed(result, pc)
-        if boxed not in self.cur_bb.instrs[mark:]:
-            # the result is a pre-existing value (e.g. a bare register);
-            # marking it directly would taint its other uses' frame states,
-            # so pin the marker on a fresh same-typed view
-            bx = self.cur_bb.append(I.CastType(boxed, boxed.type))
-            bx.bc_pc = pc
-            boxed = bx
-        boxed.elided_promise = thunk
-        self.escape_info.promises_elided += 1
-        self.cur.stack.append(boxed)
 
     def _op_binop(self, ins, pc) -> bool:
         self._binop_like(ins[1], pc, "arith")
@@ -1261,24 +1131,12 @@ class GraphBuilder:
         fb = self.feedback.get(pc)
         bias = fb.bias if isinstance(fb, BranchFeedback) and not _site_blocked(self.code, pc) else None
         count = (fb.taken + fb.not_taken) if isinstance(fb, BranchFeedback) else 0
-        info = self.escape_info
-        if info is not None and info.usable:
-            # mixed mode: the cut set was fixed by the escape analysis; a
-            # capture site it discarded as unreachable must never come back
-            speculate = pc in info.cold_cuts
-            if speculate:
-                # polarity from the recorded cut, not live feedback: the
-                # profile may have moved since the analysis snapshot
-                live = info.cold_cuts[pc][0]
-                bias = (live == taken_pc) if not is_brfalse else (live == fall_pc)
-        else:
-            speculate = (
-                bias is not None
-                and count >= COLD_BRANCH_MIN_COUNT
-                and not self._is_loop_exit(pc)
-                and self.vm.config.enable_cold_branch_speculation
-            )
-        if speculate:
+        if (
+            bias is not None
+            and count >= COLD_BRANCH_MIN_COUNT
+            and not loop_exit(self.code, pc)
+            and self.vm.config.enable_cold_branch_speculation
+        ):
             # speculate the branch always goes the biased way
             fs = self._framestate(pc)
             fs.stack = fs.stack + [_reboxed_for_fs(self, cond, pc)]
@@ -1287,16 +1145,8 @@ class GraphBuilder:
             else:
                 guard_val = self.cur_bb.append(I.PrimUnary("!", Kind.LGL, ucond))
                 guard_val.bc_pc = pc
-            reason = DeoptReasonKind.COLD_BRANCH
-            if info is not None and pc in info.capture_guard_pcs:
-                # the cut edge hides a capture site: this guard *is* the
-                # env-not-captured speculation — on failure the interpreter
-                # re-executes the branch against the rematerialized
-                # environment and the capture closes over that
-                reason = DeoptReasonKind.ENV_CAPTURE
-                info.guards_emitted += 1
             asm = self.cur_bb.append(
-                I.Assume(guard_val, fs, reason, pc, expected=bias)
+                I.Assume(guard_val, fs, DeoptReasonKind.COLD_BRANCH, pc, expected=bias)
             )
             asm.bc_pc = pc
             live_pc = (taken_pc if not is_brfalse else fall_pc) if bias else (fall_pc if not is_brfalse else taken_pc)
@@ -1318,9 +1168,6 @@ class GraphBuilder:
         v = self._as_boxed(self.cur.stack.pop(), pc)
         self.cur_bb.append(I.Return(v))
         return True
-
-    def _is_loop_exit(self, branch_pc: int) -> bool:
-        return loop_exit(self.code, branch_pc)
 
 
 class ValState:

@@ -101,9 +101,6 @@ class Graph:
         self.cont_stack_size = 0
         #: loop plans annotated by opt/vectorize.py (consumed by the lowerer)
         self.vector_loops: list = []
-        #: escape-mode verdict for this unit (opt/escape.EscapeInfo) — set
-        #: by the builder when the graph compiled in mixed env mode
-        self.escape_info = None
         #: callee frames spliced by opt/inline.py — carried onto NativeCode
         #: so a cache rebind can replay the inlined_frames signature counter
         #: the pipeline it replaces would have bumped
@@ -184,10 +181,6 @@ class Graph:
         return uses
 
     def replace_all_uses(self, old: Instr, new: Instr) -> None:
-        # escape mode: an elided-promise marker must survive simplification
-        # (the replacement stands for the same unforced argument at deopt)
-        if old.elided_promise is not None and new.elided_promise is None:
-            new.elided_promise = old.elided_promise
         for ins in self.iter_instrs():
             if old in ins.args:
                 ins.replace_arg(old, new)

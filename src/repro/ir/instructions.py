@@ -28,8 +28,7 @@ class Instr:
     """Base class. ``args`` holds operand instructions; immediates live in
     dedicated attributes on subclasses."""
 
-    __slots__ = ("id", "type", "args", "block", "bc_pc", "unboxed",
-                 "elided_promise")
+    __slots__ = ("id", "type", "args", "block", "bc_pc", "unboxed")
 
     #: subclasses that can observe or cause side effects (barriers for code
     #: motion and DCE roots when their value is unused).
@@ -43,9 +42,6 @@ class Instr:
         self.bc_pc = -1
         #: True when this value is a raw machine scalar (not a boxed RVector).
         self.unboxed = False
-        #: escape mode: the thunk CodeObject of an elided promise this value
-        #: stands in for (rematerialized at deopt), else None
-        self.elided_promise = None
 
     def replace_arg(self, old: "Instr", new: "Instr") -> None:
         self.args = [new if a is old else a for a in self.args]
@@ -333,46 +329,21 @@ class StaticCall(Instr):
 
 
 class MkClosure(Instr):
-    """Closure creation.  With no env operand the new closure captures the
-    *enclosing closure's lexical environment* directly (escape mode proved
-    the capture never reads the current frame's locals)."""
-
     __slots__ = ("payload",)
     effectful = True  # captures the environment
 
-    def __init__(self, env: Optional[Instr], payload):
-        super().__init__(RType(Kind.CLO, scalar=True, maybe_na=False),
-                         [env] if env is not None else [])
+    def __init__(self, env: Instr, payload):
+        super().__init__(RType(Kind.CLO, scalar=True, maybe_na=False), [env])
         self.payload = payload
 
 
 class MkPromise(Instr):
-    """Promise creation; the env-less form mirrors :class:`MkClosure`."""
-
     __slots__ = ("thunk_code",)
     effectful = True
 
-    def __init__(self, env: Optional[Instr], thunk_code):
-        super().__init__(ANY, [env] if env is not None else [])
+    def __init__(self, env: Instr, thunk_code):
+        super().__init__(ANY, [env])
         self.thunk_code = thunk_code
-
-
-class MkEnv(Instr):
-    """Escape mode: materialize the *partial* environment holding only the
-    locals demoted to env storage (captured by a live closure/promise or not
-    provably assigned before load).  Parent is the closure's lexical env;
-    ``names[i]`` is pre-bound to ``args[i]`` (boxed formals)."""
-
-    __slots__ = ("names",)
-    effectful = True
-
-    def __init__(self, names, values):
-        super().__init__(RType(Kind.ENV, scalar=True, maybe_na=False),
-                         list(values))
-        self.names = tuple(names)
-
-    def _extra(self) -> str:
-        return ",".join(self.names)
 
 
 class Force(Instr):

@@ -132,104 +132,3 @@ def verify(graph: Graph) -> None:
                         "BB%d: framestate of %s references %s defined after "
                         "the checkpoint" % (bb.id, ins.name, v.name)
                     )
-
-    _verify_escape(graph, reachable, defined_in)
-
-
-def _verify_escape(graph: Graph, reachable, defined_in) -> None:
-    """Rematerialization completeness for escape-analyzed (mixed) graphs.
-
-    A deopt from mixed code rebuilds the interpreter frame from two halves:
-    the partial environment (``MkEnv``, live in a register) and the
-    scalar-replaced slot map of the framestate.  Both halves together must
-    describe every demoted local exactly once, and every elided capture or
-    promise must be reconstructible — otherwise the rematerialized frame
-    silently diverges from the never-optimized run.
-    """
-    info = getattr(graph, "escape_info", None)
-    if info is None or not info.usable:
-        return
-    env_names = info.env_names
-    mkenvs = [
-        ins for bb in reachable for ins in bb.instrs if isinstance(ins, I.MkEnv)
-    ]
-    if len(mkenvs) > 1:
-        raise VerificationError(
-            "escape graph %s materializes %d partial environments (expected "
-            "at most one)" % (graph.name, len(mkenvs))
-        )
-    if env_names and not mkenvs:
-        raise VerificationError(
-            "escape graph %s demotes %s but has no MkEnv to hold them"
-            % (graph.name, sorted(env_names))
-        )
-    menv = mkenvs[0] if mkenvs else None
-    if menv is not None:
-        if len(menv.names) != len(menv.args):
-            raise VerificationError(
-                "escape graph %s: MkEnv binds %d names to %d values"
-                % (graph.name, len(menv.names), len(menv.args))
-            )
-        if not set(menv.names) <= set(env_names):
-            raise VerificationError(
-                "escape graph %s: MkEnv pre-binds %s outside the demoted set %s"
-                % (graph.name, sorted(set(menv.names) - set(env_names)),
-                   sorted(env_names))
-            )
-    for bb in reachable:
-        for ins in bb.instrs:
-            # captures must either reference the partial environment or be
-            # proven harmless (env edge dropped entirely)
-            if isinstance(ins, (I.MkClosure, I.MkPromise)) and ins.args:
-                if ins.args[0] is not menv:
-                    raise VerificationError(
-                        "escape graph %s: %s captures %s instead of the "
-                        "partial environment"
-                        % (graph.name, ins.name, ins.args[0].short())
-                    )
-            # environment accesses may only touch the partial env (or be
-            # free lookups through the closure chain)
-            if isinstance(ins, (I.LdVarEnv, I.StVarEnv)) and ins.args:
-                env_arg = ins.args[0]
-                if isinstance(env_arg, I.MkEnv) and env_arg is not menv:
-                    raise VerificationError(
-                        "escape graph %s: %s reads a foreign MkEnv"
-                        % (graph.name, ins.name)
-                    )
-            fs = getattr(ins, "framestate", None)
-            frame = fs
-            while frame is not None:
-                ev = getattr(frame, "env_value", None)
-                if getattr(frame, "fun", None) is None:
-                    # frames of the mixed graph's own code (inlined callee
-                    # frames carry fun): the slot map and the partial env
-                    # must partition the demoted/scalar split — a demoted
-                    # name in the slot map would be materialized twice
-                    # (divergently), a missing MkEnv loses the rest
-                    slot_names = {name for name, _v in frame.env_slots}
-                    overlap = slot_names & set(env_names)
-                    if overlap:
-                        raise VerificationError(
-                            "escape graph %s: framestate slots %s shadow "
-                            "demoted env names" % (graph.name, sorted(overlap))
-                        )
-                    if env_names and ev is None:
-                        raise VerificationError(
-                            "escape graph %s: framestate at pc %d lacks the "
-                            "partial environment needed to rematerialize %s"
-                            % (graph.name, frame.pc, sorted(env_names))
-                        )
-                if ev is not None and id(ev) not in defined_in:
-                    raise VerificationError(
-                        "escape graph %s: framestate env_value not in graph"
-                        % graph.name
-                    )
-                frame = frame.parent
-            # elided-promise markers must carry the thunk needed to rebuild
-            # an indistinguishable forced promise at deopt
-            thunk = getattr(ins, "elided_promise", None)
-            if thunk is not None and not hasattr(thunk, "code"):
-                raise VerificationError(
-                    "escape graph %s: elided_promise marker on %s is not a "
-                    "code object" % (graph.name, ins.name)
-                )

@@ -269,7 +269,6 @@ def config_key(config) -> tuple:
         config.enable_speculation,
         config.enable_cold_branch_speculation,
         config.vectorize,
-        config.escape,
         config.inline,
         config.inline_max_size,
         config.inline_max_depth,

@@ -81,15 +81,6 @@ class Config:
     #: real speedup shows up in wall-clock only (benchmarks/).
     #: ``RERPO_VECTORIZE=0`` keeps the scalar loops only.
     vectorize: bool = field(default_factory=lambda: _env_flag("VECTORIZE", True))
-    #: global environment escape analysis (opt/escape.py): functions whose
-    #: local environment only escapes through analyzable closure/promise
-    #: captures compile in mixed mode — provably-local slots become SSA
-    #: registers, harmless captures drop their env edge, provably
-    #: forced-once effect-free arguments skip promise allocation, and cold
-    #: capture branches turn into ``Assume(env-not-captured)`` guards whose
-    #: frame states rematerialize the elided environment at deopt.
-    #: ``RERPO_ESCAPE=0`` reverts to the all-or-nothing env-mode heuristic.
-    escape: bool = field(default_factory=lambda: _env_flag("ESCAPE", True))
     #: speculative call-target inlining (opt/inline.py): monomorphic
     #: ``CallFeedback`` sites splice the callee's IR under the existing
     #: identity guard.  Checkpoints inside the inlined body carry nested

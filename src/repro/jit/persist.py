@@ -45,13 +45,11 @@ from ..runtime.env import REnvironment
 from ..runtime.values import NULL, RBuiltin, RClosure, RNull
 from .codecache import Unstable, WorldResolver, stable_closure_hash
 
-#: bumped to 2 when DeoptDescr grew the escape-analysis rematerialization
-#: fields (promises, escape); to 3 when units grew the dispatched-OSR entry
-#: map (``osr_entries``) and the generated ``_unit`` signature gained the
-#: hop-entry parameters — version-2 codegen sources are uncallable with them;
-#: to 4 when generated code stopped raising registers (``_DS``/``_fail``/
-#: ``_fallback`` take other arguments than version-3 sources pass)
-FORMAT_VERSION = 4
+#: bumped when a pickled shape changes or generated sources pass their
+#: helpers other arguments (4: ``_DS``/``_fail``/``_fallback`` stopped taking
+#: registers; 5: ``DeoptDescr`` lost ``promises``/``escape``, ``OsrEntry.env``
+#: became ``env_reg``).  Another version is a miss and a fresh compile.
+FORMAT_VERSION = 5
 
 
 class PersistError(Exception):

@@ -14,8 +14,8 @@ from typing import Any, Dict, List, Optional
 
 from ..runtime.values import RVector
 
-#: bound on the deduped diagnostic logs (vectorizer declines, escape
-#: verdicts): compile-time detail, capped so pathological workloads cannot
+#: bound on the deduped diagnostic logs (vectorizer declines, OSR hop
+#: declines): compile-time detail, capped so pathological workloads cannot
 #: grow telemetry without bound
 _DEDUP_LOG_CAP = 200
 
@@ -25,7 +25,7 @@ def dedup_log(log: List[tuple], key: tuple, cap: int = _DEDUP_LOG_CAP) -> None:
 
     Repeats of the same key bump its trailing count in place; new keys are
     appended until ``cap`` distinct entries exist, then dropped.  Shared by
-    the vectorizer decline log and the escape-analysis verdict log.
+    the vectorizer decline log and the OSR hop decline log.
     """
     for j, entry in enumerate(log):
         if entry[:-1] == key:
@@ -134,23 +134,6 @@ class Telemetry:
         #: None.  Compile-time analysis detail — excluded from
         #: dispatch_signature() like the decline log.
         self.vec_plans: List[tuple] = []
-        #: environment escape analysis (opt/escape.py).  Compile-time
-        #: decisions plus one runtime counter; all stay out of
-        #: dispatch_signature() like the ctx_* precedent — they describe how
-        #: code was compiled / how a deopt rebuilt state, not what executed.
-        #: Functions compiled with their local env fully or partially
-        #: scalar-replaced:
-        self.env_elided = 0
-        #: argument promises whose allocation was elided (value computed
-        #: inline at the MK_PROMISE site)
-        self.promise_elided = 0
-        #: Assume(env-not-captured) guards protecting cold capture paths
-        self.escape_guards = 0
-        #: deopts that rematerialized an elided environment (and rewrapped
-        #: elided promises) from frame-state slot maps
-        self.env_remat = 0
-        #: bounded deduped (fn, verdict, blocked, count) log for inspectors
-        self.escape_log: List[tuple] = []
         #: dispatched OSR (osr/osr_hop.py): version-to-version hops taken at
         #: loop headers, deoptless continuations promoted to full entry
         #: versions, and hops declined by entry-map validation.  Like the
@@ -316,10 +299,6 @@ class Telemetry:
             "vec_declines": self.vec_declines,
             "vec_decline_reasons": dict(self.vec_decline_reasons),
             "vec_plans": len(self.vec_plans),
-            "env_elided": self.env_elided,
-            "promise_elided": self.promise_elided,
-            "escape_guards": self.escape_guards,
-            "env_remat": self.env_remat,
             "osr_hops": self.osr_hops,
             "cont_tierups": self.cont_tierups,
             "osr_hop_declines": self.osr_hop_declines,

@@ -184,13 +184,8 @@ def obtain(vm, spec: UnitSpec, probe_only: bool = False) -> Optional[NativeCode]
 # ---------------------------------------------------------------------------
 
 def frame_values(fs) -> Optional[Dict[str, Any]]:
-    """Merged locals of a ``FrameState`` — the one view every hand-over
-    reads (OSR hops, continuation calls, continuation tier-up): the
-    scalar-replaced half overrides the (possibly partial) environment."""
-    if fs.env_values is not None and fs.env is not None:
-        values = dict(fs.env.bindings)
-        values.update(fs.env_values)
-        return values
+    """Locals of a ``FrameState`` — the one view every hand-over reads
+    (OSR hops, continuation calls, continuation tier-up)."""
     if fs.env_values is not None:
         return fs.env_values
     if fs.env is not None:

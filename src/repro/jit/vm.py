@@ -401,10 +401,6 @@ class RVM:
     def deopt(self, fs: FrameState, reason: DeoptReason, origin: Optional[NativeCode] = None) -> Any:
         """Handle a failed guard: deoptless first, else true deoptimization."""
         self.state.deopts += 1
-        if getattr(fs, "from_escape", False):
-            # the frame chain rebuilt an elided environment (and possibly
-            # rewrapped elided promises) from escape-analysis slot maps
-            self.state.env_remat += 1
         self.state.emit(
             "deopt", fs.code.name, pc=fs.pc, reason=reason.kind.value,
             observed=repr(reason.observed),

@@ -26,7 +26,6 @@ from ..bytecode.interpreter import (
 from ..deoptless.context import distill_call_context
 from ..osr.framestate import DeoptReason, DeoptReasonKind, FrameState
 from ..runtime import coerce
-from ..runtime.env import REnvironment
 from ..runtime.rtypes import Kind, RType, kind_lub
 from ..runtime.values import (
     NULL,
@@ -80,21 +79,12 @@ def build_framestate(ncode: NativeCode, regs: List[Any], descr, closure_env) -> 
     env_values = None
     env = None
     if descr.env_reg is not None:
-        # classic env mode: the whole environment lives in one register.
-        # Mixed (escape) mode additionally carries env_slots — the
-        # scalar-replaced locals merged back in by materialize_env.
         env = regs[descr.env_reg]
-    if descr.env_slots or env is None:
+    else:
         env_values = {}
         for name, reg, kind in descr.env_slots:
             env_values[name] = _box(regs[reg], kind)
     stack = [_box(regs[reg], kind) for reg, kind in descr.stack]
-    for i, thunk in descr.promises:
-        # elided promise: the stack slot holds the already-computed value;
-        # the interpreter resumes with an indistinguishable forced promise
-        p = RPromise.forced_with(stack[i])
-        p.code = thunk
-        stack[i] = p
     if descr.fun is not None:
         # an inlined frame belongs to the speculated callee: its elided env
         # re-materializes under the callee's lexical environment
@@ -103,12 +93,10 @@ def build_framestate(ncode: NativeCode, regs: List[Any], descr, closure_env) -> 
     else:
         fun = ncode.closure
         frame_env = closure_env
-    fs = FrameState(
+    return FrameState(
         descr.code, descr.pc, env_values, stack, frame_env, env=env,
         parent=parent, fun=fun,
     )
-    fs.from_escape = descr.escape
-    return fs
 
 
 #: polymorphic inline cache capacity per CALLG site (paper-style small PIC)
@@ -504,25 +492,9 @@ def execute_ref(ncode: NativeCode, args: List[Any], vm, closure_env=None,
             regs[ins[1]] = env.get_function(ins[3])
         elif op == N.MKCLOSURE:
             code, formals, fname = ins[3]
-            # env operand None: harmless capture (escape analysis) — the
-            # capture provably never touches the elided local frame, so it
-            # closes over the lexical environment directly
-            env = regs[ins[2]] if ins[2] is not None else closure_env
-            regs[ins[1]] = RClosure(formals, code, env, fname)
+            regs[ins[1]] = RClosure(formals, code, regs[ins[2]], fname)
         elif op == N.MKPROMISE:
-            env = regs[ins[2]] if ins[2] is not None else closure_env
-            regs[ins[1]] = RPromise(ins[3], env)
-        elif op == N.MKENV:
-            # mixed env mode: materialize the partial environment holding
-            # only the env-demoted locals, pre-bound with the formals'
-            # argument values (NAMED parity with interpreter binding)
-            menv = REnvironment(parent=closure_env)
-            for name, r in zip(ins[2], ins[3]):
-                val = regs[r]
-                if isinstance(val, RVector):
-                    val.named = 2
-                menv.set(name, val)
-            regs[ins[1]] = menv
+            regs[ins[1]] = RPromise(ins[3], regs[ins[2]])
         elif op == N.CALLB:
             state.native_ops += nexec
             nexec = 0

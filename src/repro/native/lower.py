@@ -95,21 +95,18 @@ class DeoptDescr:
 
     __slots__ = (
         "code", "pc", "env_slots", "stack", "env_reg", "reason_kind",
-        "reason_pc", "expected", "parent", "fun", "promises", "escape",
+        "reason_pc", "expected", "parent", "fun",
     )
 
     def __init__(self, code, pc, env_slots, stack, env_reg, reason_kind,
-                 reason_pc, expected, parent=None, fun=None, promises=(),
-                 escape=False):
+                 reason_pc, expected, parent=None, fun=None):
         self.code = code
         self.pc = pc
         #: [(name, reg, kind_or_None)] — kind set when the reg holds a raw value
         self.env_slots: List[Tuple[str, int, Optional[Kind]]] = env_slots
         #: [(reg, kind_or_None)]
         self.stack: List[Tuple[int, Optional[Kind]]] = stack
-        #: mixed (escape) mode: the register of the *partial* environment.
-        #: Unlike classic env mode, env_slots may be populated at the same
-        #: time — rematerialization merges the register slots back into it.
+        #: register of the live environment (env mode: env_slots is empty)
         self.env_reg: Optional[int] = env_reg
         self.reason_kind = reason_kind
         self.reason_pc = reason_pc
@@ -119,11 +116,6 @@ class DeoptDescr:
         #: the RClosure an inlined frame belongs to (None: the executing
         #: NativeCode's own closure — the root frame)
         self.fun = fun
-        #: [(stack_index, thunk_code)] — stack slots holding the value of an
-        #: elided promise; rematerialization rewraps them as forced promises
-        self.promises: Tuple[Tuple[int, Any], ...] = tuple(promises)
-        #: descr comes from an escape-compiled unit (env_remat accounting)
-        self.escape = escape
 
 
 class OsrEntry:
@@ -136,14 +128,14 @@ class OsrEntry:
     version-to-version OSR transition.  Entries only exist for headers whose
     loop region is *closed over* the anchor phis: every value the region
     reads is one of the phis, a constant (pre-seeded by ``reg_init``), or
-    the environment seed recorded in ``env``.  Anything else (a parameter or
+    the environment in ``env_reg``.  Anything else (a parameter or
     loop-invariant temporary computed by skipped entry code) makes the pc
     unenterable and no entry is emitted.
     """
 
-    __slots__ = ("pc", "index", "var_slots", "stack_slots", "env")
+    __slots__ = ("pc", "index", "var_slots", "stack_slots", "env_reg")
 
-    def __init__(self, pc, index, var_slots, stack_slots, env):
+    def __init__(self, pc, index, var_slots, stack_slots, env_reg):
         self.pc = pc
         #: op index to start execution at (the loop header; one past the
         #: bulk-kernel op for kernelized headers — mid-loop state enters the
@@ -155,10 +147,9 @@ class OsrEntry:
         self.var_slots: Tuple[Tuple[str, int, Optional[Kind], Any], ...] = var_slots
         #: [(reg, kind_or_None, rtype)] positional operand-stack slots
         self.stack_slots: Tuple[Tuple[int, Optional[Kind], Any], ...] = stack_slots
-        #: environment seed: None (fully elided), ("env", reg) — bind the
-        #: live environment object, or ("mkenv", reg, names) — rebuild the
-        #: escape-mode partial environment from the live bindings of *names*
-        self.env: Optional[tuple] = env
+        #: register the live environment object is bound to; None when the
+        #: unit's environment is elided
+        self.env_reg: Optional[int] = env_reg
 
     def __repr__(self) -> str:  # pragma: no cover
         return "<OsrEntry pc=%d idx=%d vars=%d stack=%d>" % (
@@ -398,28 +389,18 @@ class Lowerer:
         parent = None
         if fs.parent is not None:
             parent = self._frame_descr(fs.parent, reason_kind, reason_pc, expected)
-        # Classic env mode sets env_value only; escape (mixed) mode sets
-        # both — the register holds the partial environment, env_slots the
-        # scalar-replaced locals to merge back in at rematerialization.
         env_slots = []
         env_reg = None
         if fs.env_value is not None:
             env_reg = self.reg(fs.env_value)
-        for name, v in fs.env_slots:
-            kind = v.type.kind if v.unboxed else None
-            env_slots.append((name, self.reg(v), kind))
+        else:
+            for name, v in fs.env_slots:
+                kind = v.type.kind if v.unboxed else None
+                env_slots.append((name, self.reg(v), kind))
         stack = [(self.reg(v), v.type.kind if v.unboxed else None) for v in fs.stack]
-        promises = tuple(
-            (i, v.elided_promise)
-            for i, v in enumerate(fs.stack)
-            if getattr(v, "elided_promise", None) is not None
-        )
-        info = getattr(self.graph, "escape_info", None)
-        escape = info is not None and info.usable
         return DeoptDescr(
             fs.code, fs.pc, env_slots, stack, env_reg, reason_kind, reason_pc,
             expected, parent=parent, fun=getattr(fs, "fun", None),
-            promises=promises, escape=escape,
         )
 
     # -- main ---------------------------------------------------------------------------
@@ -623,7 +604,7 @@ class Lowerer:
             stack_slots.append((r, kind, v.type))
             seeds.add(id(v))
 
-        env = None
+        env_reg = None
         for bb in self.order:
             if bb.id not in region:
                 continue
@@ -646,25 +627,16 @@ class Lowerer:
                     if isinstance(v, I.Const):
                         continue  # pre-seeded by reg_init
                     if isinstance(v, I.EnvParam):
-                        r = self.reg_of.get(id(v))
-                        e = ("env", r)
-                        if r is None or (env is not None and env != e):
+                        env_reg = self.reg_of.get(id(v))
+                        if env_reg is None:
                             return None
-                        env = e
-                        continue
-                    if isinstance(v, I.MkEnv):
-                        r = self.reg_of.get(id(v))
-                        e = ("mkenv", r, v.names)
-                        if r is None or (env is not None and env != e):
-                            return None
-                        env = e
                         continue
                     return None  # param / entry-computed invariant: unseedable
 
         index = self.block_start[header.id]
         if header.id in self.kernel_plans:
             index += 1  # mid-loop state enters the retained scalar loop
-        return OsrEntry(pc, index, tuple(var_slots), tuple(stack_slots), env)
+        return OsrEntry(pc, index, tuple(var_slots), tuple(stack_slots), env_reg)
 
     # -- bulk kernel finalization ---------------------------------------------------------------
 
@@ -1067,17 +1039,10 @@ class Lowerer:
             self.emit(N.FORCE, self.reg(ins), self.reg(ins.args[0]))
             return
         if t is I.MkClosure:
-            # env arg absent: harmless capture (escape analysis) — the
-            # executor substitutes the running closure's environment
-            env_reg = self.reg(ins.args[0]) if ins.args else None
-            self.emit(N.MKCLOSURE, self.reg(ins), env_reg, ins.payload)
+            self.emit(N.MKCLOSURE, self.reg(ins), self.reg(ins.args[0]), ins.payload)
             return
         if t is I.MkPromise:
-            env_reg = self.reg(ins.args[0]) if ins.args else None
-            self.emit(N.MKPROMISE, self.reg(ins), env_reg, ins.thunk_code)
-            return
-        if t is I.MkEnv:
-            self.emit(N.MKENV, self.reg(ins), ins.names, tuple(self.reg(a) for a in ins.args))
+            self.emit(N.MKPROMISE, self.reg(ins), self.reg(ins.args[0]), ins.thunk_code)
             return
         if t is I.CallBuiltin:
             self.emit(N.CALLB, self.reg(ins), ins.builtin, tuple(self.reg(a) for a in ins.args))

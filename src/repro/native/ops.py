@@ -65,12 +65,9 @@ CALLG = 53
 # inline boundary: bump NAMED on a vector argument (copy-on-write parity
 # with the interpreter's argument binding)
 SHARE = 54
-# escape analysis (mixed env mode): materialize the partial environment
-# holding only the env-demoted locals; (op, dst, names_tuple, regs_tuple)
-MKENV = 55
 
 # bulk vector kernels (opt/vectorize.py); numbered from 65 because persisted
-# artifacts store opcode numbers (56-64 are unused).  One dispatch covers a whole
+# artifacts store opcode numbers (55-64 are unused).  One dispatch covers a whole
 # counted loop over the raw unboxed buffer; the single operand indexes the
 # KernelDescr on the NativeCode.  The kernel op itself is *not* accounted as
 # an executed op (it does not exist in scalar executions); instead the kernel

@@ -58,7 +58,6 @@ from typing import Any, List, Optional, Tuple
 
 from ..osr.framestate import DeoptReason, DeoptReasonKind
 from ..runtime import coerce
-from ..runtime.env import REnvironment
 from ..runtime.rtypes import Kind, RType
 from ..runtime.values import (
     NULL,
@@ -585,17 +584,12 @@ def _emit(ncode) -> Tuple[str, list]:
                 out(0, "%s = %s.get_function(%r)" % (defn(ins[1]), env, ins[3]))
             elif op == N.MKCLOSURE:
                 code, formals, fname = ins[3]
-                # env operand None: harmless capture (escape analysis)
-                e = use(ins[2]) if ins[2] is not None else "closure_env"
+                e = use(ins[2])
                 out(0, "%s = RClosure(%s, %s, %s, %r)"
                        % (defn(ins[1]), K(formals), K(code), e, fname))
             elif op == N.MKPROMISE:
-                e = use(ins[2]) if ins[2] is not None else "closure_env"
+                e = use(ins[2])
                 out(0, "%s = RPromise(%s, %s)" % (defn(ins[1]), K(ins[3]), e))
-            elif op == N.MKENV:
-                vals = "(%s)" % "".join(use(r) + ", " for r in ins[3])
-                out(0, "%s = _mkenv(%s, %s, closure_env)"
-                       % (defn(ins[1]), K(ins[2]), vals))
             elif op == N.CALLB:
                 call_flush()
                 fargs = ", ".join("_force(%s, vm)" % use(r) for r in ins[3])
@@ -728,17 +722,6 @@ def _emit(ncode) -> Tuple[str, list]:
     return "\n".join(lines) + "\n", consts
 
 
-def _mk_partial_env(names, values, closure_env):
-    """MKENV: the partial environment of a mixed (escape-analyzed) unit,
-    pre-bound with the env-demoted formals (NAMED parity with binding)."""
-    menv = REnvironment(parent=closure_env)
-    for name, val in zip(names, values):
-        if isinstance(val, RVector):
-            val.named = 2
-        menv.set(name, val)
-    return menv
-
-
 _ENV_CACHE: Optional[dict] = None
 
 
@@ -759,7 +742,6 @@ def _shared_env() -> dict:
             "_force": force_value,
             "_ab": _as_bool,
             "_sas": _super_assign_from,
-            "_mkenv": _mk_partial_env,
             "_pic": pic_call,
             "_kern": run_kernel,
             "_arith": coerce.arith,

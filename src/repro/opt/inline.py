@@ -198,12 +198,6 @@ def _try_inline(graph: Graph, vm, call: I.StaticCall, budget_left: int):
         return None
     if not sub.env_elided:
         return None
-    sub_info = getattr(sub, "escape_info", None)
-    if sub_info is not None and sub_info.env_names:
-        # mixed (escape-analyzed) callee: env_elided is set but the body
-        # materializes its own partial MkEnv environment — splicing it would
-        # put a second environment into the caller's unit
-        return None
     params = [p for p in sub.params if isinstance(p, I.Param)]
     if len(params) != len(formals):
         return None

@@ -17,7 +17,6 @@ from ..ir.cfg import Graph
 from ..ir.verifier import verify
 from .dce import dce
 from .dse import dse
-from .escape import note_escape
 from .inline import inline_calls
 from .simplify import simplify
 from .vectorize import vectorize_loops
@@ -30,10 +29,6 @@ def optimize(graph: Graph, config=None, vm=None) -> Graph:
     if vm is not None and config is not None and getattr(config, "inline", False):
         if inline_calls(graph, vm) and check:
             _verify(graph, vm)
-    if vm is not None and getattr(graph, "escape_info", None) is not None:
-        # accounting only (the builder already applied the verdict): one
-        # place where every compiled unit's escape decision gets recorded
-        note_escape(graph, vm.state)
     simplify(graph)
     force_dse = bool(config and getattr(config, "unsound_continuation_escape", False))
     dse(graph, force=force_dse)

@@ -46,12 +46,8 @@ def _simplify_phis(graph: Graph) -> int:
 
 
 def _skip_casts(v: I.Instr) -> I.Instr:
-    """Look through CastType refinements (pure register copies).
-
-    Scalar replacement's eager thunk evaluation pins results behind a
-    CastType (the elided-promise marker), so the chains it leaves look like
-    ``Force(CastType(Box(x)))`` — the folds below must see through them.
-    """
+    """Look through CastType refinements (pure register copies), so the
+    pair folds below also see ``Force(CastType(Box(x)))``."""
     while isinstance(v, I.CastType):
         v = v.args[0]
     return v
@@ -82,13 +78,8 @@ def _peephole(graph: Graph) -> int:
                     bb.remove(ins)
                     n += 1
                     continue
-            # no-op CastType (no refinement, no elided-promise marker to
-            # keep alive for deopt rematerialization)
-            if (
-                isinstance(ins, I.CastType)
-                and ins.type == ins.args[0].type
-                and getattr(ins, "elided_promise", None) is None
-            ):
+            # no-op CastType (no refinement)
+            if isinstance(ins, I.CastType) and ins.type == ins.args[0].type:
                 graph.replace_all_uses(ins, ins.args[0])
                 bb.remove(ins)
                 n += 1

@@ -136,7 +136,7 @@ class LoopPlan:
 
 #: cap on the per-VM (fn, pc, reason) decline log — counts are unbounded,
 #: the log is a deduped diagnostic sample of distinct sites (the bounded
-#: dedupe itself lives in jit.telemetry.dedup_log, shared with escape.py)
+#: dedupe itself lives in jit.telemetry.dedup_log)
 _DECLINE_LOG_CAP = 200
 
 

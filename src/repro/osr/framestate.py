@@ -47,11 +47,6 @@ class DeoptReasonKind(enum.Enum):
     GLOBAL_INVALIDATED = "global"
     #: the local environment leaked and was modified non-locally — catastrophic
     ENV_LEAKED = "env_leaked"
-    #: escape mode speculated a cold branch never creates a capture of the
-    #: scalar-replaced environment; the branch was taken after all.  NOT
-    #: catastrophic: the interpreter re-executes the branch against the
-    #: rematerialized environment and the capture closes over that
-    ENV_CAPTURE = "env_capture"
     #: anything else
     OTHER = "other"
 
@@ -308,8 +303,7 @@ class FrameState:
     is the lexical parent needed to re-materialize an elided environment.
     """
 
-    __slots__ = ("code", "pc", "env_values", "env", "closure_env", "stack",
-                 "parent", "fun", "from_escape")
+    __slots__ = ("code", "pc", "env_values", "env", "closure_env", "stack", "parent", "fun")
 
     def __init__(
         self,
@@ -331,24 +325,13 @@ class FrameState:
         self.parent = parent
         #: the RClosure this frame belongs to (for the deoptless dispatch table)
         self.fun = fun
-        #: built from an escape-mode (mixed env) frame: ``env`` is the
-        #: partial MkEnv environment and ``env_values`` the scalar slots
-        self.from_escape = False
 
     def materialize_env(self):
-        """Rebuild a real environment (paper: MkEnv deferred into the deopt
-        branch).  Reuses the live env when it was never elided."""
+        """Rebuild a real environment (paper: its creation is deferred into
+        the deopt branch).  Reuses the live env when it was never elided."""
         from ..runtime.env import REnvironment
 
         if self.env is not None:
-            if self.env_values:
-                # escape mode: the partial env holds only the demoted
-                # slots; write the scalar-replaced values back so the
-                # interpreter resumes against the complete frame.
-                # Idempotent — repeated writes store the same values.
-                for name, value in self.env_values.items():
-                    self.env.set(name, value)
-                self.env.materialized_from_deopt = True
             return self.env
         env = REnvironment(parent=self.closure_env)
         if self.env_values:

@@ -42,8 +42,7 @@ from ..jit.telemetry import dedup_log
 from ..jit.unit import frame_values
 from ..native import executor
 from ..native.lower import NativeCode, OsrEntry
-from ..runtime.env import REnvironment
-from ..runtime.values import RPromise, RVector, rtype_quick
+from ..runtime.values import RPromise, rtype_quick
 
 #: sentinel: no candidate version admitted the hop; caller falls back
 NO_HOP = object()
@@ -122,13 +121,11 @@ def _seed_slot(regs: List[Any], reg: int, kind, rtype, value: Any) -> bool:
 
 def seed_registers(vm, ncode: NativeCode, entry: OsrEntry,
                    values: Dict[str, Any], stack: List[Any],
-                   env_obj, closure_env,
-                   fn_name: str, pc: int) -> Optional[List[Any]]:
+                   env_obj, fn_name: str, pc: int) -> Optional[List[Any]]:
     """Build the target's full register file for a hop at ``entry``.
 
-    ``values`` is the frame's merged locals (:func:`frame_values`);
-    ``env_obj`` is a
-    zero-argument thunk producing the materialized environment when the
+    ``values`` is the frame's locals (:func:`frame_values`); ``env_obj`` is
+    a zero-argument thunk producing the materialized environment when the
     target runs env-mode.  Returns None (after decline accounting) when the
     live state does not fit the entry map.
     """
@@ -150,33 +147,16 @@ def seed_registers(vm, ncode: NativeCode, entry: OsrEntry,
         if not _seed_slot(regs, reg, kind, rtype, v):
             _decline(vm, fn_name, pc, "stack-type")
             return None
-    env = entry.env
-    if env is None:
+    if entry.env_reg is None:
         # fully scalar-replaced target: any live binding outside the slot
         # set would be silently dropped by a later deopt-out — refuse
         if any(n not in covered for n in values):
             _decline(vm, fn_name, pc, "extra-binding")
             return None
-    elif env[0] == "env":
+    else:
         # env-mode target: the live environment object itself is the seed,
         # so every binding (slotted or not) survives by construction
-        regs[env[1]] = env_obj()
-    else:  # ("mkenv", reg, names)
-        _, reg, names = env
-        menv = REnvironment(parent=closure_env)
-        for name in names:
-            v = values.get(name, _MISSING)
-            if v is _MISSING:
-                _decline(vm, fn_name, pc, "missing-var:" + name)
-                return None
-            if isinstance(v, RVector):
-                v.named = 2
-            menv.set(name, v)
-            covered.add(name)
-        if any(n not in covered for n in values):
-            _decline(vm, fn_name, pc, "extra-binding")
-            return None
-        regs[reg] = menv
+        regs[entry.env_reg] = env_obj()
     return regs
 
 
@@ -194,7 +174,7 @@ def _hop(vm, fs, values: Dict[str, Any], live_ctx, via: str,
     for ncode in select_versions(fs.fun.jit, pc, live_ctx, exclude=exclude):
         entry = ncode.osr_entries[pc]
         regs = seed_registers(vm, ncode, entry, values, list(fs.stack),
-                              fs.materialize_env, closure_env, name, pc)
+                              fs.materialize_env, name, pc)
         if regs is not None:
             vm.state.osr_hops += 1
             vm.state.emit("osr_hop", name, pc=pc, size=ncode.size, via=via,

@@ -342,13 +342,10 @@ def test_gather_subscripts_agree_across_tiers_and_engines(src, xs, raw_idx, oob)
 
 @st.composite
 def envcapture_program(draw):
-    """A hot loop mutating captured state — escape-analysis fodder.
-
-    The driver's frame is partially captured: ``acc`` escapes into the
-    ``step`` closure and is mutated through ``<<-``, while the induction
-    state stays scalar.  The ``lazy`` variant routes the argument through a
-    global helper call, so the compiler emits a promise whose elision the
-    escape pass must prove (or decline) without changing results.
+    """A hot loop mutating captured state: ``acc`` escapes into the
+    ``step`` closure and is mutated through ``<<-``, so the driver compiles
+    in env mode.  The ``lazy`` variant routes the argument through a global
+    helper call, so the compiler emits a promise per iteration.
     """
     op1 = draw(st.sampled_from(["+", "-", "*"]))
     op2 = draw(st.sampled_from(["+", "-"]))
@@ -374,17 +371,16 @@ ecap <- function(m, n) {
 @given(envcapture_program(), st.integers(1, 12))
 @settings(max_examples=20, deadline=None)
 def test_envcapture_agrees_across_tiers_and_engines(src, n):
-    """Mixed env mode (scalar-replaced frames, partial MkEnv, elided
-    promises) matches the interpreter exactly on every executor, with one
-    dispatch signature across the reference and codegen engines."""
+    """Closure- and promise-creating hot loops match the interpreter
+    exactly on every executor, with one dispatch signature across the
+    reference and codegen engines."""
     call = "ecap(2L, %dL)" % n
     vm_ref = make_vm(enable_jit=False)
     vm_ref.eval(src)
     expected = [from_r(vm_ref.eval(call)) for _ in range(4)]
     sigs = []
     for eng in ENGINE_LEGS:
-        vm = make_vm(compile_threshold=1, osr_threshold=50,
-                     escape=True, **eng)
+        vm = make_vm(compile_threshold=1, osr_threshold=50, **eng)
         vm.eval(src)
         got = [from_r(vm.eval(call)) for _ in range(4)]
         assert got == expected, (src, got, expected)
@@ -392,27 +388,13 @@ def test_envcapture_agrees_across_tiers_and_engines(src, n):
     assert all(s == sigs[0] for s in sigs), src
 
 
-@given(envcapture_program(), st.integers(1, 12))
-@settings(max_examples=15, deadline=None)
-def test_escape_legs_agree_on_results(src, n):
-    """escape=1 vs escape=0 execute different op streams by design (like
-    the inline legs), but results must be identical call for call."""
-    call = "ecap(2L, %dL)" % n
-    per_leg = {}
-    for escape in (True, False):
-        vm = make_vm(compile_threshold=1, osr_threshold=50, escape=escape)
-        vm.eval(src)
-        per_leg[escape] = [from_r(vm.eval(call)) for _ in range(4)]
-    assert per_leg[True] == per_leg[False], src
-
-
 @given(envcapture_program(), st.integers(2, 10), st.integers(0, 2**31))
 @settings(max_examples=12, deadline=None)
 def test_chaos_deopts_inside_elided_env_regions(src, n, seed):
-    """Chaos-mode assumption failures inside mixed frames (partial MkEnv +
-    scalar registers, possibly with an elided promise live on the stack)
-    rematerialize interpreter-identical state on every executor, and the
-    two engines leave identical dispatch signatures."""
+    """Chaos-mode assumption failures inside frames that create closures
+    and promises (live environment in a register, promises on the stack)
+    resume with interpreter-identical state on every executor, and the two
+    engines leave identical dispatch signatures."""
     call = "ecap(2L, %dL)" % n
     vm_ref = make_vm(enable_jit=False)
     vm_ref.eval(src)
@@ -420,8 +402,7 @@ def test_chaos_deopts_inside_elided_env_regions(src, n, seed):
     sigs = []
     for eng in ENGINE_LEGS:
         vm = make_vm(chaos_rate=0.05, chaos_seed=seed, compile_threshold=1,
-                     osr_threshold=50, enable_deoptless=True,
-                     escape=True, **eng)
+                     osr_threshold=50, enable_deoptless=True, **eng)
         vm.eval(src)
         for _ in range(5):
             assert from_r(vm.eval(call)) == expected, (src, seed)

@@ -70,32 +70,14 @@ def test_without_feedback_code_is_generic():
 
 
 def test_env_escape_closure_forces_env_mode():
-    # classic heuristic (escape analysis off): any capture keeps the whole
-    # frame in a materialized environment
-    vm = make_vm(enable_jit=False, escape=False)
+    # any capture keeps the whole frame in a materialized environment
+    vm = make_vm(enable_jit=False)
     vm.eval("mk <- function(x) function() x\n")
     for c in ["mk(1)", "mk(2)", "mk(3)"]:
         vm.eval(c)
     g = build_for(vm, "mk")
     assert not g.env_elided
     assert instrs_of(g, I.MkClosure)
-
-
-def test_env_escape_closure_mixed_mode_under_escape_analysis():
-    # with escape analysis on the same function compiles in mixed mode: the
-    # captured formal is demoted into a partial MkEnv environment, the rest
-    # of the frame stays in registers
-    vm = make_vm(enable_jit=False, escape=True)
-    vm.eval("mk <- function(x) function() x\n")
-    for c in ["mk(1)", "mk(2)", "mk(3)"]:
-        vm.eval(c)
-    g = build_for(vm, "mk")
-    assert g.env_elided
-    assert g.escape_info is not None and g.escape_info.verdict == "mixed"
-    menvs = instrs_of(g, I.MkEnv)
-    assert len(menvs) == 1 and menvs[0].names == ("x",)
-    (clo,) = instrs_of(g, I.MkClosure)
-    assert clo.args and clo.args[0] is menvs[0]
 
 
 def test_env_escape_promise_forces_env_mode():

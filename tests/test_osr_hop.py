@@ -131,10 +131,10 @@ def test_seed_registers_declines_are_counted_and_logged():
 
     # stack shape mismatch
     assert osr_hop.seed_registers(vm, nc, entry, {}, [None], lambda: None,
-                                  None, "f", pc) is None
+                                  "f", pc) is None
     # missing variable
     assert osr_hop.seed_registers(vm, nc, entry, {}, [], lambda: None,
-                                  None, "f", pc) is None
+                                  "f", pc) is None
     assert vm.state.osr_hop_declines == before + 2
     reasons = {why for (_f, _pc, why, _count) in vm.state.osr_hop_decline_log}
     assert "stack-shape" in reasons
@@ -157,14 +157,14 @@ def test_seed_registers_declines_type_mismatch():
               "h": vm.eval("hn %/% 2L"), "i": one, "s": zero}
     before = vm.state.osr_hop_declines
     assert osr_hop.seed_registers(vm, nc, entry, values, [], lambda: None,
-                                  None, "f", pc) is None
+                                  "f", pc) is None
     assert vm.state.osr_hop_declines == before + 1
     assert any(why.startswith("var-type:")
                for (_f, _pc, why, _count) in vm.state.osr_hop_decline_log)
     # the correctly-typed frame seeds cleanly
     good = dict(values, a=ai, b=ai, x=ai)
     regs = osr_hop.seed_registers(vm, nc, entry, good, [], lambda: None,
-                                  None, "f", pc)
+                                  "f", pc)
     assert regs is not None and len(regs) == nc.n_regs
 
 

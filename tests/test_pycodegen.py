@@ -22,6 +22,7 @@ import pytest
 from conftest import make_vm
 from repro import from_r
 from repro.bench.programs import REGISTRY
+from repro.bytecode.interpreter import match_arguments
 from repro.jit import persist
 from repro.native import executor, ops as N, pycodegen
 from repro.runtime.env import REnvironment
@@ -314,7 +315,7 @@ class _FireAt:
 
 def _plain(v):
     """Frame values by structure: an activation allocates its own vectors,
-    promises, closures and (escape mode) partial environment."""
+    promises, closures and environments."""
     if isinstance(v, RVector):
         return (v.kind, list(v.data))
     if isinstance(v, RPromise):
@@ -332,7 +333,7 @@ def _frames(fs):
         env = fs.env_values
         out.append((fs.code, fs.pc, [_plain(v) for v in fs.stack],
                     env and {k: _plain(v) for k, v in env.items()},
-                    _plain(fs.env), fs.fun, fs.from_escape))
+                    _plain(fs.env), fs.fun))
         fs = fs.parent
     return out
 
@@ -473,11 +474,16 @@ def test_deopt_reads_descriptor_only_constants_from_reg_init():
     only = descriptor_only_regs(nc, named)
     assert any(nc.reg_init[r] is not None for rs in only.values() for r in rs), \
         "scenario gone: no constant register only descriptors read"
-    args = [vm.eval("4L")]
+    assert not nc.env_elided  # it creates promises: the unit takes [env]
+    closure = vm.get_global("binarytrees_run")
+
+    def args():  # a fresh matched environment per activation
+        return [match_arguments(closure, [vm.eval("4L")], None, vm)]
+
     hit = set()
     for n in range(5):  # the guards ahead of the first callee activation
-        got = chaos_deopt(vm, nc, n, True, args)
-        assert got == chaos_deopt(vm, nc, n, False, args), "draw %d" % n
+        got = chaos_deopt(vm, nc, n, True, args())
+        assert got == chaos_deopt(vm, nc, n, False, args()), "draw %d" % n
         assert got is not None and got[0] is nc
         frame = got[3][0]
         assert None not in frame[2], "constant stack slot lost: %r" % (frame[2],)
