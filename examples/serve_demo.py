@@ -11,9 +11,9 @@ isolation half of the design: its speculation failures retire only its
 own installed versions — the other tenants' dispatch behaviour is
 bit-identical to what an isolated VM would have done.
 
-The same script run with ``RERPO_SERVE=0`` degrades the server to fully
-isolated per-tenant VMs (the benchmark baseline): every tenant then pays
-its own compiles.
+Adding ``serve=False`` to the ``Config`` in ``main`` degrades the server to
+fully isolated per-tenant VMs (the baseline the sharing layer is measured
+against): every tenant then pays its own compiles.
 """
 
 import time
@@ -55,7 +55,7 @@ def main() -> None:
                          codecache=True)
     with Server(config_factory=cfg) as srv:
         mode = "shared fleet" if srv.serve_enabled else \
-            "isolated VMs (RERPO_SERVE=0)"
+            "isolated VMs (Config(serve=False))"
         print("serving mode: %s" % mode)
         print()
         print("%-10s %10s %12s %12s %9s" % (

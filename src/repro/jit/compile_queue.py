@@ -1,11 +1,9 @@
 """Background tier-up: take compilation off the interpreter's critical path.
 
 ``RVM.maybe_tier_up`` routes through here.  Four modes
-(``Config.tierup_mode`` / ``RERPO_TIERUP``):
+(``Config.tierup_mode``):
 
 * ``sync`` (default) — compile inline, exactly the pre-queue behaviour.
-  Forced under ``RERPO_REF_EXEC=1``: the reference-executor leg asserts
-  bit-identical telemetry, so it must not depend on drain timing.
 * ``step`` — enqueue; nothing compiles until :meth:`CompileQueue.drain` is
   called with an instruction budget.  Deterministic by construction (the
   caller decides when compile pauses happen), which is what the tests and

@@ -12,29 +12,17 @@ import os
 from dataclasses import dataclass, field
 
 
-def _env_flag(name: str, default: bool) -> bool:
-    """The switch ``RERPO_<name>``, read when a ``Config`` is built: ``0``
-    turns a default-on flag off, ``1`` turns a default-off flag on, anything
-    else keeps the default.  This module is the only reader of the VM's
-    environment names; CI runs one leg per switch."""
-    value = os.environ.get("RERPO_" + name)
-    return value != "0" if default else value == "1"
+def _fast_engines_default() -> bool:
+    """``RERPO_REF_EXEC=1`` makes the reference loops the default engine of
+    both tiers.  They are the oracle the fast engines are checked against,
+    so CI runs one tier-1 leg that way; this and the warm-start directory
+    below are the only names the VM reads from the environment."""
+    return os.environ.get("RERPO_REF_EXEC") != "1"
 
 
 def _codecache_dir_default():
     """Warm-start artifact directory; unset disables persistence."""
     return os.environ.get("RERPO_CODECACHE_DIR") or None
-
-
-def _tierup_default() -> str:
-    """Tier-up drain mode: ``sync`` (compile inline), ``step`` (explicit
-    budgeted drain) or ``bg`` (worker thread).  ``RERPO_REF_EXEC=1`` forces
-    ``sync`` — the reference-executor leg asserts bit-identical telemetry,
-    which must not depend on drain timing."""
-    if _env_flag("REF_EXEC", False):
-        return "sync"
-    mode = os.environ.get("RERPO_TIERUP", "sync")
-    return mode if mode in ("sync", "step", "bg") else "sync"
 
 
 @dataclass
@@ -47,8 +35,7 @@ class Config:
     #: (tests/test_threaded_equivalence.py) and also run any unit codegen
     #: declines.  Deliberately absent from ``codecache.config_key``: the
     #: engine changes how units *run*, not what is lowered.
-    threaded_dispatch: bool = field(
-        default_factory=lambda: not _env_flag("REF_EXEC", False))
+    threaded_dispatch: bool = field(default_factory=_fast_engines_default)
 
     # -- tiering ---------------------------------------------------------------
     #: enable the optimizing tier at all
@@ -66,9 +53,8 @@ class Config:
     #: map) instead of falling back to the interpreter, and hot deoptless
     #: continuations are promoted to full entry versions.  Keyed into the
     #: code cache (the flag changes what tier-up lowers and installs).
-    #: ``RERPO_OSR_HOP=0`` reverts to terminal continuations and
-    #: generic-only OSR.
-    osr_hop: bool = field(default_factory=lambda: _env_flag("OSR_HOP", True))
+    #: False reverts to terminal continuations and generic-only OSR.
+    osr_hop: bool = True
 
     # -- speculation -----------------------------------------------------------
     enable_speculation: bool = True
@@ -79,14 +65,14 @@ class Config:
     #: exact per-iteration op/guard/generic counts of the replaced loop), so
     #: the cost model and dispatch signature are engine-independent; the
     #: real speedup shows up in wall-clock only (benchmarks/).
-    #: ``RERPO_VECTORIZE=0`` keeps the scalar loops only.
-    vectorize: bool = field(default_factory=lambda: _env_flag("VECTORIZE", True))
+    #: False keeps the scalar loops only.
+    vectorize: bool = True
     #: speculative call-target inlining (opt/inline.py): monomorphic
     #: ``CallFeedback`` sites splice the callee's IR under the existing
     #: identity guard.  Checkpoints inside the inlined body carry nested
     #: FrameStates; deopts there materialize the full frame chain.
-    #: ``RERPO_INLINE=0`` disables the pass (every call stays guarded).
-    inline: bool = field(default_factory=lambda: _env_flag("INLINE", True))
+    #: False disables the pass (every call stays guarded).
+    inline: bool = True
     #: cost model: max callee bytecode ops for an inline candidate
     inline_max_size: int = 48
     #: cost model: max inlined frame depth (1 = calls from the root function)
@@ -98,8 +84,8 @@ class Config:
     #: context-keyed code cache: compiled units are shared across closures
     #: with content-identical code under the same speculation context, and
     #: repeat deoptless contexts recover in O(lookup) instead of O(pipeline).
-    #: ``RERPO_CODECACHE=0`` always recompiles.
-    codecache: bool = field(default_factory=lambda: _env_flag("CODECACHE", True))
+    #: False always recompiles.
+    codecache: bool = True
     #: LRU eviction bound, in cached compiled instructions
     codecache_budget: int = 100_000
     #: warm-start artifact directory (``RERPO_CODECACHE_DIR``); None disables
@@ -109,17 +95,16 @@ class Config:
     #: how tier-up requests compile: "sync" inline (default), "step" queued
     #: until an explicit budgeted ``vm.drain_compile_queue()``, "bg" on a
     #: worker thread with main-thread installs
-    tierup_mode: str = field(default_factory=_tierup_default)
+    tierup_mode: str = "sync"
 
     # -- multi-tenant serving (repro/serve) ---------------------------------------
-    #: master switch for the serving layer: when False (``RERPO_SERVE=0``),
-    #: ``serve.Server`` runs every tenant on a fully isolated VM (no shared
-    #: code cache, no
+    #: master switch for the serving layer: when False, ``serve.Server``
+    #: runs every tenant on a fully isolated VM (no shared code cache, no
     #: fleet compile queue, no cold-start coalescing).  Per-tenant results
     #: and ``dispatch_signature`` are identical either way — sharing only
     #: changes how compiled code is *obtained* (see DESIGN.md,
     #: "Multi-tenant serving")
-    serve: bool = field(default_factory=lambda: _env_flag("SERVE", True))
+    serve: bool = True
     #: fleet-wide LRU budget of the process-shared code cache, in compiled
     #: instructions across all tenants (one budget for the whole fleet, not
     #: per-VM — the point is bounding total resident shared code)
@@ -129,9 +114,9 @@ class Config:
     #: dispatch function entries on a distilled CallContext: polymorphic
     #: call sites split into per-context compiled versions (argument guards
     #: hoisted to the dispatch check, unboxed parameter passing) instead of
-    #: widening the single generic version.  ``RERPO_CTXDISPATCH=0`` reverts
-    #: to one version per closure.
-    ctxdispatch: bool = field(default_factory=lambda: _env_flag("CTXDISPATCH", True))
+    #: widening the single generic version.  False reverts to one version
+    #: per closure.
+    ctxdispatch: bool = True
     #: specialized versions per closure, on top of the generic fall-through
     dispatch_versions: int = 4
 

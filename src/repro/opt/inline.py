@@ -21,7 +21,7 @@ pass splices the callee's IR into the caller under that existing guard:
   and the deoptless engine can dispatch on the chained state.
 
 Cost model (all knobs on :class:`~repro.jit.Config`, pass gated behind
-``Config.inline`` / ``RERPO_INLINE``):
+``Config.inline``):
 
 * callee bytecode size bounded by ``inline_max_size`` and a per-unit total
   ``inline_budget``;

@@ -24,9 +24,9 @@ Request execution has two shapes:
 
 Every request's wall-clock latency is recorded; :meth:`stats` reports
 p50/p99 overall and per tenant, plus shared-cache and fleet-queue
-counters.  ``RERPO_SERVE=0`` (→ ``Config.serve = False``) degrades the
-whole Server to isolated per-tenant VMs — same API, no sharing — which is
-exactly the baseline the serve benchmark measures against.
+counters.  ``Config(serve=False)`` degrades the whole Server to isolated
+per-tenant VMs — same API, no sharing — which is the baseline the serving
+layer is measured against.
 """
 
 from __future__ import annotations
@@ -136,7 +136,7 @@ class Server:
                  shared_budget: Optional[int] = None):
         self.config_factory = config_factory or Config
         probe = self.config_factory()
-        #: serving infrastructure on/off — from Config.serve (RERPO_SERVE)
+        #: serving infrastructure on/off — from Config.serve
         self.serve_enabled = bool(probe.serve)
         self.shared: Optional[SharedCodeCache] = None
         self.fleet: Optional[FleetCompileQueue] = None

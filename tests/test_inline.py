@@ -23,7 +23,6 @@ f <- function(n, x) {
 def warmed(src, warm_calls, **cfg):
     cfg.setdefault("compile_threshold", 1)
     cfg.setdefault("osr_threshold", 10**9)
-    cfg.setdefault("inline", True)  # independent of the RERPO_INLINE env leg
     vm = make_vm(**cfg)
     vm.eval(src)
     for c in warm_calls:

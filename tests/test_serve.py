@@ -34,12 +34,10 @@ SETUP = (
 
 
 def _cfg(**kw):
-    # serve/codecache explicitly on: these tests exercise sharing even on
-    # the RERPO_SERVE=0 / RERPO_CODECACHE=0 CI legs (only the *defaults*
-    # come from the env).  ctxdispatch/osr_hop off where deopt-retirement
-    # is asserted, for the same reasons as test_codecache.cache_vm.
-    cfg = dict(compile_threshold=2, enable_deoptless=True, codecache=True,
-               serve=True, ctxdispatch=False, osr_hop=False)
+    # ctxdispatch/osr_hop off where deopt-retirement is asserted, for the
+    # same reasons as test_codecache.cache_vm.
+    cfg = dict(compile_threshold=2, enable_deoptless=True,
+               ctxdispatch=False, osr_hop=False)
     cfg.update(kw)
     return Config(**cfg)
 
@@ -132,7 +130,7 @@ def test_reference_engine_config_starts_no_fleet_pool():
 
 
 def test_serve_off_is_fully_isolated():
-    """Config.serve=False (the RERPO_SERVE=0 leg): same Server API, no
+    """Config.serve=False: same Server API, no
     shared infrastructure — every tenant pays its own pipeline."""
     srv = _server(serve=False)
     assert srv.shared is None and srv.fleet is None
