@@ -1135,7 +1135,6 @@ class GraphBuilder:
             bias is not None
             and count >= COLD_BRANCH_MIN_COUNT
             and not loop_exit(self.code, pc)
-            and self.vm.config.enable_cold_branch_speculation
         ):
             # speculate the branch always goes the biased way
             fs = self._framestate(pc)

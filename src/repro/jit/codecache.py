@@ -51,6 +51,7 @@ from ..bytecode.feedback import (
     ObservedType,
 )
 from ..deoptless.context import CallContext, DeoptContext
+from ..opt.inline import MAX_DEPTH as INLINE_MAX_DEPTH
 from ..runtime.rtypes import RType
 from ..runtime.values import NULL, RBuiltin, RClosure, RNull, RVector
 
@@ -234,10 +235,7 @@ def feedback_signature(
     fb_map = feedback if feedback is not None else code.feedback
     slots = []
     calls = []
-    recurse = (
-        getattr(config, "inline", False)
-        and _depth <= getattr(config, "inline_max_depth", 0)
-    )
+    recurse = getattr(config, "inline", False) and _depth <= INLINE_MAX_DEPTH
     seen = _seen or frozenset()
     for pc in sorted(fb_map):
         fb = fb_map[pc]
@@ -267,12 +265,9 @@ def config_key(config) -> tuple:
     """The Config flags that change what the pipeline emits."""
     return (
         config.enable_speculation,
-        config.enable_cold_branch_speculation,
         config.vectorize,
         config.inline,
         config.inline_max_size,
-        config.inline_max_depth,
-        config.inline_budget,
         config.unsound_drop_deopt_exits,
         config.unsound_continuation_escape,
         config.deoptless_feedback_repair,

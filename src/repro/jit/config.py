@@ -58,7 +58,6 @@ class Config:
 
     # -- speculation -----------------------------------------------------------
     enable_speculation: bool = True
-    enable_cold_branch_speculation: bool = True
     #: guard-hoisted loop vectorization (opt/vectorize.py): recognized
     #: counted loops execute as bulk kernels over the raw vector buffers.
     #: Kernel accounting charges per covered element at scalar rates (the
@@ -75,10 +74,6 @@ class Config:
     inline: bool = True
     #: cost model: max callee bytecode ops for an inline candidate
     inline_max_size: int = 48
-    #: cost model: max inlined frame depth (1 = calls from the root function)
-    inline_max_depth: int = 3
-    #: cost model: total callee bytecode ops inlined per compilation unit
-    inline_budget: int = 200
 
     # -- compilation subsystem (jit/codecache.py, jit/compile_queue.py) -----------
     #: context-keyed code cache: compiled units are shared across closures
@@ -105,10 +100,6 @@ class Config:
     #: changes how compiled code is *obtained* (see DESIGN.md,
     #: "Multi-tenant serving")
     serve: bool = True
-    #: fleet-wide LRU budget of the process-shared code cache, in compiled
-    #: instructions across all tenants (one budget for the whole fleet, not
-    #: per-VM — the point is bounding total resident shared code)
-    serve_shared_budget: int = 1_000_000
 
     # -- entry contextual dispatch (deoptless/dispatch.VersionTable) --------------
     #: dispatch function entries on a distilled CallContext: polymorphic

@@ -20,12 +20,11 @@ pass splices the callee's IR into the caller under that existing guard:
   materializes both interpreter frames exactly (see ``osr/osr_out.py``),
   and the deoptless engine can dispatch on the chained state.
 
-Cost model (all knobs on :class:`~repro.jit.Config`, pass gated behind
-``Config.inline``):
+Cost model (pass gated behind ``Config.inline``):
 
-* callee bytecode size bounded by ``inline_max_size`` and a per-unit total
-  ``inline_budget``;
-* nesting bounded by ``inline_max_depth``; recursive targets (the callee's
+* callee bytecode size bounded by ``Config.inline_max_size`` and a per-unit
+  total :data:`BUDGET`;
+* nesting bounded by :data:`MAX_DEPTH`; recursive targets (the callee's
   code already on the inline chain) are never inlined;
 * no inlining of callees with escaping environments (``MK_CLOSURE`` /
   ``MK_PROMISE``), ``<<-`` assignments (their elided-env semantics start
@@ -53,6 +52,12 @@ from ..ir.cfg import Graph
 from ..osr.framestate import DeoptReasonKind, FrameStateDescr
 from ..runtime.rtypes import ANY, Kind, RType
 from ..runtime.values import NULL, RClosure, rtype_quick
+
+#: max inlined frame depth (1 = calls from the root function); the code
+#: cache's feedback signature follows callee profiles to the same depth
+MAX_DEPTH = 3
+#: total callee bytecode ops inlined per compilation unit
+BUDGET = 200
 
 _ENV_T = RType(Kind.ENV, scalar=True, maybe_na=False)
 _MISSING = object()
@@ -119,7 +124,7 @@ def inline_calls(graph: Graph, vm) -> int:
         call = worklist.pop(0)
         if call.block is None:  # removed by an earlier splice
             continue
-        res = _try_inline(graph, vm, call, config.inline_budget - spent)
+        res = _try_inline(graph, vm, call, BUDGET - spent)
         if res is None:
             continue
         n_ops, new_calls = res
@@ -153,7 +158,7 @@ def _try_inline(graph: Graph, vm, call: I.StaticCall, budget_left: int):
     ):
         return None
     guard_fs = assume.framestate
-    if _chain_depth(guard_fs) > config.inline_max_depth:
+    if _chain_depth(guard_fs) > MAX_DEPTH:
         return None
     code = target.code
     if code is graph.bc_code or code in _chain_codes(guard_fs):

@@ -126,6 +126,12 @@ class _Worker:
         self.thread.join(timeout=1.0)
 
 
+#: fleet-wide LRU budget of the shared code cache, in compiled instructions
+#: across all tenants (one budget for the whole fleet, not per VM — the
+#: point is bounding total resident shared code)
+SHARED_BUDGET = 1_000_000
+
+
 class Server:
     """Multi-tenant mini-R service over one shared-infrastructure fleet."""
 
@@ -133,7 +139,7 @@ class Server:
                  config_factory: Optional[Callable[[], Config]] = None,
                  workers: int = 0,
                  compile_workers: int = 0,
-                 shared_budget: Optional[int] = None):
+                 shared_budget: int = SHARED_BUDGET):
         self.config_factory = config_factory or Config
         probe = self.config_factory()
         #: serving infrastructure on/off — from Config.serve
@@ -141,9 +147,7 @@ class Server:
         self.shared: Optional[SharedCodeCache] = None
         self.fleet: Optional[FleetCompileQueue] = None
         if self.serve_enabled:
-            self.shared = SharedCodeCache(
-                shared_budget if shared_budget is not None
-                else probe.serve_shared_budget)
+            self.shared = SharedCodeCache(shared_budget)
             # the reference-executor leg pins everything synchronous; a
             # fleet pool would reintroduce drain-timing nondeterminism
             if compile_workers > 0 and probe.threaded_dispatch:

@@ -58,7 +58,7 @@ class _SharedEntry:
 class SharedCodeCache:
     """Thread-safe LRU of stable compiled forms, shared by a VM fleet."""
 
-    def __init__(self, budget: int = 1_000_000):
+    def __init__(self, budget: int):
         self.budget = budget
         self.lock = threading.RLock()
         # digest -> entry; OrderedDict gives us LRU (move_to_end on hit)
