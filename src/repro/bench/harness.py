@@ -9,12 +9,10 @@ iteration, so figure drivers can print the same series the paper plots.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..jit.config import Config
 from ..jit.vm import RVM
@@ -125,7 +123,8 @@ def compare_phases(
     compare a *single* optimized version recovering at the exit boundary
     (deopt vs deoptless continuation).  Entry-specialized versions would
     absorb the phase change at the call boundary instead and flatten both
-    series (that layer is measured by benchmarks/test_context_dispatch.py).
+    series (that layer is the `ctxdispatch` row of DESIGN.md, "What each
+    feature buys").
     """
     base = base_config or Config()
     normal_cfg = _clone_config(base, enable_deoptless=False, ctxdispatch=False)
@@ -170,47 +169,4 @@ def format_series_table(results: Sequence[RunResult], metric: str = "wall_s") ->
             else:
                 row += " %14s" % "-"
         lines.append(row)
-    return "\n".join(lines)
-
-
-#: repository root (…/src/repro/bench/harness.py -> four levels up); bench
-#: artifact placement must not depend on the pytest invocation's CWD
-_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))))
-
-
-def save_json(name: str, payload: Dict[str, Any], path: Optional[str] = None) -> str:
-    """Persist a benchmark's results as JSON for CI and report tooling.
-
-    Placement policy (benchmarks/check_artifacts.py enforces it in CI):
-
-    * ``BENCH_*`` names are the tracked acceptance artifacts — they go to
-      the **repository root** (``BENCH_compile.json`` next to
-      ``BENCH_inline.json``/``BENCH_vectorize.json``);
-    * everything else goes to ``benchmarks/results/``;
-    * ``$REPRO_BENCH_JSON_DIR`` overrides the directory, ``path`` overrides
-      everything.
-
-    Both defaults are anchored at the repo root, not the process CWD.
-    Returns the path written.
-    """
-    if path is None:
-        out_dir = os.environ.get("REPRO_BENCH_JSON_DIR")
-        if out_dir is None:
-            if name.startswith("BENCH_"):
-                out_dir = _REPO_ROOT
-            else:
-                out_dir = os.path.join(_REPO_ROOT, "benchmarks", "results")
-        os.makedirs(out_dir, exist_ok=True)
-        path = os.path.join(out_dir, "%s.json" % name)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
-def format_speedup_table(rows: Sequence[Tuple[str, float, str]]) -> str:
-    """Rows of (name, speedup, note)."""
-    lines = ["%-24s %10s  %s" % ("benchmark", "speedup", "notes")]
-    for name, speedup, note in rows:
-        lines.append("%-24s %9.2fx  %s" % (name, speedup, note))
     return "\n".join(lines)

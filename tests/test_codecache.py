@@ -354,10 +354,16 @@ def test_results_and_steady_signature_identical_cache_on_off():
 def test_cache_disabled_via_flag():
     vm = cache_vm(codecache=False)
     assert vm.code_cache is None
-    warm(vm)
-    assert from_r(vm.eval("sumfn(xd, 3L)")) == 7.0
+    vm.eval(SUM_SRC.replace("sumfn", "sumfn2"))
+    for name in ("sumfn", "sumfn2"):
+        warm(vm, name)
+        assert from_r(vm.eval("%s(xd, 3L)" % name)) == 7.0
     assert vm.state.codecache_hits == 0
     assert vm.state.codecache_misses == 0
+    # the sibling of test_continuation_cache_shared_across_siblings: with no
+    # cache every closure pays for its own unit and its own continuation
+    assert vm.state.compiles - vm.state.deoptless_compiles == 2
+    assert vm.state.deoptless_compiles == 2
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from repro.bench.harness import (
     RunResult,
     compare_phases,
     format_series_table,
-    format_speedup_table,
     geomean,
     run_phases,
 )
@@ -64,11 +63,6 @@ def test_format_series_table_alignment():
     lines = text.splitlines()
     assert "normal" in lines[0] and "deoptless" in lines[0]
     assert len(lines) == 3
-
-
-def test_format_speedup_table():
-    text = format_speedup_table([("x", 2.0, "note")])
-    assert "2.00x" in text
 
 
 def test_cost_model_weights_generic_ops():

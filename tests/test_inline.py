@@ -290,14 +290,15 @@ poly <- function(g, n) {
   s
 }
 """
-    vm = warmed(src, [])
-    # megamorphize the site before compiling
-    for fn in ("a1", "a2", "a3", "a4"):
-        vm.eval("poly(%s, 5)" % fn)
-    for _ in range(3):
-        vm.eval("poly(a1, 30)")
-    assert vm.state.pic_hits > 0, "repeated targets hit the inline cache"
-    assert from_r(vm.eval("poly(a2, 4)")) == 8.0
+    for inline in (True, False):  # the site is not inlinable either way
+        vm = warmed(src, [], inline=inline)
+        # megamorphize the site before compiling
+        for fn in ("a1", "a2", "a3", "a4"):
+            vm.eval("poly(%s, 5)" % fn)
+        for _ in range(3):
+            vm.eval("poly(a1, 30)")
+        assert vm.state.pic_hits > 0, "repeated targets hit the inline cache"
+        assert from_r(vm.eval("poly(a2, 4)")) == 8.0
 
 
 def test_pic_hits_identical_across_executors():

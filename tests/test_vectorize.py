@@ -57,6 +57,12 @@ f <- function(v, n) {
 """
 
 
+#: programs whose hot loops must run as bulk kernels: a planner decline here
+#: falls back to the scalar loop with identical results and signature, so
+#: only this count would notice
+KERNELIZED = {"sum_phases", "colsum", "spectralnorm", "dotprod"}
+
+
 def run_workload(name, cfg, vectorize, repeats=2):
     w = REGISTRY.get(name)
     vm = make_vm(vectorize=vectorize, **cfg)
@@ -80,6 +86,8 @@ def test_vectorized_matches_scalar(name, mode):
         )
     # kernel_elements is the one engine-dependent counter, by design
     assert s_vm.state.kernel_elements == 0
+    if name in KERNELIZED:
+        assert v_vm.state.kernel_elements > 0, "%s[%s]: no kernel ran" % (name, mode)
 
 
 # -- mid-kernel deopt: exact frame at element k ---------------------------------
