@@ -114,7 +114,6 @@ def inline_calls(graph: Graph, vm) -> int:
     """Inline speculated (guarded) calls into ``graph``; returns the number
     of callee frames spliced.  Iterates to a fixpoint so calls inside
     inlined bodies are considered too (bounded by depth/budget)."""
-    config = vm.config
     spent = 0
     inlined = 0
     worklist: List[I.StaticCall] = [
