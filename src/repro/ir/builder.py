@@ -35,7 +35,7 @@ from ..runtime.rtypes import ANY, Kind, RType
 from ..runtime.values import NULL, RBuiltin, RClosure, RNull, RVector
 from . import instructions as I
 from . import typerules as T
-from .cfg import BasicBlock, Graph
+from .cfg import BasicBlock, Graph, OsrAnchor
 
 
 class CompilationFailure(Exception):
@@ -698,7 +698,7 @@ class GraphBuilder:
             # slot is one of these phis, so a frame materialized at this pc
             # maps slot-for-slot onto the header's registers (lower.py turns
             # surviving anchors into the unit's OSR entry map)
-            self.graph.osr_anchors[b.start] = (bb, dict(vals.vars), list(vals.stack))
+            self.graph.osr_anchors[b.start] = OsrAnchor(bb, dict(vals.vars), list(vals.stack))
 
     def _add_phi_inputs(self, succ_start: int, pred_bb: BasicBlock, out: "ValState") -> None:
         vals = self.pending_phis[succ_start]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 from .instructions import Branch, Instr, Jump, Phi, Return
 
@@ -72,6 +72,25 @@ class BasicBlock:
         return "BB%d" % self.id
 
 
+class OsrAnchor:
+    """What a frame materialized at a loop header's pc maps onto: the value
+    each live variable and operand-stack slot has at the top of ``header``.
+    The third kind of use holder, so the entry map follows rewrites."""
+
+    __slots__ = ("header", "vars", "stack")
+
+    def __init__(self, header: BasicBlock, vars_: Dict[str, Instr], stack: List[Instr]):
+        self.header = header
+        self.vars = vars_
+        self.stack = stack
+
+    def replace_value(self, old: Instr, new: Instr) -> None:
+        for name, v in self.vars.items():
+            if v is old:
+                self.vars[name] = new
+        self.stack = [new if v is old else v for v in self.stack]
+
+
 class Graph:
     """The IR of one compilation unit (a function or an OSR continuation).
 
@@ -105,11 +124,12 @@ class Graph:
         #: so a cache rebind can replay the inlined_frames signature counter
         #: the pipeline it replaces would have bumped
         self.inlined_frames = 0
-        #: loop-header OSR anchors recorded by the builder: bytecode pc ->
-        #: (header block, {var name: phi}, [stack phis]).  The lowerer turns
-        #: the anchors that survive optimization into the unit's per-pc OSR
-        #: entry map (NativeCode.osr_entries)
-        self.osr_anchors: dict = {}
+        #: loop-header OSR anchors recorded by the builder, by bytecode pc.
+        #: The lowerer turns the anchors that survive optimization into the
+        #: unit's per-pc OSR entry map (NativeCode.osr_entries)
+        self.osr_anchors: Dict[int, OsrAnchor] = {}
+        #: the use index of the running pass (see ``compute_uses``)
+        self.uses: Optional[Dict[Any, list]] = None
 
     def next_id(self) -> int:
         self._next_id += 1
@@ -165,37 +185,84 @@ class Graph:
     def instr_count(self) -> int:
         return sum(len(bb.instrs) for bb in self.rpo())
 
-    # -- use tracking (recomputed on demand; graphs are small) ---------------------
+    # -- dominators ----------------------------------------------------------------
 
-    def compute_uses(self):
-        """Map instr -> list of (user, ...) including framestate references."""
-        uses = {}
-        for ins in self.iter_instrs():
-            for a in ins.args:
-                uses.setdefault(a, []).append(ins)
-            fs = getattr(ins, "framestate", None)
-            while fs is not None:
-                for v in fs.iter_values():
-                    uses.setdefault(v, []).append(ins)
-                fs = None  # iter_values already walks parents
+    def idom(self, order: Optional[List[BasicBlock]] = None) -> Dict[BasicBlock, BasicBlock]:
+        """Immediate dominator of every reachable block (the entry maps to
+        itself): Cooper–Harvey–Kennedy over ``rpo()``, on current ``preds``."""
+        order = order or self.rpo()
+        pos = {bb: i for i, bb in enumerate(order)}
+        idom = {order[0]: order[0]}
+        changed = True
+        while changed:
+            changed = False
+            for bb in order[1:]:
+                new = None
+                for p in bb.preds:
+                    if p not in idom:
+                        continue  # not processed yet (a back edge, first round)
+                    if new is None:
+                        new = p
+                        continue
+                    while p is not new:  # nearest common dominator
+                        while pos[p] > pos[new]:
+                            p = idom[p]
+                        while pos[new] > pos[p]:
+                            new = idom[new]
+                if idom.get(bb) is not new:
+                    idom[bb] = new
+                    changed = True
+        return idom
+
+    # -- uses ----------------------------------------------------------------------
+
+    def compute_uses(self) -> Dict[Any, list]:
+        """Build the use index by one walk: value -> its holders, one entry
+        per slot that names it.  A holder is an instruction (``args``), a
+        ``FrameStateDescr`` (each frame of a checkpoint's chain for its own
+        slots, a shared parent once) or an :class:`OsrAnchor`; all three
+        answer ``replace_value``.  ``replace_all_uses`` keeps the index
+        current for its own rewrites and nothing else does: a pass that
+        rewrites builds it first and, after adding operands by hand, again.
+        Removing an instruction leaves it behind as a stale holder, harmless
+        to a rewrite; a pass that *counts* uses takes a fresh index."""
+        uses: Dict[Any, list] = {}
+        frames = set()
+
+        def hold(holder, values) -> None:
+            for v in values:
+                held = uses.get(v)
+                if held is None:
+                    uses[v] = [holder]
+                else:
+                    held.append(holder)
+
+        for bb in self.blocks:
+            for ins in bb.instrs:
+                hold(ins, ins.args)
+                fs = getattr(ins, "framestate", None)
+                while fs is not None and id(fs) not in frames:
+                    frames.add(id(fs))
+                    hold(fs, fs.own_values())
+                    fs = fs.parent
+        for anchor in self.osr_anchors.values():
+            hold(anchor, anchor.vars.values())
+            hold(anchor, anchor.stack)
+        self.uses = uses
         return uses
 
     def replace_all_uses(self, old: Instr, new: Instr) -> None:
-        for ins in self.iter_instrs():
-            if old in ins.args:
-                ins.replace_arg(old, new)
-            fs = getattr(ins, "framestate", None)
-            if fs is not None:
-                fs.replace_value(old, new)
-        # OSR anchors reference header values by name; keep them pointing at
-        # the live replacement so the entry map survives simplification.
-        for _pc, (_hdr, vars_, stack) in self.osr_anchors.items():
-            for name, v in vars_.items():
-                if v is old:
-                    vars_[name] = new
-            for i, v in enumerate(stack):
-                if v is old:
-                    stack[i] = new
+        """Point every holder of ``old`` at ``new`` and hand the holders
+        over — work proportional to ``old``'s uses (``compute_uses`` first)."""
+        holders = self.uses.pop(old, None)
+        if holders is None:
+            return
+        last = None
+        for h in holders:
+            if h is not last:  # one holder's slots sit together
+                h.replace_value(old, new)
+                last = h
+        self.uses.setdefault(new, []).extend(holders)
 
     def __repr__(self) -> str:  # pragma: no cover
         return "<Graph %s: %d blocks>" % (self.name, len(self.blocks))

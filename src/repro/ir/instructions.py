@@ -43,7 +43,9 @@ class Instr:
         #: True when this value is a raw machine scalar (not a boxed RVector).
         self.unboxed = False
 
-    def replace_arg(self, old: "Instr", new: "Instr") -> None:
+    def replace_value(self, old: "Instr", new: "Instr") -> None:
+        """The holder protocol of ``Graph.replace_all_uses`` (frame states
+        and OSR anchors answer the same call)."""
         self.args = [new if a is old else a for a in self.args]
 
     @property
@@ -116,8 +118,8 @@ class Phi(Instr):
         self.inputs.append((block, value))
         self.args.append(value)
 
-    def replace_arg(self, old: Instr, new: Instr) -> None:
-        super().replace_arg(old, new)
+    def replace_value(self, old: Instr, new: Instr) -> None:
+        super().replace_value(old, new)
         self.inputs = [(b, new if v is old else v) for b, v in self.inputs]
 
 

@@ -457,23 +457,13 @@ class Lowerer:
     # -- guards fusion ---------------------------------------------------------------------
 
     def _find_fused_guards(self) -> Dict[int, I.Assume]:
-        """Map id(test-instr) -> Assume when the test feeds only that Assume."""
-        use_count: Dict[int, int] = {}
-        only_assume: Dict[int, Optional[I.Assume]] = {}
-        for ins in self.graph.iter_instrs():
-            for a in ins.args:
-                use_count[id(a)] = use_count.get(id(a), 0) + 1
-                if isinstance(ins, I.Assume):
-                    only_assume.setdefault(id(a), ins)
-            fs = getattr(ins, "framestate", None)
-            if fs is not None:
-                for v in fs.iter_values():
-                    use_count[id(v)] = use_count.get(id(v), 0) + 2  # framestate use blocks fusion
+        """Map id(test-instr) -> Assume when the test feeds only that Assume
+        (a frame-state slot is a use too, and blocks fusion)."""
         fused = {}
-        for ins in self.graph.iter_instrs():
-            if isinstance(ins, (I.IsType, I.IsIdentical)) and use_count.get(id(ins)) == 1:
-                asm = only_assume.get(id(ins))
-                if asm is not None and asm.args[0] is ins:
+        for ins, holders in self.graph.compute_uses().items():
+            if isinstance(ins, (I.IsType, I.IsIdentical)) and len(holders) == 1:
+                asm = holders[0]
+                if isinstance(asm, I.Assume) and asm.args[0] is ins:
                     fused[id(ins)] = asm
         return fused
 
@@ -550,11 +540,8 @@ class Lowerer:
         environment seed.  Any other outside definition means entering at
         the header would skip the code that computes it, so the pc gets no
         entry and hops fall back to whole-loop OSR compilation."""
-        anchors = getattr(self.graph, "osr_anchors", None)
-        if not anchors:
-            return
-        for pc, (header, var_phis, stack_phis) in anchors.items():
-            entry = self._osr_entry_for(pc, header, var_phis, stack_phis)
+        for pc, anchor in self.graph.osr_anchors.items():
+            entry = self._osr_entry_for(pc, anchor.header, anchor.vars, anchor.stack)
             if entry is not None:
                 self.nc.osr_entries[pc] = entry
 

@@ -277,11 +277,6 @@ def _try_inline(graph: Graph, vm, call: I.StaticCall, budget_left: int):
         bb.append(share)
     bb.append(I.Jump(sub.entry))
 
-    for i, p in enumerate(params):
-        graph.replace_all_uses(p, argvals[i])
-        if p.block is not None:
-            p.block.remove(p)
-
     if env_c is not None:
         for sbb in sub.blocks:
             for ins in sbb.instrs:
@@ -312,6 +307,13 @@ def _try_inline(graph: Graph, vm, call: I.StaticCall, budget_left: int):
         rbb.append(I.Jump(cont))
         phi.add_input(rbb, v)
     cont.insert_front(phi)
+
+    # -- the splice is in place: index it once, then substitute ------------------
+    graph.compute_uses()
+    for p, a in zip(params, argvals):
+        graph.replace_all_uses(p, a)
+        if p.block is not None:
+            p.block.remove(p)
     graph.replace_all_uses(call, phi)
 
     graph.recompute_preds()

@@ -19,11 +19,15 @@ from ..ir.cfg import Graph
 def simplify(graph: Graph) -> int:
     """Run local simplifications to a fixpoint; returns rewrite count."""
     total = 0
+    # no rewrite below edits the CFG, and every one goes through
+    # replace_all_uses: one block order and one use index serve all rounds
+    order = graph.rpo()
+    graph.compute_uses()
     for _ in range(10):
         n = (
-            _simplify_phis(graph)
-            + _peephole(graph)
-            + _dedup_guards(graph)
+            _simplify_phis(graph, order)
+            + _peephole(graph, order)
+            + _dedup_guards(graph, order)
         )
         total += n
         if n == 0:
@@ -31,10 +35,10 @@ def simplify(graph: Graph) -> int:
     return total
 
 
-def _simplify_phis(graph: Graph) -> int:
+def _simplify_phis(graph: Graph, order) -> int:
     """Remove phis whose inputs are all the same value (or themselves)."""
     n = 0
-    for bb in graph.rpo():
+    for bb in order:
         for phi in list(bb.phis()):
             inputs = {v for _, v in phi.inputs if v is not phi}
             if len(inputs) == 1:
@@ -53,12 +57,12 @@ def _skip_casts(v: I.Instr) -> I.Instr:
     return v
 
 
-def _peephole(graph: Graph) -> int:
+def _peephole(graph: Graph, order) -> int:
     """Unbox(Box(x)) -> x, Box(Unbox(x)) -> x, constant-fold prim ops,
     Unbox(Const) -> unboxed const, and fold IsType on statically-typed
     values.  All the pair folds look through CastType chains."""
     n = 0
-    for bb in graph.rpo():
+    for bb in order:
         for ins in list(bb.instrs):
             # Force of a value that is statically not a promise is the
             # identity: a freshly Boxed scalar, an unboxed raw, or a
@@ -181,10 +185,10 @@ def _fold_prim(ins) -> Optional[I.Const]:
         return None
 
 
-def _dedup_guards(graph: Graph) -> int:
+def _dedup_guards(graph: Graph, order) -> int:
     """Within a block, drop a second identical type guard on the same value."""
     n = 0
-    for bb in graph.rpo():
+    for bb in order:
         seen: Dict[tuple, I.Instr] = {}
         for ins in list(bb.instrs):
             if isinstance(ins, I.IsType):

@@ -53,6 +53,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..ir import instructions as I
 from ..ir.cfg import BasicBlock, Graph
+from ..osr.framestate import FrameStateDescr
 
 #: arithmetic ops a VMAP_ARITH kernel can replicate exactly
 _MAP_OPS = ("+", "-", "*", "/")
@@ -863,15 +864,25 @@ def _classify(graph: Graph, plan: LoopPlan, uses, in_loop, acc_update, cmp_ins, 
 
     # no loop-defined value may be used outside the loop (the kernel only
     # reconstructs registers that the retained scalar loop re-derives)
+    # (header phi registers are written by the kernel; uses anywhere are fine)
     loop_blocks = {header.id} | {bb.id for bb in plan.body_blocks}
-    header_phis = set(id(p) for p in header.phis())
+    loop_frames = set()
     for bb in plan.body_blocks:
         for ins in bb.instrs:
-            for user in uses.get(ins, []):
-                if user.block is not None and user.block.id not in loop_blocks:
+            fs = getattr(ins, "framestate", None)
+            while fs is not None:
+                loop_frames.add(id(fs))
+                fs = fs.parent
+    for bb in plan.body_blocks:
+        for ins in bb.instrs:
+            for user in uses.get(ins, ()):
+                if isinstance(user, FrameStateDescr):
+                    outside = id(user) not in loop_frames
+                else:  # an OSR anchor is a holder no code runs at
+                    blk = getattr(user, "block", None)
+                    outside = blk is not None and blk.id not in loop_blocks
+                if outside:
                     return fail("value-escapes-loop")
-    for phi in header.phis():
-        pass  # header phi registers are written by the kernel; uses anywhere are fine
 
     # every framestate value referenced inside the loop must be role-mapped
     # or loop-invariant (checked again with registers at lowering)

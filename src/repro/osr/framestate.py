@@ -119,24 +119,28 @@ class FrameStateDescr:
         self.parent: Optional["FrameStateDescr"] = parent
         self.fun = fun
 
-    def iter_values(self):
-        for _, v in self.env_slots:
-            yield v
-        for v in self.stack:
-            yield v
+    def own_values(self) -> list:
+        """The values this frame names itself, one per slot — what makes it
+        a holder in the graph's use index.  ``parent`` is a holder of its
+        own: a frame shared by several children is visited once."""
+        vals = [v for _, v in self.env_slots]
+        vals += self.stack
         if self.env_value is not None:
-            yield self.env_value
-        if self.parent is not None:
-            for v in self.parent.iter_values():
-                yield v
+            vals.append(self.env_value)
+        return vals
+
+    def iter_values(self):
+        """Every value of the chain: this frame's, then its parents'."""
+        fs = self
+        while fs is not None:
+            yield from fs.own_values()
+            fs = fs.parent
 
     def replace_value(self, old, new) -> None:
         self.env_slots = [(n, new if v is old else v) for n, v in self.env_slots]
         self.stack = [new if v is old else v for v in self.stack]
         if self.env_value is old:
             self.env_value = new
-        if self.parent is not None:
-            self.parent.replace_value(old, new)
 
     def __repr__(self) -> str:  # pragma: no cover
         return "<fs %s@%d env=%d stack=%d%s>" % (
