@@ -559,14 +559,14 @@ class GraphBuilder:
         self.ir_blocks = ir_blocks
 
         self.in_values: Dict[int, "ValState"] = {}
+        #: join / loop-header blocks: the edges sealed before the block is
+        #: translated wait in ``early_edges``; translating it makes its phis
+        #: (``_join_values``) and files them under ``pending_phis`` for the
+        #: edges sealed after (back edges)
+        self.early_edges: Dict[int, list] = {}
         self.pending_phis: Dict[int, "ValState"] = {}
         self.sealed: set = set()  # bc blocks a translated edge leads to
-
-        # pre-create phis for every join / loop-header block so edges can be
-        # sealed in any order
-        for b in self.bc_order:
-            if b.is_join or b.is_loop_header:
-                self._prepare_phis(b)
+        self.bc_pos = {b.start: i for i, b in enumerate(self.bc_order)}
 
         # entry block: parameters, then the edge into the first bc block
         vals_entry = self._build_entry(entry_bb)
@@ -641,8 +641,8 @@ class GraphBuilder:
             # a loop header left with back edges only is dead, phis or not).
             # The empty IR block is dropped by recompute_preds/rpo.
             return
-        if b.start in self.pending_phis:
-            canonical = self.pending_phis[b.start]
+        if b.is_join or b.is_loop_header:
+            canonical = self._join_values(b)
             vals = ValState(list(canonical.stack), dict(canonical.vars))
         else:
             vals = self.in_values[b.start]
@@ -671,54 +671,111 @@ class GraphBuilder:
     def _seal_edge_from(self, pred_bb: BasicBlock, succ_start: int, out: "ValState") -> None:
         self.sealed.add(succ_start)
         succ = self.blocks[succ_start]
-        if succ.is_join or succ.is_loop_header:
+        if not (succ.is_join or succ.is_loop_header):
+            self.in_values[succ_start] = ValState(list(out.stack), dict(out.vars))
+        elif succ_start in self.pending_phis:
             self._add_phi_inputs(succ_start, pred_bb, out)
         else:
-            self.in_values[succ_start] = ValState(list(out.stack), dict(out.vars))
+            self.early_edges.setdefault(succ_start, []).append((pred_bb, out))
 
-    def _prepare_phis(self, b: BcBlock) -> None:
+    def _join_values(self, b: BcBlock) -> "ValState":
+        """The values at the top of a join or loop header, made when it is
+        translated — bc order is RPO, so every forward edge is sealed.  A
+        slot gets a phi only where ``simplify`` would keep one: when all
+        sealed edges deliver one value in the phi's own type and mode
+        (after the Box/Unbox ``_coerce`` puts at the end of a predecessor —
+        how a loop-invariant scalar is unboxed once, in the preheader), the
+        slot *is* that value.  With edges still to come this holds for the
+        variables nothing in the loop rebinds (``_loop_rebinds``); stack
+        slots, and every slot of a block that is not a plain loop header
+        (one forward edge, the rest pc-backward), keep their phis."""
         st = self.in_states[b.start]
         bb = self.ir_blocks[b.start]
-        vals = ValState([], {})
-        for t in st.stack:
+        edges = self.early_edges.pop(b.start)
+        late = [p for p in b.preds if self.bc_pos[p] >= self.bc_pos[b.start]]
+        rebinds = None
+        if late and len(edges) == 1 and sorted(late) == sorted(p for p in b.preds if p >= b.start):
+            rebinds = self._loop_rebinds(b.start, max(self.blocks[p].end for p in late))
+
+        def slot(t: RType, unboxed: bool, name, values) -> I.Instr:
+            if None in values:
+                raise CompilationFailure("variable %r undefined on some path" % name)
+            ins = [self._coerce(v, t, unboxed, pred) for v, (pred, _) in zip(values, edges)]
+            v = ins[0]
+            # (a Force stays behind its phi: the translation forces an
+            # ANY-typed phi again, and nothing folds Force(Force(x)))
+            if (all(c is v for c in ins) and v.type == t and not isinstance(v, I.Force)
+                    and (not late or (rebinds is not None and name is not None
+                                      and not rebinds(name, v)))):
+                return v
             phi = I.Phi(t)
-            bb.append(phi)
-            vals.stack.append(phi)
+            phi.unboxed = unboxed
+            bb.append(phi)  # the block is still empty: phis lead it
+            for c, (pred, _) in zip(ins, edges):
+                phi.add_input(pred, c)
+            return phi
+
+        vals = ValState([], {})
+        for i, t in enumerate(st.stack):
+            vals.stack.append(slot(t, False, None, [out.stack[i] for _, out in edges]))
         for name, t in st.vars.items():
             if t is _BOTTOM or t == "maybe-undefined":
                 continue
-            phi = I.Phi(t)
-            phi.unboxed = t.unboxable
-            bb.append(phi)
-            vals.vars[name] = phi
+            vals.vars[name] = slot(t, t.unboxable, name, [out.vars.get(name) for _, out in edges])
         self.pending_phis[b.start] = vals
-        self.in_values[b.start] = vals
         if b.is_loop_header:
-            # OSR anchor: at a loop header every live named value and stack
-            # slot is one of these phis, so a frame materialized at this pc
-            # maps slot-for-slot onto the header's registers (lower.py turns
-            # surviving anchors into the unit's OSR entry map)
+            # OSR anchor: a frame materialized at this pc maps slot-for-slot
+            # onto these values (lower.py turns surviving anchors into the
+            # unit's OSR entry map)
             self.graph.osr_anchors[b.start] = OsrAnchor(bb, dict(vals.vars), list(vals.stack))
+        return vals
+
+    def _loop_rebinds(self, head: int, tail: int):
+        """Test ``(name, value) -> bool``: may translating the loop in pcs
+        ``[head, tail)`` bind ``name`` to anything but ``value``?  A store
+        does; a load does when it forces or guards what it finds."""
+        stored, loads = set(), {}
+        for pc in range(head, tail):
+            ins = self.code.code[pc]
+            if ins[0] == O.ST_VAR:
+                stored.add(self.code.names[ins[1]])
+            elif ins[0] in (O.LD_VAR, O.LD_FUN):
+                loads.setdefault(self.code.names[ins[1]], []).append(pc)
+
+        def rebinds(name: str, v: I.Instr) -> bool:
+            if name in stored:
+                return True
+            pcs = loads.get(name, ())
+            if v.type == ANY and not v.unboxed:
+                return bool(pcs)  # the first load forces it
+            return any(self.code.code[pc][0] == O.LD_VAR
+                       and self._ld_var_plan(pc, v.type)[1] is not None for pc in pcs)
+
+        return rebinds
 
     def _add_phi_inputs(self, succ_start: int, pred_bb: BasicBlock, out: "ValState") -> None:
+        """An edge sealed after its target was translated (a back edge)."""
         vals = self.pending_phis[succ_start]
-        for phi, v in zip(vals.stack, out.stack):
-            phi.add_input(pred_bb, self._coerce_for_phi(phi, v, pred_bb))
-        for name, phi in vals.vars.items():
-            v = out.vars.get(name)
+        bb = self.ir_blocks[succ_start]
+        slots = list(zip(vals.stack, out.stack))
+        slots += [(at, out.vars.get(name)) for name, at in vals.vars.items()]
+        for at, v in slots:
             if v is None:
-                raise CompilationFailure("variable %r undefined on some path" % name)
-            phi.add_input(pred_bb, self._coerce_for_phi(phi, v, pred_bb))
+                raise CompilationFailure("variable undefined on some path")
+            if isinstance(at, I.Phi) and at.block is bb:
+                at.add_input(pred_bb, self._coerce(v, at.type, at.unboxed, pred_bb))
+            elif v is not at:
+                raise CompilationFailure("loop-invariant %s rebound in its loop" % at.name)
 
-    def _coerce_for_phi(self, phi: I.Phi, v: I.Instr, pred_bb: BasicBlock) -> I.Instr:
-        """Box/unbox ``v`` at the end of ``pred_bb`` to match the phi's mode."""
-        if phi.unboxed and not v.unboxed:
-            if not v.type.unboxable and not phi.type.unboxable:
+    def _coerce(self, v: I.Instr, t: RType, unboxed: bool, pred_bb: BasicBlock) -> I.Instr:
+        """Box/unbox ``v`` at the end of ``pred_bb`` to a phi's mode."""
+        if unboxed and not v.unboxed:
+            if not v.type.unboxable and not t.unboxable:
                 raise CompilationFailure("cannot unbox %r for phi" % v.type)
-            u = I.Unbox(phi.type.kind, v)
+            u = I.Unbox(t.kind, v)
             self._insert_at_end(pred_bb, u)
             return u
-        if not phi.unboxed and v.unboxed:
+        if not unboxed and v.unboxed:
             bx = I.Box(v.type.kind, v)
             self._insert_at_end(pred_bb, bx)
             return bx

@@ -4,6 +4,7 @@ environment elision, continuation entry, and the guard-soundness rules."""
 import pytest
 
 from conftest import make_vm
+from repro import from_r
 from repro.ir import instructions as I
 from repro.ir.builder import CompilationFailure, GraphBuilder, env_escapes, partition_bytecode
 from repro.runtime.rtypes import ANY, Kind, RType, scalar, vector
@@ -215,3 +216,99 @@ def test_framestates_reference_loop_state():
     assert in_loop
     names = {n for a in in_loop for n, _ in a.framestate.env_slots}
     assert "total" in names
+
+
+# -- phis are made where simplify would keep them ------------------------------------
+
+INVARIANT_SRC = """
+scale <- function(v, n) {
+  k <- 2L
+  s <- 0L
+  for (i in 1:n) s <- s + v[[i]] * k
+  s
+}
+"""
+
+
+def test_loop_invariant_scalar_is_unboxed_once_in_the_preheader():
+    """``k`` is a boxed constant nothing in the loop rebinds: the header gets
+    no phi for it, the loop reads the one Unbox at the end of the preheader,
+    and the header's OSR anchor names that Unbox."""
+    from repro.native.lower import lower
+    from repro.opt.pipeline import optimize
+
+    vm = warmed_vm(INVARIANT_SRC, ["x <- c(1L, 2L, 3L)", "scale(x, 3L)", "scale(x, 3L)"])
+    g = build_for(vm, "scale")
+    (k,) = [c for c in instrs_of(g, I.Const) if getattr(c.value, "data", None) == [2]]
+    (unbox,) = [u for u in instrs_of(g, I.Unbox) if u.args[0] is k]
+    (pc, anchor), = g.osr_anchors.items()
+    assert anchor.vars["k"] is unbox
+    assert unbox.block in anchor.header.preds and unbox.block is not anchor.header
+    assert isinstance(anchor.vars["s"], I.Phi)  # stored in the loop
+    # every phi built is one simplify keeps
+    from repro.opt.simplify import simplify
+
+    phis = instrs_of(g, I.Phi)
+    simplify(g)
+    assert [p for p in phis if p.block is None] == []
+    optimize(g, vm.config)
+    assert pc in lower(g).osr_entries
+
+
+def test_sum_phases_executes_the_ops_it_did_with_every_phi_pre_created():
+    """The builder binds a variable to what the first phi sweep would have
+    substituted, so the code is the same: counts taken with the pre-created
+    phis (a change that means to move them re-takes the two numbers)."""
+    from repro.bench.programs import REGISTRY
+
+    w = REGISTRY.get("sum_phases")
+    vm = make_vm(enable_deoptless=True)
+    vm.eval(w.source)
+    vm.eval(w.setup_code(w.n_test))
+    for _ in range(6):
+        vm.eval(w.call_code(w.n_test))
+    assert (vm.state.native_ops, vm.state.guards_executed) == (9668, 808)
+
+
+def test_header_with_two_forward_edges_still_compiles():
+    """No source construct jumps straight to a loop head from both arms of
+    a branch; hand-written bytecode does.  Such a header keeps a phi per
+    slot (only a single forward edge's value can stand for the variable)."""
+    from repro.bytecode import opcodes as O
+    from repro.runtime.values import RVector
+
+    def const(v):
+        vec = RVector(Kind.INT, [v])
+        vec.named = 2
+        return vec
+
+    results = {}
+    for tier in ("interp", "jit"):
+        vm = make_vm(**({"enable_jit": False} if tier == "interp" else {"compile_threshold": 2}))
+        vm.eval("f <- function(c, n) NULL")
+        code = vm.global_env.get("f").code
+        code.names = ["c", "n", "s", "i"]
+        code.consts = [const(0), const(5), const(1)]
+        code.code = [
+            (O.PUSH_CONST, 0), (O.ST_VAR, 2),      # s <- 0L
+            (O.PUSH_CONST, 0), (O.ST_VAR, 3),      # i <- 0L
+            (O.LD_VAR, 0), (O.BRFALSE, 8),         # if (c)
+            (O.PUSH_CONST, 1), (O.ST_VAR, 2),      #   s <- 5L     (falls into the head)
+            (O.LD_VAR, 3), (O.LD_VAR, 1), (O.COMPARE, "<"), (O.BRFALSE, 21),  # 8: head
+            (O.LD_VAR, 3), (O.PUSH_CONST, 2), (O.BINOP, "+"), (O.ST_VAR, 3),  # i <- i + 1L
+            (O.LD_VAR, 2), (O.LD_VAR, 3), (O.BINOP, "+"), (O.ST_VAR, 2),      # s <- s + i
+            (O.BR, 8),
+            (O.LD_VAR, 2), (O.RETURN,),
+        ]
+        code.lines = [1] * len(code.code)
+        code.feedback = {}
+        code.seal_feedback()
+        results[tier] = [from_r(vm.eval(c)) for c in ["f(TRUE, 4L)", "f(FALSE, 4L)"] * 3]
+        if tier == "jit":
+            assert vm.state.compiles > 0 and vm.state.compile_failures == 0
+            head = partition_bytecode(code, 0)[8]
+            assert sorted(head.preds) == [0, 6, 12] and head.is_loop_header
+            g = build_for(vm, "f")
+            assert {"s", "i"} <= set(n for n, v in g.osr_anchors[8].vars.items()
+                                     if isinstance(v, I.Phi) and v.block is g.osr_anchors[8].header)
+    assert results["interp"] == results["jit"] == [15, 10] * 3
