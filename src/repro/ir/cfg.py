@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterator, List, Optional
 
-from .instructions import Branch, Instr, Jump, Phi, Return
+from .instructions import Branch, Const, EnvParam, Instr, Jump, Param, Phi, Return
 
 
 class BasicBlock:
@@ -89,6 +89,15 @@ class OsrAnchor:
             if v is old:
                 self.vars[name] = new
         self.stack = [new if v is old else v for v in self.stack]
+
+    def dead_value(self) -> Optional[Instr]:
+        """A value named here that no block holds, if any.  Entry values and
+        constants need no block: the calling convention and ``reg_init``
+        define them."""
+        for v in [*self.vars.values(), *self.stack]:
+            if v.block is None and not isinstance(v, (Param, EnvParam, Const)):
+                return v
+        return None
 
 
 class Graph:

@@ -67,68 +67,77 @@ def verify(graph: Graph) -> None:
             else:
                 in_group = False
 
-    # dominance-lite: every use is defined in the same block earlier, in a
-    # strictly dominating block (approximated by: defined on every acyclic
-    # path — we check the cheap necessary condition that the definition's
-    # block reaches the use's block), or is a phi input from the right edge
-    defined_in: Dict[int, BasicBlock] = {}
-    for bb in reachable:
+    # dominance: a non-phi operand and a frame-state slot are dominated by
+    # their definition — an earlier instruction of the block, or any of a
+    # block up the dominator tree — and a phi input by the end of the
+    # predecessor it flows in from.  One walk down the tree, the set of
+    # definitions in scope kept as it goes.  Frame states besides: the
+    # parent chain is acyclic and every frame's pc indexes its bytecode.
+    children: Dict[BasicBlock, List[BasicBlock]] = {}
+    for bb, dom in graph.idom(reachable).items():
+        if dom is not bb:
+            children.setdefault(dom, []).append(bb)
+    scope: Set[int] = set()
+    walk = [(graph.entry, True)] if reachable else []
+    while walk:
+        bb, entering = walk.pop()
+        if not entering:
+            scope.difference_update(map(id, bb.instrs))
+            continue
+        walk.append((bb, False))
+        walk.extend((c, True) for c in children.get(bb, ()))
         for ins in bb.instrs:
-            defined_in[id(ins)] = bb
-    for bb in reachable:
-        seen_here: Set[int] = set()
-        for ins in bb.instrs:
-            operands = ins.inputs if isinstance(ins, I.Phi) else [(None, a) for a in ins.args]
-            for edge, a in operands:
-                if id(a) not in defined_in:
-                    raise VerificationError(
-                        "BB%d: %s uses a value not in the graph: %s"
-                        % (bb.id, ins.name, a.short())
-                    )
-                def_bb = defined_in[id(a)]
-                if def_bb is bb and not isinstance(ins, I.Phi) and id(a) not in seen_here:
-                    raise VerificationError(
-                        "BB%d: %s uses %s before its definition"
-                        % (bb.id, ins.name, a.name)
-                    )
-            seen_here.add(id(ins))
-
-    # framestates: every frame of the (possibly nested) chain is well-formed
-    #   * the parent chain is acyclic
-    #   * each frame's pc is a valid index into its bytecode
-    #   * every referenced value (any frame) is in the graph and, when it is
-    #     defined in the checkpoint's own block, is defined *before* the
-    #     checkpoint (the deopt must be able to read it)
-    for bb in reachable:
-        pos = {id(ins): i for i, ins in enumerate(bb.instrs)}
-        for ins in bb.instrs:
+            if not isinstance(ins, I.Phi):
+                for a in ins.args:
+                    if id(a) not in scope:
+                        _undominated(reachable, bb, ins.name, a, "before its definition")
             fs = getattr(ins, "framestate", None)
-            if fs is None:
-                continue
-            chain_seen: Set[int] = set()
-            frame = fs
-            while frame is not None:
-                if id(frame) in chain_seen:
-                    raise VerificationError(
-                        "BB%d: framestate of %s has a cyclic parent chain"
-                        % (bb.id, ins.name)
-                    )
-                chain_seen.add(id(frame))
-                if not (0 <= frame.pc < len(frame.code.code)):
-                    raise VerificationError(
-                        "BB%d: framestate of %s has pc %d outside %s (len %d)"
-                        % (bb.id, ins.name, frame.pc, frame.code.name,
-                           len(frame.code.code))
-                    )
-                frame = frame.parent
-            for v in fs.iter_values():
-                if id(v) not in defined_in:
-                    raise VerificationError(
-                        "BB%d: framestate of %s references a value not in "
-                        "the graph" % (bb.id, ins.name)
-                    )
-                if defined_in[id(v)] is bb and pos[id(v)] >= pos[id(ins)]:
-                    raise VerificationError(
-                        "BB%d: framestate of %s references %s defined after "
-                        "the checkpoint" % (bb.id, ins.name, v.name)
-                    )
+            if fs is not None:
+                _check_frames(bb, ins, fs)
+                for v in fs.iter_values():
+                    if id(v) not in scope:
+                        _undominated(reachable, bb, "framestate of " + ins.name, v,
+                                     "defined after the checkpoint")
+            scope.add(id(ins))
+        for s in bb.successors():
+            for phi in s.phis():
+                for edge, v in phi.inputs:
+                    if edge is bb and id(v) not in scope:
+                        _undominated(reachable, bb, "%s of BB%d" % (phi.name, s.id), v,
+                                     "before its definition")
+
+    # OSR anchors are uses too: a rewrite that misses one leaves the entry
+    # map naming an instruction no block holds (DCE drops the anchor of a
+    # header value it removes)
+    for pc, anchor in graph.osr_anchors.items():
+        v = anchor.dead_value()
+        if v is not None:
+            raise VerificationError(
+                "OSR anchor at pc %d names %s, which is in no block" % (pc, v.name))
+
+
+def _undominated(reachable, bb: BasicBlock, user: str, v, same_block: str) -> None:
+    """Say why ``v`` is not in scope at a use in ``bb`` (the slow path)."""
+    home = next((b for b in reachable if any(i is v for i in b.instrs)), None)
+    if home is None:
+        why = "uses a value not in the graph: %s" % v.short()
+    elif home is bb:
+        why = "uses %s %s" % (v.name, same_block)
+    else:
+        why = "uses %s, whose definition in BB%d does not dominate it" % (v.name, home.id)
+    raise VerificationError("BB%d: %s %s" % (bb.id, user, why))
+
+
+def _check_frames(bb: BasicBlock, ins, fs) -> None:
+    chain_seen: Set[int] = set()
+    frame = fs
+    while frame is not None:
+        if id(frame) in chain_seen:
+            raise VerificationError(
+                "BB%d: framestate of %s has a cyclic parent chain" % (bb.id, ins.name))
+        chain_seen.add(id(frame))
+        if not (0 <= frame.pc < len(frame.code.code)):
+            raise VerificationError(
+                "BB%d: framestate of %s has pc %d outside %s (len %d)"
+                % (bb.id, ins.name, frame.pc, frame.code.name, len(frame.code.code)))
+        frame = frame.parent

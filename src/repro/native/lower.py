@@ -567,11 +567,6 @@ class Lowerer:
                 # writing its (possibly shared) register would clobber other
                 # uses — the hop simply doesn't need to seed anything
                 continue
-            if v.block is None and not isinstance(v, (I.Param, I.EnvParam)):
-                # DCE removed the phi with no forwarded replacement: the
-                # variable is provably dead in the region, but a deopt-out
-                # would then lose its binding — refuse the whole pc
-                return None
             r = self.reg_of.get(id(v))
             if r is None:
                 return None
@@ -580,9 +575,7 @@ class Lowerer:
             seeds.add(id(v))
         stack_slots = []
         for v in stack_phis:
-            if isinstance(v, I.Const) or (
-                v.block is None and not isinstance(v, (I.Param, I.EnvParam))
-            ):
+            if isinstance(v, I.Const):
                 return None  # a const stack slot's register may be shared
             r = self.reg_of.get(id(v))
             if r is None:

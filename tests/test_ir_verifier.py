@@ -95,6 +95,80 @@ def test_use_of_foreign_value_rejected():
         verify(g)
 
 
+def _diamond():
+    """b0 branches to b1 and b2, which join in b3; ``v1`` is defined in b1."""
+    g = Graph("g")
+    b0, b1, b2, b3 = (g.new_block() for _ in range(4))
+    cond = b0.append(I.Const(True, scalar(Kind.LGL)))
+    cond.unboxed = True
+    b0.append(I.Branch(cond, b1, b2))
+    v1 = b1.append(I.Const(1.0, scalar(Kind.DBL)))
+    b1.append(I.Jump(b3))
+    b2.append(I.Jump(b3))
+    return g, cond, v1, b3
+
+
+def test_use_after_a_join_of_a_value_from_one_arm_rejected():
+    """In the graph, reached from its definition, not dominated by it."""
+    g, _, v1, b3 = _diamond()
+    b3.append(I.Return(b3.append(I.Box(Kind.DBL, v1))))
+    with pytest.raises(VerificationError, match="definition in BB1 does not dominate"):
+        verify(g)
+
+
+def test_framestate_slot_from_one_arm_rejected():
+    from repro.osr.framestate import DeoptReasonKind, FrameStateDescr
+
+    class FakeCode:
+        name, code = "f", [None] * 4
+
+    g, cond, v1, b3 = _diamond()
+    fs = FrameStateDescr(FakeCode(), 3, [("x", v1)], [])
+    b3.append(I.Assume(cond, fs, DeoptReasonKind.TYPECHECK, 3))
+    b3.append(I.Return(cond))
+    with pytest.raises(VerificationError, match="framestate of .* does not dominate"):
+        verify(g)
+
+
+def test_loop_carried_value_verifies():
+    """A phi input need only dominate the end of the edge it flows in on:
+    the back edge's value is defined below the phi that reads it."""
+    g = Graph("g")
+    b0, b1, b2, b3 = (g.new_block() for _ in range(4))
+    zero = b0.append(I.Const(0, scalar(Kind.INT)))
+    one = b0.append(I.Const(1, scalar(Kind.INT)))
+    zero.unboxed = one.unboxed = True
+    b0.append(I.Jump(b1))
+    phi = I.Phi(scalar(Kind.INT))
+    phi.unboxed = True
+    b1.insert_front(phi)
+    cond = b1.append(I.PrimCompare("<", Kind.INT, phi, one))
+    b1.append(I.Branch(cond, b2, b3))
+    nxt = b2.append(I.PrimArith("+", Kind.INT, phi, one))
+    b2.append(I.Jump(b1))
+    phi.add_input(b0, zero)
+    phi.add_input(b2, nxt)
+    b3.append(I.Return(b3.append(I.Box(Kind.INT, phi))))
+    verify(g)
+    # ... and an input that is not there at the end of its edge is caught
+    phi.inputs[0] = (b0, nxt)
+    phi.args[0] = nxt
+    with pytest.raises(VerificationError, match="does not dominate"):
+        verify(g)
+
+
+def test_osr_anchor_naming_a_removed_instruction_rejected():
+    from repro.ir.cfg import OsrAnchor
+
+    g, bb, c = good_graph()
+    gone = bb.insert_before(bb.terminator, I.Box(Kind.DBL, c))
+    g.osr_anchors[0] = OsrAnchor(bb, {"x": gone}, [])
+    verify(g)
+    bb.remove(gone)  # a rewrite that forgot the anchor
+    with pytest.raises(VerificationError, match="OSR anchor at pc 0"):
+        verify(g)
+
+
 def test_all_compiled_functions_verify():
     """Every graph the real pipeline produces must verify (builder output,
     optimized output, and continuations)."""
