@@ -433,6 +433,10 @@ def _stabilize(value: Any, resolver: WorldResolver, out: list) -> None:
         _canon(value, out)
 
 
+#: "no digest was taken" — None already means "the key has no stable form"
+NO_DIGEST = object()
+
+
 def stable_digest(key: tuple, resolver: WorldResolver) -> Optional[str]:
     """World-independent digest of ``key``, or None when the key pins an
     object that has no stable name in this world."""
@@ -512,6 +516,12 @@ class CodeCache:
         #: serving"): a shared rebind replaces a compile this session would
         #: otherwise have done, and must be signature-neutral.
         self.last_hit_shared = False
+        #: the stable digest the last :meth:`lookup` took of its key, or
+        #: ``NO_DIGEST`` when an exact hit needed none.  ``unit.obtain`` reads
+        #: it right after a miss and hands it to :meth:`insert` once the unit
+        #: is built: nothing ran in between, so the world it was taken in
+        #: still stands and the key is not digested twice.
+        self.last_digest: Any = NO_DIGEST
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -523,6 +533,7 @@ class CodeCache:
         stable layer (memory, then the process-shared fleet cache, then
         disk), rebinding stable hits into the current world."""
         self.last_hit_shared = False
+        self.last_digest = NO_DIGEST
         entry = self.entries.get(key)
         if entry is not None and entry.root_code is root_code:
             self.entries.move_to_end(key)
@@ -539,7 +550,7 @@ class CodeCache:
 
     def _stable_lookup(self, key: tuple, vm, root_code: CodeObject):
         resolver = WorldResolver(vm)
-        digest = stable_digest(key, resolver)
+        digest = self.last_digest = stable_digest(key, resolver)
         if digest is None:
             return None
         from_shared = False
@@ -577,9 +588,14 @@ class CodeCache:
 
     # -- insert / eviction ----------------------------------------------------
 
-    def insert(self, key: tuple, ncode, vm, root_code: CodeObject) -> None:
+    def insert(self, key: tuple, ncode, vm, root_code: CodeObject,
+               digest: Any = NO_DIGEST) -> None:
+        """Admit a fresh unit.  ``digest`` is the key's stable digest when
+        the caller holds one taken in the world as it stands (the probe that
+        missed); a queued install passes none — the world may have moved."""
         resolver = WorldResolver(vm)
-        digest = stable_digest(key, resolver)
+        if digest is NO_DIGEST:
+            digest = stable_digest(key, resolver)
         self._admit(key, ncode, vm, root_code, digest=digest)
         self._stable_insert(key, ncode, vm, root_code, resolver, digest)
 

@@ -380,3 +380,24 @@ def test_cache_hit_skips_reverification():
     warm(vm, "sumfn2")
     assert vm.state.ir_verifies == verifies_after_first, \
         "cache hit must not re-run IR verification"
+
+
+# ---------------------------------------------------------------------------
+# one digest per miss
+# ---------------------------------------------------------------------------
+
+def test_a_miss_digests_its_key_once(monkeypatch):
+    """The probe that misses takes the key's stable digest; the insert of
+    the unit built for it reuses that digest (nothing ran in between).  An
+    exact hit takes none."""
+    taken = []
+    digest = codecache.stable_digest
+    monkeypatch.setattr(codecache, "stable_digest",
+                        lambda key, resolver: taken.append(key) or digest(key, resolver))
+    vm = cache_vm()
+    warm(vm)
+    assert vm.state.compiles == 1 and vm.state.codecache_misses == 1
+    assert len(taken) == 1
+    (entry,) = vm.code_cache.entries.values()
+    assert entry.digest == digest(taken[0], codecache.WorldResolver(vm))
+    assert entry.digest in vm.code_cache.stable_bytes
