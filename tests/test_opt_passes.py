@@ -185,3 +185,205 @@ def test_dedup_guards_same_block():
     guards = [i for i in g.iter_instrs() if isinstance(i, I.IsType)]
     # one guard for `a`, not three
     assert len(guards) <= 1
+
+
+# ---------------------------------------------------------------------------
+# the use index: structure, not speed
+# ---------------------------------------------------------------------------
+#
+# One instrumented run per program compiles everything the program tiers up
+# (whole functions, OSR-in units, continuations under chaos) and keeps what
+# the tests below assert on; a second run, with the whole-graph scan the use
+# index replaced standing in for ``Graph.replace_all_uses``, is the oracle.
+
+import contextlib
+import functools
+import importlib
+import re
+
+import pytest
+from hypothesis import given, settings
+
+import test_differential_fuzz as fuzz
+from repro.bench.programs import REGISTRY
+from repro.ir.cfg import OsrAnchor, print_graph
+from repro.jit import unit
+from repro.opt import pipeline
+
+simplify_mod = importlib.import_module("repro.opt.simplify")  # repro.opt.simplify is the function
+
+_RUN_CFG = dict(compile_threshold=1, osr_threshold=25, enable_deoptless=True,
+                chaos_rate=0.02, chaos_seed=7)
+
+
+def _scan_replace_all_uses(self, old, new):
+    """``Graph.replace_all_uses`` as it was before the use index: visit every
+    instruction, every frame of every checkpoint and every anchor."""
+    for ins in self.iter_instrs():
+        if old in ins.args:
+            ins.replace_value(old, new)
+        fs = getattr(ins, "framestate", None)
+        while fs is not None:
+            fs.replace_value(old, new)
+            fs = fs.parent
+    for anchor in self.osr_anchors.values():
+        anchor.replace_value(old, new)
+
+
+def _dangling(graph):
+    """Holders reachable in ``graph`` that name an instruction no block has."""
+    bad = []
+    for bb in graph.rpo():
+        for ins in bb.instrs:
+            bad += [(ins.name, a.name) for a in ins.args if a.block is None]
+            fs = getattr(ins, "framestate", None)
+            if fs is not None:
+                bad += [("fs of " + ins.name, v.name) for v in fs.iter_values()
+                        if v.block is None]
+    bad += [("anchor %d" % pc, a.dead_value().name)
+            for pc, a in graph.osr_anchors.items() if a.dead_value() is not None]
+    return bad
+
+
+@contextlib.contextmanager
+def _swapped(owner, attr, make):
+    """Replace ``owner.attr`` by ``make(original)`` for the block."""
+    fn = getattr(owner, attr)
+    setattr(owner, attr, make(fn))
+    try:
+        yield
+    finally:
+        setattr(owner, attr, fn)
+
+
+def _after(owner, attr, hook):
+    """Call ``hook(args, result)`` after every call of ``owner.attr``."""
+    def make(fn):
+        def wrapped(*args, **kw):
+            result = fn(*args, **kw)
+            hook(args, result)
+            return result
+        return wrapped
+    return _swapped(owner, attr, make)
+
+
+def _compile_log(sources, calls, scan=False):
+    """Run ``calls`` on a fresh chaos VM; returns ``{"graphs": printed IR of
+    every optimized graph, "dangling": holders left dangling by some pass,
+    "rounds": per ``simplify`` call the rewrite count of each sub-pass run,
+    "builds": per ``unit.build`` (instructions built, holders visited)}``."""
+    log = {"graphs": [], "dangling": [], "rounds": [], "builds": []}
+    work = [0, 0]  # instructions built, holders visited — of the running build
+
+    def built(args, graph):
+        work[0] += sum(len(bb.instrs) for bb in graph.blocks)
+
+    def visited(args, result):
+        work[1] += 1
+
+    def unit_built(args, ncode):
+        log["builds"].append(tuple(work))
+        work[:] = [0, 0]
+
+    def optimized(args, graph):
+        log["graphs"].append(re.sub(r"0x[0-9a-f]+", "0x", print_graph(graph)))
+
+    def pass_ran(name):
+        def hook(args, result):
+            log["dangling"] += [(name,) + d for d in _dangling(args[0])]
+        return hook
+
+    with contextlib.ExitStack() as stack:
+        if scan:
+            stack.enter_context(
+                _swapped(Graph, "replace_all_uses", lambda fn: _scan_replace_all_uses))
+        for owner in (I.Instr, FrameStateDescr, OsrAnchor):
+            stack.enter_context(_after(owner, "replace_value", visited))
+        stack.enter_context(_after(GraphBuilder, "build", built))
+        stack.enter_context(_after(unit, "build", unit_built))
+        stack.enter_context(_after(unit, "optimize", optimized))
+        for name in ("inline_calls", "simplify", "dse", "dce", "vectorize_loops"):
+            stack.enter_context(_after(pipeline, name, pass_ran(name)))
+        # (outermost on simplify: opens the list its sub-passes append to)
+        stack.enter_context(_swapped(
+            pipeline, "simplify", lambda fn: lambda g: (log["rounds"].append([]), fn(g))[1]))
+        for sub in ("_simplify_phis", "_peephole", "_dedup_guards"):
+            stack.enter_context(_after(simplify_mod, sub,
+                                       lambda a, n: log["rounds"][-1].append(n)))
+        vm = make_vm(**_RUN_CFG)
+        for src in sources:
+            vm.eval(src)
+        for call in calls:
+            vm.eval(call)
+        assert vm.state.compile_failures == 0
+    return log
+
+
+@functools.lru_cache(maxsize=None)
+def _registry_log(name, scan=False):
+    w = REGISTRY.get(name)
+    return _compile_log((w.source, w.setup_code(w.n_test)),
+                        (w.call_code(w.n_test),) * 3, scan)
+
+
+@pytest.mark.parametrize("name", REGISTRY.names())
+def test_use_index_rewrites_as_the_whole_graph_scan_did(name):
+    log = _registry_log(name)
+    assert log["graphs"], "nothing compiled"
+    assert log["graphs"] == _registry_log(name, scan=True)["graphs"]
+
+
+_IVEC, _DVEC = "c(3L, -2L, 5L, 1L, 4L, -6L)", "c(3.5, -2.5, 5.5, 1.5, 4.5, -6.5)"
+_LONG = "c(%s)" % ", ".join("%dL" % (i % 7 - 3) for i in range(48))
+_LONGD = _LONG.replace("L", ".5")
+#: every strategy of tests/test_differential_fuzz.py, with calls that take
+#: its programs through tier-up, a phase change and (chaos) continuations
+_FUZZ = [
+    (fuzz.loop_program, ["kernel(%s, 6L)" % _IVEC] * 4 + ["kernel(%s, 6L)" % _DVEC] * 3),
+    (fuzz.call_chain_program, ["drive(h1, 6L)"] * 4 + ["drive(h2, 6L)"] * 3),
+    (fuzz.inline_program, ["drive(9L)"] * 4),
+    (fuzz.polymorphic_entry_program,
+     ["pksum(%s, 6L, 2L)" % v for v in (_IVEC, _DVEC, _IVEC, _DVEC)] * 2),
+    (fuzz.nested_loop_program, ["nest(%s, 3L, 6L)" % _IVEC] * 3),
+    (fuzz.gather_program, ["gsum(%s, c(2L, 6L, 1L, 3L), 4L)" % _IVEC] * 3),
+    (fuzz.envcapture_program, ["ecap(2L, 9L)"] * 4),
+    (fuzz.phaseflip_program, ["vh_flip(%s, %s, 48L)" % (_LONG, _LONG)] * 3
+     + ["vh_flip(%s, %s, 48L)" % (_LONG, _LONGD)] * 4),
+]
+
+
+@pytest.mark.parametrize("program, calls", _FUZZ, ids=[p.__name__ for p, _ in _FUZZ])
+def test_use_index_rewrites_as_the_scan_did_on_fuzzed_programs(program, calls):
+    @given(program())
+    @settings(max_examples=4, deadline=None)
+    def check(src):
+        log = _compile_log((src,), calls)
+        assert log["graphs"] and not log["dangling"]
+        assert log["graphs"] == _compile_log((src,), calls, scan=True)["graphs"]
+
+    check()
+
+
+@pytest.mark.parametrize("name", REGISTRY.names())
+def test_no_pass_leaves_a_dangling_holder(name):
+    """After each pass no reachable operand, frame-state slot (any frame of
+    a chain) or OSR anchor names an instruction that is in no block."""
+    assert not _registry_log(name)["dangling"]
+
+
+@pytest.mark.parametrize("name", REGISTRY.names())
+def test_simplify_converges_below_its_round_cap(name):
+    """``simplify`` stops after ten rounds without saying so: no registry
+    program may get there with rewrites still coming."""
+    for rounds in _registry_log(name)["rounds"]:
+        assert len(rounds) <= 30 and sum(rounds[-3:]) == 0, rounds
+
+
+@pytest.mark.parametrize("name", ["nbody", "storage"])  # nbody_step, storage_build
+def test_rewrites_cost_their_uses_not_the_graph(name):
+    """All the rewrites of one build together visit at most four holders per
+    instruction built, and under half of what a scan per rewrite visits."""
+    builds = _registry_log(name)["builds"]
+    assert builds and all(visits <= 4 * instrs for instrs, visits in builds), builds
+    scanned = _registry_log(name, scan=True)["builds"]
+    assert 2 * sum(v for _, v in builds) < sum(v for _, v in scanned)
