@@ -561,10 +561,10 @@ class GraphBuilder:
         self.in_values: Dict[int, "ValState"] = {}
         #: join / loop-header blocks: the edges sealed before the block is
         #: translated wait in ``early_edges``; translating it makes its phis
-        #: (``_join_values``) and files them under ``pending_phis`` for the
-        #: edges sealed after (back edges)
+        #: (``_join_values``) and files what each slot became under
+        #: ``joined``, for the edges sealed after (back edges)
         self.early_edges: Dict[int, list] = {}
-        self.pending_phis: Dict[int, "ValState"] = {}
+        self.joined: Dict[int, "ValState"] = {}
         self.sealed: set = set()  # bc blocks a translated edge leads to
         self.bc_pos = {b.start: i for i, b in enumerate(self.bc_order)}
 
@@ -673,7 +673,7 @@ class GraphBuilder:
         succ = self.blocks[succ_start]
         if not (succ.is_join or succ.is_loop_header):
             self.in_values[succ_start] = ValState(list(out.stack), dict(out.vars))
-        elif succ_start in self.pending_phis:
+        elif succ_start in self.joined:
             self._add_phi_inputs(succ_start, pred_bb, out)
         else:
             self.early_edges.setdefault(succ_start, []).append((pred_bb, out))
@@ -693,36 +693,46 @@ class GraphBuilder:
         bb = self.ir_blocks[b.start]
         edges = self.early_edges.pop(b.start)
         late = [p for p in b.preds if self.bc_pos[p] >= self.bc_pos[b.start]]
-        rebinds = None
-        if late and len(edges) == 1 and sorted(late) == sorted(p for p in b.preds if p >= b.start):
+        if not late:
+            rebinds = lambda name, v: False  # noqa: E731  (every edge is in)
+        elif len(edges) == 1 and sorted(late) == sorted(p for p in b.preds if p >= b.start):
             rebinds = self._loop_rebinds(b.start, max(self.blocks[p].end for p in late))
+        else:
+            rebinds = lambda name, v: True  # noqa: E731
+
+        preds = [pred for pred, _ in edges]
+        outs = [out for _, out in edges]
 
         def slot(t: RType, unboxed: bool, name, values) -> I.Instr:
+            v = values[0]
             if None in values:
                 raise CompilationFailure("variable %r undefined on some path" % name)
-            ins = [self._coerce(v, t, unboxed, pred) for v, (pred, _) in zip(values, edges)]
-            v = ins[0]
-            # (a Force stays behind its phi: the translation forces an
-            # ANY-typed phi again, and nothing folds Force(Force(x)))
-            if (all(c is v for c in ins) and v.type == t and not isinstance(v, I.Force)
-                    and (not late or (rebinds is not None and name is not None
-                                      and not rebinds(name, v)))):
-                return v
+            if values.count(v) == len(values) and (v.unboxed == unboxed or len(values) == 1):
+                # one value, and one coercion of it at most (each of several
+                # edges would make its own, and those differ)
+                if v.unboxed != unboxed:
+                    v = self._coerce(v, t, unboxed, preds[0])
+                # (a Force stays behind its phi: the translation forces an
+                # ANY-typed phi again, and nothing folds Force(Force(x)))
+                if v.type == t and not isinstance(v, I.Force) and not rebinds(name, v):
+                    return v
+                ins = [v] * len(values)
+            else:
+                ins = [self._coerce(w, t, unboxed, pred) for w, pred in zip(values, preds)]
             phi = I.Phi(t)
             phi.unboxed = unboxed
             bb.append(phi)  # the block is still empty: phis lead it
-            for c, (pred, _) in zip(ins, edges):
+            for c, pred in zip(ins, preds):
                 phi.add_input(pred, c)
             return phi
 
         vals = ValState([], {})
         for i, t in enumerate(st.stack):
-            vals.stack.append(slot(t, False, None, [out.stack[i] for _, out in edges]))
+            vals.stack.append(slot(t, False, None, [out.stack[i] for out in outs]))
         for name, t in st.vars.items():
-            if t is _BOTTOM or t == "maybe-undefined":
-                continue
-            vals.vars[name] = slot(t, t.unboxable, name, [out.vars.get(name) for _, out in edges])
-        self.pending_phis[b.start] = vals
+            if isinstance(t, RType):  # not bottom, not "maybe-undefined"
+                vals.vars[name] = slot(t, t.unboxable, name, [out.vars.get(name) for out in outs])
+        self.joined[b.start] = vals
         if b.is_loop_header:
             # OSR anchor: a frame materialized at this pc maps slot-for-slot
             # onto these values (lower.py turns surviving anchors into the
@@ -733,7 +743,8 @@ class GraphBuilder:
     def _loop_rebinds(self, head: int, tail: int):
         """Test ``(name, value) -> bool``: may translating the loop in pcs
         ``[head, tail)`` bind ``name`` to anything but ``value``?  A store
-        does; a load does when it forces or guards what it finds."""
+        does; a load does when it forces or guards what it finds; a stack
+        slot (no name) is not tracked."""
         stored, loads = set(), {}
         for pc in range(head, tail):
             ins = self.code.code[pc]
@@ -743,7 +754,7 @@ class GraphBuilder:
                 loads.setdefault(self.code.names[ins[1]], []).append(pc)
 
         def rebinds(name: str, v: I.Instr) -> bool:
-            if name in stored:
+            if name is None or name in stored:
                 return True
             pcs = loads.get(name, ())
             if v.type == ANY and not v.unboxed:
@@ -755,17 +766,17 @@ class GraphBuilder:
 
     def _add_phi_inputs(self, succ_start: int, pred_bb: BasicBlock, out: "ValState") -> None:
         """An edge sealed after its target was translated (a back edge)."""
-        vals = self.pending_phis[succ_start]
+        vals = self.joined[succ_start]
         bb = self.ir_blocks[succ_start]
-        slots = list(zip(vals.stack, out.stack))
-        slots += [(at, out.vars.get(name)) for name, at in vals.vars.items()]
-        for at, v in slots:
+        slots = [(None, at, v) for at, v in zip(vals.stack, out.stack)]
+        slots += [(name, at, out.vars.get(name)) for name, at in vals.vars.items()]
+        for name, at, v in slots:
             if v is None:
-                raise CompilationFailure("variable undefined on some path")
+                raise CompilationFailure("variable %r undefined on some path" % name)
             if isinstance(at, I.Phi) and at.block is bb:
                 at.add_input(pred_bb, self._coerce(v, at.type, at.unboxed, pred_bb))
             elif v is not at:
-                raise CompilationFailure("loop-invariant %s rebound in its loop" % at.name)
+                raise CompilationFailure("loop-invariant %r rebound in its loop" % name)
 
     def _coerce(self, v: I.Instr, t: RType, unboxed: bool, pred_bb: BasicBlock) -> I.Instr:
         """Box/unbox ``v`` at the end of ``pred_bb`` to a phi's mode."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Any, Dict, Iterator, List, Optional
 
 from .instructions import Branch, Const, EnvParam, Instr, Jump, Param, Phi, Return
@@ -90,11 +91,14 @@ class OsrAnchor:
                 self.vars[name] = new
         self.stack = [new if v is old else v for v in self.stack]
 
+    def values(self) -> List[Instr]:
+        return [*self.vars.values(), *self.stack]
+
     def dead_value(self) -> Optional[Instr]:
         """A value named here that no block holds, if any.  Entry values and
         constants need no block: the calling convention and ``reg_init``
         define them."""
-        for v in [*self.vars.values(), *self.stack]:
+        for v in self.values():
             if v.block is None and not isinstance(v, (Param, EnvParam, Const)):
                 return v
         return None
@@ -234,29 +238,23 @@ class Graph:
         current for its own rewrites and nothing else does: a pass that
         rewrites builds it first and, after adding operands by hand, again.
         Removing an instruction leaves it behind as a stale holder, harmless
-        to a rewrite; a pass that *counts* uses takes a fresh index."""
-        uses: Dict[Any, list] = {}
+        to a rewrite; a pass that *counts* uses takes a fresh index (and
+        reads it with ``get``: it is a defaultdict)."""
+        uses: Dict[Any, list] = defaultdict(list)
         frames = set()
-
-        def hold(holder, values) -> None:
-            for v in values:
-                held = uses.get(v)
-                if held is None:
-                    uses[v] = [holder]
-                else:
-                    held.append(holder)
-
         for bb in self.blocks:
             for ins in bb.instrs:
-                hold(ins, ins.args)
+                for a in ins.args:
+                    uses[a].append(ins)
                 fs = getattr(ins, "framestate", None)
                 while fs is not None and id(fs) not in frames:
                     frames.add(id(fs))
-                    hold(fs, fs.own_values())
+                    for v in fs.own_values():
+                        uses[v].append(fs)
                     fs = fs.parent
         for anchor in self.osr_anchors.values():
-            hold(anchor, anchor.vars.values())
-            hold(anchor, anchor.stack)
+            for v in anchor.values():
+                uses[v].append(anchor)
         self.uses = uses
         return uses
 
@@ -271,7 +269,7 @@ class Graph:
             if h is not last:  # one holder's slots sit together
                 h.replace_value(old, new)
                 last = h
-        self.uses.setdefault(new, []).extend(holders)
+        self.uses[new].extend(holders)
 
     def __repr__(self) -> str:  # pragma: no cover
         return "<Graph %s: %d blocks>" % (self.name, len(self.blocks))

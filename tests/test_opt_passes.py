@@ -200,6 +200,7 @@ import contextlib
 import functools
 import importlib
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -245,26 +246,16 @@ def _dangling(graph):
     return bad
 
 
-@contextlib.contextmanager
-def _swapped(owner, attr, make):
-    """Replace ``owner.attr`` by ``make(original)`` for the block."""
-    fn = getattr(owner, attr)
-    setattr(owner, attr, make(fn))
-    try:
-        yield
-    finally:
-        setattr(owner, attr, fn)
-
-
 def _after(owner, attr, hook):
-    """Call ``hook(args, result)`` after every call of ``owner.attr``."""
-    def make(fn):
-        def wrapped(*args, **kw):
-            result = fn(*args, **kw)
-            hook(args, result)
-            return result
-        return wrapped
-    return _swapped(owner, attr, make)
+    """Patch ``owner.attr`` to call ``hook(args, result)`` after every call."""
+    fn = getattr(owner, attr)
+
+    def wrapped(*args, **kw):
+        result = fn(*args, **kw)
+        hook(args, result)
+        return result
+
+    return mock.patch.object(owner, attr, wrapped)
 
 
 def _compile_log(sources, calls, scan=False):
@@ -296,7 +287,7 @@ def _compile_log(sources, calls, scan=False):
     with contextlib.ExitStack() as stack:
         if scan:
             stack.enter_context(
-                _swapped(Graph, "replace_all_uses", lambda fn: _scan_replace_all_uses))
+                mock.patch.object(Graph, "replace_all_uses", _scan_replace_all_uses))
         for owner in (I.Instr, FrameStateDescr, OsrAnchor):
             stack.enter_context(_after(owner, "replace_value", visited))
         stack.enter_context(_after(GraphBuilder, "build", built))
@@ -305,8 +296,9 @@ def _compile_log(sources, calls, scan=False):
         for name in ("inline_calls", "simplify", "dse", "dce", "vectorize_loops"):
             stack.enter_context(_after(pipeline, name, pass_ran(name)))
         # (outermost on simplify: opens the list its sub-passes append to)
-        stack.enter_context(_swapped(
-            pipeline, "simplify", lambda fn: lambda g: (log["rounds"].append([]), fn(g))[1]))
+        checked_simplify = pipeline.simplify
+        stack.enter_context(mock.patch.object(
+            pipeline, "simplify", lambda g: (log["rounds"].append([]), checked_simplify(g))[1]))
         for sub in ("_simplify_phis", "_peephole", "_dedup_guards"):
             stack.enter_context(_after(simplify_mod, sub,
                                        lambda a, n: log["rounds"][-1].append(n)))
