@@ -559,10 +559,9 @@ class GraphBuilder:
         self.ir_blocks = ir_blocks
 
         self.in_values: Dict[int, "ValState"] = {}
-        #: join / loop-header blocks: the edges sealed before the block is
-        #: translated wait in ``early_edges``; translating it makes its phis
-        #: (``_join_values``) and files what each slot became under
-        #: ``joined``, for the edges sealed after (back edges)
+        #: joins and loop headers: edges sealed before the block is translated
+        #: wait in ``early_edges``; ``_join_values`` then makes its phis and
+        #: files what each slot became under ``joined``, for the back edges
         self.early_edges: Dict[int, list] = {}
         self.joined: Dict[int, "ValState"] = {}
         self.sealed: set = set()  # bc blocks a translated edge leads to
@@ -680,15 +679,12 @@ class GraphBuilder:
 
     def _join_values(self, b: BcBlock) -> "ValState":
         """The values at the top of a join or loop header, made when it is
-        translated — bc order is RPO, so every forward edge is sealed.  A
-        slot gets a phi only where ``simplify`` would keep one: when all
-        sealed edges deliver one value in the phi's own type and mode
-        (after the Box/Unbox ``_coerce`` puts at the end of a predecessor —
-        how a loop-invariant scalar is unboxed once, in the preheader), the
-        slot *is* that value.  With edges still to come this holds for the
-        variables nothing in the loop rebinds (``_loop_rebinds``); stack
-        slots, and every slot of a block that is not a plain loop header
-        (one forward edge, the rest pc-backward), keep their phis."""
+        translated (bc order is RPO: every forward edge is sealed).  A slot
+        gets a phi only where ``simplify`` would keep one: when all sealed
+        edges deliver one value in the phi's type and mode, the slot *is*
+        that value.  With back edges to come that holds at a plain loop
+        header (one forward edge, the rest pc-backward) for the variables
+        ``_loop_rebinds`` clears; DESIGN.md, "Uses, orders and dominators"."""
         st = self.in_states[b.start]
         bb = self.ir_blocks[b.start]
         edges = self.early_edges.pop(b.start)
@@ -734,17 +730,15 @@ class GraphBuilder:
                 vals.vars[name] = slot(t, t.unboxable, name, [out.vars.get(name) for out in outs])
         self.joined[b.start] = vals
         if b.is_loop_header:
-            # OSR anchor: a frame materialized at this pc maps slot-for-slot
-            # onto these values (lower.py turns surviving anchors into the
-            # unit's OSR entry map)
+            # a frame materialized at this pc maps slot-for-slot onto these
+            # values (lower.py turns surviving anchors into the OSR entry map)
             self.graph.osr_anchors[b.start] = OsrAnchor(bb, dict(vals.vars), list(vals.stack))
         return vals
 
     def _loop_rebinds(self, head: int, tail: int):
-        """Test ``(name, value) -> bool``: may translating the loop in pcs
-        ``[head, tail)`` bind ``name`` to anything but ``value``?  A store
-        does; a load does when it forces or guards what it finds; a stack
-        slot (no name) is not tracked."""
+        """Test ``(name, value) -> bool``: may translating pcs ``[head, tail)``
+        bind ``name`` to anything but ``value``?  A store does, and a load
+        that forces or guards what it finds; stack slots (no name) always."""
         stored, loads = set(), {}
         for pc in range(head, tail):
             ins = self.code.code[pc]

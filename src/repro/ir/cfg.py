@@ -95,9 +95,8 @@ class OsrAnchor:
         return [*self.vars.values(), *self.stack]
 
     def dead_value(self) -> Optional[Instr]:
-        """A value named here that no block holds, if any.  Entry values and
-        constants need no block: the calling convention and ``reg_init``
-        define them."""
+        """A value named here that no block holds, if any (entry values and
+        constants need none: calling convention and ``reg_init`` define them)."""
         for v in self.values():
             if v.block is None and not isinstance(v, (Param, EnvParam, Const)):
                 return v
@@ -232,14 +231,12 @@ class Graph:
     def compute_uses(self) -> Dict[Any, list]:
         """Build the use index by one walk: value -> its holders, one entry
         per slot that names it.  A holder is an instruction (``args``), a
-        ``FrameStateDescr`` (each frame of a checkpoint's chain for its own
-        slots, a shared parent once) or an :class:`OsrAnchor`; all three
-        answer ``replace_value``.  ``replace_all_uses`` keeps the index
-        current for its own rewrites and nothing else does: a pass that
-        rewrites builds it first and, after adding operands by hand, again.
-        Removing an instruction leaves it behind as a stale holder, harmless
-        to a rewrite; a pass that *counts* uses takes a fresh index (and
-        reads it with ``get``: it is a defaultdict)."""
+        ``FrameStateDescr`` (each frame of a chain for its own slots, a
+        shared parent once) or an :class:`OsrAnchor`; all answer
+        ``replace_value``.  Only ``replace_all_uses`` keeps the index current:
+        a pass builds it before rewriting; removed instructions stay behind
+        as harmless stale holders, so a pass that *counts* takes a fresh one
+        (read with ``get``: a defaultdict).  DESIGN.md has the contract."""
         uses: Dict[Any, list] = defaultdict(list)
         frames = set()
         for bb in self.blocks:

@@ -44,8 +44,7 @@ class Instr:
         self.unboxed = False
 
     def replace_value(self, old: "Instr", new: "Instr") -> None:
-        """The holder protocol of ``Graph.replace_all_uses`` (frame states
-        and OSR anchors answer the same call)."""
+        """What ``Graph.replace_all_uses`` asks of every use holder."""
         self.args = [new if a is old else a for a in self.args]
 
     @property

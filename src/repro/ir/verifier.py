@@ -68,11 +68,9 @@ def verify(graph: Graph) -> None:
                 in_group = False
 
     # dominance: a non-phi operand and a frame-state slot are dominated by
-    # their definition — an earlier instruction of the block, or any of a
-    # block up the dominator tree — and a phi input by the end of the
-    # predecessor it flows in from.  One walk down the tree, the set of
-    # definitions in scope kept as it goes.  Frame states besides: the
-    # parent chain is acyclic and every frame's pc indexes its bytecode.
+    # their definition (earlier in the block, or in a block up the dominator
+    # tree), a phi input by the end of the predecessor it flows in from.
+    # One walk down the tree keeps the set of definitions in scope.
     children: Dict[BasicBlock, List[BasicBlock]] = {}
     for bb, dom in graph.idom(reachable).items():
         if dom is not bb:
@@ -107,8 +105,7 @@ def verify(graph: Graph) -> None:
                                      "before its definition")
 
     # OSR anchors are uses too: a rewrite that misses one leaves the entry
-    # map naming an instruction no block holds (DCE drops the anchor of a
-    # header value it removes)
+    # map naming a removed instruction (DCE drops the anchor of a dead value)
     for pc, anchor in graph.osr_anchors.items():
         v = anchor.dead_value()
         if v is not None:
@@ -129,6 +126,7 @@ def _undominated(reachable, bb: BasicBlock, user: str, v, same_block: str) -> No
 
 
 def _check_frames(bb: BasicBlock, ins, fs) -> None:
+    """The parent chain is acyclic; every frame's pc indexes its bytecode."""
     chain_seen: Set[int] = set()
     frame = fs
     while frame is not None:

@@ -516,11 +516,10 @@ class CodeCache:
         #: serving"): a shared rebind replaces a compile this session would
         #: otherwise have done, and must be signature-neutral.
         self.last_hit_shared = False
-        #: the stable digest the last :meth:`lookup` took of its key, or
-        #: ``NO_DIGEST`` when an exact hit needed none.  ``unit.obtain`` reads
-        #: it right after a miss and hands it to :meth:`insert` once the unit
-        #: is built: nothing ran in between, so the world it was taken in
-        #: still stands and the key is not digested twice.
+        #: the stable digest the last :meth:`lookup` took of its key
+        #: (``NO_DIGEST``: an exact hit needed none).  ``unit.obtain`` hands it
+        #: to :meth:`insert` after a miss — no program code ran in between —
+        #: so the key is not digested twice.
         self.last_digest: Any = NO_DIGEST
 
     def __len__(self) -> int:
@@ -590,9 +589,8 @@ class CodeCache:
 
     def insert(self, key: tuple, ncode, vm, root_code: CodeObject,
                digest: Any = NO_DIGEST) -> None:
-        """Admit a fresh unit.  ``digest`` is the key's stable digest when
-        the caller holds one taken in the world as it stands (the probe that
-        missed); a queued install passes none — the world may have moved."""
+        """Admit a fresh unit, under the stable ``digest`` of the probe that
+        missed when the world still stands as it did (queued installs: none)."""
         resolver = WorldResolver(vm)
         if digest is NO_DIGEST:
             digest = stable_digest(key, resolver)

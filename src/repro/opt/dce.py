@@ -42,9 +42,8 @@ def dce(graph: Graph) -> int:
             if id(ins) not in live:
                 bb.remove(ins)
                 removed += 1
-    # an OSR anchor is no root: where a header value died the variable is
-    # dead in the loop, but a frame entered there and deopted out again
-    # would lose its binding — that pc admits no entry
+    # an OSR anchor is no root; where a header value died, a frame entered
+    # at that pc and deopted out again would lose a binding: no entry there
     for pc, anchor in list(graph.osr_anchors.items()):
         if anchor.dead_value() is not None:
             del graph.osr_anchors[pc]

@@ -101,15 +101,6 @@ def _chain_codes(fs: Optional[FrameStateDescr]) -> list:
     return codes
 
 
-def _copy_chain(fs: Optional[FrameStateDescr]) -> Optional[FrameStateDescr]:
-    if fs is None:
-        return None
-    return FrameStateDescr(
-        fs.code, fs.pc, list(fs.env_slots), list(fs.stack),
-        env_value=fs.env_value, parent=_copy_chain(fs.parent), fun=fs.fun,
-    )
-
-
 def inline_calls(graph: Graph, vm) -> int:
     """Inline speculated (guarded) calls into ``graph``; returns the number
     of callee frames spliced.  Iterates to a fixpoint so calls inside
@@ -219,17 +210,14 @@ def _try_inline(graph: Graph, vm, call: I.StaticCall, budget_left: int):
     # callee and arguments on top of the recorded stack.  The parent frame
     # of every checkpoint inside the inlined body is the caller re-entered
     # at the post-call pc (each bytecode op is one pc slot) with callee and
-    # args popped — the callee's return value is pushed on resume.
-    caller_stack = guard_fs.stack[: len(guard_fs.stack) - nargs - 1]
-
-    def caller_frame() -> FrameStateDescr:
-        return FrameStateDescr(
-            guard_fs.code, call.bc_pc + 1,
-            list(guard_fs.env_slots), list(caller_stack),
-            env_value=guard_fs.env_value,
-            parent=_copy_chain(guard_fs.parent),
-            fun=guard_fs.fun,
-        )
+    # args popped — the callee's return value is pushed on resume.  One
+    # frame serves them all, on the guard's own parents: every frame is a
+    # use holder of its own, so a rewrite reaches a shared one once.
+    caller_frame = FrameStateDescr(
+        guard_fs.code, call.bc_pc + 1,
+        list(guard_fs.env_slots), guard_fs.stack[: len(guard_fs.stack) - nargs - 1],
+        env_value=guard_fs.env_value, parent=guard_fs.parent, fun=guard_fs.fun,
+    )
 
     # -- split the caller block at the call -------------------------------------
     tail = bb.instrs[idx + 1:]
@@ -296,7 +284,7 @@ def _try_inline(graph: Graph, vm, call: I.StaticCall, budget_left: int):
                 root = root.parent
             if root.fun is None:
                 root.fun = target
-            root.parent = caller_frame()
+            root.parent = caller_frame
 
     # -- RETURN becomes a jump to the continuation ------------------------------
     phi = I.Phi(ANY)

@@ -866,23 +866,21 @@ def _classify(graph: Graph, plan: LoopPlan, uses, in_loop, acc_update, cmp_ins, 
     # reconstructs registers that the retained scalar loop re-derives)
     # (header phi registers are written by the kernel; uses anywhere are fine)
     loop_blocks = {header.id} | {bb.id for bb in plan.body_blocks}
-    loop_frames = set()
-    for bb in plan.body_blocks:
-        for ins in bb.instrs:
-            fs = getattr(ins, "framestate", None)
-            while fs is not None:
-                loop_frames.add(id(fs))
-                fs = fs.parent
-    for bb in plan.body_blocks:
-        for ins in bb.instrs:
-            for user in uses.get(ins, ()):
-                if isinstance(user, FrameStateDescr):
-                    outside = id(user) not in loop_frames
-                else:  # an OSR anchor is a holder no code runs at
-                    blk = getattr(user, "block", None)
-                    outside = blk is not None and blk.id not in loop_blocks
-                if outside:
-                    return fail("value-escapes-loop")
+    loop_frames = set()  # every frame of every checkpoint in the body
+    for ins in (ins for bb in plan.body_blocks for ins in bb.instrs):
+        fs = getattr(ins, "framestate", None)
+        while fs is not None:
+            loop_frames.add(id(fs))
+            fs = fs.parent
+    for ins in (ins for bb in plan.body_blocks for ins in bb.instrs):
+        for user in uses.get(ins, ()):
+            if isinstance(user, FrameStateDescr):
+                outside = id(user) not in loop_frames
+            else:  # (an OSR anchor is a holder no code runs at)
+                blk = getattr(user, "block", None)
+                outside = blk is not None and blk.id not in loop_blocks
+            if outside:
+                return fail("value-escapes-loop")
 
     # every framestate value referenced inside the loop must be role-mapped
     # or loop-invariant (checked again with registers at lowering)

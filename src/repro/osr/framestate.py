@@ -120,9 +120,8 @@ class FrameStateDescr:
         self.fun = fun
 
     def own_values(self) -> list:
-        """The values this frame names itself, one per slot — what makes it
-        a holder in the graph's use index.  ``parent`` is a holder of its
-        own: a frame shared by several children is visited once."""
+        """The values this frame names itself, one per slot: what it holds
+        in the graph's use index (``parent`` is a holder of its own)."""
         vals = [v for _, v in self.env_slots]
         vals += self.stack
         if self.env_value is not None:
