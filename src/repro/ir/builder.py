@@ -689,15 +689,11 @@ class GraphBuilder:
         bb = self.ir_blocks[b.start]
         edges = self.early_edges.pop(b.start)
         late = [p for p in b.preds if self.bc_pos[p] >= self.bc_pos[b.start]]
-        if not late:
-            rebinds = lambda name, v: False  # noqa: E731  (every edge is in)
-        elif len(edges) == 1 and sorted(late) == sorted(p for p in b.preds if p >= b.start):
+        # no edge to come: nothing rebinds; else anything may, a plain loop excepted
+        rebinds = lambda name, v: bool(late)  # noqa: E731
+        if late and len(edges) == 1 and sorted(late) == sorted(p for p in b.preds if p >= b.start):
             rebinds = self._loop_rebinds(b.start, max(self.blocks[p].end for p in late))
-        else:
-            rebinds = lambda name, v: True  # noqa: E731
-
-        preds = [pred for pred, _ in edges]
-        outs = [out for _, out in edges]
+        preds, outs = zip(*edges)
 
         def slot(t: RType, unboxed: bool, name, values) -> I.Instr:
             v = values[0]

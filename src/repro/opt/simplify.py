@@ -62,6 +62,7 @@ def _peephole(graph: Graph, order) -> int:
     Unbox(Const) -> unboxed const, and fold IsType on statically-typed
     values.  All the pair folds look through CastType chains."""
     n = 0
+    reboxed = []  # Box(Unbox(x)) pairs, folded after the sweep
     for bb in order:
         for ins in list(bb.instrs):
             # Force of a value that is statically not a promise is the
@@ -103,9 +104,7 @@ def _peephole(graph: Graph, order) -> int:
                 if isinstance(unbox, I.Unbox):
                     inner = unbox.args[0]
                     if not inner.unboxed and inner.type.kind == ins.kind and inner.type.scalar:
-                        graph.replace_all_uses(ins, inner)
-                        bb.remove(ins)
-                        n += 1
+                        reboxed.append((ins, inner))
                         continue
             # Unbox(Const vector) -> unboxed Const
             if isinstance(ins, I.Unbox) and isinstance(ins.args[0], I.Const):
@@ -147,7 +146,12 @@ def _peephole(graph: Graph, order) -> int:
                     bb.remove(ins)
                     n += 1
                     continue
-    return n
+    # last: a consumer's Unbox(Box(Unbox(x))) has folded to the inner Unbox
+    # (outside its loop, maybe) and does not become a second Unbox(x) in place
+    for ins, inner in reboxed:
+        graph.replace_all_uses(ins, inner)
+        ins.block.remove(ins)
+    return n + len(reboxed)
 
 
 def _fold_prim(ins) -> Optional[I.Const]:

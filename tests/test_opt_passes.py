@@ -78,6 +78,24 @@ def test_simplify_removes_box_unbox_pair():
     assert sum(isinstance(i, (I.Box, I.Unbox)) for i in bb.instrs) <= 1
 
 
+def test_simplify_keeps_the_one_unbox_behind_a_reboxed_value():
+    """``Unbox(Box(Unbox(x)))`` folds to the inner Unbox, whichever of the
+    pair the sweep meets first: folding ``Box(Unbox(x))`` to ``x`` before its
+    consumer is seen left a second ``Unbox(x)`` where the consumer is — inside
+    the loop, for an inlined callee reading a loop-invariant argument."""
+    g, bb = mini_graph()
+    x = bb.append(I.Param(0, "x", scalar(Kind.DBL)))
+    u = bb.append(I.Unbox(Kind.DBL, x))
+    boxed = bb.append(I.Box(Kind.DBL, u))        # the argument at the call
+    again = bb.append(I.Unbox(Kind.DBL, boxed))  # the inlined callee's read
+    add = bb.append(I.PrimArith("+", Kind.DBL, again, again))
+    bb.append(I.Return(bb.append(I.Box(Kind.DBL, add))))
+    simplify(g)
+    dce(g)
+    assert [i for i in bb.instrs if isinstance(i, I.Unbox)] == [u]
+    assert add.args == [u, u]
+
+
 def test_simplify_removes_self_referential_phi():
     g = Graph("t")
     b0 = g.new_block()
