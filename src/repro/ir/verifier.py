@@ -104,8 +104,7 @@ def verify(graph: Graph) -> None:
                         _undominated(reachable, bb, "%s of BB%d" % (phi.name, s.id), v,
                                      "before its definition")
 
-    # OSR anchors are uses too: a rewrite that misses one leaves the entry
-    # map naming a removed instruction (DCE drops the anchor of a dead value)
+    # OSR anchors are uses too (DCE drops the anchor of a value it removes)
     for pc, anchor in graph.osr_anchors.items():
         v = anchor.dead_value()
         if v is not None:

@@ -516,10 +516,9 @@ class CodeCache:
         #: serving"): a shared rebind replaces a compile this session would
         #: otherwise have done, and must be signature-neutral.
         self.last_hit_shared = False
-        #: the stable digest the last :meth:`lookup` took of its key
-        #: (``NO_DIGEST``: an exact hit needed none).  ``unit.obtain`` hands it
-        #: to :meth:`insert` after a miss — no program code ran in between —
-        #: so the key is not digested twice.
+        #: the stable digest the last :meth:`lookup` took of its key (``NO_DIGEST``:
+        #: an exact hit needed none); ``unit.obtain`` hands it to :meth:`insert`
+        #: after a miss — no program code ran in between — not to digest twice
         self.last_digest: Any = NO_DIGEST
 
     def __len__(self) -> int:

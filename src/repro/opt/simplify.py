@@ -19,8 +19,7 @@ from ..ir.cfg import Graph
 def simplify(graph: Graph) -> int:
     """Run local simplifications to a fixpoint; returns rewrite count."""
     total = 0
-    # no rewrite below edits the CFG, and every one goes through
-    # replace_all_uses: one block order and one use index serve all rounds
+    # no rewrite edits the CFG and each goes through replace_all_uses: one order, one index
     order = graph.rpo()
     graph.compute_uses()
     for _ in range(10):

@@ -863,8 +863,7 @@ def _classify(graph: Graph, plan: LoopPlan, uses, in_loop, acc_update, cmp_ins, 
         return fail("no-reduction")
 
     # no loop-defined value may be used outside the loop (the kernel only
-    # reconstructs registers that the retained scalar loop re-derives)
-    # (header phi registers are written by the kernel; uses anywhere are fine)
+    # reconstructs registers the retained scalar loop re-derives, and header phis)
     loop_blocks = {header.id} | {bb.id for bb in plan.body_blocks}
     loop_frames = set()  # every frame of every checkpoint in the body
     for ins in (ins for bb in plan.body_blocks for ins in bb.instrs):

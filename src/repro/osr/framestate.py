@@ -131,8 +131,12 @@ class FrameStateDescr:
     def iter_values(self):
         """Every value of the chain: this frame's, then its parents'."""
         fs = self
-        while fs is not None:
-            yield from fs.own_values()
+        while fs is not None:  # (no list per frame: DCE and the verifier live here)
+            for _, v in fs.env_slots:
+                yield v
+            yield from fs.stack
+            if fs.env_value is not None:
+                yield fs.env_value
             fs = fs.parent
 
     def replace_value(self, old, new) -> None:
