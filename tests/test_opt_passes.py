@@ -333,7 +333,7 @@ def _compile_log(sources, calls, scan=False):
 def _registry_log(name, scan=False):
     w = REGISTRY.get(name)
     return _compile_log((w.source, w.setup_code(w.n_test)),
-                        (w.call_code(w.n_test),) * 3, scan)
+                        (w.call_code(w.n_test),) * 2, scan)
 
 
 @pytest.mark.parametrize("name", REGISTRY.names())
