@@ -6,7 +6,11 @@ Wraps each named function with a counter of its calls and of a size (an expressi
 over ``args`` and ``result``, default 0), runs ``benchmarks/e2e/run.py --workload W
 --trace 0`` (other options passed through) in this process and prints the counters.
 With no target: graphs, instructions and phis built and kept, rewrites and the holders
-they visit, block orders, use indexes, key digests (the census of ISSUE 21).
+they visit, block orders, use indexes, key digests (the census of ISSUE 21).  The code
+cache's census (ISSUE 23: bytes made, bytes read, keys digested; DESIGN.md has the table):
+
+    python3 benchmarks/census.py W "ser=repro.jit.persist:serialize:len(result)" \
+        "deser=repro.jit.persist:deserialize" "digest=repro.jit.codecache:stable_digest"
 """
 import argparse, functools, importlib, os, runpy, sys
 

@@ -205,9 +205,12 @@ def inspect_code_cache() -> None:
     vm.eval("sumfn(xi, 3L)")   # deoptless continuation, cached
     vm.eval("sumfn2(xi, 3L)")  # same context in the sibling: served from cache
     print(vm.code_cache.describe())
-    print("  hits=%d stable_hits=%d misses=%d  compiles=%d (sumfn2 paid zero)"
-          % (vm.state.codecache_hits, vm.state.codecache_stable_hits,
-             vm.state.codecache_misses, vm.state.compiles))
+    print("  hits=%d stable_hits=%d misses=%d  compiles=%d (sumfn2 paid zero:"
+          " rebound from sumfn's live unit," % (
+              vm.state.codecache_hits, vm.state.codecache_stable_hits,
+              vm.state.codecache_misses, vm.state.compiles))
+    print("  through bytes made on the spot; with a store attached they are"
+          " made at insert)")
     for e in vm.state.events_of("codecache_hit"):
         details = {k: v for k, v in e.details.items()}
         print("  %-20s %-10s %s" % (e.kind, e.fn_name, details))

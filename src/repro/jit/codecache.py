@@ -433,10 +433,6 @@ def _stabilize(value: Any, resolver: WorldResolver, out: list) -> None:
         _canon(value, out)
 
 
-#: "no digest was taken" — None already means "the key has no stable form"
-NO_DIGEST = object()
-
-
 def stable_digest(key: tuple, resolver: WorldResolver) -> Optional[str]:
     """World-independent digest of ``key``, or None when the key pins an
     object that has no stable name in this world."""
@@ -465,8 +461,8 @@ class CacheEntry:
         #: the CodeObject the unit was compiled from.  Exact (L1) hits are
         #: restricted to this identity: the compiled unit's deopt descriptors
         #: reference it, so serving it to a content-identical-but-distinct
-        #: CodeObject would misattribute profile updates.  Those claimants go
-        #: through the stable layer, which rebinds code references.
+        #: CodeObject would misattribute profile updates.  Those claimants
+        #: find the unit by its digest and rebind it through its bytes.
         self.root_code = root_code
         self.hits = 0
         #: world-independent digest of ``key`` when one exists.  Two exact
@@ -477,49 +473,48 @@ class CacheEntry:
 
 
 class CodeCache:
-    """Context-keyed cache of lowered compilation units.
+    """Context-keyed cache of lowered compilation units, which live in two
+    places (DESIGN.md, "Two places, one rule"):
 
-    Two layers:
-
-    * ``entries`` — exact-keyed templates, LRU-ordered, bounded by a
+    * ``entries`` — live templates, exact-keyed, LRU-ordered, bounded by a
       compiled-instruction ``budget``;
-    * ``stable_bytes`` — serialized (world-independent) forms keyed by
-      stable digest, merged with the on-disk artifact store when a
-      persistence directory is configured.  A stable hit is rebound to the
-      current world's objects and admitted as an exact entry.
+    * :attr:`stores` — bytes under the stable digest, outside the VM, only
+      when one is attached (``get``/``put``/``hit_counter``: the artifact
+      directory, the fleet's cache).  Made at :meth:`insert`, or on the spot
+      to rebind a live entry held under another exact key.
     """
 
     def __init__(self, config):
         self.budget = config.codecache_budget
-        self.dir = config.codecache_dir
         self.entries: "OrderedDict[tuple, CacheEntry]" = OrderedDict()
         self.total_size = 0
-        self.stable_bytes: Dict[str, bytes] = {}
-        #: digest -> code-hash bucket the serialized entry files under
-        self.bucket_of: Dict[str, str] = {}
-        self._disk_digests: set = set()
-        self._loaded_buckets: set = set()
-        self._dirty_buckets: set = set()
         #: stable digest -> exact key currently charged to the budget.  One
         #: stable form is one unit of resident code no matter how many exact
-        #: keys (re-evaluated worlds, sibling closures) resolve to it; this
-        #: map lets :meth:`_admit` release the stale charge on rebind.
+        #: keys (re-evaluated worlds, sibling closures) resolve to it: here
+        #: :meth:`_admit` finds the stale charge, :meth:`lookup` the live unit.
         self._digest_keys: Dict[str, tuple] = {}
-        #: process-shared L2 (serve.SharedCodeCache) probed between the
-        #: local stable layer and the disk store; None outside a fleet
-        self.shared = None
-        #: tenant label for shared-cache attribution (serve.Server sets it)
+        #: the two stores, None when not attached: the artifact directory,
+        #: and the fleet's cache (``serve.Server`` sets it, and the ``tenant``
+        #: label it attributes to); invalidation fans out to the latter
+        self.disk = self.shared = None
         self.tenant: Optional[str] = None
-        #: True when the template returned by the last :meth:`lookup` was
-        #: rebound from the process-shared layer.  Install paths read this
-        #: to apply compile-parity accounting (see DESIGN.md, "Multi-tenant
-        #: serving"): a shared rebind replaces a compile this session would
-        #: otherwise have done, and must be signature-neutral.
+        if config.codecache_dir:
+            from . import persist  # on first use: 10 ms no JIT-off run should pay
+
+            self.disk = persist.DirectoryStore(config.codecache_dir)
+        #: True when the last :meth:`lookup` rebound its template from the
+        #: shared store: the install path then applies compile-parity
+        #: accounting (DESIGN.md, "Multi-tenant serving")
         self.last_hit_shared = False
-        #: the stable digest the last :meth:`lookup` took of its key (``NO_DIGEST``:
-        #: an exact hit needed none); ``unit.obtain`` hands it to :meth:`insert`
-        #: after a miss — no program code ran in between — not to digest twice
-        self.last_digest: Any = NO_DIGEST
+        #: (key, its stable digest) of the last :meth:`lookup` that missed:
+        #: ``unit.obtain`` inserts what it then builds under that very key —
+        #: no program code ran in between — and the digest is not taken twice
+        self._missed: tuple = (None, None)
+
+    @property
+    def stores(self) -> tuple:
+        """The attached stores in probe order: memory before a file read."""
+        return tuple(s for s in (self.shared, self.disk) if s is not None)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -527,11 +522,10 @@ class CodeCache:
     # -- lookup ---------------------------------------------------------------
 
     def lookup(self, key: tuple, vm, root_code: CodeObject):
-        """Template for ``key`` or None.  Probes exact entries, then the
-        stable layer (memory, then the process-shared fleet cache, then
-        disk), rebinding stable hits into the current world."""
+        """Template for ``key`` or None.  An exact entry first; else the
+        key's stable digest names bytes — the first source that has them
+        wins, is rebound into the current world and admitted."""
         self.last_hit_shared = False
-        self.last_digest = NO_DIGEST
         entry = self.entries.get(key)
         if entry is not None and entry.root_code is root_code:
             self.entries.move_to_end(key)
@@ -540,61 +534,68 @@ class CodeCache:
             vm.state.codecache_instrs_saved += entry.size
             return entry.ncode
 
-        tmpl = self._stable_lookup(key, vm, root_code)
-        if tmpl is not None:
-            return tmpl
+        from . import persist
+
+        resolver = WorldResolver(vm)
+        digest = stable_digest(key, resolver)
+        try:
+            for counter, data in self._sources(digest, key_code_hash(key), resolver):
+                if data is None:
+                    continue
+                tmpl = persist.deserialize(data, root_code, resolver)
+                self._admit(key, tmpl, vm, root_code, digest)
+                setattr(vm.state, counter, getattr(vm.state, counter) + 1)
+                self.last_hit_shared = counter == "shared_cache_hits"
+                vm.state.codecache_instrs_saved += tmpl.size
+                return tmpl
+        except (Unstable, persist.PersistError):
+            # bytes that do not read back are a miss: the unit recompiles
+            vm.state.codecache_persist_failures += 1
+        self._missed = (key, digest)
         vm.state.codecache_misses += 1
         return None
 
-    def _stable_lookup(self, key: tuple, vm, root_code: CodeObject):
-        resolver = WorldResolver(vm)
-        digest = self.last_digest = stable_digest(key, resolver)
+    def _sources(self, digest: Optional[str], bucket: str, resolver: WorldResolver):
+        """``(hit counter, bytes or None)`` per place the unit of ``digest``
+        may live, nearest first: the live entry holding it under another
+        exact key, serialized on the spot; then each attached store."""
         if digest is None:
-            return None
-        from_shared = False
-        data = self.stable_bytes.get(digest)
-        if data is None and self.shared is not None:
-            # the fleet layer: stable bytes another tenant (or an earlier
-            # incarnation of this one) published.  Bytes are NOT copied into
-            # the local stable layer — the shared cache stays the single
-            # source of truth, so a fleet-wide invalidation needs no
-            # per-tenant cleanup.
-            data = self.shared.get(digest, key_code_hash(key), self.tenant)
-            from_shared = data is not None
-        if data is None and self.dir:
-            self._load_bucket(key_code_hash(key))
-            data = self.stable_bytes.get(digest)
-        if data is None:
-            return None
-        from . import persist
+            return
+        live = self.entries.get(self._digest_keys.get(digest))
+        if live is not None:
+            from . import persist
 
-        try:
-            tmpl = persist.deserialize(data, root_code, resolver)
-        except (Unstable, persist.PersistError):
-            vm.state.codecache_persist_failures += 1
-            return None
-        self._admit(key, tmpl, vm, root_code, digest=digest)
-        if from_shared:
-            self.last_hit_shared = True
-            vm.state.shared_cache_hits += 1
-        elif digest in self._disk_digests:
-            vm.state.codecache_disk_hits += 1
-        else:
-            vm.state.codecache_stable_hits += 1
-        vm.state.codecache_instrs_saved += tmpl.size
-        return tmpl
+            try:
+                data = persist.serialize(live.ncode, live.root_code, resolver)
+            except Unstable:
+                data = None  # pins an object this world has no name for
+            yield "codecache_stable_hits", data
+        for store in self.stores:
+            yield store.hit_counter, store.get(digest, bucket, self.tenant)
 
     # -- insert / eviction ----------------------------------------------------
 
-    def insert(self, key: tuple, ncode, vm, root_code: CodeObject,
-               digest: Any = NO_DIGEST) -> None:
-        """Admit a fresh unit, under the stable ``digest`` of the probe that
-        missed when the world still stands as it did (queued installs: none)."""
+    def insert(self, key: tuple, ncode, vm, root_code: CodeObject) -> None:
+        """Admit a fresh unit — under the digest of the probe that missed,
+        when ``key`` is that probe's own (queued installs bring a new one and
+        digest again) — and hand its bytes to each attached store."""
         resolver = WorldResolver(vm)
-        if digest is NO_DIGEST:
+        missed, digest = self._missed
+        if missed is not key:
             digest = stable_digest(key, resolver)
-        self._admit(key, ncode, vm, root_code, digest=digest)
-        self._stable_insert(key, ncode, vm, root_code, resolver, digest)
+        self._admit(key, ncode, vm, root_code, digest)
+        if digest is None or not self.stores:
+            return
+        from . import persist
+
+        try:
+            data = persist.serialize(ncode, root_code, resolver)
+            for store in self.stores:
+                store.put(digest, key_code_hash(key), data, ncode.size, self.tenant)
+        except Unstable:
+            pass
+        except persist.PersistError:
+            vm.state.codecache_persist_failures += 1
 
     def _drop_entry(self, key: tuple) -> CacheEntry:
         """Remove one exact entry, releasing its budget charge and digest
@@ -629,26 +630,6 @@ class CodeCache:
             vm.state.codecache_evictions += 1
             vm.state.emit("codecache_evict", evicted.ncode.name,
                           size=evicted.size, hits=evicted.hits)
-
-    def _stable_insert(self, key: tuple, ncode, vm, root_code: CodeObject,
-                       resolver: WorldResolver, digest: Optional[str]) -> None:
-        if digest is None:
-            return
-        from . import persist
-
-        try:
-            data = persist.serialize(ncode, root_code, resolver)
-        except Unstable:
-            return
-        except persist.PersistError:
-            vm.state.codecache_persist_failures += 1
-            return
-        self.stable_bytes[digest] = data
-        bucket = key_code_hash(key)
-        self.bucket_of[digest] = bucket
-        self._dirty_buckets.add(bucket)
-        if self.shared is not None:
-            self.shared.put(digest, bucket, data, ncode.size, self.tenant)
 
     # -- invalidation ---------------------------------------------------------
 
@@ -700,47 +681,13 @@ class CodeCache:
                           unit="ctxfn")
         return len(doomed)
 
-    # -- persistence ----------------------------------------------------------
-
-    def _load_bucket(self, code_hash: str) -> None:
-        if not self.dir or code_hash in self._loaded_buckets:
-            return
-        self._loaded_buckets.add(code_hash)
-        from . import persist
-
-        for digest, data in persist.load_bucket(self.dir, code_hash).items():
-            if digest not in self.stable_bytes:
-                self.stable_bytes[digest] = data
-                self.bucket_of[digest] = code_hash
-                self._disk_digests.add(digest)
-
-    def save(self) -> int:
-        """Flush dirty stable entries to the artifact directory; returns the
-        number of buckets written."""
-        if not self.dir or not self._dirty_buckets:
-            return 0
-        from . import persist
-
-        written = 0
-        for bucket in sorted(self._dirty_buckets):
-            payload = {
-                digest: data
-                for digest, data in self.stable_bytes.items()
-                if self.bucket_of.get(digest) == bucket
-            }
-            if payload:
-                persist.save_bucket(self.dir, bucket, payload)
-                written += 1
-        self._dirty_buckets.clear()
-        return written
-
     # -- introspection --------------------------------------------------------
 
     def describe(self) -> str:
         lines = [
-            "code cache: %d entries, %d/%d instrs, %d stable forms (%d from disk)"
+            "code cache: %d entries, %d/%d instrs, stores: %s"
             % (len(self.entries), self.total_size, self.budget,
-               len(self.stable_bytes), len(self._disk_digests)),
+               ", ".join(type(s).__name__ for s in self.stores) or "none"),
         ]
         for entry in self.entries.values():
             kind = entry.key[0]
@@ -749,3 +696,4 @@ class CodeCache:
                 (kind, entry.ncode.name[:24], entry.size, entry.hits)
             )
         return "\n".join(lines)
+

@@ -26,8 +26,12 @@ Deserialization resolves the same references against the *current* world, so
 a cache hit from disk executes against today's objects — the deopt
 descriptors point at the claimant's own ``CodeObject`` (profile updates and
 ``deopt_sites`` bumps land where they should), and identity guards pin
-today's closures.  The artifact store is one file per code hash
-(``<dir>/<hh>/<hash>.ccache``) holding a digest→bytes map, merged on save.
+today's closures.
+
+When bytes are made is :class:`~repro.jit.codecache.CodeCache`'s rule.  One
+of its two stores is here, :class:`DirectoryStore`: one file per code hash
+(``<dir>/<hh>/<hash>.ccache``) holding a digest→bytes map, merged on flush;
+a file that does not read is a miss, never an error in the program.
 """
 
 from __future__ import annotations
@@ -202,8 +206,9 @@ def serialize(ncode: NativeCode, root_code: CodeObject, resolver: WorldResolver)
     # the text instead of re-running the emitter.  The consts are pickled in
     # the same stream as the ops, so shared runtime objects (identity-guard
     # pins, builtins, CodeObjects) keep their identity on load.  Emission is
-    # forced eagerly here because the stable layer serializes at insert
-    # time, before the unit first runs.
+    # forced here because a store takes the bytes at insert time, before the
+    # unit first runs (what a run adds — ``pyfunc``, ``pics``, a kernel's
+    # ``pyfn`` — stays out of the bytes of an in-VM rebind too).
     if resolver.vm.config.threaded_dispatch:
         pycodegen.ensure_source(ncode, resolver.vm.state)
     src = getattr(ncode, "pysrc", None)
@@ -226,17 +231,17 @@ def deserialize(data: bytes, root_code: CodeObject, resolver: WorldResolver) -> 
     Raises :class:`Unstable` when a reference does not resolve (global
     rebound, hash mismatch) and :class:`PersistError` on corrupt input.
     """
+    nc = NativeCode.__new__(NativeCode)
     try:
         version, state = _Unpickler(io.BytesIO(data), root_code, resolver).load()
+        for f in _NC_FIELDS:  # a flipped byte in a field name still unpickles
+            setattr(nc, f, state[f])
     except (Unstable, PersistError):
         raise
     except Exception as e:
-        raise PersistError("deserialize failed: %s" % e)
+        raise PersistError("deserialize failed: %r" % (e,))
     if version != FORMAT_VERSION:
         raise PersistError("artifact format %r unsupported" % (version,))
-    nc = NativeCode.__new__(NativeCode)
-    for f in _NC_FIELDS:
-        setattr(nc, f, state[f])
     nc.closure = None
     nc.invalidated = False
     nc.pics = {}
@@ -268,23 +273,30 @@ def bucket_path(cache_dir: str, code_hash: str) -> str:
 
 
 def load_bucket(cache_dir: str, code_hash: str) -> Dict[str, bytes]:
-    """digest -> serialized-entry map for one code hash; {} when absent or
-    unreadable (a bad artifact must never break the VM)."""
-    path = bucket_path(cache_dir, code_hash)
+    """digest -> serialized-entry map for one code hash; {} when there is no
+    such file or another format version wrote it.  A file that does not
+    read raises :class:`PersistError` and nothing else: a bad artifact must
+    never break the VM, and the caller says what it is worth."""
     try:
-        with open(path, "rb") as f:
-            obj = pickle.load(f)
-    except (OSError, pickle.UnpicklingError, EOFError, AttributeError, ValueError):
+        with open(bucket_path(cache_dir, code_hash), "rb") as f:
+            obj = pickle.loads(f.read())
+        return dict(obj["entries"]) if obj["format"] == FORMAT_VERSION else {}
+    except FileNotFoundError:
         return {}
-    if not isinstance(obj, dict) or obj.get("format") != FORMAT_VERSION:
-        return {}
-    entries = obj.get("entries")
-    return entries if isinstance(entries, dict) else {}
+    except Exception as e:
+        # read from memory, so a corrupt length prefix is "truncated", not a
+        # terabyte to fetch; past that a flipped byte reaches whatever an
+        # opcode can raise, or loads as something that is not a bucket
+        raise PersistError("bucket %s unreadable: %r" % (code_hash[:12], e))
 
 
 def save_bucket(cache_dir: str, code_hash: str, entries: Dict[str, bytes]) -> None:
-    """Merge ``entries`` into the bucket for ``code_hash`` (atomic replace)."""
-    merged = load_bucket(cache_dir, code_hash)
+    """Merge ``entries`` into the bucket for ``code_hash`` (atomic replace);
+    a file that does not read is replaced."""
+    try:
+        merged = load_bucket(cache_dir, code_hash)
+    except PersistError:
+        merged = {}
     merged.update(entries)
     path = bucket_path(cache_dir, code_hash)
     os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -299,3 +311,39 @@ def save_bucket(cache_dir: str, code_hash: str, entries: Dict[str, bytes]) -> No
         except OSError:
             pass
         raise PersistError("save failed: %s" % e)
+
+
+class DirectoryStore:
+    """The artifact directory as a store of :class:`~repro.jit.codecache.CodeCache`:
+    a bucket file is read whole the first time the VM touches its code hash,
+    takes ``put``s in memory, and :meth:`flush` rewrites it."""
+
+    hit_counter = "codecache_disk_hits"
+
+    def __init__(self, cache_dir: str):
+        self.dir = cache_dir
+        self._buckets: Dict[str, Dict[str, bytes]] = {}
+        self._dirty: set = set()
+
+    def _bucket(self, code_hash: str) -> Dict[str, bytes]:
+        if code_hash not in self._buckets:
+            # filed before the read: an unreadable file raises once, then is empty
+            self._buckets[code_hash] = {}
+            self._buckets[code_hash].update(load_bucket(self.dir, code_hash))
+        return self._buckets[code_hash]
+
+    def get(self, digest: str, bucket: str, tenant: Optional[str]) -> Optional[bytes]:
+        return self._bucket(bucket).get(digest)
+
+    def put(self, digest: str, bucket: str, data: bytes, size: int,
+            tenant: Optional[str]) -> None:
+        self._bucket(bucket)[digest] = data
+        self._dirty.add(bucket)
+
+    def flush(self) -> int:
+        """Write (merge into) every bucket file that took a ``put`` since
+        the last flush; returns how many."""
+        dirty, self._dirty = sorted(self._dirty), set()
+        for bucket in dirty:
+            save_bucket(self.dir, bucket, self._buckets[bucket])
+        return len(dirty)

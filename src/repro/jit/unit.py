@@ -120,12 +120,10 @@ def failed(vm, spec: UnitSpec, error: Exception) -> None:
     vm.state.emit(_KINDS[spec.kind][0], spec.code.name, error=str(error))
 
 
-def install(vm, spec: UnitSpec, ncode: NativeCode, key=None,
-            digest=codecache.NO_DIGEST) -> Optional[NativeCode]:
+def install(vm, spec: UnitSpec, ncode: NativeCode, key=None) -> Optional[NativeCode]:
     """Account for a freshly built unit and publish it (session thread):
-    the one compile counter group, cache insert (under ``key``, and its
-    stable ``digest``, when the caller's probe already computed them),
-    codegen prep, event."""
+    the one compile counter group, cache insert (under ``key`` when the
+    caller's probe already computed it), codegen prep, event."""
     if spec.kind == "ctxfn" and not ncode.env_elided:
         # an env-mode unit takes the [env] calling convention — useless as
         # an entry-dispatched version.  Dropped uncounted, as before the
@@ -141,8 +139,7 @@ def install(vm, spec: UnitSpec, ncode: NativeCode, key=None,
     if extra is not None:
         setattr(state, extra, getattr(state, extra) + 1)
     if vm.code_cache is not None:
-        vm.code_cache.insert(key or spec.key(vm.config), ncode, vm, spec.code,
-                             digest)
+        vm.code_cache.insert(key or spec.key(vm.config), ncode, vm, spec.code)
     if vm.config.threaded_dispatch:
         # emit the unit's Python source now (idempotent; the cache insert
         # may already have); binding stays lazy, clones share it
@@ -159,11 +156,10 @@ def obtain(vm, spec: UnitSpec, probe_only: bool = False) -> Optional[NativeCode]
     a fresh build.  ``probe_only`` stops after the cache (fleet-coalesced
     installs must never run the pipeline on the session thread).  None when
     the compile failed or produced nothing usable."""
-    cache, key, digest = vm.code_cache, None, codecache.NO_DIGEST
+    cache, key = vm.code_cache, None
     if cache is not None:
         key = spec.key(vm.config)
         template = cache.lookup(key, vm, spec.code)
-        digest = cache.last_digest  # the miss took it; nothing runs before insert
         if template is not None:
             ncode = _tag(template.clone_for_install(), spec)
             if cache.last_hit_shared:
@@ -180,7 +176,7 @@ def obtain(vm, spec: UnitSpec, probe_only: bool = False) -> Optional[NativeCode]
     except CompilationFailure as e:
         failed(vm, spec, e)
         return None
-    return install(vm, spec, ncode, key, digest)
+    return install(vm, spec, ncode, key)
 
 
 # ---------------------------------------------------------------------------

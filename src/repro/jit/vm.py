@@ -385,9 +385,8 @@ class RVM:
     def save_code_cache(self) -> int:
         """Flush stable cache entries to the warm-start artifact directory
         (``Config.codecache_dir``); returns buckets written."""
-        if self.code_cache is None:
-            return 0
-        return self.code_cache.save()
+        cache = self.code_cache
+        return cache.disk.flush() if cache is not None and cache.disk is not None else 0
 
     # ------------------------------------------------------------------
     # OSR

@@ -237,6 +237,10 @@ class KernelDescr:
         #: lazily compiled per-descriptor Python reduction loop (fsum)
         self.pyfn = None
 
+    def __getstate__(self):
+        # the exec'd loop does not pickle: serialized after a run as before it
+        return None, {n: None if n == "pyfn" else getattr(self, n) for n in self.__slots__}
+
     def __repr__(self) -> str:  # pragma: no cover
         return "<KernelDescr %s iter=%r>" % (self.kind, self.iter_counts)
 

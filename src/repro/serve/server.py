@@ -5,8 +5,8 @@ A :class:`Server` owns a fleet of tenant sessions.  Each session is a full
 telemetry and installed code versions (isolation is structural, not
 policy) — wired into two fleet-wide structures when ``Config.serve`` is on:
 
-* the :class:`~repro.serve.shared_cache.SharedCodeCache`, attached behind
-  the VM's own code cache (``code_cache.shared``), and
+* the :class:`~repro.serve.shared_cache.SharedCodeCache`, attached to the
+  VM's own code cache as its first store (``code_cache.shared``), and
 * optionally the :class:`~repro.serve.fleet_queue.FleetCompileQueue`
   (``compile_workers > 0``), which switches the session's tier-up mode to
   ``"fleet"``.

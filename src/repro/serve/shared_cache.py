@@ -1,14 +1,15 @@
 """Process-wide shared code cache: the fleet's L2.
 
 One instance serves every tenant VM in a :class:`~repro.serve.server.Server`.
-Each VM's own :class:`~repro.jit.codecache.CodeCache` probes here (between
-its local stable layer and the disk store) with the *stable digest* of the
-unit it wants — the world-independent content hash from ``jit/persist.py``
-that already encodes the code's content hash, the specialization context,
-the feedback signature and the config fingerprint.  Anything keyed that
-precisely is safe to hand to another tenant: the claimant re-binds the
-serialized form against its own world (its own ``CodeObject`` identities,
-its own globals) exactly as a warm-start disk hit would.
+Each VM's own :class:`~repro.jit.codecache.CodeCache` has it attached as a
+store (asked before the artifact directory): it takes each unit's bytes at
+insert and is probed with the *stable digest* of the unit wanted — the
+world-independent content hash from ``jit/persist.py`` that already encodes
+the code's content hash, the specialization context, the feedback signature
+and the config fingerprint.  Anything keyed that precisely is safe to hand
+to another tenant: the claimant re-binds the serialized form against its own
+world (its own ``CodeObject`` identities, its own globals) exactly as a
+warm-start disk hit would.
 
 Design points
 -------------
@@ -57,6 +58,8 @@ class _SharedEntry:
 
 class SharedCodeCache:
     """Thread-safe LRU of stable compiled forms, shared by a VM fleet."""
+
+    hit_counter = "shared_cache_hits"  # the Telemetry field of a hit here
 
     def __init__(self, budget: int):
         self.budget = budget

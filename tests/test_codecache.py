@@ -8,11 +8,18 @@ bit-identical dispatch behaviour with the cache on versus off.
 
 from __future__ import annotations
 
+import contextlib
+import pickle
+from unittest import mock
+
 import pytest
 
 from conftest import make_vm
 from repro import from_r
-from repro.jit import codecache
+from repro.bench.programs import REGISTRY
+from repro.jit import codecache, persist
+from repro.native import pycodegen
+from repro.serve import SharedCodeCache
 
 SUM_SRC = """
 sumfn <- function(data, len) {
@@ -400,4 +407,259 @@ def test_a_miss_digests_its_key_once(monkeypatch):
     assert len(taken) == 1
     (entry,) = vm.code_cache.entries.values()
     assert entry.digest == digest(taken[0], codecache.WorldResolver(vm))
-    assert entry.digest in vm.code_cache.stable_bytes
+    clo = vm.global_env.get("sumfn")
+    assert vm.code_cache.lookup(entry.key, vm, clo.code) is entry.ncode
+    assert vm.state.codecache_hits == 1 and len(taken) == 1
+
+
+# ---------------------------------------------------------------------------
+# two places, one rule: bytes are made only where a store can keep them
+# ---------------------------------------------------------------------------
+
+@contextlib.contextmanager
+def _counted():
+    """Mocks counting ``persist.serialize`` and ``CodeCache.insert`` calls."""
+    insert = codecache.CodeCache.insert
+    with mock.patch.object(persist, "serialize", wraps=persist.serialize) as ser, \
+            mock.patch.object(codecache.CodeCache, "insert", autospec=True,
+                              side_effect=insert) as ins:
+        yield ser, ins
+
+
+def _interp(sources, calls):
+    vm = make_vm(enable_jit=False)
+    for src in sources:
+        vm.eval(src)
+    return [from_r(vm.eval(c)) for c in calls]
+
+
+def test_no_store_no_bytes():
+    """With no directory and no fleet nobody can read a unit's bytes, and a
+    chaos run — tier-ups, deopts, continuations, recompiles — makes none."""
+    w = REGISTRY.get("binarytrees")
+    sources = (w.source, w.setup_code(w.n_test))
+    calls = [w.call_code(w.n_test)] * 3
+    vm = make_vm(codecache_dir=None, enable_deoptless=True, chaos_rate=0.01,
+                 chaos_seed=3, max_deopts_per_function=10_000)
+    with _counted() as (ser, ins):
+        for src in sources:
+            vm.eval(src)
+        results = [from_r(vm.eval(c)) for c in calls]
+    assert results == _interp(sources, calls)
+    assert vm.state.deopts > 0 and vm.state.deoptless_compiles > 0
+    assert ins.call_count >= 10 and ser.call_count == 0
+
+
+def test_a_directory_takes_each_unit_once_and_warm_starts(tmp_path):
+    """With a directory attached every insert serializes once, at insert;
+    ``save_code_cache()`` then a fresh VM is ``test_warm_start_roundtrip``."""
+    d = str(tmp_path / "cc")
+    vm1 = cache_vm(codecache_dir=d)
+    with _counted() as (ser, ins):
+        warm(vm1)
+        cold_result = from_r(vm1.eval("sumfn(xd, 3L)"))
+    assert ins.call_count == ser.call_count == 2, "fn and continuation"
+    assert vm1.save_code_cache() == 1 and vm1.save_code_cache() == 0
+
+    vm2 = cache_vm(codecache_dir=d)
+    with _counted() as (ser, _):
+        warm(vm2)
+        assert from_r(vm2.eval("sumfn(xd, 3L)")) == cold_result
+    assert vm2.state.codecache_disk_hits == 2 and vm2.state.compiles == 0
+    assert ser.call_count == 0, "a unit read from the directory is not written back"
+    assert vm2.save_code_cache() == 0
+
+
+def test_the_fleet_store_is_asked_before_the_directory(tmp_path):
+    """Both stores attached: each takes the unit at insert; a claimant asks
+    the shared one first and its hit is not a disk hit as well."""
+    d = str(tmp_path / "cc")
+    shared = SharedCodeCache(budget=100_000)
+
+    def tenant(name):
+        vm = cache_vm(codecache_dir=d)
+        vm.code_cache.shared, vm.code_cache.tenant = shared, name
+        return vm
+
+    a = tenant("a")
+    warm(a)
+    assert shared.puts == 1 and a.save_code_cache() == 1
+
+    b = tenant("b")
+    with mock.patch.object(persist, "load_bucket", wraps=persist.load_bucket) as read:
+        warm(b)
+    assert from_r(b.eval("sumfn(xi, 3L)")) == 6
+    assert (b.state.shared_cache_hits, b.state.codecache_disk_hits) == (1, 0)
+    assert shared.hits_by_tenant == {"b": 1} and read.call_count == 0
+
+    shared.invalidate_bucket(codecache.stable_code_hash(b.global_env.get("sumfn").code), None)
+    c = tenant("c")
+    warm(c)
+    assert (c.state.shared_cache_hits, c.state.codecache_disk_hits) == (0, 1)
+
+
+def test_an_evicted_unit_with_no_store_is_recompiled():
+    """Nothing outlives eviction when no store is attached: the sibling's
+    request is a miss and an honest, correct recompile."""
+    vm = cache_vm(codecache_budget=1, codecache_dir=None)
+    vm.eval(SUM_SRC.replace("sumfn", "sumfn2"))
+    warm(vm)
+    assert vm.state.compiles == 1 and len(vm.code_cache.entries) == 0
+    warm(vm, "sumfn2")
+    assert from_r(vm.eval("sumfn2(xi, 3L)")) == 6
+    assert from_r(vm.eval("sumfn2(xd, 3L)")) == 7.0
+    s = vm.state
+    assert s.compiles - s.deoptless_compiles == 2 and s.codecache_misses >= 2
+    assert s.codecache_stable_hits == s.codecache_hits == 0
+
+
+DOT_SRC = "dot <- function(x, y, n) { s <- 0; for (i in 1:n) s <- s + x[[i]] * y[[i]]; s }"
+DOT_SETUP = "x <- c(1.5, 2.5, 3.5, 4.5); y <- c(2, 3, 4, 5)"
+
+
+@pytest.mark.parametrize("declined", [False, True])
+def test_a_unit_that_ran_still_rebinds(declined, monkeypatch):
+    """The in-VM rebind serializes a unit that may have run: its ``fsum``
+    kernel has compiled its Python loop by then, which does not pickle, and
+    a unit codegen declined has ``pysrc is False``.  Both rebind — the bytes
+    carry neither — where a naive serializer turns the hit into a recompile."""
+    engine = {}
+    if declined:  # the sentinel is the codegen engine's: pinned under the oracle's leg too
+        def refuse(ncode):
+            raise NotImplementedError("declined")
+        monkeypatch.setattr(pycodegen, "_emit", refuse)
+        engine = {"threaded_dispatch": True}
+    vm = make_vm(codecache_dir=None, **engine)
+    calls = ["dot(x, y, 4L)"] * 6
+    for src in (DOT_SETUP, DOT_SRC):
+        vm.eval(src)
+    first = [from_r(vm.eval(c)) for c in calls]
+    (entry,) = vm.code_cache.entries.values()
+    (kernel,) = entry.ncode.kernels
+    assert kernel.kind == "fsum" and kernel.pyfn, "the unit ran its kernel"
+    assert (entry.ncode.pysrc is False) == declined and vm.state.pycodegen_failures == declined
+    vm.eval(DOT_SRC)  # a fresh CodeObject, the same digest
+    again = [from_r(vm.eval(c)) for c in calls]
+    assert first == again == _interp((DOT_SETUP, DOT_SRC), calls)
+    s = vm.state
+    assert (s.compiles, s.codecache_stable_hits, s.codecache_persist_failures) == (1, 1, 0)
+    (entry,) = vm.code_cache.entries.values()
+    assert entry.ncode.kernels[0].pyfn, "the rebound unit compiled its own loop"
+
+
+# ---------------------------------------------------------------------------
+# a bad artifact is a miss
+# ---------------------------------------------------------------------------
+
+@contextlib.contextmanager
+def _address_space_capped(extra=1 << 30):
+    """Corrupt pickles can ask the C unpickler for gigabytes (a memo index,
+    a length prefix); under this cap such a request fails at once instead
+    of being served by a machine other people share."""
+    resource = pytest.importorskip("resource")
+    try:
+        with open("/proc/self/statm") as f:
+            now = int(f.read().split()[0]) * resource.getpagesize()
+    except OSError:
+        pytest.skip("no /proc: cannot bound the sweep's memory")
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    resource.setrlimit(resource.RLIMIT_AS, (now + extra, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+CORRUPT_CALLS = ["sumfn(xi, 3L)"] * 5 + ["sumfn(xd, 3L)"]
+
+
+@contextlib.contextmanager
+def _bad_artifact(tmp_path):
+    """A real bucket file (``sumfn``'s unit and its continuation), open for
+    damage: yields its directory, the file, its bytes, and ``probe()`` —
+    the lookup a warm start makes for the function's unit, on a cache that
+    has not read the file yet, returning the unit and the failures counted."""
+    d = tmp_path / "cc"
+    vm = cache_vm(codecache_dir=str(d))
+    for c in CORRUPT_CALLS:
+        vm.eval(c)
+    assert vm.save_code_cache() == 1
+    (path,) = d.rglob("*.ccache")
+    warm_vm = _program_reads(str(d))
+    assert warm_vm.state.codecache_disk_hits == 2 and warm_vm.state.compiles == 0
+
+    vm = cache_vm(codecache_dir=str(d))
+    warm(vm, n=1)
+    clo = vm.global_env.get("sumfn")
+    key = codecache.entry_key(clo, vm.config)
+    # the probe's digest is taken once: its world does not change, and it
+    # is most of what a probe costs
+    take = codecache.stable_digest
+    digest = take(key, codecache.WorldResolver(vm))
+
+    def probe():
+        before = vm.state.codecache_persist_failures
+        unit = codecache.CodeCache(vm.config).lookup(key, vm, clo.code)
+        return unit, vm.state.codecache_persist_failures - before
+
+    with _address_space_capped(), open(path, "r+b", buffering=0) as f, \
+            mock.patch.object(codecache, "stable_digest",
+                              lambda k, r: digest if k is key else take(k, r)):
+        assert probe()[0] is not None
+        yield str(d), f, path.read_bytes(), probe
+
+
+def _program_reads(d):
+    """The program on a fresh VM warm-starting from ``d``: its results
+    against the interpreter's, and the VM for its counters."""
+    vm = cache_vm(codecache_dir=d)
+    results = [from_r(vm.eval(c)) for c in CORRUPT_CALLS]
+    assert results == _interp((SUM_SRC,) + SETUP, CORRUPT_CALLS)
+    return vm
+
+
+def test_a_flipped_byte_in_an_artifact_is_a_miss(tmp_path):
+    """Every value at each of the first 140 and last 30 bytes of a real
+    bucket file: ``CodeCache.lookup`` returns a unit or None, never raises,
+    and counts an unreadable file once; then one whole program per way the
+    file failed to read runs to the interpreter's results on a recompile."""
+    ways = {}
+    with _bad_artifact(tmp_path) as (d, f, good, probe):
+        for pos in list(range(140)) + list(range(len(good) - 30, len(good))):
+            for value in range(256):
+                if value == good[pos]:
+                    continue
+                f.seek(pos)
+                f.write(bytes([value]))
+                unit, failures = probe()
+                assert failures <= 1 and (unit is None or failures == 0), (pos, value)
+                if failures:
+                    bad = good[:pos] + bytes([value]) + good[pos + 1:]
+                    try:
+                        pickle.loads(bad)
+                        way = "entry"  # the bucket reads, the unit's bytes do not
+                    except Exception as e:
+                        way = type(e).__name__
+                    ways.setdefault(way, bad)
+            f.seek(pos)
+            f.write(good[pos:pos + 1])
+        assert len(ways) >= 5, sorted(ways)
+        for way, bad in ways.items():
+            f.seek(0)
+            f.write(bad)
+            s = _program_reads(d).state
+            assert s.codecache_persist_failures == 1 and s.compiles >= 1, way
+
+
+def test_a_truncated_artifact_is_a_miss(tmp_path):
+    """Cut at every 7th length the file is unreadable, counted once, never
+    raised; a whole program at a few of them recompiles both units."""
+    with _bad_artifact(tmp_path) as (d, f, good, probe):
+        for length in range(0, len(good), 7):
+            f.truncate(length)
+            assert probe() == (None, 1), length
+            if length % 1750 == 0:
+                s = _program_reads(d).state
+                assert (s.codecache_persist_failures, s.compiles) == (1, 2), length
+            f.seek(0)
+            f.write(good)
