@@ -360,9 +360,11 @@ def compute_context(fs: FrameState, reason: DeoptReason, config) -> Optional[Deo
     the partial accumulator are ordinary env entries.  The resulting
     context is keyed on the in-loop target pc plus the observed element
     type, and the continuation compiled for it resumes the remaining
-    ``n - k`` elements (its loop is rotated around the resume pc, so it
-    runs in the scalar regime; the next call of the original code re-enters
-    the bulk kernel at the loop preheader as usual).
+    ``n - k`` elements: the rest of iteration ``k`` as an entry-only
+    prologue, then the loop from its own header, where the vectorizer plans
+    the kernel again (``ir/builder.py::partition_bytecode``).  The next call
+    of the original code enters the bulk kernel at the loop preheader as
+    usual.
     """
     if len(fs.stack) > config.deoptless_max_stack:
         return None

@@ -167,6 +167,21 @@ def maybe_tier_up_continuation(vm, fs: FrameState, reason: DeoptReason,
     inlined-frame recovery context has no entry calling convention to
     promote to.  One attempt per context, success or not (``cont_hits``
     keeps a None tombstone).
+
+    Known hole, measured and left to the next policy PR (ROADMAP item
+    3(ii)): the promoted version is keyed on the live *call* context, which
+    cannot express the refuted fact when that fact is about a value the
+    function computes.  ``t[[colIndex]]`` in ``colsum``: both phases call
+    under ``(int$^, list)``; likewise the interpolation closure in
+    ``volcano``.  The promoted version then takes every call of the old
+    phase too, deopts on each (``f(1L, tbl)`` at pc 34: 18 of 18 calls on
+    ``phase-change``; ``trace_rays@193``: 12 of 12), is never retired
+    (deoptless keeps its origin) and never re-promoted (``lookup_exact``
+    finds it).  Each of those calls runs in a continuation: 0.55 ms against
+    0.36 ms without the deopt for ``f`` at n = 10,000 (7.2 ms before
+    continuations kept their loops, which is what hid this behind
+    ``osr_hop``).  The rule to write: a promotion its own call context
+    refutes is retired.
     """
     st.cont_hits[ctx] = None
     if not vm.config.osr_hop or fs.parent is not None or ctx.depth != 1:

@@ -5,7 +5,8 @@ The builder performs, in order:
 1. **Partitioning** of the bytecode into basic blocks, from an arbitrary
    ``entry_pc`` (0 for whole functions; mid-function for OSR-in and for
    deoptless continuations — the paper's "the bytecode to IR translation has
-   to support starting at an offset").
+   to support starting at an offset").  An entry inside a loop is the rest
+   of that iteration, as copied blocks, and then the loop from its header.
 2. **Escape analysis** over the *whole* bytecode: the local environment can
    be promoted to registers only if no closure/promise captures it anywhere.
    Scanning only the code reachable from ``entry_pc`` would wrongly elide
@@ -60,107 +61,130 @@ MAX_SITE_DEOPTS = 3
 # ---------------------------------------------------------------------------
 
 class BcBlock:
-    __slots__ = ("start", "end", "succs", "preds", "is_join", "is_loop_header")
+    """Bytecode ``[start, end)``: one entry at the top, one branch, return or
+    fall-through at the bottom.  A block's identity is the object, not its
+    start pc — a block of the entry prologue and the loop's own block cover
+    the same pcs."""
 
-    def __init__(self, start: int):
+    __slots__ = ("start", "end", "prologue", "succs", "preds", "is_join", "is_loop_header")
+
+    def __init__(self, start: int, end: int, prologue: bool):
         self.start = start
-        self.end = start  # exclusive, filled by partition
-        self.succs: List[int] = []
-        self.preds: List[int] = []
+        self.end = end  # exclusive
+        #: entry-only copy of pcs that a loop reachable from here runs too
+        self.prologue = prologue
+        self.succs: List["BcBlock"] = []
+        self.preds: List["BcBlock"] = []
         self.is_join = False
         self.is_loop_header = False
 
+    def latches(self) -> List["BcBlock"]:
+        """Predecessors that close a loop on this block: pc-backward edges
+        from its own side (a prologue block's edge into the function's
+        header enters the loop, it does not close it)."""
+        return [p for p in self.preds if p.prologue == self.prologue and p.start >= self.start]
 
-def partition_bytecode(code, entry_pc: int) -> Dict[int, BcBlock]:
-    """Split bytecode into blocks over the pcs reachable from ``entry_pc``."""
+    def succ_at(self, pc: int) -> "BcBlock":
+        """The successor this block reaches at ``pc``: from the prologue
+        that is another prologue block or a block of the function proper."""
+        for s in self.succs:
+            if s.start == pc:
+                return s
+        raise KeyError(pc)
+
+
+_BRANCHES = (O.BR, O.BRFALSE, O.BRTRUE)
+
+
+def partition_bytecode(code, entry_pc: int) -> List[BcBlock]:
+    """The blocks reachable from ``entry_pc``, entry first, in reverse postorder.
+
+    Leaders are pc 0 and what the branches name; ``entry_pc`` is not one.  An
+    entry between leaders starts a block that nothing else reaches.  An entry
+    inside a loop first runs a *prologue* — the rest of this iteration:
+    entry-only copies of the blocks between ``entry_pc`` and the header of
+    the innermost loop around it, where the function's own blocks take over.
+    So that loop, and every loop inside it, is entered at its header only
+    and has the blocks, the edges and the empty stack at its joins that it
+    has in the whole function; a loop around it is entered at that header
+    too, as by OSR-in there.  The prologue and the rest each have one way
+    in, which keeps the unit's CFG reducible whatever ``entry_pc`` is: an
+    edge that arrives late in the order is a back edge to a block that
+    dominates its source.  Blocks on no cycle are never copied: a unit
+    entered at pc 0 is the function's CFG (DESIGN.md, "The shape of a
+    continuation").
+    """
     instrs = code.code
     n = len(instrs)
-    leaders = {entry_pc}
-    # collect leaders from all reachable branch targets (single linear scan is
-    # fine: jumps to unreachable code simply produce unreachable leaders that
-    # the reachability walk below never visits)
+    leaders = {0}
+    loops = []  # (head, tail): the branch at pc ``tail`` goes back to ``head``
     for pc in range(n):
         op = instrs[pc][0]
-        if op == O.BR:
+        if op in _BRANCHES:
             leaders.add(instrs[pc][1])
-            if pc + 1 < n:
-                leaders.add(pc + 1)
-        elif op in (O.BRFALSE, O.BRTRUE):
-            leaders.add(instrs[pc][1])
-            leaders.add(pc + 1)
-        elif op == O.RETURN and pc + 1 < n:
+            if instrs[pc][1] <= pc:
+                loops.append((instrs[pc][1], pc))
+        if (op in _BRANCHES or op == O.RETURN) and pc + 1 < n:
             leaders.add(pc + 1)
 
-    sorted_leaders = sorted(leaders)
-    blocks: Dict[int, BcBlock] = {}
-    for i, start in enumerate(sorted_leaders):
-        b = BcBlock(start)
-        end = sorted_leaders[i + 1] if i + 1 < len(sorted_leaders) else n
-        # find terminator within [start, end)
-        pc = start
-        term = None
-        while pc < end:
-            op = instrs[pc][0]
-            if op in (O.BR, O.BRFALSE, O.BRTRUE, O.RETURN):
-                term = pc
-                break
-            pc += 1
-        b.end = (term + 1) if term is not None else end
-        if term is not None:
-            op = instrs[term][0]
-            if op == O.BR:
-                b.succs = [instrs[term][1]]
-            elif op in (O.BRFALSE, O.BRTRUE):
-                b.succs = [term + 1, instrs[term][1]]
-            # RETURN: no successors
+    # where the prologue hands over: the header of the innermost loop around
+    # the entry (no loop: the entry itself, and nothing is prologue)
+    stop = max((h for h, t in loops if h <= entry_pc <= t), default=entry_pc)
+
+    made: Dict[Tuple[int, bool], BcBlock] = {}
+
+    def block_at(pc: int, prologue: bool) -> BcBlock:
+        # the prologue copies what lies on a cycle of the rest: the inside of
+        # a loop, and the header of a loop around ``stop`` (entered at
+        # ``stop``, that loop closes its cycle through its header)
+        prologue = prologue and pc != stop and any(
+            h < pc <= t or h == pc < stop <= t for h, t in loops)
+        b = made.get((pc, prologue))
+        if b is None:
+            end = pc + 1
+            while instrs[end - 1][0] not in _BRANCHES and instrs[end - 1][0] != O.RETURN \
+                    and end < n and end not in leaders:
+                end += 1
+            b = made[(pc, prologue)] = BcBlock(pc, end, prologue)
+        return b
+
+    def link(b: BcBlock) -> BcBlock:
+        ins = instrs[b.end - 1]
+        if ins[0] == O.BR:
+            targets = [ins[1]]
+        elif ins[0] in _BRANCHES:
+            targets = [b.end, ins[1]]
         else:
-            if b.end < n:
-                b.succs = [b.end]
-        blocks[start] = b
+            targets = [] if ins[0] == O.RETURN or b.end == n else [b.end]
+        b.succs = [block_at(t, b.prologue) for t in targets]
+        return b
 
-    # reachability from entry
-    reachable = set()
-    work = [entry_pc]
-    while work:
-        s = work.pop()
-        if s in reachable:
-            continue
-        reachable.add(s)
-        for t in blocks[s].succs:
-            work.append(t)
-    blocks = {s: b for s, b in blocks.items() if s in reachable}
-    for b in blocks.values():
-        b.succs = [t for t in b.succs if t in blocks]
-        for t in b.succs:
-            blocks[t].preds.append(b.start)
-    for b in blocks.values():
-        b.is_join = len(b.preds) > 1
-        b.is_loop_header = any(p >= b.start for p in b.preds)
-    return blocks
-
-
-def _rpo_blocks(blocks: Dict[int, BcBlock], entry_pc: int) -> List[BcBlock]:
+    entry = link(block_at(entry_pc, True))
     order: List[BcBlock] = []
-    seen = set()
-
-    def visit(start: int) -> None:
-        stack = [(start, iter(blocks[start].succs))]
-        seen.add(start)
-        while stack:
-            s, it = stack[-1]
-            advanced = False
-            for t in it:
-                if t not in seen:
-                    seen.add(t)
-                    stack.append((t, iter(blocks[t].succs)))
-                    advanced = True
-                    break
-            if not advanced:
-                order.append(blocks[s])
-                stack.pop()
-
-    visit(entry_pc)
+    seen = {entry}
+    stack = [(entry, iter(entry.succs))]
+    while stack:
+        b, it = stack[-1]
+        for t in it:
+            if t not in seen:
+                seen.add(t)
+                stack.append((link(t), iter(t.succs)))
+                break
+        else:
+            order.append(b)
+            stack.pop()
     order.reverse()
+
+    for b in order:
+        for t in b.succs:
+            t.preds.append(b)
+    for b in order:
+        # the graph's entry edge is one more predecessor of the entry block;
+        # it matters where the entry is the function's own block — OSR-in at
+        # a loop header, a deopt at the first pc of a join outside every loop
+        # (inside one the entry is a prologue block, which nothing else reaches)
+        b.is_join = len(b.preds) + (b is entry) > 1
+        b.is_loop_header = bool(b.latches())
     return order
 
 
@@ -308,13 +332,8 @@ class GraphBuilder:
         #: a repaired copy here so the live baseline profile stays untouched
         self.feedback = feedback_override if feedback_override is not None else code.feedback
 
-        self.blocks = partition_bytecode(code, entry_pc)
-        # the graph's entry edge is an extra predecessor the bytecode CFG
-        # doesn't show: if the entry block is also reachable from inside the
-        # code (continuations entering mid-loop), it is a join and needs phis
-        if self.blocks[entry_pc].preds:
-            self.blocks[entry_pc].is_join = True
-        self.bc_order = _rpo_blocks(self.blocks, entry_pc)
+        #: bytecode blocks in translation order; the first is the entry
+        self.bc_order = partition_bytecode(code, entry_pc)
         scan_from = entry_pc if vm.config.unsound_continuation_escape and is_continuation else 0
         self.env_mode = env_escapes(code, scan_from)
         if not self.env_mode:
@@ -331,7 +350,7 @@ class GraphBuilder:
         self.graph.env_elided = not self.env_mode
 
         # filled by analyze()
-        self.in_states: Dict[int, AbsState] = {}
+        self.in_states: Dict[BcBlock, AbsState] = {}
 
     # -- speculation decision rules (shared by analysis and translation) --------
 
@@ -400,17 +419,17 @@ class GraphBuilder:
                         entry.vars[fname] = ctx.arg_types[i]
                     else:
                         entry.vars[fname] = ANY
-        self.in_states = {self.entry_pc: entry}
-        work = [self.entry_pc]
+        self.in_states = {self.bc_order[0]: entry}
+        work = [self.bc_order[0]]
         iterations = 0
         while work:
             iterations += 1
             if iterations > 10000:
                 raise CompilationFailure("type analysis did not converge")
-            start = work.pop(0)
-            state = self.in_states[start].copy()
-            out = self._transfer_block(self.blocks[start], state)
-            for succ, sstate in out:
+            block = work.pop(0)
+            state = self.in_states[block].copy()
+            for succ_pc, sstate in self._transfer_block(block, state):
+                succ = block.succ_at(succ_pc)
                 if succ not in self.in_states:
                     self.in_states[succ] = sstate.copy()
                     work.append(succ)
@@ -528,7 +547,7 @@ class GraphBuilder:
                 raise CompilationFailure("unknown opcode %d" % op)
             pc += 1
         if block.succs:
-            return [(block.succs[0], st)]
+            return [(block.end, st)]
         return []
 
     def _static_var_type(self, st: AbsState, name: str) -> RType:
@@ -552,26 +571,22 @@ class GraphBuilder:
         self.analyze()
         g = self.graph
         # IR blocks, one per reachable bc block
-        ir_blocks: Dict[int, BasicBlock] = {}
         entry_bb = g.new_block()
-        for b in self.bc_order:
-            ir_blocks[b.start] = g.new_block()
-        self.ir_blocks = ir_blocks
+        self.ir_blocks: Dict[BcBlock, BasicBlock] = {b: g.new_block() for b in self.bc_order}
 
-        self.in_values: Dict[int, "ValState"] = {}
+        self.in_values: Dict[BcBlock, "ValState"] = {}
         #: joins and loop headers: edges sealed before the block is translated
         #: wait in ``early_edges``; ``_join_values`` then makes its phis and
         #: files what each slot became under ``joined``, for the back edges
-        self.early_edges: Dict[int, list] = {}
-        self.joined: Dict[int, "ValState"] = {}
+        self.early_edges: Dict[BcBlock, list] = {}
+        self.joined: Dict[BcBlock, "ValState"] = {}
         self.sealed: set = set()  # bc blocks a translated edge leads to
-        self.bc_pos = {b.start: i for i, b in enumerate(self.bc_order)}
+        self.bc_pos = {b: i for i, b in enumerate(self.bc_order)}
 
         # entry block: parameters, then the edge into the first bc block
         vals_entry = self._build_entry(entry_bb)
-        self.cur_bb = entry_bb
-        self._seal_edge_from(entry_bb, self.entry_pc, vals_entry)
-        entry_bb.append(I.Jump(ir_blocks[self.entry_pc]))
+        self._seal_edge(entry_bb, self.bc_order[0], vals_entry)
+        entry_bb.append(I.Jump(self.ir_blocks[self.bc_order[0]]))
 
         for b in self.bc_order:
             self._translate_block(b)
@@ -633,8 +648,8 @@ class GraphBuilder:
     # -- block translation ----------------------------------------------------------
 
     def _translate_block(self, b: BcBlock) -> None:
-        bb = self.ir_blocks[b.start]
-        if b.start not in self.sealed:
+        bb = self.ir_blocks[b]
+        if b not in self.sealed:
             # bc-reachable but IR-unreachable: cold-branch speculation cut
             # every forward edge into it (bc order is RPO: they came first —
             # a loop header left with back edges only is dead, phis or not).
@@ -644,10 +659,10 @@ class GraphBuilder:
             canonical = self._join_values(b)
             vals = ValState(list(canonical.stack), dict(canonical.vars))
         else:
-            vals = self.in_values[b.start]
+            vals = self.in_values[b]
         self.cur = vals
         self.cur_bb = bb
-        self.cur_block_start = b.start
+        self.cur_block = b
         instrs = self.code.code
         pc = b.start
         terminated = False
@@ -659,40 +674,41 @@ class GraphBuilder:
                 break
             pc += 1
         if not terminated:
-            # fallthrough
-            succ = b.succs[0]
-            self._seal_edge(b.start, succ, vals)
-            self.cur_bb.append(I.Jump(self.ir_blocks[succ]))
+            self.cur_bb.append(I.Jump(self._edge_to(b.end)))  # fallthrough
 
-    def _seal_edge(self, pred_start: int, succ_start: int, out: "ValState") -> None:
-        self._seal_edge_from(self.cur_bb, succ_start, out)
+    def _edge_to(self, pc: int) -> BasicBlock:
+        """Seal the edge from the block being translated to its successor at
+        ``pc``; returns the IR block to jump to."""
+        succ = self.cur_block.succ_at(pc)
+        self._seal_edge(self.cur_bb, succ, self.cur)
+        return self.ir_blocks[succ]
 
-    def _seal_edge_from(self, pred_bb: BasicBlock, succ_start: int, out: "ValState") -> None:
-        self.sealed.add(succ_start)
-        succ = self.blocks[succ_start]
+    def _seal_edge(self, pred_bb: BasicBlock, succ: BcBlock, out: "ValState") -> None:
+        self.sealed.add(succ)
         if not (succ.is_join or succ.is_loop_header):
-            self.in_values[succ_start] = ValState(list(out.stack), dict(out.vars))
-        elif succ_start in self.joined:
-            self._add_phi_inputs(succ_start, pred_bb, out)
+            self.in_values[succ] = ValState(list(out.stack), dict(out.vars))
+        elif succ in self.joined:
+            self._add_phi_inputs(succ, pred_bb, out)
         else:
-            self.early_edges.setdefault(succ_start, []).append((pred_bb, out))
+            self.early_edges.setdefault(succ, []).append((pred_bb, out))
 
     def _join_values(self, b: BcBlock) -> "ValState":
         """The values at the top of a join or loop header, made when it is
-        translated (bc order is RPO: every forward edge is sealed).  A slot
+        translated (bc order is RPO of a reducible CFG: every forward edge is
+        sealed, and what is still to come is a back edge).  A slot
         gets a phi only where ``simplify`` would keep one: when all sealed
         edges deliver one value in the phi's type and mode, the slot *is*
         that value.  With back edges to come that holds at a plain loop
         header (one forward edge, the rest pc-backward) for the variables
         ``_loop_rebinds`` clears; DESIGN.md, "Uses, orders and dominators"."""
-        st = self.in_states[b.start]
-        bb = self.ir_blocks[b.start]
-        edges = self.early_edges.pop(b.start)
-        late = [p for p in b.preds if self.bc_pos[p] >= self.bc_pos[b.start]]
+        st = self.in_states[b]
+        bb = self.ir_blocks[b]
+        edges = self.early_edges.pop(b)
+        late = [p for p in b.preds if self.bc_pos[p] >= self.bc_pos[b]]
         # no edge to come: nothing rebinds; else anything may, a plain loop excepted
         rebinds = lambda name, v: bool(late)  # noqa: E731
-        if late and len(edges) == 1 and sorted(late) == sorted(p for p in b.preds if p >= b.start):
-            rebinds = self._loop_rebinds(b.start, max(self.blocks[p].end for p in late))
+        if late and len(edges) == 1 and set(late) == set(b.latches()):
+            rebinds = self._loop_rebinds(b.start, max(p.end for p in late))
         preds, outs = zip(*edges)
 
         def slot(t: RType, unboxed: bool, name, values) -> I.Instr:
@@ -719,15 +735,24 @@ class GraphBuilder:
             return phi
 
         vals = ValState([], {})
+        # Stack slots stay boxed.  The bytecode leaves the stack empty between
+        # statements, so a slot live across a join is the value of an ``if``
+        # arm on its way to one consumer (532 of the 540 joins the registry
+        # programs build, and none of their 1,194 loop headers), typed by the
+        # lub of the arms.  No entry pc changes that: a unit entered
+        # mid-expression uses its stack up in the prologue
+        # (``partition_bytecode``) and its loop headers join what they join
+        # in the whole function.
         for i, t in enumerate(st.stack):
             vals.stack.append(slot(t, False, None, [out.stack[i] for out in outs]))
         for name, t in st.vars.items():
             if isinstance(t, RType):  # not bottom, not "maybe-undefined"
                 vals.vars[name] = slot(t, t.unboxable, name, [out.vars.get(name) for out in outs])
-        self.joined[b.start] = vals
-        if b.is_loop_header:
+        self.joined[b] = vals
+        if b.is_loop_header and not b.prologue:
             # a frame materialized at this pc maps slot-for-slot onto these
-            # values (lower.py turns surviving anchors into the OSR entry map)
+            # values (lower.py turns surviving anchors into the OSR entry map);
+            # it enters the function's own loop, not a copy the prologue runs
             self.graph.osr_anchors[b.start] = OsrAnchor(bb, dict(vals.vars), list(vals.stack))
         return vals
 
@@ -754,10 +779,10 @@ class GraphBuilder:
 
         return rebinds
 
-    def _add_phi_inputs(self, succ_start: int, pred_bb: BasicBlock, out: "ValState") -> None:
+    def _add_phi_inputs(self, succ: BcBlock, pred_bb: BasicBlock, out: "ValState") -> None:
         """An edge sealed after its target was translated (a back edge)."""
-        vals = self.joined[succ_start]
-        bb = self.ir_blocks[succ_start]
+        vals = self.joined[succ]
+        bb = self.ir_blocks[succ]
         slots = [(None, at, v) for at, v in zip(vals.stack, out.stack)]
         slots += [(name, at, out.vars.get(name)) for name, at in vals.vars.items()]
         for name, at, v in slots:
@@ -1165,9 +1190,7 @@ class GraphBuilder:
         return False
 
     def _op_br(self, ins, pc) -> bool:
-        target = ins[1]
-        self._seal_edge(self.cur_block_start, target, self.cur)
-        self.cur_bb.append(I.Jump(self.ir_blocks[target]))
+        self.cur_bb.append(I.Jump(self._edge_to(ins[1])))
         return True
 
     def _op_brcond(self, ins, pc) -> bool:
@@ -1207,8 +1230,7 @@ class GraphBuilder:
             )
             asm.bc_pc = pc
             live_pc = (taken_pc if not is_brfalse else fall_pc) if bias else (fall_pc if not is_brfalse else taken_pc)
-            self._seal_edge(self.cur_block_start, live_pc, self.cur)
-            self.cur_bb.append(I.Jump(self.ir_blocks[live_pc]))
+            self.cur_bb.append(I.Jump(self._edge_to(live_pc)))
             return True
 
         # regular two-way branch
@@ -1216,9 +1238,7 @@ class GraphBuilder:
             true_pc, false_pc = fall_pc, taken_pc
         else:
             true_pc, false_pc = taken_pc, fall_pc
-        self._seal_edge(self.cur_block_start, true_pc, self.cur)
-        self._seal_edge(self.cur_block_start, false_pc, self.cur)
-        self.cur_bb.append(I.Branch(ucond, self.ir_blocks[true_pc], self.ir_blocks[false_pc]))
+        self.cur_bb.append(I.Branch(ucond, self._edge_to(true_pc), self._edge_to(false_pc)))
         return True
 
     def _op_return(self, ins, pc) -> bool:

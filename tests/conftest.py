@@ -24,6 +24,19 @@ def ev(source: str, vm: RVM = None, **cfg):
     return from_r(vm.eval(source))
 
 
+class FireAt:
+    """Chaos RNG stand-in (``vm.chaos_rng``, with ``chaos_rate`` > 0): draw
+    number ``n`` (from 0) fires, no other does.  ``left`` < 0 afterwards
+    says the draw was reached."""
+
+    def __init__(self, n):
+        self.left = n
+
+    def random(self):
+        self.left -= 1
+        return 0.0 if self.left == -1 else 1.0
+
+
 #: configurations every program must agree under
 TIER_CONFIGS = {
     "interp": dict(enable_jit=False),

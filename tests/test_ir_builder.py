@@ -5,6 +5,7 @@ import pytest
 
 from conftest import make_vm
 from repro import from_r
+from repro.bytecode import opcodes as O
 from repro.ir import instructions as I
 from repro.ir.builder import CompilationFailure, GraphBuilder, env_escapes, partition_bytecode
 from repro.runtime.rtypes import ANY, Kind, RType, scalar, vector
@@ -162,13 +163,12 @@ def test_maybe_undefined_variable_fails_compilation():
         GraphBuilder(vm, clo.code, clo).build()
 
 
-def test_continuation_entry_mid_loop_builds_phis():
+def _sum_continuation_builder():
+    """A builder for ``sumfn`` entered at its last INDEX2 — a realistic deopt
+    target inside the loop, mid-expression."""
     vm = warmed_vm(SUM_SRC, ["x <- c(1.5, 2.5)", "sumfn(x, 2L)", "sumfn(x, 2L)"])
     clo = vm.global_env.get("sumfn")
     code = clo.code
-    # find the INDEX2 pc (a realistic deopt target inside the loop)
-    from repro.bytecode import opcodes as O
-
     pcs = [pc for pc, ins in enumerate(code.code) if ins[0] == O.INDEX2]
     entry = pcs[-1]
     var_types = {
@@ -181,7 +181,7 @@ def test_continuation_entry_mid_loop_builds_phis():
             var_types[n] = vector(Kind.INT)
         elif n.startswith(".fn") or n.startswith(".fi"):
             var_types[n] = scalar(Kind.INT)
-    g = GraphBuilder(
+    return GraphBuilder(
         vm, code, clo,
         entry_pc=entry,
         entry_var_types=var_types,
@@ -189,11 +189,34 @@ def test_continuation_entry_mid_loop_builds_phis():
         # [total, data, i]
         entry_stack_types=[scalar(Kind.DBL), vector(Kind.DBL), scalar(Kind.INT)],
         is_continuation=True,
-    ).build()
+    )
+
+
+def test_continuation_entry_mid_loop_builds_phis():
+    g = _sum_continuation_builder().build()
     assert g.is_continuation
     assert g.cont_stack_size == 3
     # the loop header (re-entered from below) must carry phis
     assert instrs_of(g, I.Phi)
+
+
+def test_continuation_entry_mid_loop_joins_an_empty_stack_at_the_header():
+    """The three stack slots of the entry are used up by the prologue; the
+    loop is the function's own: its header joins variables only, and the
+    accumulator is an unboxed phi there, not a boxed stack slot."""
+    builder = _sum_continuation_builder()
+    g = builder.build()
+    entry = builder.bc_order[0]
+    assert entry.prologue and len(builder.in_states[entry].stack) == 3
+    joins = [b for b in builder.bc_order if b.is_join or b.is_loop_header]
+    assert joins and not any(b.prologue or builder.in_states[b].stack for b in joins)
+    (head,) = [b for b in joins if b.is_loop_header]
+    anchor = g.osr_anchors[head.start]
+    assert not anchor.stack
+    total = anchor.vars["total"]
+    assert isinstance(total, I.Phi) and total.unboxed and total.block is anchor.header
+    # one entry-only edge from the prologue beside the function's back edge
+    assert sorted(p.prologue for p in head.preds) == [False, True]
 
 
 def test_partition_reachability_from_offset():
@@ -201,11 +224,13 @@ def test_partition_reachability_from_offset():
     vm.eval("f <- function(n) { s <- 0\nfor (i in 1:n) s <- s + i\ns }")
     code = vm.global_env.get("f").code
     full = partition_bytecode(code, 0)
-    # entering mid-way reaches fewer blocks
-    mid = sorted(full)[len(full) // 2]
+    # entering mid-way reaches no pc the whole function does not, and at most
+    # one copy of each block on top of the function's own
+    mid = sorted(b.start for b in full)[len(full) // 2]
     partial = partition_bytecode(code, mid)
-    assert set(partial) <= set(full) | {mid}
-    assert len(partial) <= len(full) + 1
+    assert partial[0].start == mid
+    assert {b.start for b in partial} <= {b.start for b in full}
+    assert len(partial) <= 2 * len(full)
 
 
 def test_framestates_reference_loop_state():
@@ -306,9 +331,90 @@ def test_header_with_two_forward_edges_still_compiles():
         results[tier] = [from_r(vm.eval(c)) for c in ["f(TRUE, 4L)", "f(FALSE, 4L)"] * 3]
         if tier == "jit":
             assert vm.state.compiles > 0 and vm.state.compile_failures == 0
-            head = partition_bytecode(code, 0)[8]
-            assert sorted(head.preds) == [0, 6, 12] and head.is_loop_header
+            head = next(b for b in partition_bytecode(code, 0) if b.start == 8)
+            assert sorted(p.start for p in head.preds) == [0, 6, 12] and head.is_loop_header
             g = build_for(vm, "f")
             assert {"s", "i"} <= set(n for n, v in g.osr_anchors[8].vars.items()
                                      if isinstance(v, I.Phi) and v.block is g.osr_anchors[8].header)
     assert results["interp"] == results["jit"] == [15, 10] * 3
+
+
+NEST_SRC = """
+nest <- function(m, n) {
+  s <- 0L
+  for (i in 1:m) {
+    if (i %% 2L == 0L) next
+    j <- 0L
+    while (j < n) {
+      j <- j + 1L
+      if (j > 3L) s <- s + j else s <- s - 1L
+      if (s > 1000L) break
+    }
+    s <- s + i * 2L
+  }
+  s
+}
+"""
+
+
+def _dominators(blocks):
+    dom = {b: set(blocks) for b in blocks}
+    dom[blocks[0]] = {blocks[0]}
+    changed = True
+    while changed:
+        changed = False
+        for b in blocks[1:]:
+            new = set.intersection(*(dom[p] for p in b.preds)) | {b}
+            changed |= new != dom[b]
+            dom[b] = new
+    return dom
+
+
+def test_entering_anywhere_keeps_every_loop_the_functions_own():
+    """``partition_bytecode`` from every pc of a loop nest.  What is not
+    prologue is the whole function's block, edge for edge; the prologue is
+    entry-only and hands over at one loop header — the innermost around the
+    entry — or where no cycle passes; so a loop header keeps its bytecode
+    predecessors and gains prologue blocks only, and the unit is reducible:
+    every edge that arrives late in the order goes back to a dominator."""
+    vm = make_vm()
+    vm.eval(NEST_SRC)
+    code = vm.global_env.get("nest").code
+    full = {b.start: b for b in partition_bytecode(code, 0)}
+    assert not any(b.prologue for b in full.values())
+    loops = [(h, max(p.end for p in b.preds if p.start >= h))
+             for h, b in full.items() if b.is_loop_header]
+    assert len(loops) == 2
+    latches = {p.start for h, b in full.items() if b.is_loop_header
+               for p in b.preds if p.start >= h}
+    seen = set()
+    live = [pc for b in full.values() for pc in range(b.start, b.end)]  # not what follows a `next`
+    for pc in live:
+        blocks = partition_bytecode(code, pc)
+        entry = blocks[0]
+        stop = max((h for h, end in loops if h <= pc < end), default=pc)
+        assert entry.start == pc and entry.prologue == (stop != pc)
+        at = max(s for s in full if s <= pc)
+        if stop != pc and at != pc:
+            seen.add("mid-latch" if at in latches else "mid-body")
+        copies = [b for b in blocks if b.prologue]
+        assert len({b.start for b in copies}) == len(copies), "one copy at most"
+        for b in copies:
+            assert all(p.prologue for p in b.preds), "entry-only"
+            assert b.end == full[at if b is entry else b.start].end
+            assert all(t.prologue or t.start == stop or not any(h <= t.start < end for h, end in loops)
+                       for t in b.succs), "one way into the function's loops"
+        for b in blocks:
+            if not b.prologue and b.start in full:
+                own = full[b.start]
+                assert (b.end, [t.start for t in b.succs]) == (own.end, [t.start for t in own.succs])
+                assert {p.start for p in b.preds if p.start in full and not p.prologue} \
+                    <= {p.start for p in own.preds}
+                assert not b.is_loop_header or own.is_loop_header
+            elif not b.prologue:
+                assert b is entry and stop == pc  # entered between leaders, outside every loop
+        dom, pos = _dominators(blocks), {b: i for i, b in enumerate(blocks)}
+        for b in blocks:
+            for t in b.succs:
+                assert pos[t] > pos[b] or (t in dom[b] and t.is_loop_header), (pc, b.start, t.start)
+    assert seen == {"mid-latch", "mid-body"}

@@ -19,7 +19,7 @@ import re
 
 import pytest
 
-from conftest import make_vm
+from conftest import FireAt, make_vm
 from repro import from_r
 from repro.bench.programs import REGISTRY
 from repro.bytecode.interpreter import match_arguments
@@ -302,17 +302,6 @@ class _Deopted(Exception):
     """What a guard handed to (the stubbed) ``vm.deopt``."""
 
 
-class _FireAt:
-    """Chaos RNG stand-in: draw number ``n`` (from 0) fires, no other does."""
-
-    def __init__(self, n):
-        self.left = n
-
-    def random(self):
-        self.left -= 1
-        return 0.0 if self.left == -1 else 1.0
-
-
 def _plain(v):
     """Frame values by structure: an activation allocates its own vectors,
     promises, closures and environments."""
@@ -350,7 +339,7 @@ def chaos_deopt(vm, nc, n, codegen, args=(), env=None, entry=None, regs=None):
     st = vm.state
     before = (st.native_ops, st.native_generic_ops, st.guards_executed)
     vm.deopt = deopt
-    vm.chaos_rng = _FireAt(n)
+    vm.chaos_rng = FireAt(n)
     vm.config.chaos_rate = 0.5
     vm.config.threaded_dispatch = codegen  # callees' activations too
     try:

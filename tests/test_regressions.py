@@ -31,6 +31,29 @@ sumfn <- function(data, len) {
     assert vm.state.deoptless_dispatches == 1
 
 
+def test_colsum_continuation_runs_the_column_in_a_kernel():
+    """Figure 10 replayed: ``f(1L) x6, f(2L) x6, f(1L) x6``.  Every call of
+    the third phase deopts at ``f@34`` (the promoted version cannot tell the
+    phases apart by its call context) and enters the same continuation.  That
+    used to be the loop rotated around pc 34 — two dispatch arms and a boxed
+    accumulator per element, 25x the kernel; now the first element is the
+    prologue and the other ``n - 1`` are one kernel call."""
+    from repro.bench.programs import REGISTRY
+
+    w, n = REGISTRY.get("colsum"), 300
+    vm = make_vm(enable_deoptless=True)
+    vm.eval(w.source)
+    vm.eval(w.setup_code(n))
+    for col in ("1L", "2L"):
+        for _ in range(6):
+            vm.eval("f(%s, tbl)" % col)
+    for _ in range(6):
+        before = vm.state.kernel_elements
+        assert from_r(vm.eval("f(1L, tbl)")) == n * (n + 1) // 2
+        assert vm.state.kernel_elements - before >= n - 1
+    assert vm.state.compile_failures == 0
+
+
 def test_scalar_guarded_value_used_as_vector_is_reboxed():
     """`1:n` with n==1 produces a length-1 vector; scalar feedback then made
     the compiler unbox it, crashing the vector ops consuming it."""
