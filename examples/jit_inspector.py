@@ -19,6 +19,7 @@ from repro.bytecode.opcodes import disassemble as bc_disassemble
 from repro.ir.builder import GraphBuilder
 from repro.ir.cfg import print_graph
 from repro.native.ops import disassemble as native_disassemble
+from repro.serve import FleetCompileQueue
 
 SRC = """
 sumfn <- function(data, len) {
@@ -173,9 +174,10 @@ def inspect_inlining() -> None:
 
 
 def inspect_code_cache() -> None:
-    """The context-keyed code cache and the background tier-up queue."""
-    vm = RVM(Config(enable_deoptless=True, compile_threshold=3,
-                    codecache=True, tierup_mode="step"))
+    """The context-keyed code cache and tier-up through a fleet queue."""
+    vm = RVM(Config(enable_deoptless=True, compile_threshold=3, codecache=True))
+    fleet = FleetCompileQueue(0)  # no workers: built only when drained
+    vm.compile_queue.attach(fleet)
     vm.eval(SRC)
     vm.eval(SRC.replace("sumfn", "sumfn2"))  # identical body, new name
     vm.eval("x <- c(1.5, 2.5, 3.5)")
@@ -183,17 +185,17 @@ def inspect_code_cache() -> None:
 
     print()
     print("=" * 70)
-    print("10. TIER-UP QUEUE (step mode: enqueue at the call site, drain on demand)")
+    print("10. TIER-UP QUEUE (a fleet with no workers: enqueue, drain, install)")
     print("=" * 70)
     for _ in range(6):
         vm.eval("sumfn(x, 3L)")
-    q = vm.compile_queue
-    print("  mode=%s  pending=%d  enqueues=%d  installs=%d"
-          % (q.mode, len(q.pending), vm.state.tierup_enqueues,
-             vm.state.tierup_installs))
-    n = vm.drain_compile_queue()
-    print("  drained %d request(s): installs=%d compiles=%d"
-          % (n, vm.state.tierup_installs, vm.state.compiles))
+    print("  pending=%d  enqueues=%d  installs=%d"
+          % (len(fleet), vm.state.tierup_enqueues, vm.state.tierup_installs))
+    n = fleet.drain()
+    print("  drained %d request(s): built and staged=%d" % (n, len(vm.compile_queue.ready)))
+    vm.compile_queue.install_ready()  # what the VM's next call does
+    print("  installed on the VM's thread: installs=%d compiles=%d"
+          % (vm.state.tierup_installs, vm.state.compiles))
 
     print()
     print("=" * 70)
@@ -201,7 +203,7 @@ def inspect_code_cache() -> None:
     print("=" * 70)
     for _ in range(6):
         vm.eval("sumfn2(x, 3L)")
-    vm.drain_compile_queue()
+    fleet.drain()
     vm.eval("sumfn(xi, 3L)")   # deoptless continuation, cached
     vm.eval("sumfn2(xi, 3L)")  # same context in the sibling: served from cache
     print(vm.code_cache.describe())

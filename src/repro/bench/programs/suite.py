@@ -262,8 +262,8 @@ for (i in 1:{n}) idx[[i]] <- {n} + 1L - i
     call="dot_run(x, y, idx, {n}L, 8L)",
     n=20000,
     n_test=2000,
-    notes="two fused reductions per pass: x.y (VDOT) and a reversed-index "
-          "gather sum (VGATHER_REDUCE) under a scalar repeat driver",
+    notes="two fused reductions per pass: x.y and a reversed-index "
+          "gather sum (fsum kernels) under a scalar repeat driver",
 ))
 
 # ---------------------------------------------------------------------------

@@ -205,8 +205,8 @@ def maybe_tier_up_continuation(vm, fs: FrameState, reason: DeoptReason,
         return  # an entry version for this calling pattern already stands
     if not vm.admits(st):
         return
-    # through the compile queue, so step/bg modes keep compilation off the
-    # recovery path; compiled under the repaired feedback and
+    # through the compile queue, so an attached fleet keeps compilation off
+    # the recovery path; compiled under the repaired feedback and
     # content-addressed in the code cache like any entry version
     vm.compile_queue.request(unit.UnitSpec(
         "ctxfn", closure.code, closure, ctx=call_ctx,

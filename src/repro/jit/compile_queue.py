@@ -1,31 +1,30 @@
-"""Background tier-up: take compilation off the interpreter's critical path.
+"""Tier-up requests: compiled inline, or queued on an attached fleet.
 
-``RVM.maybe_tier_up`` routes through here.  Four modes
-(``Config.tierup_mode``):
+``RVM.maybe_tier_up`` and continuation promotion route through here.  A
+:class:`CompileQueue` compiles inline — exactly the pre-queue behaviour —
+unless a :class:`repro.serve.FleetCompileQueue` is attached
+(:meth:`CompileQueue.attach`).  Then a request is queued there, and the
+pipeline runs over a *feedback snapshot* taken at enqueue time while the
+bytecode tier keeps running (and profiling):
 
-* ``sync`` (default) — compile inline, exactly the pre-queue behaviour.
-* ``step`` — enqueue; nothing compiles until :meth:`CompileQueue.drain` is
-  called with an instruction budget.  Deterministic by construction (the
-  caller decides when compile pauses happen), which is what the tests and
-  the budgeted-drain experiments use.
-* ``bg`` — a daemon worker thread runs the pipeline over a *feedback
-  snapshot* taken at enqueue time; finished code is staged and installed on
-  the main thread at the next closure call.  The bytecode tier keeps running
-  (and profiling) the whole time, so a compile pause never stalls execution.
-* ``fleet`` — like ``bg``, but requests route to a *process-wide*
-  :class:`repro.serve.FleetCompileQueue` shared by every session in a
-  :class:`repro.serve.Server`.  One worker pool serves all tenants, and
-  identical in-flight builds (same stable digest) are coalesced: one tenant
-  compiles, the rest claim the published form from the shared code cache at
-  install time (``batched_compiles``).  Installs still happen only on the
-  owning session's thread, via the same ``ready``/``queue_ready`` protocol
-  as ``bg`` — the fleet never touches another VM's state directly.
+* ``Server.session`` attaches the server's process-wide fleet: one worker
+  pool serves all tenants, and identical in-flight builds (same stable
+  digest) are coalesced — one tenant compiles, the rest claim the published
+  form from the shared code cache at install time (``batched_compiles``);
+* a single VM that wants a background worker attaches
+  ``FleetCompileQueue(1)``;
+* a test that wants deterministic deferral attaches ``FleetCompileQueue(0)``:
+  nothing is built until it calls the fleet's ``drain()``.
 
-In every mode the code cache is consulted *before* a request is queued or
+Built code is staged in ``ready`` and installed only on the owning VM's
+thread, at its next closure call (``queue_ready``) — a fleet worker never
+touches a VM's state directly.
+
+Either way the code cache is consulted *before* a request is queued or
 compiled — a context that was compiled before installs in O(lookup).
 
-Telemetry discipline: the worker thread only builds graphs; all counter
-bumps and events happen on the main thread at install time, keeping event
+Telemetry discipline: a fleet worker only builds graphs; all counter bumps
+and events happen on the session thread at install time, keeping event
 order deterministic for equal workloads.
 """
 
@@ -39,13 +38,10 @@ from ..ir.builder import CompilationFailure
 from . import codecache, unit
 
 #: staged in ``ready`` for a request whose build was coalesced with another
-#: tenant's identical in-flight build (fleet mode): at install time the
-#: session claims the published unit from the shared cache instead of
-#: compiling.  Distinct from None (= build failed / superseded).
+#: tenant's identical in-flight build: at install time the session claims
+#: the published unit from the shared cache instead of compiling.  Distinct
+#: from None (= build failed / superseded).
 COALESCED = object()
-
-#: compiled-instruction budget of a ``drain()`` call that names none
-DRAIN_BUDGET = 2000
 
 
 class CompileRequest:
@@ -54,11 +50,11 @@ class CompileRequest:
     def __init__(self, spec, promote=False):
         #: the :class:`~repro.jit.unit.UnitSpec` to build (``fn`` or
         #: ``ctxfn``).  Its ``feedback`` is a snapshot of the per-pc profile
-        #: taken at enqueue time: bg mode compiles from it, immune to
+        #: taken at enqueue time: a fleet worker compiles from it, immune to
         #: concurrent interpreter mutation
         self.spec = spec
         #: request came from continuation promotion — bumps cont_tierups at
-        #: install so the counter means "promotions installed" in every mode
+        #: install so the counter means "promotions installed" either way
         self.promote = promote
 
     def key(self):
@@ -66,42 +62,35 @@ class CompileRequest:
 
 
 class CompileQueue:
-    """FIFO of tier-up requests with pluggable drain policy."""
+    """One VM's tier-up requests: built inline, or staged by a fleet."""
 
     def __init__(self, vm):
         self.vm = vm
-        self.mode = vm.config.tierup_mode
-        self.pending: "deque[CompileRequest]" = deque()
+        #: the serve.FleetCompileQueue requests go to; None compiles inline
+        self.fleet = None
+        #: keys of requests submitted to the fleet and not yet staged
         self.queued_ids: set = set()
-        #: (request, ncode-or-None) built by the worker, awaiting install
+        #: (request, ncode / None / COALESCED) staged by the fleet, awaiting install
         self.ready: "deque[Tuple[CompileRequest, Any]]" = deque()
         self.lock = threading.Lock()
-        self.wake = threading.Condition(self.lock)
-        self.idle = threading.Condition(self.lock)
-        self.worker: Optional[threading.Thread] = None
-        self.stopping = False
-        #: requests popped by the worker but not yet staged to ``ready``
-        self.inflight = 0
-        #: serve.FleetCompileQueue when mode == "fleet" (Server wires it)
-        self.fleet = None
         #: serializes pipeline runs against this VM (:meth:`build_off_thread`)
         self.build_lock = threading.Lock()
 
-    def __len__(self) -> int:
-        return len(self.pending)
-
-    # ------------------------------------------------------------------
-    # enqueue (main thread)
-    # ------------------------------------------------------------------
+    def attach(self, fleet) -> None:
+        """Queue every later request on ``fleet``.  ``snapshot()`` then
+        takes this queue's lock, so it sees install-time counter groups
+        whole while workers stage builds (serve stats threads poll it)."""
+        self.fleet = fleet
+        self.vm.state.snapshot_lock = self.lock
 
     def request(self, spec, promote=False):
         """Tier-up request for a whole-function unit: the generic version
         (``fn``) or, for continuation promotion, an entry-context version
-        (``ctxfn``, ``promote=True``).  Compiled inline in sync mode
-        (returns the installed NativeCode or None), else queued (returns
-        None) — unless an equal request already is."""
+        (``ctxfn``, ``promote=True``).  Compiled inline when no fleet is
+        attached (returns the installed NativeCode or None), else queued
+        (returns None) — unless an equal request already is."""
         vm = self.vm
-        if self.mode == "sync":
+        if self.fleet is None:
             # under the names the benchmark's tracer resolves
             if spec.kind == "fn":
                 ncode = vm.compile_closure(spec.closure, spec.feedback)
@@ -113,24 +102,16 @@ class CompileQueue:
             return None
         if spec.feedback is None:
             spec.feedback = {pc: fb.copy() for pc, fb in spec.code.feedback.items()}
-        fleet = self.fleet if self.mode == "fleet" else None
         with self.lock:
             self.queued_ids.add(req.key())
-            if fleet is None:
-                self.pending.append(req)
-                self.wake.notify()
         vm.state.tierup_enqueues += 1
-        vm.state.emit("tierup_enqueue", spec.closure.name, mode=self.mode,
-                      queue_depth=len(self.pending if fleet is None else fleet),
-                      ctx=spec.ctx is not None)
-        if fleet is not None:
-            # the stable digest — the cross-tenant dedup key — is computed
-            # here, on the session thread: it walks this VM's global
-            # environment to name the closures the key pins, which the fleet
-            # workers must not do concurrently with the interpreter
-            fleet.submit(self, req, self._fleet_digest(req))
-        elif self.mode == "bg":
-            self._ensure_worker()
+        vm.state.emit("tierup_enqueue", spec.closure.name,
+                      queue_depth=len(self.fleet), ctx=spec.ctx is not None)
+        # the stable digest — the cross-tenant dedup key — is computed here,
+        # on the session thread: it walks this VM's global environment to
+        # name the closures the key pins, which the fleet workers must not
+        # do concurrently with the interpreter
+        self.fleet.submit(self, req, self._fleet_digest(req))
         return None
 
     def _fleet_digest(self, req: CompileRequest) -> Optional[str]:
@@ -150,31 +131,6 @@ class CompileQueue:
                                specificity=spec.ctx.specificity())
         return ncode
 
-    # ------------------------------------------------------------------
-    # drain (step mode / tests; also used by bg install path)
-    # ------------------------------------------------------------------
-
-    def drain(self, budget: Optional[int] = None) -> int:
-        """Compile+install queued requests until ``budget`` compiled
-        instructions are spent (default :data:`DRAIN_BUDGET`; pass 0 for
-        unbounded).  Returns the number of installs."""
-        if budget is None:
-            budget = DRAIN_BUDGET
-        installed = spent = 0
-        while True:
-            with self.lock:
-                if not self.pending:
-                    break
-                req = self.pending.popleft()
-                self.queued_ids.discard(req.key())
-            ncode = self._finish(req, self._build(req))
-            if ncode is not None:
-                installed += 1
-                spent += ncode.size
-                if budget and spent >= budget:
-                    break
-        return installed
-
     @staticmethod
     def _superseded(st, spec) -> bool:
         """The unit this request asks for got installed while it waited."""
@@ -183,34 +139,30 @@ class CompileQueue:
         return st.versions is not None and st.versions.lookup_exact(spec.ctx) is not None
 
     def build_off_thread(self, req: CompileRequest):
-        """:meth:`_build` as bg and fleet workers run it: the interpreter
-        may mutate a callee's feedback set under the builder mid-iteration
-        (``RuntimeError``) — retry from a fresh read, give up after three.
-        Under ``build_lock``: the fleet pool may pick up two of this
-        session's requests, and the pipeline reads shared per-VM state."""
+        """Run the pipeline for one request, as a fleet worker does; returns
+        NativeCode or None.  Failures are recorded against the closure
+        state, never raised.  The interpreter may mutate a callee's feedback
+        set under the builder mid-iteration (``RuntimeError``) — retry from
+        a fresh read, give up after three.  Under ``build_lock``: the fleet
+        pool may pick up two of this session's requests, and the pipeline
+        reads shared per-VM state."""
+        vm, spec = self.vm, req.spec
+        st = vm.jit_state(spec.closure)
         with self.build_lock:
             for _ in range(3):
+                if st.cant_compile:
+                    return None
+                if self._superseded(st, spec):
+                    vm.state.tierup_drops += 1
+                    return None
                 try:
-                    return self._build(req)
+                    return unit.build(vm, spec)
+                except CompilationFailure as e:
+                    unit.failed(vm, spec, e)
+                    return None
                 except RuntimeError:
                     continue
         return None
-
-    def _build(self, req: CompileRequest):
-        """Run the pipeline for one request; returns NativeCode or None.
-        Failures are recorded against the closure state, never raised."""
-        vm, spec = self.vm, req.spec
-        st = vm.jit_state(spec.closure)
-        if st.cant_compile:
-            return None
-        if self._superseded(st, spec):
-            vm.state.tierup_drops += 1
-            return None
-        try:
-            return unit.build(vm, spec)
-        except CompilationFailure as e:
-            unit.failed(vm, spec, e)
-            return None
 
     def _finish(self, req: CompileRequest, ncode):
         """Install point (session thread) for a staged result: a built
@@ -246,42 +198,12 @@ class CompileQueue:
             vm.state.tierup_installs += 1
         return self._installed(spec, req.promote, ncode)
 
-    # ------------------------------------------------------------------
-    # background worker (bg mode)
-    # ------------------------------------------------------------------
-
-    def _ensure_worker(self) -> None:
-        if self.worker is not None and self.worker.is_alive():
-            return
-        self.worker = threading.Thread(
-            target=self._worker_loop, name="repro-tierup", daemon=True
-        )
-        self.worker.start()
-
-    def _worker_loop(self) -> None:  # pragma: no cover - timing dependent
-        while True:
-            with self.lock:
-                while not self.pending and not self.stopping:
-                    self.idle.notify_all()
-                    self.wake.wait(timeout=0.5)
-                if self.stopping:
-                    return
-                req = self.pending.popleft()
-                self.queued_ids.discard(req.key())
-                self.inflight += 1
-            ncode = self.build_off_thread(req)
-            with self.lock:
-                self.ready.append((req, ncode))
-                self.inflight -= 1
-                self.idle.notify_all()
-            self.vm.queue_ready = True
-
     def install_ready(self) -> int:
-        """Main-thread install point for worker-built code.
+        """Session-thread install point for fleet-built code.
 
         The whole install — version swap plus its telemetry counter group —
         runs under the queue lock, which ``Telemetry.snapshot`` (wired to
-        this lock in bg/fleet modes) also takes: a concurrent snapshot sees
+        this lock by :meth:`attach`) also takes: a concurrent snapshot sees
         compiles/compiled_instrs/code_size move together, never a torn
         install.  Workers staging new results block only for the µs-scale
         install, same as any ready-deque access."""
@@ -296,15 +218,3 @@ class CompileQueue:
             if res is not None:
                 installed += 1
         return installed
-
-    def join(self, timeout: float = 5.0) -> bool:
-        """Wait until the worker has no pending/unstaged work (tests)."""
-        if self.mode == "fleet" and self.fleet is not None:
-            return self.fleet.join(timeout)
-        if self.mode != "bg":
-            return not self.pending
-        with self.lock:
-            while self.pending or self.inflight:
-                if not self.idle.wait(timeout=timeout):  # pragma: no cover
-                    return False
-        return True

@@ -75,7 +75,7 @@ class Config:
     #: cost model: max callee bytecode ops for an inline candidate
     inline_max_size: int = 48
 
-    # -- compilation subsystem (jit/codecache.py, jit/compile_queue.py) -----------
+    # -- compilation subsystem (jit/codecache.py) -------------------------------------
     #: context-keyed code cache: compiled units are shared across closures
     #: with content-identical code under the same speculation context, and
     #: repeat deoptless contexts recover in O(lookup) instead of O(pipeline).
@@ -87,10 +87,6 @@ class Config:
     #: persistence.  Stable entries are written by ``RVM.save_code_cache()``
     #: and probed on cache misses.
     codecache_dir: "str | None" = field(default_factory=_codecache_dir_default)
-    #: how tier-up requests compile: "sync" inline (default), "step" queued
-    #: until an explicit budgeted ``vm.drain_compile_queue()``, "bg" on a
-    #: worker thread with main-thread installs
-    tierup_mode: str = "sync"
 
     # -- multi-tenant serving (repro/serve) ---------------------------------------
     #: master switch for the serving layer: when False, ``serve.Server``

@@ -52,8 +52,10 @@ from .codecache import Unstable, WorldResolver, stable_closure_hash
 #: bumped when a pickled shape changes or generated sources pass their
 #: helpers other arguments (4: ``_DS``/``_fail``/``_fallback`` stopped taking
 #: registers; 5: ``DeoptDescr`` lost ``promises``/``escape``, ``OsrEntry.env``
-#: became ``env_reg``).  Another version is a miss and a fresh compile.
-FORMAT_VERSION = 5
+#: became ``env_reg``; 6: one ``KERNEL`` opcode replaced the nine ``V*``
+#: ones, and ``KernelDescr`` lost its compare-select fields).  Another
+#: version is a miss and a fresh compile.
+FORMAT_VERSION = 6
 
 
 class PersistError(Exception):

@@ -47,13 +47,13 @@ class Telemetry:
     """Counters + event stream for one VM."""
 
     def __init__(self) -> None:
-        #: optional lock :meth:`snapshot` acquires before reading.  Set by
-        #: the VM to the compile queue's lock when ``tierup_mode="bg"`` (or
-        #: the serve layer's fleet mode): a worker thread may be staging
+        #: optional lock :meth:`snapshot` acquires before reading.  Set to
+        #: the compile queue's lock when a fleet queue is attached
+        #: (``CompileQueue.attach``): a worker thread may be staging
         #: built units while a server stats thread snapshots, and install
         #: paths bump several related counters under that lock — reading
         #: them together keeps the snapshot internally consistent.  None
-        #: (every synchronous mode) keeps snapshot() lock-free.
+        #: (inline tier-up) keeps snapshot() lock-free.
         self.snapshot_lock = None
         self.events: List[Event] = []
         self.interp_ops = 0
@@ -170,7 +170,7 @@ class Telemetry:
         #: under serve, the fleet-wide sum of this counter is the real
         #: compilation work done (the >=80%-fewer acceptance metric)
         self.lowered_instrs = 0
-        #: background/step tier-up queue (jit/compile_queue.py)
+        #: tier-up through an attached fleet queue (jit/compile_queue.py)
         self.tierup_enqueues = 0
         self.tierup_installs = 0
         #: built units discarded at install time (closure already compiled
@@ -265,7 +265,7 @@ class Telemetry:
 
     def snapshot(self) -> Dict[str, float]:
         if self.snapshot_lock is not None:
-            # bg/fleet tier-up: a worker may be staging installs concurrently;
+            # fleet tier-up: a worker may be staging installs concurrently;
             # take the queue lock so related counters are read consistently
             with self.snapshot_lock:
                 return self._snapshot()

@@ -103,13 +103,9 @@ class RVM:
         self.code_cache: Optional[CodeCache] = (
             CodeCache(self.config) if self.config.codecache else None
         )
-        #: tier-up request queue; in "sync" mode it compiles inline
+        #: tier-up requests: compiled inline unless a fleet queue is attached
         self.compile_queue = CompileQueue(self)
-        if self.compile_queue.mode in ("bg", "fleet"):
-            # snapshot() must see install-time counter groups atomically
-            # while a worker stages builds (serve stats threads poll it)
-            self.state.snapshot_lock = self.compile_queue.lock
-        #: hot flag set by the bg worker when built code awaits install
+        #: hot flag set by a fleet worker when built code awaits install
         self.queue_ready = False
         # hot flags read by the interpreter's dispatch loop
         self.state.osr_in_enabled = self.config.enable_jit and self.config.enable_osr_in
@@ -313,9 +309,9 @@ class RVM:
                                      feedback=feedback_override))
 
     def maybe_tier_up(self, closure: RClosure, st: ClosureJitState) -> Optional[NativeCode]:
-        """Tier-up policy point: compile inline (sync mode), else install a
-        cached unit or queue a request (step/bg/fleet modes)."""
-        if self.compile_queue.mode == "sync":
+        """Tier-up policy point: compile inline, or — with a fleet queue
+        attached — install a cached unit or queue a request."""
+        if self.compile_queue.fleet is None:
             return self.compile_closure(closure)
         spec = UnitSpec("fn", closure.code, closure)
         return self.tier_up(spec, probe_only=True) or self.compile_queue.request(spec)
@@ -376,11 +372,6 @@ class RVM:
         if is_continuation:
             self.state.deoptless_compiles += 1
         self.state.emit("shared_rebind", ncode.name, size=ncode.size)
-
-    def drain_compile_queue(self, budget: Optional[int] = None) -> int:
-        """Explicit drain for "step" mode (and tests): compile+install up to
-        ``budget`` instructions' worth of queued tier-up requests."""
-        return self.compile_queue.drain(budget)
 
     def save_code_cache(self) -> int:
         """Flush stable cache entries to the warm-start artifact directory

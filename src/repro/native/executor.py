@@ -511,7 +511,7 @@ def execute_ref(ncode: NativeCode, args: List[Any], vm, closure_env=None,
             if cache is None:
                 cache = ncode.pics[pc] = []
             regs[ins[1]] = pic_call(cache, regs[ins[2]], [regs[r] for r in ins[3]], ins[4], vm)
-        elif op in N.KERNEL_OPS:
+        elif op == N.KERNEL:
             # bulk vector kernel (opt/vectorize.py): covers k scalar loop
             # iterations in one dispatch, or declines with zero effect and
             # lets the retained scalar loop (which follows) run instead.

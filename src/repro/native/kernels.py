@@ -32,13 +32,11 @@ walk order — and fires the same deopt the scalar loop would have fired.
 from __future__ import annotations
 
 import math
-import operator
-from typing import Any
 
-from ..osr.framestate import DeoptReasonKind, KernelIterState
+from ..osr.framestate import DeoptReasonKind, KernelIterState, pdiv
 from ..runtime import coerce
 from ..runtime.rtypes import Kind
-from ..runtime.values import RBuiltin, RClosure, RError, RPromise, RVector, rtype_quick
+from ..runtime.values import RBuiltin, RClosure, RPromise, RVector, rtype_quick
 
 # partial-module import (executor.py imports us at its bottom); attributes
 # are resolved at call time, after both modules finished initializing
@@ -46,8 +44,6 @@ from . import executor as _ex
 
 _DECLINE = ("decline",)
 _FAIL = object()
-
-_CMP = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 _NUMERIC_KINDS = (Kind.LGL, Kind.INT, Kind.DBL)
 
@@ -96,15 +92,6 @@ def _resolve_source(source, regs, closure_env):
 
 def _raw_number(v) -> bool:
     return not isinstance(v, bool) and isinstance(v, (int, float))
-
-
-def _pdiv(a, b):
-    """Exact replica of the executor's ``PDIV`` op (R division semantics)."""
-    if b == 0:
-        if isinstance(a, complex) or isinstance(b, complex):
-            raise RError("complex division by zero")
-        return float("nan") if a == 0 else math.copysign(math.inf, a)
-    return a / b
 
 
 def _compile_fsum(kd):
@@ -194,7 +181,7 @@ def _compile_fsum(kd):
         lines.append("        " + s)
     lines.append("        acc = acc %s %s" % (kd.acc_op, expr_src))
     lines.append("    return (stop, acc)")
-    ns = {"_pdiv": _pdiv}
+    ns = {"_pdiv": pdiv}
     for i, c in enumerate(consts):
         ns["K%d" % i] = c
     exec("\n".join(lines), ns)
@@ -245,10 +232,10 @@ def _fsum_eval(role, t, invs):
         return a - b
     if op == "*":
         return a * b
-    return _pdiv(a, b)
+    return pdiv(a, b)
 
 
-def _chaos_fire(kd, ev, regs, j0, ji, jd, acc_repr, invs, mapv=None):
+def _chaos_fire(kd, ev, regs, j0, ji, jd, acc_repr, invs):
     """Materialize the mid-kernel deopt for guard ``ev`` at data index ``jd``."""
     it = jd - ji
     st = KernelIterState(
@@ -256,7 +243,6 @@ def _chaos_fire(kd, ev, regs, j0, ji, jd, acc_repr, invs, mapv=None):
         acc=acc_repr,
         elems={k: invs[k].data[jd] for k in kd.elem_keys},
         invs=invs,
-        mapv=mapv,
     )
     ev.template.materialize(regs, st)
     gr = ev.guard_role
@@ -300,7 +286,16 @@ def run_kernel(kd, regs, vm, closure_env):
         if seq.data[ji:stop] != list(range(ji + 1, stop + 1)):
             return _DECLINE
     for r in kd.seqv_regs:
-        # the loop-variable phi must hold seq[ji] == ji at the loop head
+        # the loop-variable phi must hold seq[ji] == ji at the loop head.
+        # At ji == 0 it holds what the variable held before the loop, so a
+        # unit entered mid-function declines here whenever that is not 0:
+        # fannkuch's continuations (pcs 65, 130, 142, 214, 238, ...) carry
+        # the `i` of `for (i in 1:n) perm[[i]] <- perm1[[i]]` as such a phi
+        # and the flip loop leaves 2..6 in it — 18,128 of 18,128 copy
+        # entries decline on a 3 s suite-tierdown, 13,505 of 13,763 on
+        # suite-chaos.  The whole-function unit has no such phi and runs
+        # the same kernel 20,160 times on suite-steady without a decline
+        # (ROADMAP item 3(v)).
         if regs[r] != ji:
             return _DECLINE
 
@@ -345,8 +340,8 @@ def run_kernel(kd, regs, vm, closure_env):
     rate = vm.config.chaos_rate
     io, ig, ie = kd.iter_counts
 
-    # -- reductions over one column ------------------------------------------
-    if kind in ("sum", "prod"):
+    # -- a sum over one column ----------------------------------------------
+    if kind == "sum":
         if len(kd.elem_keys) != 1:
             return _DECLINE
         col = invs[kd.elem_keys[0]]
@@ -361,11 +356,9 @@ def run_kernel(kd, regs, vm, closure_env):
                 for ev in events:
                     if chaos.random() < rate:
                         return _chaos_fire(kd, ev, regs, j0, ji, jd, acc, invs)
-                acc = acc + data[jd] if kind == "sum" else acc * data[jd]
-        elif kind == "sum":
-            acc = sum(data[ji:stop], acc)
+                acc = acc + data[jd]
         else:
-            acc = math.prod(data[ji:stop], start=acc)
+            acc = sum(data[ji:stop], acc)
         covered = stop - ji
         regs[kd.idx_reg] = j0 + covered
         for r in kd.seqv_regs:
@@ -373,7 +366,7 @@ def run_kernel(kd, regs, vm, closure_env):
         regs[kd.acc_reg] = acc
         return ("ok", covered * io, covered * ig, covered * ie, covered)
 
-    # -- fused map→reduce (acc ⊕= f(elements), gather / strided / unit) ------
+    # -- fused map→reduce (acc ⊕= f(elements), unit or gather addressing) ----
     if kind == "fsum":
         acc = regs[kd.acc_reg]
         if not _raw_number(acc):
@@ -471,43 +464,8 @@ def run_kernel(kd, regs, vm, closure_env):
         regs[kd.acc_reg] = RVector(rk, [total])
         return ("ok", covered * io, covered * ig, covered * ie, covered)
 
-    # -- compare-select reduction (min/max) ----------------------------------
-    if kind == "cmp":
-        # guardless body by construction: no chaos draws to replay
-        if len(kd.elem_keys) != 1 or events:
-            return _DECLINE
-        col = invs[kd.elem_keys[0]]
-        if col.kind not in _NUMERIC_KINDS:
-            return _DECLINE
-        acc = regs[kd.acc_reg]
-        if not _raw_number(acc):
-            return _DECLINE
-        fn = _CMP[kd.cmp_op]
-        on_true = kd.cmp_update_on_true
-        elem_first = kd.cmp_elem_first
-        upd = 0
-        data = col.data
-        for jd in range(ji, stop):
-            x = data[jd]
-            c = fn(x, acc) if elem_first else fn(acc, x)
-            if bool(c) == on_true:
-                acc = x
-                upd += 1
-        covered = stop - ji
-        skip = covered - upd
-        uo, ug, ue = kd.upd_counts
-        so, sg, se = kd.skip_counts
-        regs[kd.idx_reg] = j0 + covered
-        for r in kd.seqv_regs:
-            regs[r] = ji + covered
-        regs[kd.acc_reg] = acc
-        return (
-            "ok", upd * uo + skip * so, upd * ug + skip * sg,
-            upd * ue + skip * se, covered,
-        )
-
-    # -- elementwise writes: map / fill / copy -------------------------------
-    if kind not in ("map", "fill", "copy"):
+    # -- elementwise writes: fill / copy -------------------------------------
+    if kind not in ("fill", "copy"):
         return _DECLINE
     out = invs.get(kd.out_key)
     if not (isinstance(out, RVector) and out.named <= 1):
@@ -534,46 +492,26 @@ def run_kernel(kd, regs, vm, closure_env):
     if tag == "reg":  # fill with a loop-invariant scalar
         x = regs[spec[1]]
         val_of = lambda jd: x  # noqa: E731
-    elif tag == "elem":  # copy
+    else:  # ("elem", key): copy
         src = invs[spec[1]].data
         val_of = lambda jd: src[jd]  # noqa: E731
-    else:  # ("map", op, elem_first, operand_reg)
-        if len(kd.elem_keys) != 1:
-            return _DECLINE
-        src = invs[kd.elem_keys[0]].data
-        opn = regs[spec[3]]
-        if isinstance(opn, bool) or not isinstance(opn, (int, float, complex)):
-            return _DECLINE
-        op, elem_first = spec[1], spec[2]
-        if op == "+":
-            val_of = (lambda jd: src[jd] + opn) if elem_first else (lambda jd: opn + src[jd])
-        elif op == "-":
-            val_of = (lambda jd: src[jd] - opn) if elem_first else (lambda jd: opn - src[jd])
-        elif op == "*":
-            val_of = (lambda jd: src[jd] * opn) if elem_first else (lambda jd: opn * src[jd])
-        elif op == "/":
-            val_of = (lambda jd: _pdiv(src[jd], opn)) if elem_first else (lambda jd: _pdiv(opn, src[jd]))
-        else:
-            return _DECLINE
 
     if chaos is not None:
         for jd in range(ji, stop):
             for ev in events:
                 if chaos.random() < rate:
-                    x = val_of(jd)
                     if ev.store_before:
+                        x = val_of(jd)
                         dst[jd] = float(x) if widen else x
-                    return _chaos_fire(kd, ev, regs, j0, ji, jd, None, invs, mapv=x)
+                    return _chaos_fire(kd, ev, regs, j0, ji, jd, None, invs)
             x = val_of(jd)
             dst[jd] = float(x) if widen else x
     elif widen:
         dst[ji:stop] = [float(val_of(jd)) for jd in range(ji, stop)]
     elif tag == "elem":
         dst[ji:stop] = src[ji:stop]
-    elif tag == "reg":
-        dst[ji:stop] = [x] * (stop - ji)
     else:
-        dst[ji:stop] = [val_of(jd) for jd in range(ji, stop)]
+        dst[ji:stop] = [x] * (stop - ji)
 
     covered = stop - ji
     regs[kd.idx_reg] = j0 + covered

@@ -28,29 +28,6 @@ class LoweringError(Exception):
     pass
 
 
-#: kernel opcode per LoopPlan kind
-_KERNEL_OPCODE = {
-    "sum": N.VSUM, "prod": N.VSUM, "gsum": N.VSUM,
-    "map": N.VMAP_ARITH, "cmp": N.VCMP_REDUCE,
-    "fill": N.VFILL, "copy": N.VCOPYN,
-}
-
-
-def _kernel_opcode(plan) -> int:
-    """Opcode for a plan; fused reductions pick by recognized shape so the
-    disassembly / inspector name the addressing mode."""
-    if plan.kind != "fsum":
-        return _KERNEL_OPCODE[plan.kind]
-    if plan.addressing == "gather":
-        return N.VGATHER_REDUCE
-    if plan.addressing == "strided":
-        return N.VSUM_STRIDED
-    e = plan.expr
-    if (plan.acc_op == "+" and e[0] == "expr" and e[1] == "*"
-            and e[2][0] == "elem" and e[3][0] == "elem"):
-        return N.VDOT
-    return N.VMAP_REDUCE
-
 #: generic (boxed) opcodes — charged to native_generic_ops by the executors
 _GEN_CODES = frozenset((
     N.GEN_ARITH, N.GEN_COMPARE, N.GEN_LOGIC, N.GEN_UNARY, N.GEN_COLON,
@@ -69,10 +46,10 @@ _WALK_OK = frozenset((
 
 def _role_materializable(role: tuple) -> bool:
     """Roles whose value at an arbitrary guard position is well-defined.
-    Post-update values (``acc_next``) and the compare-select condition are
-    only meaningful *after* the point where any guard can sit."""
+    Post-update values (``acc_next``) are only meaningful *after* the point
+    where any guard can sit."""
     tag = role[0]
-    if tag in ("acc_next", "cmp"):
+    if tag == "acc_next":
         return False
     if tag == "box":
         return _role_materializable(role[1])
@@ -86,8 +63,8 @@ def _role_needs_def(role: tuple) -> bool:
     tag = role[0]
     if tag == "box":
         return _role_needs_def(role[1])
-    return tag in ("idx1", "seq", "elem", "ex2", "acc_raw", "mapval",
-                   "gelem", "expr", "uinv")
+    return tag in ("idx1", "seq", "elem", "ex2", "acc_raw", "gelem", "expr",
+                   "uinv")
 
 
 class DeoptDescr:
@@ -193,9 +170,7 @@ class KernelDescr:
         "kind", "idx_reg", "bound_reg", "seq_reg", "seq_static", "seqv_regs",
         "acc_reg", "acc_op",
         "acc_kind", "acc_gtype", "chains", "elem_keys", "out_key",
-        "store_kind", "val_spec", "cmp_op", "cmp_elem_first",
-        "cmp_update_on_true", "iter_counts", "upd_counts", "skip_counts",
-        "events", "expr", "pyfn",
+        "store_kind", "val_spec", "iter_counts", "events", "expr", "pyfn",
     )
 
     def __init__(self, kind):
@@ -223,13 +198,8 @@ class KernelDescr:
         self.out_key = None
         self.store_kind = None
         self.val_spec = None
-        self.cmp_op = None
-        self.cmp_elem_first = True
-        self.cmp_update_on_true = True
         #: (ops, guards, generic_ops) charged per covered iteration
         self.iter_counts = (0, 0, 0)
-        self.upd_counts = (0, 0, 0)
-        self.skip_counts = (0, 0, 0)
         #: KernelGuard list in execution order (the chaos draw sequence)
         self.events = ()
         #: fused map→reduce expression role tree (fsum kernels)
@@ -322,13 +292,11 @@ class NativeCode:
 
     @property
     def size(self) -> int:
-        # kernel ops are excluded: they have no counterpart in a scalar
-        # compile of the same graph, and compiled_instrs/code_size are part
-        # of the engine-independent dispatch signature
-        n = len(self.ops)
-        if self.kernels:
-            n -= sum(1 for op in self.ops if op[0] in N.KERNEL_OPS)
-        return n
+        # kernel ops (one per descriptor) are excluded: they have no
+        # counterpart in a scalar compile of the same graph, and
+        # compiled_instrs/code_size are part of the engine-independent
+        # dispatch signature
+        return len(self.ops) - len(self.kernels)
 
     def __repr__(self) -> str:  # pragma: no cover
         return "<NativeCode %s: %d ops, %d regs>" % (self.name, len(self.ops), self.n_regs)
@@ -440,7 +408,7 @@ class Lowerer:
                 # retained scalar loop; entry edges hit it once, backedges
                 # re-enter one op later (see _patch_branches)
                 self.kernel_sites.append((len(self.nc.ops), plan))
-                self.emit(_kernel_opcode(plan), len(self.kernel_sites) - 1)
+                self.emit(N.KERNEL, len(self.kernel_sites) - 1)
             for ins in bb.instrs:
                 self._lower_instr(ins, fused)
         # synthesize move-blocks for critical edges and patch targets
@@ -655,7 +623,7 @@ class Lowerer:
         walk = self._walk_loop(hs, plan)
         if walk is None:
             return None
-        iter_counts, raw_events, fork, written_all = walk
+        iter_counts, raw_events, written_all = walk
 
         kd = KernelDescr(plan.kind)
         kd.idx_reg = self.reg_of.get(id(plan.idx_phi))
@@ -681,7 +649,7 @@ class Lowerer:
         kd.elem_keys = tuple(plan.elem_keys)
         kd.out_key = plan.out_key
         kd.store_kind = plan.store_kind
-        kd.iter_counts = iter_counts if iter_counts is not None else (0, 0, 0)
+        kd.iter_counts = iter_counts
 
         # invariant chains
         gather_keys = set(getattr(plan, "gather_keys", ()))
@@ -702,44 +670,15 @@ class Lowerer:
         kd.chains = tuple(chains)
         kd.expr = getattr(plan, "expr", None)
 
-        # store value (map/fill/copy)
+        # store value (fill/copy)
         if plan.val_spec is not None:
-            tag = plan.val_spec[0]
-            if tag == "const":
+            if plan.val_spec[0] == "const":
                 r = self.reg_of.get(id(plan.val_spec[1]))
                 if r is None:
                     return None
                 kd.val_spec = ("reg", r)
-            elif tag == "elem":
-                kd.val_spec = plan.val_spec
-            else:  # ("map", op, elem_first, operand_ir)
-                r = self.reg_of.get(id(plan.val_spec[3]))
-                if r is None:
-                    return None
-                kd.val_spec = ("map", plan.val_spec[1], plan.val_spec[2], r)
-
-        # compare-select arms
-        if plan.kind == "cmp":
-            if fork is None:
-                return None
-            t_idx, f_idx, t_counts, f_counts = fork
-            upd_start = self.block_start.get(plan.cmp_update_block.id)
-            if t_counts is None or f_counts is None or upd_start is None:
-                return None
-            if t_idx == upd_start:
-                kd.cmp_update_on_true = True
-                kd.upd_counts, kd.skip_counts = t_counts, f_counts
-            elif f_idx == upd_start:
-                kd.cmp_update_on_true = False
-                kd.upd_counts, kd.skip_counts = f_counts, t_counts
             else:
-                return None
-            kd.cmp_op = plan.cmp_op
-            kd.cmp_elem_first = plan.cmp_elem_first
-            if raw_events:
-                return None  # chaos draws inside a fork cannot be scheduled
-        elif fork is not None or iter_counts is None:
-            return None
+                kd.val_spec = plan.val_spec
 
         # guard events: deopt descriptor registers -> iteration-indexed roles
         events = []
@@ -790,17 +729,14 @@ class Lowerer:
         if kd.kind == "fsum":
             if kd.acc_reg is None or kd.acc_kind is None or kd.expr is None:
                 return None
-        elif kd.kind in ("sum", "prod"):
+        elif kd.kind == "sum":
             if kd.acc_reg is None or kd.acc_kind is None or not kd.elem_keys:
                 return None
         elif kd.kind == "gsum":
             if kd.acc_reg is None or kd.acc_gtype is None or not kd.elem_keys:
                 return None
-        elif kd.kind in ("map", "fill", "copy"):
+        elif kd.kind in ("fill", "copy"):
             if kd.out_key is None or kd.val_spec is None or kd.store_kind is None:
-                return None
-        elif kd.kind == "cmp":
-            if kd.acc_reg is None or kd.cmp_op is None:
                 return None
         else:
             return None
@@ -809,14 +745,14 @@ class Lowerer:
     def _walk_loop(self, hs: int, plan):
         """Walk one iteration of the emitted scalar loop starting at the
         header's first scalar op (``hs + 1``) until the backedge returns
-        there.  Returns ``(iter_counts, events, fork, written)`` or None when
-        the stream contains anything the kernel cannot model."""
+        there.  Returns ``(iter_counts, events, written)`` or None when the
+        stream contains anything the kernel cannot model (a branch other
+        than the loop's own exit check among them)."""
         ops = self.nc.ops
         counts = [0, 0, 0]  # ops, guards, generic ops
         events: List[tuple] = []
         written: set = set()
         store_seen = False
-        fork = None
         idx = hs + 1
         steps = 0
         while True:
@@ -832,17 +768,11 @@ class Lowerer:
                 idx = op[1]
                 continue
             if code == N.BRT:
-                if idx == hs + 2:
-                    # the loop's own exit check: follow the body edge
-                    idx = op[2] if plan.body_on_true else op[3]
-                    continue
-                # the compare-select diamond: walk each arm to the backedge
-                t = self._walk_arm(hs, op[2], counts, written)
-                f = self._walk_arm(hs, op[3], counts, written)
-                if t is None or f is None:
+                if idx != hs + 2:
                     return None
-                fork = (op[2], op[3], t, f)
-                return None if events else (None, events, fork, frozenset(written))
+                # the loop's own exit check: follow the body edge
+                idx = op[2] if plan.body_on_true else op[3]
+                continue
             if code == N.GTYPE or code == N.GIDENT:
                 counts[1] += 1
                 events.append((op, tuple(counts), frozenset(written), store_seen))
@@ -856,34 +786,7 @@ class Lowerer:
                 return None
             written.add(op[1])
             idx += 1
-        return tuple(counts), events, None, frozenset(written)
-
-    def _walk_arm(self, hs: int, idx: int, base_counts, written):
-        """Walk one diamond arm to the backedge; guards and nested control
-        flow are not allowed inside arms."""
-        ops = self.nc.ops
-        counts = list(base_counts)
-        steps = 0
-        while True:
-            steps += 1
-            if steps > 100:
-                return None
-            op = ops[idx]
-            code = op[0]
-            counts[0] += 1
-            if code == N.JMP:
-                if op[1] == hs + 1:
-                    return tuple(counts)
-                idx = op[1]
-                continue
-            if code in (N.BRT, N.GTYPE, N.GIDENT):
-                return None
-            if code in _GEN_CODES:
-                counts[2] += 1
-            elif code not in _WALK_OK:
-                return None
-            written.add(op[1])
-            idx += 1
+        return tuple(counts), events, frozenset(written)
 
     # -- instruction lowering ------------------------------------------------------------------
 

@@ -66,44 +66,29 @@ CALLG = 53
 # with the interpreter's argument binding)
 SHARE = 54
 
-# bulk vector kernels (opt/vectorize.py); numbered from 65 because persisted
-# artifacts store opcode numbers (55-64 are unused).  One dispatch covers a whole
-# counted loop over the raw unboxed buffer; the single operand indexes the
-# KernelDescr on the NativeCode.  The kernel op itself is *not* accounted as
-# an executed op (it does not exist in scalar executions); instead the kernel
-# charges the per-iteration op/guard/generic counts of the scalar loop it
-# replaces, per covered element, so telemetry is engine-independent.
-VSUM = 65          # (op, kernel_idx)  reduction: + or * over an unboxed buffer
-VMAP_ARITH = 66    # (op, kernel_idx)  elementwise map: out[i] = x[i] <op> const
-VCMP_REDUCE = 67   # (op, kernel_idx)  compare-select reduction (min/max)
-VFILL = 68         # (op, kernel_idx)  out[i] = const
-VCOPYN = 69        # (op, kernel_idx)  out[i] = src[i]
-# fused map→reduce kernels (loop-nest vectorization): the reduced value is a
-# whole expression tree per element — acc = acc ⊕ f(x[i], ...) — evaluated
-# without materializing the mapped temporary.  The opcode records the
-# recognized addressing/fusion shape; all four execute the same KernelDescr.
-VMAP_REDUCE = 70      # (op, kernel_idx)  acc = acc ⊕ f(x[i], invariants...)
-VDOT = 71             # (op, kernel_idx)  acc = acc + x[i] * y[i]
-VGATHER_REDUCE = 72   # (op, kernel_idx)  gather addressing: x[idx[i]]
-VSUM_STRIDED = 73     # (op, kernel_idx)  strided/affine addressing: x[a + s*i]
-
-KERNEL_OPS = frozenset((
-    VSUM, VMAP_ARITH, VCMP_REDUCE, VFILL, VCOPYN,
-    VMAP_REDUCE, VDOT, VGATHER_REDUCE, VSUM_STRIDED,
-))
+# bulk vector kernel (opt/vectorize.py): one dispatch covers a whole counted
+# loop over the raw unboxed buffer; the single operand indexes the
+# KernelDescr on the NativeCode, whose ``kind`` (sum, fsum, gsum, fill, copy)
+# names the kernel.  The op itself is *not* accounted as an executed op (it
+# does not exist in scalar executions); instead the kernel charges the
+# per-iteration op/guard/generic counts of the scalar loop it replaces, per
+# covered element, so telemetry is engine-independent.
+KERNEL = 55        # (op, kernel_idx)
 
 NAMES = {v: k for k, v in list(globals().items()) if isinstance(v, int) and not k.startswith("_")}
 
 
 def disassemble(ncode) -> str:
-    """Human-readable op stream; a kernel op's single operand is rendered
+    """Human-readable op stream; a kernel op is rendered with its kind and
     ``kernel=<index into NativeCode.kernels>``."""
     ops = getattr(ncode, "ops", ncode)
+    kernels = getattr(ncode, "kernels", None)
     lines = []
     for i, op in enumerate(ops):
         code = op[0]
-        if code in KERNEL_OPS:
-            body = "kernel=%r" % (op[1],)
+        if code == KERNEL:
+            kind = kernels[op[1]].kind if kernels else "?"
+            body = "%s kernel=%r" % (kind, op[1])
         else:
             body = " ".join(repr(x) for x in op[1:])
         lines.append("%4d  %-12s %s" % (i, NAMES.get(code, "?"), body))

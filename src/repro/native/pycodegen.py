@@ -176,11 +176,8 @@ def _kernel_regs(ncode, kd) -> Tuple[list, list]:
         if source[0] == "reg":
             spill.add(source[1])
     spec = kd.val_spec
-    if spec is not None:
-        if spec[0] == "reg":
-            spill.add(spec[1])
-        elif spec[0] == "map":
-            spill.add(spec[3])
+    if spec is not None and spec[0] == "reg":
+        spill.add(spec[1])
     for ev in kd.events:
         spill.update(_descr_ref_regs(ncode.deopts[ev.did]))
     reload = set()
@@ -361,7 +358,7 @@ def _emit(ncode) -> Tuple[str, list]:
         while True:
             ins = ops[i]
             op = ins[0]
-            if op not in N.KERNEL_OPS:
+            if op != N.KERNEL:
                 pend[0] += 1
 
             edge = None  # (leader, threaded JMPs) when the op ends its block
@@ -608,7 +605,7 @@ def _emit(ncode) -> Tuple[str, list]:
                 fargs = ", ".join(use(r) for r in ins[3])
                 out(0, "%s = _pic(_e, %s, [%s], %r, vm)"
                        % (defn(ins[1]), fn, fargs, ins[4]))
-            elif op in N.KERNEL_OPS:
+            elif op == N.KERNEL:
                 kd = ncode.kernels[ins[1]]
                 spill, reload = _kernel_regs(ncode, kd)
                 out(0, "_rs = [None] * %d" % ncode.n_regs)

@@ -4,7 +4,8 @@ Recognizes speculatively-typed *counted loops over vectors* in the optimized
 IR — the canonical shape the builder produces for ``for (i in 1:n)`` — and
 annotates the graph with a :class:`LoopPlan` per vectorizable loop.  The
 lowerer (``native/lower.py``) turns each plan into one **bulk kernel op**
-(``VSUM``/``VMAP_ARITH``/``VCMP_REDUCE``/``VFILL``/``VCOPYN``) placed at the
+(``KERNEL``; the plan's kind — ``sum``, ``fsum``, ``gsum``, ``fill`` or
+``copy`` — rides on its descriptor) placed at the
 loop header, with the scalar loop retained as the fall-through: the kernel
 verifies the hoisted whole-vector conditions once at entry (the per-element
 ``Assume``/``GTYPE`` guards of the body, plus bounds/aliasing/NA ranges) and
@@ -33,11 +34,11 @@ closure per element) can be diagnosed instead of guessed at.
 
 Legality (beyond the structural match):
 
-* no calls, closure/promise creation, environment stores, or nested loops
-  in the body;
+* no calls, closure/promise creation, environment stores, branches or
+  nested loops in the body;
 * the only cross-iteration dependence is the single recognized reduction
-  (``+``/``*`` accumulate, compare-select min/max, or the generic boxed
-  ``+`` of the colsum shape);
+  (``+``/``*`` accumulate of an element or a fused expression, or the
+  generic boxed ``+`` of the colsum shape);
 * every vector read is through a loop-invariant chain, the iteration space
   is a verified identity ``1:n`` colon, and the written vector (if any) is
   distinct from every read vector (runtime identity is re-checked at kernel
@@ -55,10 +56,8 @@ from ..ir import instructions as I
 from ..ir.cfg import BasicBlock, Graph
 from ..osr.framestate import FrameStateDescr
 
-#: arithmetic ops a VMAP_ARITH kernel can replicate exactly
-_MAP_OPS = ("+", "-", "*", "/")
-#: compare ops a VCMP_REDUCE kernel supports
-_CMP_OPS = ("<", "<=", ">", ">=")
+#: arithmetic ops a fused expression node can replicate exactly
+_EXPR_OPS = ("+", "-", "*", "/")
 
 
 class InvChain:
@@ -66,7 +65,7 @@ class InvChain:
 
     ``root`` is ``("env", name)`` for a free-variable load re-executed every
     iteration, ``("phi", phi)`` for an invariant-valued header phi (the
-    in-place output vector of a map/fill/copy), or ``("value", ir_value)``
+    in-place output vector of a fill/copy), or ``("value", ir_value)``
     for a value defined outside the loop.  ``gtype`` is the hoisted
     per-iteration type guard, when the chain carries one.  ``members`` are
     the in-loop instructions whose registers hold this value (written once
@@ -93,13 +92,12 @@ class LoopPlan:
         "idx_phi", "bound", "idx_inc", "seq_load", "seq_static", "seqv_phis",
         "acc_phi", "acc_kind",
         "acc_gtype", "acc_op", "invs", "roles", "elem_keys",
-        "store", "out_key", "store_kind", "val_spec",
-        "cmp_op", "cmp_elem_first", "cmp_update_block", "sel_phi",
-        "expr", "gather_keys", "addressing", "pc",
+        "store", "out_key", "store_kind", "val_spec", "expr", "gather_keys",
+        "pc",
     )
 
     def __init__(self):
-        self.kind = None                 # 'sum' | 'prod' | 'gsum' | 'fsum' | 'map' | 'fill' | 'copy' | 'cmp'
+        self.kind = None                 # 'sum' | 'gsum' | 'fsum' | 'fill' | 'copy'
         self.header = None
         self.body_blocks: List[BasicBlock] = []
         self.latch = None
@@ -112,7 +110,7 @@ class LoopPlan:
         self.seq_static = True   # identity colon proven statically
         self.seqv_phis: List[I.Phi] = []   # phis carrying the loop variable
         self.acc_phi = None
-        self.acc_kind = None             # Kind of the raw accumulator (sum/prod/cmp)
+        self.acc_kind = None             # Kind of the raw accumulator (sum/fsum)
         self.acc_gtype = None            # per-iteration guard type on the boxed acc (gsum)
         self.acc_op = None               # '+' or '*'
         self.invs: List[InvChain] = []
@@ -121,15 +119,16 @@ class LoopPlan:
         self.store = None
         self.out_key = None
         self.store_kind = None
-        self.val_spec = None             # ('const', ir) | ('elem', key) | ('map', op, elem_first, operand_ir)
-        self.cmp_op = None
-        self.cmp_elem_first = True
-        self.cmp_update_block = None
-        self.sel_phi = None
+        self.val_spec = None             # ('const', ir) | ('elem', key)
         self.expr = None                 # fused map→reduce role tree (fsum)
         self.gather_keys: List[int] = []  # inv keys read via computed subscripts
-        self.addressing = "unit"         # 'unit' | 'strided' | 'gather'
         self.pc = -1                     # approximate bytecode pc of the loop
+
+    @property
+    def addressing(self) -> str:
+        """``gather`` when a subscript is computed (``x[[idx[[i]]]]``,
+        ``x[[a + s*i]]``), ``unit`` otherwise."""
+        return "gather" if self.gather_keys else "unit"
 
     def __repr__(self) -> str:  # pragma: no cover
         return "<LoopPlan %s header=BB%d>" % (self.kind, self.header.id if self.header else -1)
@@ -337,8 +336,9 @@ def _phi_input(phi: I.Phi, pred: BasicBlock):
 
 def _has_inner_cycle(entry: BasicBlock, header: BasicBlock, body_ids) -> bool:
     """DFS back-edge detection within the body region (edges to the header —
-    the loop's own backedge — excluded).  Forks/joins (the compare-select
-    diamond) are acyclic and pass; a nested loop's latch→header edge trips."""
+    the loop's own backedge — excluded).  Forks/joins are acyclic and pass
+    (the role pass declines their branch); a nested loop's latch→header
+    edge trips."""
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {bid: WHITE for bid in body_ids}
     succs = lambda b: iter([s for s in b.successors()
@@ -394,6 +394,8 @@ _OP_DECLINES = {
     I.SetIndex1: "generic-index-store",
     I.SetIndex2: "generic-index-store",
     I.Extract1: "generic-index-read",
+    I.PrimCompare: "unrecognized-compare",
+    I.Branch: "data-dependent-branch",
 }
 
 
@@ -473,9 +475,7 @@ def _assign_roles(graph: Graph, plan: LoopPlan, uses, in_loop, fail) -> bool:
     istype_guards: Dict[int, I.Instr] = {}   # id(IsType) -> guarded value
     ident_guards: Dict[int, I.Instr] = {}    # id(IsIdentical) -> guarded value
     acc_update = None
-    cmp_ins = None
     store = None
-    mapval = None
 
     for bb in plan.body_blocks:
         for ins in bb.instrs:
@@ -636,16 +636,16 @@ def _assign_roles(graph: Graph, plan: LoopPlan, uses, in_loop, fail) -> bool:
             if t is I.PrimArith:
                 ra = roles.get(id(ins.args[0]))
                 rb = roles.get(id(ins.args[1]))
-                # reduction update: acc ⊕ X, where X is a bare element (the
-                # sum/prod fast shape) or a whole fused expression (fsum)
+                # reduction update: acc ⊕ X, where X is a bare element added
+                # (the sum fast shape) or any fused expression (fsum)
                 if acc_phi is not None and acc_update is None and ins.op in ("+", "*"):
                     a_is_acc = ins.args[0] is acc_phi or ra == ("acc",)
                     b_is_acc = ins.args[1] is acc_phi or rb == ("acc",)
                     if a_is_acc != b_is_acc:
                         other = ins.args[1] if a_is_acc else ins.args[0]
                         ro = rb if a_is_acc else ra
-                        if ro is not None and ro[0] == "elem":
-                            plan.kind = "sum" if ins.op == "+" else "prod"
+                        if ins.op == "+" and ro is not None and ro[0] == "elem":
+                            plan.kind = "sum"
                         else:
                             ro = expr_role(other)
                             if ro is not None:
@@ -657,48 +657,14 @@ def _assign_roles(graph: Graph, plan: LoopPlan, uses, in_loop, fail) -> bool:
                             acc_update = ins
                             roles[id(ins)] = ("acc_next",)
                             continue
-                # elementwise map value: elem <op> invariant operand (store
-                # loops only — reduction loops fuse through expr roles)
-                if ins.op in _MAP_OPS and mapval is None and acc_phi is None:
-                    elem_first = ra is not None and ra[0] == "elem"
-                    other = ins.args[1] if elem_first else ins.args[0]
-                    this = ins.args[0] if elem_first else ins.args[1]
-                    rt = roles.get(id(this))
-                    if rt is not None and rt[0] == "elem" and (
-                        isinstance(other, I.Const) or not in_loop(other)
-                    ):
-                        mapval = (ins, ins.op, elem_first, other)
-                        roles[id(ins)] = ("mapval",)
-                        continue
                 # an interior node of a fused map→reduce expression
-                if ins.op in _MAP_OPS:
+                if ins.op in _EXPR_OPS:
                     ea = expr_role(ins.args[0])
                     eb = expr_role(ins.args[1])
                     if ea is not None and eb is not None:
                         roles[id(ins)] = ("expr", ins.op, ea, eb)
                         continue
                 return fail("unrecognized-arith")
-            if t is I.PrimCompare:
-                ra = roles.get(id(ins.args[0]))
-                if cmp_ins is not None or acc_phi is None:
-                    return fail("unrecognized-compare")
-                if ins.args[0] is not acc_phi and (ra is None or ra[0] != "elem"):
-                    return fail("unrecognized-compare")
-                other = ins.args[1] if ins.args[0] is not acc_phi else ins.args[0]
-                rother = roles.get(id(other))
-                elem_first = ins.args[0] is not acc_phi
-                if elem_first and other is not acc_phi:
-                    return fail("unrecognized-compare")
-                if not elem_first and (rother is None or rother[0] != "elem"):
-                    return fail("unrecognized-compare")
-                if ins.op not in _CMP_OPS:
-                    return fail("unrecognized-compare")
-                cmp_ins = ins
-                plan.cmp_op = ins.op
-                plan.cmp_elem_first = elem_first
-                plan.acc_kind = ins.kind
-                roles[id(ins)] = ("cmp",)
-                continue
             if t is I.VecStore:
                 if store is not None:
                     return fail("multiple-stores")
@@ -712,8 +678,6 @@ def _assign_roles(graph: Graph, plan: LoopPlan, uses, in_loop, fail) -> bool:
                     plan.val_spec = ("const", ins.args[2])
                 elif vr is not None and vr[0] == "elem":
                     plan.val_spec = ("elem", vr[1])
-                elif vr == ("mapval",):
-                    plan.val_spec = ("map", mapval[1], mapval[2], mapval[3])
                 else:
                     return fail("unrecognized-store-value")
                 store = ins
@@ -723,20 +687,9 @@ def _assign_roles(graph: Graph, plan: LoopPlan, uses, in_loop, fail) -> bool:
                 # guaranteed by the kernel's entry checks)
                 roles[id(ins)] = ("inv", ch.key)
                 continue
-            if t is I.Branch:
-                if roles.get(id(ins.args[0])) != ("cmp",):
-                    return fail("data-dependent-branch")
-                continue
-            if t is I.Phi:
-                # only the compare-select join phi is allowed inside the body
-                if cmp_ins is None or plan.sel_phi is not None or ins.block is not plan.latch:
-                    return fail("compare-select-shape")
-                plan.sel_phi = ins
-                roles[id(ins)] = ("acc_next",)
-                continue
             return fail(_OP_DECLINES.get(t, "unsupported-op:%s" % t.__name__))
 
-    return _classify(graph, plan, uses, in_loop, acc_update, cmp_ins, store, fail)
+    return _classify(graph, plan, uses, in_loop, acc_update, store, fail)
 
 
 def _chases_to_phi(v: I.Instr, phi: I.Phi) -> bool:
@@ -757,13 +710,9 @@ def _chases_to_phi(v: I.Instr, phi: I.Phi) -> bool:
     return False
 
 
-def _classify_addressing(plan: LoopPlan, fail) -> bool:
-    """Bound the fused expression and tag the plan's addressing mode:
-    ``gather`` when any subscript reads a data vector (``x[idx[i]]``),
-    ``strided`` when subscripts are affine in the induction variable only
-    (``x[a + s*i]``), ``unit`` otherwise."""
+def _expr_within_bound(plan: LoopPlan, fail) -> bool:
+    """Bound the fused expression's size."""
     nodes = 0
-    gathers = []
     work = [plan.expr]
     while work:
         r = work.pop()
@@ -776,38 +725,21 @@ def _classify_addressing(plan: LoopPlan, fail) -> bool:
             work.append(r[2])
             work.append(r[3])
         elif r[0] == "gelem":
-            gathers.append(r[2])
             work.append(r[2])
-    if not gathers:
-        plan.addressing = "unit"
-        return True
-
-    def reads_data(role) -> bool:
-        stk = [role]
-        while stk:
-            r = stk.pop()
-            if r[0] in ("elem", "gelem"):
-                return True
-            if r[0] == "expr":
-                stk.append(r[2])
-                stk.append(r[3])
-        return False
-
-    plan.addressing = "gather" if any(reads_data(g) for g in gathers) else "strided"
     return True
 
 
-def _classify(graph: Graph, plan: LoopPlan, uses, in_loop, acc_update, cmp_ins, store, fail) -> bool:
+def _classify(graph: Graph, plan: LoopPlan, uses, in_loop, acc_update, store, fail) -> bool:
     header, latch = plan.header, plan.latch
 
-    if plan.gather_keys and not (store is None and cmp_ins is None and acc_update is not None):
+    if plan.gather_keys and not (store is None and acc_update is not None):
         # gather addressing is only modeled for fused reductions
         return fail("gather-index")
     if store is not None:
-        if acc_update is not None or cmp_ins is not None or plan.acc_phi is not None:
+        if acc_update is not None or plan.acc_phi is not None:
             return fail("mixed-store-reduction")
         plan.store = store
-        plan.kind = {"const": "fill", "elem": "copy", "map": "map"}[plan.val_spec[0]]
+        plan.kind = "fill" if plan.val_spec[0] == "const" else "copy"
         # never write a vector the loop also reads (runtime identity is
         # additionally re-checked at kernel entry)
         if plan.out_key in plan.elem_keys:
@@ -816,44 +748,19 @@ def _classify(graph: Graph, plan: LoopPlan, uses, in_loop, acc_update, cmp_ins, 
         for k in plan.elem_keys:
             if plan.invs[k].root == out_root:
                 return fail("aliasing")
-    elif cmp_ins is not None:
-        if acc_update is not None or plan.sel_phi is None or plan.acc_phi is None:
-            return fail("compare-select-shape")
-        # arms: the update arm reloads the element, the other is empty
-        branch = cmp_ins.block.terminator
-        if not isinstance(branch, I.Branch) or branch.args[0] is not cmp_ins:
-            return fail("compare-select-shape")
-        sel_back = _phi_input(plan.acc_phi, latch)
-        if sel_back is not plan.sel_phi:
-            return fail("compare-select-shape")
-        update_block = None
-        for blk, val in plan.sel_phi.inputs:
-            r = plan.roles.get(id(val))
-            if r is not None and r[0] == "elem":
-                update_block = blk
-            elif val is not plan.acc_phi:
-                return fail("compare-select-shape")
-        if update_block is None:
-            return fail("compare-select-shape")
-        plan.cmp_update_block = update_block
-        plan.kind = "cmp"
-        # chaos draws inside a fork cannot be scheduled — require a guardless body
-        if any(ch.gtype is not None or ch.gident is not None for ch in plan.invs) \
-                or plan.acc_gtype is not None:
-            return fail("guard-in-forked-body")
     elif acc_update is not None:
         if plan.acc_phi is None or _phi_input(plan.acc_phi, latch) is not acc_update:
             return fail("reduction-shape")
         if plan.kind == "gsum":
             if plan.acc_gtype is None or plan.acc_gtype.kind.name not in ("DBL", "INT"):
                 return fail("reduction-shape")
-        elif plan.kind in ("sum", "prod"):
+        elif plan.kind == "sum":
             if plan.acc_gtype is not None:
                 return fail("reduction-shape")
         elif plan.kind == "fsum":
             if plan.acc_gtype is not None:
                 return fail("reduction-shape")
-            if not _classify_addressing(plan, fail):
+            if not _expr_within_bound(plan, fail):
                 return False
         else:
             return fail("reduction-shape")

@@ -21,9 +21,11 @@ reason) — lifting the section-4.3 exclusion the paper notes for Ř.
 from __future__ import annotations
 
 import enum
+import math
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..runtime.rtypes import RType
+from ..runtime.values import RError, RVector
 
 
 class DeoptReasonKind(enum.Enum):
@@ -166,15 +168,13 @@ class KernelIterState:
     verified at kernel entry.
     """
 
-    __slots__ = ("j", "acc", "elems", "invs", "cmp", "mapv")
+    __slots__ = ("j", "acc", "elems", "invs")
 
-    def __init__(self, j, acc=None, elems=None, invs=None, cmp=None, mapv=None):
+    def __init__(self, j, acc=None, elems=None, invs=None):
         self.j = j
         self.acc = acc
         self.elems = elems or {}
         self.invs = invs or {}
-        self.cmp = cmp
-        self.mapv = mapv
 
 
 def eval_kernel_role(role, st: "KernelIterState"):
@@ -189,9 +189,7 @@ def eval_kernel_role(role, st: "KernelIterState"):
     * ``("elem", key)`` — the element loaded from invariant vector ``key``
     * ``("acc",)`` / ``("acc_raw",)`` — the partial accumulator (boxed/raw)
     * ``("inv", key)`` — a loop-invariant value verified at kernel entry
-    * ``("cmp",)`` — the compare-select condition of the current element
     * ``("ex2", key)`` — the boxed generic extract of vector ``key``'s element
-    * ``("mapval",)`` — the elementwise map value of the current element
     * ``("box", inner, kind)`` — the boxed form of another role
     * ``("cval", v)`` — a raw scalar constant preloaded outside the loop
     * ``("uinv", key)`` — the raw (unboxed) payload of invariant ``key``
@@ -206,8 +204,6 @@ def eval_kernel_role(role, st: "KernelIterState"):
         return st.j + 1
     if tag == "elem":
         return st.elems[role[1]]
-    if tag == "mapval":
-        return st.mapv
     if tag == "acc":
         return st.acc
     if tag == "acc_raw":
@@ -215,17 +211,11 @@ def eval_kernel_role(role, st: "KernelIterState"):
         return v.data[0] if hasattr(v, "data") else v
     if tag == "inv":
         return st.invs[role[1]]
-    if tag == "cmp":
-        return st.cmp
     if tag == "ex2":
         # the generic Extract2 result: a fresh 1-element vector of the source
         # vector's kind (the element may be None — extract2 does not NA-check)
-        from ..runtime.values import RVector
-
         return RVector(st.invs[role[1]].kind, [st.elems[role[1]]])
     if tag == "box":
-        from ..runtime.values import RVector
-
         inner = eval_kernel_role(role[1], st)
         kind = role[2]
         if kind.name == "DBL" and type(inner) is int:
@@ -251,19 +241,16 @@ def eval_kernel_role(role, st: "KernelIterState"):
             return a - b
         if op == "*":
             return a * b
-        return _pdiv_role(a, b)
+        return pdiv(a, b)
     raise ValueError("unknown kernel role %r" % (role,))
 
 
-def _pdiv_role(a, b):
-    """R division semantics for ``("expr", "/", ...)`` roles — an exact
-    replica of the executor's PDIV: zero-division yields inf/nan."""
-    import math
-
+def pdiv(a, b):
+    """R division semantics for ``("expr", "/", ...)`` roles and the fused
+    kernels that compute them — an exact replica of the executor's PDIV:
+    zero-division yields inf/nan."""
     if b == 0:
         if isinstance(a, complex) or isinstance(b, complex):
-            from ..runtime.errors import RError
-
             raise RError("complex division by zero")
         return float("nan") if a == 0 else math.copysign(math.inf, a)
     return a / b

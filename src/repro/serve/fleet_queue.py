@@ -1,11 +1,14 @@
-"""Fleet-wide background tier-up: one worker pool for every tenant.
+"""Background tier-up: one worker pool for every VM attached to it.
 
-In a server running hundreds of sessions, per-VM compile threads don't
-scale: N tenants warming the same library would burn N cores compiling the
-same units.  The fleet queue centralizes ``tierup_mode="bg"``'s worker into
-one pool shared by the whole :class:`~repro.serve.server.Server`, and —
+A :class:`~repro.jit.compile_queue.CompileQueue` compiles inline unless one
+of these is attached.  In a server running hundreds of sessions, per-VM
+compile threads don't scale: N tenants warming the same library would burn
+N cores compiling the same units.  So the one background-compile mechanism
+is a pool shared by the whole :class:`~repro.serve.server.Server`, which —
 the point of centralizing — **coalesces identical in-flight builds across
-tenants**, keyed on the same stable digest the shared code cache uses.
+tenants**, keyed on the same stable digest the shared code cache uses.  A
+lone VM attaches ``FleetCompileQueue(1)`` for a background worker of its
+own, and a test ``FleetCompileQueue(0)`` to step builds by hand.
 
 Protocol per request group:
 
@@ -14,7 +17,7 @@ Protocol per request group:
   snapshot taken on the session thread at enqueue time; the built unit is
   staged into the origin's ``ready`` deque — installed (and its stable form
   published to the shared cache) on the origin's own thread at its next
-  closure call, exactly like ``bg`` mode;
+  closure call;
 * every *coalesced* submitter gets the :data:`~repro.jit.compile_queue.
   COALESCED` sentinel staged instead: at install time it claims the
   published form from the shared cache (an O(lookup) rebind counted in
@@ -184,8 +187,8 @@ class FleetCompileQueue:
 
     @staticmethod
     def _stage(queue: CompileQueue, req: CompileRequest, result: Any) -> None:
-        """Hand a result to the owning session (same staging protocol as
-        bg mode: install happens on that session's thread)."""
+        """Hand a result to the owning session (install happens on that
+        session's thread)."""
         with queue.lock:
             queue.ready.append((req, result))
             queue.queued_ids.discard(req.key())

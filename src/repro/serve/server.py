@@ -8,8 +8,8 @@ policy) — wired into two fleet-wide structures when ``Config.serve`` is on:
 * the :class:`~repro.serve.shared_cache.SharedCodeCache`, attached to the
   VM's own code cache as its first store (``code_cache.shared``), and
 * optionally the :class:`~repro.serve.fleet_queue.FleetCompileQueue`
-  (``compile_workers > 0``), which switches the session's tier-up mode to
-  ``"fleet"``.
+  (``compile_workers > 0``), attached to the session's compile queue so
+  its tier-up requests are built there instead of inline.
 
 Request execution has two shapes:
 
@@ -175,19 +175,13 @@ class Server:
             if sess is not None:
                 return sess
             cfg = config if config is not None else self.config_factory()
-            if self.fleet is not None and cfg.tierup_mode in ("sync", "bg"):
-                # "sync" upgrades to the fleet pool; a per-VM "bg" worker
-                # would fight the pool for the same requests.  "step" is
-                # left alone — its explicit-drain semantics are a test hook.
-                cfg.tierup_mode = "fleet"
             vm = RVM(cfg)
             if self.serve_enabled and self.shared is not None \
                     and vm.code_cache is not None:
                 vm.code_cache.shared = self.shared
                 vm.code_cache.tenant = tenant
-            if vm.compile_queue.mode == "fleet":
-                vm.compile_queue.fleet = self.fleet
-                vm.state.snapshot_lock = vm.compile_queue.lock
+            if self.fleet is not None:
+                vm.compile_queue.attach(self.fleet)
             idx = 0
             if self._workers:
                 idx = self._next_worker

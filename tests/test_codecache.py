@@ -663,3 +663,25 @@ def test_a_truncated_artifact_is_a_miss(tmp_path):
                 assert (s.codecache_persist_failures, s.compiles) == (1, 2), length
             f.seek(0)
             f.write(good)
+
+
+def test_a_directory_of_the_previous_format_is_a_miss(tmp_path, monkeypatch):
+    """Format 5 stored its kernels under opcode numbers 65-73, which format
+    6 does not have: a directory written under 5 reads under 6 as counted
+    misses and a recompile, never as an opcode the executors do not know."""
+    from repro.native import ops as N
+
+    d = str(tmp_path / "cc")
+    with monkeypatch.context() as old:
+        old.setattr(persist, "FORMAT_VERSION", 5)
+        old.setattr(N, "KERNEL", 65)  # format 5's VSUM
+        vm = cache_vm(codecache_dir=d)
+        results = [from_r(vm.eval(c)) for c in CORRUPT_CALLS]
+        assert any(op[0] == 65 for op in vm.global_env.get("sumfn").jit.version.ops)
+        assert vm.save_code_cache() == 1
+    assert persist.FORMAT_VERSION == 6
+    vm = cache_vm(codecache_dir=d)
+    assert [from_r(vm.eval(c)) for c in CORRUPT_CALLS] == results
+    s = vm.state
+    assert (s.codecache_disk_hits, s.codecache_persist_failures) == (0, 0)
+    assert s.codecache_misses >= 2 and s.compiles == 2

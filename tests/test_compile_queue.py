@@ -1,17 +1,17 @@
-"""Tests for the background tier-up queue (jit/compile_queue.py).
+"""Tests for tier-up requests (jit/compile_queue.py).
 
-Modes: ``sync`` (compile inline at the call site — the default), ``step``
-(enqueue; the embedder drains with a budget), ``bg`` (a worker thread
-compiles from a feedback snapshot; the main thread installs at the next call
-boundary).
+A VM compiles inline at the call site (``sync``, the default) unless a
+:class:`~repro.serve.FleetCompileQueue` is attached.  Attached with no
+workers (``step``) nothing is built until the test drains the fleet; with
+one worker (``bg``) a thread compiles from a feedback snapshot.  Either way
+the VM installs at its next call boundary.
 """
 
 from __future__ import annotations
 
-import pytest
-
 from conftest import make_vm
 from repro import from_r
+from repro.serve import FleetCompileQueue
 
 LOOP_SRC = """
 f <- function(n) {
@@ -23,11 +23,20 @@ f <- function(n) {
 
 
 def queue_vm(mode, **kw):
-    cfg = dict(compile_threshold=2, tierup_mode=mode)
-    cfg.update(kw)
-    vm = make_vm(**cfg)
+    """``mode``: "sync" (nothing attached), "step" (a fleet with no
+    workers) or "bg" (a fleet with one worker thread)."""
+    vm = make_vm(**dict(dict(compile_threshold=2), **kw))
+    if mode != "sync":
+        vm.compile_queue.attach(FleetCompileQueue(1 if mode == "bg" else 0))
     vm.eval(LOOP_SRC)
     return vm
+
+
+def drain(vm) -> int:
+    """Build every queued request, then install on this (the VM's) thread;
+    returns the installs."""
+    vm.compile_queue.fleet.drain()
+    return vm.compile_queue.install_ready()
 
 
 # ---------------------------------------------------------------------------
@@ -45,11 +54,12 @@ def test_sync_mode_compiles_inline():
 
 def test_default_mode_is_sync():
     vm = make_vm()
-    assert vm.config.tierup_mode == "sync"
+    assert vm.compile_queue.fleet is None
+    assert vm.state.snapshot_lock is None
 
 
 # ---------------------------------------------------------------------------
-# step: deterministic synchronous drain
+# step: a fleet with no workers, drained by hand
 # ---------------------------------------------------------------------------
 
 def test_step_mode_enqueues_without_compiling():
@@ -68,7 +78,7 @@ def test_step_mode_keeps_profiling_until_drain():
     interp_before = vm.state.interp_ops
     vm.eval("f(10L)")
     assert vm.state.interp_ops > interp_before, "still interpreting pre-drain"
-    n = vm.drain_compile_queue()
+    n = drain(vm)
     assert n == 1
     assert vm.state.compiles == 1
     assert vm.state.tierup_installs == 1
@@ -84,23 +94,6 @@ def test_step_mode_dedups_requests():
     assert vm.state.tierup_enqueues == 1, "one request per closure"
 
 
-def test_drain_budget_bounds_work():
-    vm = queue_vm("step")
-    vm.eval(LOOP_SRC.replace("f <-", "g <-"))
-    vm.eval("g <- function(n) n * 2")  # distinct body: separate request
-    for _ in range(6):
-        vm.eval("f(10L)")
-        vm.eval("g(10L)")
-    assert vm.state.tierup_enqueues == 2
-    # a budget too small for even one unit still makes progress (min 1)
-    n = vm.drain_compile_queue(budget=1)
-    assert n == 1
-    assert len(vm.compile_queue.pending) == 1
-    n = vm.drain_compile_queue()
-    assert n == 1
-    assert vm.state.tierup_installs == 2
-
-
 def test_step_drain_results_match_sync():
     calls = ["f(%dL)" % n for n in (5, 10, 15, 20, 25, 30)]
     vm_s = queue_vm("sync")
@@ -109,7 +102,7 @@ def test_step_drain_results_match_sync():
     step_results = []
     for c in calls:
         step_results.append(repr(vm_q.eval(c)))
-        vm_q.drain_compile_queue()
+        drain(vm_q)
     assert step_results == sync_results
 
 
@@ -124,32 +117,34 @@ def test_stale_request_dropped_after_install():
     vm.compile_closure(clo)  # e.g. an embedder-forced compile
     assert st.version is not None
     installed = st.version
-    vm.drain_compile_queue()
+    drain(vm)
     assert st.version is installed
     assert vm.state.tierup_drops == 1
 
 
 # ---------------------------------------------------------------------------
-# bg: worker thread
+# bg: a fleet with one worker thread
 # ---------------------------------------------------------------------------
 
 def test_bg_mode_compiles_and_installs():
     vm = queue_vm("bg")
     for _ in range(6):
         vm.eval("f(10L)")
-    assert vm.compile_queue.join(5.0), "worker must finish"
+    assert vm.compile_queue.fleet.join(5.0), "worker must finish"
     assert from_r(vm.eval("f(10L)")) == 55  # install happens at call boundary
     assert vm.state.compiles == 1
     assert vm.state.tierup_installs == 1
     assert vm.global_env.get("f").jit.version is not None
+    vm.compile_queue.fleet.close()
 
 
 def test_bg_mode_interpreter_keeps_running_while_queued():
     vm = queue_vm("bg")
     results = [from_r(vm.eval("f(10L)")) for _ in range(10)]
     assert results == [55] * 10
-    vm.compile_queue.join(5.0)
+    vm.compile_queue.fleet.join(5.0)
     assert from_r(vm.eval("f(10L)")) == 55
+    vm.compile_queue.fleet.close()
 
 
 def test_bg_results_match_sync():
@@ -158,7 +153,7 @@ def test_bg_results_match_sync():
     sync_results = [repr(vm_s.eval(c)) for c in calls]
     vm_b = queue_vm("bg")
     bg_results = [repr(vm_b.eval(c)) for c in calls]
-    vm_b.compile_queue.join(5.0)
+    vm_b.compile_queue.fleet.close()
     assert bg_results == sync_results
 
 
@@ -172,7 +167,7 @@ def test_queued_tierup_consults_cache_first():
     vm = queue_vm("step", codecache=True)
     for _ in range(6):
         vm.eval("f(10L)")
-    vm.drain_compile_queue()
+    drain(vm)
     assert vm.state.compiles == 1
     vm.eval(LOOP_SRC.replace("f <-", "g <-"))
     for _ in range(6):

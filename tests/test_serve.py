@@ -432,10 +432,13 @@ def test_snapshot_includes_serve_counters():
 
 
 def test_snapshot_consistent_under_concurrent_installs():
-    """Satellite (a): snapshot() taken from another thread while a bg-mode
-    session compiles must see compiles/compiled_instrs move together
+    """snapshot() taken from another thread while a session's threaded
+    fleet compiles must see compiles/compiled_instrs move together
     (install-time counter groups are atomic under the queue lock)."""
-    vm = make_vm(compile_threshold=1, tierup_mode="bg", codecache=True)
+    srv = _server(compile_threshold=1)
+    srv.fleet = FleetCompileQueue(1)  # threaded under either engine
+    srv.fleet.shared = srv.shared
+    vm = srv.session("a").vm
     assert vm.state.snapshot_lock is vm.compile_queue.lock
     vm.eval(SUM_SRC)
     for s in SETUP:
@@ -453,9 +456,10 @@ def test_snapshot_consistent_under_concurrent_installs():
     t.start()
     for _ in range(30):
         vm.eval("sumfn(xi, 3L)")
-    vm.compile_queue.join()
+    srv.fleet.join()
     vm.eval("sumfn(xi, 3L)")
     stop.set()
     t.join(timeout=2.0)
+    srv.close()
     assert not bad
     assert vm.state.compiles >= 1

@@ -8,7 +8,7 @@ from conftest import make_vm
 from repro import from_r
 from repro.ir.builder import CompilationFailure
 from repro.jit import unit
-from repro.serve import SharedCodeCache
+from repro.serve import FleetCompileQueue, SharedCodeCache
 
 SRC = """
 add <- function(a, b) a + b
@@ -43,7 +43,7 @@ BASE = dict(compile_threshold=2, ctxdispatch=False, osr_hop=False)
 PROMOTION = (dict(enable_deoptless=True, osr_hop=True), WARM + ["sumfn(xi, 3)"] * 4)
 
 
-@pytest.mark.parametrize("mode", ["sync", "step"])
+@pytest.mark.parametrize("mode", ["sync", "fleet"])
 @pytest.mark.parametrize("kind", sorted(SCENARIOS))
 def test_failed_compile_is_counted_once(kind, mode, monkeypatch):
     real_build = unit.build
@@ -57,12 +57,16 @@ def test_failed_compile_is_counted_once(kind, mode, monkeypatch):
     extra, calls = PROMOTION if kind == "ctxfn" else SCENARIOS[kind]
     ref = make_vm(enable_jit=False)
     ref.eval(SRC)
-    vm = make_vm(**dict(BASE, **extra, tierup_mode=mode))
+    vm = make_vm(**dict(BASE, **extra))
+    if mode == "fleet":
+        vm.compile_queue.attach(FleetCompileQueue(0))
     vm.eval(SRC)
     for call in calls * 2:
         assert from_r(vm.eval(call)) == from_r(ref.eval(call))
-        vm.drain_compile_queue(0)
-    if mode == "step" and kind in ("fn", "ctxfn"):
+        if mode == "fleet":
+            vm.compile_queue.fleet.drain()
+            vm.compile_queue.install_ready()
+    if mode == "fleet" and kind in ("fn", "ctxfn"):
         assert any(e.fn_name == "sumfn" and e.details["ctx"] == (kind == "ctxfn")
                    for e in vm.state.events_of("tierup_enqueue")), "built by the queue"
     st = vm.global_env.get("sumfn").jit

@@ -14,7 +14,8 @@ tests pin the contract from four sides:
 * an ``NA`` at a fixed element ends bulk coverage at the element boundary
   and the retained scalar loop reproduces the reference NA deopt;
 * illegal loops — unrecognized cross-iteration dependences, closure calls,
-  writing the vector being read — are rejected at match time: the pass
+  writing the vector being read, branches, elementwise maps — are rejected
+  at match time: the pass
   annotates nothing, the lowered code is bit-identical to a scalar compile,
   and the IR still verifies;
 * repeated mid-kernel trips take the deoptless path: a context keyed on the
@@ -277,11 +278,30 @@ f <- function(v, n) {
   b
 }
 """,
-    # writes the vector it reads (loop-carried memory dependence)
+    # writes the vector it reads (loop-carried memory dependence): a copy
+    # onto itself, the one store shape the copy kernel's alias check sees
     "write-read-alias": """
 f <- function(v, n) {
-  for (i in 1:n) v[[i]] <- v[[i]] + 1
+  for (i in 1:n) v[[i]] <- v[[i]]
   v
+}
+""",
+    # compare-select min over an integer vector (the shape a compare-select
+    # kernel would take): a branch in the body
+    "compare-select-min": """
+f <- function(v, n) {
+  w <- 64:1
+  s <- w[[1]]
+  for (i in 1:n) if (w[[i]] < s) s <- w[[i]]
+  s
+}
+""",
+    # elementwise map: a stored value computed from the element
+    "elementwise-map": """
+f <- function(v, n) {
+  out <- numeric(n)
+  for (i in 1:n) out[[i]] <- v[[i]] * 2
+  out
 }
 """,
 }
@@ -289,7 +309,8 @@ f <- function(v, n) {
 
 #: loop-nest / fusion shapes the planner must now *accept*: each fuses a
 #: map→reduce chain into one kernel (closure bodies arrive pre-inlined under
-#: an identity guard; gather and strided subscripts are per-element-checked)
+#: an identity guard; computed subscripts are per-element-checked gathers;
+#: a product of bare elements is an fsum whose expression is the element)
 FUSED = {
     "closure-call": """
 g <- function(x) x * 2
@@ -322,7 +343,17 @@ f <- function(v, n) {
   s
 }
 """,
+    "prod": """
+f <- function(v, n) {
+  s <- 1
+  for (i in 1:n) s <- s * v[[i]]
+  s
 }
+""",
+}
+
+#: fused shape -> the addressing its plan records
+ADDRESSING = {"gather": "gather", "strided": "gather", "prod": "unit"}
 
 
 @pytest.mark.parametrize("mode", sorted(MODES))
@@ -343,6 +374,9 @@ def test_fused_loops_vectorize_and_match(shape, mode):
     assert results[True] == results[False]
     if mode == "jit":
         assert vms[True].state.kernel_elements > 0, "fused loop never kernelized"
+        plans = vms[True].state.vec_plans
+        assert [(kind, addr) for fn, _pc, kind, addr, _o in plans if fn == "f"] == [
+            ("fsum", ADDRESSING.get(shape, "unit"))], plans
     assert vms[False].state.kernel_elements == 0
     v_sig = vms[True].state.dispatch_signature()
     s_sig = vms[False].state.dispatch_signature()
@@ -396,7 +430,7 @@ def test_illegal_loops_rejected(shape, monkeypatch):
     # operands may embed runtime objects — e.g. a speculated callee — whose
     # identities differ between two VMs, so compare them by type)
     assert v_nc.kernels == []
-    assert not any(op[0] in N.KERNEL_OPS for op in v_nc.ops)
+    assert not any(op[0] == N.KERNEL for op in v_nc.ops)
     assert _op_shape(v_nc.ops) == _op_shape(s_nc.ops), (
         "%s: lowered code diverged" % shape
     )
@@ -408,6 +442,8 @@ DECLINE_REASONS = {
     "write-read-alias": "aliasing",
     "two-accumulators": "multiple-accumulators",
     "unrecognized-recurrence": "unrecognized-arith",
+    "compare-select-min": "unrecognized-compare",
+    "elementwise-map": "unrecognized-store-value",
 }
 
 
@@ -522,7 +558,21 @@ def test_legal_loop_is_annotated(monkeypatch):
     _, nc = _compile_f(SUM_SRC, vectorize=True, monkeypatch=monkeypatch, graphs=graphs)
     assert any(g.vector_loops for g in graphs), "sum loop was not recognized"
     assert nc.kernels, "no kernel descriptor was built"
-    assert any(op[0] in N.KERNEL_OPS for op in nc.ops)
+    assert any(op[0] == N.KERNEL for op in nc.ops)
+
+
+@pytest.mark.parametrize("name", sorted(KERNELIZED))
+def test_each_kernel_has_one_op(name):
+    """Every ``NativeCode.kernels[i]`` is the operand of exactly one
+    ``KERNEL`` op, in every unit the program compiled."""
+    _, _, vm = run_workload(name, MODES["jit"], vectorize=True)
+    units = [clo.jit.version for clo in vm.global_env.bindings.values()
+             if getattr(clo, "jit", None) is not None and clo.jit.version is not None]
+    assert any(nc.kernels for nc in units), name
+    for nc in units:
+        refs = sorted(op[1] for op in nc.ops if op[0] == N.KERNEL)
+        assert refs == list(range(len(nc.kernels))), nc.name
+        assert nc.size == len(nc.ops) - len(nc.kernels)
 
 
 # -- deoptless recovery from mid-kernel exits -----------------------------------
