@@ -40,6 +40,7 @@ entries can never be requested again and are dropped eagerly).
 from __future__ import annotations
 
 import hashlib
+import io
 from collections import OrderedDict
 from typing import Any, Dict, Optional, Tuple
 
@@ -411,37 +412,18 @@ class WorldResolver:
         raise Unstable("bad reference %r" % (ref,))
 
 
-def _stabilize(value: Any, resolver: WorldResolver, out: list) -> None:
-    """Canonicalize one key component, replacing identities with stable
-    references; raises :class:`Unstable` when that is impossible."""
-    if isinstance(value, Ident):
-        _canon(resolver.stable_ref(value.obj), out)
-    elif isinstance(value, DeoptContext):
-        out.append("ctx(")
-        _canon(value.stable_parts(resolver.stable_ref), out)
-        out.append(")")
-    elif isinstance(value, CallContext):
-        out.append("callctx(")
-        _canon(value.stable_parts(), out)
-        out.append(")")
-    elif isinstance(value, (tuple, list)):
-        out.append("(")
-        for v in value:
-            _stabilize(v, resolver, out)
-        out.append(")")
-    else:
-        _canon(value, out)
-
-
 def stable_digest(key: tuple, resolver: WorldResolver) -> Optional[str]:
     """World-independent digest of ``key``, or None when the key pins an
-    object that has no stable name in this world."""
-    out: list = []
+    object that has no stable name in this world: the sha256 of the key
+    pickled in C by :class:`~repro.jit.persist.KeyPickler`."""
+    from .persist import KeyPickler  # on first use, with pickle
+
+    buf = io.BytesIO()
     try:
-        _stabilize(key, resolver, out)
+        KeyPickler(buf, resolver).dump(key)
     except Unstable:
         return None
-    return hashlib.sha256("".join(out).encode("utf-8", "surrogatepass")).hexdigest()
+    return hashlib.sha256(buf.getbuffer()).hexdigest()
 
 
 # ---------------------------------------------------------------------------

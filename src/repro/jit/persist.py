@@ -28,34 +28,57 @@ descriptors point at the claimant's own ``CodeObject`` (profile updates and
 ``deopt_sites`` bumps land where they should), and identity guards pin
 today's closures.
 
+A cache key takes the same road to its stable digest: :class:`KeyPickler`
+writes it in C with identities replaced by the same stable names
+(``codecache.stable_digest`` hashes the bytes).
+
+The codegen tier's output rides along as the unit's CPython code object
+(``marshal``), so a unit that comes back as bytes is bound by an ``exec``,
+not a ``compile()``.  Marshal bytes belong to one interpreter version, and
+``marshal.loads`` of damaged bytes may crash the process rather than raise,
+so every entry carries a CRC-32 of its payload that is checked before
+anything is unpickled or unmarshalled.
+
 When bytes are made is :class:`~repro.jit.codecache.CodeCache`'s rule.  One
 of its two stores is here, :class:`DirectoryStore`: one file per code hash
-(``<dir>/<hh>/<hash>.ccache``) holding a digest→bytes map, merged on flush;
-a file that does not read is a miss, never an error in the program.
+(``<dir>/<hh>/<hash>.ccache``) holding a digest→bytes map, merged on flush
+and stamped with the format and the interpreter's bytecode magic number; a
+file another format or interpreter wrote is empty, and a file that does not
+read is a miss, never an error in the program.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import io
+import marshal
 import os
 import pickle
 import tempfile
-from typing import Any, Dict, Optional, Tuple
+import zlib
+from typing import Any, Dict, Optional
 
 from ..bytecode.compiler import CodeObject
+from ..deoptless.context import CallContext, DeoptContext
 from ..native import pycodegen
 from ..native.lower import NativeCode
 from ..runtime.env import REnvironment
+from ..runtime.rtypes import RType
 from ..runtime.values import NULL, RBuiltin, RClosure, RNull
-from .codecache import Unstable, WorldResolver, stable_closure_hash
+from .codecache import Ident, Unstable, WorldResolver
 
 #: bumped when a pickled shape changes or generated sources pass their
 #: helpers other arguments (4: ``_DS``/``_fail``/``_fallback`` stopped taking
 #: registers; 5: ``DeoptDescr`` lost ``promises``/``escape``, ``OsrEntry.env``
 #: became ``env_reg``; 6: one ``KERNEL`` opcode replaced the nine ``V*``
-#: ones, and ``KernelDescr`` lost its compare-select fields).  Another
-#: version is a miss and a fresh compile.
-FORMAT_VERSION = 6
+#: ones, and ``KernelDescr`` lost its compare-select fields; 7: an entry is a
+#: checksummed payload holding the marshalled code object, not the source).
+#: Another version is a miss and a fresh compile.
+FORMAT_VERSION = 7
+
+#: the interpreter a bucket file was written by: marshalled code objects
+#: load only under the bytecode version that made them
+PYTHON_MAGIC = importlib.util.MAGIC_NUMBER
 
 
 class PersistError(Exception):
@@ -187,6 +210,37 @@ class _Unpickler(pickle.Unpickler):
         raise PersistError("unknown persistent ref %r" % (ref,))
 
 
+class KeyPickler(pickle.Pickler):
+    """Renders a cache key as bytes in C.  A key is ~600 nodes, nearly all
+    tuples, strings, ints, bools and None, which the C pickler writes
+    without calling back; only the few other objects reach
+    :meth:`reducer_override`, which replaces identities with stable names.
+    ``fast`` turns the memo off, so the bytes depend on the values alone,
+    never on which equal objects happen to be shared."""
+
+    def __init__(self, file, resolver: WorldResolver):
+        super().__init__(file, protocol=4)
+        self.fast = True
+        self.resolver = resolver
+
+    def reducer_override(self, obj):
+        # each as a call of `tuple` on a tagged tuple: no literal key part
+        # pickles that way
+        if isinstance(obj, Ident):
+            parts = ("ref", self.resolver.stable_ref(obj.obj))
+        elif isinstance(obj, DeoptContext):
+            parts = ("ctx", obj.stable_parts(self.resolver.stable_ref))
+        elif isinstance(obj, CallContext):
+            parts = ("callctx", obj.stable_parts())
+        elif isinstance(obj, RType):
+            parts = ("T", obj.kind.name, int(obj.scalar), int(obj.maybe_na))
+        elif obj is tuple:
+            return NotImplemented  # the callable below, pickled by name
+        else:  # no key holds one: a form nobody renders is no stable form
+            raise Unstable("no stable form for %s" % type(obj).__name__)
+        return tuple, (parts,)
+
+
 def serialize(ncode: NativeCode, root_code: CodeObject, resolver: WorldResolver) -> bytes:
     """World-independent bytes for ``ncode`` (compiled from ``root_code``).
 
@@ -203,20 +257,22 @@ def serialize(ncode: NativeCode, root_code: CodeObject, resolver: WorldResolver)
     state["param_unbox"] = getattr(ncode, "param_unbox", None)
     state["call_context"] = getattr(ncode, "call_context", None)
     state["inlined_frames"] = getattr(ncode, "inlined_frames", 0)
-    # codegen-tier artifact (native/pycodegen.py): generated source + its
-    # constant pool ride with the unit so a warm start only re-compile()s
-    # the text instead of re-running the emitter.  The consts are pickled in
-    # the same stream as the ops, so shared runtime objects (identity-guard
-    # pins, builtins, CodeObjects) keep their identity on load.  Emission is
-    # forced here because a store takes the bytes at insert time, before the
-    # unit first runs (what a run adds — ``pyfunc``, ``pics``, a kernel's
-    # ``pyfn`` — stays out of the bytes of an in-VM rebind too).
+    # codegen-tier artifact (native/pycodegen.py): the compiled code object
+    # and its constant pool, or False when codegen declined the unit.  The
+    # consts are pickled in the same stream as the ops, so shared runtime
+    # objects (identity-guard pins, builtins, CodeObjects) keep their
+    # identity on load.  A store takes the bytes at insert time, before the
+    # unit first runs, so the unit is bound here — under ``bind``, which
+    # only execs a code object that came in bytes.  What a run adds
+    # (``pics``, a kernel's ``pyfn``) stays out: a unit serialized after it
+    # ran is byte-identical to one serialized before.
     if resolver.vm.config.threaded_dispatch:
-        pycodegen.ensure_source(ncode, resolver.vm.state)
-    src = getattr(ncode, "pysrc", None)
-    if src:
-        state["pycodegen_src"] = src
-        state["pycodegen_consts"] = getattr(ncode, "pyconsts", None)
+        pycodegen.bind(ncode, resolver.vm)
+    if ncode.pysrc is False:
+        state["pycode"] = False
+    elif ncode.pycode is not None:
+        state["pycode"] = marshal.dumps(ncode.pycode)
+        state["pyconsts"] = ncode.pyconsts
     buf = io.BytesIO()
     try:
         _Pickler(buf, root_code, resolver).dump((FORMAT_VERSION, state))
@@ -224,26 +280,33 @@ def serialize(ncode: NativeCode, root_code: CodeObject, resolver: WorldResolver)
         raise
     except Exception as e:
         raise PersistError("serialize failed: %s" % e)
-    return buf.getvalue()
+    payload = buf.getvalue()
+    return zlib.crc32(payload).to_bytes(4, "big") + payload
 
 
 def deserialize(data: bytes, root_code: CodeObject, resolver: WorldResolver) -> NativeCode:
     """Rebuild a template ``NativeCode`` against the current world.
 
     Raises :class:`Unstable` when a reference does not resolve (global
-    rebound, hash mismatch) and :class:`PersistError` on corrupt input.
+    rebound, hash mismatch) and :class:`PersistError` on corrupt input: a
+    payload whose checksum does not match is never unpickled.
     """
     nc = NativeCode.__new__(NativeCode)
     try:
-        version, state = _Unpickler(io.BytesIO(data), root_code, resolver).load()
-        for f in _NC_FIELDS:  # a flipped byte in a field name still unpickles
+        payload = memoryview(data)[4:]
+        if len(data) < 4 or zlib.crc32(payload) != int.from_bytes(data[:4], "big"):
+            raise PersistError("entry checksum mismatch")
+        version, state = _Unpickler(io.BytesIO(payload), root_code, resolver).load()
+        for f in _NC_FIELDS:
             setattr(nc, f, state[f])
+        if version != FORMAT_VERSION:
+            raise PersistError("artifact format %r unsupported" % (version,))
+        code = state.get("pycode")
+        nc.pycode = marshal.loads(code) if code else None
     except (Unstable, PersistError):
         raise
     except Exception as e:
         raise PersistError("deserialize failed: %r" % (e,))
-    if version != FORMAT_VERSION:
-        raise PersistError("artifact format %r unsupported" % (version,))
     nc.closure = None
     nc.invalidated = False
     nc.pics = {}
@@ -253,13 +316,12 @@ def deserialize(data: bytes, root_code: CodeObject, resolver: WorldResolver) -> 
     nc.inlined_frames = state.get("inlined_frames", 0)
     nc.is_context_version = False
     nc.osr_entries = state.get("osr_entries") or {}
-    # restore the codegen artifact; the exec'd function is never persisted
-    # (it is process-local) but the source + consts make the first bind a
-    # compile()/exec with no emitter walk
-    nc.pysrc = state.get("pycodegen_src")
-    nc.pyconsts = state.get("pycodegen_consts")
+    # the codegen artifact: with a code object, the first bind is an exec;
+    # the source is not carried, and a declined unit stays declined
+    nc.pysrc = False if code is False else None
+    nc.pyconsts = state.get("pyconsts")
     nc.pyfunc = None
-    if nc.pysrc is not None:
+    if nc.pycode is not None:
         resolver.vm.state.pycodegen_src_reuses += 1
     if state.get("deoptless_ctx") is not None:
         nc.deoptless_ctx = state["deoptless_ctx"]
@@ -276,13 +338,16 @@ def bucket_path(cache_dir: str, code_hash: str) -> str:
 
 def load_bucket(cache_dir: str, code_hash: str) -> Dict[str, bytes]:
     """digest -> serialized-entry map for one code hash; {} when there is no
-    such file or another format version wrote it.  A file that does not
-    read raises :class:`PersistError` and nothing else: a bad artifact must
-    never break the VM, and the caller says what it is worth."""
+    such file or another format version or interpreter wrote it.  A file
+    that does not read raises :class:`PersistError` and nothing else: a bad
+    artifact must never break the VM, and the caller says what it is
+    worth."""
     try:
         with open(bucket_path(cache_dir, code_hash), "rb") as f:
             obj = pickle.loads(f.read())
-        return dict(obj["entries"]) if obj["format"] == FORMAT_VERSION else {}
+        if obj["format"] != FORMAT_VERSION or obj["python"] != PYTHON_MAGIC:
+            return {}
+        return dict(obj["entries"])
     except FileNotFoundError:
         return {}
     except Exception as e:
@@ -305,7 +370,8 @@ def save_bucket(cache_dir: str, code_hash: str, entries: Dict[str, bytes]) -> No
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as f:
-            pickle.dump({"format": FORMAT_VERSION, "entries": merged}, f, protocol=4)
+            pickle.dump({"format": FORMAT_VERSION, "python": PYTHON_MAGIC,
+                         "entries": merged}, f, protocol=4)
         os.replace(tmp, path)
     except OSError as e:  # pragma: no cover - disk-full etc.
         try:

@@ -115,10 +115,11 @@ class Telemetry:
         #: Python-codegen tier (native/pycodegen.py).  Engine-dependent by
         #: nature (the reference loop never emits source) so all three stay
         #: out of dispatch_signature(): units is emitter walks performed,
-        #: src_reuses counts units whose generated text rode in on a cache
-        #: artifact (warm starts skip codegen), failures counts fallbacks to
-        #: the reference loop (emitter declined, compile()/exec failed,
-        #: argument-count mismatch in a generated function).
+        #: src_reuses counts units whose compiled code object rode in on
+        #: their bytes (bound by an exec: no emitter walk, no compile()),
+        #: failures counts fallbacks to the reference loop (emitter
+        #: declined, compile()/exec failed, argument-count mismatch in a
+        #: generated function).
         self.pycodegen_units = 0
         self.pycodegen_src_reuses = 0
         self.pycodegen_failures = 0

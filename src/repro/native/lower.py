@@ -251,12 +251,14 @@ class NativeCode:
         self.closure = None
         self.invalidated = False
         #: codegen tier (native/pycodegen.py): generated Python source text
-        #: (False: emission declined, the reference loop runs the unit), its
-        #: constant pool, and the exec'd specialized function.
-        #: ``pysrc``/``pyconsts`` are part of the persistable artifact;
-        #: ``pyfunc`` is always rebuilt.
+        #: (False: emission or compilation declined, the reference loop runs
+        #: the unit), its constant pool, the compiled module code object and
+        #: the exec'd specialized function.  ``pycode``/``pyconsts`` are the
+        #: persistable artifact (jit/persist.py); the source stays in this
+        #: process and the function is exec'd in each one.
         self.pysrc = None
         self.pyconsts = None
+        self.pycode = None
         self.pyfunc = None
         #: per-CALLG polymorphic inline caches, keyed by op index (both
         #: engines; install clones share the dict)
@@ -266,9 +268,9 @@ class NativeCode:
         #: surviving osr_anchors)
         self.osr_entries: Dict[int, OsrEntry] = {}
         #: when this unit is a clone served by the code cache: the cached
-        #: template it was cloned from (native/pycodegen.py back-propagates
-        #: the lazily emitted source and bound function — or the declined
-        #: sentinel — so later clones start warm)
+        #: template it was cloned from (native/pycodegen.py binds on the
+        #: template, so the code object and function — or the declined
+        #: sentinel — are made once and every clone shares them)
         self.cache_template: Optional["NativeCode"] = None
 
     def clone_for_install(self) -> "NativeCode":

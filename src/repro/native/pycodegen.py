@@ -8,9 +8,10 @@ Python source: registers become plain locals (``r7``), each op becomes one
 statement (or a few), guards become ``if``-raise of a :class:`DeoptSignal`
 carrying the op's deopt-descriptor index, and bulk vector kernels become
 direct ``run_kernel`` calls with a statically computed spill/reload set.
-``compile()``/``exec`` then turns the text into a single specialized
-function cached on the unit (``NativeCode.pyfunc``) and back-propagated to
-its ``cache_template`` so later install clones share it.
+``compile()`` turns the text into a module code object (``NativeCode.pycode``)
+and ``exec`` that into a single specialized function (``NativeCode.pyfunc``),
+both kept on the cache template the unit was cloned from so later install
+clones share them.
 
 Control flow is *structured*: after jump threading, a block that exactly
 one edge reaches is printed inline at the end of its predecessor (under
@@ -45,10 +46,10 @@ Only a bulk kernel's deopt still hands over a register file: its spill
 list, which the kernel has already materialized the frame into.
 
 The generated source is pure text plus an opaque constant pool
-(``NativeCode.pyconsts``, referenced as ``_K[i]``), which is what makes it
-a persistable artifact: jit/persist.py stores both alongside the op stream
-so a warm start only re-``compile()``s the text and never re-runs the
-emitter.
+(``NativeCode.pyconsts``, referenced as ``_K[i]``), so its code object
+depends on nothing but the text: jit/persist.py stores the marshalled code
+object and the pool alongside the op stream, and a unit that comes back as
+bytes is bound by an ``exec`` alone — no emitter walk, no ``compile()``.
 """
 
 from __future__ import annotations
@@ -764,14 +765,9 @@ def _shared_env() -> dict:
 
 
 def _decline(ncode) -> None:
-    """Mark a unit — and the cached template it was cloned from, so the
-    failure is paid once per template, not once per install clone — as
-    untranslatable."""
-    tmpl = ncode.cache_template
-    for unit in (ncode,) if tmpl is None else (ncode, tmpl):
-        unit.pysrc = False
-        unit.pyconsts = None
-        unit.pyfunc = None
+    """Mark a unit as untranslatable: the reference loop runs it."""
+    ncode.pysrc = False
+    ncode.pyconsts = ncode.pycode = ncode.pyfunc = None
 
 
 def ensure_source(ncode, state=None) -> Optional[str]:
@@ -780,7 +776,7 @@ def ensure_source(ncode, state=None) -> Optional[str]:
     Returns the source text, or None when the unit cannot be translated
     (``pysrc`` is then the False sentinel and the reference loop runs it).
     """
-    src = getattr(ncode, "pysrc", None)
+    src = ncode.pysrc
     if src is not None:
         return src if src is not False else None
     try:
@@ -794,57 +790,44 @@ def ensure_source(ncode, state=None) -> Optional[str]:
     ncode.pyconsts = consts
     if state is not None:
         state.pycodegen_units += 1
-    tmpl = ncode.cache_template
-    if tmpl is not None and getattr(tmpl, "pysrc", None) is None:
-        # back-propagate: later clones start warm
-        tmpl.pysrc = src
-        tmpl.pyconsts = consts
     return src
 
 
-def bind(ncode, vm):
-    """compile()/exec the unit's generated source into its ``pyfunc``.
+def _compile(ncode):
+    """The one ``compile()`` of generated source.  ``dont_inherit``: the code
+    object depends on the text alone, not on this module's ``__future__``
+    imports, which is what lets jit/persist.py store it."""
+    return compile(ncode.pysrc, "<pycodegen:%s>" % ncode.name, "exec",
+                   dont_inherit=True)
 
-    Returns the callable, or None when codegen is unavailable for this unit
-    (emission or compilation failed — the caller falls back to the
-    reference loop).
+
+def bind(ncode, vm):
+    """The unit's generated function, or None when the reference loop runs
+    it (emission or compilation declined).
+
+    One path, taken on the template the unit was cloned from (or the unit
+    itself) and shared by every clone: a declined unit has no function;
+    otherwise its code object — compiled here once, or arrived in the
+    unit's bytes — is exec'd; a unit with neither is emitted and compiled
+    first.  A failure is paid once per template, not once per clone.
     """
-    src = getattr(ncode, "pysrc", None)
-    if src is False:
-        return None
-    tmpl = ncode.cache_template
-    if src is None and tmpl is not None:
-        tsrc = getattr(tmpl, "pysrc", None)
-        if tsrc is False:
-            ncode.pysrc = False
-            return None
-        if tsrc:
-            src = ncode.pysrc = tsrc
-            ncode.pyconsts = tmpl.pyconsts
-            fn = getattr(tmpl, "pyfunc", None)
-            if fn is not None:
-                ncode.pyfunc = fn
-                return fn
-    if src is None:
-        src = ensure_source(ncode, vm.state)
-        if src is None:
-            return None
-    try:
-        g = dict(_shared_env())
-        g["_K"] = tuple(ncode.pyconsts or ())
-        code = compile(src, "<pycodegen:%s>" % ncode.name, "exec")
-        exec(code, g)
-        fn = g["_unit"]
-    except Exception:
-        vm.state.pycodegen_failures += 1
-        _decline(ncode)
-        return None
-    ncode.pyfunc = fn
-    if tmpl is not None and getattr(tmpl, "pyfunc", None) is None:
-        tmpl.pysrc = ncode.pysrc
-        tmpl.pyconsts = ncode.pyconsts
-        tmpl.pyfunc = fn
-    return fn
+    tmpl = ncode.cache_template or ncode
+    if tmpl.pyfunc is None and tmpl.pysrc is not False:
+        code = tmpl.pycode
+        try:
+            if code is None and ensure_source(tmpl, vm.state) is not None:
+                code = _compile(tmpl)
+            if code is not None:
+                g = dict(_shared_env())
+                g["_K"] = tuple(tmpl.pyconsts or ())
+                exec(code, g)
+                tmpl.pycode, tmpl.pyfunc = code, g["_unit"]
+        except Exception:
+            vm.state.pycodegen_failures += 1
+            _decline(tmpl)
+    ncode.pysrc, ncode.pyconsts = tmpl.pysrc, tmpl.pyconsts
+    ncode.pycode, ncode.pyfunc = tmpl.pycode, tmpl.pyfunc
+    return ncode.pyfunc
 
 
 def execute_codegen(ncode, args, vm, closure_env=None, entry=None, regs=None):

@@ -9,6 +9,8 @@ bit-identical dispatch behaviour with the cache on versus off.
 from __future__ import annotations
 
 import contextlib
+import hashlib
+import marshal
 import pickle
 from unittest import mock
 
@@ -17,6 +19,7 @@ import pytest
 from conftest import make_vm
 from repro import from_r
 from repro.bench.programs import REGISTRY
+from repro.deoptless.context import CallContext, DeoptContext
 from repro.jit import codecache, persist
 from repro.native import pycodegen
 from repro.serve import SharedCodeCache
@@ -412,6 +415,65 @@ def test_a_miss_digests_its_key_once(monkeypatch):
     assert vm.state.codecache_hits == 1 and len(taken) == 1
 
 
+def _walked_stabilize(value, resolver, out):
+    """How a key was rendered before the C pickler did it: a Python walk
+    over every node (the oracle)."""
+    if isinstance(value, codecache.Ident):
+        codecache._canon(resolver.stable_ref(value.obj), out)
+    elif isinstance(value, DeoptContext):
+        out.append("ctx(")
+        codecache._canon(value.stable_parts(resolver.stable_ref), out)
+        out.append(")")
+    elif isinstance(value, CallContext):
+        out.append("callctx(")
+        codecache._canon(value.stable_parts(), out)
+        out.append(")")
+    elif isinstance(value, (tuple, list)):
+        out.append("(")
+        for v in value:
+            _walked_stabilize(v, resolver, out)
+        out.append(")")
+    else:
+        codecache._canon(value, out)
+
+
+def _walked_digest(key, resolver):
+    out = []
+    try:
+        _walked_stabilize(key, resolver, out)
+    except codecache.Unstable:
+        return None
+    return hashlib.sha256("".join(out).encode("utf-8", "surrogatepass")).hexdigest()
+
+
+def test_key_digests_split_keys_as_the_walked_rendering_did(monkeypatch):
+    """Every key digested over the 32 registry programs under chaos, each
+    digested both ways in the world it was taken in: the two renderings
+    put the keys in the same equality classes, so hits, misses and disk
+    hits cannot move, and a key with no stable form has none either way."""
+    pairs, kinds = set(), set()
+    digest = codecache.stable_digest
+
+    def both(key, resolver):
+        new = digest(key, resolver)
+        pairs.add((_walked_digest(key, resolver), new))
+        kinds.add(key[0])
+        return new
+
+    monkeypatch.setattr(codecache, "stable_digest", both)
+    for name in REGISTRY.names():
+        w = REGISTRY.get(name)
+        vm = make_vm(compile_threshold=1, osr_threshold=25, enable_deoptless=True,
+                     chaos_rate=0.02, chaos_seed=7)
+        for src in (w.source, w.setup_code(w.n_test)):
+            vm.eval(src)
+        for _ in range(2):
+            vm.eval(w.call_code(w.n_test))
+    assert kinds == {"fn", "ctxfn", "osr", "cont"} and len(pairs) > 500
+    assert len({old for old, _ in pairs}) == len({new for _, new in pairs}) == len(pairs)
+    assert all((old is None) == (new is None) for old, new in pairs)
+
+
 # ---------------------------------------------------------------------------
 # two places, one rule: bytes are made only where a store can keep them
 # ---------------------------------------------------------------------------
@@ -522,13 +584,23 @@ def test_a_unit_that_ran_still_rebinds(declined, monkeypatch):
     """The in-VM rebind serializes a unit that may have run: its ``fsum``
     kernel has compiled its Python loop by then, which does not pickle, and
     a unit codegen declined has ``pysrc is False``.  Both rebind — the bytes
-    carry neither — where a naive serializer turns the hit into a recompile."""
+    carry neither — where a naive serializer turns the hit into a recompile.
+    The bytes made after the runs are the bytes a store would have taken at
+    insert, before the first run, code object included."""
     engine = {}
     if declined:  # the sentinel is the codegen engine's: pinned under the oracle's leg too
         def refuse(ncode):
             raise NotImplementedError("declined")
         monkeypatch.setattr(pycodegen, "_emit", refuse)
         engine = {"threaded_dispatch": True}
+    at_insert = []
+    insert = codecache.CodeCache.insert
+
+    def insert_and_serialize(self, key, ncode, vm, root_code):
+        insert(self, key, ncode, vm, root_code)
+        at_insert.append(persist.serialize(ncode, root_code, codecache.WorldResolver(vm)))
+
+    monkeypatch.setattr(codecache.CodeCache, "insert", insert_and_serialize)
     vm = make_vm(codecache_dir=None, **engine)
     calls = ["dot(x, y, 4L)"] * 6
     for src in (DOT_SETUP, DOT_SRC):
@@ -538,13 +610,85 @@ def test_a_unit_that_ran_still_rebinds(declined, monkeypatch):
     (kernel,) = entry.ncode.kernels
     assert kernel.kind == "fsum" and kernel.pyfn, "the unit ran its kernel"
     assert (entry.ncode.pysrc is False) == declined and vm.state.pycodegen_failures == declined
+    after = persist.serialize(entry.ncode, entry.root_code, codecache.WorldResolver(vm))
+    assert at_insert == [after]
+    code = entry.ncode.pycode
+    assert (code is None) == (declined or not vm.config.threaded_dispatch)
+    assert code is None or marshal.dumps(code) in after
     vm.eval(DOT_SRC)  # a fresh CodeObject, the same digest
     again = [from_r(vm.eval(c)) for c in calls]
     assert first == again == _interp((DOT_SETUP, DOT_SRC), calls)
     s = vm.state
     assert (s.compiles, s.codecache_stable_hits, s.codecache_persist_failures) == (1, 1, 0)
+    assert s.pycodegen_failures == declined, "a decline rides in the bytes"
     (entry,) = vm.code_cache.entries.values()
     assert entry.ncode.kernels[0].pyfn, "the rebound unit compiled its own loop"
+
+
+def _dot_vm(**kw):
+    vm = make_vm(threaded_dispatch=True, **kw)
+    for src in (DOT_SETUP, DOT_SRC):
+        vm.eval(src)
+    return vm
+
+
+def test_a_compile_that_fails_at_serialize_time_declines_once(tmp_path, monkeypatch):
+    """A store takes a unit's bytes at insert, so that is where its source is
+    compiled.  When ``compile()`` raises there the unit is declined once: not
+    again at its first run, not when its bytes are rebound in this VM or
+    read by the next.  It still stores and rebinds, and runs on the
+    reference loop."""
+    def refuse(ncode):
+        raise SyntaxError("refused")
+
+    monkeypatch.setattr(pycodegen, "_compile", refuse)
+    d = str(tmp_path / "cc")
+    calls = ["dot(x, y, 4L)"] * 6
+    vm = _dot_vm(codecache_dir=d)
+    first = [from_r(vm.eval(c)) for c in calls]
+    (entry,) = vm.code_cache.entries.values()
+    assert entry.ncode.pysrc is False and vm.state.pycodegen_failures == 1
+    vm.eval(DOT_SRC)  # a fresh CodeObject: rebound from the live entry's bytes
+    again = [from_r(vm.eval(c)) for c in calls]
+    assert vm.save_code_cache() == 1
+    warm = _dot_vm(codecache_dir=d)
+    read = [from_r(warm.eval(c)) for c in calls]
+    assert first == again == read == _interp((DOT_SETUP, DOT_SRC), calls)
+    s, w = vm.state, warm.state
+    assert (s.compiles, s.codecache_stable_hits, s.pycodegen_failures) == (1, 1, 1)
+    assert (w.compiles, w.codecache_disk_hits, w.pycodegen_failures) == (0, 1, 0)
+
+
+@pytest.mark.parametrize("store", ["directory", "fleet"])
+def test_a_unit_that_came_as_bytes_is_not_compiled_again(store, tmp_path, monkeypatch):
+    """A VM warm-starting from the directory, and a second tenant rebinding
+    from the fleet's cache, bind the unit by an ``exec`` of the code object
+    that came in its bytes: no emitter walk, no ``compile()``."""
+    compiled = []
+    compile_unit = pycodegen._compile
+    monkeypatch.setattr(pycodegen, "_compile",
+                        lambda ncode: compiled.append(ncode.name) or compile_unit(ncode))
+    d, shared = str(tmp_path / "cc"), SharedCodeCache(budget=100_000)
+
+    def tenant(name):
+        vm = cache_vm(threaded_dispatch=True,
+                      codecache_dir=d if store == "directory" else None)
+        if store == "fleet":
+            vm.code_cache.shared, vm.code_cache.tenant = shared, name
+        return vm
+
+    calls = ["sumfn(xi, 3L)"] * 5
+    a = tenant("a")
+    for c in calls:
+        a.eval(c)
+    assert len(compiled) == a.state.compiles == 1
+    a.save_code_cache()
+    del compiled[:]
+    b = tenant("b")
+    assert [from_r(b.eval(c)) for c in calls] == _interp((SUM_SRC,) + SETUP, calls)
+    s = b.state
+    assert (s.codecache_disk_hits, s.shared_cache_hits) == ((1, 0) if store == "directory" else (0, 1))
+    assert compiled == [] and s.pycodegen_units == 0 and s.pycodegen_src_reuses == 1
 
 
 # ---------------------------------------------------------------------------
@@ -576,9 +720,10 @@ CORRUPT_CALLS = ["sumfn(xi, 3L)"] * 5 + ["sumfn(xd, 3L)"]
 @contextlib.contextmanager
 def _bad_artifact(tmp_path):
     """A real bucket file (``sumfn``'s unit and its continuation), open for
-    damage: yields its directory, the file, its bytes, and ``probe()`` —
-    the lookup a warm start makes for the function's unit, on a cache that
-    has not read the file yet, returning the unit and the failures counted."""
+    damage: yields its directory, the file, its bytes, ``probe()`` — the
+    lookup a warm start makes for the function's unit, on a cache that has
+    not read the file yet, returning the unit and the failures counted —
+    and the offset and length of that unit's entry in the file."""
     d = tmp_path / "cc"
     vm = cache_vm(codecache_dir=str(d))
     for c in CORRUPT_CALLS:
@@ -606,7 +751,9 @@ def _bad_artifact(tmp_path):
             mock.patch.object(codecache, "stable_digest",
                               lambda k, r: digest if k is key else take(k, r)):
         assert probe()[0] is not None
-        yield str(d), f, path.read_bytes(), probe
+        good = path.read_bytes()
+        entry = pickle.loads(good)["entries"][digest]
+        yield str(d), f, good, probe, (good.index(entry), len(entry))
 
 
 def _program_reads(d):
@@ -624,7 +771,7 @@ def test_a_flipped_byte_in_an_artifact_is_a_miss(tmp_path):
     and counts an unreadable file once; then one whole program per way the
     file failed to read runs to the interpreter's results on a recompile."""
     ways = {}
-    with _bad_artifact(tmp_path) as (d, f, good, probe):
+    with _bad_artifact(tmp_path) as (d, f, good, probe, _):
         for pos in list(range(140)) + list(range(len(good) - 30, len(good))):
             for value in range(256):
                 if value == good[pos]:
@@ -654,7 +801,7 @@ def test_a_flipped_byte_in_an_artifact_is_a_miss(tmp_path):
 def test_a_truncated_artifact_is_a_miss(tmp_path):
     """Cut at every 7th length the file is unreadable, counted once, never
     raised; a whole program at a few of them recompiles both units."""
-    with _bad_artifact(tmp_path) as (d, f, good, probe):
+    with _bad_artifact(tmp_path) as (d, f, good, probe, _):
         for length in range(0, len(good), 7):
             f.truncate(length)
             assert probe() == (None, 1), length
@@ -665,23 +812,65 @@ def test_a_truncated_artifact_is_a_miss(tmp_path):
             f.write(good)
 
 
-def test_a_directory_of_the_previous_format_is_a_miss(tmp_path, monkeypatch):
-    """Format 5 stored its kernels under opcode numbers 65-73, which format
-    6 does not have: a directory written under 5 reads under 6 as counted
-    misses and a recompile, never as an opcode the executors do not know."""
-    from repro.native import ops as N
+def test_every_flipped_byte_of_an_entry_is_a_miss(tmp_path):
+    """Each byte of the function unit's entry, checksum and payload alike,
+    flipped in turn: the checksum is checked before anything is unpickled
+    or unmarshalled (``marshal.loads`` of damaged code may crash the
+    interpreter instead of raising), so every flip is a miss counted once;
+    a whole program at a stride of them runs to the interpreter's results
+    on a recompile."""
+    with _bad_artifact(tmp_path) as (d, f, good, probe, (start, size)):
+        assert size > 1000, "the entry holds the unit's code object"
+        for pos in range(start, start + size):
+            f.seek(pos)
+            f.write(bytes([good[pos] ^ 0xFF]))
+            assert probe() == (None, 1), pos - start
+            if (pos - start) % 1500 == 0:
+                s = _program_reads(d).state
+                assert s.codecache_persist_failures == 1 and s.compiles >= 1, pos - start
+            f.seek(pos)
+            f.write(good[pos:pos + 1])
 
-    d = str(tmp_path / "cc")
-    with monkeypatch.context() as old:
-        old.setattr(persist, "FORMAT_VERSION", 5)
-        old.setattr(N, "KERNEL", 65)  # format 5's VSUM
-        vm = cache_vm(codecache_dir=d)
-        results = [from_r(vm.eval(c)) for c in CORRUPT_CALLS]
-        assert any(op[0] == 65 for op in vm.global_env.get("sumfn").jit.version.ops)
+
+def _saved_as(d, monkeypatch, **persist_attrs):
+    """The program run and saved into ``d`` by a VM whose ``persist`` module
+    has ``persist_attrs``: written the way another format or interpreter
+    writes."""
+    with monkeypatch.context() as other:
+        for name, value in persist_attrs.items():
+            other.setattr(persist, name, value)
+        vm = cache_vm(codecache_dir=str(d))
+        for c in CORRUPT_CALLS:
+            vm.eval(c)
         assert vm.save_code_cache() == 1
-    assert persist.FORMAT_VERSION == 6
-    vm = cache_vm(codecache_dir=d)
-    assert [from_r(vm.eval(c)) for c in CORRUPT_CALLS] == results
-    s = vm.state
+
+
+def _read_as_misses(d):
+    s = _program_reads(str(d)).state
     assert (s.codecache_disk_hits, s.codecache_persist_failures) == (0, 0)
     assert s.codecache_misses >= 2 and s.compiles == 2
+
+
+def test_a_directory_of_the_previous_format_is_a_miss(tmp_path, monkeypatch):
+    """Format 6 stored the generated source in an entry with no checksum, in
+    a bucket with no interpreter stamp: a directory written under 6 reads
+    under 7 as counted misses — no disk hit, no persist failure — a
+    recompile and the interpreter's results."""
+    d = tmp_path / "cc"
+    _saved_as(d, monkeypatch, FORMAT_VERSION=6)
+    assert persist.FORMAT_VERSION == 7
+    (path,) = d.rglob("*.ccache")
+    bucket = pickle.loads(path.read_bytes())
+    del bucket["python"]
+    bucket["entries"] = {k: v[4:] for k, v in bucket["entries"].items()}
+    path.write_bytes(pickle.dumps(bucket, protocol=4))
+    _read_as_misses(d)
+
+
+def test_a_directory_another_interpreter_wrote_is_a_miss(tmp_path, monkeypatch):
+    """Marshalled code loads only under the bytecode version that made it:
+    a directory stamped with another interpreter's magic number reads like
+    one of another format."""
+    d = tmp_path / "cc"
+    _saved_as(d, monkeypatch, PYTHON_MAGIC=b"\x00\x00\r\n")
+    _read_as_misses(d)

@@ -7,8 +7,8 @@ module covers the tier's own machinery: source/function caching on the
 unit and its cache template, the reference-loop fallback for units codegen
 cannot run, the shape of the emitted control flow (superblocks, dispatch
 arms, nesting cap), the register-free deopt sites, and warm-start
-persistence of the generated source (a disk hit must skip the emitter
-entirely).
+persistence of the compiled code (a disk hit skips the emitter and
+``compile()`` entirely).
 """
 
 from __future__ import annotations
@@ -85,15 +85,15 @@ def test_reference_engine_emits_nothing():
 
 
 def test_generated_source_backpropagates_to_template():
-    """Install clones share the template's emitted source and bound
-    function."""
+    """Install clones share the template's emitted source, code object and
+    bound function."""
     vm = hot_vm()
     drive(vm)
     nc = compiled_unit(vm)
     tmpl = nc.cache_template
     if tmpl is None:  # cache disabled in this configuration — nothing shared
         return
-    assert tmpl.pysrc == nc.pysrc
+    assert tmpl.pysrc == nc.pysrc and tmpl.pycode is nc.pycode
     assert tmpl.pyfunc is nc.pyfunc, "clone must reuse the template binding"
 
 
@@ -114,7 +114,7 @@ def forge_opcode(unit):
     ops = list(unit.ops) + [(999999,), (N.JMP, len(unit.ops))]
     for u in (unit, unit.cache_template or unit):
         u.ops = ops
-        u.pysrc = u.pyconsts = u.pyfunc = None
+        u.pysrc = u.pyconsts = u.pycode = u.pyfunc = None
 
 
 def test_untranslatable_unit_runs_on_reference_loop():
@@ -151,7 +151,7 @@ def test_decline_is_paid_once_per_template():
     assert tmpl.pysrc is False
     assert vm.state.pycodegen_failures == 1
 
-    tmpl.pysrc, tmpl.pyconsts = "def _unit(:\n", ()
+    tmpl.pysrc, tmpl.pyconsts, tmpl.pycode = "def _unit(:\n", (), None
     assert [install_and_run(), install_and_run()] == [3120.0, 3120.0]
     assert tmpl.pysrc is False
     assert vm.state.pycodegen_failures == 2
@@ -486,6 +486,8 @@ def test_deopt_reads_descriptor_only_constants_from_reg_init():
 # ---------------------------------------------------------------------------
 
 def test_warm_start_reuses_generated_source(tmp_path):
+    """The unit's code object rides in its bytes: the warm VM binds it by
+    an exec, with no emitter walk and no compile()."""
     d = str(tmp_path / "cc")
     vm1 = hot_vm(codecache=True, codecache_dir=d)
     cold = drive(vm1)
@@ -497,17 +499,18 @@ def test_warm_start_reuses_generated_source(tmp_path):
     assert warm == cold
     assert vm2.state.codecache_disk_hits >= 1, "unit not served from disk"
     assert vm2.state.pycodegen_src_reuses >= 1, \
-        "generated source did not ride in on the artifact"
+        "the code object did not ride in on the artifact"
     assert vm2.state.pycodegen_units == 0, \
         "warm start must skip the emitter entirely"
     nc = compiled_unit(vm2)
-    assert callable(nc.pyfunc), "persisted source never bound"
+    assert callable(nc.pyfunc), "persisted code never bound"
+    assert nc.pysrc is None, "the source is not carried"
 
 
 def test_persisted_artifact_warm_starts_reference_engine(tmp_path):
     """An artifact written by a codegen VM still warm-starts a reference
-    engine VM — the source keys are optional extensions and the reference
-    loop simply ignores them."""
+    engine VM — the code object is an optional extension and the reference
+    loop simply ignores it."""
     d = str(tmp_path / "cc")
     vm1 = hot_vm(codecache=True, codecache_dir=d)
     cold = drive(vm1)
@@ -522,10 +525,10 @@ def test_persisted_artifact_warm_starts_reference_engine(tmp_path):
 
 
 def test_artifacts_of_another_format_version_are_skipped(tmp_path, monkeypatch):
-    """What emitted source passes to ``_DS``/``_fail`` is part of the format:
+    """What emitted code passes to ``_DS``/``_fail`` is part of the format:
     a bucket file, and a blob inside a current bucket file, written under
     another FORMAT_VERSION are a miss and a fresh compile — never an
-    exception, never old text re-bound."""
+    exception, never old code re-bound."""
     d = str(tmp_path / "cc")
     current = persist.FORMAT_VERSION
     monkeypatch.setattr(persist, "FORMAT_VERSION", current - 1)
