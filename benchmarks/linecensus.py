@@ -1,10 +1,10 @@
 """Line census: the executable lines of ``src/repro`` that no workload runs.
 
-``python3 benchmarks/linecensus.py [--seconds S] [--seed N]`` runs every workload of BENCHMARK.json
-through ``benchmarks/e2e/run.py --trace 0 --seconds 0.6`` (options passed through) in this process
-under ``sys.settrace`` and ``threading.settrace``, then prints per file the lines (``co_lines()``) no
-workload executed and the totals for ``src/repro`` and its JIT side (``ir opt native jit deoptless
-osr serve`` less ``native/executor.py``, the oracle).
+``python3 benchmarks/linecensus.py [native/pycodegen.py ...] [--seconds S] [--seed N]`` runs every workload of
+BENCHMARK.json through ``benchmarks/e2e/run.py --trace 0 --seconds 0.6`` (options passed through) in this process
+under ``sys.settrace`` and ``threading.settrace``, then prints per file the lines (``co_lines()``) no workload
+executed and the totals for ``src/repro`` and its JIT side (``ir opt native jit deoptless osr serve`` less
+``native/executor.py``, the oracle).  For each file named (relative to ``src/repro``) it also lists those lines.
 """
 import contextlib, json, os, runpy, sys, threading
 
@@ -20,7 +20,9 @@ def trace(frame, event, arg):  # global (a call) and local (a line) at once
 
 
 if __name__ == "__main__":
-    workloads, extra = [w["name"] for w in json.load(open(os.path.join(ROOT, "BENCHMARK.json")))["workloads"]], sys.argv[1:]
+    workloads = [w["name"] for w in json.load(open(os.path.join(ROOT, "BENCHMARK.json")))["workloads"]]
+    show = [a for a in sys.argv[1:] if a.endswith(".py")]
+    extra = [a for a in sys.argv[1:] if a not in show]
     threading.settrace(trace), sys.settrace(trace)
     for w in workloads:
         sys.argv = [RUN, "--workload", w, "--trace", "0", "--seconds", "0.6"] + extra
@@ -34,7 +36,9 @@ if __name__ == "__main__":
             code = codes.pop()
             ex |= {ln for _, _, ln in code.co_lines() if ln is not None}
             codes += [c for c in code.co_consts if hasattr(c, "co_lines")]
-        total, unrun[f[len(PKG):]] = total + len(ex), len({ln for ln in ex if (f, ln) not in hit})
-    print("\n".join("%5d  %s" % (n, f) for f, n in sorted(unrun.items(), key=lambda kv: -kv[1]) if n))
-    jit = sum(n for f, n in unrun.items() if f.split(os.sep)[0] in JIT and f != ORACLE)
-    print("never executed: %d of %d executable lines; JIT side %d" % (sum(unrun.values()), total, jit))
+        total, unrun[f[len(PKG):]] = total + len(ex), sorted(ln for ln in ex if (f, ln) not in hit)
+    print("\n".join("%5d  %s" % (len(n), f) for f, n in sorted(unrun.items(), key=lambda kv: -len(kv[1])) if n))
+    jit = sum(len(n) for f, n in unrun.items() if f.split(os.sep)[0] in JIT and f != ORACLE)
+    print("never executed: %d of %d executable lines; JIT side %d" % (sum(map(len, unrun.values())), total, jit))
+    for f in show:
+        print("%s never executed: %s" % (f, " ".join(map(str, unrun[f]))))
