@@ -20,6 +20,12 @@ before options such as ``--seconds 3``:
         "unrun=repro.opt.vectorize:vectorize_loops:sum(p.kind in ('cmp','map','prod') for p in result)" \
         "ok=repro.native.kernels:run_kernel:result[0] == 'ok'" \
         "declines=repro.native.kernels:run_kernel:result[0] == 'decline'" --seconds 3
+
+The generic-op census (``[[`` and ``[[<-`` that native code runs through the generic runtime;
+DESIGN.md, "What the analysis types without a profile", has the table per program):
+
+    python3 benchmarks/census.py suite-steady "ex2=repro.runtime.coerce:extract2" \
+        "set2=repro.native.executor:_generic_set2"
 """
 import argparse, functools, importlib, os, runpy, sys
 

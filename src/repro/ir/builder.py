@@ -532,9 +532,10 @@ class GraphBuilder:
                     st.stack.append(T.LGL_SCALAR)
             elif op == O.CALL:
                 nargs = ins[1]
+                arg_types = st.stack[len(st.stack) - nargs :]
                 del st.stack[len(st.stack) - nargs :]
                 st.stack.pop()
-                st.stack.append(self._call_result_type(pc))
+                st.stack.append(self._call_result_type(self._call_target(pc), arg_types))
             elif op == O.BR:
                 return [(ins[1], st)]
             elif op in (O.BRFALSE, O.BRTRUE):
@@ -560,7 +561,16 @@ class GraphBuilder:
             raise CompilationFailure("variable %r may be read before assignment" % name)
         return t
 
-    def _call_result_type(self, pc: int) -> RType:
+    def _call_target(self, pc: int):
+        """The callee a call site speculates on (identity-guarded), or None."""
+        fb = self.feedback.get(pc)
+        return usable_call_target(self.code, pc, fb) if isinstance(fb, CallFeedback) else None
+
+    def _call_result_type(self, target, arg_types: List[RType]) -> RType:
+        """A builtin's declared result behind the guard on ``target`` (the
+        site's ``_call_target``); else ANY."""
+        if isinstance(target, RBuiltin) and target.result is not None:
+            return target.result(arg_types)
         return ANY
 
     # ------------------------------------------------------------------------
@@ -1105,8 +1115,10 @@ class GraphBuilder:
         ):
             uidx = self._as_unboxed(idx, Kind.INT, pc)
             uval = self._as_unboxed(val, val.type.kind, pc)
+            # the store names the value's kind, not the vector's: a static
+            # INT vector may hold an LGL one, and `i / 2` into it must widen
             r = self.cur_bb.append(
-                I.VecStore(obj.type.kind, self._as_boxed(obj, pc), uidx, uval, None, pc))
+                I.VecStore(uval.type.kind, self._as_boxed(obj, pc), uidx, uval, None, pc))
             r.type = T.set_index_result(obj.type, val.type)
         else:
             r = self.cur_bb.append(
@@ -1166,8 +1178,7 @@ class GraphBuilder:
         del self.cur.stack[len(self.cur.stack) - nargs :]
         fn = self.cur.stack.pop()
         args = [self._as_boxed(a, pc) for a in args]
-        fb = self.feedback.get(pc)
-        target = usable_call_target(self.code, pc, fb) if isinstance(fb, CallFeedback) else None
+        target = self._call_target(pc)
         if target is not None:
             # guard the callee identity, then call the known target
             self.cur.stack += [fn] + args
@@ -1180,7 +1191,8 @@ class GraphBuilder:
             )
             asm.bc_pc = pc
             if isinstance(target, RBuiltin):
-                r = self.cur_bb.append(I.CallBuiltin(target, args))
+                result = self._call_result_type(target, [a.type for a in args])
+                r = self.cur_bb.append(I.CallBuiltin(target, args, result))
             else:
                 r = self.cur_bb.append(I.StaticCall(target, args, call_names))
         else:

@@ -530,8 +530,10 @@ class VecLoad(Instr):
 
 
 class VecStore(Instr):
-    """``x[[i]] <- v`` fast path: in-place when unshared, bounds ok, and the
-    value kind matches; otherwise deopts via ``framestate``."""
+    """``x[[i]] <- v`` fast path for an unboxed ``v`` of ``kind`` (the
+    value's kind, not the vector's): in place when unshared, bounds ok, and
+    the vector is of ``kind`` (or DBL, widening an LGL/INT value); otherwise
+    the generic ``[[<-``, which coerces."""
 
     __slots__ = ("kind", "framestate", "reason_pc")
     effectful = True

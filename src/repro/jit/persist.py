@@ -72,9 +72,10 @@ from .codecache import Ident, Unstable, WorldResolver
 #: registers; 5: ``DeoptDescr`` lost ``promises``/``escape``, ``OsrEntry.env``
 #: became ``env_reg``; 6: one ``KERNEL`` opcode replaced the nine ``V*``
 #: ones, and ``KernelDescr`` lost its compare-select fields; 7: an entry is a
-#: checksummed payload holding the marshalled code object, not the source).
-#: Another version is a miss and a fresh compile.
-FORMAT_VERSION = 7
+#: checksummed payload holding the marshalled code object, not the source;
+#: 8: builtins declare their result types, so one key names typed code where
+#: it named generic code).  Another version is a miss and a fresh compile.
+FORMAT_VERSION = 8
 
 #: the interpreter a bucket file was written by: marshalled code objects
 #: load only under the bytecode version that made them

@@ -444,29 +444,33 @@ class Lowerer:
     # -- phi moves ------------------------------------------------------------------------
 
     def _phi_moves(self, pred_bb, succ_bb) -> List[Tuple[int, int]]:
+        """(destination, source) per phi of ``succ_bb`` along the edge from
+        ``pred_bb``, leaving out the ones that would move a register onto
+        itself."""
         moves = []
         for phi in succ_bb.phis():
             for blk, val in phi.inputs:
-                if blk is pred_bb:
+                if blk is pred_bb and self.reg(phi) != self.reg(val):
                     moves.append((self.reg(phi), self.reg(val)))
         return moves
 
     def _emit_moves(self, moves: List[Tuple[int, int]]) -> None:
-        if not moves:
-            return
-        dsts = {d for d, _ in moves}
-        needs_temp = any(s in dsts for _, s in moves)
-        if needs_temp:
-            temps = []
-            for _, s in moves:
+        """The phi moves of one edge as a parallel copy: each destination
+        gets its source's value from before the edge.  A move into a
+        register no pending move reads goes first; when only cycles are
+        left, one temporary breaks one."""
+        pending = dict(moves)
+        while pending:
+            read = set(pending.values())
+            ready = [d for d in pending if d not in read]
+            if not ready:
+                d = next(iter(pending))
                 t = self.fresh_reg()
-                temps.append(t)
-                self.emit(N.MOVE, t, s)
-            for (d, _), t in zip(moves, temps):
-                self.emit(N.MOVE, d, t)
-        else:
-            for d, s in moves:
-                self.emit(N.MOVE, d, s)
+                self.emit(N.MOVE, t, d)
+                pending = {k: t if s == d else s for k, s in pending.items()}
+                continue
+            for d in ready:
+                self.emit(N.MOVE, d, pending.pop(d))
 
     # -- branch patching --------------------------------------------------------------------
 

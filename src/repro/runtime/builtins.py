@@ -9,11 +9,11 @@ are marked ``pure`` so the optimizer may treat them as effect-free.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional
 
 from .coerce import as_vector, coerce_vector, combine
 from .env import REnvironment
-from .rtypes import Kind, kind_lub
+from .rtypes import ANY, UNBOXABLE_KINDS, Kind, RType, kind_lub
 from .values import (
     NULL,
     RBuiltin,
@@ -454,48 +454,78 @@ def _bi_environment(args, vm):
 
 
 # ---------------------------------------------------------------------------
+# static result rules: argument types to the type every successful call
+# returns (tests/test_builtins.py checks each against its builtin)
+# ---------------------------------------------------------------------------
+
+def _made(kind: Kind):
+    """A fresh vector of ``kind`` without NA, whatever the arguments."""
+    t = RType(kind, scalar=False, maybe_na=False)
+    return lambda arg_types: t
+
+
+_INT_SCALAR = RType(Kind.INT, scalar=True, maybe_na=False)
+
+
+def _elementwise(kinds, out: Optional[Kind] = None):
+    """One argument of one of ``kinds`` in: its shape and NA-ness out, as
+    ``out`` (None: the argument's own kind).  Any other call: ANY."""
+
+    def rule(arg_types: List[RType]) -> RType:
+        if len(arg_types) != 1 or arg_types[0].kind not in kinds:
+            return ANY
+        a = arg_types[0]
+        return RType(a.kind if out is None else out, scalar=a.scalar, maybe_na=a.maybe_na)
+
+    return rule
+
+
+_TO_DBL = _elementwise(UNBOXABLE_KINDS, Kind.DBL)
+
+
+# ---------------------------------------------------------------------------
 # registry
 # ---------------------------------------------------------------------------
 
 def install_builtins(env: REnvironment) -> None:
     """Install every builtin into ``env`` (normally the global env's parent)."""
 
-    def reg(name: str, fn, pure: bool = True) -> None:
-        env.set(name, RBuiltin(name, fn, pure=pure))
+    def reg(name: str, fn, pure: bool = True, result=None) -> None:
+        env.set(name, RBuiltin(name, fn, pure=pure, result=result))
 
     reg("c", _bi_c)
     reg("vector", _bi_vector)
-    reg("logical", _mk_filled(Kind.LGL, "logical"))
-    reg("integer", _mk_filled(Kind.INT, "integer"))
-    reg("numeric", _mk_filled(Kind.DBL, "numeric"))
-    reg("double", _mk_filled(Kind.DBL, "double"))
-    reg("character", _mk_filled(Kind.STR, "character"))
+    reg("logical", _mk_filled(Kind.LGL, "logical"), result=_made(Kind.LGL))
+    reg("integer", _mk_filled(Kind.INT, "integer"), result=_made(Kind.INT))
+    reg("numeric", _mk_filled(Kind.DBL, "numeric"), result=_made(Kind.DBL))
+    reg("double", _mk_filled(Kind.DBL, "double"), result=_made(Kind.DBL))
+    reg("character", _mk_filled(Kind.STR, "character"), result=_made(Kind.STR))
     reg("complex", _bi_complex)
-    reg("list", _bi_list)
+    reg("list", _bi_list, result=_made(Kind.LIST))
     reg("rep", _bi_rep)
-    reg("seq_len", _bi_seq_len)
+    reg("seq_len", _bi_seq_len, result=_made(Kind.INT))
     reg("seq", _bi_seq)
-    reg("length", _bi_length)
+    reg("length", _bi_length, result=lambda arg_types: _INT_SCALAR)
     reg("sum", _bi_sum)
     reg("prod", _bi_prod)
     reg("min", _bi_min)
     reg("max", _bi_max)
     reg("mean", _bi_mean)
-    reg("sqrt", _bi_sqrt)
-    reg("abs", _bi_abs)
-    reg("exp", _mathfn("exp", math.exp, cmath.exp))
-    reg("log", _mathfn("log", math.log, cmath.log))
-    reg("sin", _mathfn("sin", math.sin, cmath.sin))
-    reg("cos", _mathfn("cos", math.cos, cmath.cos))
-    reg("tan", _mathfn("tan", math.tan, cmath.tan))
-    reg("atan", _mathfn("atan", math.atan))
+    reg("sqrt", _bi_sqrt, result=_TO_DBL)
+    reg("abs", _bi_abs, result=_elementwise((Kind.INT, Kind.DBL)))
+    reg("exp", _mathfn("exp", math.exp, cmath.exp), result=_TO_DBL)
+    reg("log", _mathfn("log", math.log, cmath.log), result=_TO_DBL)
+    reg("sin", _mathfn("sin", math.sin, cmath.sin), result=_TO_DBL)
+    reg("cos", _mathfn("cos", math.cos, cmath.cos), result=_TO_DBL)
+    reg("tan", _mathfn("tan", math.tan, cmath.tan), result=_TO_DBL)
+    reg("atan", _mathfn("atan", math.atan), result=_TO_DBL)
     reg("atan2", lambda args, vm: mk_dbl(math.atan2(
         coerce_vector(as_vector(args[0]), Kind.DBL).data[0],
         coerce_vector(as_vector(args[1]), Kind.DBL).data[0])))
-    reg("floor", _bi_floor)
-    reg("ceiling", _bi_ceiling)
+    reg("floor", _bi_floor, result=_TO_DBL)
+    reg("ceiling", _bi_ceiling, result=_TO_DBL)
     reg("round", _bi_round)
-    reg("trunc", _bi_trunc)
+    reg("trunc", _bi_trunc, result=_TO_DBL)
     reg("Re", _bi_re)
     reg("Im", _bi_im)
     reg("Mod", _bi_mod)

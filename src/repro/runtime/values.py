@@ -189,16 +189,19 @@ class RBuiltin:
     ``fn`` receives ``(args, vm)`` where ``args`` is a list of already-forced
     runtime values.  ``strict`` builtins force their arguments eagerly (all
     of ours do).  ``pure`` marks builtins the optimizer may constant-fold or
-    reorder.
+    reorder.  ``result`` is the static result rule, argument types to the
+    result's type (None: nothing is known); the compiler applies it behind
+    the call-target guard.
     """
 
-    __slots__ = ("name", "fn", "arity", "pure")
+    __slots__ = ("name", "fn", "pure", "result")
 
-    def __init__(self, name: str, fn: Callable, arity: Optional[int] = None, pure: bool = False):
+    def __init__(self, name: str, fn: Callable, pure: bool = False,
+                 result: Optional[Callable[[List[RType]], RType]] = None):
         self.name = name
         self.fn = fn
-        self.arity = arity
         self.pure = pure
+        self.result = result
 
     def rtype(self) -> RType:
         return RType(Kind.BUILTIN, scalar=True, maybe_na=False)

@@ -4,9 +4,13 @@ reach them)."""
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import ev
-from repro.runtime.values import RError
+from repro.runtime.builtins import install_builtins
+from repro.runtime.env import REnvironment
+from repro.runtime.rtypes import Kind
+from repro.runtime.values import RError, RVector, rtype_of, rtype_quick
 
 
 def test_c_combines():
@@ -183,3 +187,54 @@ def test_shadowed_builtin_function_lookup():
     # `c <- 1` must not break calls to c(...): function lookup skips
     # non-function bindings, as in R
     assert ev("c <- 1\nc(c, 2)") == [1.0, 2.0]
+
+
+# -- declared result types -------------------------------------------------------
+
+_BASE = REnvironment()
+install_builtins(_BASE)
+RULED = sorted(n for n, b in _BASE.bindings.items() if b.result is not None)
+
+#: magnitudes stay small: a drawn element may be the length of a vector
+#: ``logical(n)`` allocates
+_ELEMENTS = {
+    Kind.LGL: st.booleans(),
+    Kind.INT: st.integers(-1000, 1000),
+    Kind.DBL: st.floats(-1e3, 1e3) | st.sampled_from([math.inf, -math.inf, math.nan]),
+    Kind.CPLX: st.complex_numbers(max_magnitude=1e3),
+}
+
+
+@st.composite
+def numeric_vectors(draw):
+    """Every numeric kind, scalar or vector, with or without NA."""
+    kind = draw(st.sampled_from(sorted(_ELEMENTS)))
+    size = 1 if draw(st.booleans()) else draw(st.integers(0, 5))
+    data = draw(st.lists(_ELEMENTS[kind], min_size=size, max_size=size))
+    if data and draw(st.booleans()):
+        data[draw(st.integers(0, len(data) - 1))] = None
+    return RVector(kind, data)
+
+
+def test_the_declared_rules_are_the_documented_ones():
+    assert RULED == sorted([
+        "logical", "integer", "numeric", "double", "character", "list", "seq_len",
+        "length", "sqrt", "exp", "log", "sin", "cos", "tan", "atan", "floor",
+        "ceiling", "trunc", "abs",
+    ])
+
+
+@pytest.mark.parametrize("name", RULED)
+@given(args=st.lists(numeric_vectors(), max_size=2))
+def test_a_builtin_returns_what_it_declares(name, args):
+    """The compiler assumes a declared result without a guard, so every call
+    that returns must return a value of that type: under the profile's O(1)
+    typing and under the precise one alike."""
+    builtin = _BASE.get(name)
+    try:
+        result = builtin.fn(args, None)
+    except (RError, ArithmeticError, ValueError):
+        return
+    for typing in (rtype_quick, rtype_of):
+        declared = builtin.result([typing(a) for a in args])
+        assert typing(result) <= declared, (typing.__name__, declared)

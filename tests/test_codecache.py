@@ -852,18 +852,14 @@ def _read_as_misses(d):
 
 
 def test_a_directory_of_the_previous_format_is_a_miss(tmp_path, monkeypatch):
-    """Format 6 stored the generated source in an entry with no checksum, in
-    a bucket with no interpreter stamp: a directory written under 6 reads
-    under 7 as counted misses — no disk hit, no persist failure — a
-    recompile and the interpreter's results."""
+    """Format 7 has format 8's layout, but its units were compiled before
+    builtins declared their result types: under the same key it holds the
+    generic code.  A directory written under 7 reads under 8 as counted
+    misses — no disk hit, no persist failure — a recompile and the
+    interpreter's results."""
     d = tmp_path / "cc"
-    _saved_as(d, monkeypatch, FORMAT_VERSION=6)
-    assert persist.FORMAT_VERSION == 7
-    (path,) = d.rglob("*.ccache")
-    bucket = pickle.loads(path.read_bytes())
-    del bucket["python"]
-    bucket["entries"] = {k: v[4:] for k, v in bucket["entries"].items()}
-    path.write_bytes(pickle.dumps(bucket, protocol=4))
+    _saved_as(d, monkeypatch, FORMAT_VERSION=7)
+    assert persist.FORMAT_VERSION == 8
     _read_as_misses(d)
 
 

@@ -89,6 +89,36 @@ def test_native_faster_than_interp_in_op_count():
     assert vm_j.state.native_ops < interp_ops * 2
 
 
+# -- phi moves: one parallel copy per edge ------------------------------------------
+
+PHI_CYCLES = [
+    # a two-variable swap (a cycle of two) beside a chain `a <- b; b <- s + i`
+    ("f <- function(n) { a <- 1L; b <- 2L; s <- 3L; u <- 4L\n"
+     "for (i in 1:n) { t <- a; a <- b; b <- t; v <- s; s <- u; u <- v + i }\n"
+     "c(a, b, s, u) }", "f(7L)"),
+    # a three-way rotation, with a register that keeps its value
+    ("f <- function(n) { a <- 1.5; b <- 2.5; c0 <- 3.5; k <- 9L\n"
+     "for (i in 1:n) { t <- a; a <- b; b <- c0; c0 <- t }\n"
+     "c(a, b, c0, k) }", "f(8L)"),
+]
+
+
+@pytest.mark.parametrize("src,call", PHI_CYCLES, ids=["swap", "rotate"])
+@pytest.mark.parametrize("threaded", [True, False], ids=["codegen", "execute_ref"])
+def test_phi_cycles_agree_with_the_interpreter(src, call, threaded):
+    """Phi moves along a back edge that read each other's destinations: a
+    swap and a rotation are cycles a temporary must break, a chain only
+    needs the right order."""
+    ref = make_vm(enable_jit=False)
+    ref.eval(src)
+    want = from_r(ref.eval(call))
+    vm = make_vm(compile_threshold=1, threaded_dispatch=threaded)
+    vm.eval(src)
+    for _ in range(4):
+        assert from_r(vm.eval(call)) == want
+    assert vm.state.compiles >= 1 and vm.state.native_ops > 0 and vm.state.deopts == 0
+
+
 # -- property tests over generated straight-line kernels --------------------------
 
 ops = st.sampled_from(["+", "-", "*"])

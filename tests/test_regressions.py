@@ -192,6 +192,102 @@ def test_loop_in_a_cold_arm_primes_under_chaos(chaos_seed):
     assert vm.state.compile_failures == 0
 
 
+def test_code_only_an_osr_in_unit_ran_compiles_typed():
+    """OSR-in leaves the interpreter inside `sieve_run`'s first loop, so
+    nothing after it is profiled when the whole function compiles at call 3:
+    `flags[[i]]` and `flags[[j]] <- FALSE` have no feedback.  With
+    `logical(limit)` typed only by feedback, `flags` was ANY and both ran
+    as generic `[[`/`[[<-` on every iteration (1,413 generic ops a call at
+    n = 500); the builtin's declared result types them from the call.  The
+    one generic op left is `1:limit`'s vector (ROADMAP item 6(c))."""
+    from repro.bench.programs import REGISTRY
+    from repro.native import ops as N
+
+    w = REGISTRY.get("primes")
+    vm, ref = make_vm(osr_threshold=100), make_vm(enable_jit=False)
+    for m in (vm, ref):
+        m.eval(w.source)
+    call = w.call.format(n=w.n_test)
+    want = from_r(ref.eval(call))
+    assert from_r(vm.eval(call)) == want
+    assert vm.state.osr_ins == 1 and vm.state.compiles == 1
+    for _ in range(4):
+        osr_ins, before = vm.state.osr_ins, vm.state.native_generic_ops
+        assert from_r(vm.eval(call)) == want
+    assert vm.state.osr_ins == osr_ins and vm.state.compiles == 2
+    assert vm.state.native_generic_ops - before <= 1
+    unit = vm.global_env.get("sieve_run").jit.version
+    assert not [op for op in unit.ops if op[0] in (N.GEN_EX2, N.GEN_SET2)]
+
+
+SHADOWED_BUILTIN_SRC = """
+f <- function(n) {
+  x <- numeric(n)
+  for (i in 1:n) x[[i]] <- i * 0.5
+  s <- 0
+  for (i in 1:n) s <- s + x[[i]]
+  c(s, is.list(x))
+}
+"""
+
+
+@pytest.mark.parametrize("deoptless", [True, False])
+def test_a_builtin_shadowed_after_compile_deopts_at_its_call(deoptless):
+    """The declared result of `numeric` holds only behind the call-target
+    guard: once `numeric` is a closure returning a list, the typed code
+    must leave through that guard and the results stay the interpreter's."""
+    vm, ref = make_vm(enable_deoptless=deoptless), make_vm(enable_jit=False)
+    for m in (vm, ref):
+        m.eval(SHADOWED_BUILTIN_SRC)
+    for _ in range(4):
+        assert from_r(vm.eval("f(20L)")) == from_r(ref.eval("f(20L)"))
+    assert vm.state.compiles >= 1 and vm.state.deopts == 0
+    for m in (vm, ref):
+        m.eval("numeric <- function(n) list(n)")
+    for _ in range(4):
+        assert from_r(vm.eval("f(20L)")) == from_r(ref.eval("f(20L)"))
+    reasons = [e.details["reason"] for e in vm.state.events if e.kind == "deopt"]
+    assert reasons and reasons[0] == "call_target"
+    assert vm.state.compile_failures == 0
+
+
+UNPROFILED_STORES_SRC = """
+f <- function(n) {
+  x <- integer(n)
+  flags <- logical(n)
+  y <- numeric(n)
+  k <- integer(n)
+  s <- 0
+  for (i in 1:n) s <- s + i
+  x[[1L]] <- s / 4
+  flags[[2L]] <- n
+  y[[3L]] <- n > 2L
+  k[[4L]] <- n == 12L
+  list(s, x, is.integer(x), flags, is.logical(flags), y, is.double(y), k, is.integer(k))
+}
+"""
+
+
+@pytest.mark.parametrize("threaded", [True, False], ids=["codegen", "execute_ref"])
+def test_a_store_after_osr_in_coerces_to_the_value_kind(threaded):
+    """The stores after the OSR-in loop have no feedback; the vectors'
+    types come from the declared results of `integer(n)` and friends.  A
+    wider value must widen the vector (a double into integers, an integer
+    into logicals) and a narrower one be coerced to the vector's kind (no
+    TRUE among doubles), as in the interpreter.  The stores once wrote the
+    value in place whenever the vector had its static kind."""
+    vm = make_vm(osr_threshold=5, threaded_dispatch=threaded)
+    ref = make_vm(enable_jit=False)
+    for m in (vm, ref):
+        m.eval(UNPROFILED_STORES_SRC)
+    # repr tells 1.0 from TRUE, which == does not
+    want = repr(from_r(ref.eval("f(12L)")))
+    for _ in range(4):
+        assert repr(from_r(vm.eval("f(12L)"))) == want
+    assert vm.state.osr_ins >= 1 and vm.state.compiles == 2
+    assert vm.state.native_generic_ops <= 4
+
+
 # -- the section 4.2 unsoundness anecdote --------------------------------------------
 
 ESCAPED_LOOP_SRC = """
