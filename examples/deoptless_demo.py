@@ -45,8 +45,7 @@ def run(deoptless: bool):
             seen_events = len(vm.state.events)
             notes = ", ".join(
                 e.kind for e in new
-                if e.kind in ("compile", "deopt", "deoptless_compile",
-                              "deoptless_dispatch", "osr_in")
+                if e.kind in ("compile", "deopt", "deoptless_dispatch", "osr_in")
             )
             rows.append((phase, it, dt, notes))
     return rows

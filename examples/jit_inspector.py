@@ -163,7 +163,8 @@ def inspect_inlining() -> None:
     r = vm.eval("driver(5)")
     print("  driver(5) =", r, " (exact: every frame of the chain resumed)")
     for e in vm.state.events:
-        if e.kind in ("deopt", "deoptless_compile", "deoptless_dispatch"):
+        if e.kind in ("deopt", "deoptless_dispatch") or (
+                e.kind == "compile" and e.details["unit"] == "cont"):
             details = {k: v for k, v in e.details.items()}
             print("  %-20s %-10s %s" % (e.kind, e.fn_name, details))
     inc_clo = vm.global_env.get("inc")
@@ -275,9 +276,10 @@ def inspect_context_dispatch() -> None:
              vm.state.ctx_pic_hits))
     print("  table refusals=%d (dispatch_versions=%d)"
           % (vm.state.dispatch_refusals, vm.config.dispatch_versions))
-    for e in vm.state.events_of("ctx_compile"):
-        details = {k: v for k, v in e.details.items()}
-        print("  %-20s %-10s %s" % (e.kind, e.fn_name, details))
+    for e in vm.state.events_of("compile"):
+        if e.details["ctx"] is not None:
+            details = {k: v for k, v in e.details.items()}
+            print("  %-20s %-10s %s" % (e.kind, e.fn_name, details))
 
 
 #: spectralnorm in miniature: the hot loop calls a closure per element.
@@ -477,19 +479,20 @@ def inspect_fleet() -> None:
           " evictions=%d" % (len(srv.shared), sc["hits"],
                              sc["cross_tenant_hits"], sc["puts"],
                              sc["evictions"]))
-    print("  per tenant (compiled = parity-accounted; lowered = pipeline"
-          " actually ran):")
+    print("  per tenant (compiled = the pipeline ran; saved = instrs a cache"
+          " hit stood in for):")
     print("    %-8s %9s %9s %9s %9s" % ("tenant", "requests", "compiled",
-                                        "lowered", "rebinds"))
+                                        "saved", "shared"))
     for tenant in sorted(st["per_tenant"]):
         t = st["per_tenant"][tenant]
         print("    %-8s %9d %9d %9d %9d"
               % (tenant, t["serve_requests"], t["compiled_instrs"],
-                 t["lowered_instrs"], t["shared_rebinds"]))
-    print("  fleet: lowered %d of %d compiled instrs (%.0f%% of the"
+                 t["codecache_instrs_saved"], t["shared_cache_hits"]))
+    done = st["compiled_instrs"] + st["codecache_instrs_saved"]
+    print("  fleet: compiled %d instrs, %d served from caches (%.0f%% of the"
           " pipeline work skipped)"
-          % (st["lowered_instrs"], st["compiled_instrs"],
-             100.0 * (1 - st["lowered_instrs"] / st["compiled_instrs"])))
+          % (st["compiled_instrs"], st["codecache_instrs_saved"],
+             100.0 * st["codecache_instrs_saved"] / done))
     print("  publishers by digest:")
     by_tenant = {}
     for entry in srv.shared.entries.values():

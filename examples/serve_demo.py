@@ -59,13 +59,13 @@ def main() -> None:
         print("serving mode: %s" % mode)
         print()
         print("%-10s %10s %12s %12s %9s" % (
-            "tenant", "cold (ms)", "compiled", "lowered", "rebinds"))
+            "tenant", "cold (ms)", "compiled", "saved", "shared"))
         for tenant in ("alice", "bob", "carol", "dave"):
             secs = warm_tenant(srv, tenant)
             snap = srv.sessions[tenant].vm.state.snapshot()
             print("%-10s %10.1f %12d %12d %9d" % (
                 tenant, secs * 1e3, snap["compiled_instrs"],
-                snap["lowered_instrs"], snap["shared_rebinds"]))
+                snap["codecache_instrs_saved"], snap["shared_cache_hits"]))
 
         # a misbehaving tenant: chaos-injected speculation failures.  Its
         # deopts retire its own versions only; nothing it does shows up in
@@ -77,7 +77,7 @@ def main() -> None:
         chaos = srv.sessions["mallory"].vm.state.snapshot()
         print("%-10s %10s %12d %12d %9d   (chaos: %d deopts, kept to itself)"
               % ("mallory", "-", chaos["compiled_instrs"],
-                 chaos["lowered_instrs"], chaos["shared_rebinds"],
+                 chaos["codecache_instrs_saved"], chaos["shared_cache_hits"],
                  chaos["deopts"]))
 
         st = srv.stats()
@@ -88,8 +88,8 @@ def main() -> None:
                   "%d invalidations" % (len(srv.shared), sc["hits"],
                                         sc["cross_tenant_hits"],
                                         sc["invalidations"]))
-        print("fleet pipeline work: lowered %d of %d compiled instrs"
-              % (st["lowered_instrs"], st["compiled_instrs"]))
+        print("fleet pipeline work: compiled %d instrs, %d served from caches"
+              % (st["compiled_instrs"], st["codecache_instrs_saved"]))
         print("request latency: p50 %.2f ms / p99 %.2f ms over %d requests"
               % (st["latency"]["p50_ms"], st["latency"]["p99_ms"],
                  st["requests"]))

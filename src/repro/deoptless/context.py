@@ -1,14 +1,18 @@
 """Deoptless optimization contexts (paper Listing 7 and section 3.1).
 
-A :class:`DeoptContext` captures the conditions under which a compiled
-continuation may be invoked:
+A :class:`ContinuationContext` says where and under what types a unit is
+entered mid-function — upstream Ř's ``ContinuationContext``, which OSR-in
+and deoptless compile through alike:
 
-* the deoptimization **target** (bytecode pc),
-* the **reason** — the kind of guard that failed plus an abstract
-  description of the offending value (the observed type for typechecks, the
-  actual callee for call-target guards),
+* the **target** (bytecode pc),
 * the **types of the operand stack** slots, and
 * the **names and types of the local variables**.
+
+A :class:`DeoptContext` is one plus the refuted fact, the conditions under
+which a deoptless continuation may be invoked: the **reason** — the kind of
+guard that failed plus an abstract description of the offending value (the
+observed type for typechecks, the actual callee for call-target guards) —
+and the frame-chain **depth** of the deopt.
 
 Contexts are partially ordered.  Two contexts are comparable only when they
 have the same target pc, the same reason kind, the same variable names and
@@ -97,10 +101,45 @@ class ReasonPayload:
         )
 
 
-class DeoptContext:
+class ContinuationContext:
+    """Where a unit is entered mid-function, and the types it is entered
+    with: what an OSR-in unit is compiled under."""
+
+    __slots__ = ("pc", "env_types", "stack_types")
+
+    def __init__(self, pc: int, env_types: Tuple[Tuple[str, RType], ...],
+                 stack_types: Tuple[RType, ...]):
+        self.pc = pc
+        #: sorted by name so comparability does not depend on insertion order
+        self.env_types = env_types
+        self.stack_types = stack_types
+
+    def __eq__(self, other) -> bool:
+        # a DeoptContext is never equal to a plain one: it also names the
+        # refuted fact the unit was compiled without
+        return (
+            type(other) is ContinuationContext
+            and self.pc == other.pc
+            and self.stack_types == other.stack_types
+            and self.env_types == other.env_types
+        )
+
+    def __hash__(self):
+        return hash((self.pc, self.stack_types, self.env_types))
+
+    def stable_parts(self) -> tuple:
+        """World-independent rendering for stable cache digests."""
+        return (self.pc, self.stack_types, self.env_types)
+
+    def __repr__(self) -> str:  # pragma: no cover
+        env = ", ".join("%s:%r" % (n, t) for n, t in self.env_types)
+        return "<cont @%d stack=%r env={%s}>" % (self.pc, self.stack_types, env)
+
+
+class DeoptContext(ContinuationContext):
     """The dispatchable description of one deoptimization state."""
 
-    __slots__ = ("pc", "reason", "stack_types", "env_types", "depth")
+    __slots__ = ("reason", "depth")
 
     def __init__(
         self,
@@ -110,11 +149,8 @@ class DeoptContext:
         env_types: Tuple[Tuple[str, RType], ...],
         depth: int = 1,
     ):
-        self.pc = pc
+        super().__init__(pc, env_types, stack_types)
         self.reason = reason
-        self.stack_types = stack_types
-        #: sorted by name so comparability does not depend on insertion order
-        self.env_types = env_types
         #: frame-chain length of the deopt state (1 = not inlined).  A deopt
         #: at the same inlinee pc reached through a different inline nesting
         #: is a different context: the continuation's interpreter-resumed
@@ -346,6 +382,19 @@ def _type_spec(t: RType) -> int:
 from ..osr.framestate import DeoptReason, DeoptReasonKind, FrameState  # noqa: E402
 
 
+def continuation_context(fs: FrameState) -> Optional[ContinuationContext]:
+    """The context a unit entered at ``fs`` is compiled under: the resume
+    pc, the types of the locals (sorted by name) and of the operand stack.
+    None when the frame has no locals to read.  OSR-in takes it as is;
+    :func:`compute_context` bounds it and adds the refuted fact."""
+    values = fs.bindings()
+    if values is None:
+        return None
+    return ContinuationContext(
+        fs.pc, tuple(sorted((name, rtype_quick(v)) for name, v in values.items())),
+        tuple(rtype_quick(v) for v in fs.stack))
+
+
 def compute_context(fs: FrameState, reason: DeoptReason, config) -> Optional[DeoptContext]:
     """``computeCtx`` of paper Listing 6.
 
@@ -368,16 +417,9 @@ def compute_context(fs: FrameState, reason: DeoptReason, config) -> Optional[Deo
     """
     if len(fs.stack) > config.deoptless_max_stack:
         return None
-    if fs.env_values is not None:
-        items = fs.env_values.items()
-    elif fs.env is not None:
-        items = fs.env.bindings.items()
-    else:
+    where = continuation_context(fs)
+    if where is None or len(where.env_types) > config.deoptless_max_env:
         return None
-    env_types = tuple(sorted((name, rtype_quick(v)) for name, v in items))
-    if len(env_types) > config.deoptless_max_env:
-        return None
-    stack_types = tuple(rtype_quick(v) for v in fs.stack)
 
     observed_type: Optional[RType] = None
     observed_identity: Any = None
@@ -390,4 +432,5 @@ def compute_context(fs: FrameState, reason: DeoptReason, config) -> Optional[Deo
     # reason.pc for all guards our builder emits, but the resume point is
     # what actually has to match for a continuation to be reusable); deopts
     # inside inlined frames additionally key on the frame-chain depth
-    return DeoptContext(fs.pc, payload, stack_types, env_types, depth=fs.depth())
+    return DeoptContext(where.pc, payload, where.stack_types, where.env_types,
+                        depth=fs.depth())

@@ -45,7 +45,7 @@ def deoptless_condition(vm, fs: FrameState, reason: DeoptReason, origin) -> bool
         return False
     if reason.kind in CATASTROPHIC_REASONS:
         return False  # code is permanently invalid; must be discarded
-    if origin is not None and origin.is_deoptless_continuation:
+    if origin is not None and isinstance(origin.ctx, DeoptContext):
         return False  # no recursive deoptless (paper section 4.3)
     # NOTE: deopts inside inlined code (fs.parent is not None) are *not*
     # excluded — this lifts the paper's section-4.3 limitation.  The context
@@ -96,7 +96,7 @@ def try_deoptless(vm, fs: FrameState, reason: DeoptReason, origin) -> Any:
 
 def _recompile(fun: NativeCode, ctx: DeoptContext) -> bool:
     """``recompile`` heuristic: the matching continuation is too generic."""
-    return ctx.distance(fun.deoptless_ctx) > RECOMPILE_DISTANCE
+    return ctx.distance(fun.ctx) > RECOMPILE_DISTANCE
 
 
 def _repaired(vm, code, reason: DeoptReason, ctx: DeoptContext):
@@ -118,11 +118,8 @@ def deoptless_compile(vm, fs: FrameState, reason: DeoptReason, ctx: DeoptContext
     injected = {}
     if isinstance(reason.observed, RType):
         injected[reason.pc] = reason.observed
-    return unit.obtain(vm, unit.UnitSpec(
-        "cont", fs.code, fs.fun, pc=fs.pc,
-        var_types=dict(ctx.env_types), stack_types=list(ctx.stack_types),
-        ctx=ctx, injected=injected,
-        feedback=_repaired(vm, fs.code, reason, ctx)))
+    return unit.obtain(vm, unit.UnitSpec(fs.code, fs.fun, ctx=ctx, injected=injected,
+                                         feedback=_repaired(vm, fs.code, reason, ctx)))
 
 
 def call_continuation(vm, ncode: NativeCode, fs: FrameState, reason=None) -> Any:
@@ -133,7 +130,7 @@ def call_continuation(vm, ncode: NativeCode, fs: FrameState, reason=None) -> Any
     # the context the continuation was *compiled* for, so repeat recoveries
     # that dispatch to the same entry accumulate on one counter.  A None
     # entry marks a context already promoted to a full entry version.
-    ctx = getattr(ncode, "deoptless_ctx", None)
+    ctx = ncode.ctx
     if ctx is not None and fs.fun is not None and fs.fun.jit is not None:
         st = fs.fun.jit
         hits = st.cont_hits
@@ -189,7 +186,7 @@ def maybe_tier_up_continuation(vm, fs: FrameState, reason: DeoptReason,
     closure = fs.fun
     if st.cant_compile:
         return
-    values = unit.frame_values(fs)
+    values = fs.bindings()
     if values is None:
         return
     call_ctx = live_context(closure, values)
@@ -209,5 +206,5 @@ def maybe_tier_up_continuation(vm, fs: FrameState, reason: DeoptReason,
     # the recovery path; compiled under the repaired feedback and
     # content-addressed in the code cache like any entry version
     vm.compile_queue.request(unit.UnitSpec(
-        "ctxfn", closure.code, closure, ctx=call_ctx,
+        closure.code, closure, ctx=call_ctx,
         feedback=_repaired(vm, fs.code, reason, ctx)), promote=True)

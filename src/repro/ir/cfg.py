@@ -132,10 +132,6 @@ class Graph:
         self.cont_stack_size = 0
         #: loop plans annotated by opt/vectorize.py (consumed by the lowerer)
         self.vector_loops: list = []
-        #: callee frames spliced by opt/inline.py — carried onto NativeCode
-        #: so a cache rebind can replay the inlined_frames signature counter
-        #: the pipeline it replaces would have bumped
-        self.inlined_frames = 0
         #: loop-header OSR anchors recorded by the builder, by bytecode pc.
         #: The lowerer turns the anchors that survive optimization into the
         #: unit's per-pc OSR entry map (NativeCode.osr_entries)

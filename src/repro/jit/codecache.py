@@ -20,8 +20,10 @@ captures **everything the pipeline reads**:
   bits, branch bias, call targets), the set of deopt-blocked sites, and —
   recursively, up to the inline depth bound — the signatures of monomorphic
   callees the inliner would splice;
-* for deoptless continuations, the :class:`DeoptContext` itself (target pc,
-  frame depth, reason payload, stack/env types);
+* the context the unit is compiled under: for a whole function none or the
+  assumed :class:`CallContext`, for a unit entered mid-function its
+  :class:`ContinuationContext` (target pc, stack/env types; for a deoptless
+  continuation also the frame depth and reason payload);
 * the ``Config`` flags that change lowering output.
 
 Keys come in two strengths.  The **exact** key pins runtime objects (call
@@ -51,7 +53,7 @@ from ..bytecode.feedback import (
     CallFeedback,
     ObservedType,
 )
-from ..deoptless.context import CallContext, DeoptContext
+from ..deoptless.context import CallContext, ContinuationContext
 from ..opt.inline import MAX_DEPTH as INLINE_MAX_DEPTH
 from ..runtime.rtypes import RType
 from ..runtime.values import NULL, RBuiltin, RClosure, RNull, RVector
@@ -292,11 +294,14 @@ def _formals_sig(closure: RClosure) -> tuple:
     )
 
 
-def entry_key(closure: RClosure, config, feedback: Optional[Dict[int, Any]] = None) -> tuple:
-    """Key for a whole-function (tier-up) compile of ``closure``.
+def function_key(closure: RClosure, ctx: Optional[CallContext], config,
+                 feedback: Optional[Dict[int, Any]] = None) -> tuple:
+    """Key for a whole-function compile of ``closure``: the generic version
+    (``ctx`` None) or the version assuming the :class:`CallContext` ``ctx``
+    at entry.
 
     ``key[1]`` is always the plain body-code hash (the invalidation and
-    disk-bucket tag — see :func:`key_code_hash`); the formals ride along as
+    bucket tag — see :func:`key_code_hash`); the formals ride along as
     their own component, since two functions with identical bodies but
     different defaults must not share compiled code.
     """
@@ -304,52 +309,26 @@ def entry_key(closure: RClosure, config, feedback: Optional[Dict[int, Any]] = No
         "fn",
         stable_code_hash(closure.code),
         _formals_sig(closure),
+        ctx,
         feedback_signature(closure.code, config, feedback),
         config_key(config),
     )
 
 
-def continuation_key(code: CodeObject, ctx: DeoptContext, config,
+def continuation_key(code: CodeObject, closure: Optional[RClosure],
+                     ctx: ContinuationContext, config,
                      feedback: Optional[Dict[int, Any]] = None) -> tuple:
-    """Key for a deoptless continuation: the dispatch context (pc, depth,
-    reason payload, stack/env types) plus the repaired-feedback signature."""
+    """Key for a unit entered at ``ctx.pc``: an OSR-in unit (a plain
+    :class:`ContinuationContext`) or a deoptless continuation (a
+    :class:`DeoptContext`, compiled from the repaired ``feedback``).  The
+    formals ride as in :func:`function_key` — they decide whether the unit
+    keeps its environment in registers — and top-level code has none."""
     return (
         "cont",
         stable_code_hash(code),
+        _formals_sig(closure) if closure is not None else "top",
         ctx,
         feedback_signature(code, config, feedback),
-        config_key(config),
-    )
-
-
-def context_entry_key(closure: RClosure, ctx: CallContext, config,
-                      feedback: Optional[Dict[int, Any]] = None) -> tuple:
-    """Key for an entry-context-specialized version of ``closure``: the
-    whole-function key plus the assumed :class:`CallContext` the version was
-    compiled under.  ``key[1]`` stays the plain body-code hash so narrow
-    invalidation (:meth:`CodeCache.invalidate_context`) and the disk bucket
-    file under the same tag as the generic version."""
-    return (
-        "ctxfn",
-        stable_code_hash(closure.code),
-        _formals_sig(closure),
-        ctx,
-        feedback_signature(closure.code, config, feedback),
-        config_key(config),
-    )
-
-
-def osr_key(code: CodeObject, closure: Optional[RClosure], pc: int,
-            var_types: Dict[str, RType], config) -> tuple:
-    """Key for an OSR-in continuation (loop head -> function end)."""
-    formals = _formals_sig(closure) if closure is not None else "top"
-    return (
-        "osr",
-        stable_code_hash(code),
-        formals,
-        pc,
-        tuple(sorted(var_types.items())),
-        feedback_signature(code, config),
         config_key(config),
     )
 
@@ -484,10 +463,6 @@ class CodeCache:
             from . import persist  # on first use: 10 ms no JIT-off run should pay
 
             self.disk = persist.DirectoryStore(config.codecache_dir)
-        #: True when the last :meth:`lookup` rebound its template from the
-        #: shared store: the install path then applies compile-parity
-        #: accounting (DESIGN.md, "Multi-tenant serving")
-        self.last_hit_shared = False
         #: (key, its stable digest) of the last :meth:`lookup` that missed:
         #: ``unit.obtain`` inserts what it then builds under that very key —
         #: no program code ran in between — and the digest is not taken twice
@@ -507,7 +482,6 @@ class CodeCache:
         """Template for ``key`` or None.  An exact entry first; else the
         key's stable digest names bytes — the first source that has them
         wins, is rebound into the current world and admitted."""
-        self.last_hit_shared = False
         entry = self.entries.get(key)
         if entry is not None and entry.root_code is root_code:
             self.entries.move_to_end(key)
@@ -527,7 +501,6 @@ class CodeCache:
                 tmpl = persist.deserialize(data, root_code, resolver)
                 self._admit(key, tmpl, vm, root_code, digest)
                 setattr(vm.state, counter, getattr(vm.state, counter) + 1)
-                self.last_hit_shared = counter == "shared_cache_hits"
                 vm.state.codecache_instrs_saved += tmpl.size
                 return tmpl
         except (Unstable, persist.PersistError):
@@ -639,15 +612,15 @@ class CodeCache:
             self.shared.invalidate_bucket(h, self.tenant)
         return len(doomed)
 
-    def invalidate_context(self, code: CodeObject, ctx, vm=None) -> int:
-        """Drop only the ``"ctxfn"`` entries for ``code`` compiled under
+    def invalidate_context(self, code: CodeObject, ctx: CallContext, vm=None) -> int:
+        """Drop only the function entries for ``code`` compiled under
         ``ctx``.  A deopt inside one entry-specialized version widens
         nothing about its siblings or the generic unit — the narrow
         counterpart of :meth:`invalidate_code`."""
         h = stable_code_hash(code)
         doomed = [
             k for k, e in self.entries.items()
-            if e.code_hash == h and k[0] == "ctxfn" and k[3] == ctx
+            if e.code_hash == h and k[0] == "fn" and k[3] == ctx
         ]
         digests = [self.entries[k].digest for k in doomed]
         for k in doomed:
@@ -660,7 +633,7 @@ class CodeCache:
         if doomed and vm is not None:
             vm.state.codecache_invalidations += len(doomed)
             vm.state.emit("codecache_invalidate", code.name, entries=len(doomed),
-                          unit="ctxfn")
+                          ctx=ctx)
         return len(doomed)
 
     # -- introspection --------------------------------------------------------

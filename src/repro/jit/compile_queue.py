@@ -48,8 +48,9 @@ class CompileRequest:
     __slots__ = ("spec", "promote")
 
     def __init__(self, spec, promote=False):
-        #: the :class:`~repro.jit.unit.UnitSpec` to build (``fn`` or
-        #: ``ctxfn``).  Its ``feedback`` is a snapshot of the per-pc profile
+        #: the :class:`~repro.jit.unit.UnitSpec` to build (a whole function:
+        #: the generic version or an entry version).  Its ``feedback`` is a
+        #: snapshot of the per-pc profile
         #: taken at enqueue time: a fleet worker compiles from it, immune to
         #: concurrent interpreter mutation
         self.spec = spec
@@ -85,14 +86,14 @@ class CompileQueue:
 
     def request(self, spec, promote=False):
         """Tier-up request for a whole-function unit: the generic version
-        (``fn``) or, for continuation promotion, an entry-context version
-        (``ctxfn``, ``promote=True``).  Compiled inline when no fleet is
-        attached (returns the installed NativeCode or None), else queued
-        (returns None) — unless an equal request already is."""
+        or, for continuation promotion, an entry-context version
+        (``promote=True``).  Compiled inline when no fleet is attached
+        (returns the installed NativeCode or None), else queued (returns
+        None) — unless an equal request already is."""
         vm = self.vm
         if self.fleet is None:
             # under the names the benchmark's tracer resolves
-            if spec.kind == "fn":
+            if spec.ctx is None:
                 ncode = vm.compile_closure(spec.closure, spec.feedback)
             else:
                 ncode = vm._compile_context_version(spec.closure, spec.ctx, spec.feedback)
@@ -134,14 +135,14 @@ class CompileQueue:
     @staticmethod
     def _superseded(st, spec) -> bool:
         """The unit this request asks for got installed while it waited."""
-        if spec.kind == "fn":
+        if spec.ctx is None:
             return st.version is not None
         return st.versions is not None and st.versions.lookup_exact(spec.ctx) is not None
 
     def build_off_thread(self, req: CompileRequest):
         """Run the pipeline for one request, as a fleet worker does; returns
-        NativeCode or None.  Failures are recorded against the closure
-        state, never raised.  The interpreter may mutate a callee's feedback
+        NativeCode or None.  A failure is counted and stops its unit
+        (``RVM.stop``), never raised.  The interpreter may mutate a callee's feedback
         set under the builder mid-iteration (``RuntimeError``) — retry from
         a fresh read, give up after three.  Under ``build_lock``: the fleet
         pool may pick up two of this session's requests, and the pipeline
@@ -159,6 +160,7 @@ class CompileQueue:
                     return unit.build(vm, spec)
                 except CompilationFailure as e:
                     unit.failed(vm, spec, e)
+                    vm.stop(spec)
                     return None
                 except RuntimeError:
                     continue
@@ -170,7 +172,7 @@ class CompileQueue:
 
         A coalesced request's build ran for another tenant, whose install
         published the unit's stable form to the shared cache; it is claimed
-        from there (an O(lookup) rebind, accounted with compile parity).  A
+        from there (an O(lookup) rebind, counted as a shared-cache hit).  A
         miss — the origin's install hasn't happened yet, or the entry was
         evicted/invalidated in the window — drops the request: the closure
         is still hot, so the tier-up policy simply re-requests on its next
@@ -186,12 +188,14 @@ class CompileQueue:
             if built and ncode is not None:
                 vm.state.tierup_drops += 1
             return None
-        if spec.kind == "ctxfn" and not vm.admits(st):
+        if spec.ctx is not None and not vm.admits(st):
             return None  # the table filled up meanwhile: discarded uncounted
         if built:
             ncode = unit.install(vm, spec, ncode)
             if ncode is not None:
                 vm.place(spec, ncode)
+            else:
+                vm.stop(spec)
         else:
             ncode = vm.tier_up(spec, probe_only=True)
         if ncode is not None:

@@ -93,8 +93,9 @@ class Config:
     #: runs every tenant on a fully isolated VM (no shared code cache, no
     #: fleet compile queue, no cold-start coalescing).  Per-tenant results
     #: and ``dispatch_signature`` are identical either way — sharing only
-    #: changes how compiled code is *obtained* (see DESIGN.md,
-    #: "Multi-tenant serving")
+    #: changes how compiled code is *obtained*: a shared-cache hit is
+    #: counted in ``shared_cache_hits`` instead of ``compiles`` (see
+    #: DESIGN.md, "Multi-tenant serving")
     serve: bool = True
 
     # -- entry contextual dispatch (deoptless/dispatch.VersionTable) --------------

@@ -59,7 +59,7 @@ import zlib
 from typing import Any, Dict, Optional
 
 from ..bytecode.compiler import CodeObject
-from ..deoptless.context import CallContext, DeoptContext
+from ..deoptless.context import CallContext, ContinuationContext, DeoptContext
 from ..native import pycodegen
 from ..native.lower import NativeCode
 from ..runtime.env import REnvironment
@@ -74,8 +74,10 @@ from .codecache import Ident, Unstable, WorldResolver
 #: ones, and ``KernelDescr`` lost its compare-select fields; 7: an entry is a
 #: checksummed payload holding the marshalled code object, not the source;
 #: 8: builtins declare their result types, so one key names typed code where
-#: it named generic code).  Another version is a miss and a fresh compile.
-FORMAT_VERSION = 8
+#: it named generic code; 9: two key shapes, a continuation's carrying the
+#: formals, and one ``ctx`` field on the unit).  Another version is a miss
+#: and a fresh compile.
+FORMAT_VERSION = 9
 
 #: the interpreter a bucket file was written by: marshalled code objects
 #: load only under the bytecode version that made them
@@ -87,13 +89,15 @@ class PersistError(Exception):
     reference unresolvable in this world, ...)."""
 
 
-#: NativeCode fields that constitute the replayable lowering output.  The
+#: NativeCode fields that constitute the replayable lowering output, the
+#: context it was compiled under and its OSR entry map (registers, kinds,
+#: RTypes — no world references beyond the already-pathed bc_code).  The
 #: mutable/per-install fields (closure, invalidated, pyfunc, pics) are
 #: deliberately excluded and reset on load.
 _NC_FIELDS = (
     "name", "ops", "n_regs", "reg_init", "deopts", "kernels", "param_regs",
-    "env_reg", "env_elided", "cont_var_names", "cont_stack_size", "entry_pc",
-    "is_continuation", "is_deoptless_continuation", "bc_code",
+    "param_unbox", "env_reg", "env_elided", "cont_var_names", "cont_stack_size",
+    "entry_pc", "is_continuation", "ctx", "bc_code", "osr_entries",
 )
 
 
@@ -231,6 +235,8 @@ class KeyPickler(pickle.Pickler):
             parts = ("ref", self.resolver.stable_ref(obj.obj))
         elif isinstance(obj, DeoptContext):
             parts = ("ctx", obj.stable_parts(self.resolver.stable_ref))
+        elif isinstance(obj, ContinuationContext):
+            parts = ("cont", obj.stable_parts())
         elif isinstance(obj, CallContext):
             parts = ("callctx", obj.stable_parts())
         elif isinstance(obj, RType):
@@ -249,31 +255,22 @@ def serialize(ncode: NativeCode, root_code: CodeObject, resolver: WorldResolver)
     name, :class:`PersistError` on any other pickling failure.
     """
     state = {f: getattr(ncode, f) for f in _NC_FIELDS}
-    state["deoptless_ctx"] = getattr(ncode, "deoptless_ctx", None)
-    # the OSR entry map is pure lowering output (registers, kinds, RTypes —
-    # no world references beyond the already-pathed bc_code)
-    state["osr_entries"] = getattr(ncode, "osr_entries", {})
-    # optional extensions ride as .get-defaulted keys so artifacts written
-    # before they existed still load under the same FORMAT_VERSION
-    state["param_unbox"] = getattr(ncode, "param_unbox", None)
-    state["call_context"] = getattr(ncode, "call_context", None)
-    state["inlined_frames"] = getattr(ncode, "inlined_frames", 0)
     # codegen-tier artifact (native/pycodegen.py): the compiled code object
-    # and its constant pool, or False when codegen declined the unit.  The
-    # consts are pickled in the same stream as the ops, so shared runtime
-    # objects (identity-guard pins, builtins, CodeObjects) keep their
-    # identity on load.  A store takes the bytes at insert time, before the
+    # and its constant pool, False when codegen declined the unit, None
+    # when it was never compiled.  The consts are pickled in the same
+    # stream as the ops, so shared runtime objects (identity-guard pins,
+    # builtins, CodeObjects) keep their identity on load.  A store takes
+    # the bytes at insert time, before the
     # unit first runs, so the unit is bound here — under ``bind``, which
     # only execs a code object that came in bytes.  What a run adds
     # (``pics``, a kernel's ``pyfn``) stays out: a unit serialized after it
     # ran is byte-identical to one serialized before.
     if resolver.vm.config.threaded_dispatch:
         pycodegen.bind(ncode, resolver.vm)
-    if ncode.pysrc is False:
-        state["pycode"] = False
-    elif ncode.pycode is not None:
-        state["pycode"] = marshal.dumps(ncode.pycode)
-        state["pyconsts"] = ncode.pyconsts
+    state["pycode"], state["pyconsts"] = (
+        (False, None) if ncode.pysrc is False
+        else (None, None) if ncode.pycode is None
+        else (marshal.dumps(ncode.pycode), ncode.pyconsts))
     buf = io.BytesIO()
     try:
         _Pickler(buf, root_code, resolver).dump((FORMAT_VERSION, state))
@@ -298,12 +295,13 @@ def deserialize(data: bytes, root_code: CodeObject, resolver: WorldResolver) -> 
         if len(data) < 4 or zlib.crc32(payload) != int.from_bytes(data[:4], "big"):
             raise PersistError("entry checksum mismatch")
         version, state = _Unpickler(io.BytesIO(payload), root_code, resolver).load()
-        for f in _NC_FIELDS:
-            setattr(nc, f, state[f])
         if version != FORMAT_VERSION:
             raise PersistError("artifact format %r unsupported" % (version,))
-        code = state.get("pycode")
+        for f in _NC_FIELDS:
+            setattr(nc, f, state[f])
+        code = state["pycode"]
         nc.pycode = marshal.loads(code) if code else None
+        nc.pyconsts = state["pyconsts"]
     except (Unstable, PersistError):
         raise
     except Exception as e:
@@ -312,20 +310,12 @@ def deserialize(data: bytes, root_code: CodeObject, resolver: WorldResolver) -> 
     nc.invalidated = False
     nc.pics = {}
     nc.cache_template = None
-    nc.param_unbox = state.get("param_unbox")
-    nc.call_context = state.get("call_context")
-    nc.inlined_frames = state.get("inlined_frames", 0)
-    nc.is_context_version = False
-    nc.osr_entries = state.get("osr_entries") or {}
     # the codegen artifact: with a code object, the first bind is an exec;
     # the source is not carried, and a declined unit stays declined
     nc.pysrc = False if code is False else None
-    nc.pyconsts = state.get("pyconsts")
     nc.pyfunc = None
     if nc.pycode is not None:
         resolver.vm.state.pycodegen_src_reuses += 1
-    if state.get("deoptless_ctx") is not None:
-        nc.deoptless_ctx = state["deoptless_ctx"]
     return nc
 
 

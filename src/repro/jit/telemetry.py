@@ -56,32 +56,36 @@ class Telemetry:
         #: (inline tier-up) keeps snapshot() lock-free.
         self.snapshot_lock = None
         self.events: List[Event] = []
+        # -- what ran: dispatch_signature() -----------------------------------
         self.interp_ops = 0
         self.native_ops = 0
         #: subset of native_ops that execute generic (boxed) semantics;
         #: they carry an extra cost-model weight
         self.native_generic_ops = 0
         self.guards_executed = 0
-        self.compiles = 0
-        self.compiled_instrs = 0
         self.osr_ins = 0
         self.deopts = 0
         self.deoptless_dispatches = 0
-        self.deoptless_compiles = 0
         self.deoptless_misses = 0
         self.deoptless_bailouts = 0
-        self.compile_failures = 0
         self.invalidations = 0
+        # -- how the code that ran was obtained: snapshot() only.  The same
+        # across engines, and across cache states when no store is shared:
+        # a hit in another tenant's store is a hit, not a compile.
+        #: fresh pipeline runs installed, and the instructions they lowered
+        #: (snapshot()'s ``lowered_instrs`` too)
+        self.compiles = 0
+        self.compiled_instrs = 0
+        self.deoptless_compiles = 0
+        #: callee frames spliced by the speculative inliner (opt/inline.py)
+        self.inlined_frames = 0
+        self.compile_failures = 0
         #: elements covered by bulk vector kernels (opt/vectorize.py).
         #: Engine-dependent by design — scalar engines never run kernels —
         #: so it is excluded from dispatch_signature(); the covered ops and
         #: guards are charged to native_ops/guards_executed at scalar rates,
         #: which is what keeps the signature engine-identical.
         self.kernel_elements = 0
-        #: callee frames spliced by the speculative inliner (opt/inline.py).
-        #: A compile-time decision driven by feedback, identical across
-        #: engines, so it is part of dispatch_signature().
-        self.inlined_frames = 0
         #: CALLG polymorphic-inline-cache hits.  Both executors run the same
         #: cache policy over the same op stream, but like kernel_elements the
         #: counter is kept out of dispatch_signature() — it describes how a
@@ -89,8 +93,8 @@ class Telemetry:
         self.pic_hits = 0
         #: entry contextual dispatch (deoptless/dispatch.VersionTable).  Like
         #: pic_hits, these describe how a call was dispatched / how code was
-        #: obtained and stay out of dispatch_signature(); the compiles/ops
-        #: they cause are already covered by the signature counters.
+        #: obtained and stay out of dispatch_signature(); the ops they
+        #: cause are already covered by the signature counters.
         self.ctx_dispatches = 0
         self.ctx_compiles = 0
         #: dispatches served by the PIC's (callee, context) -> version cache
@@ -154,23 +158,14 @@ class Telemetry:
         #: Requests this session served through the Server front:
         self.serve_requests = 0
         #: probes answered by the process-shared cache (stable-form bytes
-        #: produced by another tenant, or by this one via the shared layer)
+        #: produced by another tenant, or by this one via the shared layer),
+        #: each rebound and installed in place of a compile
+        #: (snapshot()'s ``shared_rebinds`` too)
         self.shared_cache_hits = 0
-        #: shared hits actually rebound + installed into this session.  The
-        #: rebind is *accounted as the compile it replaces* (compiles /
-        #: compiled_instrs bump identically to a fresh build — see
-        #: DESIGN.md), so the saving is visible here and in lowered_instrs,
-        #: never in the signature counters.
-        self.shared_rebinds = 0
         #: compilations this session did not start because an identical
         #: in-flight build (same stable key, another tenant) was coalesced
         #: with ours in the fleet compile queue
         self.batched_compiles = 0
-        #: instructions actually lowered by running the full pipeline in
-        #: this session.  Equals compiled_instrs when nothing is shared;
-        #: under serve, the fleet-wide sum of this counter is the real
-        #: compilation work done (the >=80%-fewer acceptance metric)
-        self.lowered_instrs = 0
         #: tier-up through an attached fleet queue (jit/compile_queue.py)
         self.tierup_enqueues = 0
         self.tierup_installs = 0
@@ -218,29 +213,27 @@ class Telemetry:
         self._alloc_mark = RVector.allocations
 
     def dispatch_signature(self) -> Dict[str, Any]:
-        """Execution-engine-independent summary of what this VM executed.
+        """What this VM executed, whichever way its code was obtained.
 
         Everything here must be bit-identical between the default engines
-        and the ``RERPO_REF_EXEC=1`` reference loops: the exact op
-        and guard counts (the cost model's inputs) and the ordered deopt
-        event stream (function, kind, pc).  Wall-clock timestamps and other
-        engine-dependent details are deliberately excluded.
+        and the ``RERPO_REF_EXEC=1`` reference loops, and between a session
+        served from a fleet's shared cache and the same session run alone:
+        the exact op and guard counts, the deopts and what became of them
+        (dispatches, misses, bailouts, invalidations), OSR entries, and the
+        ordered deopt event stream (function, kind, pc).  How the code was
+        obtained — compiles, cache hits — is :meth:`snapshot`'s.
         """
         return {
             "interp_ops": self.interp_ops,
             "native_ops": self.native_ops,
             "native_generic_ops": self.native_generic_ops,
             "guards_executed": self.guards_executed,
-            "compiles": self.compiles,
-            "compiled_instrs": self.compiled_instrs,
             "osr_ins": self.osr_ins,
             "deopts": self.deopts,
             "deoptless_dispatches": self.deoptless_dispatches,
-            "deoptless_compiles": self.deoptless_compiles,
             "deoptless_misses": self.deoptless_misses,
             "deoptless_bailouts": self.deoptless_bailouts,
             "invalidations": self.invalidations,
-            "inlined_frames": self.inlined_frames,
             "deopt_events": [
                 (e.fn_name, e.details.get("reason"), e.details.get("pc"))
                 for e in self.events
@@ -305,9 +298,9 @@ class Telemetry:
             "osr_hop_declines": self.osr_hop_declines,
             "serve_requests": self.serve_requests,
             "shared_cache_hits": self.shared_cache_hits,
-            "shared_rebinds": self.shared_rebinds,
+            "shared_rebinds": self.shared_cache_hits,
             "batched_compiles": self.batched_compiles,
-            "lowered_instrs": self.lowered_instrs,
+            "lowered_instrs": self.compiled_instrs,
             "tierup_enqueues": self.tierup_enqueues,
             "ir_verifies": self.ir_verifies,
             "allocations": self.allocations(),

@@ -30,7 +30,7 @@ from typing import Any, List, Optional
 from ..bytecode import interpreter
 from ..bytecode.compiler import CodeObject, Compiler
 from ..deoptless import engine as deoptless_engine
-from ..deoptless.context import distill_call_context
+from ..deoptless.context import CallContext, DeoptContext, distill_call_context
 from ..deoptless.dispatch import DispatchTable, VersionTable
 from ..native.executor import execute
 from ..native.lower import NativeCode
@@ -299,34 +299,36 @@ class RVM:
         closure's version table.  ``feedback_override`` is the profile the
         build consumes instead of the live one (continuation tier-up passes
         the *repaired* feedback)."""
-        return self.tier_up(UnitSpec("ctxfn", closure.code, closure, ctx=ctx,
+        return self.tier_up(UnitSpec(closure.code, closure, ctx=ctx,
                                      feedback=feedback_override))
 
     def compile_closure(self, closure: RClosure, feedback_override=None) -> Optional[NativeCode]:
         """Policy: synchronous tier-up, the generic version lives in the
         closure's entry slot."""
-        return self.tier_up(UnitSpec("fn", closure.code, closure,
-                                     feedback=feedback_override))
+        return self.tier_up(UnitSpec(closure.code, closure, feedback=feedback_override))
 
     def maybe_tier_up(self, closure: RClosure, st: ClosureJitState) -> Optional[NativeCode]:
         """Tier-up policy point: compile inline, or — with a fleet queue
         attached — install a cached unit or queue a request."""
         if self.compile_queue.fleet is None:
             return self.compile_closure(closure)
-        spec = UnitSpec("fn", closure.code, closure)
+        spec = UnitSpec(closure.code, closure)
         return self.tier_up(spec, probe_only=True) or self.compile_queue.request(spec)
 
     def tier_up(self, spec: UnitSpec, probe_only: bool = False) -> Optional[NativeCode]:
         """Obtain a whole-function unit (DESIGN.md, "Obtaining a compiled
-        unit") and put it where calls find it."""
+        unit") and put it where calls find it; a build that gave nothing
+        stops its unit being asked for again (:meth:`stop`)."""
         ncode = unit.obtain(self, spec, probe_only)
         if ncode is not None:
             self.place(spec, ncode)
+        elif not probe_only:
+            self.stop(spec)
         return ncode
 
     def admits(self, st: ClosureJitState) -> bool:
         """The full-table rule for entry versions: refuse, as the paper and
-        upstream do, and count it.  Asked before a ``ctxfn`` unit is
+        upstream do, and count it.  Asked before an entry version is
         compiled, queued or installed, so a saturated table costs nothing."""
         if st.versions is not None and st.versions.full:
             self.state.dispatch_refusals += 1
@@ -334,11 +336,11 @@ class RVM:
         return True
 
     def place(self, spec: UnitSpec, ncode: NativeCode) -> None:
-        """The two install paths: a ``fn`` unit takes the closure's entry
-        slot, a ``ctxfn`` unit an entry of its version table (which
+        """The two install paths: the generic version takes the closure's
+        entry slot, an entry version its version table (which
         :meth:`admits` found room in)."""
         st = self.jit_state(spec.closure)
-        if spec.kind == "fn":
+        if spec.ctx is None:
             st.version = ncode
         else:
             if st.versions is None:
@@ -346,32 +348,17 @@ class RVM:
             st.versions.insert(spec.ctx, ncode)
         self.state.code_size += ncode.size
 
-    def _ctx_stop(self, st: ClosureJitState, ctx) -> None:
-        """Stop attempting to specialize ``ctx`` (compile failed / env mode)
-        without poisoning the closure's generic compilation."""
-        if st.ctx_fail_counts is None:
-            st.ctx_fail_counts = {}
-        st.ctx_fail_counts[ctx] = MAX_CONTEXT_DEOPTS
-
-    def _account_shared_rebind(self, ncode: NativeCode,
-                               is_continuation: bool = False) -> None:
-        """Compile-parity accounting for a unit rebound from the fleet's
-        shared cache.  An *isolated* session would have compiled this unit
-        itself (its local cache never saw another tenant's work), so the
-        signature counters — compiles/compiled_instrs, and
-        deoptless_compiles for continuations — bump exactly as that compile
-        would have.  The real saving (no pipeline ran) is recorded in the
-        snapshot-only shared_rebinds/lowered_instrs split, keeping each
-        tenant's ``dispatch_signature`` bit-identical serve on/off."""
-        self.state.shared_rebinds += 1
-        self.state.compiles += 1
-        self.state.compiled_instrs += ncode.size
-        # the inliner's frame count is recorded on the unit at build time so
-        # the rebind replays it (it, too, is a signature counter)
-        self.state.inlined_frames += getattr(ncode, "inlined_frames", 0)
-        if is_continuation:
-            self.state.deoptless_compiles += 1
-        self.state.emit("shared_rebind", ncode.name, size=ncode.size)
+    def stop(self, spec: UnitSpec) -> None:
+        """A whole-function build failed or gave nothing usable: the generic
+        version stops for good (``cant_compile``), an entry version only for
+        its context, without poisoning the generic compilation."""
+        st = self.jit_state(spec.closure)
+        if spec.ctx is None:
+            st.cant_compile = True
+        else:
+            if st.ctx_fail_counts is None:
+                st.ctx_fail_counts = {}
+            st.ctx_fail_counts[spec.ctx] = MAX_CONTEXT_DEOPTS
 
     def save_code_cache(self) -> int:
         """Flush stable cache entries to the warm-start artifact directory
@@ -391,10 +378,11 @@ class RVM:
     def deopt(self, fs: FrameState, reason: DeoptReason, origin: Optional[NativeCode] = None) -> Any:
         """Handle a failed guard: deoptless first, else true deoptimization."""
         self.state.deopts += 1
+        origin_ctx = origin.ctx if origin is not None else None
         self.state.emit(
             "deopt", fs.code.name, pc=fs.pc, reason=reason.kind.value,
             observed=repr(reason.observed),
-            from_continuation=bool(origin is not None and origin.is_deoptless_continuation),
+            from_continuation=isinstance(origin_ctx, DeoptContext),
         )
         if reason.kind != DeoptReasonKind.CHAOS:
             fs.code.deopt_sites[reason.pc] = fs.code.deopt_sites.get(reason.pc, 0) + 1
@@ -420,12 +408,12 @@ class RVM:
             # this code differs, so entries under the old context are dead.
             # Chaos deopts are exempt — they change no feedback, and serving
             # the identical recompile from cache is precisely the win.
-            if origin is not None and origin.is_context_version:
+            if isinstance(origin_ctx, CallContext):
                 # an entry-specialized version mis-speculated: only its own
                 # cache entry dies; sibling contexts' units stay valid (they
                 # never assumed what this one assumed)
                 target = fun.code if fun is not None else fs.code
-                self.code_cache.invalidate_context(target, origin.call_context, self)
+                self.code_cache.invalidate_context(target, origin_ctx, self)
                 if fun is not None and fun.code is not fs.code:
                     self.code_cache.invalidate_code(fs.code, self)
             else:
@@ -445,7 +433,7 @@ class RVM:
                         self.state.code_size -= e.code.size
                     st.versions.clear()
                 self.state.invalidations += 1
-            elif origin is not None and origin.is_deoptless_continuation:
+            elif isinstance(origin_ctx, DeoptContext):
                 # a deoptless continuation mis-speculated: drop it; a real
                 # (non-chaos) mis-speculation also retires the original code
                 # ("leads to the function being deoptimized for good")
@@ -455,7 +443,7 @@ class RVM:
                     self._retire(st)
                     st.deopt_count += 1
                     st.call_count = 0
-            elif origin is not None and origin.is_context_version:
+            elif isinstance(origin_ctx, CallContext):
                 # per-version invalidation: retire exactly this specialized
                 # version — the generic fall-through and every sibling
                 # context stay installed and dispatchable (no reprofiling,
@@ -470,8 +458,7 @@ class RVM:
                     fails = st.ctx_fail_counts
                     if fails is None:
                         fails = st.ctx_fail_counts = {}
-                    c = origin.call_context
-                    fails[c] = fails.get(c, 0) + 1
+                    fails[origin_ctx] = fails.get(origin_ctx, 0) + 1
             else:
                 self._retire(st)
                 st.deopt_count += 1

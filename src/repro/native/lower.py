@@ -231,21 +231,18 @@ class NativeCode:
         #: (entry-context compiles with unboxed parameter passing), else
         #: None for the whole list when every param is boxed
         self.param_unbox: Optional[List[Optional[Any]]] = None
-        #: entry contextual dispatch: the CallContext this unit assumes
-        #: (checked once at dispatch) and the per-install specialization flag
-        self.call_context = None
-        self.is_context_version = False
+        #: the context the unit was compiled under, set at install
+        #: (``jit/unit.py``): None for the generic version, the CallContext
+        #: an entry version assumes (checked once, at dispatch), the
+        #: ContinuationContext of an OSR-in unit, the DeoptContext of a
+        #: deoptless continuation
+        self.ctx = None
         self.env_reg: Optional[int] = None
         self.env_elided = graph.env_elided
         self.cont_var_names = graph.cont_var_names
         self.cont_stack_size = graph.cont_stack_size
         self.entry_pc = graph.entry_pc
         self.is_continuation = graph.is_continuation
-        self.is_deoptless_continuation = False
-        #: callee frames the inliner spliced into this unit — replayed by
-        #: compile-parity accounting when a cache rebind stands in for the
-        #: pipeline run (inlined_frames is a dispatch_signature counter)
-        self.inlined_frames = getattr(graph, "inlined_frames", 0)
         self.bc_code = graph.bc_code
         #: set by the VM when installing: the closure this code belongs to
         self.closure = None
@@ -286,7 +283,6 @@ class NativeCode:
         """
         clone = NativeCode.__new__(NativeCode)
         clone.__dict__.update(self.__dict__)
-        clone.is_context_version = False
         clone.closure = None
         clone.invalidated = False
         clone.cache_template = self
@@ -295,9 +291,9 @@ class NativeCode:
     @property
     def size(self) -> int:
         # kernel ops (one per descriptor) are excluded: they have no
-        # counterpart in a scalar compile of the same graph, and
-        # compiled_instrs/code_size are part of the engine-independent
-        # dispatch signature
+        # counterpart in a scalar compile of the same graph, so
+        # compiled_instrs and code_size read the same whether the unit
+        # runs on a kernel-capable engine or not
         return len(self.ops) - len(self.kernels)
 
     def __repr__(self) -> str:  # pragma: no cover

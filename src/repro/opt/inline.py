@@ -121,9 +121,7 @@ def inline_calls(graph: Graph, vm) -> int:
         spent += n_ops
         inlined += 1
         worklist.extend(new_calls)
-    if inlined:
-        vm.state.inlined_frames += inlined
-        graph.inlined_frames += inlined
+    vm.state.inlined_frames += inlined
     return inlined
 
 

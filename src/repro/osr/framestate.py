@@ -320,6 +320,15 @@ class FrameState:
         #: the RClosure this frame belongs to (for the deoptless dispatch table)
         self.fun = fun
 
+    def bindings(self) -> Optional[Dict[str, Any]]:
+        """The frame's locals — the one view every hand-over reads (OSR-in,
+        hops, continuation calls and contexts, continuation tier-up)."""
+        if self.env_values is not None:
+            return self.env_values
+        if self.env is not None:
+            return self.env.bindings
+        return None
+
     def materialize_env(self):
         """Rebuild a real environment (paper: its creation is deferred into
         the deopt branch).  Reuses the live env when it was never elided."""

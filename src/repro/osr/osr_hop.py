@@ -39,7 +39,6 @@ from typing import Any, Dict, Iterator, List, Optional
 
 from ..deoptless.context import distill_call_context
 from ..jit.telemetry import dedup_log
-from ..jit.unit import frame_values
 from ..native import executor
 from ..native.lower import NativeCode, OsrEntry
 from ..runtime.values import RPromise, rtype_quick
@@ -124,7 +123,7 @@ def seed_registers(vm, ncode: NativeCode, entry: OsrEntry,
                    env_obj, fn_name: str, pc: int) -> Optional[List[Any]]:
     """Build the target's full register file for a hop at ``entry``.
 
-    ``values`` is the frame's locals (:func:`frame_values`); ``env_obj`` is
+    ``values`` is the frame's locals (``FrameState.bindings``); ``env_obj`` is
     a zero-argument thunk producing the materialized environment when the
     target runs env-mode.  Returns None (after decline accounting) when the
     live state does not fit the entry map.
@@ -178,7 +177,7 @@ def _hop(vm, fs, values: Dict[str, Any], live_ctx, via: str,
         if regs is not None:
             vm.state.osr_hops += 1
             vm.state.emit("osr_hop", name, pc=pc, size=ncode.size, via=via,
-                          target="ctx" if ncode.is_context_version else "generic")
+                          target="generic" if ncode.ctx is None else "ctx")
             return ncode, entry.index, regs, vm, closure_env
     return None
 
@@ -194,7 +193,7 @@ def try_hop_out(vm, fs, origin: Optional[NativeCode]) -> Any:
     """
     if fs.parent is not None or fs.fun is None or fs.fun.jit is None:
         return NO_HOP
-    values = frame_values(fs)
+    values = fs.bindings()
     if values is None:
         return NO_HOP
     hop = _hop(vm, fs, values, live_context(fs.fun, values), "deopt", origin)

@@ -10,18 +10,20 @@ to be transferred.
 Per the paper, the continuation is used once and not kept installed: on the
 next call of the function, the whole function is compiled from the beginning
 ("for the price of compiling these functions twice").  The code cache keeps
-the *lowered unit* though, keyed on (code hash, loop pc, live variable
-types, feedback signature): re-entering the same loop shape — another
-closure of the same source, or a restarted VM — skips the second compile.
+the *lowered unit* though, keyed like any continuation on its
+``ContinuationContext`` (loop pc, live variable types) and the feedback
+signature: re-entering the same loop shape — another closure of the same
+source, or a restarted VM — skips the second compile.  It is a deoptless
+continuation with no refuted fact.
 """
 
 from __future__ import annotations
 
 from typing import Any, Tuple
 
+from ..deoptless import context  # its module body imports this package
 from ..jit import unit
 from ..native.executor import execute
-from ..runtime.values import rtype_quick
 from . import osr_hop
 from .framestate import FrameState
 
@@ -44,10 +46,9 @@ def try_osr_in(vm, code, env, pc: int, closure=None) -> Tuple[bool, Any]:
         if result is not osr_hop.NO_HOP:
             return (True, result)
 
-    var_types = {name: rtype_quick(v) for name, v in env.bindings.items()}
-    ncode = unit.obtain(vm, unit.UnitSpec("osr", code, closure, pc=pc,
-                                          var_types=var_types, stack_types=[]))
+    ncode = unit.obtain(vm, unit.UnitSpec(code, closure, ctx=context.continuation_context(fs)))
     if ncode is None:
+        code.osr_disabled = True  # the build failed: not attempted again
         return (False, None)
     vm.state.osr_ins += 1
     vm.state.code_size += ncode.size

@@ -292,11 +292,10 @@ class Server:
                 "latency": pcts(mine),
                 "serve_requests": snap.get("serve_requests", 0),
                 "shared_cache_hits": snap.get("shared_cache_hits", 0),
-                "shared_rebinds": snap.get("shared_rebinds", 0),
                 "batched_compiles": snap.get("batched_compiles", 0),
                 "compiles": snap.get("compiles", 0),
                 "compiled_instrs": snap.get("compiled_instrs", 0),
-                "lowered_instrs": snap.get("lowered_instrs", 0),
+                "codecache_instrs_saved": snap.get("codecache_instrs_saved", 0),
             }
         out = {
             "serve": self.serve_enabled,
@@ -307,10 +306,10 @@ class Server:
             "latency_warm": pcts(warm_s),
             "queue_depth": sum(w.depth() for w in self._workers),
             "per_tenant": per_tenant,
-            "lowered_instrs": sum(
-                t["lowered_instrs"] for t in per_tenant.values()),
             "compiled_instrs": sum(
                 t["compiled_instrs"] for t in per_tenant.values()),
+            "codecache_instrs_saved": sum(
+                t["codecache_instrs_saved"] for t in per_tenant.values()),
         }
         if self.shared is not None:
             out["shared_cache"] = self.shared.stats()

@@ -35,8 +35,10 @@ Design points
   critical sections are tiny.
 
 All counters here are observability only; nothing in any tenant's
-``dispatch_signature`` depends on shared-cache state (see
-``Telemetry`` and the compile-parity accounting in ``RVM._account_shared_rebind``).
+``dispatch_signature`` depends on shared-cache state.  A tenant's hit here
+is counted as what it is — a ``shared_cache_hits`` in place of a compile —
+so ``compiles`` of a session run alone equals its served ``compiles`` plus
+its ``shared_cache_hits`` (see ``Telemetry``).
 """
 
 from __future__ import annotations

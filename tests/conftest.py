@@ -24,6 +24,19 @@ def ev(source: str, vm: RVM = None, **cfg):
     return from_r(vm.eval(source))
 
 
+#: how the code that ran was obtained: snapshot()-only counters, which two
+#: runs that share no code store must agree on as well
+COMPILE_COUNTERS = ("compiles", "compiled_instrs", "deoptless_compiles", "inlined_frames")
+
+
+def engine_signature(vm: RVM) -> dict:
+    """``dispatch_signature()`` beside the four compile counters: what two
+    engines, or two settings that change how code runs but not which code
+    is compiled, must agree on."""
+    snap = vm.state.snapshot()
+    return dict(vm.state.dispatch_signature(), **{k: snap[k] for k in COMPILE_COUNTERS})
+
+
 class FireAt:
     """Chaos RNG stand-in (``vm.chaos_rng``, with ``chaos_rate`` > 0): draw
     number ``n`` (from 0) fires, no other does.  ``left`` < 0 afterwards

@@ -19,8 +19,8 @@ import pytest
 from conftest import make_vm
 from repro import from_r
 from repro.bench.programs import REGISTRY
-from repro.deoptless.context import CallContext, DeoptContext
-from repro.jit import codecache, persist
+from repro.deoptless.context import CallContext, ContinuationContext, DeoptContext
+from repro.jit import codecache, persist, unit
 from repro.native import pycodegen
 from repro.serve import SharedCodeCache
 
@@ -189,7 +189,7 @@ def test_eviction_is_lru_ordered():
     g = vm.global_env.get("g")
     # touch f so g becomes least-recently-used, then shrink the budget so
     # compiling h forces exactly one eviction
-    assert vm.code_cache.lookup(codecache.entry_key(f, vm.config), vm, f.code)
+    assert vm.code_cache.lookup(codecache.function_key(f, None, vm.config), vm, f.code)
     vm.code_cache.budget = vm.code_cache.total_size
     for _ in range(5):
         vm.eval("h(1L)")
@@ -245,11 +245,11 @@ def test_widened_feedback_produces_new_key():
     vm = cache_vm(enable_deoptless=False, max_deopts_per_function=10)
     warm(vm)
     clo = vm.global_env.get("sumfn")
-    key1 = codecache.entry_key(clo, vm.config)
+    key1 = codecache.function_key(clo, None, vm.config)
     vm.eval("sumfn(xd, 3L)")
     for _ in range(6):  # re-profile + recompile with widened feedback
         vm.eval("sumfn(xd, 3L)")
-    key2 = codecache.entry_key(clo, vm.config)
+    key2 = codecache.function_key(clo, None, vm.config)
     assert key1 != key2
 
 
@@ -424,6 +424,10 @@ def _walked_stabilize(value, resolver, out):
         out.append("ctx(")
         codecache._canon(value.stable_parts(resolver.stable_ref), out)
         out.append(")")
+    elif isinstance(value, ContinuationContext):
+        out.append("cont(")
+        codecache._canon(value.stable_parts(), out)
+        out.append(")")
     elif isinstance(value, CallContext):
         out.append("callctx(")
         codecache._canon(value.stable_parts(), out)
@@ -446,32 +450,100 @@ def _walked_digest(key, resolver):
     return hashlib.sha256("".join(out).encode("utf-8", "surrogatepass")).hexdigest()
 
 
-def test_key_digests_split_keys_as_the_walked_rendering_did(monkeypatch):
-    """Every key digested over the 32 registry programs under chaos, each
-    digested both ways in the world it was taken in: the two renderings
-    put the keys in the same equality classes, so hits, misses and disk
-    hits cannot move, and a key with no stable form has none either way."""
-    pairs, kinds = set(), set()
-    digest = codecache.stable_digest
+def _four_kind_key(spec, config):
+    """The key the four constructors two replaced gave ``spec`` (the oracle):
+    ``entry_key``, ``context_entry_key``, ``osr_key``, ``continuation_key``."""
+    code, closure, ctx = spec.code, spec.closure, spec.ctx
+    h, cfg = codecache.stable_code_hash(code), codecache.config_key(config)
+    sig = codecache.feedback_signature(code, config, spec.feedback)
+    if isinstance(ctx, DeoptContext):
+        return ("cont", h, ctx, sig, cfg)
+    formals = codecache._formals_sig(closure) if closure is not None else "top"
+    if isinstance(ctx, ContinuationContext):
+        return ("osr", h, formals, ctx.pc, ctx.env_types, sig, cfg)
+    if ctx is None:
+        return ("fn", h, formals, sig, cfg)
+    return ("ctxfn", h, formals, ctx, sig, cfg)
+
+
+@pytest.fixture(scope="module")
+def registry_keys():
+    """One sweep for two oracles: the 32 registry programs, twice each,
+    under chaos, where every caller obtains units.  Returns (walked digest,
+    digest) per key the VM digested, and per unit obtained the (four-kind
+    key, key, key with a continuation's formals blanked) triple and the
+    digests of the three, each taken in the world the unit was obtained in."""
+    pairs, exact, digests = set(), set(), set()
+    digest, obtain = codecache.stable_digest, unit.obtain
 
     def both(key, resolver):
         new = digest(key, resolver)
         pairs.add((_walked_digest(key, resolver), new))
-        kinds.add(key[0])
         return new
 
-    monkeypatch.setattr(codecache, "stable_digest", both)
-    for name in REGISTRY.names():
-        w = REGISTRY.get(name)
-        vm = make_vm(compile_threshold=1, osr_threshold=25, enable_deoptless=True,
-                     chaos_rate=0.02, chaos_seed=7)
-        for src in (w.source, w.setup_code(w.n_test)):
-            vm.eval(src)
-        for _ in range(2):
-            vm.eval(w.call_code(w.n_test))
-    assert kinds == {"fn", "ctxfn", "osr", "cont"} and len(pairs) > 500
-    assert len({old for old, _ in pairs}) == len({new for _, new in pairs}) == len(pairs)
+    def keyed(vm, spec, probe_only=False):
+        resolver = codecache.WorldResolver(vm)
+        old, new = _four_kind_key(spec, vm.config), spec.key(vm.config)
+        blank = new[:2] + ("formals",) + new[3:] if new[0] == "cont" else new
+        exact.add((old, new, blank))
+        digests.add(tuple(digest(k, resolver) for k in (old, new, blank)))
+        return obtain(vm, spec, probe_only)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(codecache, "stable_digest", both)
+        patch.setattr(unit, "obtain", keyed)
+        for name in REGISTRY.names():
+            w = REGISTRY.get(name)
+            vm = make_vm(compile_threshold=1, osr_threshold=25, enable_deoptless=True,
+                         chaos_rate=0.02, chaos_seed=7)
+            for src in (w.source, w.setup_code(w.n_test)):
+                vm.eval(src)
+            for _ in range(2):
+                vm.eval(w.call_code(w.n_test))
+    return pairs, exact, digests
+
+
+def _same_classes(pairs):
+    """Two labellings of the same items, as (a, b) pairs, make the same
+    equality classes."""
+    return len({a for a, _ in pairs}) == len({b for _, b in pairs}) == len(pairs)
+
+
+def test_key_digests_split_keys_as_the_walked_rendering_did(registry_keys):
+    """Every key digested over the 32 registry programs under chaos, each
+    digested both ways in the world it was taken in: the two renderings
+    put the keys in the same equality classes, so hits, misses and disk
+    hits cannot move, and a key with no stable form has none either way."""
+    pairs, _, _ = registry_keys
+    assert len(pairs) > 500 and _same_classes(pairs)
     assert all((old is None) == (new is None) for old, new in pairs)
+
+
+#: continuation classes of the four keys that the formals split in two: the
+#: wrong-result sharing `test_regressions.py::test_a_continuation_is_not_
+#: shared_across_formals` reproduces; the 32 registry programs make none
+FORMALS_SPLITS = 0
+
+
+def test_two_key_shapes_split_units_as_the_four_did(registry_keys):
+    """Every unit the 32 registry programs obtain under chaos, keyed both
+    ways in the world it was obtained in: the exact keys and the stable
+    digests of ``function_key``/``continuation_key`` put the units in the
+    classes the four constructors did, but for one allowed refinement — a
+    continuation's key carries its closure's formals, which the deoptless
+    key did not.  With the formals blanked the classes are the same; with
+    them no two classes merge, and ``FORMALS_SPLITS`` classes split."""
+    _, exact, digests = registry_keys
+    kinds = {(old[0], new[0]) for old, new, _ in exact}
+    assert kinds == {("fn", "fn"), ("ctxfn", "fn"), ("osr", "cont"), ("cont", "cont")}
+    assert all(len({d is None for d in ds}) == 1 for ds in digests)
+    stable = {ds for ds in digests if ds[0] is not None}
+    assert len(exact) > 500 and len(stable) > 200
+    for triples in (exact, stable):
+        assert _same_classes({(old, blank) for old, _, blank in triples})
+        assert len({new for _, new, _ in triples}) == len({(old, new) for old, new, _ in triples})
+        splits = len({new for _, new, _ in triples}) - len({old for old, _, _ in triples})
+        assert splits == FORMALS_SPLITS
 
 
 # ---------------------------------------------------------------------------
@@ -736,7 +808,7 @@ def _bad_artifact(tmp_path):
     vm = cache_vm(codecache_dir=str(d))
     warm(vm, n=1)
     clo = vm.global_env.get("sumfn")
-    key = codecache.entry_key(clo, vm.config)
+    key = codecache.function_key(clo, None, vm.config)
     # the probe's digest is taken once: its world does not change, and it
     # is most of what a probe costs
     take = codecache.stable_digest
@@ -852,15 +924,25 @@ def _read_as_misses(d):
 
 
 def test_a_directory_of_the_previous_format_is_a_miss(tmp_path, monkeypatch):
-    """Format 7 has format 8's layout, but its units were compiled before
-    builtins declared their result types: under the same key it holds the
-    generic code.  A directory written under 7 reads under 8 as counted
-    misses — no disk hit, no persist failure — a recompile and the
-    interpreter's results."""
+    """Format 8 filed its units under four key shapes, a continuation's
+    without its closure's formals, and the unit's context in four fields.
+    A directory written under 8 reads under 9 as counted misses — no disk
+    hit, no persist failure — a recompile and the interpreter's results;
+    an entry of format 8's shape handed to ``deserialize`` is refused on
+    its version before any field is read."""
     d = tmp_path / "cc"
-    _saved_as(d, monkeypatch, FORMAT_VERSION=7)
-    assert persist.FORMAT_VERSION == 8
+    _saved_as(d, monkeypatch, FORMAT_VERSION=8)
+    assert persist.FORMAT_VERSION == 9
     _read_as_misses(d)
+    vm = cache_vm()
+    warm(vm)
+    (entry,) = vm.code_cache.entries.values()
+    with monkeypatch.context() as old:
+        old.setattr(persist, "FORMAT_VERSION", 8)
+        old.setattr(persist, "_NC_FIELDS", persist._NC_FIELDS[:3])
+        data = persist.serialize(entry.ncode, entry.root_code, codecache.WorldResolver(vm))
+    with pytest.raises(persist.PersistError, match="format 8"):
+        persist.deserialize(data, entry.root_code, codecache.WorldResolver(vm))
 
 
 def test_a_directory_another_interpreter_wrote_is_a_miss(tmp_path, monkeypatch):

@@ -12,7 +12,7 @@ invalidation, and codegen-vs-reference engine equivalence under both
 
 import pytest
 
-from conftest import make_vm
+from conftest import engine_signature, make_vm
 from repro import from_r
 from repro.deoptless.context import (
     MAX_CONTEXT_ARGS, CallContext, distill_call_context,
@@ -248,14 +248,14 @@ def test_version_deopt_does_not_rewarm_generic_counter():
 def test_deopt_invalidates_only_that_context_cache_entry():
     vm = warmed_poly_vm(ctxdispatch=True, codecache=True)
     cache = vm.code_cache
-    ctxfn_keys = [k for k in cache.entries if k[0] == "ctxfn"]
-    assert len(ctxfn_keys) == 2
+    version_keys = [k for k in cache.entries if k[0] == "fn" and k[3] is not None]
+    assert len(version_keys) == 2
     vm.eval("f(c(1L, NA, 3L), 3L)")  # deopt inside the int version
-    remaining = [k for k in cache.entries if k[0] == "ctxfn"]
+    remaining = [k for k in cache.entries if k[0] == "fn" and k[3] is not None]
     assert len(remaining) == 1
     assert remaining[0][3].arg_types[0].kind is Kind.DBL
     ev = vm.state.events_of("codecache_invalidate")
-    assert any(e.details.get("unit") == "ctxfn" for e in ev)
+    assert any(e.details.get("ctx") is not None for e in ev)
 
 
 # -- PIC: (callee, context) -> version caching -----------------------------------
@@ -316,7 +316,7 @@ def test_engines_agree_on_dispatch_signature(ctxdispatch):
             got.append(from_r(vm.eval("f(xi, 3L)")))
             got.append(from_r(vm.eval("f(xd, 3L)")))
         results.append(got)
-        sigs.append(vm.state.dispatch_signature())
+        sigs.append(engine_signature(vm))
     # the same literal values under either setting: on and off agree too
     assert results[0] == results[1] == [6, 7.5] * 5
     assert sigs[0] == sigs[1]

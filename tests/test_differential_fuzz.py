@@ -10,7 +10,7 @@ must all be semantics-preserving.
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import TIER_CONFIGS, make_vm
+from conftest import TIER_CONFIGS, engine_signature, make_vm
 from repro import from_r
 
 #: the two execution engines as Config overrides: reference if/elif loops
@@ -177,7 +177,7 @@ def test_inlined_calls_agree_across_tiers_and_engines(src, n):
         got = [from_r(vm.eval(call)) for _ in range(4)]
         assert got == expected, (src, got, expected)
         assert vm.state.inlined_frames > 0
-        sigs.append(vm.state.dispatch_signature())
+        sigs.append(engine_signature(vm))
     assert all(s == sigs[0] for s in sigs), src
 
 
@@ -230,7 +230,7 @@ def test_entry_contexts_agree_across_tiers_and_engines(src, xs, rounds):
         vm.eval(src)
         got = [from_r(vm.eval(c)) for c in calls]
         assert got == expected, (src, got, expected)
-        sigs.append(vm.state.dispatch_signature())
+        sigs.append(engine_signature(vm))
     assert all(s == sigs[0] for s in sigs), src
 
 
@@ -282,7 +282,7 @@ def test_nested_loops_agree_across_tiers_and_engines(src, xs, m):
         vm.eval(src)
         got = [from_r(vm.eval(call)) for _ in range(3)]
         assert got == expected, (src, got, expected)
-        sigs.append(vm.state.dispatch_signature())
+        sigs.append(engine_signature(vm))
     assert all(s == sigs[0] for s in sigs), src
 
 
@@ -336,7 +336,7 @@ def test_gather_subscripts_agree_across_tiers_and_engines(src, xs, raw_idx, oob)
         vm.eval(src)
         got = [observe(vm) for _ in range(3)]
         assert got == expected, (src, call, got, expected)
-        sigs.append(vm.state.dispatch_signature())
+        sigs.append(engine_signature(vm))
     assert all(s == sigs[0] for s in sigs), src
 
 
@@ -384,7 +384,7 @@ def test_envcapture_agrees_across_tiers_and_engines(src, n):
         vm.eval(src)
         got = [from_r(vm.eval(call)) for _ in range(4)]
         assert got == expected, (src, got, expected)
-        sigs.append(vm.state.dispatch_signature())
+        sigs.append(engine_signature(vm))
     assert all(s == sigs[0] for s in sigs), src
 
 
@@ -406,7 +406,7 @@ def test_chaos_deopts_inside_elided_env_regions(src, n, seed):
         vm.eval(src)
         for _ in range(5):
             assert from_r(vm.eval(call)) == expected, (src, seed)
-        sigs.append(vm.state.dispatch_signature())
+        sigs.append(engine_signature(vm))
     assert all(s == sigs[0] for s in sigs), src
 
 
@@ -465,7 +465,7 @@ def test_version_hops_agree_across_tiers_and_engines(src, xs, seed):
         vm.eval(src)
         got = [from_r(vm.eval(c)) for c in calls]
         assert got == expected, (src, seed, got, expected)
-        sigs.append(vm.state.dispatch_signature())
+        sigs.append(engine_signature(vm))
     assert all(s == sigs[0] for s in sigs), (src, seed)
     # and the escape hatch must be semantics-identical too
     vm = make_vm(chaos_rate=0.05, chaos_seed=seed, compile_threshold=1,
@@ -497,5 +497,5 @@ def test_chaos_deopts_inside_inlined_bodies(src, n, seed):
         vm.eval(src)
         for _ in range(5):
             assert from_r(vm.eval(call)) == expected, (src, seed)
-        sigs.append(vm.state.dispatch_signature())
+        sigs.append(engine_signature(vm))
     assert all(s == sigs[0] for s in sigs), src

@@ -19,7 +19,7 @@ import re
 
 import pytest
 
-from conftest import FireAt, make_vm
+from conftest import FireAt, engine_signature, make_vm
 from repro import from_r
 from repro.bench.programs import REGISTRY
 from repro.bytecode.interpreter import match_arguments
@@ -131,7 +131,7 @@ def test_untranslatable_unit_runs_on_reference_loop():
     assert vm.state.pycodegen_failures == 1
     assert drive(vm, 8) == drive(ref, 8)
     assert vm.state.deopts > 0, "chaos never fired"
-    assert vm.state.dispatch_signature() == ref.state.dispatch_signature()
+    assert engine_signature(vm) == engine_signature(ref)
 
 
 def test_decline_is_paid_once_per_template():
@@ -169,7 +169,7 @@ def test_argument_count_mismatch_runs_on_reference_loop():
         outs.append(from_r(executor.execute(nc, args, m)))
     assert outs == [3120.0, 3120.0]
     assert vm.state.pycodegen_failures == 1
-    assert vm.state.dispatch_signature() == ref.state.dispatch_signature()
+    assert engine_signature(vm) == engine_signature(ref)
 
 
 def test_chaos_deopt_from_generated_code_recovers():
@@ -251,7 +251,7 @@ def test_every_osr_entry_is_an_arm_and_a_hop_lands(name, monkeypatch):
     ref.eval(w.source)
     ref.eval(w.setup_code(w.n_test))
     assert results == [from_r(ref.eval(w.call_code(w.n_test))) for _ in range(2)]
-    assert vm.state.dispatch_signature() == ref.state.dispatch_signature()
+    assert engine_signature(vm) == engine_signature(ref)
     assert vm.state.pycodegen_failures == 0
 
 
@@ -283,7 +283,7 @@ def test_if_chain_deeper_than_the_nesting_cap():
         vm = make_vm(threaded_dispatch=threaded, compile_threshold=1)
         vm.eval(nested_if_program(depth))
         calls = [from_r(vm.eval("deep(%dL)" % x)) for x in (depth, depth, 3, depth + 5, 0)]
-        outs.append((calls, vm.state.dispatch_signature()))
+        outs.append((calls, engine_signature(vm)))
         if threaded:
             nc = compiled_unit(vm, "deep")
             assert nc.pyfunc is not None and vm.state.pycodegen_failures == 0

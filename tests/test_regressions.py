@@ -123,8 +123,9 @@ def test_verification_error_is_a_failed_compile(chaos_seed, monkeypatch):
     """A graph the verifier refuses used to escape `vm.eval` as a
     VerificationError (an OSR-in continuation of `sieve_run` under chaos,
     call 33 with seed 1, 49 with seed 3).  Whatever builds such a graph, it
-    must be a failed compile like any other: counted, reported as
-    `osr_in_failed`, and the call finishes in the interpreter.  The graph
+    must be a failed compile like any other: counted, reported as a
+    continuation's `compile_failed`, OSR-in stopped for the code, and the
+    call finishes in the interpreter.  The graph
     that showed it is fixed (`test_loop_in_a_cold_arm_*` below), so the
     refusal is provoked here: the first OSR-in unit fails verification."""
     from repro.bench.programs import REGISTRY
@@ -144,7 +145,9 @@ def test_verification_error_is_a_failed_compile(chaos_seed, monkeypatch):
     for _ in range(5):
         assert from_r(vm.eval("sieve_run(4000L)")) == 550
     assert vm.state.compile_failures == 1
-    assert [e.kind for e in vm.state.events if e.kind.endswith("_failed")] == ["osr_in_failed"]
+    failed = [(e.kind, e.details["unit"]) for e in vm.state.events if e.kind.endswith("_failed")]
+    assert failed == [("compile_failed", "cont")]
+    assert vm.global_env.get("sieve_run").code.osr_disabled
 
 
 COLD_ARM_LOOP_SRC = """
@@ -286,6 +289,37 @@ def test_a_store_after_osr_in_coerces_to_the_value_kind(threaded):
         assert repr(from_r(vm.eval("f(12L)"))) == want
     assert vm.state.osr_ins >= 1 and vm.state.compiles == 2
     assert vm.state.native_generic_ops <= 4
+
+
+FORMALS_BODY = "{ s <- 0L; for (i in 1:4) s <- s + x[[i]]; x <- c(1,2,3,4,5,6,7); s + n }"
+FORMALS_SRC = """
+id <- function(v) v
+k <- 3L
+xi <- c(1L, 2L, 3L, 4L)
+xd <- c(1.5, 2.5, 3.5, 4.5)
+f <- function(x, n = 3L) %s
+g <- function(x, n = length(x)) %s
+""" % (FORMALS_BODY, FORMALS_BODY)
+
+
+@pytest.mark.parametrize("threaded", [True, False], ids=["codegen", "execute_ref"])
+def test_a_continuation_is_not_shared_across_formals(threaded):
+    """`f` and `g` share a body but not their formals: `g`'s default
+    `length(x)` is a promise over the environment, so its code keeps one,
+    where `f`'s is a constant and its code keeps its locals in registers.
+    The deoptless continuation of `f` (xd's doubles refute the profile) was
+    keyed on body, context and feedback only, so `g`'s identical deopt got
+    it from the cache: `n` then read the entry-time `x`, and `g(xd)` gave
+    16 for 19."""
+    vm = make_vm(enable_deoptless=True, ctxdispatch=False, osr_hop=False,
+                 threaded_dispatch=threaded)
+    ref = make_vm(enable_jit=False)
+    calls = ["f(xi, id(k))"] * 4 + ["f(xd, id(k))"] + ["g(xi)"] * 4 + ["g(xd)"]
+    for m in (vm, ref):
+        m.eval(FORMALS_SRC)
+    assert [from_r(vm.eval(c)) for c in calls] == [from_r(ref.eval(c)) for c in calls]
+    assert from_r(vm.eval("g(xd)")) == 19.0
+    assert vm.state.deoptless_compiles == 2 and vm.state.codecache_stable_hits == 0
 
 
 # -- the section 4.2 unsoundness anecdote --------------------------------------------

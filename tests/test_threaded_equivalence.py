@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import test_differential_fuzz as fuzz
-from conftest import make_vm
+from conftest import engine_signature, make_vm
 from repro import from_r
 from repro.bench.figures import FIG6_SUITE
 from repro.bench.programs import REGISTRY
@@ -48,7 +48,7 @@ def run_workload(name, cfg, engine, repeats=2):
     vm.eval(w.source)
     vm.eval(w.setup_code(w.n_test))
     results = [from_r(vm.eval(w.call_code(w.n_test))) for _ in range(repeats)]
-    return results, vm.state.dispatch_signature()
+    return results, engine_signature(vm)
 
 
 @pytest.mark.parametrize("mode", sorted(ENGINE_CONFIGS))

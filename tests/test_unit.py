@@ -1,11 +1,12 @@
-"""The one way to obtain a compiled unit (``repro/jit/unit.py``): what every
-unit kind — whole function, entry-context version, OSR-in continuation,
-deoptless continuation — must have in common whichever policy asked."""
+"""The one way to obtain a compiled unit (``repro/jit/unit.py``): what both
+unit kinds — a whole function, a continuation — must have in common,
+whichever of the four callers asked for one."""
 
 import pytest
 
-from conftest import make_vm
+from conftest import COMPILE_COUNTERS, make_vm
 from repro import from_r
+from repro.deoptless.context import CallContext, ContinuationContext, DeoptContext
 from repro.ir.builder import CompilationFailure
 from repro.jit import unit
 from repro.serve import FleetCompileQueue, SharedCodeCache
@@ -24,7 +25,9 @@ xl <- numeric(200); for (i in 1:200) xl[[i]] <- i * 1.0
 
 WARM = ["sumfn(xi, 3L)"] * 4
 
-#: kind -> (config on top of BASE, calls that make the VM want such a unit)
+#: caller -> (config on top of BASE, calls that make the VM want its unit).
+#: The callers are ``RVM.compile_closure`` (fn), ``RVM._compile_context_version``
+#: (ctxfn), ``osr_in.try_osr_in`` (osr) and ``engine.deoptless_compile`` (cont)
 SCENARIOS = {
     "fn": (dict(), WARM),
     # a second entry context shows up: specialized at the call boundary
@@ -34,6 +37,14 @@ SCENARIOS = {
     "cont": (dict(enable_deoptless=True), WARM + ["sumfn(xi, 3)"]),
 }
 BASE = dict(compile_threshold=2, ctxdispatch=False, osr_hop=False)
+#: the two kinds: what each caller's unit is
+KIND = {"fn": "fn", "ctxfn": "fn", "osr": "cont", "cont": "cont"}
+
+
+def _caller(spec):
+    """Which caller asked for ``spec``, read off its context."""
+    return {type(None): "fn", CallContext: "ctxfn", ContinuationContext: "osr",
+            DeoptContext: "cont"}[type(spec.ctx)]
 
 
 # -- a failed compile is counted once, whatever the path ---------------------------
@@ -49,7 +60,7 @@ def test_failed_compile_is_counted_once(kind, mode, monkeypatch):
     real_build = unit.build
 
     def build(vm, spec):
-        if spec.kind == kind and spec.code.name == "sumfn":
+        if _caller(spec) == kind and spec.code.name == "sumfn":
             raise CompilationFailure("boom")
         return real_build(vm, spec)
 
@@ -71,9 +82,9 @@ def test_failed_compile_is_counted_once(kind, mode, monkeypatch):
                    for e in vm.state.events_of("tierup_enqueue")), "built by the queue"
     st = vm.global_env.get("sumfn").jit
     assert vm.state.compile_failures == 1, "counted once, never retried"
-    failed = [e.kind for e in vm.state.events if e.kind.endswith("_failed")]
-    assert failed == [{"osr": "osr_in_failed",
-                       "cont": "deoptless_compile_failed"}.get(kind, "compile_failed")]
+    failed = [(e.kind, e.details["unit"]) for e in vm.state.events if e.kind.endswith("_failed")]
+    assert failed == [("compile_failed", KIND[kind])]
+    # what a failure stops is the caller's
     if kind == "fn":
         assert st.cant_compile
     elif kind == "ctxfn":
@@ -85,19 +96,20 @@ def test_failed_compile_is_counted_once(kind, mode, monkeypatch):
         assert vm.state.deoptless_misses == 1 and vm.state.deoptless_dispatches == 0
 
 
-# -- a shared-cache hit stands in for the compile, per kind -----------------------
+# -- a shared-cache hit is counted as a hit, per caller -------------------------------
 
 def _obtain_deltas(kind, shared, tenant, monkeypatch):
-    """Run the kind's scenario on a tenant of ``shared``; the counters each
-    ``obtain`` call moved, in order."""
+    """Run the caller's scenario on a tenant of ``shared``; the counters each
+    ``obtain`` call moved, in order, with the caller that asked."""
     real_obtain, deltas = unit.obtain, []
 
     def obtain(vm, spec, probe_only=False):
         before = vm.state.snapshot()
         ncode = real_obtain(vm, spec, probe_only)
         after = vm.state.snapshot()
-        deltas.append((spec.kind, {k: after[k] - before[k] for k in after
-                                   if isinstance(after[k], int) and after[k] != before[k]}))
+        assert spec.kind == KIND[_caller(spec)]
+        deltas.append((_caller(spec), {k: after[k] - before[k] for k in after
+                                       if isinstance(after[k], int) and after[k] != before[k]}))
         return ncode
 
     extra, calls = SCENARIOS[kind]
@@ -113,21 +125,19 @@ def _obtain_deltas(kind, shared, tenant, monkeypatch):
 @pytest.mark.parametrize("kind", sorted(SCENARIOS))
 def test_cache_hit_and_fresh_compile_agree(kind, monkeypatch):
     """Tenant a compiles every unit, tenant b rebinds every one from the
-    shared cache: same results, same ``dispatch_signature`` — the hit
-    replays compiles/compiled_instrs/inlined_frames (and deoptless_compiles
-    for a continuation) exactly — and only the how-it-was-obtained counters
-    tell the two apart."""
+    shared cache: same results, same ``dispatch_signature``.  The hit is
+    counted as a hit — no compile counter moves — so b's compiles plus its
+    shared-cache hits are a's compiles."""
     shared = SharedCodeCache(budget=100_000)
     a, res_a, fresh = _obtain_deltas(kind, shared, "a", monkeypatch)
     b, res_b, hits = _obtain_deltas(kind, shared, "b", monkeypatch)
     assert res_a == res_b
     assert a.state.dispatch_signature() == b.state.dispatch_signature()
     assert [k for k, _ in fresh] == [k for k, _ in hits] and kind in dict(fresh)
-    replayed = ("compiles", "compiled_instrs", "inlined_frames", "deoptless_compiles")
     for (k, built), (_, hit) in zip(fresh, hits):
         assert built["compiles"] == 1 and built["lowered_instrs"] == built["compiled_instrs"]
         assert built["ir_verifies"] >= 2 and built.get("deoptless_compiles", 0) == (k == "cont")
-        assert {c: hit.get(c) for c in replayed} == {c: built.get(c) for c in replayed}
-        assert hit["shared_rebinds"] == 1
-        assert "lowered_instrs" not in hit and "ir_verifies" not in hit
-    assert sum(d.get("inlined_frames", 0) for _, d in hits) >= 1
+        assert hit["shared_cache_hits"] == hit["shared_rebinds"] == 1
+        assert not set(COMPILE_COUNTERS + ("lowered_instrs", "ir_verifies")) & set(hit)
+    assert sum(d.get("inlined_frames", 0) for _, d in fresh) >= 1
+    assert a.state.compiles == b.state.compiles + b.state.shared_cache_hits

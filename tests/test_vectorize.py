@@ -27,7 +27,7 @@ import re
 
 import pytest
 
-from conftest import make_vm
+from conftest import engine_signature, make_vm
 from repro import from_r
 from repro.bench.programs import REGISTRY
 from repro.ir.verifier import verify
@@ -70,7 +70,7 @@ def run_workload(name, cfg, vectorize, repeats=2):
     vm.eval(w.source)
     vm.eval(w.setup_code(w.n_test))
     results = [from_r(vm.eval(w.call_code(w.n_test))) for _ in range(repeats)]
-    return results, vm.state.dispatch_signature(), vm
+    return results, engine_signature(vm), vm
 
 
 @pytest.mark.parametrize("mode", sorted(MODES))
@@ -149,7 +149,7 @@ def test_chaos_midkernel_frame_matches_scalar():
                 "frame slot %r diverged at pc %d" % (name, v_pc)
             )
     # the accounting contract holds through the deopts too
-    v_sig, s_sig = v_vm.state.dispatch_signature(), s_vm.state.dispatch_signature()
+    v_sig, s_sig = engine_signature(v_vm), engine_signature(s_vm)
     for key in s_sig:
         assert v_sig[key] == s_sig[key], "%s diverged" % key
 
@@ -214,7 +214,7 @@ def test_chaos_midkernel_nested_frame_matches_scalar():
     assert any(midnest(env) for _, _, env in v_frames), (
         "no chaos trip materialized a mid-nest (outer>1, inner>1) frame"
     )
-    v_sig, s_sig = v_vm.state.dispatch_signature(), s_vm.state.dispatch_signature()
+    v_sig, s_sig = engine_signature(v_vm), engine_signature(s_vm)
     for key in s_sig:
         assert v_sig[key] == s_sig[key], "%s diverged" % key
 
@@ -245,7 +245,7 @@ def test_na_at_element_k_stops_at_boundary():
         (pc, kind) for pc, kind, _ in s_frames
     ]
     assert any(kind == DeoptReasonKind.NA_CHECK for _, kind, _ in v_frames)
-    v_sig, s_sig = v_vm.state.dispatch_signature(), s_vm.state.dispatch_signature()
+    v_sig, s_sig = engine_signature(v_vm), engine_signature(s_vm)
     for key in s_sig:
         assert v_sig[key] == s_sig[key], "%s diverged" % key
 
@@ -378,8 +378,8 @@ def test_fused_loops_vectorize_and_match(shape, mode):
         assert [(kind, addr) for fn, _pc, kind, addr, _o in plans if fn == "f"] == [
             ("fsum", ADDRESSING.get(shape, "unit"))], plans
     assert vms[False].state.kernel_elements == 0
-    v_sig = vms[True].state.dispatch_signature()
-    s_sig = vms[False].state.dispatch_signature()
+    v_sig = engine_signature(vms[True])
+    s_sig = engine_signature(vms[False])
     for key in s_sig:
         assert v_sig[key] == s_sig[key], "%s[%s]: %s diverged" % (shape, mode, key)
 
@@ -610,7 +610,7 @@ def test_midkernel_deopt_takes_deoptless_path():
     assert ctx.reason.kind == DeoptReasonKind.CHAOS
     assert ctx.reason.observed_type is not None, "context not keyed on element type"
     # the continuation is real compiled code resuming mid-loop
-    assert cont.is_deoptless_continuation
+    assert cont.ctx == ctx
     assert any(name == "total" for name, _ in ctx.env_types), (
         "partial accumulator missing from the context environment"
     )
