@@ -12,14 +12,15 @@ cache's census (ISSUE 23: bytes made, bytes read, keys digested; DESIGN.md has t
     python3 benchmarks/census.py W "ser=repro.jit.persist:serialize:len(result)" \
         "deser=repro.jit.persist:deserialize" "digest=repro.jit.codecache:stable_digest"
 
-The kernel census (loops planned and how many of a deleted kind, kernel entries that ran
-and that declined; DESIGN.md, "What each feature buys", has the table).  Targets go
-before options such as ``--seconds 3``:
+The kernel census (loops planned and how many of a deleted kind, kernel entries that ran,
+that declined and that fired a chaos deopt; DESIGN.md, "What each feature buys", has the
+table).  Targets go before options such as ``--seconds 3``:
 
     python3 benchmarks/census.py W "plans=repro.opt.vectorize:vectorize_loops:len(result)" \
         "unrun=repro.opt.vectorize:vectorize_loops:sum(p.kind in ('cmp','map','prod') for p in result)" \
         "ok=repro.native.kernels:run_kernel:result[0] == 'ok'" \
-        "declines=repro.native.kernels:run_kernel:result[0] == 'decline'" --seconds 3
+        "declines=repro.native.kernels:run_kernel:result[0] == 'decline'" \
+        "fired=repro.native.kernels:run_kernel:result[0] == 'deopt'" --seconds 3
 
 The generic-op census (``[[`` and ``[[<-`` that native code runs through the generic runtime;
 DESIGN.md, "What the analysis types without a profile", has the table per program):

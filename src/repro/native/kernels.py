@@ -23,15 +23,22 @@ exact*:
   caller only needs to flush the deltas and tail-call ``vm.deopt``.
 
 Chaos-mode equivalence: the scalar loop draws the RNG once per executed
-guard, in op order.  Inside the covered range every *real* check is known
-to pass (that is what the entry checks establish), so the kernel replays
-exactly that draw sequence — per iteration, one draw per guard event in
-walk order — and fires the same deopt the scalar loop would have fired.
+guard, in op order.  The kernel first bounds the covered range with pure
+checks only (the entry checks, the NA prescan and, for ``fsum``, the
+compiled loop's own stop at a failed gather check), so every *real* check
+inside it passes.  Then it makes that range's draws — per iteration, one
+per guard event in walk order — up to the first that fires
+(``_first_draw``).  Then it runs its ordinary bulk code over the iterations
+before that one and fires the same deopt the scalar loop would have fired.
+No draw is added, dropped or reordered.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
+import sys
 
 from ..osr.framestate import DeoptReasonKind, KernelIterState, pdiv
 from ..runtime import coerce
@@ -92,6 +99,32 @@ def _resolve_source(source, regs, closure_env):
 
 def _raw_number(v) -> bool:
     return not isinstance(v, bool) and isinstance(v, (int, float))
+
+
+if sys.version_info >= (3, 12):
+    def _sum(xs, start):
+        """``start + xs[0] + xs[1] + ...`` left to right, as the scalar loop
+        adds: ``sum()`` compensates float rounding since 3.12 (gh-100425)."""
+        return functools.reduce(operator.add, xs, start)
+else:
+    _sum = sum
+
+
+def _first_draw(rng, rate, events, n):
+    """The first chaos draw that fires over ``n`` iterations, as
+    ``(iteration, event)``, or None.
+
+    The draws are the scalar loop's: one per event per iteration, in order,
+    and exactly as many as it makes up to and including the one that fires
+    (all ``n * len(events)`` when none does).  One flat loop: on CPython
+    3.11 it beats an ``itertools`` pipeline at every trip count.
+    """
+    draw = rng.random
+    for i in range(n * len(events)):
+        if draw() < rate:
+            it, e = divmod(i, len(events))
+            return it, events[e]
+    return None
 
 
 def _compile_fsum(kd):
@@ -187,52 +220,6 @@ def _compile_fsum(kd):
     exec("\n".join(lines), ns)
     return (ns["_f"], frozenset(elems), frozenset(gathers),
             frozenset(uinvs), frozenset(rinvs))
-
-
-def _fsum_eval(role, t, invs):
-    """Interpreted twin of the compiled fsum loop body (chaos path only).
-
-    Returns the fused expression's value at data index ``t``, or ``_FAIL``
-    when a gather element fails one of the scalar VLOAD's checks — exactly
-    the conditions the compiled loop's early returns encode, in the same
-    left-to-right evaluation order.
-    """
-    tag = role[0]
-    if tag == "elem":
-        return invs[role[1]].data[t]
-    if tag in ("seq", "idx1"):
-        return t + 1
-    if tag == "idx":
-        return t
-    if tag == "cval":
-        return role[1]
-    if tag == "uinv":
-        return invs[role[1]].data[0]
-    if tag == "inv":
-        return invs[role[1]]
-    if tag == "gelem":
-        i = _fsum_eval(role[2], t, invs)
-        if i is _FAIL:
-            return _FAIL
-        d = invs[role[1]].data
-        if i != i or i < 1 or i > len(d):
-            return _FAIL
-        x = d[int(i) - 1]
-        return _FAIL if x is None else x
-    a = _fsum_eval(role[2], t, invs)
-    if a is _FAIL:
-        return _FAIL
-    b = _fsum_eval(role[3], t, invs)
-    if b is _FAIL:
-        return _FAIL
-    op = role[1]
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    return pdiv(a, b)
 
 
 def _chaos_fire(kd, ev, regs, j0, ji, jd, acc_repr, invs):
@@ -335,39 +322,19 @@ def run_kernel(kd, regs, vm, closure_env):
     if stop <= ji:
         return _DECLINE
 
-    events = kd.events
-    chaos = vm.chaos_rng if (vm.config.chaos_rate > 0.0 and events) else None
-    rate = vm.config.chaos_rate
-    io, ig, ie = kd.iter_counts
-
-    # -- a sum over one column ----------------------------------------------
+    # -- per kind: the entry checks, then for fsum the compiled loop itself,
+    #    whose own stop (a failed gather check) bounds the range like the
+    #    checks above: that iteration's draws stay with the scalar loop
+    acc = None
     if kind == "sum":
         if len(kd.elem_keys) != 1:
             return _DECLINE
-        col = invs[kd.elem_keys[0]]
-        if col.kind not in _NUMERIC_KINDS:
+        if invs[kd.elem_keys[0]].kind not in _NUMERIC_KINDS:
             return _DECLINE
         acc = regs[kd.acc_reg]
         if not _raw_number(acc):
             return _DECLINE
-        data = col.data
-        if chaos is not None:
-            for jd in range(ji, stop):
-                for ev in events:
-                    if chaos.random() < rate:
-                        return _chaos_fire(kd, ev, regs, j0, ji, jd, acc, invs)
-                acc = acc + data[jd]
-        else:
-            acc = sum(data[ji:stop], acc)
-        covered = stop - ji
-        regs[kd.idx_reg] = j0 + covered
-        for r in kd.seqv_regs:
-            regs[r] = ji + covered
-        regs[kd.acc_reg] = acc
-        return ("ok", covered * io, covered * ig, covered * ie, covered)
-
-    # -- fused map→reduce (acc ⊕= f(elements), unit or gather addressing) ----
-    if kind == "fsum":
+    elif kind == "fsum":
         acc = regs[kd.acc_reg]
         if not _raw_number(acc):
             return _DECLINE
@@ -394,34 +361,11 @@ def run_kernel(kd, regs, vm, closure_env):
         for k in f_rinvs:
             if not isinstance(invs[k], (int, float)):
                 return _DECLINE
-        if chaos is not None:
-            covered_end = stop
-            for jd in range(ji, stop):
-                # evaluate first (pure): a failing gather check ends
-                # coverage *before* this iteration, so its guard draws stay
-                # with the scalar loop that will re-run it
-                x = _fsum_eval(kd.expr, jd, invs)
-                if x is _FAIL:
-                    covered_end = jd
-                    break
-                for ev in events:
-                    if chaos.random() < rate:
-                        return _chaos_fire(kd, ev, regs, j0, ji, jd, acc, invs)
-                acc = acc + x if kd.acc_op == "+" else acc * x
-            covered = covered_end - ji
-        else:
-            t_stop, acc = fn(ji, stop, acc, invs)
-            covered = t_stop - ji
-        if covered <= 0:
+        stop, acc_all = fn(ji, stop, acc, invs)
+        if stop <= ji:
             return _DECLINE
-        regs[kd.idx_reg] = j0 + covered
-        for r in kd.seqv_regs:
-            regs[r] = ji + covered
-        regs[kd.acc_reg] = acc
-        return ("ok", covered * io, covered * ig, covered * ie, covered)
-
-    # -- the generic boxed reduce (colsum's `total <- total + m[[i]]`) -------
-    if kind == "gsum":
+    elif kind == "gsum":
+        # the generic boxed reduce (colsum's `total <- total + m[[i]]`)
         if len(kd.elem_keys) != 1:
             return _DECLINE
         col = invs[kd.elem_keys[0]]
@@ -439,82 +383,66 @@ def run_kernel(kd, regs, vm, closure_env):
             acc_box = acc_box.value
         if not _ex._type_matches(acc_box, kd.acc_gtype):
             return _DECLINE
-        total = acc_box.data[0]
-        data = col.data
-        widen = rk == Kind.DBL and col.kind != Kind.DBL
-        if chaos is not None:
-            for jd in range(ji, stop):
-                for ev in events:
-                    if chaos.random() < rate:
-                        return _chaos_fire(
-                            kd, ev, regs, j0, ji, jd, RVector(rk, [total]), invs
-                        )
-                x = data[jd]
-                total = total + (float(x) if widen else x)
-        elif widen:
-            total = sum((float(x) for x in data[ji:stop]), total)
-        elif rk == Kind.INT and col.kind == Kind.LGL:
-            total = sum((int(x) for x in data[ji:stop]), total)
+        acc = acc_box.data[0]
+    elif kind in ("fill", "copy"):
+        out = invs.get(kd.out_key)
+        if not (isinstance(out, RVector) and out.named <= 1):
+            return _DECLINE  # copy-on-write store: per-element reallocation
+        if out.kind == kd.store_kind:
+            widen = False
+        elif out.kind == Kind.DBL and kd.store_kind in (Kind.LGL, Kind.INT):
+            widen = True  # the executor's in-place widening store
         else:
-            total = sum(data[ji:stop], total)
-        covered = stop - ji
-        regs[kd.idx_reg] = j0 + covered
-        for r in kd.seqv_regs:
-            regs[r] = ji + covered
-        regs[kd.acc_reg] = RVector(rk, [total])
-        return ("ok", covered * io, covered * ig, covered * ie, covered)
-
-    # -- elementwise writes: fill / copy -------------------------------------
-    if kind not in ("fill", "copy"):
-        return _DECLINE
-    out = invs.get(kd.out_key)
-    if not (isinstance(out, RVector) and out.named <= 1):
-        return _DECLINE  # copy-on-write store: per-element reallocation
-    if out.kind == kd.store_kind:
-        widen = False
-    elif out.kind == Kind.DBL and kd.store_kind in (Kind.LGL, Kind.INT):
-        widen = True  # the executor's in-place widening store
-    else:
-        return _DECLINE
-    stop = min(stop, len(out.data))
-    if stop <= ji:
-        return _DECLINE
-    # runtime aliasing: never bulk-write a vector any element read sees
-    if out is seq:
-        return _DECLINE
-    for key in kd.elem_keys:
-        if invs[key] is out:
             return _DECLINE
-
-    spec = kd.val_spec
-    tag = spec[0]
-    dst = out.data
-    if tag == "reg":  # fill with a loop-invariant scalar
-        x = regs[spec[1]]
-        val_of = lambda jd: x  # noqa: E731
-    else:  # ("elem", key): copy
-        src = invs[spec[1]].data
-        val_of = lambda jd: src[jd]  # noqa: E731
-
-    if chaos is not None:
-        for jd in range(ji, stop):
-            for ev in events:
-                if chaos.random() < rate:
-                    if ev.store_before:
-                        x = val_of(jd)
-                        dst[jd] = float(x) if widen else x
-                    return _chaos_fire(kd, ev, regs, j0, ji, jd, None, invs)
-            x = val_of(jd)
-            dst[jd] = float(x) if widen else x
-    elif widen:
-        dst[ji:stop] = [float(val_of(jd)) for jd in range(ji, stop)]
-    elif tag == "elem":
-        dst[ji:stop] = src[ji:stop]
+        stop = min(stop, len(out.data))
+        if stop <= ji:
+            return _DECLINE
+        # runtime aliasing: never bulk-write a vector any element read sees
+        if out is seq:
+            return _DECLINE
+        for key in kd.elem_keys:
+            if invs[key] is out:
+                return _DECLINE
     else:
-        dst[ji:stop] = [x] * (stop - ji)
+        return _DECLINE
 
+    # -- chaos: the scalar loop's draws over [ji, stop), up to the first that
+    #    fires; the bulk code below then runs the iterations before it
+    fire = None
+    if vm.config.chaos_rate > 0.0 and kd.events:
+        fire = _first_draw(vm.chaos_rng, vm.config.chaos_rate, kd.events, stop - ji)
+        if fire is not None:
+            stop = ji + fire[0]
+
+    # -- the bulk code over [ji, stop) ---------------------------------------
+    if kind == "sum":
+        acc = _sum(invs[kd.elem_keys[0]].data[ji:stop], acc)
+    elif kind == "fsum":
+        acc = acc_all if fire is None else fn(ji, stop, acc, invs)[1]
+    elif kind == "gsum":
+        xs = col.data[ji:stop]
+        if rk == Kind.DBL and col.kind != Kind.DBL:
+            xs = map(float, xs)
+        elif rk == Kind.INT and col.kind == Kind.LGL:
+            xs = map(int, xs)
+        acc = RVector(rk, [_sum(xs, acc)])
+    else:
+        # a store before the firing guard is part of its partial iteration
+        end = stop + 1 if fire is not None and fire[1].store_before else stop
+        spec = kd.val_spec
+        if spec[0] == "reg":  # fill with a loop-invariant scalar
+            xs = [regs[spec[1]]] * (end - ji)
+        else:  # ("elem", key): copy
+            xs = invs[spec[1]].data[ji:end]
+        out.data[ji:end] = list(map(float, xs)) if widen else xs
+
+    if fire is not None:
+        return _chaos_fire(kd, fire[1], regs, j0, ji, stop, acc, invs)
     covered = stop - ji
     regs[kd.idx_reg] = j0 + covered
     for r in kd.seqv_regs:
         regs[r] = ji + covered
+    if kd.acc_reg is not None:
+        regs[kd.acc_reg] = acc
+    io, ig, ie = kd.iter_counts
     return ("ok", covered * io, covered * ig, covered * ie, covered)

@@ -322,6 +322,43 @@ def test_a_continuation_is_not_shared_across_formals(threaded):
     assert vm.state.deoptless_compiles == 2 and vm.state.codecache_stable_hits == 0
 
 
+CANCELLING_SUMS_SRC = """
+f <- function(v, n) {
+  total <- 0
+  for (i in 1:n) total <- total + v[[i]]
+  total
+}
+g <- function(t, k) {
+  col <- t[[k]]
+  total <- 0
+  for (i in 1:length(col)) total <- total + col[[i]]
+  total
+}
+v <- rep(c(1e16, 1, -1e16), 100)
+t <- list(v, 1:300)
+"""
+CANCELLING_SUMS_CALLS = ["f(v, 300)"] * 4 + ["c(g(t, 1L), g(t, 2L))"] * 4
+
+
+@pytest.mark.parametrize("threaded", [True, False], ids=["codegen", "execute_ref"])
+@pytest.mark.parametrize("chaos", [0.0, 0.05], ids=["jit", "chaos"])
+def test_kernel_sums_add_left_to_right(chaos, threaded):
+    """The `sum` and `gsum` kernels added with `sum()`, which compensates
+    float rounding since CPython 3.12: over `1e16, 1, -1e16` repeated, the
+    scalar loop's `1e16 + 1` rounds the 1 away (a total of 0) and the
+    compensated sum keeps it (100)."""
+    ref = make_vm(enable_jit=False)
+    ref.eval(CANCELLING_SUMS_SRC)
+    want = [from_r(ref.eval(c)) for c in CANCELLING_SUMS_CALLS]
+    assert want[0] == 0.0
+    for vectorize in (True, False):
+        vm = make_vm(compile_threshold=1, osr_threshold=50, chaos_rate=chaos, chaos_seed=3,
+                     enable_deoptless=True, vectorize=vectorize, threaded_dispatch=threaded)
+        vm.eval(CANCELLING_SUMS_SRC)
+        assert [from_r(vm.eval(c)) for c in CANCELLING_SUMS_CALLS] == want
+        assert (vm.state.kernel_elements > 0) == vectorize
+
+
 # -- the section 4.2 unsoundness anecdote --------------------------------------------
 
 ESCAPED_LOOP_SRC = """

@@ -10,7 +10,9 @@ tests pin the contract from four sides:
   benchmark registry, including chaos mode (same RNG consumption order);
 * a mid-kernel chaos trip at a deterministic element must materialize the
   exact interpreter frame (loop index, partial accumulator, environment)
-  the scalar loop would have had at that element;
+  the scalar loop would have had at that element, for every kernel kind
+  on both engines, and the kernel's draw helper makes exactly the draws of
+  the per-element loop it replaced;
 * an ``NA`` at a fixed element ends bulk coverage at the element boundary
   and the retained scalar loop reproduces the reference NA deopt;
 * illegal loops — unrecognized cross-iteration dependences, closure calls,
@@ -23,15 +25,19 @@ tests pin the contract from four sides:
   remaining elements.
 """
 
+import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import engine_signature, make_vm
 from repro import from_r
 from repro.bench.programs import REGISTRY
 from repro.ir.verifier import verify
+from repro.native import kernels, pycodegen
 from repro.native import ops as N
+from repro.native.kernels import run_kernel
 from repro.osr.framestate import DeoptReasonKind
 
 #: vectorized-vs-scalar equivalence must hold in plain JIT mode and under
@@ -80,6 +86,7 @@ def test_vectorized_matches_scalar(name, mode):
     v_results, v_sig, v_vm = run_workload(name, cfg, vectorize=True)
     s_results, s_sig, s_vm = run_workload(name, cfg, vectorize=False)
     assert v_results == s_results, "%s[%s]: results diverged" % (name, mode)
+    assert v_vm.chaos_rng.getstate() == s_vm.chaos_rng.getstate(), name
     for key in s_sig:
         assert v_sig[key] == s_sig[key], (
             "%s[%s]: %s diverged: vectorized=%r scalar=%r"
@@ -112,6 +119,18 @@ def _capture_deopts(vm, frames):
     vm.deopt = spy
 
 
+def _assert_same_frames(v_frames, s_frames):
+    assert len(v_frames) == len(s_frames)
+    for (v_pc, v_kind, v_env), (s_pc, s_kind, s_env) in zip(v_frames, s_frames):
+        assert v_pc == s_pc
+        assert v_kind == s_kind
+        assert sorted(v_env) == sorted(s_env)
+        for name in s_env:
+            assert from_r(v_env[name]) == from_r(s_env[name]), (
+                "frame slot %r diverged at pc %d" % (name, v_pc)
+            )
+
+
 def _chaos_sum_run(vectorize, calls=40, n=400):
     vm = make_vm(
         compile_threshold=1,
@@ -139,15 +158,7 @@ def test_chaos_midkernel_frame_matches_scalar():
     assert v_vm.state.kernel_elements > 0, "bulk kernel never ran"
     assert v_vm.state.deopts > 0, "chaos never fired mid-kernel"
     assert v_results == s_results
-    assert len(v_frames) == len(s_frames)
-    for (v_pc, v_kind, v_env), (s_pc, s_kind, s_env) in zip(v_frames, s_frames):
-        assert v_pc == s_pc
-        assert v_kind == s_kind
-        assert sorted(v_env) == sorted(s_env)
-        for name in s_env:
-            assert from_r(v_env[name]) == from_r(s_env[name]), (
-                "frame slot %r diverged at pc %d" % (name, v_pc)
-            )
+    _assert_same_frames(v_frames, s_frames)
     # the accounting contract holds through the deopts too
     v_sig, s_sig = engine_signature(v_vm), engine_signature(s_vm)
     for key in s_sig:
@@ -196,15 +207,7 @@ def test_chaos_midkernel_nested_frame_matches_scalar():
     assert v_vm.state.kernel_elements > 0, "inner kernel never ran"
     assert v_vm.state.deopts > 0, "chaos never fired mid-kernel"
     assert v_results == s_results
-    assert len(v_frames) == len(s_frames)
-    for (v_pc, v_kind, v_env), (s_pc, s_kind, s_env) in zip(v_frames, s_frames):
-        assert v_pc == s_pc
-        assert v_kind == s_kind
-        assert sorted(v_env) == sorted(s_env)
-        for name in s_env:
-            assert from_r(v_env[name]) == from_r(s_env[name]), (
-                "frame slot %r diverged at pc %d" % (name, v_pc)
-            )
+    _assert_same_frames(v_frames, s_frames)
     # at least one trip landed mid-nest: outer iteration > 1 AND inner
     # element index > 1 — the two-level (outer-iter, inner-iter-k) case
     def midnest(env):
@@ -217,6 +220,115 @@ def test_chaos_midkernel_nested_frame_matches_scalar():
     v_sig, s_sig = engine_signature(v_vm), engine_signature(s_vm)
     for key in s_sig:
         assert v_sig[key] == s_sig[key], "%s diverged" % key
+
+
+#: one program per kernel kind whose chaos draws fire inside the kernel:
+#: (source, setup, call)
+MIDKERNEL = {
+    "sum": (SUM_SRC, "v <- 1.5 * (1:400)", "f(v, 400)"),
+    "fsum-unit": ("""
+f <- function(v, y, n) {
+  s <- 0
+  for (i in 1:n) s <- s + v[[i]] * y[[i]]
+  s
+}
+""", "v <- 1.5 * (1:400); y <- 0.5 * (1:400)", "f(v, y, 400)"),
+    # idx reaches the NA at i = 31: the compiled loop stops there, so only
+    # the first 30 iterations' draws are the kernel's.  Some calls fire
+    # before it, others reach it: a kernel that drew for i = 31 as well
+    # would leave the RNG two draws ahead of the scalar loop
+    "fsum-gather": ("""
+f <- function(v, idx, n) {
+  s <- 0
+  for (i in 1:n) s <- s + v[[idx[[i]]]]
+  s
+}
+""", "v <- 1.5 * (1:100); v[[90]] <- NA; idx <- c(1:30, 90L, 1:30)", "f(v, idx, 61)"),
+    "gsum": ("""
+f <- function(t, k) {
+  col <- t[[k]]
+  total <- 0
+  for (i in 1:length(col)) total <- total + col[[i]]
+  total
+}
+""", "t <- list(1.5 * (1:400), 1:400)", "c(f(t, 1L), f(t, 2L))"),
+    "fill": ("""
+f <- function(n) {
+  out <- numeric(n)
+  for (i in 1:n) out[[i]] <- 2.5
+  out
+}
+""", "", "f(400)"),
+    # `out` is read again after the store: its guard is a store_before event
+    "copy": ("""
+f <- function(v, n) {
+  out <- numeric(n)
+  for (i in 1:n) {
+    out[[i]] <- v[[i]]
+    out
+  }
+  out
+}
+""", "v <- 1.5 * (1:400)", "f(v, 400)"),
+}
+
+
+@pytest.mark.parametrize("threaded", [True, False], ids=["codegen", "execute_ref"])
+@pytest.mark.parametrize("case", sorted(MIDKERNEL))
+def test_every_kind_fires_mid_vector(case, threaded, monkeypatch):
+    """Each kernel kind takes a chaos deopt from inside the kernel, and the
+    deopt frames, results and signature are the scalar loop's."""
+    fired = []
+
+    def spy(kd, regs, vm, closure_env):
+        res = run_kernel(kd, regs, vm, closure_env)
+        if res[0] == "deopt":
+            fired.append((kd.kind, next(e for e in kd.events if e.did == res[1]).store_before))
+        return res
+
+    monkeypatch.setattr(kernels, "run_kernel", spy)
+    monkeypatch.setattr(pycodegen, "run_kernel", spy)
+    monkeypatch.setattr(pycodegen, "_ENV_CACHE", None)  # rebuilt around the spy
+    src, setup, call = MIDKERNEL[case]
+    runs = []
+    for vectorize in (True, False):
+        vm = make_vm(compile_threshold=1, osr_threshold=100000, vectorize=vectorize,
+                     chaos_rate=0.01, chaos_seed=5, enable_deoptless=False,
+                     threaded_dispatch=threaded)
+        frames = []
+        _capture_deopts(vm, frames)
+        vm.eval(src)
+        vm.eval(setup)
+        results = [from_r(vm.eval(call)) for _ in range(8)]
+        runs.append((results, frames, engine_signature(vm), vm.chaos_rng.getstate()))
+    (v_results, v_frames, v_sig, v_rng), (s_results, s_frames, s_sig, s_rng) = runs
+    assert case.split("-")[0] in {kind for kind, _ in fired}, fired
+    if case == "copy":
+        assert any(store_before for _, store_before in fired)
+    if case == "fsum-gather":
+        assert any(kind == DeoptReasonKind.NA_CHECK for _, kind, _ in v_frames)
+    assert v_results == s_results
+    _assert_same_frames(v_frames, s_frames)
+    assert v_sig == s_sig
+    assert v_rng == s_rng
+
+
+def _first_draw_loop(rng, rate, events, n):
+    """The per-element draw loop ``_first_draw`` replaced."""
+    for jd in range(n):
+        for ev in events:
+            if rng.random() < rate:
+                return jd, ev
+    return None
+
+
+@given(st.integers(0, 2**32), st.floats(0.0, 1.0), st.integers(1, 4), st.integers(0, 300))
+@settings(max_examples=300, deadline=None)
+def test_first_draw_matches_the_loop(seed, rate, nev, n):
+    events = tuple("ev%d" % e for e in range(nev))
+    a, b = random.Random(seed), random.Random(seed)
+    assert kernels._first_draw(a, rate, events, n) == _first_draw_loop(b, rate, events, n)
+    assert a.getstate() == b.getstate()
 
 
 def _na_sum_run(vectorize, na_at=250, n=400, calls=6):
