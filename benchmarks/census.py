@@ -27,6 +27,11 @@ DESIGN.md, "What the analysis types without a profile", has the table per progra
 
     python3 benchmarks/census.py suite-steady "ex2=repro.runtime.coerce:extract2" \
         "set2=repro.native.executor:_generic_set2"
+
+The hop census (hop attempts, and the ones that hopped; DESIGN.md, "Why it wins", has the
+table per chaos workload beside the run's ``osr_hop_declines`` and ``osr_ins``):
+
+    python3 benchmarks/census.py suite-chaos "hops=repro.osr.osr_hop:_hop:result is not None"
 """
 import argparse, functools, importlib, os, runpy, sys
 

@@ -51,7 +51,7 @@ class CodeObject:
     __slots__ = (
         "code", "consts", "names", "feedback", "feedback_slots", "lines", "name",
         "backedge_count", "osr_disabled", "deopt_count", "deopt_sites",
-        "stable_hash",
+        "stable_hash", "live",
     )
 
     def __init__(self, name: str = "<code>"):
@@ -72,6 +72,17 @@ class CodeObject:
         self.deopt_sites: Dict[int, int] = {}
         #: memoized content hash (jit/codecache.stable_code_hash)
         self.stable_hash: Optional[str] = None
+        #: per-pc live names, computed on first use (:meth:`live_at`)
+        self.live: Optional[List[frozenset]] = None
+
+    def live_at(self, pc: int) -> frozenset:
+        """The names some path from ``pc`` reads before a ``ST_VAR`` assigns
+        them: an ``LD_VAR`` or ``LD_FUN`` of the name, or a closure or
+        promise made there whose code mentions it.  A binding outside this
+        set is dead at ``pc``: no later read can observe it."""
+        if self.live is None:
+            self.live = _liveness(self)
+        return self.live[pc]
 
     def seal_feedback(self) -> None:
         """Preallocate one feedback object per profiling site.
@@ -112,6 +123,52 @@ class CodeObject:
 
     def __repr__(self) -> str:  # pragma: no cover
         return "<code %s: %d instrs>" % (self.name, len(self.code))
+
+
+def _mentioned(c: Any) -> frozenset:
+    """Every name a promise's code or a closure's (an ``MK_CLOSURE`` payload:
+    body, formals, name) mentions, with the closures and promises inside
+    it: what it may read in the frame that made it, whenever it runs."""
+    if isinstance(c, CodeObject):
+        return frozenset(c.names).union(*map(_mentioned, c.consts))
+    if isinstance(c, tuple) and len(c) == 3 and isinstance(c[0], CodeObject):
+        return _mentioned(c[0]).union(*(_mentioned(d) for _, d in c[1] if d is not None))
+    return frozenset()
+
+
+def _liveness(code: CodeObject) -> List[frozenset]:
+    """Backward may-read dataflow over the instruction list, to a fixpoint."""
+    instrs = code.code
+    n = len(instrs)
+    flow = []  # per pc: (successors, names read, name assigned)
+    for pc, ins in enumerate(instrs):
+        op = ins[0]
+        if op == O.RETURN:
+            succs = ()
+        elif op == O.BR:
+            succs = (ins[1],)
+        elif op in (O.BRFALSE, O.BRTRUE):
+            succs = (pc + 1, ins[1])
+        else:
+            succs = (pc + 1,) if pc + 1 < n else ()
+        reads = frozenset()
+        if op in (O.LD_VAR, O.LD_FUN):
+            reads = frozenset((code.names[ins[1]],))
+        elif op in (O.MK_PROMISE, O.MK_CLOSURE):
+            reads = _mentioned(code.consts[ins[1]])
+        flow.append((succs, reads, code.names[ins[1]] if op == O.ST_VAR else None))
+    live = [frozenset()] * n
+    changed = True
+    while changed:
+        changed = False
+        for pc in range(n - 1, -1, -1):
+            succs, reads, assigned = flow[pc]
+            out = frozenset().union(*(live[s] for s in succs))
+            new = (out - {assigned}) | reads
+            if new != live[pc]:
+                live[pc] = new
+                changed = True
+    return live
 
 
 #: expression node types that can never observe or cause an effect.

@@ -75,9 +75,10 @@ from .codecache import Ident, Unstable, WorldResolver
 #: checksummed payload holding the marshalled code object, not the source;
 #: 8: builtins declare their result types, so one key names typed code where
 #: it named generic code; 9: two key shapes, a continuation's carrying the
-#: formals, and one ``ctx`` field on the unit).  Another version is a miss
-#: and a fresh compile.
-FORMAT_VERSION = 9
+#: formals, and one ``ctx`` field on the unit; 10: ``OsrEntry`` carries the
+#: header's constant-folded variables, ``const_slots``).  Another version is
+#: a miss and a fresh compile.
+FORMAT_VERSION = 10
 
 #: the interpreter a bucket file was written by: marshalled code objects
 #: load only under the bytecode version that made them
@@ -92,8 +93,8 @@ class PersistError(Exception):
 #: NativeCode fields that constitute the replayable lowering output, the
 #: context it was compiled under and its OSR entry map (registers, kinds,
 #: RTypes — no world references beyond the already-pathed bc_code).  The
-#: mutable/per-install fields (closure, invalidated, pyfunc, pics) are
-#: deliberately excluded and reset on load.
+#: mutable/per-install fields (closure, invalidated, guard_sites, pyfunc,
+#: pics) are deliberately excluded and reset on load.
 _NC_FIELDS = (
     "name", "ops", "n_regs", "reg_init", "deopts", "kernels", "param_regs",
     "param_unbox", "env_reg", "env_elided", "cont_var_names", "cont_stack_size",
@@ -308,6 +309,7 @@ def deserialize(data: bytes, root_code: CodeObject, resolver: WorldResolver) -> 
         raise PersistError("deserialize failed: %r" % (e,))
     nc.closure = None
     nc.invalidated = False
+    nc.guard_sites = ()
     nc.pics = {}
     nc.cache_template = None
     # the codegen artifact: with a code object, the first bind is an exec;

@@ -338,7 +338,10 @@ class RVM:
     def place(self, spec: UnitSpec, ncode: NativeCode) -> None:
         """The two install paths: the generic version takes the closure's
         entry slot, an entry version its version table (which
-        :meth:`admits` found room in)."""
+        :meth:`admits` found room in).  The unit's guard sites are stamped
+        with their deopt counts now, so a hop can tell a refuted version."""
+        sites = dict.fromkeys((d.code, d.reason_pc) for d in ncode.deopts)
+        ncode.guard_sites = tuple((c, pc, c.deopt_sites.get(pc, 0)) for c, pc in sites)
         st = self.jit_state(spec.closure)
         if spec.ctx is None:
             st.version = ncode

@@ -110,9 +110,9 @@ class OsrEntry:
     unenterable and no entry is emitted.
     """
 
-    __slots__ = ("pc", "index", "var_slots", "stack_slots", "env_reg")
+    __slots__ = ("pc", "index", "var_slots", "stack_slots", "env_reg", "const_slots")
 
-    def __init__(self, pc, index, var_slots, stack_slots, env_reg):
+    def __init__(self, pc, index, var_slots, stack_slots, env_reg, const_slots):
         self.pc = pc
         #: op index to start execution at (the loop header; one past the
         #: bulk-kernel op for kernelized headers — mid-loop state enters the
@@ -127,6 +127,10 @@ class OsrEntry:
         #: register the live environment object is bound to; None when the
         #: unit's environment is elided
         self.env_reg: Optional[int] = env_reg
+        #: [(name, reg, kind_or_None)] — variables the optimizer folded to a
+        #: constant at the header: ``reg_init[reg]`` holds it (the raw payload
+        #: when kind is set), and the live binding must equal it
+        self.const_slots: Tuple[Tuple[str, int, Optional[Kind]], ...] = const_slots
 
     def __repr__(self) -> str:  # pragma: no cover
         return "<OsrEntry pc=%d idx=%d vars=%d stack=%d>" % (
@@ -247,6 +251,10 @@ class NativeCode:
         #: set by the VM when installing: the closure this code belongs to
         self.closure = None
         self.invalidated = False
+        #: set by ``RVM.place``: ``(code, reason_pc, deopt count then)`` per
+        #: guard site of ``deopts`` — a site whose count grew since was
+        #: refuted, and a hop must not re-enter this unit (``osr_hop``)
+        self.guard_sites: Tuple[Tuple[Any, int, int], ...] = ()
         #: codegen tier (native/pycodegen.py): generated Python source text
         #: (False: emission or compilation declined, the reference loop runs
         #: the unit), its constant pool, the compiled module code object and
@@ -534,12 +542,14 @@ class Lowerer:
 
         seeds = set()
         var_slots = []
+        const_slots = []
         for name in sorted(var_phis):
             v = var_phis[name]
             if isinstance(v, I.Const):
                 # folded to a provable constant: reg_init pre-seeds it, and
                 # writing its (possibly shared) register would clobber other
-                # uses — the hop simply doesn't need to seed anything
+                # uses — the hop checks the live binding against it instead
+                const_slots.append((name, self.reg(v), v.type.kind if v.unboxed else None))
                 continue
             r = self.reg_of.get(id(v))
             if r is None:
@@ -590,7 +600,8 @@ class Lowerer:
         index = self.block_start[header.id]
         if header.id in self.kernel_plans:
             index += 1  # mid-loop state enters the retained scalar loop
-        return OsrEntry(pc, index, tuple(var_slots), tuple(stack_slots), env_reg)
+        return OsrEntry(pc, index, tuple(var_slots), tuple(stack_slots), env_reg,
+                        tuple(const_slots))
 
     # -- bulk kernel finalization ---------------------------------------------------------------
 

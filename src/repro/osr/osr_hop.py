@@ -28,20 +28,26 @@ arms the bytecode's backedge counter so the next backedge re-attempts
 OSR-in immediately rather than after ``osr_threshold`` interpreted
 iterations.
 
-Validation is deliberately strict (every decline is counted and logged):
-an over-permissive hop would seed a register with a value the target's
-type lattice ruled out, which no downstream guard re-checks.
+Validation is deliberately strict (every decline is counted and logged,
+its reason naming what declined): an over-permissive hop would seed a
+register with a value the target's type lattice ruled out, which no
+downstream guard re-checks.  What it does not demand is the frame's dead
+state: a binding no path from the header reads is dropped (DESIGN.md, "Hop
+sites and version selection"), a variable the target folded to a constant
+is compared with it, and a version whose guard a real deopt refuted since
+it was placed is not re-entered.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional
+import math
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from ..deoptless.context import distill_call_context
 from ..jit.telemetry import dedup_log
 from ..native import executor
 from ..native.lower import NativeCode, OsrEntry
-from ..runtime.values import RPromise, rtype_quick
+from ..runtime.values import RPromise, RVector, rtype_quick
 
 #: sentinel: no candidate version admitted the hop; caller falls back
 NO_HOP = object()
@@ -71,15 +77,29 @@ def live_context(closure, values: Dict[str, Any]):
     return distill_call_context(args)
 
 
+def stale_site(code: NativeCode) -> Optional[str]:
+    """``FN@PC`` of a guard site of ``code`` that a real deopt refuted since
+    ``RVM.place`` installed it (chaos deopts bump no count), else None."""
+    for bc, pc, n in code.guard_sites:
+        if bc.deopt_sites.get(pc, 0) > n:
+            return "%s@%d" % (bc.name, pc)
+    return None
+
+
 def select_versions(st, pc: int, live_ctx,
-                    exclude: Optional[NativeCode] = None) -> Iterator[NativeCode]:
+                    exclude: Optional[NativeCode] = None,
+                    decline: Optional[Callable[[str], None]] = None
+                    ) -> Iterator[NativeCode]:
     """Candidate versions with an OSR entry at ``pc``, most specific first.
 
     Specialized versions require ``live_ctx <= entry ctx`` (the frame still
     satisfies everything the version assumed about the formals); the generic
     version is the unconditional last candidate.  The just-retired origin is
-    never offered back.
+    never offered back, nor is a stale version (:func:`stale_site`): it
+    would fail the refuted guard again on the path that refuted it.  Each
+    stale candidate is reported to ``decline``.
     """
+    cands = []
     vt = st.versions
     if vt is not None:
         for e in vt.iter_entries():
@@ -90,11 +110,17 @@ def select_versions(st, pc: int, live_ctx,
                 continue
             if live_ctx is None or not (live_ctx <= e.ctx):
                 continue
-            yield code
+            cands.append(code)
     gen = st.version
     if (gen is not None and gen is not exclude and not gen.invalidated
             and pc in gen.osr_entries):
-        yield gen
+        cands.append(gen)
+    for code in cands:
+        stale = stale_site(code)
+        if stale is None:
+            yield code
+        elif decline is not None:
+            decline("stale:" + stale)
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +142,26 @@ def _seed_slot(regs: List[Any], reg: int, kind, rtype, value: Any) -> bool:
             return False
         regs[reg] = value
     return True
+
+
+def _same_scalar(x: Any, c: Any) -> bool:
+    # by type, so 2L is not 2.0, and by sign, so -0.0 is not 0.0
+    if type(x) is not type(c) or x != c:
+        return False
+    return not isinstance(c, float) or math.copysign(1.0, x) == math.copysign(1.0, c)
+
+
+def _is_const(value: Any, const: Any, kind) -> bool:
+    """Does the live binding equal the constant the target folded, by kind
+    and value?  ``kind`` is set when ``const`` is the raw payload."""
+    if kind is not None:
+        return (isinstance(value, RVector) and value.kind == kind
+                and len(value.data) == 1 and _same_scalar(value.data[0], const))
+    if isinstance(const, RVector):
+        return (isinstance(value, RVector) and value.kind == const.kind
+                and len(value.data) == len(const.data)
+                and all(_same_scalar(x, c) for x, c in zip(value.data, const.data)))
+    return value is const  # NULL, a builtin, a closure
 
 
 def seed_registers(vm, ncode: NativeCode, entry: OsrEntry,
@@ -142,16 +188,26 @@ def seed_registers(vm, ncode: NativeCode, entry: OsrEntry,
             _decline(vm, fn_name, pc, "var-type:" + name)
             return None
         covered.add(name)
+    for name, reg, kind in entry.const_slots:
+        # the register already holds the constant; an unforced promise or
+        # another value would be read as the constant from here on
+        if not _is_const(values.get(name, _MISSING), regs[reg], kind):
+            _decline(vm, fn_name, pc, "const:" + name)
+            return None
+        covered.add(name)
     for (reg, kind, rtype), v in zip(entry.stack_slots, stack):
         if not _seed_slot(regs, reg, kind, rtype, v):
             _decline(vm, fn_name, pc, "stack-type")
             return None
     if entry.env_reg is None:
-        # fully scalar-replaced target: any live binding outside the slot
-        # set would be silently dropped by a later deopt-out — refuse
-        if any(n not in covered for n in values):
-            _decline(vm, fn_name, pc, "extra-binding")
-            return None
+        # fully scalar-replaced target: a binding outside the slot set is
+        # dropped, and a later deopt-out rebuilds the frame without it —
+        # sound exactly when no path from the header reads it
+        live = ncode.bc_code.live_at(pc)
+        for n in values:
+            if n not in covered and n in live:
+                _decline(vm, fn_name, pc, "live-binding:" + n)
+                return None
     else:
         # env-mode target: the live environment object itself is the seed,
         # so every binding (slotted or not) survives by construction
@@ -170,7 +226,8 @@ def _hop(vm, fs, values: Dict[str, Any], live_ctx, via: str,
     ``executor.execute_at`` resumes with, or None."""
     closure_env = fs.closure_env if fs.closure_env is not None else fs.fun.env
     name, pc = fs.code.name, fs.pc
-    for ncode in select_versions(fs.fun.jit, pc, live_ctx, exclude=exclude):
+    for ncode in select_versions(fs.fun.jit, pc, live_ctx, exclude,
+                                 lambda why: _decline(vm, name, pc, why)):
         entry = ncode.osr_entries[pc]
         regs = seed_registers(vm, ncode, entry, values, list(fs.stack),
                               fs.materialize_env, name, pc)

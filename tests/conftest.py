@@ -38,16 +38,19 @@ def engine_signature(vm: RVM) -> dict:
 
 
 class FireAt:
-    """Chaos RNG stand-in (``vm.chaos_rng``, with ``chaos_rate`` > 0): draw
-    number ``n`` (from 0) fires, no other does.  ``left`` < 0 afterwards
-    says the draw was reached."""
+    """Chaos RNG stand-in (``vm.chaos_rng``, with ``chaos_rate`` > 0): the
+    draws numbered ``ns`` (from 0) fire, no other does.  ``left`` < 0
+    afterwards says the last of them was reached; with ``FireAt(-1)`` it
+    counts the draws made, as ``-1 - left``."""
 
-    def __init__(self, n):
-        self.left = n
+    def __init__(self, *ns):
+        self.last = max(ns)
+        self.fire = frozenset(ns)
+        self.left = self.last
 
     def random(self):
         self.left -= 1
-        return 0.0 if self.left == -1 else 1.0
+        return 0.0 if self.last - 1 - self.left in self.fire else 1.0
 
 
 #: configurations every program must agree under

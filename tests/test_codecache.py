@@ -924,24 +924,24 @@ def _read_as_misses(d):
 
 
 def test_a_directory_of_the_previous_format_is_a_miss(tmp_path, monkeypatch):
-    """Format 8 filed its units under four key shapes, a continuation's
-    without its closure's formals, and the unit's context in four fields.
-    A directory written under 8 reads under 9 as counted misses — no disk
+    """Format 9's OSR entries carried no constant-folded header variables,
+    so a hop into a unit read back from it could not check them.  A
+    directory written under 9 reads under 10 as counted misses — no disk
     hit, no persist failure — a recompile and the interpreter's results;
-    an entry of format 8's shape handed to ``deserialize`` is refused on
+    an entry of format 9's shape handed to ``deserialize`` is refused on
     its version before any field is read."""
     d = tmp_path / "cc"
-    _saved_as(d, monkeypatch, FORMAT_VERSION=8)
-    assert persist.FORMAT_VERSION == 9
+    _saved_as(d, monkeypatch, FORMAT_VERSION=9)
+    assert persist.FORMAT_VERSION == 10
     _read_as_misses(d)
     vm = cache_vm()
     warm(vm)
     (entry,) = vm.code_cache.entries.values()
     with monkeypatch.context() as old:
-        old.setattr(persist, "FORMAT_VERSION", 8)
+        old.setattr(persist, "FORMAT_VERSION", 9)
         old.setattr(persist, "_NC_FIELDS", persist._NC_FIELDS[:3])
         data = persist.serialize(entry.ncode, entry.root_code, codecache.WorldResolver(vm))
-    with pytest.raises(persist.PersistError, match="format 8"):
+    with pytest.raises(persist.PersistError, match="format 9"):
         persist.deserialize(data, entry.root_code, codecache.WorldResolver(vm))
 
 

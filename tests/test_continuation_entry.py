@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import FireAt, make_vm
+from conftest import FireAt, engine_signature, make_vm
 from repro.bench.programs import REGISTRY
 from repro.bench.programs.paper_examples import SUM_PHASE_SETUPS
 from repro.bytecode import opcodes as O
+from repro.osr.osr_hop import stale_site
 from repro.runtime.values import RClosure, RVector
 
 #: fresh VMs per program: the stride is the smallest prime that keeps the
@@ -59,17 +60,24 @@ def _plain(v):
 
 def _run(case, k=None, **cfg):
     """Set up ``case`` on a fresh VM and make its call with chaos draw ``k``
-    failing (None: no draw fails).  Returns the VM, the RNG, where the call's
-    events start and what the program left behind."""
+    failing (None: no draw fails)."""
     w = REGISTRY.get(CASES[case][0])
+    stmts = CASES[case][1] or [w.call_code(w.n_test)] * 3
+    return _run_calls(w, stmts, (-1,) if k is None else (k,), **cfg)
+
+
+def _run_calls(w, stmts, fire, **cfg):
+    """Set up program ``w`` on a fresh VM, run ``stmts``, then make its call
+    with the chaos draws ``fire`` failing.  Returns the VM, the RNG, where
+    the call's events start and what the program left behind."""
     vm = make_vm(**cfg)
     vm.chaos_rng = FireAt(-1)  # counts down from -1: never fires
     vm.eval(w.source)
     vm.eval(w.setup_code(w.n_test))
-    for stmt in CASES[case][1] or [w.call_code(w.n_test)] * 3:
+    for stmt in stmts:
         vm.eval(stmt)
     mark = len(vm.state.events)
-    rng = vm.chaos_rng = FireAt(-1 if k is None else k)
+    rng = vm.chaos_rng = FireAt(*fire)
     value = _plain(vm.eval(w.call_code(w.n_test)))
     globals_ = {n: _plain(v) for n, v in vm.global_env.bindings.items()}
     return vm, rng, mark, (value, list(vm.output), globals_)
@@ -80,8 +88,8 @@ def _in_loop(code, pc):
                for at, ins in enumerate(code.code))
 
 
-def _stride(draws):
-    step = max(1, -(-draws // POINTS))
+def _stride(draws, points=POINTS):
+    step = max(1, -(-draws // points))
     while any(step % d == 0 for d in range(2, int(step ** 0.5) + 1)):
         step += 1
     return step
@@ -151,3 +159,61 @@ def test_the_fig4_and_fig10_continuations_vectorize():
         assert ncode.kernels, "%s@%d plans no kernel" % (fn, pc)
         assert code.code[head][1] in ncode.osr_entries
     assert vm.state.compile_failures == 0
+
+
+#: second draws, this many after the first: the continuation the first
+#: dispatched to makes them
+GAPS = (1, 5)
+
+
+@pytest.mark.parametrize("program", ["fannkuchredux", "nbody", "primes", "spectralnorm"])
+def test_chaos_inside_a_continuation_comes_back_compiled(program):
+    """Deoptless never recurses, so a guard that fails inside a continuation
+    takes a real deopt.  Fire one draw in the whole-function unit and a later
+    one inside the continuation it dispatched to: the value, the output and
+    the globals are the interpreter's on both engines, and the interpreter
+    re-enters compiled code at the next loop header it reaches.  Where the
+    function's generic version stands there with an entry, that is a hop,
+    and no hop is declined for a binding.  A generic version a real deopt
+    refuted after it was placed is stale, and is not re-entered:
+    ``fannkuch``'s, whose cold branch at pc 219 fails during its warm-up."""
+    w = REGISTRY.get(program)
+    warm = [w.call_code(w.n_test)] * 3
+    _, _, _, expected = _run_calls(w, warm, (-1,), enable_jit=False)
+    _, rng, _, _ = _run_calls(w, warm, (-1,), enable_deoptless=True, chaos_rate=0.5)
+    draws = -1 - rng.left
+    step = _stride(draws, 5)
+    pairs = 0
+    for k in range(step // 2, draws, step):
+        for gap in GAPS:
+            runs = []
+            for threaded in (True, False):
+                vm, rng, mark, got = _run_calls(w, warm, (k, k + gap), enable_deoptless=True,
+                                                chaos_rate=0.5, threaded_dispatch=threaded)
+                where = "draws %d, %d (threaded=%s)" % (k, k + gap, threaded)
+                assert rng.left < 0 and got == expected, where
+                assert vm.state.compile_failures == 0 and vm.state.pycodegen_failures == 0
+                declined = {why for _, _, why, _ in vm.state.osr_hop_decline_log}
+                assert all(why.startswith("stale:") for why in declined), where
+                runs.append(engine_signature(vm))
+                events = vm.state.events[mark:]
+                deopts = [i for i, e in enumerate(events)
+                          if e.kind == "deopt" and e.details["reason"] == "chaos"]
+                first, second = events[deopts[0]], events[deopts[1]]
+                if first.details["from_continuation"] or not second.details["from_continuation"]:
+                    continue
+                assert any(e.kind == "deoptless_dispatch"
+                           for e in events[deopts[0]:deopts[1]]), where
+                resume = next((e for e in events[deopts[1] + 1:] if e.kind in ("osr_hop", "osr_in")
+                               and e.fn_name == second.fn_name), None)
+                if resume is None:
+                    continue  # the activation returned before its next backedge
+                pairs += 1
+                gen = vm.global_env.get(second.fn_name).jit.version
+                stale = gen is not None and stale_site(gen)
+                if stale:
+                    assert "stale:" + stale in declined, where
+                elif gen is not None and resume.details["pc"] in gen.osr_entries:
+                    assert resume.kind == "osr_hop", where
+            assert runs[0] == runs[1], "draws %d, %d" % (k, k + gap)
+    assert pairs, "no second draw failed inside a continuation"

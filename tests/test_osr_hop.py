@@ -16,7 +16,11 @@ import pytest
 
 from conftest import engine_signature, make_vm
 from repro import from_r
+from repro.bytecode import opcodes as O
+from repro.bytecode.compiler import Compiler
+from repro.native.lower import OsrEntry
 from repro.osr import osr_hop
+from repro.runtime.values import RPromise
 
 FLIP_SRC = """
 hop_step <- function(v, k) v + k
@@ -168,9 +172,179 @@ def test_seed_registers_declines_type_mismatch():
     assert regs is not None and len(regs) == nc.n_regs
 
 
-def test_seed_slot_refuses_promises():
-    from repro.runtime.values import RPromise
+# ---------------------------------------------------------------------------
+# what a hop may drop: liveness at a header (CodeObject.live_at)
+# ---------------------------------------------------------------------------
 
+LIVENESS_SRC = """
+nest <- function(n) {
+  s <- 0
+  for (i in 1:n) {
+    for (j in 1:i) s <- s + j
+  }
+  t <- s
+  t
+}
+wloop <- function(n) {
+  i <- 0L
+  p <- 1
+  while (i < n) { i <- i + 1L; p <- p * 2 }
+  p
+}
+arms <- function(n) {
+  s <- 0
+  for (i in 1:n) {
+    if (i > 2L) t <- 1 else t <- 2
+    if (i > 3L) u <- 1
+    s <- s + t
+  }
+  s + u
+}
+after <- function(n) {
+  r <- 5
+  s <- 0
+  for (i in 1:n) s <- s + i
+  s + r
+}
+carried <- function(n) {
+  prev <- 0
+  s <- 0
+  for (i in 1:n) { s <- s + prev; prev <- i }
+  s
+}
+local_fn <- function(n) {
+  g <- function(x) x + 1
+  s <- 0
+  for (i in 1:n) s <- g(s)
+  s
+}
+"""
+
+#: one `for` loop's hidden sequence, length and index, numbered from 1
+FOR1 = {".fs1", ".fn2", ".fi3"}
+
+
+def _live_at_headers(name):
+    vm = make_vm(enable_jit=False)
+    vm.eval(LIVENESS_SRC)
+    code = vm.global_env.get(name).code
+    heads = sorted({ins[1] for pc, ins in enumerate(code.code)
+                    if ins[0] == O.BR and ins[1] <= pc})
+    return [set(code.live_at(h)) for h in heads]
+
+
+@pytest.mark.parametrize("name, live", [
+    # the inner loop's hidden names are dead at the outer header (they are
+    # set again before they are read), live at its own; `n`, `i`, `j`, `t`
+    # are assigned before any read on every path from either header
+    ("nest", [FOR1 | {"s"}, FOR1 | {".fs4", ".fn5", ".fi6", "s"}]),
+    ("wloop", [{"i", "n", "p"}]),
+    # `t` is assigned in both arms before its read, `u` in one arm only
+    ("arms", [FOR1 | {"s", "u"}]),
+    # read only after the loop: every path from the header reaches it
+    ("after", [FOR1 | {"r", "s"}]),
+    # read by the next iteration before it is assigned again
+    ("carried", [FOR1 | {"prev", "s"}]),
+    # a call by name reads the binding (LD_FUN)
+    ("local_fn", [FOR1 | {"g", "s"}]),
+])
+def test_live_names_at_each_loop_header(name, live):
+    assert _live_at_headers(name) == live
+
+
+def test_a_closure_or_promise_reads_what_its_code_mentions():
+    """A closure or a promise made at a pc may read any name its code (or a
+    function inside it) mentions, whenever it runs."""
+    code = Compiler.compile_program("""
+k <- 1
+f <- function() function() k + m
+h(g(p, q))
+""")
+    mk = next(pc for pc, ins in enumerate(code.code) if ins[0] == O.MK_CLOSURE)
+    promise = next(pc for pc, ins in enumerate(code.code) if ins[0] == O.MK_PROMISE)
+    assert {"k", "m"} <= code.live_at(mk)
+    assert {"p", "q"} <= code.live_at(promise)
+    assert "k" not in code.live_at(promise)
+
+
+def _flip_values(vm):
+    return {"a": vm.eval("hai"), "b": vm.eval("hai"), "x": vm.eval("hai"),
+            "n": vm.eval("hn"), "h": vm.eval("hn %/% 2L"), "i": vm.eval("1L"),
+            "s": vm.eval("0")}
+
+
+def test_seed_registers_drops_a_dead_binding_and_declines_a_live_one():
+    vm = _warm_vm()
+    nc = _closure(vm).jit.version
+    pc, entry = next(iter(nc.osr_entries.items()))
+    assert entry.env_reg is None
+    values = _flip_values(vm)
+    extra = vm.eval("c(7, 8)")
+    regs = osr_hop.seed_registers(vm, nc, entry, dict(values, zz=extra), [],
+                                  lambda: None, "f", pc)
+    assert regs is not None and all(r is not extra for r in regs)
+    # `a` is read only before the loop: an entry without its slot admits the
+    # frame; one without `s`, which the loop reads, does not
+    before = vm.state.osr_hop_declines
+    for drop, admitted in (("a", True), ("s", False)):
+        cut = OsrEntry(entry.pc, entry.index,
+                       tuple(sl for sl in entry.var_slots if sl[0] != drop),
+                       entry.stack_slots, None, entry.const_slots)
+        regs = osr_hop.seed_registers(vm, nc, cut, values, [], lambda: None, "f", pc)
+        assert (regs is not None) == admitted, drop
+    assert vm.state.osr_hop_declines == before + 1
+    assert ("f", pc, "live-binding:s", 1) in vm.state.osr_hop_decline_log
+
+
+CONST_SRC = """
+cf <- function(n) {
+  dt <- 0.5
+  k <- 2L
+  s <- 0
+  i <- 0L
+  while (i < n) { i <- i + 1L; s <- s + dt * k }
+  s
+}
+"""
+
+
+def test_seed_registers_checks_folded_constants_by_kind_and_value():
+    vm = make_vm(compile_threshold=1, ctxdispatch=False)
+    vm.eval(CONST_SRC)
+    for _ in range(3):
+        vm.eval("cf(100L)")
+    nc = vm.global_env.get("cf").jit.version
+    pc, entry = next(iter(nc.osr_entries.items()))
+    assert [name for name, _reg, _kind in entry.const_slots] == ["dt", "k"]
+    good = {"n": vm.eval("100L"), "i": vm.eval("3L"), "s": vm.eval("1.5"),
+            "dt": vm.eval("0.5"), "k": vm.eval("2L")}
+    assert osr_hop.seed_registers(vm, nc, entry, good, [], lambda: None, "cf", pc) is not None
+    unforced = RPromise(Compiler.compile_program("0.5"), vm.global_env)
+    for name, value in (("dt", vm.eval("0.25")), ("k", vm.eval("2.0")), ("dt", unforced)):
+        before = vm.state.osr_hop_declines
+        assert osr_hop.seed_registers(vm, nc, entry, dict(good, **{name: value}), [],
+                                      lambda: None, "cf", pc) is None
+        assert vm.state.osr_hop_declines == before + 1
+        assert any(why == "const:" + name for _f, _pc, why, _count
+                   in vm.state.osr_hop_decline_log)
+
+
+def test_a_version_refuted_since_it_was_placed_is_stale():
+    """A guard site whose deopt count grew after ``RVM.place`` stamped it
+    makes the version stale: it is not offered, and the decline names the
+    site."""
+    vm = _warm_vm()
+    st = _closure(vm).jit
+    pc = next(iter(st.version.osr_entries))
+    code, site, count = st.version.guard_sites[0]
+    assert osr_hop.stale_site(st.version) is None
+    code.deopt_sites[site] = count + 1
+    why = []
+    assert list(osr_hop.select_versions(st, pc, None, decline=why.append)) == []
+    assert why == ["stale:%s@%d" % (code.name, site)]
+
+
+def test_seed_slot_refuses_promises():
     vm = _warm_vm()
     nc = _closure(vm).jit.version
     entry = next(iter(nc.osr_entries.values()))

@@ -359,6 +359,41 @@ def test_kernel_sums_add_left_to_right(chaos, threaded):
         assert (vm.state.kernel_elements > 0) == vectorize
 
 
+REFUTED_CALLEE_SRC = """
+add1 <- function(x) x + 1L
+run <- function(n, xs) { s <- 0; for (i in 1:n) s <- s + add1(xs[[i]]); s }
+mk <- function(k) { l <- list(); for (i in 1:900) { if (i < k) l[[i]] <- i else l[[i]] <- i + 0.5 }; l }
+xi <- mk(1000L)
+xm <- mk(10L)
+"""
+
+
+def test_a_hop_never_reenters_a_refuted_version():
+    """`run`'s generic version inlines `add1` under its integer profile.
+    The first `run(900L, xm)` refutes that guard (the elements turn double
+    at i = 10); deoptless keeps the version, and the caller resumes in the
+    interpreter.  `n` and `xs` are dead at the loop header, so the hop-in
+    at the next backedge admits the frame — but re-entering that version
+    would fail the same guard on the next element, every `osr_threshold`
+    iterations: 19 deopts on the second call.  The version carries a guard
+    site whose deopt count grew since it was placed, so it is stale and the
+    hop declines it, naming the site."""
+    vm = make_vm(enable_deoptless=True, compile_threshold=2, osr_threshold=50, inline=True)
+    ref = make_vm(enable_jit=False)
+    for m in (vm, ref):
+        m.eval(REFUTED_CALLEE_SRC)
+    for _ in range(4):
+        vm.eval("run(900L, xi)")
+    assert vm.state.inlined_frames >= 1
+    want = from_r(ref.eval("run(900L, xm)"))
+    assert from_r(vm.eval("run(900L, xm)")) == want
+    deopts, hops = vm.state.deopts, vm.state.osr_hops
+    assert from_r(vm.eval("run(900L, xm)")) == want
+    assert (vm.state.deopts - deopts, vm.state.osr_hops - hops) == (1, 0)
+    assert any(why.startswith("stale:add1@") and fn == "run"
+               for fn, _pc, why, _count in vm.state.osr_hop_decline_log)
+
+
 # -- the section 4.2 unsoundness anecdote --------------------------------------------
 
 ESCAPED_LOOP_SRC = """
