@@ -32,6 +32,15 @@ The hop census (hop attempts, and the ones that hopped; DESIGN.md, "Why it wins"
 table per chaos workload beside the run's ``osr_hop_declines`` and ``osr_ins``):
 
     python3 benchmarks/census.py suite-chaos "hops=repro.osr.osr_hop:_hop:result is not None"
+
+The recovery census (hop-outs, hop-ins and deoptless recoveries tried and taken, and the
+per-VM cache entries real deopts invalidate; DESIGN.md, "Hop sites and version selection"
+and "Install separation", has the numbers):
+
+    python3 benchmarks/census.py suite-chaos "out=repro.osr.osr_hop:try_hop_out:type(result) is not object" \
+        "in=repro.osr.osr_hop:try_hop_in:type(result) is not object" \
+        "dl=repro.deoptless.engine:try_deoptless:type(result) is not object" \
+        "inv=repro.jit.codecache:CodeCache.invalidate_code:result"
 """
 import argparse, functools, importlib, os, runpy, sys
 

@@ -84,10 +84,8 @@ def main() -> None:
         print()
         if srv.serve_enabled:
             sc = st["shared_cache"]
-            print("shared cache: %d entries, %d hits (%d cross-tenant), "
-                  "%d invalidations" % (len(srv.shared), sc["hits"],
-                                        sc["cross_tenant_hits"],
-                                        sc["invalidations"]))
+            print("shared cache: %d entries, %d hits (%d cross-tenant)"
+                  % (len(srv.shared), sc["hits"], sc["cross_tenant_hits"]))
         print("fleet pipeline work: compiled %d instrs, %d served from caches"
               % (st["compiled_instrs"], st["codecache_instrs_saved"]))
         print("request latency: p50 %.2f ms / p99 %.2f ms over %d requests"

@@ -220,20 +220,6 @@ class DeoptContext(ContinuationContext):
             score += _type_spec(t)
         return score
 
-    def distance(self, other: "DeoptContext") -> int:
-        """How many lattice steps more generic ``other`` is than self; used
-        by the recompilation heuristic (paper: "we find the available ones
-        to be too generic")."""
-        if not self.comparable(other):
-            return 1 << 20
-        d = 0
-        for a, b in zip(self.stack_types, other.stack_types):
-            d += max(0, _type_spec(a) - _type_spec(b))
-        for (_, a), (_, b) in zip(self.env_types, other.env_types):
-            d += max(0, _type_spec(a) - _type_spec(b))
-        d += max(0, self.reason.specificity() - other.reason.specificity())
-        return d
-
     def __repr__(self) -> str:  # pragma: no cover
         env = ", ".join("%s:%r" % (n, t) for n, t in self.env_types)
         d = " depth=%d" % self.depth if self.depth != 1 else ""
@@ -324,6 +310,10 @@ class CallContext:
         return "<callctx (%s)>" % slots
 
 
+#: deopt states with more operand stack entries than this get no context
+#: (paper section 4.3: stack <= 16; the environment bound is
+#: ``Config.deoptless_max_env``)
+MAX_STACK = 16
 #: entry contexts with more positional slots than this are not distilled
 #: (mirrors the paper's stack/env bounds: huge contexts never pay off)
 MAX_CONTEXT_ARGS = 8
@@ -415,7 +405,7 @@ def compute_context(fs: FrameState, reason: DeoptReason, config) -> Optional[Deo
     of the original code enters the bulk kernel at the loop preheader as
     usual.
     """
-    if len(fs.stack) > config.deoptless_max_stack:
+    if len(fs.stack) > MAX_STACK:
         return None
     where = continuation_context(fs)
     if where is None or len(where.env_types) > config.deoptless_max_env:

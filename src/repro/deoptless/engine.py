@@ -5,10 +5,14 @@ Extends the VM's ``deopt`` with:
     if (deoptlessCondition(fs, r)) {
         ctx = computeCtx(fs, r)
         fun = dispatch(ctx)
-        if (!fun || recompile(fun, ctx)) fun = deoptlessCompile(ctx)
+        if (!fun) fun = deoptlessCompile(ctx)
         if (fun) return fun(fs)
     }
     // rest same as normal deopt
+
+Listing 6's ``recompile(fun, ctx)`` clause is not taken: a continuation
+that dispatch finds serves, and only a miss with room in the table
+compiles.
 
 The origin version of the function is **retained**: deoptless never
 invalidates it (that is the whole point — Figure 2 versus Figure 1).
@@ -21,7 +25,7 @@ from typing import Any, Optional
 from ..jit import unit
 from ..native.executor import execute
 from ..native.lower import NativeCode
-from ..osr.framestate import CATASTROPHIC_REASONS, DeoptReason, FrameState
+from ..osr.framestate import DeoptReason, FrameState
 from ..osr.osr_hop import live_context
 from ..osr.osr_out import unwind_parents
 from ..runtime.rtypes import RType
@@ -31,9 +35,6 @@ from .feedback_repair import repair_feedback
 #: sentinel: deoptless did not handle the deopt, fall through to normal path
 MISS = object()
 
-#: recompile when the best matching continuation is more than this many
-#: lattice steps more generic than the current context
-RECOMPILE_DISTANCE = 4
 #: dispatches into one continuation (same compiled context) before it is
 #: promoted to a full version in the closure's VersionTable
 CONT_TIERUP_THRESHOLD = 3
@@ -43,8 +44,6 @@ def deoptless_condition(vm, fs: FrameState, reason: DeoptReason, origin) -> bool
     """``deoptlessCondition`` — which deopts deoptless even attempts."""
     if not vm.config.enable_deoptless:
         return False
-    if reason.kind in CATASTROPHIC_REASONS:
-        return False  # code is permanently invalid; must be discarded
     if origin is not None and isinstance(origin.ctx, DeoptContext):
         return False  # no recursive deoptless (paper section 4.3)
     # NOTE: deopts inside inlined code (fs.parent is not None) are *not*
@@ -68,23 +67,18 @@ def try_deoptless(vm, fs: FrameState, reason: DeoptReason, origin) -> Any:
 
     table = fs.fun.jit.deoptless_table
     fun: Optional[NativeCode] = table.dispatch(ctx)
-    if fun is None or _recompile(fun, ctx):
+    if fun is None:
         if table.full:
-            # never fetch or compile what cannot be inserted: a too-generic
-            # continuation keeps serving; with nothing compatible, real deopt
-            if fun is None:
-                vm.state.dispatch_refusals += 1
-                vm.state.deoptless_bailouts += 1
-                return MISS
-        else:
-            new = deoptless_compile(vm, fs, reason, ctx)
-            if new is not None:
-                table.insert(ctx, new)
-                vm.state.code_size += new.size
-                fun = new
-            elif fun is None:
-                vm.state.deoptless_misses += 1
-                return MISS
+            # never fetch or compile what cannot be inserted: real deopt
+            vm.state.dispatch_refusals += 1
+            vm.state.deoptless_bailouts += 1
+            return MISS
+        fun = deoptless_compile(vm, fs, reason, ctx)
+        if fun is None:
+            vm.state.deoptless_misses += 1
+            return MISS
+        table.insert(ctx, fun)
+        vm.state.code_size += fun.size
 
     vm.state.deoptless_dispatches += 1
     vm.state.emit(
@@ -92,11 +86,6 @@ def try_deoptless(vm, fs: FrameState, reason: DeoptReason, origin) -> Any:
         pc=fs.pc, reason=reason.kind.value, table_size=len(table),
     )
     return call_continuation(vm, fun, fs, reason)
-
-
-def _recompile(fun: NativeCode, ctx: DeoptContext) -> bool:
-    """``recompile`` heuristic: the matching continuation is too generic."""
-    return ctx.distance(fun.ctx) > RECOMPILE_DISTANCE
 
 
 def _repaired(vm, code, reason: DeoptReason, ctx: DeoptContext):

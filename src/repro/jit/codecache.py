@@ -267,7 +267,6 @@ def feedback_signature(
 def config_key(config) -> tuple:
     """The Config flags that change what the pipeline emits."""
     return (
-        config.enable_speculation,
         config.vectorize,
         config.inline,
         config.inline_max_size,
@@ -456,7 +455,7 @@ class CodeCache:
         self._digest_keys: Dict[str, tuple] = {}
         #: the two stores, None when not attached: the artifact directory,
         #: and the fleet's cache (``serve.Server`` sets it, and the ``tenant``
-        #: label it attributes to); invalidation fans out to the latter
+        #: label it attributes to)
         self.disk = self.shared = None
         self.tenant: Optional[str] = None
         if config.codecache_dir:
@@ -594,7 +593,9 @@ class CodeCache:
         Called when a real deoptimization widens the profile of ``code``
         (feedback repair injects the observed type and ``deopt_sites``
         records the failure): every future key for this code differs, so the
-        old entries are unreachable dead weight.
+        old entries are unreachable dead weight.  The stores are left alone:
+        their bytes sit under those same keys, and the fleet's cache is
+        bounded by its own budget.
         """
         h = stable_code_hash(code)
         doomed = [k for k, e in self.entries.items() if e.code_hash == h]
@@ -603,13 +604,6 @@ class CodeCache:
         if doomed and vm is not None:
             vm.state.codecache_invalidations += len(doomed)
             vm.state.emit("codecache_invalidate", code.name, entries=len(doomed))
-        if self.shared is not None:
-            # fleet fan-out: a real mis-speculation on this code content
-            # retires every shared stable form filed under its bucket, so
-            # no tenant's next probe rebinds the refuted speculation.  Each
-            # VM's *installed* versions are untouched — only that tenant's
-            # own deopts retire them (install separation; see DESIGN.md).
-            self.shared.invalidate_bucket(h, self.tenant)
         return len(doomed)
 
     def invalidate_context(self, code: CodeObject, ctx: CallContext, vm=None) -> int:
@@ -622,14 +616,8 @@ class CodeCache:
             k for k, e in self.entries.items()
             if e.code_hash == h and k[0] == "fn" and k[3] == ctx
         ]
-        digests = [self.entries[k].digest for k in doomed]
         for k in doomed:
             self._drop_entry(k)
-        if self.shared is not None:
-            # narrow fan-out: only the stable forms of the refuted context
-            # leave the fleet cache; sibling contexts' entries stay shared
-            self.shared.invalidate_digests(
-                [d for d in digests if d is not None], h, self.tenant)
         if doomed and vm is not None:
             vm.state.codecache_invalidations += len(doomed)
             vm.state.emit("codecache_invalidate", code.name, entries=len(doomed),

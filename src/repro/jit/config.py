@@ -1,9 +1,9 @@
 """VM configuration.
 
 All knobs of the reproduction in one place.  The deoptless bounds default to
-the paper's values (section 4.3): at most 16 operand stack entries and 32
-environment entries in a dispatchable context, and at most 5 continuations
-per dispatch table.
+the paper's values (section 4.3): at most 32 environment entries in a
+dispatchable context and at most 5 continuations per dispatch table (the
+16-entry operand stack bound is ``deoptless/context.py::MAX_STACK``).
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ class Config:
     osr_hop: bool = True
 
     # -- speculation -----------------------------------------------------------
-    enable_speculation: bool = True
     #: guard-hoisted loop vectorization (opt/vectorize.py): recognized
     #: counted loops execute as bulk kernels over the raw vector buffers.
     #: Kernel accounting charges per covered element at scalar rates (the
@@ -112,8 +111,7 @@ class Config:
     enable_deoptless: bool = False
     #: dispatch-table bound (paper: "only allow up to 5 continuations")
     deoptless_max_continuations: int = 5
-    #: context bounds (paper: stack <= 16, environment <= 32)
-    deoptless_max_stack: int = 16
+    #: context bound (paper: environment <= 32)
     deoptless_max_env: int = 32
     #: apply the type-feedback cleanup + inference pass (section 4.3)
     deoptless_feedback_repair: bool = True
@@ -132,13 +130,6 @@ class Config:
     #: all deoptimization exit points ... performance was unchanged ...
     #: an effect on code size with 30%% more LLVM instructions")
     unsound_drop_deopt_exits: bool = False
-
-    # -- misc ---------------------------------------------------------------------
-    #: run the IR verifier after building and after optimizing (cheap for
-    #: our graph sizes; catches malformed graphs before they execute)
-    verify_ir: bool = True
-    #: capture stdout of R programs into a buffer instead of printing
-    capture_output: bool = True
 
 
 @dataclass

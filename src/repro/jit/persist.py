@@ -76,9 +76,10 @@ from .codecache import Ident, Unstable, WorldResolver
 #: 8: builtins declare their result types, so one key names typed code where
 #: it named generic code; 9: two key shapes, a continuation's carrying the
 #: formals, and one ``ctx`` field on the unit; 10: ``OsrEntry`` carries the
-#: header's constant-folded variables, ``const_slots``).  Another version is
-#: a miss and a fresh compile.
-FORMAT_VERSION = 10
+#: header's constant-folded variables, ``const_slots``; 11: the config
+#: component of a key lost ``enable_speculation``).  Another version is a
+#: miss and a fresh compile.
+FORMAT_VERSION = 11
 
 #: the interpreter a bucket file was written by: marshalled code objects
 #: load only under the bytecode version that made them

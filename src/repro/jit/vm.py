@@ -35,7 +35,7 @@ from ..deoptless.dispatch import DispatchTable, VersionTable
 from ..native.executor import execute
 from ..native.lower import NativeCode
 from ..osr import osr_hop, osr_in, osr_out
-from ..osr.framestate import CATASTROPHIC_REASONS, DeoptReason, DeoptReasonKind, FrameState
+from ..osr.framestate import DeoptReason, DeoptReasonKind, FrameState
 from ..runtime.builtins import install_builtins
 from ..runtime.env import REnvironment
 from ..runtime.values import NULL, RClosure, RVector
@@ -134,10 +134,7 @@ class RVM:
         self.global_env.set(name, value)
 
     def write_output(self, s: str) -> None:
-        if self.config.capture_output:
-            self.output.append(s)
-        else:  # pragma: no cover
-            sys.stdout.write(s)
+        self.output.append(s)
 
     def cycles(self) -> float:
         """Deterministic simulated-cycle reading (see CostModel)."""
@@ -425,18 +422,7 @@ class RVM:
                     self.code_cache.invalidate_code(fun.code, self)
         if fun is not None and fun.jit is not None:
             st = fun.jit
-            if reason.kind in CATASTROPHIC_REASONS:
-                self._retire(st)
-                st.deoptless_table.clear()
-                if st.versions is not None and len(st.versions):
-                    # catastrophic reasons invalidate every assumption the
-                    # entry versions were built on too
-                    for e in st.versions.iter_entries():
-                        e.code.invalidated = True
-                        self.state.code_size -= e.code.size
-                    st.versions.clear()
-                self.state.invalidations += 1
-            elif isinstance(origin_ctx, DeoptContext):
+            if isinstance(origin_ctx, DeoptContext):
                 # a deoptless continuation mis-speculated: drop it; a real
                 # (non-chaos) mis-speculation also retires the original code
                 # ("leads to the function being deoptimized for good")

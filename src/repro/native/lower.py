@@ -356,7 +356,7 @@ class Lowerer:
         if reason_pc is None:
             reason_pc = ins.feedback_origin if isinstance(ins, I.Assume) else fs.pc
         if reason_kind is None:
-            reason_kind = ins.reason_kind if isinstance(ins, I.Assume) else DeoptReasonKind.OTHER
+            reason_kind = ins.reason_kind  # an Assume; other guards pass theirs
         d = self._frame_descr(fs, reason_kind, reason_pc, expected)
         self.nc.deopts.append(d)
         return len(self.nc.deopts) - 1

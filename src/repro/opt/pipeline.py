@@ -23,11 +23,9 @@ from .vectorize import vectorize_loops
 
 
 def optimize(graph: Graph, config=None, vm=None) -> Graph:
-    check = config is None or getattr(config, "verify_ir", True)
-    if check:
-        _verify(graph, vm)
+    _verify(graph, vm)
     if vm is not None and config is not None and getattr(config, "inline", False):
-        if inline_calls(graph, vm) and check:
+        if inline_calls(graph, vm):
             _verify(graph, vm)
     simplify(graph)
     force_dse = bool(config and getattr(config, "unsound_continuation_escape", False))
@@ -38,8 +36,7 @@ def optimize(graph: Graph, config=None, vm=None) -> Graph:
     # runs last: the pass only *annotates* (graph.vector_loops); it must see
     # the final cleaned shape the lowerer will consume
     vectorize_loops(graph, config, state=vm.state if vm is not None else None)
-    if check:
-        _verify(graph, vm)
+    _verify(graph, vm)
     return graph
 
 

@@ -1,7 +1,6 @@
 """On-stack replacement: frame states, OSR-out (deoptimization) and OSR-in."""
 
 from .framestate import (
-    CATASTROPHIC_REASONS,
     DeoptReason,
     DeoptReasonKind,
     FrameState,
@@ -11,6 +10,6 @@ from .osr_in import try_osr_in
 from .osr_out import resume_in_interpreter
 
 __all__ = [
-    "CATASTROPHIC_REASONS", "DeoptReason", "DeoptReasonKind", "FrameState",
-    "FrameStateDescr", "resume_in_interpreter", "try_osr_in",
+    "DeoptReason", "DeoptReasonKind", "FrameState", "FrameStateDescr",
+    "resume_in_interpreter", "try_osr_in",
 ]

@@ -29,7 +29,11 @@ from ..runtime.values import RError, RVector
 
 
 class DeoptReasonKind(enum.Enum):
-    """Why a guard failed — the abstract ``Reason`` of paper Listing 3."""
+    """Why a guard failed — the abstract ``Reason`` of paper Listing 3.
+
+    One kind per guard something emits.  Ř's global-assumption deopts
+    (section 4.3 excludes them from deoptless) have no kind of their own: a
+    redefined global is a changed callee, caught by the call-target guard."""
 
     #: a speculated value type did not match (e.g. int vector became double)
     TYPECHECK = "typecheck"
@@ -37,27 +41,11 @@ class DeoptReasonKind(enum.Enum):
     CALL_TARGET = "call_target"
     #: an element speculated NA-free turned out to be NA
     NA_CHECK = "na_check"
-    #: an out-of-bounds or growing subscript on the fast path
-    BOUNDS = "bounds"
     #: a condition speculated one-sided (deferred branch) went the other way
     COLD_BRANCH = "cold_branch"
     #: a value deopt: guard artificially triggered by chaos mode (section 5.1
     #: randomly failing assumptions; the guarded fact still holds)
     CHAOS = "chaos"
-    #: a global assumption (e.g. library function redefinition) — catastrophic,
-    #: deoptless must not handle these and the code is discarded
-    GLOBAL_INVALIDATED = "global"
-    #: the local environment leaked and was modified non-locally — catastrophic
-    ENV_LEAKED = "env_leaked"
-    #: anything else
-    OTHER = "other"
-
-
-#: reason kinds for which deoptless gives up and discards code (section 4.3,
-#: "Conditions and Limitations").
-CATASTROPHIC_REASONS = frozenset(
-    {DeoptReasonKind.GLOBAL_INVALIDATED, DeoptReasonKind.ENV_LEAKED}
-)
 
 
 class DeoptReason:

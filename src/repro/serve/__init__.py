@@ -19,8 +19,7 @@ spikes.  This package scales that property from one session to a fleet:
 Isolation model (see DESIGN.md, "Multi-tenant serving"): every session owns
 its feedback, telemetry, environments and installed code versions; only
 *stable compiled forms* flow between tenants, and a poisoned tenant's real
-deopts retire shared cache entries (fleet fan-out) but never another
-tenant's installed versions.
+deopts retire only its own installed versions.
 """
 
 from .server import Server, Session

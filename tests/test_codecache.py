@@ -102,7 +102,7 @@ def test_feedback_signature_reflects_observed_kinds():
 
 def test_config_key_distinguishes_speculation_flags():
     vm1 = make_vm()
-    vm2 = make_vm(enable_speculation=False)
+    vm2 = make_vm(inline=False)
     assert codecache.config_key(vm1.config) != codecache.config_key(vm2.config)
 
 
@@ -626,7 +626,7 @@ def test_the_fleet_store_is_asked_before_the_directory(tmp_path):
     assert (b.state.shared_cache_hits, b.state.codecache_disk_hits) == (1, 0)
     assert shared.hits_by_tenant == {"b": 1} and read.call_count == 0
 
-    shared.invalidate_bucket(codecache.stable_code_hash(b.global_env.get("sumfn").code), None)
+    shared = SharedCodeCache(budget=100_000)  # a fleet that never saw the unit
     c = tenant("c")
     warm(c)
     assert (c.state.shared_cache_hits, c.state.codecache_disk_hits) == (0, 1)
@@ -924,24 +924,22 @@ def _read_as_misses(d):
 
 
 def test_a_directory_of_the_previous_format_is_a_miss(tmp_path, monkeypatch):
-    """Format 9's OSR entries carried no constant-folded header variables,
-    so a hop into a unit read back from it could not check them.  A
-    directory written under 9 reads under 10 as counted misses — no disk
-    hit, no persist failure — a recompile and the interpreter's results;
-    an entry of format 9's shape handed to ``deserialize`` is refused on
-    its version before any field is read."""
+    """Format 10's keys carried ``enable_speculation`` in their config
+    component, which format 11's do not.  A directory written under 10
+    reads under 11 as counted misses — no disk hit, no persist failure — a
+    recompile and the interpreter's results; an entry stamped 10 handed to
+    ``deserialize`` is refused on its version before any field is read."""
     d = tmp_path / "cc"
-    _saved_as(d, monkeypatch, FORMAT_VERSION=9)
-    assert persist.FORMAT_VERSION == 10
+    _saved_as(d, monkeypatch, FORMAT_VERSION=10)
+    assert persist.FORMAT_VERSION == 11
     _read_as_misses(d)
     vm = cache_vm()
     warm(vm)
     (entry,) = vm.code_cache.entries.values()
     with monkeypatch.context() as old:
-        old.setattr(persist, "FORMAT_VERSION", 9)
-        old.setattr(persist, "_NC_FIELDS", persist._NC_FIELDS[:3])
+        old.setattr(persist, "FORMAT_VERSION", 10)
         data = persist.serialize(entry.ncode, entry.root_code, codecache.WorldResolver(vm))
-    with pytest.raises(persist.PersistError, match="format 9"):
+    with pytest.raises(persist.PersistError, match="format 10"):
         persist.deserialize(data, entry.root_code, codecache.WorldResolver(vm))
 
 

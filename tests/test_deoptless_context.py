@@ -99,14 +99,6 @@ def test_specificity_prefers_precise_kinds():
     assert cplx_ctx.specificity() > any_ctx.specificity()
 
 
-def test_distance_counts_generalization_steps():
-    a = ctx(env=(("x", scalar(Kind.INT)),))
-    b = ctx(env=(("x", vector(Kind.DBL)),))
-    assert a.distance(b) > 0
-    assert a.distance(a) == 0
-    assert a.distance(ctx(pc=99)) > 1000  # incomparable: effectively infinite
-
-
 # -- hypothesis: the context relation is a partial order --------------------------------
 
 kinds = st.sampled_from([Kind.LGL, Kind.INT, Kind.DBL, Kind.CPLX, Kind.STR, Kind.ANY])

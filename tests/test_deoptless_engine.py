@@ -5,7 +5,6 @@ import pytest
 
 from conftest import make_vm
 from repro import from_r
-from repro.osr.framestate import DeoptReason, DeoptReasonKind
 
 SUM_SRC = """
 sumfn <- function(data, len) {
@@ -121,23 +120,6 @@ def test_no_recursive_deoptless():
     assert from_r(r) is None
     from_cont = [e for e in vm.state.events_of("deopt") if e.details.get("from_continuation")]
     assert from_cont, "the NA deopt originated in a continuation"
-
-
-def test_catastrophic_reason_discards_code():
-    from repro.deoptless import engine
-    from repro.osr.framestate import FrameState
-
-    vm = deoptless_vm()
-    clo = vm.global_env.get("sumfn")
-    assert clo.jit.version is not None
-    # a frame at pc 0 with the arguments bound: the resume replays the call
-    args = {"data": vm.global_env.get("xi"), "len": vm.eval("3L")}
-    fs = FrameState(clo.code, 0, args, [], clo.env, fun=clo)
-    reason = DeoptReason(DeoptReasonKind.GLOBAL_INVALIDATED, 0)
-    assert not engine.deoptless_condition(vm, fs, reason, clo.jit.version)
-    vm.deopt(fs, reason, origin=clo.jit.version)
-    assert clo.jit.version is None
-    assert len(clo.jit.deoptless_table) == 0
 
 
 def test_deoptless_disabled_behaves_like_normal():

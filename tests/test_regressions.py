@@ -6,6 +6,15 @@ import pytest
 
 from conftest import make_vm
 from repro import from_r
+from repro.osr.framestate import DeoptReasonKind
+
+SUM_SRC = """
+sumfn <- function(data, len) {
+  total <- 0
+  for (i in 1:len) total <- total + data[[i]]
+  total
+}
+"""
 
 
 def test_continuation_entering_mid_loop_gets_phis():
@@ -392,6 +401,38 @@ def test_a_hop_never_reenters_a_refuted_version():
     assert (vm.state.deopts - deopts, vm.state.osr_hops - hops) == (1, 0)
     assert any(why.startswith("stale:add1@") and fn == "run"
                for fn, _pc, why, _count in vm.state.osr_hop_decline_log)
+
+
+#: one small program per reason kind: (its kind, Config overrides, the
+#: warm-up, the call that fails a guard)
+REASON_PROGRAMS = [
+    ("typecheck", {}, "f <- function(x) x + 1\nfor (k in 1:4) f(1L)", "f(1.5)"),
+    ("call_target", {}, "g <- function(v) v * 2\nh <- function(x) g(x)\n"
+     "for (k in 1:4) h(1)", "g <- function(v) v * 3\nh(1)"),
+    ("cold_branch", {"compile_threshold": 6},
+     "f <- function(n) { s <- 0\nfor (i in 1:n) if (i > 50L) s <- s - 1 else s <- s + 1\ns }\n"
+     "for (k in 1:8) f(10L)", "f(60L)"),
+    ("na_check", {}, SUM_SRC + "xi <- c(1L, 2L, 3L)\nfor (k in 1:4) sumfn(xi, 3L)",
+     "sumfn(c(1L, NA, 3L), 3L)"),
+    ("chaos", {"chaos_rate": 0.05}, SUM_SRC + "xi <- c(1L, 2L, 3L)",
+     "for (k in 1:20) sumfn(xi, 3L)"),
+]
+
+
+@pytest.mark.parametrize("threaded", [True, False], ids=["codegen", "execute_ref"])
+def test_every_reason_kind_has_a_producer(threaded):
+    """Each ``DeoptReasonKind`` is one guard something emits: each program
+    raises its own kind, and together they raise every kind — a kind no
+    guard carries is a branch of the deopt path no program can reach."""
+    raised = set()
+    for kind, cfg, warm, trigger in REASON_PROGRAMS:
+        vm = make_vm(ctxdispatch=False, threaded_dispatch=threaded, **cfg)
+        vm.eval(warm)
+        vm.eval(trigger)
+        reasons = {e.details["reason"] for e in vm.state.events_of("deopt")}
+        assert kind in reasons, (kind, reasons)
+        raised |= reasons
+    assert raised == {k.value for k in DeoptReasonKind}
 
 
 # -- the section 4.2 unsoundness anecdote --------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import make_vm
 from repro import Config, RVM, from_r, to_r
+from repro.deoptless.context import MAX_STACK
 from repro.runtime.values import RError
 
 
@@ -136,8 +137,35 @@ def test_rerror_propagates_from_all_tiers():
 def test_config_dataclass_defaults_match_paper():
     cfg = Config()
     assert cfg.deoptless_max_continuations == 5
-    assert cfg.deoptless_max_stack == 16
+    assert MAX_STACK == 16
     assert cfg.deoptless_max_env == 32
+
+
+def test_every_config_field_has_a_reader():
+    """A field that only the cache key reads changes nothing that runs: it
+    is a constant next to its reader, not a ``Config`` field.  Every field
+    is read (an attribute load, or a ``getattr`` name) somewhere in the
+    package outside ``codecache.config_key``."""
+    import ast
+    import dataclasses
+    import pathlib
+
+    import repro
+
+    read = set()
+    for path in pathlib.Path(repro.__file__).parent.rglob("*.py"):
+        tree = ast.parse(path.read_text())
+        key_nodes = {id(n) for fn in ast.walk(tree)
+                     if isinstance(fn, ast.FunctionDef) and fn.name == "config_key"
+                     for n in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if id(node) in key_nodes:
+                continue
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    assert [f.name for f in dataclasses.fields(Config) if f.name not in read] == []
 
 
 def test_promise_argument_into_native_code():
