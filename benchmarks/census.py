@@ -12,12 +12,15 @@ cache's census (ISSUE 23: bytes made, bytes read, keys digested; DESIGN.md has t
     python3 benchmarks/census.py W "ser=repro.jit.persist:serialize:len(result)" \
         "deser=repro.jit.persist:deserialize" "digest=repro.jit.codecache:stable_digest"
 
-The kernel census (loops planned and how many of a deleted kind, kernel entries that ran,
-that declined and that fired a chaos deopt; DESIGN.md, "What each feature buys", has the
-table).  Targets go before options such as ``--seconds 3``:
+The kernel census (loops planned, how many of them are the generic boxed reduce or
+gather-addressed, kernel entries that ran, that declined and that fired a chaos deopt;
+DESIGN.md, "What each feature buys", has the table).  The vectorizer plans neither
+shape any more, so ``gsum`` and ``gather`` read zero here and count the shapes on an
+older checkout.  Targets go before options such as ``--seconds 3``:
 
     python3 benchmarks/census.py W "plans=repro.opt.vectorize:vectorize_loops:len(result)" \
-        "unrun=repro.opt.vectorize:vectorize_loops:sum(p.kind in ('cmp','map','prod') for p in result)" \
+        "gsum=repro.opt.vectorize:vectorize_loops:sum(p.kind == 'gsum' for p in result)" \
+        "gather=repro.opt.vectorize:vectorize_loops:sum(bool(getattr(p, 'gather_keys', ())) for p in result)" \
         "ok=repro.native.kernels:run_kernel:result[0] == 'ok'" \
         "declines=repro.native.kernels:run_kernel:result[0] == 'decline'" \
         "fired=repro.native.kernels:run_kernel:result[0] == 'deopt'" --seconds 3

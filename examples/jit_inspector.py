@@ -332,9 +332,7 @@ def inspect_vectorizer_declines() -> None:
         print("    %-12s pc %3d  %-24s x%d" % (fn, pc, reason, count))
 
 
-#: a loop nest (inner counted reduction under a scalar outer driver) plus a
-#: gather (``v[[idx[[i]]]]``) — the two addressing shapes the nest planner
-#: reports beside plain unit-stride reads
+#: a loop nest (inner counted reduction under a scalar outer driver)
 NEST_SRC = """
 nest <- function(v, n, m) {
   total <- 0
@@ -345,23 +343,16 @@ nest <- function(v, n, m) {
   }
   total
 }
-gsum <- function(v, idx, n) {
-  s <- 0
-  for (i in 1:n) s <- s + v[[idx[[i]]]]
-  s
-}
 """
 
 
 def inspect_vectorizer_plans() -> None:
-    """The nest planner: which loops became kernels, and how they address."""
+    """The nest planner: which loops became kernels, under which driver."""
     vm = RVM(Config(compile_threshold=3, vectorize=True))
     vm.eval(NEST_SRC)
     vm.eval("x <- 1.5 * (1:32)")
-    vm.eval("idx <- rep(1:16, 2)")
     for _ in range(6):
         vm.eval("nest(x, 32L, 8L)")
-        vm.eval("gsum(x, idx, 32L)")
 
     print()
     print("=" * 70)
@@ -369,11 +360,10 @@ def inspect_vectorizer_plans() -> None:
     print("=" * 70)
     print("  kernel_elements=%d  plans=%d"
           % (vm.state.kernel_elements, len(vm.state.vec_plans)))
-    print("  plan (fn, inner pc, kernel kind, addressing, outer driver pc):")
-    for fn, pc, kind, addressing, outer_pc in vm.state.vec_plans:
+    print("  plan (fn, inner pc, kernel kind, outer driver pc):")
+    for fn, pc, kind, outer_pc in vm.state.vec_plans:
         outer = "pc %3d" % outer_pc if outer_pc is not None else "(flat) "
-        print("    %-8s pc %3d  %-10s %-8s outer %s"
-              % (fn, pc, kind, addressing, outer))
+        print("    %-8s pc %3d  %-10s outer %s" % (fn, pc, kind, outer))
 
 
 #: the fig6-style phase flip: the loop body calls a global helper closure,

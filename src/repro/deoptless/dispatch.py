@@ -19,10 +19,8 @@ Entries are bucketed by a comparability key — ``(target pc, reason kind)``
 for deopt contexts, the argument count for call contexts.  Two contexts are
 only comparable when the key agrees, so the scan can be restricted to one
 bucket without changing which entry it finds.  Inserts are ``bisect``-style
-into the affected bucket only (the previous implementation re-sorted the
-whole entry list and rebuilt every bucket per insert); within-bucket order
-is descending specificity with ties kept in insertion order, which is what
-the global stable sort produced.
+into the affected bucket only; within-bucket order is descending
+specificity with ties kept in insertion order.
 
 A full table refuses inserts, as the paper's and upstream's do: callers ask
 :attr:`ContextTable.full` *before* compiling for a new context and fall
@@ -54,8 +52,7 @@ class TableEntry:
 
     def __lt__(self, other: "TableEntry") -> bool:
         # descending specificity under bisect.insort; insort_right places
-        # equal keys after existing ones (insertion order, like the stable
-        # global sort this replaced)
+        # equal keys after existing ones (insertion order)
         return self.spec > other.spec
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -141,10 +138,6 @@ class ContextTable:
                 else:
                     del self._buckets[key]
 
-    def clear(self) -> None:
-        self._buckets = {}
-        self._count = 0
-
     def total_code_size(self) -> int:
         return sum(e.code.size for b in self._buckets.values() for e in b)
 
@@ -158,7 +151,7 @@ class DispatchTable(ContextTable):
     The bucket key matters for mid-kernel exits: a bulk vector kernel that
     repeatedly trips at different guards materializes contexts at several
     loop-body pcs of the same function, keyed on the target pc plus the
-    observed element type — bucketing keeps each of those dispatch points a
+    reason kind — bucketing keeps each of those dispatch points a
     one-or-two entry scan instead of a walk over every continuation of the
     function.
     """

@@ -77,9 +77,12 @@ from .codecache import Ident, Unstable, WorldResolver
 #: it named generic code; 9: two key shapes, a continuation's carrying the
 #: formals, and one ``ctx`` field on the unit; 10: ``OsrEntry`` carries the
 #: header's constant-folded variables, ``const_slots``; 11: the config
-#: component of a key lost ``enable_speculation``).  Another version is a
-#: miss and a fresh compile.
-FORMAT_VERSION = 11
+#: component of a key lost ``enable_speculation``; 12: the vectorizer plans
+#: no generic boxed reduce or computed subscript, so a key names scalar code
+#: where it named such a kernel, and ``KernelDescr`` lost the boxed
+#: accumulator's guard type).
+#: Another version is a miss and a fresh compile.
+FORMAT_VERSION = 12
 
 #: the interpreter a bucket file was written by: marshalled code objects
 #: load only under the bytecode version that made them

@@ -134,8 +134,8 @@ class Telemetry:
         self.vec_declines = 0
         self.vec_decline_reasons: Dict[str, int] = {}
         self.vec_decline_log: List[tuple] = []
-        #: recognized loop plans, deduped: (fn, pc, kind, addressing,
-        #: outer_pc) — outer_pc is the scalar driver's pc for a nest, else
+        #: recognized loop plans, deduped: (fn, pc, kind, outer_pc) —
+        #: outer_pc is the scalar driver's pc for a nest, else
         #: None.  Compile-time analysis detail — excluded from
         #: dispatch_signature() like the decline log.
         self.vec_plans: List[tuple] = []

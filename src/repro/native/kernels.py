@@ -24,8 +24,7 @@ exact*:
 
 Chaos-mode equivalence: the scalar loop draws the RNG once per executed
 guard, in op order.  The kernel first bounds the covered range with pure
-checks only (the entry checks, the NA prescan and, for ``fsum``, the
-compiled loop's own stop at a failed gather check), so every *real* check
+checks only (the entry checks and the NA prescan), so every *real* check
 inside it passes.  Then it makes that range's draws — per iteration, one
 per guard event in walk order — up to the first that fires
 (``_first_draw``).  Then it runs its ordinary bulk code over the iterations
@@ -41,7 +40,6 @@ import operator
 import sys
 
 from ..osr.framestate import DeoptReasonKind, KernelIterState, pdiv
-from ..runtime import coerce
 from ..runtime.rtypes import Kind
 from ..runtime.values import RBuiltin, RClosure, RPromise, RVector, rtype_quick
 
@@ -130,23 +128,16 @@ def _first_draw(rng, rate, events, n):
 def _compile_fsum(kd):
     """Build the bulk loop for a fused map→reduce kernel, once per descriptor.
 
-    Returns ``(fn, elems, gathers, uinvs, rinvs)`` — the generated function
-    plus the inv-chain key sets the entry checks must validate — or ``False``
-    if the role tree contains something the emitter cannot replicate.  The
-    function runs ``acc = acc ⊕ expr(t)`` over ``t in [ji, stop)`` on the raw
-    buffers and returns ``(t_stop, acc)``; ``t_stop < stop`` means a gather
-    element failed one of the scalar VLOAD's checks (nan index, subscript
-    out of bounds, NA element) at iteration ``t_stop`` and coverage ends
-    *before* it, so the retained scalar loop reproduces the reference error
-    or deopt with bit-exact state.
+    Returns ``(fn, elems, uinvs, rinvs)`` — the generated function plus the
+    inv-chain key sets the entry checks must validate — or ``False`` if the
+    role tree contains something the emitter cannot replicate.  The function
+    runs ``acc = acc ⊕ expr(t)`` over ``t in [ji, stop)`` on the raw buffers
+    and returns ``acc``.
     """
     consts = []
     elems = set()
-    gathers = set()
     uinvs = set()
     rinvs = set()
-    body = []
-    ctr = [0]
 
     def emit(role):
         tag = role[0]
@@ -166,26 +157,6 @@ def _compile_fsum(kd):
         if tag == "inv":
             rinvs.add(role[1])
             return "r%d" % role[1]
-        if tag == "gelem":
-            key = role[1]
-            gathers.add(key)
-            ie = emit(role[2])
-            if ie is None:
-                return None
-            n = ctr[0]
-            ctr[0] += 1
-            body.append("i%d = %s" % (n, ie))
-            # the scalar VLOAD in order: a nan index crashes its int()
-            # conversion, an out-of-range one raises the subscript error,
-            # and an NA element deopts — stop before the iteration so the
-            # scalar tier reproduces whichever applies
-            body.append(
-                "if i%d != i%d or i%d < 1 or i%d > n%d: return (t, acc)"
-                % (n, n, n, n, key)
-            )
-            body.append("x%d = g%d[int(i%d) - 1]" % (n, key, n))
-            body.append("if x%d is None: return (t, acc)" % n)
-            return "x%d" % n
         if tag == "expr":
             a = emit(role[2])
             b = emit(role[3])
@@ -202,24 +173,18 @@ def _compile_fsum(kd):
     lines = ["def _f(ji, stop, acc, invs):"]
     for k in sorted(elems):
         lines.append("    d%d = invs[%d].data" % (k, k))
-    for k in sorted(gathers):
-        lines.append("    g%d = invs[%d].data" % (k, k))
-        lines.append("    n%d = len(g%d)" % (k, k))
     for k in sorted(uinvs):
         lines.append("    u%d = invs[%d].data[0]" % (k, k))
     for k in sorted(rinvs):
         lines.append("    r%d = invs[%d]" % (k, k))
     lines.append("    for t in range(ji, stop):")
-    for s in body:
-        lines.append("        " + s)
     lines.append("        acc = acc %s %s" % (kd.acc_op, expr_src))
-    lines.append("    return (stop, acc)")
+    lines.append("    return acc")
     ns = {"_pdiv": pdiv}
     for i, c in enumerate(consts):
         ns["K%d" % i] = c
     exec("\n".join(lines), ns)
-    return (ns["_f"], frozenset(elems), frozenset(gathers),
-            frozenset(uinvs), frozenset(rinvs))
+    return ns["_f"], frozenset(elems), frozenset(uinvs), frozenset(rinvs)
 
 
 def _chaos_fire(kd, ev, regs, j0, ji, jd, acc_repr, invs):
@@ -232,8 +197,7 @@ def _chaos_fire(kd, ev, regs, j0, ji, jd, acc_repr, invs):
         invs=invs,
     )
     ev.template.materialize(regs, st)
-    gr = ev.guard_role
-    gv = invs[gr[1]] if gr[0] == "inv" else acc_repr
+    gv = invs[ev.guard_role[1]]
     # the scalar guard's ``observed``: the value's type for GTYPE, the value
     # itself for GIDENT (executor semantics, replicated bit-for-bit)
     observed = gv if ev.kind == "gident" else rtype_quick(gv)
@@ -288,7 +252,7 @@ def run_kernel(kd, regs, vm, closure_env):
 
     # -- invariant chains: resolve once, verify the hoisted guards -----------
     invs = {}
-    for key, source, gtype, gident, _member_regs, mode in kd.chains:
+    for key, source, gtype, gident, _member_regs, elementwise in kd.chains:
         v = _resolve_source(source, regs, closure_env)
         if v is _FAIL:
             return _DECLINE
@@ -299,18 +263,17 @@ def run_kernel(kd, regs, vm, closure_env):
         if gident is not None and v is not gident:
             # same principle for identity guards (speculated call targets)
             return _DECLINE
-        if mode:
+        if elementwise:
             if not isinstance(v, RVector):
                 return _DECLINE
-            if mode & 1:  # unit element-wise read: range-bounded + prescanned
-                stop = min(stop, len(v.data))
+            stop = min(stop, len(v.data))  # range-bounded + prescanned
         invs[key] = v
     if stop <= ji:
         return _DECLINE
 
     # bulk execution ends at the first NA of any element-read vector: the
-    # scalar loop then runs that iteration and hits its own NA deopt (or,
-    # for the generic reduce, propagates NA) exactly as the reference does
+    # scalar loop then runs that iteration and hits its own NA deopt exactly
+    # as the reference does
     for key in kd.elem_keys:
         d = invs[key].data
         try:
@@ -322,9 +285,7 @@ def run_kernel(kd, regs, vm, closure_env):
     if stop <= ji:
         return _DECLINE
 
-    # -- per kind: the entry checks, then for fsum the compiled loop itself,
-    #    whose own stop (a failed gather check) bounds the range like the
-    #    checks above: that iteration's draws stay with the scalar loop
+    # -- per kind: the entry checks --------------------------------------------
     acc = None
     if kind == "sum":
         if len(kd.elem_keys) != 1:
@@ -344,12 +305,10 @@ def run_kernel(kd, regs, vm, closure_env):
             kd.pyfn = spec
         if spec is False:
             return _DECLINE
-        fn, f_elems, f_gathers, f_uinvs, f_rinvs = spec
+        fn, f_elems, f_uinvs, f_rinvs = spec
         # exception-freedom: with every operand a plain int/float the fused
-        # `+ - * /` chain cannot raise (division runs through _pdiv), so
-        # the only mid-vector surprises left are the per-element gather
-        # checks the loop itself encodes
-        for k in f_elems | f_gathers:
+        # `+ - * /` chain cannot raise (division runs through _pdiv)
+        for k in f_elems:
             if invs[k].kind not in _NUMERIC_KINDS:
                 return _DECLINE
         for k in f_uinvs:
@@ -361,29 +320,6 @@ def run_kernel(kd, regs, vm, closure_env):
         for k in f_rinvs:
             if not isinstance(invs[k], (int, float)):
                 return _DECLINE
-        stop, acc_all = fn(ji, stop, acc, invs)
-        if stop <= ji:
-            return _DECLINE
-    elif kind == "gsum":
-        # the generic boxed reduce (colsum's `total <- total + m[[i]]`)
-        if len(kd.elem_keys) != 1:
-            return _DECLINE
-        col = invs[kd.elem_keys[0]]
-        rk = kd.acc_gtype.kind
-        if rk not in (Kind.INT, Kind.DBL):
-            return _DECLINE
-        if coerce._result_kind("+", rk, col.kind) != rk:
-            # kind-unstable accumulator: the per-iteration type guard fails
-            # after one step — let the scalar loop take that deopt
-            return _DECLINE
-        acc_box = regs[kd.acc_reg]
-        if isinstance(acc_box, RPromise):
-            if not acc_box.forced:
-                return _DECLINE
-            acc_box = acc_box.value
-        if not _ex._type_matches(acc_box, kd.acc_gtype):
-            return _DECLINE
-        acc = acc_box.data[0]
     elif kind in ("fill", "copy"):
         out = invs.get(kd.out_key)
         if not (isinstance(out, RVector) and out.named <= 1):
@@ -418,14 +354,7 @@ def run_kernel(kd, regs, vm, closure_env):
     if kind == "sum":
         acc = _sum(invs[kd.elem_keys[0]].data[ji:stop], acc)
     elif kind == "fsum":
-        acc = acc_all if fire is None else fn(ji, stop, acc, invs)[1]
-    elif kind == "gsum":
-        xs = col.data[ji:stop]
-        if rk == Kind.DBL and col.kind != Kind.DBL:
-            xs = map(float, xs)
-        elif rk == Kind.INT and col.kind == Kind.LGL:
-            xs = map(int, xs)
-        acc = RVector(rk, [_sum(xs, acc)])
+        acc = fn(ji, stop, acc, invs)
     else:
         # a store before the firing guard is part of its partial iteration
         end = stop + 1 if fire is not None and fire[1].store_before else stop

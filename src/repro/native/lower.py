@@ -63,8 +63,7 @@ def _role_needs_def(role: tuple) -> bool:
     tag = role[0]
     if tag == "box":
         return _role_needs_def(role[1])
-    return tag in ("idx1", "seq", "elem", "ex2", "acc_raw", "gelem", "expr",
-                   "uinv")
+    return tag in ("idx1", "seq", "elem", "expr", "uinv")
 
 
 class DeoptDescr:
@@ -142,7 +141,7 @@ class KernelGuard:
 
     ``template`` rebuilds the loop-defined registers the guard's DeoptDescr
     reads for an arbitrary element index; ``guard_role`` identifies the
-    guarded value (an invariant chain or the accumulator) so the chaos exit
+    guarded value (an invariant chain, ``("inv", key)``) so the chaos exit
     can report the same ``observed`` the scalar guard would — the value's
     type for a ``gtype`` guard, the value itself for a ``gident`` one;
     ``store_before`` is set when the loop's VecStore precedes the guard, so
@@ -173,7 +172,7 @@ class KernelDescr:
     __slots__ = (
         "kind", "idx_reg", "bound_reg", "seq_reg", "seq_static", "seqv_regs",
         "acc_reg", "acc_op",
-        "acc_kind", "acc_gtype", "chains", "elem_keys", "out_key",
+        "acc_kind", "chains", "elem_keys", "out_key",
         "store_kind", "val_spec", "iter_counts", "events", "expr", "pyfn",
     )
 
@@ -191,12 +190,11 @@ class KernelDescr:
         self.acc_reg = None
         self.acc_op = None
         self.acc_kind = None
-        self.acc_gtype = None
-        #: [(key, source, gtype, gident, member_regs, mode)] — source is
-        #: ("env", name), ("fun", name) or ("reg", reg); gident is the
-        #: expected value of a hoisted identity guard (or None); mode is a
-        #: bitmask: 1 = unit element-wise read (NA-prescanned, shrinks the
-        #: covered range), 2 = gather read (per-element bounds/NA checks)
+        #: [(key, source, gtype, gident, member_regs, elementwise)] — source
+        #: is ("env", name), ("fun", name) or ("reg", reg); gident is the
+        #: expected value of a hoisted identity guard (or None); elementwise
+        #: marks a vector read at ``i`` (NA-prescanned, bounds the covered
+        #: range)
         self.chains = ()
         self.elem_keys = ()
         self.out_key = None
@@ -658,14 +656,12 @@ class Lowerer:
                 return None
         kd.acc_op = plan.acc_op
         kd.acc_kind = plan.acc_kind
-        kd.acc_gtype = plan.acc_gtype
         kd.elem_keys = tuple(plan.elem_keys)
         kd.out_key = plan.out_key
         kd.store_kind = plan.store_kind
         kd.iter_counts = iter_counts
 
         # invariant chains
-        gather_keys = set(getattr(plan, "gather_keys", ()))
         chains = []
         for ch in plan.invs:
             if ch.root[0] in ("env", "fun"):
@@ -678,10 +674,10 @@ class Lowerer:
             member_regs = tuple(
                 r for r in (self.reg_of.get(id(m)) for m in ch.members) if r is not None
             )
-            mode = (1 if ch.key in plan.elem_keys else 0) | (2 if ch.key in gather_keys else 0)
-            chains.append((ch.key, source, ch.gtype, ch.gident, member_regs, mode))
+            chains.append((ch.key, source, ch.gtype, ch.gident, member_regs,
+                           ch.key in plan.elem_keys))
         kd.chains = tuple(chains)
-        kd.expr = getattr(plan, "expr", None)
+        kd.expr = plan.expr
 
         # store value (fill/copy)
         if plan.val_spec is not None:
@@ -698,18 +694,8 @@ class Lowerer:
         for op, counts_incl, written_before, store_before in raw_events:
             did = op[3]
             grole = role_of_reg.get(op[1])
-            if grole is None or grole[0] not in ("inv", "acc"):
+            if grole is None or grole[0] != "inv":
                 return None
-            if gather_keys:
-                # chaos exactness: the kernel plays all of an iteration's
-                # draws before evaluating its gather subscripts, so a gather
-                # load that *precedes* a guard in scalar order (a failing
-                # subscript would deopt before the guard is reached) cannot
-                # be modeled — disable the kernel
-                for r in written_before:
-                    wrole = role_of_reg.get(r)
-                    if wrole is not None and wrole[0] == "gelem":
-                        return None
             descr = nc.deopts[did]
             refs = set()
             d = descr
@@ -744,9 +730,6 @@ class Lowerer:
                 return None
         elif kd.kind == "sum":
             if kd.acc_reg is None or kd.acc_kind is None or not kd.elem_keys:
-                return None
-        elif kd.kind == "gsum":
-            if kd.acc_reg is None or kd.acc_gtype is None or not kd.elem_keys:
                 return None
         elif kd.kind in ("fill", "copy"):
             if kd.out_key is None or kd.val_spec is None or kd.store_kind is None:

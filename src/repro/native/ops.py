@@ -68,7 +68,7 @@ SHARE = 54
 
 # bulk vector kernel (opt/vectorize.py): one dispatch covers a whole counted
 # loop over the raw unboxed buffer; the single operand indexes the
-# KernelDescr on the NativeCode, whose ``kind`` (sum, fsum, gsum, fill, copy)
+# KernelDescr on the NativeCode, whose ``kind`` (sum, fsum, fill, copy)
 # names the kernel.  The op itself is *not* accounted as an executed op (it
 # does not exist in scalar executions); instead the kernel charges the
 # per-iteration op/guard/generic counts of the scalar loop it replaces, per

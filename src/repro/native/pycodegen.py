@@ -173,7 +173,7 @@ def _kernel_regs(ncode, kd) -> Tuple[list, list]:
         if r is not None:
             spill.add(r)
     spill.update(kd.seqv_regs)
-    for _key, source, _gtype, _gident, _member_regs, _mode in kd.chains:
+    for _key, source, _gtype, _gident, _member_regs, _elementwise in kd.chains:
         if source[0] == "reg":
             spill.add(source[1])
     spec = kd.val_spec

@@ -4,8 +4,8 @@ Recognizes speculatively-typed *counted loops over vectors* in the optimized
 IR — the canonical shape the builder produces for ``for (i in 1:n)`` — and
 annotates the graph with a :class:`LoopPlan` per vectorizable loop.  The
 lowerer (``native/lower.py``) turns each plan into one **bulk kernel op**
-(``KERNEL``; the plan's kind — ``sum``, ``fsum``, ``gsum``, ``fill`` or
-``copy`` — rides on its descriptor) placed at the
+(``KERNEL``; the plan's kind — ``sum``, ``fsum``, ``fill`` or ``copy`` —
+rides on its descriptor) placed at the
 loop header, with the scalar loop retained as the fall-through: the kernel
 verifies the hoisted whole-vector conditions once at entry (the per-element
 ``Assume``/``GTYPE`` guards of the body, plus bounds/aliasing/NA ranges) and
@@ -37,12 +37,12 @@ Legality (beyond the structural match):
 * no calls, closure/promise creation, environment stores, branches or
   nested loops in the body;
 * the only cross-iteration dependence is the single recognized reduction
-  (``+``/``*`` accumulate of an element or a fused expression, or the
-  generic boxed ``+`` of the colsum shape);
-* every vector read is through a loop-invariant chain, the iteration space
-  is a verified identity ``1:n`` colon, and the written vector (if any) is
-  distinct from every read vector (runtime identity is re-checked at kernel
-  entry);
+  (``+``/``*`` accumulate of an element or a fused expression over raw
+  scalars);
+* every vector read is through a loop-invariant chain at the loop's own
+  index (a computed subscript declines), the iteration space is a verified
+  identity ``1:n`` colon, and the written vector (if any) is distinct from
+  every read vector (runtime identity is re-checked at kernel entry);
 * every loop-defined value that a deopt FrameState can reference maps to a
   symbolic role (``osr/framestate.py:eval_kernel_role``) so mid-kernel
   deopts can reconstruct the interpreter state at any element.
@@ -90,14 +90,12 @@ class LoopPlan:
     __slots__ = (
         "kind", "header", "body_blocks", "latch", "exit_block", "body_on_true",
         "idx_phi", "bound", "idx_inc", "seq_load", "seq_static", "seqv_phis",
-        "acc_phi", "acc_kind",
-        "acc_gtype", "acc_op", "invs", "roles", "elem_keys",
-        "store", "out_key", "store_kind", "val_spec", "expr", "gather_keys",
-        "pc",
+        "acc_phi", "acc_kind", "acc_op", "invs", "roles", "elem_keys",
+        "store", "out_key", "store_kind", "val_spec", "expr", "pc",
     )
 
     def __init__(self):
-        self.kind = None                 # 'sum' | 'gsum' | 'fsum' | 'fill' | 'copy'
+        self.kind = None                 # 'sum' | 'fsum' | 'fill' | 'copy'
         self.header = None
         self.body_blocks: List[BasicBlock] = []
         self.latch = None
@@ -111,7 +109,6 @@ class LoopPlan:
         self.seqv_phis: List[I.Phi] = []   # phis carrying the loop variable
         self.acc_phi = None
         self.acc_kind = None             # Kind of the raw accumulator (sum/fsum)
-        self.acc_gtype = None            # per-iteration guard type on the boxed acc (gsum)
         self.acc_op = None               # '+' or '*'
         self.invs: List[InvChain] = []
         self.roles: Dict[int, tuple] = {}
@@ -121,14 +118,7 @@ class LoopPlan:
         self.store_kind = None
         self.val_spec = None             # ('const', ir) | ('elem', key)
         self.expr = None                 # fused map→reduce role tree (fsum)
-        self.gather_keys: List[int] = []  # inv keys read via computed subscripts
         self.pc = -1                     # approximate bytecode pc of the loop
-
-    @property
-    def addressing(self) -> str:
-        """``gather`` when a subscript is computed (``x[[idx[[i]]]]``,
-        ``x[[a + s*i]]``), ``unit`` otherwise."""
-        return "gather" if self.gather_keys else "unit"
 
     def __repr__(self) -> str:  # pragma: no cover
         return "<LoopPlan %s header=BB%d>" % (self.kind, self.header.id if self.header else -1)
@@ -187,8 +177,7 @@ def _record_telemetry(graph: Graph, plans, declines, state) -> None:
         # dedupe: one log entry per (fn, pc, reason) with an occurrence count
         dedup_log(state.vec_decline_log, (graph.name, pc, reason))
     for p in plans:
-        entry = (graph.name, p.pc, p.kind, p.addressing,
-                 outer_pcs.get(p.header.id))
+        entry = (graph.name, p.pc, p.kind, outer_pcs.get(p.header.id))
         if entry not in state.vec_plans and len(state.vec_plans) < _DECLINE_LOG_CAP:
             state.vec_plans.append(entry)
 
@@ -361,7 +350,7 @@ def _has_inner_cycle(entry: BasicBlock, header: BasicBlock, body_ids) -> bool:
 
 def _is_identity_colon(v: I.Instr, in_loop) -> bool:
     """``CastType(Force(Colon(1, n)))`` outside the loop: elements are the
-    ints ``1..n`` — no NAs and no gather needed for bulk access."""
+    ints ``1..n`` — no NAs, and element ``j + 1`` is ``j + 1``."""
     while isinstance(v, (I.CastType, I.Force)):
         if in_loop(v):
             return False
@@ -394,6 +383,8 @@ _OP_DECLINES = {
     I.SetIndex1: "generic-index-store",
     I.SetIndex2: "generic-index-store",
     I.Extract1: "generic-index-read",
+    I.Extract2: "generic-index-read",
+    I.Arith: "generic-arith",
     I.PrimCompare: "unrecognized-compare",
     I.Branch: "data-dependent-branch",
 }
@@ -426,7 +417,7 @@ def _assign_roles(graph: Graph, plan: LoopPlan, uses, in_loop, fail) -> bool:
         return None
 
     #: roles a fused expression tree may reference directly
-    _EXPR_OK = ("elem", "gelem", "seq", "idx1", "idx", "inv", "uinv", "expr", "cval")
+    _EXPR_OK = ("elem", "seq", "idx1", "idx", "inv", "uinv", "expr", "cval")
 
     def expr_role(v: I.Instr):
         """The role of ``v`` usable as a fused-expression operand, or None."""
@@ -533,13 +524,9 @@ def _assign_roles(graph: Graph, plan: LoopPlan, uses, in_loop, fail) -> bool:
                 users = uses.get(ins, [])
                 if len(users) != 1 or not isinstance(users[0], I.Assume):
                     return fail("unfused-guard")
-                r = roles.get(id(src))
-                if r is not None and r[0] == "acc":
-                    if plan.acc_gtype is not None:
-                        return fail("conflicting-guards")
-                    plan.acc_gtype = ins.test_type
-                    istype_guards[id(ins)] = src
-                    continue
+                if roles.get(id(src)) == ("acc",):
+                    # a boxed accumulator: the generic reduce stays scalar
+                    return fail("boxed-accumulator")
                 ch = chain_of(src)
                 if ch is None:
                     return fail("non-invariant-operand")
@@ -573,20 +560,9 @@ def _assign_roles(graph: Graph, plan: LoopPlan, uses, in_loop, fail) -> bool:
                 continue
             if t is I.VecLoad:
                 if ins.args[1] is not plan.seq_load and ins.args[1] is not plan.idx_inc:
-                    # a computed subscript: gather addressing, legal when the
-                    # index is itself a fused-expression role (x[idx[i]],
-                    # x[a + s*i]).  Per-element bounds/NA checks run in the
-                    # kernel and stop coverage *before* a failing element.
-                    idx_role = expr_role(ins.args[1])
-                    if idx_role is None:
-                        return fail("gather-index")
-                    ch = chain_of(ins.args[0])
-                    if ch is None:
-                        return fail("non-invariant-vector")
-                    roles[id(ins)] = ("gelem", ch.key, idx_role)
-                    if ch.key not in plan.gather_keys:
-                        plan.gather_keys.append(ch.key)
-                    continue
+                    # a computed subscript (x[[idx[[i]]]], x[[a + s*i]]):
+                    # the scalar loop runs it with its own checks
+                    return fail("gather-index")
                 ch = chain_of(ins.args[0])
                 if ch is None:
                     return fail("non-invariant-vector")
@@ -597,9 +573,6 @@ def _assign_roles(graph: Graph, plan: LoopPlan, uses, in_loop, fail) -> bool:
                 continue
             if t is I.Unbox:
                 r = roles.get(id(ins.args[0]))
-                if r == ("acc",):
-                    roles[id(ins)] = ("acc_raw",)
-                    continue
                 if r is not None and r[0] == "inv":
                     roles[id(ins)] = ("uinv", r[1])
                     continue
@@ -609,29 +582,6 @@ def _assign_roles(graph: Graph, plan: LoopPlan, uses, in_loop, fail) -> bool:
                 if r is None:
                     return fail("unrecognized-box")
                 roles[id(ins)] = ("box", r, ins.kind)
-                continue
-            if t is I.Extract2:
-                ch = chain_of(ins.args[0])
-                ridx = roles.get(id(ins.args[1]))
-                if ch is None or ridx is None or ridx[0] != "box" or ridx[1] not in (("seq",), ("idx1",)):
-                    return fail("generic-extract-shape")
-                roles[id(ins)] = ("ex2", ch.key)
-                if ch.key not in plan.elem_keys:
-                    plan.elem_keys.append(ch.key)
-                continue
-            if t is I.Arith:
-                # the generic boxed accumulate of the colsum shape
-                ra = roles.get(id(ins.args[0]))
-                rb = roles.get(id(ins.args[1]))
-                pair = {None if ra is None else ra[0], None if rb is None else rb[0]}
-                if ins.op != "+" or acc_update is not None or pair != {"box", "ex2"}:
-                    return fail("generic-arith-shape")
-                box_r = ra if ra[0] == "box" else rb
-                if box_r[1] != ("acc_raw",):
-                    return fail("generic-arith-shape")
-                plan.kind = "gsum"
-                acc_update = ins
-                roles[id(ins)] = ("acc_next",)
                 continue
             if t is I.PrimArith:
                 ra = roles.get(id(ins.args[0]))
@@ -724,17 +674,12 @@ def _expr_within_bound(plan: LoopPlan, fail) -> bool:
         if r[0] == "expr":
             work.append(r[2])
             work.append(r[3])
-        elif r[0] == "gelem":
-            work.append(r[2])
     return True
 
 
 def _classify(graph: Graph, plan: LoopPlan, uses, in_loop, acc_update, store, fail) -> bool:
     header, latch = plan.header, plan.latch
 
-    if plan.gather_keys and not (store is None and acc_update is not None):
-        # gather addressing is only modeled for fused reductions
-        return fail("gather-index")
     if store is not None:
         if acc_update is not None or plan.acc_phi is not None:
             return fail("mixed-store-reduction")
@@ -751,21 +696,8 @@ def _classify(graph: Graph, plan: LoopPlan, uses, in_loop, acc_update, store, fa
     elif acc_update is not None:
         if plan.acc_phi is None or _phi_input(plan.acc_phi, latch) is not acc_update:
             return fail("reduction-shape")
-        if plan.kind == "gsum":
-            if plan.acc_gtype is None or plan.acc_gtype.kind.name not in ("DBL", "INT"):
-                return fail("reduction-shape")
-        elif plan.kind == "sum":
-            if plan.acc_gtype is not None:
-                return fail("reduction-shape")
-        elif plan.kind == "fsum":
-            if plan.acc_gtype is not None:
-                return fail("reduction-shape")
-            if not _expr_within_bound(plan, fail):
-                return False
-        else:
-            return fail("reduction-shape")
-        if plan.kind != "fsum" and plan.gather_keys:
-            return fail("gather-index")
+        if plan.kind == "fsum" and not _expr_within_bound(plan, fail):
+            return False
     else:
         return fail("no-reduction")
 

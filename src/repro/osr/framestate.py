@@ -175,14 +175,11 @@ def eval_kernel_role(role, st: "KernelIterState"):
     * ``("idx1",)`` / ``("seq",)`` — the 1-based element index (``j + 1``;
       the iteration-space vector is a verified identity ``1:n`` colon)
     * ``("elem", key)`` — the element loaded from invariant vector ``key``
-    * ``("acc",)`` / ``("acc_raw",)`` — the partial accumulator (boxed/raw)
+    * ``("acc",)`` — the partial accumulator
     * ``("inv", key)`` — a loop-invariant value verified at kernel entry
-    * ``("ex2", key)`` — the boxed generic extract of vector ``key``'s element
     * ``("box", inner, kind)`` — the boxed form of another role
     * ``("cval", v)`` — a raw scalar constant preloaded outside the loop
     * ``("uinv", key)`` — the raw (unboxed) payload of invariant ``key``
-    * ``("gelem", key, idx_role)`` — a gathered element: vector ``key``
-      subscripted with the 1-based index computed by ``idx_role``
     * ``("expr", op, a, b)`` — a fused arithmetic node over two other roles
     """
     tag = role[0]
@@ -194,15 +191,8 @@ def eval_kernel_role(role, st: "KernelIterState"):
         return st.elems[role[1]]
     if tag == "acc":
         return st.acc
-    if tag == "acc_raw":
-        v = st.acc
-        return v.data[0] if hasattr(v, "data") else v
     if tag == "inv":
         return st.invs[role[1]]
-    if tag == "ex2":
-        # the generic Extract2 result: a fresh 1-element vector of the source
-        # vector's kind (the element may be None — extract2 does not NA-check)
-        return RVector(st.invs[role[1]].kind, [st.elems[role[1]]])
     if tag == "box":
         inner = eval_kernel_role(role[1], st)
         kind = role[2]
@@ -216,9 +206,6 @@ def eval_kernel_role(role, st: "KernelIterState"):
     if tag == "uinv":
         v = st.invs[role[1]]
         return v.data[0] if hasattr(v, "data") else v
-    if tag == "gelem":
-        idx = eval_kernel_role(role[2], st)
-        return st.invs[role[1]].data[int(idx) - 1]
     if tag == "expr":
         a = eval_kernel_role(role[2], st)
         b = eval_kernel_role(role[3], st)

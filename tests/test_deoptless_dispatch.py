@@ -91,13 +91,6 @@ def test_remove_by_code():
     assert t.dispatch(ctx(Kind.INT)) is None
 
 
-def test_clear():
-    t = DispatchTable(5)
-    t.insert(ctx(Kind.INT), FakeCode("x"))
-    t.clear()
-    assert len(t) == 0
-
-
 def test_total_code_size():
     t = DispatchTable(5)
     t.insert(ctx(Kind.INT), FakeCode("a"))

@@ -35,9 +35,11 @@ from conftest import engine_signature, make_vm
 from repro import from_r
 from repro.bench.programs import REGISTRY
 from repro.ir.verifier import verify
+from repro.jit import unit
 from repro.native import kernels, pycodegen
 from repro.native import ops as N
 from repro.native.kernels import run_kernel
+from repro.native.lower import lower
 from repro.osr.framestate import DeoptReasonKind
 
 #: vectorized-vs-scalar equivalence must hold in plain JIT mode and under
@@ -233,25 +235,17 @@ f <- function(v, y, n) {
   s
 }
 """, "v <- 1.5 * (1:400); y <- 0.5 * (1:400)", "f(v, y, 400)"),
-    # idx reaches the NA at i = 31: the compiled loop stops there, so only
-    # the first 30 iterations' draws are the kernel's.  Some calls fire
+    # v reaches the NA at i = 31: the prescan stops the kernel there, so
+    # only the first 30 iterations' draws are the kernel's.  Some calls fire
     # before it, others reach it: a kernel that drew for i = 31 as well
-    # would leave the RNG two draws ahead of the scalar loop
-    "fsum-gather": ("""
-f <- function(v, idx, n) {
+    # would leave the RNG ahead of the scalar loop
+    "fsum-na": ("""
+f <- function(v, y, n) {
   s <- 0
-  for (i in 1:n) s <- s + v[[idx[[i]]]]
+  for (i in 1:n) s <- s + v[[i]] * y[[i]]
   s
 }
-""", "v <- 1.5 * (1:100); v[[90]] <- NA; idx <- c(1:30, 90L, 1:30)", "f(v, idx, 61)"),
-    "gsum": ("""
-f <- function(t, k) {
-  col <- t[[k]]
-  total <- 0
-  for (i in 1:length(col)) total <- total + col[[i]]
-  total
-}
-""", "t <- list(1.5 * (1:400), 1:400)", "c(f(t, 1L), f(t, 2L))"),
+""", "v <- 1.5 * (1:100); v[[31]] <- NA; y <- 0.5 * (1:100)", "f(v, y, 61)"),
     "fill": ("""
 f <- function(n) {
   out <- numeric(n)
@@ -305,7 +299,7 @@ def test_every_kind_fires_mid_vector(case, threaded, monkeypatch):
     assert case.split("-")[0] in {kind for kind, _ in fired}, fired
     if case == "copy":
         assert any(store_before for _, store_before in fired)
-    if case == "fsum-gather":
+    if case == "fsum-na":
         assert any(kind == DeoptReasonKind.NA_CHECK for _, kind, _ in v_frames)
     assert v_results == s_results
     _assert_same_frames(v_frames, s_frames)
@@ -416,13 +410,43 @@ f <- function(v, n) {
   out
 }
 """,
+    # computed subscripts (gather addressing): the scalar loop checks each
+    # index itself
+    "gather": """
+idx <- rep(1:32, 2)
+f <- function(v, n) {
+  s <- 0
+  for (i in 1:n) s <- s + v[[idx[[i]]]]
+  s
+}
+""",
+    "strided": """
+f <- function(v, n) {
+  s <- 0
+  for (i in 1:32) s <- s + v[[2 * i - 1]]
+  s
+}
+""",
+    # the generic boxed reduce over the columns of a list (Listing 8's
+    # shape): one double and one integer column make `col` generic
+    "gsum": """
+t <- list(1.5 * (1:64), 1:64)
+f <- function(v, n) {
+  total <- 0
+  for (k in 1:2) {
+    col <- t[[k]]
+    for (i in 1:n) total <- total + col[[i]]
+  }
+  total
+}
+""",
 }
 
 
 #: loop-nest / fusion shapes the planner must now *accept*: each fuses a
 #: map→reduce chain into one kernel (closure bodies arrive pre-inlined under
-#: an identity guard; computed subscripts are per-element-checked gathers;
-#: a product of bare elements is an fsum whose expression is the element)
+#: an identity guard; a product of bare elements is an fsum whose
+#: expression is the element)
 FUSED = {
     "closure-call": """
 g <- function(x) x * 2
@@ -440,21 +464,6 @@ f <- function(v, n) {
   s
 }
 """,
-    "gather": """
-idx <- rep(1:32, 2)
-f <- function(v, n) {
-  s <- 0
-  for (i in 1:n) s <- s + v[[idx[[i]]]]
-  s
-}
-""",
-    "strided": """
-f <- function(v, n) {
-  s <- 0
-  for (i in 1:32) s <- s + v[[2 * i - 1]]
-  s
-}
-""",
     "prod": """
 f <- function(v, n) {
   s <- 1
@@ -464,31 +473,38 @@ f <- function(v, n) {
 """,
 }
 
-#: fused shape -> the addressing its plan records
-ADDRESSING = {"gather": "gather", "strided": "gather", "prod": "unit"}
+
+#: computed-subscript shapes that once kernelized as gathers: they now run
+#: as the compiled scalar loop, with vectorization on as with it off
+SCALAR_SUBSCRIPTS = ("gather", "strided")
 
 
 @pytest.mark.parametrize("mode", sorted(MODES))
-@pytest.mark.parametrize("shape", sorted(FUSED))
+@pytest.mark.parametrize("shape", sorted(FUSED) + list(SCALAR_SUBSCRIPTS))
 def test_fused_loops_vectorize_and_match(shape, mode):
-    """The fused shapes kernelize (kernel_elements > 0) and stay
-    bit-identical to the scalar execution in results and signature, in
-    plain JIT mode and under chaos."""
+    """The fused shapes kernelize (kernel_elements > 0), the computed
+    subscripts plan nothing, and both stay bit-identical to the scalar
+    execution in results and signature, in plain JIT mode and under
+    chaos."""
     cfg = MODES[mode]
+    src = ILLEGAL[shape] if shape in SCALAR_SUBSCRIPTS else FUSED[shape]
     results = {}
     vms = {}
     for vec in (True, False):
         vm = make_vm(vectorize=vec, **cfg)
-        vm.eval(FUSED[shape])
+        vm.eval(src)
         vm.eval("v <- 1.5 * (1:64)")
         results[vec] = [from_r(vm.eval("f(v, 64)")) for _ in range(6)]
         vms[vec] = vm
     assert results[True] == results[False]
     if mode == "jit":
-        assert vms[True].state.kernel_elements > 0, "fused loop never kernelized"
         plans = vms[True].state.vec_plans
-        assert [(kind, addr) for fn, _pc, kind, addr, _o in plans if fn == "f"] == [
-            ("fsum", ADDRESSING.get(shape, "unit"))], plans
+        if shape in SCALAR_SUBSCRIPTS:
+            assert vms[True].state.kernel_elements == 0
+            assert [kind for fn, _pc, kind, _o in plans if fn == "f"] == [], plans
+        else:
+            assert vms[True].state.kernel_elements > 0, "fused loop never kernelized"
+            assert [kind for fn, _pc, kind, _o in plans if fn == "f"] == ["fsum"], plans
     assert vms[False].state.kernel_elements == 0
     v_sig = engine_signature(vms[True])
     s_sig = engine_signature(vms[False])
@@ -556,6 +572,9 @@ DECLINE_REASONS = {
     "unrecognized-recurrence": "unrecognized-arith",
     "compare-select-min": "unrecognized-compare",
     "elementwise-map": "unrecognized-store-value",
+    "gather": "gather-index",
+    "strided": "gather-index",
+    "gsum": "boxed-accumulator",
 }
 
 
@@ -654,7 +673,7 @@ def test_spectralnorm_vectorizes_as_loop_nest():
     assert any(
         fn in ("eval_A_times_u", "eval_At_times_u") and kind == "fsum"
         and outer_pc is not None
-        for fn, _pc, kind, _addr, outer_pc in plans
+        for fn, _pc, kind, outer_pc in plans
     ), "no nest plan with an outer driver recorded: %r" % (plans,)
     # the outer drivers themselves are diagnosed, not mistaken for failures
     assert vm.state.vec_decline_reasons.get("call", 0) == 0
@@ -674,12 +693,20 @@ def test_legal_loop_is_annotated(monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(KERNELIZED))
-def test_each_kernel_has_one_op(name):
+def test_each_kernel_has_one_op(name, monkeypatch):
     """Every ``NativeCode.kernels[i]`` is the operand of exactly one
-    ``KERNEL`` op, in every unit the program compiled."""
-    _, _, vm = run_workload(name, MODES["jit"], vectorize=True)
-    units = [clo.jit.version for clo in vm.global_env.bindings.values()
-             if getattr(clo, "jit", None) is not None and clo.jit.version is not None]
+    ``KERNEL`` op, in every unit the program compiled — installed versions,
+    continuations and OSR-in units alike (colsum's one kernel runs in an
+    OSR-in unit: its generic reduce stays scalar)."""
+    units = []
+
+    def spy(graph, **kw):
+        nc = lower(graph, **kw)
+        units.append(nc)
+        return nc
+
+    monkeypatch.setattr(unit, "lower", spy)
+    run_workload(name, MODES["jit"], vectorize=True)
     assert any(nc.kernels for nc in units), name
     for nc in units:
         refs = sorted(op[1] for op in nc.ops if op[0] == N.KERNEL)
