@@ -44,6 +44,14 @@ and "Install separation", has the numbers):
         "in=repro.osr.osr_hop:try_hop_in:type(result) is not object" \
         "dl=repro.deoptless.engine:try_deoptless:type(result) is not object" \
         "inv=repro.jit.codecache:CodeCache.invalidate_code:result"
+
+The call-path census (closure calls entering ``RVM.call_closure``, entry-version lookups and
+the ones that found a version, and generic calls — the interpreter's and every native
+``CALLG``; DESIGN.md, "What each feature buys", "Round three", has the table):
+
+    python3 benchmarks/census.py W "cc=repro.jit.vm:RVM.call_closure" \
+        "ctxver=repro.jit.vm:RVM._dispatch_context_version:result is not None" \
+        "callf=repro.bytecode.interpreter:call_function" --seconds 3
 """
 import argparse, functools, importlib, os, runpy, sys
 

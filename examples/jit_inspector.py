@@ -268,12 +268,10 @@ def inspect_context_dispatch() -> None:
         print("  (no versions)")
         return
     print("  versions (scanned most-specific first, generic falls through):")
-    for e in st.versions.iter_entries():
-        print("    spec=%2d hits=%4d %r\n      -> %r"
-              % (e.spec, e.hits, e.ctx, e.code))
-    print("  ctx_compiles=%d ctx_dispatches=%d ctx_pic_hits=%d"
-          % (vm.state.ctx_compiles, vm.state.ctx_dispatches,
-             vm.state.ctx_pic_hits))
+    for ctx, code in st.versions.entries:
+        print("    spec=%2d %r\n      -> %r" % (ctx.specificity(), ctx, code))
+    print("  ctx_compiles=%d ctx_dispatches=%d"
+          % (vm.state.ctx_compiles, vm.state.ctx_dispatches))
     print("  table refusals=%d (dispatch_versions=%d)"
           % (vm.state.dispatch_refusals, vm.config.dispatch_versions))
     for e in vm.state.events_of("compile"):

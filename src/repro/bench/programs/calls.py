@@ -6,7 +6,7 @@ the loop bodies do nothing *but* call, so the guarded-call overhead
 (argument boxing, environment allocation, the call/return protocol)
 dominates.  ``call_poly`` drives one genuinely megamorphic site through a
 dispatcher closure — it is not inlinable by design and exercises the
-polymorphic inline cache instead.
+generic call path (``CALLG``) instead.
 """
 
 from __future__ import annotations
@@ -130,5 +130,5 @@ call_poly_run <- function(n) {
     call="call_poly_run({n})",
     n=12000,
     n_test=1500,
-    notes="megamorphic site inside cp_apply: PIC path, not inlinable",
+    notes="megamorphic site inside cp_apply: generic call path, not inlinable",
 ))

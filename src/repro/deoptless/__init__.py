@@ -2,12 +2,12 @@
 (the paper's contribution)."""
 
 from .context import DeoptContext, ReasonPayload, compute_context
-from .dispatch import DispatchTable
+from .dispatch import ContextTable
 from .engine import MISS, deoptless_condition, deoptless_compile, try_deoptless
 from .feedback_repair import repair_feedback
 
 __all__ = [
-    "DeoptContext", "DispatchTable", "MISS", "ReasonPayload",
+    "ContextTable", "DeoptContext", "MISS", "ReasonPayload",
     "compute_context", "deoptless_compile", "deoptless_condition",
     "repair_feedback", "try_deoptless",
 ]

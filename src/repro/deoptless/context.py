@@ -278,8 +278,8 @@ class CallContext:
         )
 
     def __hash__(self):
-        # entry contexts are dict keys in the code cache and in the PIC's
-        # per-site (callee, context) -> version caches
+        # entry contexts are dict keys in the code cache and in a closure's
+        # per-context deopt counts (``ClosureJitState.ctx_fail_counts``)
         return hash((self.arg_types, self.forced))
 
     def stable_parts(self) -> tuple:

@@ -36,7 +36,7 @@ from .feedback_repair import repair_feedback
 MISS = object()
 
 #: dispatches into one continuation (same compiled context) before it is
-#: promoted to a full version in the closure's VersionTable
+#: promoted to a full version in the closure's version table
 CONT_TIERUP_THRESHOLD = 3
 
 

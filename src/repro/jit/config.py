@@ -97,7 +97,7 @@ class Config:
     #: DESIGN.md, "Multi-tenant serving")
     serve: bool = True
 
-    # -- entry contextual dispatch (deoptless/dispatch.VersionTable) --------------
+    # -- entry contextual dispatch (a closure's version table, deoptless/dispatch) -
     #: dispatch function entries on a distilled CallContext: polymorphic
     #: call sites split into per-context compiled versions (argument guards
     #: hoisted to the dispatch check, unboxed parameter passing) instead of

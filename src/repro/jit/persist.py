@@ -80,9 +80,10 @@ from .codecache import Ident, Unstable, WorldResolver
 #: component of a key lost ``enable_speculation``; 12: the vectorizer plans
 #: no generic boxed reduce or computed subscript, so a key names scalar code
 #: where it named such a kernel, and ``KernelDescr`` lost the boxed
-#: accumulator's guard type).
+#: accumulator's guard type; 13: a generated ``CALLG`` calls ``_callf``, the
+#: generic call path, where it named a per-site inline-cache helper).
 #: Another version is a miss and a fresh compile.
-FORMAT_VERSION = 12
+FORMAT_VERSION = 13
 
 #: the interpreter a bucket file was written by: marshalled code objects
 #: load only under the bytecode version that made them
@@ -97,8 +98,8 @@ class PersistError(Exception):
 #: NativeCode fields that constitute the replayable lowering output, the
 #: context it was compiled under and its OSR entry map (registers, kinds,
 #: RTypes — no world references beyond the already-pathed bc_code).  The
-#: mutable/per-install fields (closure, invalidated, guard_sites, pyfunc,
-#: pics) are deliberately excluded and reset on load.
+#: per-install fields (closure, invalidated, guard_sites, pyfunc) are
+#: deliberately excluded and reset on load.
 _NC_FIELDS = (
     "name", "ops", "n_regs", "reg_init", "deopts", "kernels", "param_regs",
     "param_unbox", "env_reg", "env_elided", "cont_var_names", "cont_stack_size",
@@ -268,7 +269,7 @@ def serialize(ncode: NativeCode, root_code: CodeObject, resolver: WorldResolver)
     # the bytes at insert time, before the
     # unit first runs, so the unit is bound here — under ``bind``, which
     # only execs a code object that came in bytes.  What a run adds
-    # (``pics``, a kernel's ``pyfn``) stays out: a unit serialized after it
+    # (a kernel's ``pyfn``) stays out: a unit serialized after it
     # ran is byte-identical to one serialized before.
     if resolver.vm.config.threaded_dispatch:
         pycodegen.bind(ncode, resolver.vm)
@@ -314,7 +315,6 @@ def deserialize(data: bytes, root_code: CodeObject, resolver: WorldResolver) -> 
     nc.closure = None
     nc.invalidated = False
     nc.guard_sites = ()
-    nc.pics = {}
     nc.cache_template = None
     # the codegen artifact: with a code object, the first bind is an exec;
     # the source is not carried, and a declined unit stays declined

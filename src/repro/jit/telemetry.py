@@ -86,19 +86,12 @@ class Telemetry:
         #: guards are charged to native_ops/guards_executed at scalar rates,
         #: which is what keeps the signature engine-identical.
         self.kernel_elements = 0
-        #: CALLG polymorphic-inline-cache hits.  Both executors run the same
-        #: cache policy over the same op stream, but like kernel_elements the
-        #: counter is kept out of dispatch_signature() — it describes how a
-        #: call was dispatched, not what was executed.
-        self.pic_hits = 0
-        #: entry contextual dispatch (deoptless/dispatch.VersionTable).  Like
-        #: pic_hits, these describe how a call was dispatched / how code was
-        #: obtained and stay out of dispatch_signature(); the ops they
-        #: cause are already covered by the signature counters.
+        #: entry contextual dispatch (a closure's version table).  Like
+        #: kernel_elements, these describe how a call was dispatched / how
+        #: code was obtained and stay out of dispatch_signature(); the ops
+        #: they cause are already covered by the signature counters.
         self.ctx_dispatches = 0
         self.ctx_compiles = 0
-        #: dispatches served by the PIC's (callee, context) -> version cache
-        self.ctx_pic_hits = 0
         #: inserts refused because a dispatch/version table was full
         self.dispatch_refusals = 0
         #: context-keyed code cache (jit/codecache.py).  All cache counters
@@ -279,10 +272,8 @@ class Telemetry:
             "deoptless_compiles": self.deoptless_compiles,
             "kernel_elements": self.kernel_elements,
             "inlined_frames": self.inlined_frames,
-            "pic_hits": self.pic_hits,
             "ctx_dispatches": self.ctx_dispatches,
             "ctx_compiles": self.ctx_compiles,
-            "ctx_pic_hits": self.ctx_pic_hits,
             "dispatch_refusals": self.dispatch_refusals,
             "codecache_hits": self.codecache_hits,
             "codecache_misses": self.codecache_misses,

@@ -31,7 +31,7 @@ from ..bytecode import interpreter
 from ..bytecode.compiler import CodeObject, Compiler
 from ..deoptless import engine as deoptless_engine
 from ..deoptless.context import CallContext, DeoptContext, distill_call_context
-from ..deoptless.dispatch import DispatchTable, VersionTable
+from ..deoptless.dispatch import ContextTable
 from ..native.executor import execute
 from ..native.lower import NativeCode
 from ..osr import osr_hop, osr_in, osr_out
@@ -66,7 +66,7 @@ class ClosureJitState:
     def __init__(self, config: Config):
         self.call_count = 0
         self.version: Optional[NativeCode] = None
-        self.deoptless_table = DispatchTable(config.deoptless_max_continuations)
+        self.deoptless_table = ContextTable(config.deoptless_max_continuations)
         self.deopt_count = 0
         self.cant_compile = False
         #: positional default values when all defaults are constants
@@ -75,7 +75,7 @@ class ClosureJitState:
         #: generic ``version`` above is the dispatch fall-through and is
         #: deliberately not a table entry (lazily allocated — most closures
         #: are monomorphic and never pay for a table)
-        self.versions: Optional[VersionTable] = None
+        self.versions: Optional[ContextTable] = None
         #: distinct distilled contexts observed at tiered-up entries; a
         #: closure is specialized only once this shows real polymorphism
         self.seen_contexts: Optional[List[Any]] = None
@@ -166,7 +166,7 @@ class RVM:
         ):
             ncode = self.maybe_tier_up(closure, st)
 
-        if ncode is not None and not ncode.invalidated:
+        if ncode is not None:
             if ncode.env_elided:
                 pos = self._match_native(closure, st, args, names)
                 if pos is not None:
@@ -260,10 +260,8 @@ class RVM:
         if vt is not None:
             ver = vt.dispatch(ctx)
             if ver is not None:
-                if not ver.invalidated:
-                    self.state.ctx_dispatches += 1
-                    return ver
-                vt.remove(ver)
+                self.state.ctx_dispatches += 1
+                return ver
         if not compile_ok:
             return None
         # collect distinct contexts; specialize only genuinely polymorphic
@@ -344,7 +342,7 @@ class RVM:
             st.version = ncode
         else:
             if st.versions is None:
-                st.versions = VersionTable(self.config.dispatch_versions)
+                st.versions = ContextTable(self.config.dispatch_versions)
             st.versions.insert(spec.ctx, ncode)
         self.state.code_size += ncode.size
 

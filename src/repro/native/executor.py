@@ -21,9 +21,7 @@ from ..bytecode.interpreter import (
     _set_index2,
     call_function,
     force as force_value,
-    force_args,
 )
-from ..deoptless.context import distill_call_context
 from ..osr.framestate import DeoptReason, DeoptReasonKind, FrameState
 from ..runtime import coerce
 from ..runtime.rtypes import Kind, RType, kind_lub
@@ -97,82 +95,6 @@ def build_framestate(ncode: NativeCode, regs: List[Any], descr, closure_env) -> 
         descr.code, descr.pc, env_values, stack, frame_env, env=env,
         parent=parent, fun=fun,
     )
-
-
-#: polymorphic inline cache capacity per CALLG site (paper-style small PIC)
-PIC_SIZE = 4
-
-#: distinct (context -> version) pairs cached per PIC closure entry
-PIC_CTX_SIZE = 8
-
-
-def _pic_context_version(vercache: dict, fn, args, vm):
-    """Steady-state contextual dispatch from a PIC hit: resolve the call's
-    distilled context against the per-site ``(callee, context) -> version``
-    cache, falling back to one probe of the closure's version table.
-
-    Returns the installed version to execute, or None to take the generic
-    ``call_closure`` path (which owns warm-up, compilation and installs).
-    """
-    st = fn.jit
-    if st is None:
-        return None
-    vt = st.versions
-    if vt is None or vm.queue_ready:
-        return None
-    if len(args) != len(fn.formals):
-        return None
-    ctx = distill_call_context(args)
-    if ctx is None:
-        return None
-    ver = vercache.get(ctx)
-    if ver is not None and ver.invalidated:
-        del vercache[ctx]
-        ver = None
-    if ver is None:
-        ver = vt.dispatch(ctx)
-        if ver is None or ver.invalidated:
-            return None
-        if len(vercache) < PIC_CTX_SIZE:
-            vercache[ctx] = ver
-    st.call_count += 1
-    vm.state.ctx_pic_hits += 1
-    return ver
-
-
-def pic_call(cache: list, fn, args, names, vm) -> Any:
-    """Dispatch a megamorphic (CALLG) call through a small per-site cache.
-
-    ``cache`` holds up to :data:`PIC_SIZE` ``(callee, is_builtin, vercache)``
-    entries, evicted FIFO.  A hit skips the generic ``call_function`` type
-    dispatch; for closures with entry-specialized versions the per-entry
-    ``vercache`` additionally maps distilled call contexts straight to the
-    installed version, so steady-state contextual dispatch is one identity
-    comparison plus one dict probe.  Semantics are identical either way.
-    Both engines share this helper, so ``pic_hits`` counts the same in
-    each for the same program.
-    """
-    for entry in cache:
-        if entry[0] is fn:
-            vm.state.pic_hits += 1
-            if entry[1]:
-                return fn.fn(force_args(args, vm), vm)
-            if names is None and vm.config.ctxdispatch:
-                ver = _pic_context_version(entry[2], fn, args, vm)
-                if ver is not None:
-                    return execute(ver, args, vm, closure_env=fn.env)
-            return vm.call_closure(fn, args, names)
-    if isinstance(fn, RBuiltin):
-        if len(cache) >= PIC_SIZE:
-            cache.pop(0)
-        cache.append((fn, True, None))
-        return fn.fn(force_args(args, vm), vm)
-    if isinstance(fn, RClosure):
-        if len(cache) >= PIC_SIZE:
-            cache.pop(0)
-        cache.append((fn, False, {}))
-        return vm.call_closure(fn, args, names)
-    raise RError("attempt to apply non-function")
 
 
 def execute(ncode: NativeCode, args: List[Any], vm, closure_env=None,
@@ -507,10 +429,7 @@ def execute_ref(ncode: NativeCode, args: List[Any], vm, closure_env=None,
         elif op == N.CALLG:
             state.native_ops += nexec
             nexec = 0
-            cache = ncode.pics.get(pc)
-            if cache is None:
-                cache = ncode.pics[pc] = []
-            regs[ins[1]] = pic_call(cache, regs[ins[2]], [regs[r] for r in ins[3]], ins[4], vm)
+            regs[ins[1]] = call_function(regs[ins[2]], [regs[r] for r in ins[3]], ins[4], vm)
         elif op == N.KERNEL:
             # bulk vector kernel (opt/vectorize.py): covers k scalar loop
             # iterations in one dispatch, or declines with zero effect and

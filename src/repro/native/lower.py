@@ -263,9 +263,6 @@ class NativeCode:
         self.pyconsts = None
         self.pycode = None
         self.pyfunc = None
-        #: per-CALLG polymorphic inline caches, keyed by op index (both
-        #: engines; install clones share the dict)
-        self.pics: Dict[int, list] = {}
         #: bytecode pc -> OsrEntry for loop headers that admit a dispatched
         #: OSR hop into this unit (built by the lowerer from the graph's
         #: surviving osr_anchors)

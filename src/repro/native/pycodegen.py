@@ -250,7 +250,6 @@ def _emit(ncode) -> Tuple[str, list]:
 
     entries = sorted({e.index for e in ncode.osr_entries.values()})
     leaderset = branch_targets(ops).union(entries)
-    uses_pics = any(op[0] == N.CALLG for op in ops)
 
     maybe_unset = set()  # registers whose entry value may be read
     seen_regs = set()    # every register the generated code names (the OSR
@@ -599,12 +598,9 @@ def _emit(ncode) -> Tuple[str, list]:
                        % (defn(ins[1]), K(ins[2]), fargs, ins[4]))
             elif op == N.CALLG:
                 call_flush()
-                out(0, "_e = _pics.get(%d)" % i)
-                out(0, "if _e is None:")
-                out(1, "_e = _pics[%d] = []" % i)
                 fn = use(ins[2])
                 fargs = ", ".join(use(r) for r in ins[3])
-                out(0, "%s = _pic(_e, %s, [%s], %r, vm)"
+                out(0, "%s = _callf(%s, [%s], %r, vm)"
                        % (defn(ins[1]), fn, fargs, ins[4]))
             elif op == N.KERNEL:
                 kd = ncode.kernels[ins[1]]
@@ -665,8 +661,6 @@ def _emit(ncode) -> Tuple[str, list]:
     render(1, "state = vm.state")
     render(1, "_ch = vm.chaos_rng if vm.config.chaos_rate > 0.0 else None")
     render(1, "_rate = vm.config.chaos_rate")
-    if uses_pics:
-        render(1, "_pics = ncode.pics")
     # only a unit with OSR entries can be hop-entered (execute_at takes its
     # entry from ncode.osr_entries): the others carry no _regs prologue and
     # hand a register image to _fallback, which refuses it
@@ -740,7 +734,7 @@ def _shared_env() -> dict:
             "_force": force_value,
             "_ab": _as_bool,
             "_sas": _super_assign_from,
-            "_pic": pic_call,
+            "_callf": call_function,
             "_kern": run_kernel,
             "_arith": coerce.arith,
             "_cmpf": coerce.compare,
@@ -851,8 +845,8 @@ from .executor import (  # noqa: E402
     _super_assign_from,
     _type_matches,
     build_framestate,
+    call_function,
     execute_ref,
     force_value,
-    pic_call,
 )
 from .kernels import run_kernel  # noqa: E402

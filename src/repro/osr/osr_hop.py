@@ -4,7 +4,7 @@ Classic OSR-out (``osr_out.py``) abandons compiled code entirely: after a
 mis-speculation the frame is materialized and the *interpreter* runs the
 rest of the activation.  This module makes OSR a version-to-version
 transition instead.  When a unit deopts mid-loop we consult the closure's
-installed versions — the entry-specialized ``VersionTable`` entries and the
+installed versions — the entry-specialized version-table entries and the
 generic version — for one that (a) still stands, (b) carries an OSR entry
 map slot for the loop header we are parked at, and (c) whose entry context
 the live frame still satisfies.  If validation passes, the materialized
@@ -102,13 +102,10 @@ def select_versions(st, pc: int, live_ctx,
     cands = []
     vt = st.versions
     if vt is not None:
-        for e in vt.iter_entries():
-            code = e.code
-            if code is exclude or code.invalidated:
+        for ctx, code in vt.entries:
+            if code is exclude or pc not in code.osr_entries:
                 continue
-            if pc not in code.osr_entries:
-                continue
-            if live_ctx is None or not (live_ctx <= e.ctx):
+            if live_ctx is None or not (live_ctx <= ctx):
                 continue
             cands.append(code)
     gen = st.version

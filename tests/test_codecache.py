@@ -924,22 +924,23 @@ def _read_as_misses(d):
 
 
 def test_a_directory_of_the_previous_format_is_a_miss(tmp_path, monkeypatch):
-    """Format 11's keys named code holding the generic-reduce and gather
-    kernels, which format 12's do not.  A directory written under 11 reads
-    under 12 as counted misses — no disk hit, no persist failure — a
-    recompile and the interpreter's results; an entry stamped 11 handed to
-    ``deserialize`` is refused on its version before any field is read."""
+    """Format 12's generated code named a per-site inline-cache helper at
+    every ``CALLG``, which format 13's does not bind.  A directory written
+    under 12 reads under 13 as counted misses — no disk hit, no persist
+    failure — a recompile and the interpreter's results; an entry stamped 12
+    handed to ``deserialize`` is refused on its version before any field is
+    read."""
     d = tmp_path / "cc"
-    _saved_as(d, monkeypatch, FORMAT_VERSION=11)
-    assert persist.FORMAT_VERSION == 12
+    _saved_as(d, monkeypatch, FORMAT_VERSION=12)
+    assert persist.FORMAT_VERSION == 13
     _read_as_misses(d)
     vm = cache_vm()
     warm(vm)
     (entry,) = vm.code_cache.entries.values()
     with monkeypatch.context() as old:
-        old.setattr(persist, "FORMAT_VERSION", 11)
+        old.setattr(persist, "FORMAT_VERSION", 12)
         data = persist.serialize(entry.ncode, entry.root_code, codecache.WorldResolver(vm))
-    with pytest.raises(persist.PersistError, match="format 11"):
+    with pytest.raises(persist.PersistError, match="format 12"):
         persist.deserialize(data, entry.root_code, codecache.WorldResolver(vm))
 
 

@@ -1,11 +1,12 @@
 """Tests for the entry contextual-dispatch layer.
 
 Covers the :class:`~repro.deoptless.context.CallContext` partial order and
-distiller, the bucketed :class:`~repro.deoptless.dispatch.VersionTable`
-(bisect insertion, eviction, refusal), end-to-end version creation and
-dispatch, the acceptance property that a deopt inside one specialized
-version leaves its siblings installed and dispatchable, the PIC's
-``(callee, context) -> version`` fast path, the narrow code-cache
+distiller, a closure's version table
+(:class:`~repro.deoptless.dispatch.ContextTable`: ordered insertion,
+replacement, refusal), end-to-end version creation and dispatch, the
+acceptance property that a deopt inside one specialized version leaves its
+siblings installed and dispatchable, a megamorphic ``CALLG`` site reaching
+entry versions through the one call path, the narrow code-cache
 invalidation, and codegen-vs-reference engine equivalence under both
 ``ctxdispatch`` settings.
 """
@@ -17,7 +18,7 @@ from repro import from_r
 from repro.deoptless.context import (
     MAX_CONTEXT_ARGS, CallContext, distill_call_context,
 )
-from repro.deoptless.dispatch import VersionTable
+from repro.deoptless.dispatch import ContextTable
 from repro.runtime.rtypes import ANY, Kind, intern_rtype
 from repro.runtime.values import RPromise, RVector, mk_int, mk_dbl
 
@@ -104,17 +105,15 @@ def test_distill_bails_on_huge_arg_lists():
     assert distill_call_context(args) is None
 
 
-# -- VersionTable semantics ------------------------------------------------------
+# -- version-table semantics ----------------------------------------------------
 
 
 class FakeCode:
-    def __init__(self, size=1):
-        self.size = size
-        self.invalidated = False
+    """A compiled unit's stand-in: a table holds it by identity."""
 
 
 def test_version_table_scans_most_specific_first():
-    vt = VersionTable(max_entries=4)
+    vt = ContextTable(max_entries=4)
     generic, tight = FakeCode(), FakeCode()
     assert vt.insert(ctx(ANY), generic)
     assert vt.insert(ctx(INT_S), tight)
@@ -125,7 +124,7 @@ def test_version_table_scans_most_specific_first():
 
 
 def test_version_table_duplicate_insert_replaces_in_place():
-    vt = VersionTable(max_entries=2)
+    vt = ContextTable(max_entries=2)
     old, new = FakeCode(), FakeCode()
     vt.insert(ctx(INT_S), old)
     assert vt.insert(ctx(INT_S), new)
@@ -134,15 +133,14 @@ def test_version_table_duplicate_insert_replaces_in_place():
 
 
 def test_version_table_refuses_when_full():
-    vt = VersionTable(max_entries=1)
+    vt = ContextTable(max_entries=1)
     assert vt.insert(ctx(INT_S), FakeCode())
     assert not vt.insert(ctx(DBL_S), FakeCode())
-    assert vt.refused_inserts == 1
     assert len(vt) == 1
 
 
 def test_version_table_remove_by_identity():
-    vt = VersionTable(max_entries=4)
+    vt = ContextTable(max_entries=4)
     a, b = FakeCode(), FakeCode()
     # incomparable contexts (different arg counts), so the removal leaves a
     # genuine miss rather than a wider match
@@ -258,13 +256,14 @@ def test_deopt_invalidates_only_that_context_cache_entry():
     assert any(e.details.get("ctx") is not None for e in ev)
 
 
-# -- PIC: (callee, context) -> version caching -----------------------------------
+# -- megamorphic sites reach entry versions --------------------------------------
 
 
 def test_pic_caches_context_version_pairs():
     vm = warmed_poly_vm(ctxdispatch=True)
-    # make the g(v, n) site inside ``ap`` megamorphic so it becomes a PIC
-    # site in native code (more than MAX_CALL_TARGETS distinct callees)
+    # make the g(v, n) site inside ``ap`` megamorphic so it lowers to a
+    # generic CALLG in native code (more than MAX_CALL_TARGETS distinct
+    # callees); its calls of ``f`` dispatch on f's version table
     vm.eval("b1 <- function(v, n) 1")
     vm.eval("b2 <- function(v, n) 2")
     vm.eval("b3 <- function(v, n) 3")
@@ -272,11 +271,11 @@ def test_pic_caches_context_version_pairs():
     for _ in range(4):
         for g in ("b1", "b2", "b3", "f"):
             vm.eval("ap(%s, xi, 3L)" % g)
-    h0 = vm.state.ctx_pic_hits
+    d0 = vm.state.ctx_dispatches
     for _ in range(3):
         assert from_r(vm.eval("ap(f, xi, 3L)")) == 6
         assert from_r(vm.eval("ap(f, xd, 3L)")) == 7.5
-    assert vm.state.ctx_pic_hits > h0
+    assert vm.state.ctx_dispatches > d0
 
 
 # -- refusal telemetry -----------------------------------------------------------

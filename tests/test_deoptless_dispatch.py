@@ -1,16 +1,17 @@
 """Tests for the deoptless dispatch table (bounded, sorted most-specific
-first)."""
+first), and a property pinning the one-list table to a brute-force scan."""
 
-from repro.deoptless.context import DeoptContext, ReasonPayload
-from repro.deoptless.dispatch import DispatchTable
+from hypothesis import given, settings, strategies as st
+
+from repro.deoptless.context import CallContext, DeoptContext, ReasonPayload
+from repro.deoptless.dispatch import ContextTable
 from repro.osr.framestate import DeoptReasonKind
-from repro.runtime.rtypes import Kind, scalar, vector
+from repro.runtime.rtypes import ANY, Kind, scalar, vector
 
 
 class FakeCode:
     def __init__(self, tag):
         self.tag = tag
-        self.size = 10
 
     def __repr__(self):
         return "<code %s>" % self.tag
@@ -27,14 +28,14 @@ def ctx(kind, scalar_=False, pc=10):
 
 
 def test_insert_and_exact_dispatch():
-    t = DispatchTable(5)
+    t = ContextTable(5)
     code = FakeCode("dbl")
     assert t.insert(ctx(Kind.DBL), code)
     assert t.dispatch(ctx(Kind.DBL)) is code
 
 
 def test_dispatch_finds_wider_context():
-    t = DispatchTable(5)
+    t = ContextTable(5)
     code = FakeCode("dbl-vec")
     t.insert(ctx(Kind.DBL), code)
     # a scalar-double state may enter the vector-double continuation
@@ -42,7 +43,7 @@ def test_dispatch_finds_wider_context():
 
 
 def test_dispatch_misses_on_incompatible():
-    t = DispatchTable(5)
+    t = ContextTable(5)
     t.insert(ctx(Kind.DBL), FakeCode("dbl"))
     assert t.dispatch(ctx(Kind.STR)) is None
     assert t.dispatch(ctx(Kind.DBL, pc=99)) is None
@@ -52,7 +53,7 @@ def test_dispatch_prefers_most_specific_match():
     """With both a double and a complex continuation present, a double state
     must reach the double one (the linearization orders tighter contexts
     first)."""
-    t = DispatchTable(5)
+    t = ContextTable(5)
     dbl = FakeCode("dbl")
     cplx = FakeCode("cplx")
     t.insert(ctx(Kind.CPLX), cplx)
@@ -66,7 +67,7 @@ def test_dispatch_prefers_most_specific_match():
 def test_table_bound_rejects_insert():
     """Paper: "only allow up to 5 continuations in the dispatch table";
     beyond the bound deoptless falls back to real deoptimization."""
-    t = DispatchTable(2)
+    t = ContextTable(2)
     assert t.insert(ctx(Kind.INT), FakeCode("a"))
     assert t.insert(ctx(Kind.DBL), FakeCode("b"))
     assert t.full
@@ -75,7 +76,7 @@ def test_table_bound_rejects_insert():
 
 
 def test_reinsert_same_context_replaces():
-    t = DispatchTable(2)
+    t = ContextTable(2)
     old, new = FakeCode("old"), FakeCode("new")
     t.insert(ctx(Kind.INT), old)
     t.insert(ctx(Kind.INT), new)
@@ -84,15 +85,88 @@ def test_reinsert_same_context_replaces():
 
 
 def test_remove_by_code():
-    t = DispatchTable(5)
+    t = ContextTable(5)
     code = FakeCode("x")
     t.insert(ctx(Kind.INT), code)
     t.remove(code)
     assert t.dispatch(ctx(Kind.INT)) is None
 
 
-def test_total_code_size():
-    t = DispatchTable(5)
-    t.insert(ctx(Kind.INT), FakeCode("a"))
-    t.insert(ctx(Kind.DBL), FakeCode("b"))
-    assert t.total_code_size() == 20
+# -- the one-list table against a brute-force reference --------------------------
+
+TYPES = (scalar(Kind.INT), vector(Kind.INT), scalar(Kind.DBL), vector(Kind.DBL),
+         vector(Kind.CPLX), ANY)
+
+deopt_contexts = st.builds(
+    lambda pc, kind, observed, depth, t: DeoptContext(
+        pc, ReasonPayload(kind, observed, None), (), (("x", t),), depth),
+    st.sampled_from((10, 20)),
+    st.sampled_from((DeoptReasonKind.TYPECHECK, DeoptReasonKind.NA_CHECK)),
+    st.sampled_from((None,) + TYPES),
+    st.integers(1, 2),
+    st.sampled_from(TYPES),
+)
+
+call_contexts = st.lists(st.sampled_from(TYPES), min_size=1, max_size=2).flatmap(
+    lambda ts: st.builds(
+        lambda forced: CallContext(tuple(ts), tuple(forced)),
+        st.lists(st.booleans(), min_size=len(ts), max_size=len(ts))))
+
+
+class ReferenceTable:
+    """Every live entry with its insertion number; a scan sorts them."""
+
+    def __init__(self, max_entries):
+        self.max_entries = max_entries
+        self.rows = []
+        self.seq = 0
+
+    def insert(self, ctx, code):
+        for row in self.rows:
+            if row[0] == ctx:
+                row[1] = code
+                return True
+        if len(self.rows) >= self.max_entries:
+            return False
+        self.rows.append([ctx, code, self.seq])
+        self.seq += 1
+        return True
+
+    def remove(self, code):
+        self.rows = [row for row in self.rows if row[1] is not code]
+
+    def ordered(self):
+        return sorted(self.rows, key=lambda row: (-row[0].specificity(), row[2]))
+
+    def dispatch(self, ctx):
+        return next((code for c, code, _ in self.ordered() if ctx <= c), None)
+
+    def lookup_exact(self, ctx):
+        return next((code for c, code, _ in self.rows if c == ctx), None)
+
+
+@given(st.one_of(st.lists(deopt_contexts, min_size=1, max_size=8),
+                 st.lists(call_contexts, min_size=1, max_size=8)),
+       st.lists(st.tuples(st.booleans(), st.integers(0, 7)), max_size=24),
+       st.integers(1, 5))
+@settings(max_examples=200, deadline=None)
+def test_table_equals_brute_force_scan(pool, ops, max_entries):
+    """Inserts (``True``) of pool contexts and removals (``False``) of
+    earlier codes: after each, ``dispatch`` and ``lookup_exact`` of every
+    pool context equal the first compatible entry in (-specificity,
+    insertion) order, and the table lists its entries in that order."""
+    table, ref, codes = ContextTable(max_entries), ReferenceTable(max_entries), []
+    for is_insert, i in ops:
+        if is_insert:
+            code = FakeCode(len(codes))
+            codes.append(code)
+            ctx = pool[i % len(pool)]
+            assert table.insert(ctx, code) == ref.insert(ctx, code)
+        elif codes:
+            code = codes[i % len(codes)]
+            table.remove(code)
+            ref.remove(code)
+        assert table.entries == [(c, code) for c, code, _ in ref.ordered()]
+        for ctx in pool:
+            assert table.dispatch(ctx) is ref.dispatch(ctx)
+            assert table.lookup_exact(ctx) is ref.lookup_exact(ctx)

@@ -235,6 +235,61 @@ def test_entry_contexts_agree_across_tiers_and_engines(src, xs, rounds):
 
 
 @st.composite
+def megamorphic_entry_program(draw):
+    """A call site past ``MAX_CALL_TARGETS`` callees — a generic ``CALLG``
+    once ``ap`` compiles — whose hot callee has entry versions: the site
+    reaches them through the one call path."""
+    op = draw(st.sampled_from(["+", "-", "*"]))
+    k = draw(st.integers(1, 3))
+    decoys = draw(st.lists(st.sampled_from(["n", "v[[1]]", "n * 2L", "v[[n]] - 1L"]),
+                           min_size=3, max_size=4))
+    src = """
+pk <- function(v, n) {
+  t <- 0
+  i <- 1
+  while (i <= n) {
+    t <- t + v[[i]] %s %dL
+    i <- i + 1
+  }
+  t
+}
+ap <- function(g, v, n) g(v, n)
+""" % (op, k)
+    for j, body in enumerate(decoys):
+        src += "d%d <- function(v, n) %s\n" % (j, body)
+    return src, ["d%d" % j for j in range(len(decoys))]
+
+
+@given(megamorphic_entry_program(), vectors, st.integers(1, 6))
+@settings(max_examples=15, deadline=None)
+def test_megamorphic_site_into_entry_versions_agrees(prog, xs, rounds):
+    """``ap``'s site sees every decoy and ``pk`` before it compiles, then
+    calls ``pk`` with int, real and logical vectors in turn: results equal
+    the interpreter's and the signature is engine-identical."""
+    src, decoys = prog
+    n = len(xs)
+    ivec = "c(%s)" % ", ".join("%dL" % x for x in xs)
+    dvec = "c(%s)" % ", ".join("%d.5" % x for x in xs)
+    lvec = "c(%s)" % ", ".join("TRUE" if x > 0 else "FALSE" for x in xs)
+    calls = ["ap(%s, %s, %dL)" % (g, ivec, n) for g in decoys + ["pk"]]
+    for _ in range(rounds):
+        for vec in (ivec, dvec, lvec):
+            calls.append("ap(pk, %s, %dL)" % (vec, n))
+    vm_ref = make_vm(enable_jit=False)
+    vm_ref.eval(src)
+    expected = [from_r(vm_ref.eval(c)) for c in calls]
+    sigs = []
+    for eng in ENGINE_LEGS:
+        vm = make_vm(compile_threshold=1, osr_threshold=50, **eng)
+        vm.eval(src)
+        got = [from_r(vm.eval(c)) for c in calls]
+        assert got == expected, (src, got, expected)
+        assert vm.state.ctx_dispatches > 0, "no call reached an entry version"
+        sigs.append(engine_signature(vm))
+    assert all(s == sigs[0] for s in sigs), src
+
+
+@st.composite
 def nested_loop_program(draw):
     """A counted inner loop under a scalar outer driver — loop-nest
     vectorizer fodder.  The inner reduction fuses a map→reduce chain that

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import engine_signature, make_vm
 from repro import from_r
+from repro.native import ops as N
 
 DRIVER_SRC = """
 add <- function(a, b) a + b
@@ -278,6 +279,8 @@ def test_engines_agree_on_inlined_frames():
 
 
 def test_megamorphic_site_uses_pic():
+    """A site past ``MAX_CALL_TARGETS`` callees is not inlined: it lowers to
+    a generic ``CALLG`` and every callee's result comes back through it."""
     src = """
 a1 <- function(x) x + 1
 a2 <- function(x) x + 2
@@ -299,9 +302,11 @@ poly <- function(g, n) {
         for fn in ("a1", "a2", "a3", "a4"):
             vm.eval("poly(%s, 5)" % fn)
         for _ in range(3):
-            vm.eval("poly(a1, 30)")
-        assert vm.state.pic_hits > 0, "repeated targets hit the inline cache"
+            assert from_r(vm.eval("poly(a1, 30)")) == 30.0
+        poly = vm.global_env.get("poly").jit.version
+        assert any(op[0] == N.CALLG for op in poly.ops)
         assert from_r(vm.eval("poly(a2, 4)")) == 8.0
+        assert from_r(vm.eval("poly(a4, 3)")) == 0.0
 
 
 def test_pic_hits_identical_across_executors():
@@ -320,12 +325,12 @@ spin <- function(g, n) {
   s
 }
 """
-    hits = []
+    runs = []
     for threaded in (False, True):
         vm = warmed(src, [], threaded_dispatch=threaded)
         for fn in ("b1", "b2", "b3", "b4"):
             vm.eval("spin(%s, 4)" % fn)
-        for _ in range(4):
-            vm.eval("spin(b2, 25)")
-        hits.append(vm.state.pic_hits)
-    assert hits[0] == hits[1] and hits[0] > 0
+        results = [from_r(vm.eval("spin(b2, 25)")) for _ in range(4)]
+        runs.append((results, engine_signature(vm)))
+    assert runs[0] == runs[1]
+    assert runs[0][1]["native_ops"] > 0

@@ -409,8 +409,8 @@ def test_continuation_tier_up_installs_entry_version():
     st = _closure(vm).jit
     vt = st.versions
     assert vt is not None and len(vt) > 0
-    promoted = [e.code for e in vt.iter_entries()]
-    assert any(e.ctx == e.code.ctx for e in vt.iter_entries())
+    promoted = [code for _, code in vt.entries]
+    assert any(c == code.ctx for c, code in vt.entries)
     # promoted versions are full entry versions carrying their own entry maps
     assert any(c.osr_entries for c in promoted)
 

@@ -186,3 +186,64 @@ f <- function(a, b) a
     for _ in range(5):
         vm.eval("f(1, bump())")
     assert from_r(vm.eval("count")) == 0.0
+
+
+#: the phase-change workload's programs and the calls that flip them (the
+#: phaseflip programs flip inside every call of their own)
+_PHASE_CALLS = {
+    "sum_phases": (
+        "sum()",
+        "data <- numeric(length)\nfor (i in 1:length) data[[i]] <- i * 1.5\nsum()",
+        "data <- complex(length)\nfor (i in 1:length) data[[i]] <- complex(i * 1.0, 1.0)\nsum()",
+    ),
+    "colsum": ("f(1L, tbl)", "f(2L, tbl)"),
+    "reopt_rsa": ("rsa_run(rsa_msgs, rsa_n, rsa_key_int, rsa_mod, 1L)",
+                  "rsa_run(rsa_msgs, rsa_n, rsa_key_dbl, rsa_mod, 1L)"),
+    "phaseflip_sum": (None,),
+    "phaseflip_dot": (None,),
+    "phaseflip_twice": (None,),
+}
+
+
+def _installed_units(vm):
+    """Every generic version, entry version and deoptless continuation a
+    global closure has installed."""
+    for _, fn in vm.global_env.items():
+        st = getattr(fn, "jit", None)
+        if st is None:
+            continue
+        if st.version is not None:
+            yield st.version
+        if st.versions is not None:
+            yield from (code for _, code in st.versions.entries)
+        yield from (code for _, code in st.deoptless_table.entries)
+
+
+@pytest.mark.parametrize("deoptless", [True, False])
+def test_no_installed_unit_is_invalidated(deoptless):
+    """``invalidated`` is set only as a unit leaves its closure's slot or
+    table, which is why dispatch never re-checks it: after every deopt of
+    the phase-change programs, nothing installed carries the flag."""
+    from repro.bench.programs import REGISTRY
+
+    vm = make_vm(enable_deoptless=deoptless)
+    checked = []
+    deopt = vm.deopt
+
+    def checking_deopt(*args, **kw):
+        result = deopt(*args, **kw)
+        checked.append(sum(code.invalidated for code in _installed_units(vm)))
+        return result
+
+    vm.deopt = checking_deopt
+    for name, calls in _PHASE_CALLS.items():
+        w = REGISTRY.get(name)
+        vm.eval(w.source)
+        vm.eval(w.setup_code(w.n_test))
+        for _ in range(2):
+            for call in calls:
+                for _ in range(4):
+                    vm.eval(call or w.call_code(w.n_test))
+    assert len(checked) == vm.state.deopts > 0
+    assert vm.state.invalidations > 0 or deoptless
+    assert not any(checked)
