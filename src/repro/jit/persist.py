@@ -81,9 +81,11 @@ from .codecache import Ident, Unstable, WorldResolver
 #: no generic boxed reduce or computed subscript, so a key names scalar code
 #: where it named such a kernel, and ``KernelDescr`` lost the boxed
 #: accumulator's guard type; 13: a generated ``CALLG`` calls ``_callf``, the
-#: generic call path, where it named a per-site inline-cache helper).
+#: generic call path, where it named a per-site inline-cache helper; 14:
+#: ``VLOAD`` and ``VSTORE`` carry whether the index is an int and the
+#: vector's guard-proven kind, which their generated code trusts).
 #: Another version is a miss and a fresh compile.
-FORMAT_VERSION = 13
+FORMAT_VERSION = 14
 
 #: the interpreter a bucket file was written by: marshalled code objects
 #: load only under the bytecode version that made them

@@ -178,6 +178,8 @@ def execute_ref(ncode: NativeCode, args: List[Any], vm, closure_env=None,
         elif op == N.VLOAD:
             v = regs[ins[2]]
             i = regs[ins[3]]
+            # the generated code trusts an INT or LGL index to be an int
+            assert not ins[5] or isinstance(i, int), "typed subscript %r" % (i,)
             d = v.data
             if i < 1 or i > len(d):
                 raise RError("subscript out of bounds")
@@ -227,9 +229,14 @@ def execute_ref(ncode: NativeCode, args: List[Any], vm, closure_env=None,
             regs[ins[1]] = len(regs[ins[2]].data)
         elif op == N.VSTORE:
             v = regs[ins[2]]
-            i = int(regs[ins[3]])
+            i = regs[ins[3]]
             x = regs[ins[4]]
             kind = ins[5]
+            # ... and a guard-proven vector kind (ins[7]) to be the vector's own
+            assert not ins[6] or isinstance(i, int), "typed subscript %r" % (i,)
+            assert ins[7] is None or (isinstance(v, RVector) and v.kind == ins[7]), \
+                "vector proven %r is %r" % (ins[7], v)
+            i = int(i)
             if (
                 isinstance(v, RVector)
                 and v.named <= 1
@@ -435,9 +442,17 @@ def execute_ref(ncode: NativeCode, args: List[Any], vm, closure_env=None,
             # iterations in one dispatch, or declines with zero effect and
             # lets the retained scalar loop (which follows) run instead.
             # The op itself is not an instruction of the scalar program, so
-            # the pre-counted nexec increment is cancelled.
-            res = _kernels.run_kernel(ncode.kernels[ins[1]], regs, vm, closure_env)
+            # the pre-counted nexec increment is cancelled.  A short trip
+            # runs the scalar loop without asking (kernels.SHORT_TRIP).
+            kd = ncode.kernels[ins[1]]
             nexec -= 1
+            if kd.idx_reg is not None:
+                j0 = regs[kd.idx_reg]
+                bound = regs[kd.bound_reg]
+                if type(j0) is int and type(bound) is int and bound - j0 < _kernels.SHORT_TRIP:
+                    pc += 1
+                    continue
+            res = _kernels.run_kernel(kd, regs, vm, closure_env)
             tag = res[0]
             if tag == "ok":
                 nexec += res[1]

@@ -52,6 +52,15 @@ _FAIL = object()
 
 _NUMERIC_KINDS = (Kind.LGL, Kind.INT, Kind.DBL)
 
+#: a kernel site whose induction and bound registers are ints fewer than
+#: this many elements apart runs the compiled scalar loop instead: on such a
+#: short trip the call's fixed cost (spill, entry checks, reload) is more
+#: than the per-element time it saves (DESIGN.md, "Loop vectorization", has
+#: the measurement).
+#: Both engines skip the same sites, and a skipped site is a decline: zero
+#: effect, so the scalar loop makes exactly the chaos draws it would have.
+SHORT_TRIP = 8
+
 
 def _resolve_source(source, regs, closure_env):
     """The value of an invariant chain root, without observable effects.

@@ -399,6 +399,7 @@ class Lowerer:
             self.nc.param_unbox = unbox_kinds
 
         fused = self._find_fused_guards()
+        self.guarded_kinds = self._find_guarded_kinds()
 
         pending_edges: List[Tuple[Any, Any, int]] = []  # (pred_bb, succ_bb, jump_op_index/branch pos)
         for bb in self.order:
@@ -439,6 +440,25 @@ class Lowerer:
                 if isinstance(asm, I.Assume) and asm.args[0] is ins:
                     fused[id(ins)] = asm
         return fused
+
+    def _find_guarded_kinds(self) -> Dict[int, Kind]:
+        """Map id(CastType) -> its kind when a guard earlier in the same
+        block checked that kind of the value it refines.  A type's kind is
+        an upper bound under coercion (a phi of a logical and an integer
+        vector is typed integer); a guard compares the vector's own kind, so
+        only a value it checked has exactly that kind."""
+        kinds = {}
+        if self.drop_deopt_exits:
+            return kinds
+        for bb in self.order:
+            checked = {}
+            for ins in bb.instrs:
+                if isinstance(ins, I.Assume) and isinstance(ins.args[0], I.IsType):
+                    test = ins.args[0]
+                    checked[id(test.args[0])] = test.test_type.kind
+                elif isinstance(ins, I.CastType) and checked.get(id(ins.args[0])) == ins.type.kind:
+                    kinds[id(ins)] = ins.type.kind
+        return kinds
 
     # -- phi moves ------------------------------------------------------------------------
 
@@ -836,12 +856,14 @@ class Lowerer:
             return
         if t is I.VecLoad:
             did = self.deopt_id(ins, reason_kind=DeoptReasonKind.NA_CHECK)
-            self.emit(N.VLOAD, self.reg(ins), self.reg(ins.args[0]), self.reg(ins.args[1]), did)
+            self.emit(N.VLOAD, self.reg(ins), self.reg(ins.args[0]), self.reg(ins.args[1]), did,
+                      _int_index(ins.args[1]))
             return
         if t is I.VecStore:
             self.emit(
                 N.VSTORE, self.reg(ins), self.reg(ins.args[0]), self.reg(ins.args[1]),
-                self.reg(ins.args[2]), ins.kind,
+                self.reg(ins.args[2]), ins.kind, _int_index(ins.args[1]),
+                self.guarded_kinds.get(id(ins.args[0])),
             )
             return
         if t is I.VecLength:
@@ -950,6 +972,12 @@ class Lowerer:
             self.emit(N.RET, self.reg(ins.args[0]))
             return
         raise LoweringError("cannot lower %s" % type(ins).__name__)
+
+
+def _int_index(idx: I.Instr) -> bool:
+    """Does a subscript's register hold a Python int (a bool is one)?  Its
+    type says so for an unboxed INT or LGL; a DBL one is truncated first."""
+    return idx.unboxed and idx.type.kind in (Kind.LGL, Kind.INT)
 
 
 class _BlockRef:

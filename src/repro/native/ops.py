@@ -7,7 +7,7 @@ an if/elif chain in this order, so hot loop ops come first.
 # hot arithmetic / control
 PADD = 0
 PLT = 1
-VLOAD = 2
+VLOAD = 2          # (op, dst, vec, idx, did, int_index)
 MOVE = 3
 JMP = 4
 BRT = 5
@@ -21,7 +21,7 @@ PNE = 12
 PDIV = 13
 GTYPE = 14
 VLEN = 15
-VSTORE = 16
+VSTORE = 16        # (op, dst, vec, idx, val, kind, int_index, vec_kind or None)
 BOX = 17
 UNBOX = 18
 RET = 19

@@ -395,7 +395,8 @@ def _emit(ncode) -> Tuple[str, list]:
                 out(0, "_d = _v.data")
                 out(0, "if _i < 1 or _i > len(_d):")
                 out(1, 'raise RError("subscript out of bounds")')
-                out(0, "_w = _d[int(_i) - 1]")
+                # an INT or LGL index is an int already; R truncates a DBL one
+                out(0, "_w = _d[%s - 1]" % ("_i" if ins[5] else "int(_i)"))
                 out(0, "if _w is None:")
                 out(1, raise_stmt(ins[4], observed="_naty(_v)"))
                 out(0, "%s = _w" % defn(ins[1]))
@@ -421,19 +422,26 @@ def _emit(ncode) -> Tuple[str, list]:
                 out(0, "%s = len(%s.data)" % (defn(ins[1]), a))
             elif op == N.VSTORE:
                 out(0, "_v = %s" % use(ins[2]))
-                out(0, "_i = int(%s)" % use(ins[3]))
+                out(0, ("_i = %s" if ins[6] else "_i = int(%s)") % use(ins[3]))
                 out(0, "_w = %s" % use(ins[4]))
                 d = defn(ins[1])
-                kind = ins[5]
-                out(0, "if isinstance(_v, RVector) and _v.named <= 1 and "
-                       "_v.kind == %s and 1 <= _i <= len(_v.data):" % K(kind))
-                out(1, "_v.data[_i - 1] = _w")
-                out(1, "%s = _v" % d)
-                if kind in (Kind.LGL, Kind.INT):
-                    out(0, "elif isinstance(_v, RVector) and _v.named <= 1 and "
-                           "1 <= _i <= len(_v.data) and _v.kind == %s:" % K(Kind.DBL))
-                    out(1, "_v.data[_i - 1] = float(_w)")
+                kind, vkind = ins[5], ins[7]
+                widens = kind in (Kind.LGL, Kind.INT)
+                if vkind == kind or (widens and vkind == Kind.DBL):
+                    # a guard proved the vector's kind: sharing and bounds are left
+                    out(0, "if _v.named <= 1 and 1 <= _i <= len(_v.data):")
+                    out(1, "_v.data[_i - 1] = %s" % ("_w" if vkind == kind else "float(_w)"))
                     out(1, "%s = _v" % d)
+                else:
+                    out(0, "if isinstance(_v, RVector) and _v.named <= 1 and "
+                           "_v.kind == %s and 1 <= _i <= len(_v.data):" % K(kind))
+                    out(1, "_v.data[_i - 1] = _w")
+                    out(1, "%s = _v" % d)
+                    if widens:
+                        out(0, "elif isinstance(_v, RVector) and _v.named <= 1 and "
+                               "1 <= _i <= len(_v.data) and _v.kind == %s:" % K(Kind.DBL))
+                        out(1, "_v.data[_i - 1] = float(_w)")
+                        out(1, "%s = _v" % d)
                 out(0, "else:")
                 out(1, "%s = _assign2(_v, RVector(%s, [_i]), RVector(%s, [_w]))"
                        % (d, K(Kind.INT), K(kind)))
@@ -605,23 +613,30 @@ def _emit(ncode) -> Tuple[str, list]:
             elif op == N.KERNEL:
                 kd = ncode.kernels[ins[1]]
                 spill, reload = _kernel_regs(ncode, kd)
-                out(0, "_rs = [None] * %d" % ncode.n_regs)
+                k = 0
+                if kd.idx_reg is not None:
+                    # a short trip falls through to the scalar loop (SHORT_TRIP)
+                    j, b = use(kd.idx_reg), use(kd.bound_reg)
+                    out(0, "if type(%s) is not int or type(%s) is not int or %s - %s >= %d:"
+                           % (j, b, b, j, SHORT_TRIP))
+                    k = 1
+                out(k, "_rs = [None] * %d" % ncode.n_regs)
                 for r in spill:
-                    out(0, "_rs[%d] = %s" % (r, use(r)))
-                out(0, "_r = _kern(ncode.kernels[%d], _rs, vm, closure_env)" % ins[1])
-                out(0, "_s = _r[0]")
-                out(0, 'if _s == "ok":')
-                out(1, "_n += _r[1]")
-                out(1, "_u += _r[2]")
-                out(1, "_g += _r[3]")
-                out(1, "state.kernel_elements += _r[4]")
+                    out(k, "_rs[%d] = %s" % (r, use(r)))
+                out(k, "_r = _kern(ncode.kernels[%d], _rs, vm, closure_env)" % ins[1])
+                out(k, "_s = _r[0]")
+                out(k, 'if _s == "ok":')
+                out(k + 1, "_n += _r[1]")
+                out(k + 1, "_u += _r[2]")
+                out(k + 1, "_g += _r[3]")
+                out(k + 1, "state.kernel_elements += _r[4]")
                 for r in reload:
-                    out(1, "%s = _rs[%d]" % (defn(r), r))
-                out(0, 'elif _s == "deopt":')
-                out(1, "state.kernel_elements += _r[7]")
+                    out(k + 1, "%s = _rs[%d]" % (defn(r), r))
+                out(k, 'elif _s == "deopt":')
+                out(k + 1, "state.kernel_elements += _r[7]")
                 dn, dg, du = counters()
-                out(1, "raise _DS(_r[1], %s + _r[4], %s + _r[6], %s + _r[5], "
-                       "_r[2], _r[3], _rs)" % (dn, dg, du))
+                out(k + 1, "raise _DS(_r[1], %s + _r[4], %s + _r[6], %s + _r[5], "
+                           "_r[2], _r[3], _rs)" % (dn, dg, du))
             else:  # pragma: no cover - an opcode in N.NAMES without a translation
                 raise UnsupportedUnit("opcode %d" % op)
 
@@ -849,4 +864,4 @@ from .executor import (  # noqa: E402
     execute_ref,
     force_value,
 )
-from .kernels import run_kernel  # noqa: E402
+from .kernels import SHORT_TRIP, run_kernel  # noqa: E402

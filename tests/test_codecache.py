@@ -648,7 +648,7 @@ def test_an_evicted_unit_with_no_store_is_recompiled():
 
 
 DOT_SRC = "dot <- function(x, y, n) { s <- 0; for (i in 1:n) s <- s + x[[i]] * y[[i]]; s }"
-DOT_SETUP = "x <- c(1.5, 2.5, 3.5, 4.5); y <- c(2, 3, 4, 5)"
+DOT_SETUP = "x <- c(1.5, 2.5, 3.5, 4.5, 5.5, 6.5, 7.5, 8.5); y <- c(2, 3, 4, 5, 6, 7, 8, 9)"
 
 
 @pytest.mark.parametrize("declined", [False, True])
@@ -674,7 +674,7 @@ def test_a_unit_that_ran_still_rebinds(declined, monkeypatch):
 
     monkeypatch.setattr(codecache.CodeCache, "insert", insert_and_serialize)
     vm = make_vm(codecache_dir=None, **engine)
-    calls = ["dot(x, y, 4L)"] * 6
+    calls = ["dot(x, y, 8L)"] * 6
     for src in (DOT_SETUP, DOT_SRC):
         vm.eval(src)
     first = [from_r(vm.eval(c)) for c in calls]
@@ -715,7 +715,7 @@ def test_a_compile_that_fails_at_serialize_time_declines_once(tmp_path, monkeypa
 
     monkeypatch.setattr(pycodegen, "_compile", refuse)
     d = str(tmp_path / "cc")
-    calls = ["dot(x, y, 4L)"] * 6
+    calls = ["dot(x, y, 8L)"] * 6
     vm = _dot_vm(codecache_dir=d)
     first = [from_r(vm.eval(c)) for c in calls]
     (entry,) = vm.code_cache.entries.values()
@@ -924,23 +924,23 @@ def _read_as_misses(d):
 
 
 def test_a_directory_of_the_previous_format_is_a_miss(tmp_path, monkeypatch):
-    """Format 12's generated code named a per-site inline-cache helper at
-    every ``CALLG``, which format 13's does not bind.  A directory written
-    under 12 reads under 13 as counted misses — no disk hit, no persist
-    failure — a recompile and the interpreter's results; an entry stamped 12
+    """Format 13's ``VLOAD`` and ``VSTORE`` carried no subscript facts, which
+    format 14's generated code trusts.  A directory written
+    under 13 reads under 14 as counted misses — no disk hit, no persist
+    failure — a recompile and the interpreter's results; an entry stamped 13
     handed to ``deserialize`` is refused on its version before any field is
     read."""
     d = tmp_path / "cc"
-    _saved_as(d, monkeypatch, FORMAT_VERSION=12)
-    assert persist.FORMAT_VERSION == 13
+    _saved_as(d, monkeypatch, FORMAT_VERSION=13)
+    assert persist.FORMAT_VERSION == 14
     _read_as_misses(d)
     vm = cache_vm()
     warm(vm)
     (entry,) = vm.code_cache.entries.values()
     with monkeypatch.context() as old:
-        old.setattr(persist, "FORMAT_VERSION", 12)
+        old.setattr(persist, "FORMAT_VERSION", 13)
         data = persist.serialize(entry.ncode, entry.root_code, codecache.WorldResolver(vm))
-    with pytest.raises(persist.PersistError, match="format 12"):
+    with pytest.raises(persist.PersistError, match="format 13"):
         persist.deserialize(data, entry.root_code, codecache.WorldResolver(vm))
 
 

@@ -307,6 +307,35 @@ def test_every_kind_fires_mid_vector(case, threaded, monkeypatch):
     assert v_rng == s_rng
 
 
+@pytest.mark.parametrize("threaded", [True, False], ids=["codegen", "execute_ref"])
+def test_a_short_trip_runs_the_scalar_loop(threaded, monkeypatch):
+    """A trip of fewer than ``SHORT_TRIP`` elements skips the kernel call in
+    both engines; one of exactly ``SHORT_TRIP`` calls it.  Either way the
+    results, signature and chaos draws are the scalar loop's."""
+    calls = []
+
+    def spy(kd, regs, vm, closure_env):
+        calls.append(kd.kind)
+        return run_kernel(kd, regs, vm, closure_env)
+
+    monkeypatch.setattr(kernels, "run_kernel", spy)
+    monkeypatch.setattr(pycodegen, "run_kernel", spy)
+    monkeypatch.setattr(pycodegen, "_ENV_CACHE", None)  # rebuilt around the spy
+    for n, called in ((kernels.SHORT_TRIP - 1, False), (kernels.SHORT_TRIP, True)):
+        runs = []
+        for vectorize in (True, False):
+            del calls[:]
+            vm = make_vm(compile_threshold=1, osr_threshold=100000, vectorize=vectorize,
+                         chaos_rate=0.01, chaos_seed=3, threaded_dispatch=threaded)
+            vm.eval(SUM_SRC)
+            vm.eval("v <- 1.5 * (1:%d)" % n)
+            results = [from_r(vm.eval("f(v, %dL)" % n)) for _ in range(12)]
+            runs.append((results, engine_signature(vm), vm.chaos_rng.getstate()))
+            if vectorize:
+                assert bool(calls) == called and bool(vm.state.kernel_elements) == called
+        assert runs[0] == runs[1]
+
+
 def _first_draw_loop(rng, rate, events, n):
     """The per-element draw loop ``_first_draw`` replaced."""
     for jd in range(n):
