@@ -442,17 +442,9 @@ def execute_ref(ncode: NativeCode, args: List[Any], vm, closure_env=None,
             # iterations in one dispatch, or declines with zero effect and
             # lets the retained scalar loop (which follows) run instead.
             # The op itself is not an instruction of the scalar program, so
-            # the pre-counted nexec increment is cancelled.  A short trip
-            # runs the scalar loop without asking (kernels.SHORT_TRIP).
-            kd = ncode.kernels[ins[1]]
+            # the pre-counted nexec increment is cancelled.
+            res = _kernels.run_kernel(ncode.kernels[ins[1]], regs, vm, closure_env)
             nexec -= 1
-            if kd.idx_reg is not None:
-                j0 = regs[kd.idx_reg]
-                bound = regs[kd.bound_reg]
-                if type(j0) is int and type(bound) is int and bound - j0 < _kernels.SHORT_TRIP:
-                    pc += 1
-                    continue
-            res = _kernels.run_kernel(kd, regs, vm, closure_env)
             tag = res[0]
             if tag == "ok":
                 nexec += res[1]

@@ -57,8 +57,9 @@ _NUMERIC_KINDS = (Kind.LGL, Kind.INT, Kind.DBL)
 #: short trip the call's fixed cost (spill, entry checks, reload) is more
 #: than the per-element time it saves (DESIGN.md, "Loop vectorization", has
 #: the measurement).
-#: Both engines skip the same sites, and a skipped site is a decline: zero
-#: effect, so the scalar loop makes exactly the chaos draws it would have.
+#: Such a trip is a decline: zero effect, so the scalar loop makes exactly
+#: the chaos draws it would have.  The generated code also skips the spill
+#: at such a site, where the saving is.
 SHORT_TRIP = 8
 
 
@@ -227,6 +228,8 @@ def run_kernel(kd, regs, vm, closure_env):
     # -- iteration range: [ji, stop) over 0-based data indices ---------------
     j0 = regs[kd.idx_reg]
     bound = regs[kd.bound_reg]
+    if type(j0) is int and type(bound) is int and bound - j0 < SHORT_TRIP:
+        return _DECLINE
     if not _raw_number(j0) or not _raw_number(bound):
         return _DECLINE
     ji = int(j0)

@@ -446,17 +446,21 @@ class Lowerer:
         block checked that kind of the value it refines.  A type's kind is
         an upper bound under coercion (a phi of a logical and an integer
         vector is typed integer); a guard compares the vector's own kind, so
-        only a value it checked has exactly that kind."""
+        only a value it checked has exactly that kind.  A value a loop
+        anchor holds is left out: an OSR hop seeds its register without
+        running the guard, checking the kind only up to coercion."""
         kinds = {}
         if self.drop_deopt_exits:
             return kinds
+        seeded = {id(v) for anchor in self.graph.osr_anchors.values() for v in anchor.values()}
         for bb in self.order:
             checked = {}
             for ins in bb.instrs:
                 if isinstance(ins, I.Assume) and isinstance(ins.args[0], I.IsType):
                     test = ins.args[0]
                     checked[id(test.args[0])] = test.test_type.kind
-                elif isinstance(ins, I.CastType) and checked.get(id(ins.args[0])) == ins.type.kind:
+                elif (isinstance(ins, I.CastType) and id(ins) not in seeded
+                      and checked.get(id(ins.args[0])) == ins.type.kind):
                     kinds[id(ins)] = ins.type.kind
         return kinds
 

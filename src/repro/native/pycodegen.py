@@ -615,7 +615,7 @@ def _emit(ncode) -> Tuple[str, list]:
                 spill, reload = _kernel_regs(ncode, kd)
                 k = 0
                 if kd.idx_reg is not None:
-                    # a short trip falls through to the scalar loop (SHORT_TRIP)
+                    # run_kernel declines a short trip (SHORT_TRIP): skip the spill too
                     j, b = use(kd.idx_reg), use(kd.bound_reg)
                     out(0, "if type(%s) is not int or type(%s) is not int or %s - %s >= %d:"
                            % (j, b, b, j, SHORT_TRIP))

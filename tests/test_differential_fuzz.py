@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import TIER_CONFIGS, engine_signature, make_vm
 from repro import from_r
+from repro.native.kernels import SHORT_TRIP
 
 #: the two execution engines as Config overrides: reference if/elif loops
 #: and the per-unit Python-codegen tier.  Engine-looping tests below must
@@ -46,7 +47,9 @@ kernel <- function(v, n) {
     return src
 
 
-vectors = st.lists(st.integers(-8, 8), min_size=1, max_size=7)
+#: lengths on both sides of the kernel floor: a shorter trip runs the
+#: scalar loop (``SHORT_TRIP``), a longer one may run a vector kernel
+vectors = st.lists(st.integers(-8, 8), min_size=1, max_size=2 * SHORT_TRIP)
 
 
 @given(loop_program(), vectors, st.booleans())
@@ -305,7 +308,10 @@ def nested_loop_program(draw):
         "s <- s %(red)s v[[i]] %(map)s o",  # outer variable as invariant
         "s <- s %(red)s v[[i]] %(map)s %(k)dL",
     ])) % {"red": red_op, "map": map_op, "k": k}
-    return """
+    return NEST_SRC % (map_op, k, acc_init, inner_init, body)
+
+
+NEST_SRC = """
 g <- function(x) x %s %dL
 nest <- function(v, m, n) {
   total <- %s
@@ -316,7 +322,7 @@ nest <- function(v, m, n) {
   }
   total
 }
-""" % (map_op, k, acc_init, inner_init, body)
+"""
 
 
 @given(nested_loop_program(), vectors, st.integers(1, 5))
@@ -339,6 +345,26 @@ def test_nested_loops_agree_across_tiers_and_engines(src, xs, m):
         assert got == expected, (src, got, expected)
         sigs.append(engine_signature(vm))
     assert all(s == sigs[0] for s in sigs), src
+
+
+def test_nested_loops_reach_a_kernel_past_the_floor():
+    """The loop-nest template above runs its inner kernel once the trip is
+    ``SHORT_TRIP`` long, and the scalar loop below that, on both engines —
+    so the fuzzed vector lengths cover both sides."""
+    src = NEST_SRC % ("+", 2, "0", "0L", "s <- s + g(v[[i]])")
+    for n in (SHORT_TRIP - 1, SHORT_TRIP, 2 * SHORT_TRIP):
+        call = "nest(1:%d, 3L, %dL)" % (n, n)
+        vm_ref = make_vm(enable_jit=False)
+        vm_ref.eval(src)
+        expected = [from_r(vm_ref.eval(call)) for _ in range(3)]
+        sigs = []
+        for eng in ENGINE_LEGS:
+            vm = make_vm(compile_threshold=1, osr_threshold=50, **eng)
+            vm.eval(src)
+            assert [from_r(vm.eval(call)) for _ in range(3)] == expected
+            assert bool(vm.state.kernel_elements) == (n >= SHORT_TRIP), (n, eng)
+            sigs.append(engine_signature(vm))
+        assert sigs[0] == sigs[1]
 
 
 @st.composite

@@ -18,9 +18,11 @@ from conftest import engine_signature, make_vm
 from repro import from_r
 from repro.bytecode import opcodes as O
 from repro.bytecode.compiler import Compiler
+from repro.native import executor, ops as N
 from repro.native.lower import OsrEntry
 from repro.osr import osr_hop
-from repro.runtime.values import RPromise
+from repro.runtime.rtypes import Kind
+from repro.runtime.values import RPromise, RVector
 
 FLIP_SRC = """
 hop_step <- function(v, k) v + k
@@ -352,6 +354,46 @@ def test_seed_slot_refuses_promises():
     regs = list(nc.reg_init)
     p = RPromise.__new__(RPromise)
     assert osr_hop._seed_slot(regs, reg, kind, rtype, p) is False
+
+
+POST_SRC = """
+post <- function(x, n) {
+  t <- x[[1L]]
+  s <- 0
+  i <- 1L
+  while (i <= n) { s <- s + t; i <- i + 1L }
+  x[[1L]] <- 2.5
+  x
+}
+"""
+
+
+@pytest.mark.parametrize("threaded", [False, True])
+@pytest.mark.parametrize("kind, elems", [("integer", [1, 2]), ("logical", [True, False])])
+def test_a_hop_does_not_prove_a_pre_loop_guard(threaded, kind, elems):
+    """``x`` is guarded double before the loop and stored into after it.  A
+    hop seeds the guarded value's register checking its kind only up to
+    coercion, so an integer or logical vector may enter it: the store must
+    not trust the guard's kind, and widens ``x`` as R does."""
+    vm = make_vm(compile_threshold=1, ctxdispatch=False, threaded_dispatch=threaded)
+    vm.eval(POST_SRC)
+    for _ in range(3):
+        vm.eval("post(c(1.5, 2.5), 20L)")
+    nc = _closure(vm, "post").jit.version
+    pc, entry = next(iter(nc.osr_entries.items()))
+    x = RVector(Kind.LGL if kind == "logical" else Kind.INT, list(elems))
+    values = {"x": x, "n": vm.eval("20L"), "t": vm.eval("1.5"), "s": vm.eval("0"),
+              "i": vm.eval("3L")}
+    regs = osr_hop.seed_registers(vm, nc, entry, values, [], lambda: None, "post", pc)
+    assert regs is not None, "the hop admits the vector"
+    got = from_r(executor.execute_at(nc, entry.index, regs, vm, vm.global_env))
+    interp = make_vm(enable_jit=False)
+    interp.eval(POST_SRC)
+    assert got == from_r(interp.eval("post(as.%s(c(%s)), 20L)" % (
+        kind, ", ".join(str(int(e)) for e in elems)))) == [2.5, float(elems[1])]
+    assert all(type(e) is float for e in got), got
+    # the store's vector is the hop-seeded value: no proven kind
+    assert [op[7] for op in nc.ops if op[0] == N.VSTORE] == [None]
 
 
 # ---------------------------------------------------------------------------
