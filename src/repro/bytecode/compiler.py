@@ -168,7 +168,8 @@ def _liveness(code: CodeObject) -> List[frozenset]:
             if new != live[pc]:
                 live[pc] = new
                 changed = True
-    return live
+    one = {}  # pcs with equal live sets share one
+    return [one.setdefault(s, s) for s in live]
 
 
 #: expression node types that can never observe or cause an effect.

@@ -366,12 +366,14 @@ class CheckFun(Instr):
 
 
 class Share(Instr):
-    """Mark a value as shared (``named = 2``) at an inline boundary.
+    """Mark a value as shared (``named = 2``) at an inline boundary, or where
+    an elided environment binds a second local to it.
 
     Argument binding gives the callee a reference the caller also holds, so
     both the interpreter and the native calling convention bump the NAMED
     count on vector arguments.  Inlined calls have no binding step — this
-    instruction performs the bump so copy-on-write behaves identically.
+    instruction performs the bump so copy-on-write behaves identically, as
+    it does for the interpreter's ``ST_VAR`` of a vector another name holds.
     """
 
     effectful = True

@@ -466,6 +466,9 @@ class CodeCache:
         #: ``unit.obtain`` inserts what it then builds under that very key —
         #: no program code ran in between — and the digest is not taken twice
         self._missed: tuple = (None, None)
+        #: :meth:`_shared_sig`'s table; a process-wide one would outlive
+        #: every VM that filled it
+        self._sigs: Dict[tuple, tuple] = {}
 
     @property
     def stores(self) -> tuple:
@@ -560,8 +563,20 @@ class CodeCache:
             del self._digest_keys[entry.digest]
         return entry
 
+    def _shared_sig(self, sig: tuple) -> tuple:
+        """The cache's one copy of ``sig`` (a :func:`feedback_signature`), and
+        of its slot tuple, each ``(pc, slot)`` pair and each callee's."""
+        t = self._sigs
+        slots, blocked, calls = sig
+        slots = tuple(t.setdefault(p, p) for p in slots)
+        calls = tuple((pc, self._shared_sig(c)) for pc, c in calls)
+        sig = (t.setdefault(slots, slots), blocked, calls)
+        return t.setdefault(sig, sig)
+
     def _admit(self, key: tuple, ncode, vm, root_code: CodeObject,
                digest: Optional[str] = None) -> None:
+        # both key shapes carry the feedback signature, which repeats, at 4
+        key = key[:4] + (self._shared_sig(key[4]),) + key[5:]
         if key in self.entries:
             self._drop_entry(key)
         if digest is not None:

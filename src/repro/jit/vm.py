@@ -201,6 +201,9 @@ class RVM:
         or None when this call shape needs the interpreter path."""
         formals = closure.formals
         if names is None and len(args) == len(formals):
+            for v in args:
+                if isinstance(v, RVector):
+                    v.named = 2
             return list(args)
         if st.default_consts is None:
             st.default_consts = _default_consts(closure)

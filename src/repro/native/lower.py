@@ -78,10 +78,11 @@ class DeoptDescr:
                  reason_pc, expected, parent=None, fun=None):
         self.code = code
         self.pc = pc
-        #: [(name, reg, kind_or_None)] — kind set when the reg holds a raw value
-        self.env_slots: List[Tuple[str, int, Optional[Kind]]] = env_slots
-        #: [(reg, kind_or_None)]
-        self.stack: List[Tuple[int, Optional[Kind]]] = stack
+        #: ((name, reg, kind_or_None), ...) — kind set when the reg holds a
+        #: raw value; equal ones in a unit are one object (``Lowerer._shared``)
+        self.env_slots: Tuple[Tuple[str, int, Optional[Kind]], ...] = env_slots
+        #: ((reg, kind_or_None), ...), shared the same way
+        self.stack: Tuple[Tuple[int, Optional[Kind]], ...] = stack
         #: register of the live environment (env mode: env_slots is empty)
         self.env_reg: Optional[int] = env_reg
         self.reason_kind = reason_kind
@@ -257,8 +258,8 @@ class NativeCode:
         #: (False: emission or compilation declined, the reference loop runs
         #: the unit), its constant pool, the compiled module code object and
         #: the exec'd specialized function.  ``pycode``/``pyconsts`` are the
-        #: persistable artifact (jit/persist.py); the source stays in this
-        #: process and the function is exec'd in each one.
+        #: persistable artifact (jit/persist.py); ``bind`` drops the source
+        #: once compiled, and the function is exec'd in each process.
         self.pysrc = None
         self.pyconsts = None
         self.pycode = None
@@ -323,6 +324,8 @@ class Lowerer:
             self.loop_pred_ids[plan.header.id] = {bb.id for bb in plan.body_blocks}
         #: (kernel op index, plan) in emission order
         self.kernel_sites: List[Tuple[int, Any]] = []
+        #: this unit's one copy of each equal deopt slot map and slot
+        self._interned: Dict[tuple, tuple] = {}
 
     # -- registers -----------------------------------------------------------------
 
@@ -362,19 +365,26 @@ class Lowerer:
         parent = None
         if fs.parent is not None:
             parent = self._frame_descr(fs.parent, reason_kind, reason_pc, expected)
-        env_slots = []
+        env_slots = ()
         env_reg = None
         if fs.env_value is not None:
             env_reg = self.reg(fs.env_value)
         else:
-            for name, v in fs.env_slots:
-                kind = v.type.kind if v.unboxed else None
-                env_slots.append((name, self.reg(v), kind))
-        stack = [(self.reg(v), v.type.kind if v.unboxed else None) for v in fs.stack]
+            env_slots = self._shared(
+                (name, self.reg(v), v.type.kind if v.unboxed else None)
+                for name, v in fs.env_slots)
+        stack = self._shared((self.reg(v), v.type.kind if v.unboxed else None)
+                             for v in fs.stack)
         return DeoptDescr(
             fs.code, fs.pc, env_slots, stack, env_reg, reason_kind, reason_pc,
             expected, parent=parent, fun=getattr(fs, "fun", None),
         )
+
+    def _shared(self, slots) -> tuple:
+        """``slots`` as a tuple, it and each slot the unit's one equal copy."""
+        t = self._interned
+        slots = tuple(t.setdefault(x, x) for x in slots)
+        return t.setdefault(slots, slots)
 
     # -- main ---------------------------------------------------------------------------
 

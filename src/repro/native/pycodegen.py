@@ -779,27 +779,27 @@ def _decline(ncode) -> None:
     ncode.pyconsts = ncode.pycode = ncode.pyfunc = None
 
 
-def ensure_source(ncode, state=None) -> Optional[str]:
-    """Emit (once) and cache the unit's generated source + constant pool.
-
-    Returns the source text, or None when the unit cannot be translated
-    (``pysrc`` is then the False sentinel and the reference loop runs it).
-    """
-    src = ncode.pysrc
-    if src is not None:
-        return src if src is not False else None
+def ensure_source(ncode, state=None) -> None:
+    """Emit (once) the unit's generated source + constant pool; nothing to
+    do once the unit is compiled (``pycode``) or declined (``pysrc`` is then
+    the False sentinel and the reference loop runs it)."""
+    if ncode.pysrc is not None or ncode.pycode is not None:
+        return
     try:
         src, consts = _emit(ncode)
     except Exception:
         _decline(ncode)
         if state is not None:
             state.pycodegen_failures += 1
-        return None
-    ncode.pysrc = src
-    ncode.pyconsts = consts
+        return
+    ncode.pysrc, ncode.pyconsts = src, consts
     if state is not None:
         state.pycodegen_units += 1
-    return src
+
+
+def source(ncode) -> str:
+    """The unit's source text, emitted again: it is not kept once compiled."""
+    return _emit(ncode)[0]
 
 
 def _compile(ncode):
@@ -818,14 +818,17 @@ def bind(ncode, vm):
     itself) and shared by every clone: a declined unit has no function;
     otherwise its code object — compiled here once, or arrived in the
     unit's bytes — is exec'd; a unit with neither is emitted and compiled
-    first.  A failure is paid once per template, not once per clone.
+    first (its text then dropped).  A failure is paid once per template.
     """
     tmpl = ncode.cache_template or ncode
     if tmpl.pyfunc is None and tmpl.pysrc is not False:
         code = tmpl.pycode
         try:
-            if code is None and ensure_source(tmpl, vm.state) is not None:
-                code = _compile(tmpl)
+            if code is None:
+                ensure_source(tmpl, vm.state)
+                if tmpl.pysrc:
+                    code = _compile(tmpl)
+                    tmpl.pysrc = None
             if code is not None:
                 g = dict(_shared_env())
                 g["_K"] = tuple(tmpl.pyconsts or ())

@@ -924,23 +924,23 @@ def _read_as_misses(d):
 
 
 def test_a_directory_of_the_previous_format_is_a_miss(tmp_path, monkeypatch):
-    """Format 13's ``VLOAD`` and ``VSTORE`` carried no subscript facts, which
-    format 14's generated code trusts.  A directory written
-    under 13 reads under 14 as counted misses — no disk hit, no persist
-    failure — a recompile and the interpreter's results; an entry stamped 13
+    """Format 14's deopt descriptors held lists where format 15's hold shared
+    tuples.  A directory written
+    under 14 reads under 15 as counted misses — no disk hit, no persist
+    failure — a recompile and the interpreter's results; an entry stamped 14
     handed to ``deserialize`` is refused on its version before any field is
     read."""
     d = tmp_path / "cc"
-    _saved_as(d, monkeypatch, FORMAT_VERSION=13)
-    assert persist.FORMAT_VERSION == 14
+    _saved_as(d, monkeypatch, FORMAT_VERSION=14)
+    assert persist.FORMAT_VERSION == 15
     _read_as_misses(d)
     vm = cache_vm()
     warm(vm)
     (entry,) = vm.code_cache.entries.values()
     with monkeypatch.context() as old:
-        old.setattr(persist, "FORMAT_VERSION", 13)
+        old.setattr(persist, "FORMAT_VERSION", 14)
         data = persist.serialize(entry.ncode, entry.root_code, codecache.WorldResolver(vm))
-    with pytest.raises(persist.PersistError, match="format 13"):
+    with pytest.raises(persist.PersistError, match="format 14"):
         persist.deserialize(data, entry.root_code, codecache.WorldResolver(vm))
 
 

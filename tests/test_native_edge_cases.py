@@ -157,7 +157,7 @@ def test_bench_cli_rejects_unknown():
 # reference loop asserts them
 # ---------------------------------------------------------------------------
 
-def on_engines(src, calls, times=4):
+def on_engines(src, calls, times=4, **config):
     """Run ``calls`` (each ``times`` times) on both native engines and return
     the VMs after checking every result against the interpreter's and the
     two engines' ``engine_signature`` against each other."""
@@ -165,7 +165,7 @@ def on_engines(src, calls, times=4):
     vms = []
     for cfg in (dict(enable_jit=False), dict(threaded_dispatch=True),
                 dict(threaded_dispatch=False)):
-        vm = make_vm(compile_threshold=1, **cfg)
+        vm = make_vm(compile_threshold=1, **cfg, **config)
         vm.eval(src)
         got = [[repr(from_r(vm.eval(c))) for c in calls] for _ in range(times)]
         if want is None:
@@ -248,6 +248,55 @@ x <- c(1.5, 2.5, 3.5, 4.5)
         assert st[7] == Kind.DBL, "the proven arm is the one that copies"
         assert from_r(vm.eval("f(x, 4L)")) == [2.0, 1.5, 1.0, 0.5]
         assert from_r(vm.eval("x")) == [1.5, 2.5, 3.5, 4.5]
+
+
+def shares(vm, name):
+    """The ``SHARE`` ops of ``name``'s compiled version."""
+    return sum(op[0] == N.SHARE for op in vm.get_global(name).jit.version.ops)
+
+
+def test_a_vector_bound_to_a_second_local_is_shared():
+    """The interpreter's ``ST_VAR`` makes a vector bound under a second name
+    shared (``named = 2``), so the store through ``y`` copies and ``x`` keeps
+    the zeros.  An elided environment binds both names to one register and
+    has no binding step: the builder emits the ``Share``."""
+    src = "f <- function(n) { y <- numeric(n); x <- y; y[[1L]] <- 5; x }"
+    for vm in on_engines(src, ["f(3L)"], times=60):
+        assert vm.get_global("f").jit.version.env_elided
+        assert shares(vm, "f") == 1
+        assert from_r(vm.eval("f(3L)")) == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("inline", [True, False])
+def test_an_argument_kept_in_a_local_is_shared(inline):
+    """``f``: an argument kept in a local is the case above.  ``h``: the
+    argument itself is shared with the caller's binding — by the ``Share``
+    at an inlined call's boundary, and by the register calling convention
+    (``RVM._match_native``) when the callee runs as its own unit."""
+    src = """
+f <- function(y) { x <- y; x[[1L]] <- 5; y }
+g <- function(y) { y[[1L]] <- 5; y }
+h <- function(n) { z <- numeric(n); w <- g(z); z }
+"""
+    for vm in on_engines(src, ["f(numeric(3L))", "h(3L)"], times=60, inline=inline):
+        assert shares(vm, "f") == 1
+        assert from_r(vm.eval("h(3L)")) == [0.0, 0.0, 0.0]
+
+
+def test_a_vector_a_promise_reads_is_shared():
+    """Sound without a builder ``Share``: a promise needs the environment
+    (``MK_PROMISE`` is never elided), whose ``STVAR_ENV`` keeps the
+    interpreter's bookkeeping, and forcing a promise marks its value
+    shared.  ``x`` comes back through two promises (``h`` and ``id`` are
+    closures, not pure builtins, so ``id(y)`` is not evaluated eagerly)."""
+    src = """
+id <- function(a) a
+h <- function(a) a
+f <- function(n) { y <- numeric(n); x <- h(id(y)); y[[1L]] <- 5; x }
+"""
+    for vm in on_engines(src, ["f(3L)"], times=60):
+        assert not vm.get_global("f").jit.version.env_elided
+        assert from_r(vm.eval("f(3L)")) == [0.0, 0.0, 0.0]
 
 
 @pytest.mark.parametrize("engine", [True, False])

@@ -70,7 +70,8 @@ def test_codegen_tier_binds_one_function_per_unit():
     results = drive(vm)
     assert len(set(results)) == 1
     nc = compiled_unit(vm)
-    assert isinstance(nc.pysrc, str) and nc.pysrc, "no source emitted"
+    src = pycodegen.source(nc)
+    assert isinstance(src, str) and src, "no source emitted"
     assert callable(nc.pyfunc), "source never bound"
     assert vm.state.pycodegen_units >= 1
     assert vm.state.pycodegen_failures == 0
@@ -209,7 +210,7 @@ def test_loop_free_branching_unit_has_no_dispatch_loop():
     """``bt_check`` branches (leaf or inner node) but has no loop and no OSR
     entry: op 0 is its only arm, so there is nothing to dispatch on."""
     vm, _ = registry_vm("binarytrees", **JIT)
-    src = compiled_unit(vm, "bt_check").pysrc
+    src = pycodegen.source(compiled_unit(vm, "bt_check"))
     assert any(op[0] == N.BRT for op in compiled_unit(vm, "bt_check").ops)
     assert "while" not in src and "_b" not in src
     assert "    if r" in src, "the branch must still be there, inline"
@@ -220,8 +221,9 @@ def test_mandel_keeps_only_joins_as_arms():
     entries and the join points (three loop headers) stay dispatch arms."""
     vm, _ = registry_vm("mandelbrot", calls=4, **JIT)  # the re-profiled unit
     nc = compiled_unit(vm, "mandel")
-    assert 2 <= len(arms(nc.pysrc)) <= 7
-    assert len(arms(nc.pysrc)) < len(pycodegen.branch_targets(nc.ops))
+    src = pycodegen.source(nc)
+    assert 2 <= len(arms(src)) <= 7
+    assert len(arms(src)) < len(pycodegen.branch_targets(nc.ops))
 
 
 @pytest.mark.parametrize("name", ["phaseflip_sum", "phaseflip_dot", "phaseflip_twice"])
@@ -242,9 +244,10 @@ def test_every_osr_entry_is_an_arm_and_a_hop_lands(name, monkeypatch):
     assert hopped and vm.state.osr_hops == len(hopped)
     for ncode, entry in hopped:
         assert ncode.osr_entries and ncode.pyfunc is not None
-        assert "] = _regs\n" in ncode.pysrc, "no hop prologue"
-        assert entry in arms(ncode.pysrc)
-        assert {e.index for e in ncode.osr_entries.values()} <= set(arms(ncode.pysrc))
+        src = pycodegen.source(ncode)
+        assert "] = _regs\n" in src, "no hop prologue"
+        assert entry in arms(src)
+        assert {e.index for e in ncode.osr_entries.values()} <= set(arms(src))
     monkeypatch.undo()
     w = REGISTRY.get(name)
     ref = make_vm(threaded_dispatch=False, **cfg)
@@ -260,7 +263,7 @@ def test_unit_without_osr_entries_refuses_a_register_image():
     a register image must fail loudly, not bind ``args`` and run from op 0."""
     vm, _ = registry_vm("binarytrees", **JIT)
     nc = compiled_unit(vm, "bt_check")
-    assert not nc.osr_entries and "= _regs" not in nc.pysrc
+    assert not nc.osr_entries and "= _regs" not in pycodegen.source(nc)
     with pytest.raises(RuntimeError, match="no OSR entry"):
         executor.execute_at(nc, 0, list(nc.reg_init), vm)
 
@@ -287,9 +290,10 @@ def test_if_chain_deeper_than_the_nesting_cap():
         if threaded:
             nc = compiled_unit(vm, "deep")
             assert nc.pyfunc is not None and vm.state.pycodegen_failures == 0
-            widest = max(len(ln) - len(ln.lstrip(" ")) for ln in nc.pysrc.split("\n"))
+            src = pycodegen.source(nc)
+            widest = max(len(ln) - len(ln.lstrip(" ")) for ln in src.split("\n"))
             assert 4 * pycodegen._MAX_NEST <= widest < 4 * 100
-            assert len(arms(nc.pysrc)) > 1, "nothing was demoted to an arm"
+            assert len(arms(src)) > 1, "nothing was demoted to an arm"
     assert outs[0][0][0] == depth * (depth + 1) // 2
     assert outs[0] == outs[1]
 
@@ -371,9 +375,10 @@ def site_depth(nc, fs_pc, reason_pc):
     descriptors resuming at ``fs_pc`` for a guard at ``reason_pc``."""
     dids = [i for i, d in enumerate(nc.deopts)
             if d.pc == fs_pc and d.reason_pc == reason_pc]
-    body = 4 if "while True:" in nc.pysrc else 2
+    src = pycodegen.source(nc)
+    body = 4 if "while True:" in src else 2
     found = [len(m.group(1)) // 4 - body - 1 for m in re.finditer(
-        r"^( +)raise _DS\((\d+), .*_CHAOS\)$", nc.pysrc, re.M)
+        r"^( +)raise _DS\((\d+), .*_CHAOS\)$", src, re.M)
         if int(m.group(2)) in dids]
     return max(found)
 
@@ -435,7 +440,7 @@ def test_hop_entered_deopt_reads_unbound_registers_from_the_seeded_image(monkeyp
                         chaos_rate=0.05, chaos_seed=1234, **JIT)
     monkeypatch.undo()
     nc, entry, regs, env = hops[0]
-    prologue = re.search(r"^ +\[(.*)\] = _regs$", nc.pysrc, re.M).group(1)
+    prologue = re.search(r"^ +\[(.*)\] = _regs$", pycodegen.source(nc), re.M).group(1)
     seeded = {int(r) for r in re.findall(r"\br(\d+)\b", prologue)}
     only = descriptor_only_regs(nc, seeded)
     params = set(nc.param_regs)
@@ -459,7 +464,7 @@ def test_deopt_reads_descriptor_only_constants_from_reg_init():
     line binds them, so ``_fail`` must find them in ``reg_init``."""
     vm, _ = registry_vm("binarytrees", **JIT)
     nc = compiled_unit(vm, "binarytrees_run")
-    named = {int(r) for r in re.findall(r"\br(\d+)\b", nc.pysrc)}
+    named = {int(r) for r in re.findall(r"\br(\d+)\b", pycodegen.source(nc))}
     only = descriptor_only_regs(nc, named)
     assert any(nc.reg_init[r] is not None for rs in only.values() for r in rs), \
         "scenario gone: no constant register only descriptors read"
