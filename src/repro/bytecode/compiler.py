@@ -168,8 +168,7 @@ def _liveness(code: CodeObject) -> List[frozenset]:
             if new != live[pc]:
                 live[pc] = new
                 changed = True
-    one = {}  # pcs with equal live sets share one
-    return [one.setdefault(s, s) for s in live]
+    return list(map({}.setdefault, live, live))  # equal sets: one object
 
 
 #: expression node types that can never observe or cause an effect.

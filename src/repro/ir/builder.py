@@ -939,10 +939,10 @@ class GraphBuilder:
             s = self.cur_bb.append(I.StVarEnv(self.env_value, name, self._as_boxed(v, pc)))
             s.bc_pc = pc
         else:
-            if not v.unboxed and any(u is v for n, u in self.cur.vars.items() if n != name):
-                # the interpreter's ST_VAR: a vector bound under two names is shared
-                s = self.cur_bb.append(I.Share(v))
-                s.bc_pc = pc
+            if not v.unboxed and (isinstance(v, I.Phi) or any(
+                    u is v for n, u in self.cur.vars.items() if n != name)):
+                # ST_VAR: a vector another name (or a stack phi's arm) holds is shared
+                self.cur_bb.append(I.Share(v)).bc_pc = pc
             self.cur.vars[name] = v
         return False
 

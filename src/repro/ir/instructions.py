@@ -366,14 +366,12 @@ class CheckFun(Instr):
 
 
 class Share(Instr):
-    """Mark a value as shared (``named = 2``) at an inline boundary, or where
-    an elided environment binds a second local to it.
+    """Mark a value as shared (``named = 2``) at an inline boundary or ST_VAR.
 
     Argument binding gives the callee a reference the caller also holds, so
     both the interpreter and the native calling convention bump the NAMED
     count on vector arguments.  Inlined calls have no binding step — this
-    instruction performs the bump so copy-on-write behaves identically, as
-    it does for the interpreter's ``ST_VAR`` of a vector another name holds.
+    instruction performs the bump so copy-on-write behaves identically.
     """
 
     effectful = True

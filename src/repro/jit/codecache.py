@@ -466,9 +466,10 @@ class CodeCache:
         #: ``unit.obtain`` inserts what it then builds under that very key —
         #: no program code ran in between — and the digest is not taken twice
         self._missed: tuple = (None, None)
-        #: :meth:`_shared_sig`'s table; a process-wide one would outlive
-        #: every VM that filled it
+        #: :meth:`_shared_sig`'s table (a process-wide one would outlive every
+        #: VM), rebuilt from the live keys once it doubles ``_sigs_live``
         self._sigs: Dict[tuple, tuple] = {}
+        self._sigs_live = 32
 
     @property
     def stores(self) -> tuple:
@@ -573,8 +574,19 @@ class CodeCache:
         sig = (t.setdefault(slots, slots), blocked, calls)
         return t.setdefault(sig, sig)
 
+    def _seed_sigs(self, sigs) -> None:
+        """Put live keys' signatures and their parts back in the table."""
+        for sig in sigs:
+            for x in sig[0] + (sig[0], sig):
+                self._sigs[x] = x
+            self._seed_sigs(c for _, c in sig[2])
+
     def _admit(self, key: tuple, ncode, vm, root_code: CodeObject,
                digest: Optional[str] = None) -> None:
+        if len(self._sigs) > 2 * self._sigs_live:
+            self._sigs = {}
+            self._seed_sigs(k[4] for k in self.entries)
+            self._sigs_live = max(len(self._sigs), 32)
         # both key shapes carry the feedback signature, which repeats, at 4
         key = key[:4] + (self._shared_sig(key[4]),) + key[5:]
         if key in self.entries:

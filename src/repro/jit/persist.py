@@ -83,9 +83,8 @@ from .codecache import Ident, Unstable, WorldResolver
 #: accumulator's guard type; 13: a generated ``CALLG`` calls ``_callf``, the
 #: generic call path, where it named a per-site inline-cache helper; 14:
 #: ``VLOAD`` and ``VSTORE`` carry whether the index is an int and the
-#: vector's guard-proven kind, which their generated code trusts; 15:
-#: ``DeoptDescr.env_slots``/``stack`` are tuples).  Another version is a
-#: miss and a fresh compile.
+#: vector's guard-proven kind, which their generated code trusts; 15: deopt
+#: slot maps are tuples).  Another version is a miss and a fresh compile.
 FORMAT_VERSION = 15
 
 #: the interpreter a bucket file was written by: marshalled code objects

@@ -201,42 +201,40 @@ class RVM:
         or None when this call shape needs the interpreter path."""
         formals = closure.formals
         if names is None and len(args) == len(formals):
-            for v in args:
-                if isinstance(v, RVector):
-                    v.named = 2
-            return list(args)
-        if st.default_consts is None:
-            st.default_consts = _default_consts(closure)
-        if st.default_consts is _NO_CONSTS:
-            return None
-        formal_names = [f[0] for f in formals]
-        slots: List[Any] = [_MISSING] * len(formals)
-        used = [False] * len(args)
-        if names is not None:
-            for i, nm in enumerate(names):
-                if nm is None:
-                    continue
-                if nm not in formal_names:
-                    return None
-                j = formal_names.index(nm)
-                slots[j] = args[i]
-                used[i] = True
-        pos = 0
-        for i, a in enumerate(args):
-            if names is not None and used[i]:
-                continue
-            while pos < len(formals) and slots[pos] is not _MISSING:
-                pos += 1
-            if pos >= len(formals):
+            slots: List[Any] = list(args)
+        else:
+            if st.default_consts is None:
+                st.default_consts = _default_consts(closure)
+            if st.default_consts is _NO_CONSTS:
                 return None
-            slots[pos] = a
-            pos += 1
-        for j, v in enumerate(slots):
-            if v is _MISSING:
-                d = st.default_consts[j]
-                if d is _MISSING:
+            formal_names = [f[0] for f in formals]
+            slots = [_MISSING] * len(formals)
+            used = [False] * len(args)
+            if names is not None:
+                for i, nm in enumerate(names):
+                    if nm is None:
+                        continue
+                    if nm not in formal_names:
+                        return None
+                    j = formal_names.index(nm)
+                    slots[j] = args[i]
+                    used[i] = True
+            pos = 0
+            for i, a in enumerate(args):
+                if names is not None and used[i]:
+                    continue
+                while pos < len(formals) and slots[pos] is not _MISSING:
+                    pos += 1
+                if pos >= len(formals):
                     return None
-                slots[j] = d
+                slots[pos] = a
+                pos += 1
+            for j, v in enumerate(slots):
+                if v is _MISSING:
+                    d = st.default_consts[j]
+                    if d is _MISSING:
+                        return None
+                    slots[j] = d
         for v in slots:
             if isinstance(v, RVector):
                 v.named = 2

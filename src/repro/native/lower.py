@@ -78,10 +78,9 @@ class DeoptDescr:
                  reason_pc, expected, parent=None, fun=None):
         self.code = code
         self.pc = pc
-        #: ((name, reg, kind_or_None), ...) — kind set when the reg holds a
-        #: raw value; equal ones in a unit are one object (``Lowerer._shared``)
+        #: a tuple of (name, reg, kind_or_None), kind set when the reg is raw
         self.env_slots: Tuple[Tuple[str, int, Optional[Kind]], ...] = env_slots
-        #: ((reg, kind_or_None), ...), shared the same way
+        #: a tuple of (reg, kind_or_None); equal maps are one (Lowerer._shared)
         self.stack: Tuple[Tuple[int, Optional[Kind]], ...] = stack
         #: register of the live environment (env mode: env_slots is empty)
         self.env_reg: Optional[int] = env_reg

@@ -779,22 +779,21 @@ def _decline(ncode) -> None:
     ncode.pyconsts = ncode.pycode = ncode.pyfunc = None
 
 
-def ensure_source(ncode, state=None) -> None:
-    """Emit (once) the unit's generated source + constant pool; nothing to
-    do once the unit is compiled (``pycode``) or declined (``pysrc`` is then
-    the False sentinel and the reference loop runs it)."""
-    if ncode.pysrc is not None or ncode.pycode is not None:
-        return
-    try:
-        src, consts = _emit(ncode)
-    except Exception:
-        _decline(ncode)
-        if state is not None:
-            state.pycodegen_failures += 1
-        return
-    ncode.pysrc, ncode.pyconsts = src, consts
-    if state is not None:
-        state.pycodegen_units += 1
+def ensure_source(ncode, state=None):
+    """Emit (once) the unit's generated source + constant pool and return the
+    text: None once the unit is compiled (``pycode``), the False sentinel
+    once it is declined (the reference loop runs it)."""
+    if ncode.pysrc is None and ncode.pycode is None:
+        try:
+            ncode.pysrc, ncode.pyconsts = _emit(ncode)
+        except Exception:
+            _decline(ncode)
+            if state is not None:
+                state.pycodegen_failures += 1
+        else:
+            if state is not None:
+                state.pycodegen_units += 1
+    return ncode.pysrc
 
 
 def source(ncode) -> str:
@@ -824,11 +823,8 @@ def bind(ncode, vm):
     if tmpl.pyfunc is None and tmpl.pysrc is not False:
         code = tmpl.pycode
         try:
-            if code is None:
-                ensure_source(tmpl, vm.state)
-                if tmpl.pysrc:
-                    code = _compile(tmpl)
-                    tmpl.pysrc = None
+            if code is None and ensure_source(tmpl, vm.state):
+                code, tmpl.pysrc = _compile(tmpl), None
             if code is not None:
                 g = dict(_shared_env())
                 g["_K"] = tuple(tmpl.pyconsts or ())

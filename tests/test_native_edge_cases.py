@@ -267,6 +267,26 @@ def test_a_vector_bound_to_a_second_local_is_shared():
         assert from_r(vm.eval("f(3L)")) == [0.0, 0.0, 0.0]
 
 
+def test_a_vector_bound_through_an_if_expression_is_shared():
+    """The interpreter's rule is runtime identity: ``x`` is bound to ``y``'s
+    vector or ``z``'s, so its ``ST_VAR`` shares it.  With both arms profiled
+    the stored value is a stack phi, which no other local holds as an SSA
+    value: the builder shares a stored phi too."""
+    src = """
+f <- function(n, c) {
+  y <- numeric(n); z <- numeric(n)
+  x <- if (c) y else z
+  y[[1L]] <- 5; z[[1L]] <- 7
+  x
+}
+"""
+    for vm in on_engines(src, ["f(3L, TRUE)", "f(3L, FALSE)"], times=60):
+        assert vm.get_global("f").jit.version.env_elided
+        assert shares(vm, "f") == 1
+        assert from_r(vm.eval("f(3L, TRUE)")) == [0.0, 0.0, 0.0]
+        assert from_r(vm.eval("f(3L, FALSE)")) == [0.0, 0.0, 0.0]
+
+
 @pytest.mark.parametrize("inline", [True, False])
 def test_an_argument_kept_in_a_local_is_shared(inline):
     """``f``: an argument kept in a local is the case above.  ``h``: the
