@@ -287,20 +287,49 @@ def _emit(ncode) -> Tuple[str, list]:
     # backedge.  A leader one edge reaches is inlined into that edge's block,
     # and so is a lone RET however many reach it: an edge to it *is* a return.
     roots = [0] + entries
-    npred = dict.fromkeys(roots, 0)
+    preds = {r: [] for r in roots}  # leader -> the blocks with an edge to it
     back: List[int] = []  # backedge targets
-    work = list(npred)
+    work = list(preds)
     while work:
         b = work.pop()
         for t in successors(b):
-            if t not in npred:
+            if t not in preds:
+                preds[t] = []
                 work.append(t)
-            npred[t] = npred.get(t, 0) + 1
+            preds[t].append(b)
             if t <= b and t not in back:
                 back.append(t)
     armset = set(roots).union(
-        t for t, n in npred.items() if n > 1 and ops[t][0] != N.RET)
+        t for t, p in preds.items() if len(p) > 1 and ops[t][0] != N.RET)
+
+    def owner(b: int) -> int:
+        """The arm whose superblock prints block ``b`` (a non-arm block
+        with successors has exactly one edge into it)."""
+        while b not in armset:
+            b = preds[b][0]
+        return b
+
+    def latch_header(b: int) -> Optional[int]:
+        """The loop header a join made only of phi copies jumps to."""
+        while ops[b][0] == N.MOVE:
+            b += 1
+            if b in leaderset:
+                return None
+        return follow(ops[b][1])[0] if ops[b][0] == N.JMP else None
+
+    # A latch whose every edge comes from inside its header's superblock is
+    # printed at each of those edges, pending counts carried in: the header
+    # then jumps only to itself on every iteration path, and is printed as a
+    # Python loop.  Such an arm leaves for any other arm by a ``break``.
+    latches = set()
+    for t in armset.difference(roots, back):
+        h = latch_header(t)
+        if h in back and all(owner(p) == h for p in preds[t]):
+            latches.add(t)
+    armset -= latches
+    loops = {h for h in back if h in armset and h in map(owner, preds[h])}
     arms = sorted(armset)  # the nesting cap appends to both
+    looping = None  # the loop arm being printed, if it is one
 
     def emit_block(L: List[Tuple[int, str]], i: int, base: int,
                    pend: List[int], written: set) -> None:
@@ -338,15 +367,17 @@ def _emit(ncode) -> Tuple[str, list]:
 
         def jump(ind: int, fold: int, arm: int) -> None:
             """Leave for an arm over ``fold`` threaded JMPs: the path's one
-            literal counter flush, then the dispatch."""
+            literal counter flush, then the dispatch — or, back to the loop
+            arm being printed, its next iteration."""
             if pend[0] + fold:
                 out(ind, "_n += %d" % (pend[0] + fold))
             if pend[1]:
                 out(ind, "_g += %d" % pend[1])
             if pend[2]:
                 out(ind, "_u += %d" % pend[2])
-            out(ind, "_b = %d" % arm)
-            out(ind, "continue")
+            if arm != looping:
+                out(ind, "_b = %d" % arm)
+            out(ind, "break" if looping is not None and arm != looping else "continue")
 
         def call_flush() -> None:
             # mirror of the reference loop's pre-call flush: the call op is
@@ -657,6 +688,7 @@ def _emit(ncode) -> Tuple[str, list]:
     blocks = {}
     for leader in arms:  # grows while it is walked, see _MAX_NEST
         blocks[leader] = []
+        looping = leader if leader in loops else None
         emit_block(blocks[leader], leader, 0, [0, 0, 0], set())
     # hot-first chain order: backedge targets (loop headers) sit at the top
     ordered = [t for t in back if t in armset] + [t for t in arms if t not in back]
@@ -717,8 +749,11 @@ def _emit(ncode) -> Tuple[str, list]:
         render(2, "while True:")
         for n, leader in enumerate(ordered):
             render(3, "%s _b == %d:" % ("elif" if n else "if", leader))
+            nest = leader in loops
+            if nest:
+                render(4, "while True:")
             for ind, text in blocks[leader]:
-                render(4 + ind, text)
+                render(4 + nest + ind, text)
         render(3, "else:")
         render(4, 'raise RError("no native entry at op %d" % _b)')
     else:
