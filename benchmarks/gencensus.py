@@ -24,7 +24,8 @@ CATEGORIES = (
     ("guard", re.compile(r"^if not |^if _v is not |^if _ch is not None|^raise ")),
     ("kernel", re.compile(r"_rs\b|_kern\(|_r\[|^_s = |_s == |is not int or type\(")),
     ("call", re.compile(r"_callf\(|call_closure\(|\.fn\(|^state\.native_ops \+= _n|^_n = 0")),
-    ("dispatch", re.compile(r"^_b = |^continue$|^(el)?if _b == |^while True|^_[ngu] \+= ")),
+    ("counter", re.compile(r"^_[ngu] \+= ")),
+    ("dispatch", re.compile(r"^_b = |^continue$|^break$|^(el)?if _b == |^while True")),
     ("box", re.compile(r"RVector\(|\.data\[0\]|^if type\(_v\) is |^_v = (int|float|complex)\(_v\)")),
     ("move", re.compile(r"^(r\d+|_[vwi]) = (r\d+|_[vwi])$")),
     ("branch", re.compile(r"^if r\d+:$")),

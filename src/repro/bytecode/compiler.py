@@ -459,9 +459,11 @@ class Compiler:
     def _c_If(self, n: A.If) -> None:
         self.compile_expr(n.cond)
         jump = self.emit(O.BRFALSE, -1, line=n.line)
+        depth = self.depth
         self.compile_expr(n.then)
         end = self.emit(O.BR, -1, line=n.line)
         self.patch(jump, self.here())
+        self.depth = depth  # the other arm starts from the same stack
         if n.orelse is not None:
             self.compile_expr(n.orelse)
         else:

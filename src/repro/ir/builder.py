@@ -863,6 +863,16 @@ class GraphBuilder:
             return u
         return self._guard_type(value, RType(kind, scalar=True, maybe_na=False), pc)
 
+    def _as_index(self, idx: I.Instr, pc: int) -> I.Instr:
+        """A ``[[`` subscript, unboxed.  A literal integral double is the
+        int it names (``x[[1]]``), so the access needs no ``int()``."""
+        k = _integral_const(idx)
+        if k is None:
+            return self._as_unboxed(idx, Kind.INT, pc)
+        c = self.cur_bb.append(I.Const(k, _INT))
+        c.unboxed = True
+        return c
+
     def _as_boxed(self, value: I.Instr, pc: int) -> I.Instr:
         if not value.unboxed:
             return value
@@ -1066,7 +1076,9 @@ class GraphBuilder:
     def _op_colon(self, ins, pc) -> bool:
         b = self._as_boxed(self.cur.stack.pop(), pc)
         a = self._as_boxed(self.cur.stack.pop(), pc)
-        r = self.cur_bb.append(I.Colon(a, b, T.colon_result(a.type, b.type)))
+        # R's `1:n`: a literal integral double end counts as an integer one
+        ta, tb = (_INT if _integral_const(v) is not None else v.type for v in (a, b))
+        r = self.cur_bb.append(I.Colon(a, b, T.colon_result(ta, tb)))
         r.bc_pc = pc
         self.cur.stack.append(r)
         return False
@@ -1084,7 +1096,7 @@ class GraphBuilder:
             if not (idx.unboxed or idx.type.unboxable):
                 idx = self._guard_type(idx, RType(Kind.INT, scalar=True, maybe_na=False), pc)
                 self.cur.stack[-1] = idx
-            uidx = self._as_unboxed(idx, Kind.INT, pc)
+            uidx = self._as_index(idx, pc)
             fs = self._framestate(pc)
             del self.cur.stack[-2:]
             # a scalar is a length-1 vector: re-box unboxed scalars so the
@@ -1117,7 +1129,7 @@ class GraphBuilder:
             and (idx.unboxed or idx.type.unboxable)
             and (val.unboxed or val.type.unboxable)
         ):
-            uidx = self._as_unboxed(idx, Kind.INT, pc)
+            uidx = self._as_index(idx, pc)
             uval = self._as_unboxed(val, val.type.kind, pc)
             # the store names the value's kind, not the vector's: a static
             # INT vector may hold an LGL one, and `i / 2` into it must widen
@@ -1301,6 +1313,20 @@ def _const_type(value: Any) -> RType:
     if isinstance(value, RNull):
         return RType(Kind.NULL, scalar=False, maybe_na=False)
     return ANY
+
+
+_INT = RType(Kind.INT, scalar=True, maybe_na=False)
+
+
+def _integral_const(v: I.Instr) -> Optional[int]:
+    """The int a literal double with an integral value names, else None."""
+    if isinstance(v, I.Const) and not v.unboxed:
+        cv = v.value
+        if isinstance(cv, RVector) and cv.kind == Kind.DBL and len(cv.data) == 1:
+            x = cv.data[0]
+            if x is not None and x.is_integer():
+                return int(x)
+    return None
 
 
 def _const_default(default_code) -> bool:

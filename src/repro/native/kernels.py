@@ -148,6 +148,7 @@ def _compile_fsum(kd):
     elems = set()
     uinvs = set()
     rinvs = set()
+    divs = []
 
     def emit(role):
         tag = role[0]
@@ -173,7 +174,11 @@ def _compile_fsum(kd):
             if a is None or b is None:
                 return None
             if role[1] == "/":
-                return "_pdiv(%s, %s)" % (a, b)
+                # _pdiv only for a zero divisor; a temporary per division,
+                # since one in the numerator runs after this one's walrus
+                w = "_w%d" % len(divs)
+                divs.append(w)
+                return "(%s / %s if (%s := %s) else _pdiv(%s, %s))" % (a, w, w, b, a, w)
             return "(%s %s %s)" % (a, role[1], b)
         return None
 

@@ -19,7 +19,11 @@ one edge reaches is printed inline at the end of its predecessor (under
 from a join point to the next one without touching the dispatch variable.
 Only op 0, OSR entry leaders and join points (loop headers among them) are
 arms of the ``while True: if _b == k`` chain; a unit with no other arm than
-op 0 has no loop at all.
+op 0 has no loop at all.  A latch (phi copies, then a jump to its loop
+header) whose edges all start inside the header's superblock is printed at
+each of them, so an innermost loop's header jumps only to itself: its arm
+is a ``while True:``, an iteration ends in ``continue``, and leaving for
+another arm is ``_b = k`` plus ``break``.
 
 Equivalence contract: results, deopt frames and the engine-independent
 telemetry — ``native_ops``, ``native_generic_ops``, ``guards_executed`` and
@@ -209,7 +213,8 @@ _GEN_REGS = {
 
 #: ``if`` levels a superblock may nest before a taken-branch target is made a
 #: dispatch arm instead.  CPython's tokenizer gives up at 100 indents; the
-#: unit's def/try/while/arm frame and an op's own inner lines take seven.
+#: unit's def/try/while/arm frame, a loop arm's own ``while`` and an op's
+#: own inner lines take eight.
 _MAX_NEST = 32
 
 
@@ -303,8 +308,7 @@ def _emit(ncode) -> Tuple[str, list]:
         t for t, p in preds.items() if len(p) > 1 and ops[t][0] != N.RET)
 
     def owner(b: int) -> int:
-        """The arm whose superblock prints block ``b`` (a non-arm block
-        with successors has exactly one edge into it)."""
+        """The arm whose superblock prints block ``b`` (one edge enters it)."""
         while b not in armset:
             b = preds[b][0]
         return b
@@ -321,15 +325,10 @@ def _emit(ncode) -> Tuple[str, list]:
     # printed at each of those edges, pending counts carried in: the header
     # then jumps only to itself on every iteration path, and is printed as a
     # Python loop.  Such an arm leaves for any other arm by a ``break``.
-    latches = set()
-    for t in armset.difference(roots, back):
-        h = latch_header(t)
-        if h in back and all(owner(p) == h for p in preds[t]):
-            latches.add(t)
-    armset -= latches
+    armset -= {t for t in armset.difference(roots, back)
+               if (h := latch_header(t)) in back and all(owner(p) == h for p in preds[t])}
     loops = {h for h in back if h in armset and h in map(owner, preds[h])}
     arms = sorted(armset)  # the nesting cap appends to both
-    looping = None  # the loop arm being printed, if it is one
 
     def emit_block(L: List[Tuple[int, str]], i: int, base: int,
                    pend: List[int], written: set) -> None:
@@ -688,7 +687,7 @@ def _emit(ncode) -> Tuple[str, list]:
     blocks = {}
     for leader in arms:  # grows while it is walked, see _MAX_NEST
         blocks[leader] = []
-        looping = leader if leader in loops else None
+        looping = leader if leader in loops else None  # read by ``jump``
         emit_block(blocks[leader], leader, 0, [0, 0, 0], set())
     # hot-first chain order: backedge targets (loop headers) sit at the top
     ordered = [t for t in back if t in armset] + [t for t in arms if t not in back]
@@ -749,11 +748,10 @@ def _emit(ncode) -> Tuple[str, list]:
         render(2, "while True:")
         for n, leader in enumerate(ordered):
             render(3, "%s _b == %d:" % ("elif" if n else "if", leader))
-            nest = leader in loops
-            if nest:
+            if leader in loops:
                 render(4, "while True:")
             for ind, text in blocks[leader]:
-                render(4 + nest + ind, text)
+                render(4 + (leader in loops) + ind, text)
         render(3, "else:")
         render(4, 'raise RError("no native entry at op %d" % _b)')
     else:

@@ -292,7 +292,7 @@ def test_sum_phases_executes_the_ops_it_did_with_every_phi_pre_created():
     vm.eval(w.setup_code(w.n_test))
     for _ in range(6):
         vm.eval(w.call_code(w.n_test))
-    assert (vm.state.native_ops, vm.state.guards_executed) == (9668, 808)
+    assert (vm.state.native_ops, vm.state.guards_executed) == (9656, 804)
 
 
 def test_header_with_two_forward_edges_still_compiles():

@@ -224,6 +224,79 @@ x <- c(5.5, 6.5)
         assert from_r(vm.eval("ld(x, TRUE)")) == 5.5
 
 
+def test_a_literal_integral_double_subscript_is_an_int_index():
+    """``x[[2]]``'s ``2`` is a double literal that names an int: the access
+    needs no ``int()`` (``x[[2.7]]`` keeps it, above)."""
+    src = """
+ld <- function(x) x[[2]]
+st <- function(x, v) { x[[2]] <- v; x }
+x <- c(10.5, 20.5, 30.5)
+"""
+    for vm in on_engines(src, ["ld(x)", "st(x, 1.5)", "x"]):
+        for name in ("ld", "st"):
+            (op,) = subscript_ops(vm, name)
+            assert int_index(op)
+        assert from_r(vm.eval("ld(x)")) == 20.5
+
+
+# ---------------------------------------------------------------------------
+# a:b over integral ends is a non-NA INT vector at compile time (R's `1:n`,
+# whose `1` is a double literal), so no guard checks what the colon made
+# ---------------------------------------------------------------------------
+
+def colon_guarded(vm, name):
+    """Does a type guard check what ``name``'s colon made?"""
+    ops = vm.get_global(name).jit.version.ops
+    made = {op[1] for op in ops if op[0] == N.GEN_COLON}
+    for op in ops:  # a forced or cast copy of it
+        if op[0] in (N.FORCE, N.MOVE) and op[2] in made:
+            made.add(op[1])
+    return any(op[0] == N.GTYPE and op[1] in made for op in ops)
+
+
+@pytest.mark.parametrize("seq, typed", [
+    ("1:0", True), ("3:1", True), ("1:n", True), ("-2:2", None),
+    ("TRUE:3L", True), ("1.5:3", False),
+])
+def test_a_loop_over_a_colon(seq, typed):
+    src = "f <- function(n) { s <- 0; for (i in %s) s <- s * 2 + i; s }" % seq
+    for vm in on_engines(src, ["f(0L)", "f(4L)"]):
+        if typed is not None:
+            assert colon_guarded(vm, "f") is not typed, seq
+
+
+def test_a_colon_to_na_raises_on_every_engine():
+    src = "f <- function(n) { m <- n; s <- 0L; for (i in 1:m) s <- s + i; s }"
+    for cfg in (dict(enable_jit=False), dict(threaded_dispatch=True),
+                dict(threaded_dispatch=False)):
+        vm = make_vm(compile_threshold=1, **cfg)
+        vm.eval(src)
+        for _ in range(3):
+            assert from_r(vm.eval("f(4L)")) == 10
+        with pytest.raises(RError, match="NA argument in ':'"):
+            vm.eval("f(NA_integer_)")
+        assert from_r(vm.eval("f(3L)")) == 6
+
+
+def test_an_int_colon_vector_copies_on_write():
+    src = """
+f <- function(n) { x <- 1:n; y <- x; x[[2]] <- 5L; c(x, y) }
+g <- function() { x <- 1:3; x[[2]] <- x[[2]] + 10L; x }
+"""
+    for vm in on_engines(src, ["f(3L)", "g()", "g()"]):
+        assert from_r(vm.eval("g()")) == [1, 12, 3]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_chaos_deopt_mid_loop_over_an_int_colon(seed):
+    src = "f <- function(v, n) { s <- 0; for (i in 1:n) s <- s + v[[i]] * i; s }\n" \
+          "v <- 1.5 * (1:6)"
+    vms = on_engines(src, ["f(v, 6L)"], chaos_rate=0.1, chaos_seed=seed,
+                     enable_deoptless=True)
+    assert vms[0].state.deopts > 0
+    assert not colon_guarded(vms[0], "f")
+
+
 def test_an_int_stored_into_a_proven_double_vector_reads_back_a_float():
     src = """
 f <- function(n) { v <- numeric(n); for (i in 1:n) v[[n + 1L - i]] <- i; v }

@@ -206,6 +206,26 @@ def arms(src):
     return [int(m) for m in re.findall(r"^ +(?:if|elif) _b == (\d+):$", src, re.M)]
 
 
+def arm_bodies(src):
+    """Op index -> the stripped lines of that dispatch arm."""
+    bodies, cur, depth = {}, None, 0
+    for line in src.split("\n"):
+        m = re.match(r"^( +)(?:if|elif) _b == (\d+):$", line)
+        if m:
+            depth, cur = len(m.group(1)), int(m.group(2))
+            bodies[cur] = []
+        elif cur is not None and not line.startswith(" " * (depth + 1)):
+            cur = None  # the chain's ``else:``
+        elif cur is not None:
+            bodies[cur].append(line.strip())
+    return bodies
+
+
+def loop_arms(src):
+    """The arms printed as a Python loop, with their lines."""
+    return {k: b for k, b in arm_bodies(src).items() if b[0] == "while True:"}
+
+
 def test_loop_free_branching_unit_has_no_dispatch_loop():
     """``bt_check`` branches (leaf or inner node) but has no loop and no OSR
     entry: op 0 is its only arm, so there is nothing to dispatch on."""
@@ -224,6 +244,76 @@ def test_mandel_keeps_only_joins_as_arms():
     src = pycodegen.source(nc)
     assert 2 <= len(arms(src)) <= 7
     assert len(arms(src)) < len(pycodegen.branch_targets(nc.ops))
+
+
+def test_mandels_innermost_loop_is_a_python_loop():
+    """The innermost loop's latch (phi copies, then the backedge) is printed
+    at both of its edges inside the header's superblock, so the header arm
+    holds a ``while True:``: an iteration ends in ``continue``, and leaving
+    is ``_b = X`` plus ``break``.  The outer loops still dispatch."""
+    vm, _ = registry_vm("mandelbrot", calls=4, **JIT)
+    src = pycodegen.source(compiled_unit(vm, "mandel"))
+    ((head, body),) = loop_arms(src).items()
+    assert "_b = %d" % head not in body
+    assert body.count("continue") == 2, "both iteration paths loop in place"
+    exits = [k for k, line in enumerate(body) if line.startswith("_b = ")]
+    assert exits and all(body[k + 1] == "break" for k in exits)
+    assert "_b = %d" % head in src, "the middle loop enters it by dispatch"
+
+
+TWO_EXITS_SRC = """
+two_exits <- function(v, n) {
+  s <- 0
+  for (j in 1:3) {
+    i <- 1L
+    while (i <= n) { s <- s + v[[i]]; i <- i + 1L }
+    if (s > 10) break
+  }
+  s
+}
+v <- c(1.5, 2.5, 3.5)
+"""
+
+
+def engines_agree(src, calls, fire=None, times=4):
+    """Results of ``calls`` (each ``times`` times) on the interpreter and on
+    both native engines, with chaos draws ``fire`` firing; asserts they
+    agree and so do the engines' ``engine_signature``.  The codegen VM."""
+    want, vms = None, []
+    for cfg in (dict(enable_jit=False), dict(threaded_dispatch=True),
+                dict(threaded_dispatch=False)):
+        chaos = dict(chaos_rate=0.5, enable_deoptless=True) if fire else {}
+        vm = make_vm(compile_threshold=1, osr_threshold=100000, **chaos, **cfg)
+        if fire:
+            vm.chaos_rng = FireAt(*fire)
+        vm.eval(src)
+        got = [[from_r(vm.eval(c)) for c in calls] for _ in range(times)]
+        if want is None:
+            want = got
+        assert got == want, cfg
+        vms.append(vm)
+    assert engine_signature(vms[1]) == engine_signature(vms[2])
+    return vms[1]
+
+
+def test_a_loop_arm_leaves_for_two_arms():
+    """The inner ``while`` is a Python loop that leaves for two different
+    arms: the outer loop's header and, through ``break``, the return."""
+    vm = engines_agree(TWO_EXITS_SRC, ["two_exits(v, 3L)", "two_exits(v, 1L)"])
+    src = pycodegen.source(compiled_unit(vm, "two_exits"))
+    ((head, body),) = loop_arms(src).items()
+    targets = {line for line in body if line.startswith("_b = ")}
+    assert len(targets) == 2 and "_b = %d" % head not in targets
+    assert set(int(t[5:]) for t in targets) <= set(arms(src))
+
+
+@pytest.mark.parametrize("draw", [3, 8, 13, 21])
+def test_a_chaos_deopt_inside_a_loop_arm_matches_the_interpreter(draw):
+    """A guard that fails inside the Python loop raises out of it with the
+    iteration's pending counts, like any other site."""
+    vm = engines_agree(TWO_EXITS_SRC, ["two_exits(v, 3L)"], fire=[draw])
+    assert vm.state.deopts == 1
+    assert loop_arms(pycodegen.source(compiled_unit(vm, "two_exits")))
 
 
 @pytest.mark.parametrize("name", ["phaseflip_sum", "phaseflip_dot", "phaseflip_twice"])
@@ -268,23 +358,40 @@ def test_unit_without_osr_entries_refuses_a_register_image():
         executor.execute_at(nc, 0, list(nc.reg_init), vm)
 
 
-def nested_if_program(depth):
-    """``deep(x)``: ``depth`` nested ``if``, each level adding to the sum."""
+def nested_if_program(depth, loop=False):
+    """``deep(x)``: ``depth`` nested ``if``, each level adding to the sum;
+    with ``loop``, the chain is the body of a three-trip ``for`` whose every
+    ``else`` is ``next``, so no join breaks it into arms."""
+    tail = " else next" if loop else ""
     body = "s <- s + %dL" % depth
-    for level in range(depth - 1, 0, -1):
-        body = "s <- s + %dL\nif (x > %dL) {\n%s\n}" % (level, level, body)
-    return "deep <- function(x) {\ns <- 0L\nif (x > 0L) {\n%s\n}\ns\n}" % body
+    for level in range(depth - 1, -1, -1):
+        body = "if (x > %dL) {\n%s\n}%s" % (level, body, tail)
+        if level:
+            body = "s <- s + %dL\n%s" % (level, body)
+    if loop:
+        body = "for (k in 1:3) {\n%s\n}" % body
+    return "deep <- function(x) {\ns <- 0L\n%s\ns\n}" % body
 
 
 def test_if_chain_deeper_than_the_nesting_cap():
     """Past ``_MAX_NEST`` levels a taken-branch target becomes a dispatch
     arm instead of one more indentation level: the text still compiles
     (CPython refuses 100 indents) and runs like the reference loop."""
+    deep_chain_runs_like_the_reference_loop(loop=False)
+
+
+def test_if_chain_deeper_than_the_nesting_cap_in_a_loop_body():
+    """The same chain one loop level deeper: an arm the cap demotes inside
+    a Python loop is left by ``break``."""
+    deep_chain_runs_like_the_reference_loop(loop=True)
+
+
+def deep_chain_runs_like_the_reference_loop(loop):
     depth = pycodegen._MAX_NEST + 70
     outs = []
     for threaded in (True, False):
         vm = make_vm(threaded_dispatch=threaded, compile_threshold=1)
-        vm.eval(nested_if_program(depth))
+        vm.eval(nested_if_program(depth, loop))
         calls = [from_r(vm.eval("deep(%dL)" % x)) for x in (depth, depth, 3, depth + 5, 0)]
         outs.append((calls, engine_signature(vm)))
         if threaded:
@@ -294,7 +401,10 @@ def test_if_chain_deeper_than_the_nesting_cap():
             widest = max(len(ln) - len(ln.lstrip(" ")) for ln in src.split("\n"))
             assert 4 * pycodegen._MAX_NEST <= widest < 4 * 100
             assert len(arms(src)) > 1, "nothing was demoted to an arm"
-    assert outs[0][0][0] == depth * (depth + 1) // 2
+            if loop:
+                (body,) = loop_arms(src).values()
+                assert "break" in body, "no arm was demoted inside the loop"
+    assert outs[0][0][0] == (3 if loop else 1) * depth * (depth + 1) // 2
     assert outs[0] == outs[1]
 
 

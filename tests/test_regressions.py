@@ -440,6 +440,22 @@ run <- function(n) {
 """
 
 
+@pytest.mark.parametrize("src, want", [
+    ("f <- function(x) { s <- 0L; for (k in 1:3) { if (x > k) s <- s + k else next }; s }",
+     [0, 1, 6]),
+    ("f <- function(x) { i <- 0L; while (TRUE) { if (x > i) s <- 1L else s <- 2L; "
+     "i <- i + s; if (i > 6L) break }; i }", [8, 8, 7]),
+])
+def test_an_else_arm_starts_from_the_stack_its_then_arm_did(src, want):
+    """The byte compiler counted the ``then`` arm's value into the ``else``
+    arm's stack depth, so a ``next`` or ``break`` unwinding from there, or
+    later in the loop body, popped a slot that was not there (an
+    ``IndexError`` in the interpreter and in the IR builder's analysis)."""
+    from conftest import assert_all_tiers
+    for x, w in zip((0, 2, 5), want):
+        assert_all_tiers(src + "\nf(%dL)" % x, w, repeat=4)
+
+
 def test_continuation_escape_analysis_scans_whole_function():
     """Sound behaviour: `total` escaped into `observer` BEFORE the loop, so
     an OSR-in continuation of the loop must keep writing the real

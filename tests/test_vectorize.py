@@ -545,6 +545,32 @@ def test_fused_loops_vectorize_and_match(shape, mode):
         assert v_sig[key] == s_sig[key], "%s[%s]: %s diverged" % (shape, mode, key)
 
 
+#: divisions nested both ways in a fused expression, and divisors with a
+#: zero: the kernel divides inline and leaves a zero divisor to ``_pdiv``
+DIVISIONS = {"num": "(v[[i]] / y[[i]]) / z[[i]]", "den": "v[[i]] / (y[[i]] / z[[i]])"}
+ZEROS = {"none": "", "inf": "y[[5]] <- 0", "neginf": "v[[5]] <- -1\ny[[5]] <- 0",
+         "nan": "v[[5]] <- 0\ny[[5]] <- 0"}
+
+
+@pytest.mark.parametrize("threaded", [True, False])
+@pytest.mark.parametrize("zero", sorted(ZEROS))
+@pytest.mark.parametrize("expr", sorted(DIVISIONS))
+def test_fused_divisions_match_the_scalar_loop(expr, zero, threaded):
+    src = "f <- function(v, n) { s <- 0; for (i in 1:n) s <- s + %s; s }" % DIVISIONS[expr]
+    results, vms = {}, {}
+    for vec in (True, False):
+        vm = make_vm(vectorize=vec, threaded_dispatch=threaded, **MODES["jit"])
+        vm.eval(src)
+        vm.eval("v <- 1.5 * (1:64)\ny <- 0.5 * (1:64)\nz <- 0.25 * (1:64)\n" + ZEROS[zero])
+        results[vec] = [repr(from_r(vm.eval("f(v, 64L)"))) for _ in range(6)]
+        vms[vec] = vm
+    assert results[True] == results[False]
+    assert results[True][0] == {"none": results[True][0], "inf": "inf",
+                                "neginf": "-inf", "nan": "nan"}[zero]
+    assert vms[True].state.kernel_elements > 0, "the division never kernelized"
+    assert engine_signature(vms[True]) == engine_signature(vms[False])
+
+
 def _op_shape(ops):
     prim = (int, float, bool, str, bytes, type(None), tuple)
     return [
