@@ -10,8 +10,11 @@ generated unit (``native/pycodegen.py``).  It prints, per program, the executed 
 lines by category and the builtin calls those lines make per steady call.  A builtin is
 counted once per occurrence in an executed line, so an ``and`` chain that stops early still
 counts its later calls: an upper bound, exact for the one-call lines that carry the cost
-(``int(_i)``, ``float(_w)``, ``len(_d)``).  DESIGN.md, "Python codegen backend", has the table
-before and after typed subscripts and the primitive costs that price it.  About a minute.
+(``int(_i)``, ``float(_w)``, ``len(_d)``).  ``counter`` lines flush the pending op counts
+(``_n``/``_g``/``_u +=``); ``dispatch`` lines choose and leave arms (``_b =``, ``continue``,
+``break``, ``if _b ==``, ``while True``).  DESIGN.md, "Python codegen backend", has the tables
+before and after typed subscripts and innermost Python loops, and the primitive costs that
+price them.  About a minute.
 """
 import argparse, collections, importlib, os, re, sys
 

@@ -1320,7 +1320,7 @@ _INT = RType(Kind.INT, scalar=True, maybe_na=False)
 
 def _integral_const(v: I.Instr) -> Optional[int]:
     """The int a literal double with an integral value names, else None."""
-    if isinstance(v, I.Const) and not v.unboxed:
+    if isinstance(v, I.Const):
         cv = v.value
         if isinstance(cv, RVector) and cv.kind == Kind.DBL and len(cv.data) == 1:
             x = cv.data[0]
