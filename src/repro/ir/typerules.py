@@ -61,11 +61,10 @@ def unary_result(op: str, a: RType) -> RType:
 def colon_result(a: RType, b: RType) -> RType:
     if a.kind in (Kind.LGL, Kind.INT) and b.kind in (Kind.LGL, Kind.INT):
         return RType(Kind.INT, scalar=False, maybe_na=False)
-    # `1:n` with double endpoints yields an INT vector when the endpoints
-    # are integral (the overwhelmingly common case) and a DBL vector
-    # otherwise: the representation is not statically known, so the honest
-    # static type is ANY and the type-feedback guards downstream recover
-    # the precision
+    # a literal integral double end (`1:n`) reaches here as INT already
+    # (GraphBuilder._op_colon, via _integral_const); a non-literal double
+    # end makes an INT vector when its value is integral and a DBL one
+    # otherwise, which is not known statically: ANY
     return ANY
 
 

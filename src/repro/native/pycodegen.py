@@ -118,6 +118,7 @@ def _fail(ncode, vm, closure_env, sig, frame, base):
             name = "r%d" % r
             if name in frame:
                 regs[r] = frame[name]
+    sig.__traceback__ = None  # no cycle sig -> raising frame -> its locals -> sig
     fs = build_framestate(ncode, regs, descr, closure_env)
     reason = DeoptReason(
         sig.kind or descr.reason_kind,

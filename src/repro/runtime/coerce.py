@@ -317,13 +317,6 @@ def logic(op: str, lhs: Any, rhs: Any) -> RVector:
 
 def colon(lhs: Any, rhs: Any) -> RVector:
     """``a:b`` — an integer sequence when both ends are integral."""
-    if type(lhs) is RVector and type(rhs) is RVector and len(lhs.data) == 1 == len(rhs.data):
-        # two integral scalars, `1:n` (an LGL end is a bool: the long way)
-        x, y = lhs.data[0], rhs.data[0]
-        if (type(x) is int or type(x) is float and x.is_integer()) and (
-                type(y) is int or type(y) is float and y.is_integer()):
-            x, y = int(x), int(y)
-            return RVector(Kind.INT, list(range(x, y + 1) if x <= y else range(x, y - 1, -1)))
     a = as_vector(lhs)
     b = as_vector(rhs)
     if not a.data or not b.data:

@@ -53,6 +53,30 @@ class FireAt:
         return 0.0 if self.last - 1 - self.left in self.fire else 1.0
 
 
+def on_engines(src, calls, times=4, fire=None, **config):
+    """Run ``calls`` (each ``times`` times) on the interpreter and on both
+    native engines, with the chaos draws ``fire`` firing when given; check
+    every result against the interpreter's and the two engines'
+    ``engine_signature`` against each other.  Returns the two native VMs,
+    the generated-code engine first."""
+    want = None
+    vms = []
+    for cfg in (dict(enable_jit=False), dict(threaded_dispatch=True),
+                dict(threaded_dispatch=False)):
+        vm = make_vm(compile_threshold=1, **cfg, **config)
+        if fire:
+            vm.chaos_rng = FireAt(*fire)
+        vm.eval(src)
+        got = [[repr(from_r(vm.eval(c))) for c in calls] for _ in range(times)]
+        if want is None:
+            want = got[0]
+            continue
+        assert all(g == want for g in got), (cfg, got, want)
+        vms.append(vm)
+    assert engine_signature(vms[0]) == engine_signature(vms[1])
+    return vms
+
+
 #: configurations every program must agree under
 TIER_CONFIGS = {
     "interp": dict(enable_jit=False),

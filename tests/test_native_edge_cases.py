@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from conftest import assert_all_tiers, engine_signature, make_vm
+from conftest import assert_all_tiers, make_vm, on_engines
 from repro import from_r
 from repro.bench.programs import REGISTRY
 from repro.native import ops as N
@@ -156,26 +156,6 @@ def test_bench_cli_rejects_unknown():
 # the vector kind a guard proved; the generated code trusts both, the
 # reference loop asserts them
 # ---------------------------------------------------------------------------
-
-def on_engines(src, calls, times=4, **config):
-    """Run ``calls`` (each ``times`` times) on both native engines and return
-    the VMs after checking every result against the interpreter's and the
-    two engines' ``engine_signature`` against each other."""
-    want = None
-    vms = []
-    for cfg in (dict(enable_jit=False), dict(threaded_dispatch=True),
-                dict(threaded_dispatch=False)):
-        vm = make_vm(compile_threshold=1, **cfg, **config)
-        vm.eval(src)
-        got = [[repr(from_r(vm.eval(c))) for c in calls] for _ in range(times)]
-        if want is None:
-            want = got[0]
-            continue
-        assert all(g == want for g in got), (cfg, got, want)
-        vms.append(vm)
-    assert engine_signature(vms[0]) == engine_signature(vms[1])
-    return vms
-
 
 def subscript_ops(vm, name):
     """The ``VLOAD`` / ``VSTORE`` ops of ``name``'s compiled version."""

@@ -13,13 +13,14 @@ persistence of the compiled code (a disk hit skips the emitter and
 
 from __future__ import annotations
 
+import gc
 import glob
 import pickle
 import re
 
 import pytest
 
-from conftest import FireAt, engine_signature, make_vm
+from conftest import FireAt, engine_signature, make_vm, on_engines
 from repro import from_r
 from repro.bench.programs import REGISTRY
 from repro.bytecode.interpreter import match_arguments
@@ -275,31 +276,11 @@ v <- c(1.5, 2.5, 3.5)
 """
 
 
-def engines_agree(src, calls, fire=None, times=4):
-    """Results of ``calls`` (each ``times`` times) on the interpreter and on
-    both native engines, with chaos draws ``fire`` firing; asserts they
-    agree and so do the engines' ``engine_signature``.  The codegen VM."""
-    want, vms = None, []
-    for cfg in (dict(enable_jit=False), dict(threaded_dispatch=True),
-                dict(threaded_dispatch=False)):
-        chaos = dict(chaos_rate=0.5, enable_deoptless=True) if fire else {}
-        vm = make_vm(compile_threshold=1, osr_threshold=100000, **chaos, **cfg)
-        if fire:
-            vm.chaos_rng = FireAt(*fire)
-        vm.eval(src)
-        got = [[from_r(vm.eval(c)) for c in calls] for _ in range(times)]
-        if want is None:
-            want = got
-        assert got == want, cfg
-        vms.append(vm)
-    assert engine_signature(vms[1]) == engine_signature(vms[2])
-    return vms[1]
-
-
 def test_a_loop_arm_leaves_for_two_arms():
     """The inner ``while`` is a Python loop that leaves for two different
     arms: the outer loop's header and, through ``break``, the return."""
-    vm = engines_agree(TWO_EXITS_SRC, ["two_exits(v, 3L)", "two_exits(v, 1L)"])
+    vm, _ = on_engines(TWO_EXITS_SRC, ["two_exits(v, 3L)", "two_exits(v, 1L)"],
+                       osr_threshold=100000)
     src = pycodegen.source(compiled_unit(vm, "two_exits"))
     ((head, body),) = loop_arms(src).items()
     targets = {line for line in body if line.startswith("_b = ")}
@@ -311,7 +292,8 @@ def test_a_loop_arm_leaves_for_two_arms():
 def test_a_chaos_deopt_inside_a_loop_arm_matches_the_interpreter(draw):
     """A guard that fails inside the Python loop raises out of it with the
     iteration's pending counts, like any other site."""
-    vm = engines_agree(TWO_EXITS_SRC, ["two_exits(v, 3L)"], fire=[draw])
+    vm, _ = on_engines(TWO_EXITS_SRC, ["two_exits(v, 3L)"], fire=[draw], osr_threshold=100000,
+                       chaos_rate=0.5, enable_deoptless=True)
     assert vm.state.deopts == 1
     assert loop_arms(pycodegen.source(compiled_unit(vm, "two_exits")))
 
@@ -531,6 +513,30 @@ def test_chaos_deopt_deep_inside_a_superblock_matches_reference():
         n += 1
     assert n > 10, "the sweep must cover several iterations"
     assert deepest >= 3, "no guard fired three levels into a superblock"
+
+
+def test_a_deopt_leaves_no_cycle_through_the_raising_frame():
+    """``_fail`` reads the registers from the raising frame's ``locals()``,
+    which hold the signal, whose traceback holds that frame: unless the
+    cycle is cut, every register of the frame (here the loop's vector)
+    stays alive until the cyclic collector runs."""
+    vm = hot_vm(ctxdispatch=False)
+    drive(vm, 3)
+    vm.eval("v <- 1:64")  # the double guard on v[[i]] fails
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert from_r(vm.eval("s(v, 64L)")) == 2080.0
+        gc.collect()
+        held = [type(o).__name__ for o in gc.garbage
+                if isinstance(o, (pycodegen.DeoptSignal, RVector))]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert vm.state.deopts == 1
+    assert held == []
 
 
 def test_hop_entered_deopt_reads_unbound_registers_from_the_seeded_image(monkeypatch):
