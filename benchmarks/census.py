@@ -36,14 +36,18 @@ table per chaos workload beside the run's ``osr_hop_declines`` and ``osr_ins``):
 
     python3 benchmarks/census.py suite-chaos "hops=repro.osr.osr_hop:_hop:result is not None"
 
-The recovery census (hop-outs, hop-ins and deoptless recoveries tried and taken, and the
-per-VM cache entries real deopts invalidate; DESIGN.md, "Hop sites and version selection"
-and "Install separation", has the numbers):
+The recovery census (hop-outs, hop-ins and deoptless recoveries tried and taken -- each
+returns what it chose, or its miss value, a bare ``object()`` -- the per-VM cache entries
+real deopts invalidate, and where ``RVM.recover`` sent each deopt; DESIGN.md, "The deopt
+tail: refute, then recover", has the numbers):
 
     python3 benchmarks/census.py suite-chaos "out=repro.osr.osr_hop:try_hop_out:type(result) is not object" \
         "in=repro.osr.osr_hop:try_hop_in:type(result) is not object" \
         "dl=repro.deoptless.engine:try_deoptless:type(result) is not object" \
-        "inv=repro.jit.codecache:CodeCache.invalidate_code:result"
+        "inv=repro.jit.codecache:CodeCache.invalidate_code:result" \
+        "cont=repro.jit.vm:RVM.recover:result.kind == 'continuation'" \
+        "hop=repro.jit.vm:RVM.recover:result.kind == 'hop'" \
+        "interp=repro.jit.vm:RVM.recover:result.kind == 'interpreter'" --seconds 3
 
 The call-path census (closure calls entering ``RVM.call_closure``, entry-version lookups and
 the ones that found a version, and generic calls — the interpreter's and every native

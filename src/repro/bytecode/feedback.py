@@ -259,12 +259,6 @@ class CallFeedback:
             return self.targets[0]
         return None
 
-    @property
-    def args_polymorphic(self) -> bool:
-        """True when the site has been observed with more than one distinct
-        argument-kind tuple (or blew the profile bound)."""
-        return self.arg_profiles is None or len(self.arg_profiles) > 1
-
     def copy(self) -> "CallFeedback":
         c = CallFeedback()
         c.targets = list(self.targets)

@@ -1,14 +1,15 @@
 """The deoptless engine (paper Listing 6).
 
-Extends the VM's ``deopt`` with:
+The first option of the VM's ``deopt`` (``RVM.recover``, DESIGN.md "The
+deopt tail: refute, then recover"):
 
-    if (deoptlessCondition(fs, r)) {
-        ctx = computeCtx(fs, r)
+    if (deoptlessCondition(fs, r)) {      // RVM.recover
+        ctx = computeCtx(fs, r)           // try_deoptless
         fun = dispatch(ctx)
         if (!fun) fun = deoptlessCompile(ctx)
-        if (fun) return fun(fs)
+        if (fun) return fun(fs)           // RVM.deopt -> call_continuation
     }
-    // rest same as normal deopt
+    // rest same as normal deopt          // RVM.refute, then hop or interpreter
 
 Listing 6's ``recompile(fun, ctx)`` clause is not taken: a continuation
 that dispatch finds serves, and only a miss with room in the table
@@ -40,31 +41,15 @@ MISS = object()
 CONT_TIERUP_THRESHOLD = 3
 
 
-def deoptless_condition(vm, fs: FrameState, reason: DeoptReason, origin) -> bool:
-    """``deoptlessCondition`` — which deopts deoptless even attempts."""
-    if not vm.config.enable_deoptless:
-        return False
-    if origin is not None and isinstance(origin.ctx, DeoptContext):
-        return False  # no recursive deoptless (paper section 4.3)
-    # NOTE: deopts inside inlined code (fs.parent is not None) are *not*
-    # excluded — this lifts the paper's section-4.3 limitation.  The context
-    # is keyed on the inlinee's pc, the frame depth, and the reason; the
-    # continuation runs the innermost frame natively and the enclosing
-    # frames resume in the interpreter (call_continuation).
-    if fs.fun is None or fs.fun.jit is None:
-        return False  # no per-function dispatch table to hang the code on
-    return True
-
-
-def try_deoptless(vm, fs: FrameState, reason: DeoptReason, origin) -> Any:
-    """Attempt dispatched OSR; returns the continuation's result or MISS."""
-    if not deoptless_condition(vm, fs, reason, origin):
-        return MISS
+def try_deoptless(vm, fs: FrameState, reason: DeoptReason, refused: list) -> Any:
+    """Listing 6 once ``RVM.recover`` found ``deoptlessCondition`` true: the
+    continuation dispatched or compiled for this deopt's context, or MISS
+    with why appended to ``refused``.  Runs nothing."""
     ctx = compute_context(fs, reason, vm.config)
     if ctx is None:
         vm.state.deoptless_bailouts += 1
+        refused.append(("continuation", "context-bound"))
         return MISS
-
     table = fs.fun.jit.deoptless_table
     fun: Optional[NativeCode] = table.dispatch(ctx)
     if fun is None:
@@ -72,10 +57,12 @@ def try_deoptless(vm, fs: FrameState, reason: DeoptReason, origin) -> Any:
             # never fetch or compile what cannot be inserted: real deopt
             vm.state.dispatch_refusals += 1
             vm.state.deoptless_bailouts += 1
+            refused.append(("continuation", "table-full"))
             return MISS
         fun = deoptless_compile(vm, fs, reason, ctx)
         if fun is None:
             vm.state.deoptless_misses += 1
+            refused.append(("continuation", "compile-failed"))
             return MISS
         table.insert(ctx, fun)
         vm.state.code_size += fun.size
@@ -85,7 +72,7 @@ def try_deoptless(vm, fs: FrameState, reason: DeoptReason, origin) -> Any:
         "deoptless_dispatch", fs.code.name,
         pc=fs.pc, reason=reason.kind.value, table_size=len(table),
     )
-    return call_continuation(vm, fun, fs, reason)
+    return fun
 
 
 def _repaired(vm, code, reason: DeoptReason, ctx: DeoptContext):

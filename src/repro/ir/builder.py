@@ -43,6 +43,10 @@ class CompilationFailure(Exception):
     """Raised when the unit cannot (or should not) be compiled natively."""
 
 
+class _MaybeUndefined(CompilationFailure):
+    """A variable may be read before it is certainly assigned."""
+
+
 # bottom element marker for the variable lattice
 _BOTTOM = object()
 
@@ -193,8 +197,9 @@ def partition_bytecode(code, entry_pc: int) -> List[BcBlock]:
 # ---------------------------------------------------------------------------
 
 def env_escapes(code, scan_from: int = 0) -> bool:
-    """Does the local environment escape (closures/promises capture it, or
-    a variable may be read before it is certainly assigned)?
+    """Does the local environment escape (closures/promises capture it)?
+    A variable that may be read before it is certainly assigned needs the
+    environment too; the type analysis finds those (``GraphBuilder.build``).
 
     ``scan_from`` exists only to reproduce the unsound variant that scans
     from the continuation entry instead of pc 0.
@@ -558,7 +563,7 @@ class GraphBuilder:
         if t is _BOTTOM:
             return ANY  # free variable: runtime lookup in the closure chain
         if t == "maybe-undefined":
-            raise CompilationFailure("variable %r may be read before assignment" % name)
+            raise _MaybeUndefined("variable %r may be read before assignment" % name)
         return t
 
     def _call_target(self, pc: int):
@@ -578,7 +583,13 @@ class GraphBuilder:
     # ------------------------------------------------------------------------
 
     def build(self) -> Graph:
-        self.analyze()
+        try:
+            self.analyze()
+        except _MaybeUndefined:
+            # the read looks the name up as the interpreter does, in a real
+            # environment, an enclosing one when no path bound it
+            self.env_mode, self.graph.env_elided = True, False
+            self.analyze()
         g = self.graph
         # IR blocks, one per reachable bc block
         entry_bb = g.new_block()

@@ -190,9 +190,6 @@ class Graph:
             for s in bb.successors():
                 s.preds.append(bb)
 
-    def instr_count(self) -> int:
-        return sum(len(bb.instrs) for bb in self.rpo())
-
     # -- dominators ----------------------------------------------------------------
 
     def idom(self, order: Optional[List[BasicBlock]] = None) -> Dict[BasicBlock, BasicBlock]:

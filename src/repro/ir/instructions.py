@@ -579,8 +579,3 @@ class Return(Instr):
 
     def __init__(self, v: Instr):
         super().__init__(ANY, [v])
-
-
-def is_unboxed(instr: Instr) -> bool:
-    """Does this instruction produce a raw (unboxed) machine value?"""
-    return instr.unboxed

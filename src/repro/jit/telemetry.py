@@ -179,8 +179,10 @@ class Telemetry:
 
     # -- events -------------------------------------------------------------------
 
-    def emit(self, kind: str, fn_name: str, **details: Any) -> None:
-        self.events.append(Event(kind, fn_name, details, time.perf_counter_ns()))
+    def emit(self, kind: str, fn_name: str, **details: Any) -> Event:
+        event = Event(kind, fn_name, details, time.perf_counter_ns())
+        self.events.append(event)
+        return event
 
     def events_of(self, kind: str) -> List[Event]:
         return [e for e in self.events if e.kind == kind]

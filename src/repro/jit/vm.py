@@ -6,13 +6,12 @@
 * **tier-up**: after ``compile_threshold`` calls a closure is compiled by
   the optimizing pipeline and subsequent calls run native; hot interpreter
   loops additionally tier up mid-function through OSR-in;
-* **deopt** (``RVM.deopt``): guard failures arrive here.  With deoptless
-  enabled, the dispatched-OSR engine gets the first shot (paper Listing 6);
-  otherwise — or when it declines — the optimized version is retired and
-  execution resumes in the interpreter (paper Listing 4), which keeps
-  profiling so that a later recompile produces more generic code.  That
-  retire-reprofile-regeneralize loop is exactly the behaviour deoptless is
-  designed to avoid.
+* **deopt** (``RVM.deopt``): a failed guard is counted, then
+  :meth:`RVM.recover` decides where control goes: a deoptless continuation
+  (paper Listing 6), else — once :meth:`RVM.refute` has retired what the
+  failure refuted — a hop into a surviving version, else the interpreter
+  (Listing 4), which re-profiles so that a recompile is more generic.  That
+  retire-reprofile-regeneralize loop is what deoptless avoids.
 
 Both tiers run their fast engine by default (``bytecode/interpreter.py``
 fast loop + per-unit generated functions, ``native/pycodegen.py``); setting
@@ -25,14 +24,14 @@ from __future__ import annotations
 
 import random
 import sys
-from typing import Any, List, Optional
+from typing import Any, List, NamedTuple, Optional, Tuple
 
 from ..bytecode import interpreter
 from ..bytecode.compiler import CodeObject, Compiler
 from ..deoptless import engine as deoptless_engine
 from ..deoptless.context import CallContext, DeoptContext, distill_call_context
 from ..deoptless.dispatch import ContextTable
-from ..native.executor import execute
+from ..native.executor import execute, execute_at
 from ..native.lower import NativeCode
 from ..osr import osr_hop, osr_in, osr_out
 from ..osr.framestate import DeoptReason, DeoptReasonKind, FrameState
@@ -52,6 +51,16 @@ from .unit import UnitSpec
 MIN_CONTEXTS = 2
 #: deopts attributed to one context before it stops being respecialized
 MAX_CONTEXT_DEOPTS = 2
+
+
+class Recovery(NamedTuple):
+    """Where a deopt sends control (``continuation``, ``hop`` or
+    ``interpreter``), what it enters there (the continuation, or the hop's
+    ``execute_at`` arguments), and each option passed over with why."""
+
+    kind: str
+    unit: Any
+    refused: Tuple[Tuple[str, str], ...]
 
 
 class ClosureJitState:
@@ -375,105 +384,114 @@ class RVM:
         return osr_in.try_osr_in(self, code, env, pc, closure)
 
     def deopt(self, fs: FrameState, reason: DeoptReason, origin: Optional[NativeCode] = None) -> Any:
-        """Handle a failed guard: deoptless first, else true deoptimization."""
+        """Handle a failed guard: count it, decide where control goes
+        (:meth:`recover`), say so on its ``deopt`` event, and go there."""
         self.state.deopts += 1
-        origin_ctx = origin.ctx if origin is not None else None
-        self.state.emit(
+        event = self.state.emit(
             "deopt", fs.code.name, pc=fs.pc, reason=reason.kind.value,
             observed=repr(reason.observed),
-            from_continuation=isinstance(origin_ctx, DeoptContext),
+            from_continuation=isinstance(getattr(origin, "ctx", None), DeoptContext),
         )
         if reason.kind != DeoptReasonKind.CHAOS:
             fs.code.deopt_sites[reason.pc] = fs.code.deopt_sites.get(reason.pc, 0) + 1
             fs.code.deopt_count += 1
+        rec = self.recover(fs, reason, origin)
+        event.details.update(recovery=rec.kind, refused=rec.refused)
+        if rec.kind == "continuation":
+            return deoptless_engine.call_continuation(self, rec.unit, fs, reason)
+        if rec.kind == "hop":
+            return execute_at(*rec.unit)
+        return osr_out.resume_in_interpreter(self, fs)
 
-        result = deoptless_engine.try_deoptless(self, fs, reason, origin)
-        if result is not deoptless_engine.MISS:
-            return result
+    def recover(self, fs: FrameState, reason: DeoptReason,
+                origin: Optional[NativeCode]) -> Recovery:
+        """Where a deopt sends control (DESIGN.md, "The deopt tail: refute,
+        then recover"): a deoptless continuation (paper Listing 6); else,
+        once :meth:`refute` has retired what the failure refuted, a hop into
+        a surviving version; else the interpreter (Listing 4).  Decides, and
+        may compile a continuation, but runs nothing."""
+        st = fs.fun.jit if fs.fun is not None else None
+        # no recursive deoptless (paper section 4.3); a deopt in inlined code
+        # may recover: the continuation runs the innermost frame only
+        why = ("off" if not self.config.enable_deoptless
+               else "from-continuation" if isinstance(getattr(origin, "ctx", None), DeoptContext)
+               else "no-table" if st is None else None)
+        refused = [("continuation", why)] if why else []
+        if why is None:
+            cont = deoptless_engine.try_deoptless(self, fs, reason, refused)
+            if cont is not deoptless_engine.MISS:
+                return Recovery("continuation", cont, ())
+        self.refute(fs, reason, origin)
+        why = ("off" if not self.config.osr_hop
+               else "inlined-frame" if fs.parent is not None
+               else "no-table" if st is None else None)
+        if why is None:
+            hop = osr_hop.try_hop_out(self, fs, origin)
+            if hop is not osr_hop.NO_HOP:
+                return Recovery("hop", hop, tuple(refused))
+            why = "no-version"
+            if not fs.code.osr_disabled:
+                # the interpreter re-attempts OSR-in (asking the version
+                # tables again) on its next backedge, not osr_threshold on
+                fs.code.backedge_count = self.config.osr_threshold
+        return Recovery("interpreter", None, (*refused, ("hop", why)))
 
-        # -- actual deoptimization (paper Figure 1) -------------------------------
-        # With inlined frames the failing guard belongs to the innermost
-        # (callee) frame, but the compiled code being abandoned is the ROOT
-        # frame's — the caller whose unit the callee was spliced into.  The
-        # deopt_sites bump above stays on the callee's code, which is what
-        # blocks re-speculating that site in future builds.
+    def refute(self, fs: FrameState, reason: DeoptReason,
+               origin: Optional[NativeCode]) -> Tuple[List[NativeCode], int]:
+        """Deoptimize (paper Figure 1): retire the units the failure refuted
+        and drop the cache entries its widened profile makes dead; returns
+        both.  The unit abandoned is the root frame's, the caller an
+        inlinee was spliced into.  A chaos deopt refutes no profile."""
+        real = reason.kind != DeoptReasonKind.CHAOS
         root = fs
         while root.parent is not None:
             root = root.parent
-        fun = root.fun
-        if self.code_cache is not None and reason.kind != DeoptReasonKind.CHAOS:
-            # a real mis-speculation widens the profile (deopt_sites bump now,
-            # reprofiling after the retire below): every future cache key for
-            # this code differs, so entries under the old context are dead.
-            # Chaos deopts are exempt — they change no feedback, and serving
-            # the identical recompile from cache is precisely the win.
-            if isinstance(origin_ctx, CallContext):
-                # an entry-specialized version mis-speculated: only its own
-                # cache entry dies; sibling contexts' units stay valid (they
-                # never assumed what this one assumed)
-                target = fun.code if fun is not None else fs.code
-                self.code_cache.invalidate_context(target, origin_ctx, self)
-                if fun is not None and fun.code is not fs.code:
-                    self.code_cache.invalidate_code(fs.code, self)
-            else:
-                self.code_cache.invalidate_code(fs.code, self)
-                if fun is not None and fun.code is not fs.code:
-                    self.code_cache.invalidate_code(fun.code, self)
-        if fun is not None and fun.jit is not None:
-            st = fun.jit
-            if isinstance(origin_ctx, DeoptContext):
-                # a deoptless continuation mis-speculated: drop it; a real
-                # (non-chaos) mis-speculation also retires the original code
-                # ("leads to the function being deoptimized for good")
-                st.deoptless_table.remove(origin)
-                self.state.code_size -= origin.size
-                if reason.kind != DeoptReasonKind.CHAOS:
-                    self._retire(st)
-                    st.deopt_count += 1
-                    st.call_count = 0
-            elif isinstance(origin_ctx, CallContext):
-                # per-version invalidation: retire exactly this specialized
-                # version — the generic fall-through and every sibling
-                # context stay installed and dispatchable (no reprofiling,
-                # no call-count reset: nothing they assumed was refuted)
-                if not origin.invalidated:
-                    if st.versions is not None:
-                        st.versions.remove(origin)
-                    origin.invalidated = True
-                    self.state.code_size -= origin.size
-                    self.state.invalidations += 1
-                if reason.kind != DeoptReasonKind.CHAOS:
-                    fails = st.ctx_fail_counts
-                    if fails is None:
-                        fails = st.ctx_fail_counts = {}
-                    fails[origin_ctx] = fails.get(origin_ctx, 0) + 1
-            else:
-                self._retire(st)
-                st.deopt_count += 1
-                st.call_count = 0  # re-warm with fresh profile before recompiling
-        if self.config.osr_hop:
-            # dispatched OSR: the failing unit is retired, but a *sibling*
-            # version (specialized or generic) may still stand and carry an
-            # OSR entry at this loop header — re-enter it compiled instead
-            # of falling back to the interpreter
-            hop = osr_hop.try_hop_out(self, fs, origin)
-            if hop is not osr_hop.NO_HOP:
-                return hop
-            if (fs.parent is None and not fs.code.osr_disabled
-                    and fun is not None and fun.jit is not None):
-                # no version admits a direct hop: arm the backedge counter
-                # so the interpreter re-attempts OSR-in on the *next*
-                # backedge (consulting the version tables again) instead of
-                # paying osr_threshold interpreted iterations first
-                fs.code.backedge_count = self.config.osr_threshold
-        return osr_out.resume_in_interpreter(self, fs)
+        fun, ctx, dropped = root.fun, getattr(origin, "ctx", None), 0
+        # an entry version refutes only itself: its siblings and the generic
+        # version never assumed its context
+        narrow = isinstance(ctx, CallContext)
+        target = fun.code if fun is not None else fs.code
+        if self.code_cache is not None and real:
+            inv = self.code_cache.invalidate_code
+            dropped = (self.code_cache.invalidate_context(target, ctx, self)
+                       if narrow else inv(fs.code, self))
+            if target is not fs.code:  # inlined: the other of the two codes
+                dropped += inv(fs.code if narrow else target, self)
+        st = fun.jit if fun is not None else None
+        if st is None:
+            return [], dropped
+        cont = isinstance(ctx, DeoptContext)
+        retired = [origin] if cont or (narrow and not origin.invalidated) else []
+        if narrow:
+            if real:  # a context that keeps failing stops being compiled
+                fails = st.ctx_fail_counts = st.ctx_fail_counts or {}
+                fails[ctx] = fails.get(ctx, 0) + 1
+        elif real or not cont:
+            # the generic version goes ("deoptimized for good" after a
+            # continuation's real failure) and re-warms on a fresh profile
+            if st.version is not None:
+                retired.append(st.version)
+            st.deopt_count += 1
+            st.call_count = 0
+        for code in retired:
+            self.retire(st, code)
+        return retired, dropped
 
-    def _retire(self, st: ClosureJitState) -> None:
-        if st.version is not None:
-            self.state.code_size -= st.version.size
-            st.version.invalidated = True
-            st.version = None
+    def retire(self, st: ClosureJitState, code: NativeCode) -> None:
+        """Take ``code`` out of the place its context says it lives: the
+        continuation table (a ``DeoptContext``), the version table (a
+        ``CallContext``) or the generic slot.  A whole-function unit is
+        marked ``invalidated`` and counted; a continuation is only dropped."""
+        if isinstance(code.ctx, DeoptContext):
+            st.deoptless_table.remove(code)
+        else:
+            if code.ctx is None:
+                st.version = None
+            elif st.versions is not None:
+                st.versions.remove(code)
+            code.invalidated = True
             self.state.invalidations += 1
+        self.state.code_size -= code.size
 
 
 _MISSING = object()

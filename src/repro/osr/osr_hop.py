@@ -13,20 +13,16 @@ layout and execution resumes *compiled*, at the equivalent pc.
 
 Two hop sites:
 
-* **hop-out** (:func:`try_hop_out`, called from ``RVM.deopt`` after the
+* **hop-out** (:func:`try_hop_out`, asked by ``RVM.recover`` after the
   failing unit has been retired): re-enter a surviving sibling version
   directly, skipping the interpreter altogether.
 * **hop-in** (:func:`try_hop_in`, called from ``osr_in.try_osr_in``): a hot
   interpreter loop re-enters an already-installed version in O(lookup)
-  instead of compiling a single-use continuation.  Per the issue, the live
-  frame's call context is distilled *first* and registered in
-  ``seen_contexts`` — an OSR entry must never pick a specialized version
-  whose entry context the running frame already violates.
+  instead of compiling a single-use continuation.  The live frame's call
+  context is distilled first and registered in ``seen_contexts``.
 
-When no candidate validates we fall back to generic OSR-out, but ``deopt``
-arms the bytecode's backedge counter so the next backedge re-attempts
-OSR-in immediately rather than after ``osr_threshold`` interpreted
-iterations.
+When no candidate validates a deopt resumes in the interpreter, but
+``recover`` arms the backedge counter: the next backedge re-attempts OSR-in.
 
 Validation is deliberately strict (every decline is counted and logged,
 its reason naming what declined): an over-permissive hop would seed a
@@ -237,21 +233,17 @@ def _hop(vm, fs, values: Dict[str, Any], live_ctx, via: str,
 
 
 def try_hop_out(vm, fs, origin: Optional[NativeCode]) -> Any:
-    """Dispatched OSR at a deopt: re-enter a surviving version mid-loop.
+    """Dispatched OSR at a deopt: the ``execute_at`` arguments that re-enter
+    a surviving version mid-loop, or NO_HOP.
 
-    Called by ``RVM.deopt`` *after* retirement/invalidation ran, so the
-    failing ``origin`` is already out of every table (and excluded here
-    besides — a real deopt must never bounce straight back into the unit
-    that just mis-speculated).  Root frames only: inlined-frame deopts keep
-    the parent-chain resume convention.
+    ``RVM.recover`` asks for root frames of a closure only (an inlined-frame
+    deopt keeps the parent-chain resume convention), once ``RVM.refute`` has
+    taken the failing ``origin`` out of every table (it is excluded here
+    besides: a real deopt must never bounce straight back into it).
     """
-    if fs.parent is not None or fs.fun is None or fs.fun.jit is None:
-        return NO_HOP
     values = fs.bindings()
-    if values is None:
-        return NO_HOP
     hop = _hop(vm, fs, values, live_context(fs.fun, values), "deopt", origin)
-    return executor.execute_at(*hop) if hop is not None else NO_HOP
+    return hop if hop is not None else NO_HOP
 
 
 def try_hop_in(vm, fs) -> Any:

@@ -37,11 +37,6 @@ class REnvironment:
             env = env.parent
         raise RError("object '%s' not found" % name)
 
-    def get_local(self, name: str) -> Any:
-        if name in self.bindings:
-            return self.bindings[name]
-        raise RError("object '%s' not found" % name)
-
     def has(self, name: str) -> bool:
         env: Optional[REnvironment] = self
         while env is not None:

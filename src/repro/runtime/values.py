@@ -132,9 +132,6 @@ class RVector:
             raise RError("expected a scalar, got length %d" % len(self.data))
         return self.data[0]
 
-    def first_or_na(self) -> Any:
-        return self.data[0] if self.data else None
-
     def is_true(self) -> bool:
         """Truthiness for ``if``/``while`` conditions, with R's error cases."""
         if not self.data:

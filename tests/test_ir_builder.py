@@ -7,7 +7,7 @@ from conftest import make_vm
 from repro import from_r
 from repro.bytecode import opcodes as O
 from repro.ir import instructions as I
-from repro.ir.builder import CompilationFailure, GraphBuilder, env_escapes, partition_bytecode
+from repro.ir.builder import GraphBuilder, env_escapes, partition_bytecode
 from repro.runtime.rtypes import ANY, Kind, RType, scalar, vector
 
 
@@ -154,13 +154,14 @@ def test_doomed_guard_suppressed():
     ), "same-kind narrowing is allowed"
 
 
-def test_maybe_undefined_variable_fails_compilation():
+def test_maybe_undefined_variable_builds_with_its_environment():
+    """``x`` may be read unbound: the unit keeps its environment, where the
+    read finds ``x`` or an enclosing binding as the interpreter does."""
     vm = warmed_vm(
         "weird <- function(c) { if (c) x <- 1\nx }\n",
         ["weird(TRUE)", "weird(TRUE)"])
     clo = vm.global_env.get("weird")
-    with pytest.raises(CompilationFailure):
-        GraphBuilder(vm, clo.code, clo).build()
+    assert not GraphBuilder(vm, clo.code, clo).build().env_elided
 
 
 def _sum_continuation_builder():

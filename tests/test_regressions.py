@@ -479,3 +479,47 @@ def test_unsound_escape_scan_reproduces_the_paper_bug():
     assert from_r(r) != sum(range(1, 2001)), (
         "the unsound variant must exhibit the stale-environment bug"
     )
+
+
+#: ``j`` is bound only inside the loop body, so after the loop it may be
+#: unbound: the unit keeps its environment and the read looks ``j`` up there
+LOOP_BOUND = """
+g <- function(v) {
+  s <- 0
+  for (j in v) s <- s + j
+  s * j
+}
+"""
+
+
+def test_a_variable_bound_only_in_a_loop_body_compiles():
+    from conftest import on_engines
+
+    for vm in on_engines(LOOP_BOUND, ["g(1:3)", "g(1:0)"]):
+        assert vm.state.compile_failures == 0 and vm.state.compiles > 0
+        assert not vm.global_env.get("g").jit.version.env_elided
+
+
+def test_an_empty_loop_reads_the_enclosing_binding():
+    """``1:0`` is ``c(1L, 0L)``, two iterations: ``integer(0)`` is the empty
+    one, after which ``j`` is the global."""
+    from conftest import on_engines
+
+    for vm in on_engines("j <- 10\n" + LOOP_BOUND, ["g(1:0)", "g(integer(0))", "g(1:3)"]):
+        assert vm.state.compile_failures == 0 and vm.state.compiles > 0
+
+
+@pytest.mark.parametrize("config", [dict(enable_jit=False), dict(threaded_dispatch=True),
+                                    dict(threaded_dispatch=False)])
+def test_an_empty_loop_with_nothing_bound_raises_as_the_interpreter_does(config):
+    from repro.runtime.values import RError
+
+    vm = make_vm(compile_threshold=1, **config)
+    vm.eval(LOOP_BOUND)
+    for _ in range(3):
+        assert from_r(vm.eval("g(1:3)")) == 18.0
+    with pytest.raises(RError, match="^object 'j' not found$"):
+        vm.eval("g(integer(0))")
+    # the native engines raise it from the compiled unit
+    assert vm.state.compile_failures == 0
+    assert (vm.state.compiles > 0) == config.get("enable_jit", True)

@@ -54,8 +54,15 @@ def test_non_constant_default_forces_env_mode():
     assert ev and ev[0].details["env_elided"] is False
 
 
-def test_compile_failure_blacklists():
-    # read-before-assign on a path makes the function uncompilable
+def test_compile_failure_blacklists(monkeypatch):
+    # a build that raises makes the function uncompilable (read-before-assign
+    # on a path no longer does: the unit keeps its environment)
+    from repro.ir.builder import CompilationFailure, GraphBuilder
+
+    def build(self):
+        raise CompilationFailure("refused")
+
+    monkeypatch.setattr(GraphBuilder, "build", build)
     vm = make_vm(compile_threshold=1)
     vm.eval("f <- function(c) { if (c) x <- 1\nx }")
     for _ in range(4):
@@ -197,6 +204,9 @@ _PHASE_CALLS = {
         "data <- complex(length)\nfor (i in 1:length) data[[i]] <- complex(i * 1.0, 1.0)\nsum()",
     ),
     "colsum": ("f(1L, tbl)", "f(2L, tbl)"),
+    "volcano": ("volcano_frame(hm_dbl, vw, vh, 1.0, 0.6, interp_bilinear)",
+                "volcano_frame(hm_dbl, vw, vh, 1.0, 0.6, interp_nearest)",
+                "volcano_frame(hm_int, vw, vh, 1.0, 0.6, interp_bilinear)"),
     "reopt_rsa": ("rsa_run(rsa_msgs, rsa_n, rsa_key_int, rsa_mod, 1L)",
                   "rsa_run(rsa_msgs, rsa_n, rsa_key_dbl, rsa_mod, 1L)"),
     "phaseflip_sum": (None,),
@@ -219,23 +229,9 @@ def _installed_units(vm):
         yield from (code for _, code in st.deoptless_table.entries)
 
 
-@pytest.mark.parametrize("deoptless", [True, False])
-def test_no_installed_unit_is_invalidated(deoptless):
-    """``invalidated`` is set only as a unit leaves its closure's slot or
-    table, which is why dispatch never re-checks it: after every deopt of
-    the phase-change programs, nothing installed carries the flag."""
+def _run_phases(vm, after_call=lambda: None):
     from repro.bench.programs import REGISTRY
 
-    vm = make_vm(enable_deoptless=deoptless)
-    checked = []
-    deopt = vm.deopt
-
-    def checking_deopt(*args, **kw):
-        result = deopt(*args, **kw)
-        checked.append(sum(code.invalidated for code in _installed_units(vm)))
-        return result
-
-    vm.deopt = checking_deopt
     for name, calls in _PHASE_CALLS.items():
         w = REGISTRY.get(name)
         vm.eval(w.source)
@@ -244,6 +240,156 @@ def test_no_installed_unit_is_invalidated(deoptless):
             for call in calls:
                 for _ in range(4):
                     vm.eval(call or w.call_code(w.n_test))
-    assert len(checked) == vm.state.deopts > 0
-    assert vm.state.invalidations > 0 or deoptless
-    assert not any(checked)
+                    after_call()
+
+
+@pytest.mark.parametrize("deoptless", [True, False])
+def test_no_installed_unit_is_invalidated(deoptless):
+    """``invalidated`` is set only as a unit leaves its closure's slot or
+    table, which is why dispatch never re-checks it: after every deopt of
+    the phase-change programs, nothing installed carries the flag.  After
+    every top-level call, ``code_size`` is the size of what is installed:
+    ``RVM.retire`` takes out of it exactly what leaves a slot or table.
+    Without chaos, deoptless retires nothing; with it, units leave all three
+    places."""
+    for chaos in (0.0, 1e-3):
+        vm = make_vm(enable_deoptless=deoptless, chaos_rate=chaos, chaos_seed=1)
+        checked, sizes = [], []
+        deopt = vm.deopt
+
+        def checking_deopt(*args, **kw):
+            result = deopt(*args, **kw)
+            checked.append(sum(code.invalidated for code in _installed_units(vm)))
+            return result
+
+        vm.deopt = checking_deopt
+        _run_phases(vm, after_call=lambda: sizes.append(
+            (vm.state.code_size, sum(code.size for code in _installed_units(vm)))))
+        assert len(checked) == vm.state.deopts > 0
+        assert vm.state.invalidations > 0 or deoptless
+        assert not any(checked)
+        assert all(counted == installed for counted, installed in sizes), (chaos, sizes)
+
+
+# ---------------------------------------------------------------------------
+# the deopt tail: RVM.refute, then RVM.recover (DESIGN.md)
+# ---------------------------------------------------------------------------
+
+_KINDS = ("continuation", "hop", "interpreter")
+
+
+def _check_recoveries(vm, resumes):
+    """Every ``deopt`` event says where control went, once, and the records
+    reconcile with what ran there."""
+    events = vm.state.events_of("deopt")
+    assert len(events) == vm.state.deopts > 0
+    assert all(e.details["recovery"] in _KINDS for e in events)
+    by_kind = {k: sum(e.details["recovery"] == k for e in events) for k in _KINDS}
+    assert by_kind["continuation"] == vm.state.deoptless_dispatches
+    assert by_kind["interpreter"] == len(resumes)
+    assert by_kind["hop"] == sum(e.details["via"] == "deopt"
+                                 for e in vm.state.events_of("osr_hop"))
+    for e in events:
+        options = [option for option, _ in e.details["refused"]]
+        assert options == list(_KINDS[:_KINDS.index(e.details["recovery"])])
+    return by_kind
+
+
+def _spy_resumes(monkeypatch):
+    from repro.osr import osr_out
+
+    resumes, resume = [], osr_out.resume_in_interpreter
+    monkeypatch.setattr(osr_out, "resume_in_interpreter",
+                        lambda vm, fs: resumes.append(fs) or resume(vm, fs))
+    return resumes
+
+
+@pytest.mark.parametrize("threaded", [True, False])
+def test_every_phase_change_deopt_gets_one_recovery(threaded, monkeypatch):
+    resumes = _spy_resumes(monkeypatch)
+    vm = make_vm(enable_deoptless=True, threaded_dispatch=threaded)
+    _run_phases(vm)
+    assert _check_recoveries(vm, resumes)["continuation"] > 0
+
+
+@pytest.mark.parametrize("threaded", [True, False])
+def test_every_chaos_deopt_gets_one_recovery(threaded, monkeypatch):
+    from repro.bench.programs import REGISTRY
+
+    resumes = _spy_resumes(monkeypatch)
+    vm = make_vm(enable_deoptless=True, threaded_dispatch=threaded,
+                 chaos_rate=1e-2, chaos_seed=3)
+    w = REGISTRY.get("nbody")
+    vm.eval(w.source)
+    vm.eval(w.setup_code(w.n_test))
+    for _ in range(6):
+        vm.eval(w.call_code(w.n_test))
+    by_kind = _check_recoveries(vm, resumes)
+    assert by_kind["continuation"] > 0 and by_kind["interpreter"] > 0
+
+
+#: a global read at the loop header: every unit guards it there, at the pc
+#: of its OSR entry, so a chaos draw at that guard may hop
+HEADER_GUARD = """
+hsum <- function(v) {
+  s <- 0
+  i <- 1L
+  while (hn >= i) { s <- s + v[[i]]; i <- i + 1L }
+  s
+}
+hn <- 12L
+hv <- c(1L, 2L, 3L, 4L, 5L, 6L, 7L, 8L, 9L, 10L, 11L, 12L)
+"""
+
+
+def test_a_failure_inside_a_continuation_hops_back_into_the_function(monkeypatch):
+    """Draw 0 fails the header guard in ``hsum``'s unit: a continuation
+    takes over.  Draw 1 fails the same guard inside it: no recursive
+    deoptless, and a chaos deopt retires nothing but the continuation, so
+    control hops into the function's unit at the header."""
+    from conftest import on_engines
+
+    resumes = _spy_resumes(monkeypatch)
+    for vm in on_engines(HEADER_GUARD, ["hsum(hv)"], fire=(0, 1), chaos_rate=0.5,
+                         enable_deoptless=True, ctxdispatch=False):
+        assert _check_recoveries(vm, resumes) == {
+            "continuation": 1, "hop": 1, "interpreter": 0}
+        hop = vm.state.events_of("deopt")[1]
+        assert hop.details["refused"] == (("continuation", "from-continuation"),)
+        assert vm.state.osr_hops == 1
+
+
+_COUNTERS = ("deoptless_dispatches", "deoptless_misses", "deoptless_bailouts",
+             "dispatch_refusals")
+
+
+@pytest.mark.parametrize("why, fire, config, moved", [
+    ("off", (0,), dict(enable_deoptless=False), ()),
+    ("from-continuation", (0, 1), {}, ("deoptless_dispatches",)),
+    ("context-bound", (0,), dict(deoptless_max_env=1), ("deoptless_bailouts",)),
+    # draw 15 fails another guard (``v[[i]]``'s) in the function's unit
+    ("table-full", (0, 15), dict(deoptless_max_continuations=1),
+     ("deoptless_dispatches", "deoptless_bailouts", "dispatch_refusals")),
+    ("compile-failed", (0,), {}, ("deoptless_misses",)),
+])
+@pytest.mark.parametrize("threaded", [True, False])
+def test_each_refusal_is_named_and_counted_once(why, fire, config, moved, threaded,
+                                                monkeypatch):
+    """One deopt refuses a continuation for ``why``: its event names it, and
+    the counters ``moved`` (each by one) are all that moved."""
+    from conftest import FireAt
+    from repro.deoptless import engine
+
+    if why == "compile-failed":
+        monkeypatch.setattr(engine, "deoptless_compile", lambda *args: None)
+    vm = make_vm(**dict(dict(compile_threshold=1, chaos_rate=0.5, enable_deoptless=True,
+                             ctxdispatch=False, threaded_dispatch=threaded), **config))
+    vm.chaos_rng = FireAt(*fire)
+    vm.eval(HEADER_GUARD)
+    for _ in range(4):
+        assert from_r(vm.eval("hsum(hv)")) == 78.0
+    refused = [e.details["refused"][0] for e in vm.state.events_of("deopt")
+               if e.details["recovery"] != "continuation"]
+    assert refused == [("continuation", why)]
+    assert {c: getattr(vm.state, c) for c in _COUNTERS} == {
+        c: int(c in moved) for c in _COUNTERS}
