@@ -12,14 +12,20 @@ counted once per occurrence in an executed line, so an ``and`` chain that stops 
 counts its later calls: an upper bound, exact for the one-call lines that carry the cost
 (``int(_i)``, ``float(_w)``, ``len(_d)``).  ``counter`` lines flush the pending op counts
 (``_n``/``_g``/``_u +=``); ``dispatch`` lines choose and leave arms (``_b =``, ``continue``,
-``break``, ``if _b ==``, ``while True``).  DESIGN.md, "Python codegen backend", has the tables
-before and after typed subscripts and innermost Python loops, and the primitive costs that
-price them.  About a minute.
+``break``, ``if _b ==``, ``while True``).  Three more columns count, per steady call, what runs
+outside generated code: the bytecode ops the interpreter retires (``interp_ops``), the promises
+forced (``promises``: runs of a thunk or a default argument's code) and the closure entries that
+ask contextual dispatch for a version (``entry_disp``: ``RVM._dispatch_context_version``).
+DESIGN.md, "Python codegen backend", has the tables before and after typed subscripts and
+innermost Python loops, and the primitive costs that price them; "Eager arguments for base
+builtins" has the last three columns before and after.  About a minute.
 """
 import argparse, collections, importlib, os, re, sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BUILTINS = ("int", "float", "len", "isinstance", "type", "RVector")
+#: what a steady call runs outside generated code
+OUTSIDE = ("interp_ops", "promises", "entry_disp")
 _CALL = {b: re.compile(r"(?<![\w.])%s\(" % b) for b in BUILTINS}
 #: first matching pattern names a line's category
 CATEGORIES = (
@@ -42,8 +48,19 @@ def category(text):
 def census(prog, n, warmup):
     from repro import Config, RVM
     pycodegen = importlib.import_module("repro.native.pycodegen")
+    interpreter = importlib.import_module("repro.bytecode.interpreter")
     sources = {}  # the generated function's code object -> its source lines
-    compile_unit = pycodegen._compile
+    compile_unit, run, dispatch = pycodegen._compile, interpreter.run, RVM._dispatch_context_version
+    lines, calls = collections.Counter(), collections.Counter()
+
+    def running(code, *args, **kw):  # `force` runs a promise's code through this global
+        if code.name.startswith(("<promise>", "<default ")):
+            calls["promises"] += 1
+        return run(code, *args, **kw)
+
+    def dispatching(*args, **kw):
+        calls["entry_disp"] += 1
+        return dispatch(*args, **kw)
 
     def recording(ncode):
         code = compile_unit(ncode)
@@ -52,7 +69,7 @@ def census(prog, n, warmup):
                 sources[c] = ncode.pysrc.splitlines()
         return code
 
-    pycodegen._compile = recording
+    pycodegen._compile, interpreter.run, RVM._dispatch_context_version = recording, running, dispatching
     try:
         vm = RVM(Config(enable_deoptless=True))
         vm.eval(prog.source)
@@ -61,6 +78,8 @@ def census(prog, n, warmup):
         for _ in range(warmup):
             vm.eval(call)
         hits = collections.Counter()
+        calls.clear()  # the warm-up's
+        ops = vm.state.interp_ops
 
         def trace(frame, event, arg):
             if frame.f_code in sources:
@@ -74,9 +93,9 @@ def census(prog, n, warmup):
             vm.eval(call)
         finally:
             sys.settrace(None)
+        calls["interp_ops"] = vm.state.interp_ops - ops
     finally:
-        pycodegen._compile = compile_unit
-    lines, calls = collections.Counter(), collections.Counter()
+        pycodegen._compile, interpreter.run, RVM._dispatch_context_version = compile_unit, run, dispatch
     for (code, lineno), k in hits.items():
         text = sources[code][lineno - 1].strip()
         lines[category(text)] += k
@@ -96,9 +115,9 @@ if __name__ == "__main__":
     programs = load_programs()
     cats = [name for name, _ in CATEGORIES] + ["other"]
     print("%-14s %9s " % ("program", "lines") + " ".join("%9s" % c for c in cats)
-          + "  | " + " ".join("%9s" % b for b in BUILTINS))
+          + "  | " + " ".join("%9s" % b for b in BUILTINS + OUTSIDE))
     for name in a.programs or SUITE:
         p = programs[name]
         lines, calls = census(p, p.n_test if a.test_size else p.n, a.warmup)
         print("%-14s %9d " % (name, sum(lines.values())) + " ".join("%9d" % lines[c] for c in cats)
-              + "  | " + " ".join("%9d" % calls[b] for b in BUILTINS), flush=True)
+              + "  | " + " ".join("%9d" % calls[b] for b in BUILTINS + OUTSIDE), flush=True)

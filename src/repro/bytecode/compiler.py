@@ -174,10 +174,11 @@ def _liveness(code: CodeObject) -> List[frozenset]:
 #: expression node types that can never observe or cause an effect.
 _PURE_LEAVES = (A.NumLit, A.IntLit, A.ComplexLit, A.StrLit, A.BoolLit, A.NullLit, A.NaLit, A.Ident)
 
-#: base functions assumed pure and unshadowed for the purpose of eager
-#: argument evaluation.  GNU R's byte-compiler makes the same assumption for
-#: base functions; a program that shadows one of these with an effectful
-#: function and relies on argument laziness would observe the difference.
+#: base functions assumed unshadowed.  Each is a builtin, which forces all its
+#: arguments, left to right, before it runs, so a call to one evaluates them in
+#: place (``Compiler._c_Call``), as GNU R's byte compiler does for base BUILTINs.
+#: The one divergence: a closure bound to one of these names that leaves an
+#: effectful argument unforced sees the effect happen anyway.
 PURE_BASE_CALLEES = frozenset({
     "c", "length", "rep", "seq_len", "seq", "vector", "logical", "integer",
     "numeric", "double", "character", "complex", "list",
@@ -189,6 +190,16 @@ PURE_BASE_CALLEES = frozenset({
     "as.logical", "as.integer", "as.double", "as.numeric", "as.complex",
     "as.character", "as.list",
 })
+
+
+def runs_loop(node: Any) -> bool:
+    """Does evaluating ``node`` run a loop?  (OSR-in needs an empty operand
+    stack at a backedge, which an eager argument would not leave.)"""
+    if isinstance(node, list):
+        return any(map(runs_loop, node))
+    if not isinstance(node, A.Node) or isinstance(node, A.Function):
+        return False
+    return isinstance(node, (A.For, A.While, A.Repeat)) or any(map(runs_loop, vars(node).values()))
 
 
 def is_effect_free(node: A.Node) -> bool:
@@ -598,9 +609,10 @@ class Compiler:
         else:
             self.compile_expr(n.fn)
             self.emit(O.CHECK_FUN, "callable", line=n.line)
-        # arguments: eager when effect-free, promise otherwise
+        # arguments: eager when effect-free or passed to a base builtin
+        base = isinstance(n.fn, A.Ident) and n.fn.name in PURE_BASE_CALLEES
         for arg in n.args:
-            if is_effect_free(arg):
+            if is_effect_free(arg) or (base and not runs_loop(arg)):
                 self.compile_expr(arg)
             else:
                 thunk = Compiler.compile_thunk(arg)

@@ -27,7 +27,7 @@ environment entries are not eligible for deoptless.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..runtime.rtypes import ANY, Kind, RType, intern_rtype
 from ..runtime.values import RPromise, rtype_quick
@@ -246,11 +246,18 @@ class CallContext:
     ``DeoptContext`` keys on stack shape and env names.
     """
 
-    __slots__ = ("arg_types", "forced")
+    __slots__ = ("arg_types", "forced", "_hash")
 
     def __init__(self, arg_types: Tuple[RType, ...], forced: Tuple[bool, ...]):
         self.arg_types = arg_types
         self.forced = forced
+        self._hash = hash((arg_types, forced))
+
+    def __getstate__(self):  # pickled as before the hash was cached
+        return None, {"arg_types": self.arg_types, "forced": self.forced}
+
+    def __setstate__(self, state):
+        self.__init__(**state[1])
 
     # -- partial order -----------------------------------------------------------
 
@@ -278,9 +285,9 @@ class CallContext:
         )
 
     def __hash__(self):
-        # entry contexts are dict keys in the code cache and in a closure's
-        # per-context deopt counts (``ClosureJitState.ctx_fail_counts``)
-        return hash((self.arg_types, self.forced))
+        # dict keys in the code cache, ``ClosureJitState.ctx_fail_counts``
+        # and, on every call, a dispatch table's remembered answers
+        return self._hash
 
     def stable_parts(self) -> tuple:
         """World-independent rendering for stable cache digests.  Unlike
@@ -323,7 +330,8 @@ def distill_call_context(args: List[Any]) -> Optional[CallContext]:
     """``computeCtx`` for a function entry: distill the dispatchable context
     from a positional argument list.
 
-    Forced promises are unwrapped **in place** (their value is what a typed
+    The context is interned: equal calls get the same object.  Forced
+    promises are unwrapped **in place** (their value is what a typed
     version's parameter registers must receive; semantically identical to
     the generic path, where the entry ``Force`` yields the same object).
     Unforced promises stay and distill to an untyped, unforced slot.  Vector
@@ -333,23 +341,26 @@ def distill_call_context(args: List[Any]) -> Optional[CallContext]:
     """
     if len(args) > MAX_CONTEXT_ARGS:
         return None
-    types: List[RType] = []
-    forced: List[bool] = []
+    quick: List[Optional[RType]] = []  # None: an unforced promise
     for i, v in enumerate(args):
-        if isinstance(v, RPromise):
-            if v.forced:
-                v = v.value
-                args[i] = v
-            else:
-                types.append(ANY)
-                forced.append(False)
+        if v.__class__ is RPromise:
+            if not v.forced:
+                quick.append(None)
                 continue
-        t = rtype_quick(v)
-        if not t.scalar and not t.maybe_na and t.kind is not Kind.ANY:
-            t = intern_rtype(t.kind, False, True)
-        types.append(t)
-        forced.append(True)
-    return CallContext(tuple(types), tuple(forced))
+            v = args[i] = v.value
+        quick.append(rtype_quick(v))
+    key = tuple(quick)
+    ctx = _CALL_CONTEXTS.get(key)
+    if ctx is None:
+        types = tuple(ANY if t is None else t if t.scalar or t.maybe_na or t.kind is Kind.ANY
+                      else intern_rtype(t.kind, False, True) for t in key)
+        ctx = _CALL_CONTEXTS.setdefault(key, CallContext(types, tuple(t is not None for t in key)))
+    return ctx
+
+
+#: the interned contexts, by argument types as ``rtype_quick`` reads them
+#: (None: an unforced promise); equality stays structural all the same
+_CALL_CONTEXTS: Dict[tuple, CallContext] = {}
 
 
 #: kind precision rank: lower lattice kinds are more specific, so a dbl

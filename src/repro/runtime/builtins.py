@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, List, Optional
 
-from .coerce import as_vector, coerce_vector, combine
+from .coerce import as_vector, coerce_vector, combine, share
 from .env import REnvironment
 from .rtypes import ANY, UNBOXABLE_KINDS, Kind, RType, kind_lub
 from .values import (
@@ -164,7 +164,7 @@ def _bi_seq(args, vm):
 
 
 def _bi_list(args, vm):
-    return RVector(Kind.LIST, list(args))
+    return RVector(Kind.LIST, [share(a) for a in args])
 
 
 # ---------------------------------------------------------------------------

@@ -60,12 +60,20 @@ def _elem_to(kind: Kind, x: Any) -> Any:
     return x
 
 
+def share(value: Any) -> Any:
+    """Mark a vector shared (``named = 2``), as every list element is: a store
+    into it, or into a variable that holds it, must not change the list."""
+    if value.__class__ is RVector:
+        value.named = 2
+    return value
+
+
 def coerce_vector(v: RVector, kind: Kind) -> RVector:
     """Coerce a whole vector to ``kind`` (identity when already there)."""
     if v.kind == kind:
         return v
     if kind == Kind.LIST:
-        return RVector(Kind.LIST, [RVector(v.kind, [x]) for x in v.data])
+        return RVector(Kind.LIST, [share(RVector(v.kind, [x])) for x in v.data])
     if v.kind == Kind.LIST:
         out = []
         for el in v.data:
@@ -478,7 +486,7 @@ def assign2(value: Any, idx: Any, item: Any) -> RVector:
     while len(new.data) < i:
         new.data.append(_na_for(kind))
     if kind == Kind.LIST:
-        new.data[i - 1] = item
+        new.data[i - 1] = share(item)
     else:
         el = item.data[0]
         new.data[i - 1] = _elem_to(kind, el)
@@ -496,6 +504,8 @@ def assign1(value: Any, idx: Any, item: Any) -> RVector:
     kind = kind_lub(base.kind if base.kind != Kind.NULL else item_v.kind, item_v.kind)
     new = coerce_vector(RVector(base.kind, list(base.data)), kind) if base.kind not in (kind, Kind.NULL) else RVector(kind, list(base.data))
     item_c = coerce_vector(item_v, kind)
+    if kind == Kind.LIST:
+        item_c = RVector(kind, [share(x) for x in item_c.data])
     if not iv.data:
         return new
     li = len(item_c.data)

@@ -107,6 +107,26 @@ def test_pure_argument_stays_eager():
     assert O.MK_PROMISE not in ops_of(co)
 
 
+def test_a_base_builtins_arguments_are_eager():
+    """A call to a name in ``PURE_BASE_CALLEES`` evaluates its arguments in
+    place, left to right; an argument that runs a loop keeps its promise,
+    because OSR-in needs an empty operand stack at every backedge."""
+    assert O.MK_PROMISE not in ops_of(compile_src("list(f(), g(x))"))
+    assert O.MK_PROMISE in ops_of(compile_src("list(f(), for (i in 1:3) i)"))
+    assert O.MK_PROMISE in ops_of(compile_src("h(f())"))
+
+
+def test_every_pure_base_callee_is_an_installed_builtin():
+    """What eager arguments rest on: each of these names is a builtin, and
+    a builtin forces all its arguments, left to right, before it runs."""
+    from repro import RVM
+    from repro.bytecode.compiler import PURE_BASE_CALLEES
+    from repro.runtime.values import RBuiltin
+
+    env = RVM().global_env
+    assert all(isinstance(env.get(name), RBuiltin) for name in PURE_BASE_CALLEES)
+
+
 def test_is_effect_free_classification():
     assert is_effect_free(parse_expr("x + y * 2"))
     assert is_effect_free(parse_expr("v[[i]]"))

@@ -11,6 +11,8 @@ invalidation, and codegen-vs-reference engine equivalence under both
 ``ctxdispatch`` settings.
 """
 
+import pickle
+
 import pytest
 
 from conftest import engine_signature, make_vm
@@ -150,6 +152,34 @@ def test_version_table_remove_by_identity():
     assert len(vt) == 1
     assert vt.dispatch(ctx(INT_S)) is None
     assert vt.dispatch(ctx(DBL_S, DBL_S)) is b
+
+
+def test_version_table_answers_follow_its_entries():
+    """``dispatch`` remembers each answer, a miss included, until an insert,
+    the replacement of an equal context or a removal changes the entries;
+    an equal context built apart from the one asked gets the same answer."""
+    vt = ContextTable(max_entries=4)
+    generic, tight, newer = FakeCode(), FakeCode(), FakeCode()
+    assert vt.dispatch(ctx(INT_S)) is None
+    vt.insert(ctx(ANY), generic)
+    assert vt.dispatch(ctx(INT_S)) is generic
+    vt.insert(ctx(INT_S), tight)
+    assert vt.dispatch(ctx(INT_S)) is tight
+    vt.insert(ctx(INT_S), newer)
+    assert vt.dispatch(ctx(INT_S)) is newer and vt.dispatch(ctx(DBL_S)) is generic
+    vt.remove(newer)
+    assert vt.dispatch(ctx(INT_S)) is generic
+    vt.remove(generic)
+    assert vt.dispatch(ctx(INT_S)) is None and vt.dispatch(ctx(DBL_S)) is None
+
+
+def test_distill_interns_equal_contexts():
+    one = distill_call_context([mk_int(1), mk_dbl(2.0)])
+    assert distill_call_context([mk_int(3), mk_dbl(4.0)]) is one
+    assert one == ctx(INT_S, DBL_S) and hash(one) == hash(ctx(INT_S, DBL_S))
+    assert distill_call_context([mk_dbl(3.0), mk_dbl(4.0)]) is not one
+    back = pickle.loads(pickle.dumps(one))  # as a unit's ctx is persisted
+    assert back == one and hash(back) == hash(one)
 
 
 # -- end-to-end: version creation and dispatch -----------------------------------

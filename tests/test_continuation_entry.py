@@ -217,3 +217,33 @@ def test_chaos_inside_a_continuation_comes_back_compiled(program):
                     assert resume.kind == "osr_hop", where
             assert runs[0] == runs[1], "draws %d, %d" % (k, k + gap)
     assert pairs, "no second draw failed inside a continuation"
+
+
+@pytest.mark.parametrize("deoptless", [False, True])
+def test_a_failed_guard_inside_an_eager_argument_resumes_there(deoptless):
+    """``bt_make``'s two recursive calls are arguments of ``list``, a base
+    builtin, so they are evaluated in place and no promise is made: a deopt
+    at either call resumes at that ``CALL``, in the interpreter or in a
+    continuation, with ``list`` and the arguments so far on the operand
+    stack.  Fail one draw at a time over one ``binarytrees_run(4L)`` on
+    both engines: the value is the interpreter's.  The compile threshold
+    lets every call site of ``bt_make`` record its target before the unit
+    is compiled (at 2, it is compiled on the way down the first tree, and
+    its later call sites stay generic calls that no guard protects)."""
+    w = REGISTRY.get("binarytrees")
+    warm = [w.call_code(w.n_test)]
+    cfg = dict(chaos_rate=0.5, compile_threshold=8, enable_deoptless=deoptless)
+    _, _, _, expected = _run_calls(w, warm, (-1,), enable_jit=False)
+    vm, rng, _, _ = _run_calls(w, warm, (-1,), **cfg)
+    draws = -1 - rng.left
+    calls = [pc for pc, ins in enumerate(vm.global_env.get("bt_make").code.code)
+             if ins[0] == O.CALL and ins[1] == 1]
+    hit = set()
+    for k in range(0, draws, _stride(draws, 2 * POINTS)):
+        for threaded in (True, False):
+            vm, rng, mark, got = _run_calls(w, warm, (k,), threaded_dispatch=threaded, **cfg)
+            assert rng.left < 0 and got == expected, "draw %d (threaded=%s)" % (k, threaded)
+            deopt = next(e for e in vm.state.events[mark:] if e.kind == "deopt")
+            if deopt.fn_name == "bt_make":
+                hit.add(deopt.details["pc"])
+    assert len(calls) == 2 and hit >= set(calls), (calls, hit)

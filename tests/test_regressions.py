@@ -523,3 +523,55 @@ def test_an_empty_loop_with_nothing_bound_raises_as_the_interpreter_does(config)
     # the native engines raise it from the compiled unit
     assert vm.state.compile_failures == 0
     assert (vm.state.compiles > 0) == config.get("enable_jit", True)
+
+
+#: a vector that becomes a list element is shared, so a store into it, or
+#: into a variable that holds it, copies.  Each value is R's, written out by
+#: hand: the interpreter is no oracle for copy-on-write.
+LIST_ELEMENTS = """
+in_list <- function() { y <- numeric(3); l <- list(y); y[[1L]] <- 7; l[[1L]] }
+stored <- function() { y <- numeric(3); l <- list(1); l[[1L]] <- y; y[[1L]] <- 7; l[[1L]] }
+taken <- function() { l <- list(numeric(3)); z <- l[[1L]]; z[[1L]] <- 7; l[[1L]] }
+taken_at_once <- function() { z <- list(numeric(3))[[1L]]; z[[1L]] <- 7; z }
+combined <- function() { y <- numeric(3); l <- c(list(y), list(2)); y[[1L]] <- 7; l[[1L]] }
+sliced <- function() { y <- numeric(2); l <- list(1, 2); l[1L] <- list(y); y[[1L]] <- 7; l[[1L]] }
+coerced <- function() { l <- as.list(c(1, 2)); z <- l[[1L]]; z[[1L]] <- 9; l[[1L]] }
+"""
+R_VALUES = {
+    "in_list()": [0.0, 0.0, 0.0],
+    "stored()": [0.0, 0.0, 0.0],
+    "taken()": [0.0, 0.0, 0.0],
+    "taken_at_once()": [7.0, 0.0, 0.0],
+    "combined()": [0.0, 0.0, 0.0],
+    "sliced()": [0.0, 0.0],
+    "coerced()": 1.0,
+}
+
+
+def test_a_vector_in_a_list_is_copied_on_write():
+    from conftest import on_engines
+
+    on_engines(LIST_ELEMENTS, list(R_VALUES))  # both engines agree with the interpreter
+    vm = make_vm(enable_jit=False)
+    vm.eval(LIST_ELEMENTS)
+    assert {call: from_r(vm.eval(call)) for call in R_VALUES} == R_VALUES
+
+
+#: two arguments of a base builtin, each with an effect: as when they were
+#: promises that ``list`` forced, each runs once, first then second
+EFFECTS = """
+f <- function() { log <<- c(log, 1L); 1L }
+g <- function() { log <<- c(log, 2L); 2L }
+both <- function() { log <<- c(); l <- list(f(), g()); log }
+skip <- function(n) { s <- 0L; for (i in 1:n) s <- s + length(list(i, if (i == 2L) next else i)); s }
+"""
+
+
+def test_eager_arguments_run_their_effects_once_in_order():
+    from conftest import on_engines
+
+    on_engines(EFFECTS, ["both()", "skip(4L)"])
+    vm = make_vm(enable_jit=False)
+    vm.eval(EFFECTS)
+    assert from_r(vm.eval("both()")) == [1, 2]
+    assert from_r(vm.eval("skip(4L)")) == 6
