@@ -16,9 +16,11 @@ counts its later calls: an upper bound, exact for the one-call lines that carry 
 outside generated code: the bytecode ops the interpreter retires (``interp_ops``), the promises
 forced (``promises``: runs of a thunk or a default argument's code) and the closure entries that
 ask contextual dispatch for a version (``entry_disp``: ``RVM._dispatch_context_version``).
-DESIGN.md, "Python codegen backend", has the tables before and after typed subscripts and
-innermost Python loops, and the primitive costs that price them; "Eager arguments for base
-builtins" has the last three columns before and after.  About a minute.
+The ``moves`` column counts every executed ``name = name`` line, whatever its category (a
+staging ``_i = r112`` is a ``subscript`` line and a move): the executed moves, read one way.
+DESIGN.md, "Python codegen backend", has the tables before and after typed subscripts,
+innermost Python loops and one local per value, and the primitive costs that price them; "Eager
+arguments for base builtins" has the last three columns before and after.  About a minute.
 """
 import argparse, collections, importlib, os, re, sys
 
@@ -27,10 +29,13 @@ BUILTINS = ("int", "float", "len", "isinstance", "type", "RVector")
 #: what a steady call runs outside generated code
 OUTSIDE = ("interp_ops", "promises", "entry_disp")
 _CALL = {b: re.compile(r"(?<![\w.])%s\(" % b) for b in BUILTINS}
+#: a register move or an operand staged into a scratch name
+MOVE = re.compile(r"^[A-Za-z_]\w* = [A-Za-z_]\w*$")
 #: first matching pattern names a line's category
 CATEGORIES = (
-    ("subscript", re.compile(r"_d = _v\.data|_d\[|_v\.data\[|_i = |1 <= _i|_i < 1|_assign2")),
-    ("guard", re.compile(r"^if not |^if _v is not |^if _ch is not None|^raise ")),
+    ("subscript", re.compile(r"_d = \w+\.data$|_d\[|\.data\[\w+ - 1\]|^_i = |1 <= \w+ <= len"
+                             r"|^if \w+ < 1 or|_assign2")),
+    ("guard", re.compile(r"^if not |^if \w+ is not _K|^if _ch is not None|^raise ")),
     ("kernel", re.compile(r"_rs\b|_kern\(|_r\[|^_s = |_s == |is not int or type\(")),
     ("call", re.compile(r"_callf\(|call_closure\(|\.fn\(|^state\.native_ops \+= _n|^_n = 0")),
     ("counter", re.compile(r"^_[ngu] \+= ")),
@@ -99,6 +104,8 @@ def census(prog, n, warmup):
     for (code, lineno), k in hits.items():
         text = sources[code][lineno - 1].strip()
         lines[category(text)] += k
+        if MOVE.match(text):
+            lines["moves"] += k
         for b, pat in _CALL.items():
             calls[b] += k * len(pat.findall(text))
     return lines, calls
@@ -114,10 +121,11 @@ if __name__ == "__main__":
     from workloads import SUITE, load_programs
     programs = load_programs()
     cats = [name for name, _ in CATEGORIES] + ["other"]
-    print("%-14s %9s " % ("program", "lines") + " ".join("%9s" % c for c in cats)
+    print("%-14s %9s " % ("program", "lines") + " ".join("%9s" % c for c in cats + ["moves"])
           + "  | " + " ".join("%9s" % b for b in BUILTINS + OUTSIDE))
     for name in a.programs or SUITE:
         p = programs[name]
         lines, calls = census(p, p.n_test if a.test_size else p.n, a.warmup)
-        print("%-14s %9d " % (name, sum(lines.values())) + " ".join("%9d" % lines[c] for c in cats)
+        print("%-14s %9d " % (name, sum(lines[c] for c in cats))
+              + " ".join("%9d" % lines[c] for c in cats + ["moves"])
               + "  | " + " ".join("%9d" % calls[b] for b in BUILTINS + OUTSIDE), flush=True)

@@ -7,6 +7,10 @@ interpreter variable / stack slot, and whether it must be re-boxed).
 
 Phis are lowered to parallel register moves on the incoming edges; critical
 edges (a branching predecessor into a join) get synthesized move-blocks.
+Before anything is emitted, ``Lowerer._coalesce`` gives a ``CastType`` its
+input's register and puts each phi and its inputs into one register when
+their live ranges do not interfere (out-of-SSA translation with copy
+coalescing, Boissinot et al., CGO 2009), so most of those moves vanish.
 Fused guard ops (``GTYPE``/``GIDENT``) are emitted when an ``IsType``/
 ``IsIdentical`` feeds exactly one ``Assume`` — the common case produced by
 the builder.
@@ -18,10 +22,14 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..ir import instructions as I
 from ..ir.builder import GuardedMod
-from ..ir.cfg import Graph
-from ..osr.framestate import DeoptReasonKind
+from ..ir.cfg import Graph, OsrAnchor
+from ..osr.framestate import DeoptReasonKind, FrameStateDescr
 from ..runtime.rtypes import Kind
 from . import ops as N
+
+
+#: the instructions that carry a frame state
+_FS_HOLDERS = frozenset((I.Assume, I.VecLoad, I.VecStore, GuardedMod))
 
 
 class LoweringError(Exception):
@@ -310,6 +318,8 @@ class Lowerer:
         self.graph = graph
         self.nc = NativeCode(graph, graph.name)
         self.reg_of: Dict[int, int] = {}
+        #: id(value) -> the value whose register it shares (``_coalesce``)
+        self.leader: Dict[int, I.Instr] = {}
         self.block_start: Dict[int, int] = {}
         self.fixups: List[Tuple[int, int, Any]] = []  # (op_index, operand_pos, block)
         self.order = graph.rpo()
@@ -325,14 +335,20 @@ class Lowerer:
         self.kernel_sites: List[Tuple[int, Any]] = []
         #: this unit's one copy of each equal deopt slot map and slot
         self._interned: Dict[tuple, tuple] = {}
+        #: per deopt id, the IR values its descriptor chain reads, and the
+        #: value a fused guard checks (kernel loops only: ``_build_kernel``)
+        self._did_values: List[tuple] = []
+        self._guarded: Dict[int, I.Instr] = {}
 
     # -- registers -----------------------------------------------------------------
 
     def reg(self, ins: I.Instr) -> int:
         r = self.reg_of.get(id(ins))
         if r is None:
-            r = self.nc.n_regs
-            self.nc.n_regs += 1
+            lead = self.leader.get(id(ins), ins)
+            r = self.reg_of.get(id(lead))
+            if r is None:
+                r = self.reg_of[id(lead)] = self.fresh_reg()
             self.reg_of[id(ins)] = r
         return r
 
@@ -340,6 +356,253 @@ class Lowerer:
         r = self.nc.n_regs
         self.nc.n_regs += 1
         return r
+
+    def _coalesce(self, uses) -> None:
+        """Choose which values share a register, before anything is emitted.
+
+        A ``CastType`` is its input's value, so it takes the input's
+        register (a constant's keeps a copy: an OSR hop may seed the cast's
+        register, and a constant's is shared by every use).  Then each phi
+        joins the class of each input whose live range interferes with no
+        member of the phi's class; the copy on that edge is then a move of a
+        register onto itself, which ``_phi_moves`` leaves out.  Strict SSA
+        makes this sound: a phi's register is written only on the edges into
+        its block, and those copies are one parallel copy (``_emit_moves``).
+        A vector store's result joins its vector's class the same way, so an
+        in-place store copies nothing.  Constants, parameters and the
+        environment keep their own registers (the register image and the
+        calling convention fill those)."""
+        def root(v):
+            while type(v) is I.CastType:
+                v = v.args[0]
+            return v
+
+        reachable = {bb.id for bb in self.order}
+        # (value, value) pairs whose copy goes if they share a register, in
+        # reverse postorder: a phi and each input (a loop header's phi takes
+        # its latch value before a join inside the body competes for it),
+        # and a vector store's result and its vector (equal when in place)
+        pairs, casts = [], []
+        for bb in self.order:
+            for ins in bb.instrs:
+                t = type(ins)
+                if t is I.Phi:
+                    pairs.extend((ins, v) for blk, v in ins.inputs if blk.id in reachable)
+                elif t is I.VecStore:
+                    pairs.append((ins, ins.args[0]))
+                elif t is I.CastType:
+                    casts.append(ins)
+        obj = {}
+        for a, v in pairs:
+            v = root(v)
+            if (v.block is not None and v.block.id in reachable
+                    and not isinstance(v, (I.Const, I.Param, I.EnvParam))):
+                obj[id(a)] = a
+                obj[id(v)] = v
+        if obj:
+            interferes = self._interferes(obj, casts, root, uses)
+            of = {i: i for i in obj}
+            members = {i: [i] for i in obj}
+            for p, v in pairs:
+                a, b = of.get(id(p)), of.get(id(root(v)))
+                if a is None or b is None or a == b or any(
+                        interferes(x, y) for x in members[a] for y in members[b]):
+                    continue
+                for m in members[b]:
+                    of[m] = a
+                members[a] += members.pop(b)
+            self.leader.update((i, obj[c]) for i, c in of.items() if i != c)
+        for c in casts:
+            v = root(c)
+            if type(v) is not I.Const:
+                self.leader[id(c)] = self.leader.get(id(v), v)
+
+    def _interferes(self, obj: Dict[int, I.Instr], casts, root, uses):
+        """A test ``interferes(a, b)`` over the ids in ``obj``: one is live
+        where the other is defined.  Liveness is taken per value, from its
+        uses back to its definition.
+
+        A use is whatever reads a register: an operand; a phi input, at the
+        end of its predecessor; every value of a frame state, which a deopt
+        descriptor reads when its guard fails (a load's after its result is
+        bound: the NA deopt fires with the element in the register); and at
+        a loop header, what an OSR entry seeds and a bulk kernel reads.
+        Without the descriptor reads a coalesced register could hold a newer
+        value when a guard raises."""
+        # blocks by their index in the order, block sets as bit masks
+        index = {bb.id: k for k, bb in enumerate(self.order)}
+        preds: List[list] = [[] for _ in self.order]
+        pos: Dict[int, int] = {}
+        # id(frame) -> block -> the last guard there whose chain holds it
+        owners: Dict[int, Dict[int, float]] = {}
+        for b, bb in enumerate(self.order):
+            for s in bb.successors():
+                preds[index[s.id]].append(b)
+            for k, ins in enumerate(bb.instrs):
+                pos[id(ins)] = k
+                fs = ins.framestate if type(ins) in _FS_HOLDERS else None
+                q = k + 0.5 if type(ins) is I.VecLoad else k
+                while fs is not None:
+                    owners.setdefault(id(fs), {})[b] = q
+                    fs = fs.parent
+        casts_of: Dict[int, list] = {}  # a cast reads its input's register
+        for c in casts:
+            if id(root(c)) in obj:
+                casts_of.setdefault(id(root(c)), []).append(c)
+        at_top: Dict[int, list] = {}  # read at a kernel header's top
+        for plan in self.kernel_plans.values():
+            for v in [plan.bound, plan.seq_load.args[0]] + [
+                    ch.root[1] for ch in plan.invs if ch.root[0] in ("value", "phi")]:
+                if plan.header.id in index:
+                    at_top.setdefault(id(root(v)), []).append(index[plan.header.id])
+        end = float("inf")
+        ranges: Dict[int, tuple] = {}
+
+        def sites(i) -> list:
+            """Where the value's register is read: (block, position); a read
+            at a header's top is at -0.5, a load's descriptor half past it."""
+            got = [(h, -0.5) for h in at_top.get(i, ())]
+            for n in [obj[i]] + casts_of.get(i, []):
+                for h in uses.get(n, ()):
+                    t = type(h)
+                    if t is I.Phi:  # at the end of the input's predecessor
+                        got.extend((index[blk.id], end) for blk, x in h.inputs
+                                   if x is n and blk.id in index)
+                    elif t is FrameStateDescr:
+                        got.extend(owners.get(id(h), {}).items())
+                    elif t is OsrAnchor:  # a header optimization left unreachable has no entry
+                        if h.header.id in index:
+                            got.append((index[h.header.id], -0.5))
+                    elif t is not I.CastType and h.block is not None and h.block.id in index:
+                        got.append((index[h.block.id], pos[id(h)]))
+            return got
+
+        def live_range(i) -> tuple:
+            """(def block, def position (a phi's is -1), blocks live in and
+            blocks live out as masks, block -> its last read there)."""
+            got = ranges.get(i)
+            if got is not None:
+                return got
+            v = obj[i]
+            db, dp = index[v.block.id], -1 if type(v) is I.Phi else pos[i]
+            live_in = live_out = 0
+            last: Dict[int, float] = {}
+            work = []
+            for b, q in sites(i):
+                if q == end:
+                    live_out |= 1 << b
+                elif q > last.get(b, -2):
+                    last[b] = q
+                if b != db and not live_in >> b & 1:
+                    live_in |= 1 << b
+                    work.append(b)
+            while work:
+                for p in preds[work.pop()]:
+                    live_out |= 1 << p
+                    if p != db and not live_in >> p & 1:
+                        live_in |= 1 << p
+                        work.append(p)
+            got = ranges[i] = (db, dp, live_in, live_out, last)
+            return got
+
+        def live_at(i, b, p) -> bool:
+            db, dp, live_in, live_out, last = live_range(i)
+            return bool((live_in >> b & 1 or (db == b and dp < p))
+                        and (live_out >> b & 1 or last.get(b, -2) > p))
+
+        def interferes(a, b) -> bool:
+            da, pa = live_range(a)[:2]
+            db, pb = live_range(b)[:2]
+            if da == db and pa == pb == -1:
+                return True  # phis of one block
+            return live_at(a, db, pb) or live_at(b, da, pa)
+
+        return interferes
+
+    def misplaced_reads(self) -> List[str]:
+        """Check the register choice against the IR, after ``lower``: on
+        every path, each read finds in its value's register that value and
+        no other that shares the register.  The reads are operands, phi
+        inputs on their edges, every frame-state value at its guard (a
+        load's after its result is bound), the values a bulk kernel reads at
+        its header and, for paths that start at an OSR entry, what the hop
+        seeded.  Returns one line per read that can find another value."""
+        reg = self.reg_of
+
+        def held(v):  # the value a read of ``v`` finds: a cast's is its input's
+            while type(v) is I.CastType and reg.get(id(v)) == reg.get(id(v.args[0])):
+                v = v.args[0]
+            return v
+
+        consts = {reg[id(c)]: id(c) for c in self.graph.iter_instrs()
+                  if type(c) is I.Const and id(c) in reg}
+        bad = []
+
+        def reads(st, vals, where) -> None:
+            for v in map(held, vals):
+                if id(v) in reg and st.get(reg[id(v)]) != id(v):
+                    bad.append("%s: %s reads r%d stale" % (self.nc.name, where, reg[id(v)]))
+
+        def run(bb, st, record) -> dict:
+            st = dict(st)
+            plan = self.kernel_plans.get(bb.id)
+            if record and plan is not None:
+                reads(st, [plan.bound, plan.seq_load.args[0]] + [
+                    ch.root[1] for ch in plan.invs if ch.root[0] in ("value", "phi")],
+                    "kernel at block %d" % bb.id)
+            for ins in bb.instrs:
+                t = type(ins)
+                if t is I.Phi or t is I.Const:
+                    continue
+                fs = getattr(ins, "framestate", None)
+                if record:
+                    reads(st, ins.args, "%s in block %d" % (t.__name__, bb.id))
+                    if fs is not None and t is not I.VecLoad:
+                        reads(st, fs.iter_values(), "deopt of block %d" % bb.id)
+                if id(ins) in reg and held(ins) is ins:
+                    st[reg[id(ins)]] = id(ins)
+                if record and fs is not None and t is I.VecLoad:
+                    reads(st, fs.iter_values(), "deopt of block %d" % bb.id)
+            return st
+
+        def edge(pred, succ, st, record) -> dict:
+            moved = {}
+            for phi in succ.phis():
+                for blk, v in phi.inputs:
+                    if blk is pred:
+                        if record:
+                            reads(st, [v], "phi edge %d->%d" % (pred.id, succ.id))
+                        moved[reg[id(phi)]] = id(phi)
+            return {**st, **moved}
+
+        starts = [(self.order[0], {**consts, **{reg[id(p)]: id(p) for p in self.graph.params
+                                                if id(p) in reg}})]
+        for pc, anchor in self.graph.osr_anchors.items():
+            if pc in self.nc.osr_entries:  # a hop seeds the anchor's values
+                seeded = {reg[id(held(v))]: id(held(v)) for v in anchor.values()}
+                if self.nc.osr_entries[pc].env_reg is not None:
+                    seeded.update((reg[id(p)], id(p)) for p in self.graph.params
+                                  if type(p) is I.EnvParam)
+                starts.append((anchor.header, {**consts, **seeded}))
+        for first, init in starts:
+            entry_in = {first.id: init}
+            work = [first]
+            while work:
+                bb = work.pop()
+                out = run(bb, entry_in[bb.id], False)
+                for succ in bb.successors():
+                    st = edge(bb, succ, out, False)
+                    old = entry_in.get(succ.id)
+                    new = st if old is None else {r: v for r, v in old.items() if st.get(r) == v}
+                    if new != old:
+                        entry_in[succ.id] = new
+                        work.append(succ)
+            for bb in self.order:
+                if bb.id in entry_in:
+                    out = run(bb, entry_in[bb.id], True)
+                    for succ in bb.successors():
+                        edge(bb, succ, out, True)
+        return sorted(set(bad))
 
     def emit(self, *op: Any) -> int:
         self.nc.ops.append(tuple(op))
@@ -356,6 +619,8 @@ class Lowerer:
             reason_kind = ins.reason_kind  # an Assume; other guards pass theirs
         d = self._frame_descr(fs, reason_kind, reason_pc, expected)
         self.nc.deopts.append(d)
+        if self.kernel_plans:
+            self._did_values.append(tuple(fs.iter_values()))
         return len(self.nc.deopts) - 1
 
     def _frame_descr(self, fs, reason_kind, reason_pc, expected) -> DeoptDescr:
@@ -389,6 +654,8 @@ class Lowerer:
 
     def lower(self) -> NativeCode:
         g = self.graph
+        uses = g.compute_uses()
+        self._coalesce(uses)
         # constants go into the initial register image
         for ins in g.iter_instrs():
             if isinstance(ins, I.Const):
@@ -407,7 +674,7 @@ class Lowerer:
             # these registers (args are pre-checked against the context)
             self.nc.param_unbox = unbox_kinds
 
-        fused = self._find_fused_guards()
+        fused = self._find_fused_guards(uses)
         self.guarded_kinds = self._find_guarded_kinds()
 
         pending_edges: List[Tuple[Any, Any, int]] = []  # (pred_bb, succ_bb, jump_op_index/branch pos)
@@ -439,11 +706,11 @@ class Lowerer:
 
     # -- guards fusion ---------------------------------------------------------------------
 
-    def _find_fused_guards(self) -> Dict[int, I.Assume]:
+    def _find_fused_guards(self, uses) -> Dict[int, I.Assume]:
         """Map id(test-instr) -> Assume when the test feeds only that Assume
         (a frame-state slot is a use too, and blocks fusion)."""
         fused = {}
-        for ins, holders in self.graph.compute_uses().items():
+        for ins, holders in uses.items():
             if isinstance(ins, (I.IsType, I.IsIdentical)) and len(holders) == 1:
                 asm = holders[0]
                 if isinstance(asm, I.Assume) and asm.args[0] is ins:
@@ -651,12 +918,7 @@ class Lowerer:
         against the symbolic roles the vectorizer assigned.  Any mismatch
         disables the kernel (returns None); the retained scalar loop then
         runs unchanged."""
-        nc = self.nc
-        role_of_reg: Dict[int, tuple] = {}
-        for iid, role in plan.roles.items():
-            r = self.reg_of.get(iid)
-            if r is not None:
-                role_of_reg[r] = role
+        roles = plan.roles
         phi_regs = {
             self.reg_of[id(p)] for p in plan.header.phis() if id(p) in self.reg_of
         }
@@ -719,25 +981,19 @@ class Lowerer:
             else:
                 kd.val_spec = plan.val_spec
 
-        # guard events: deopt descriptor registers -> iteration-indexed roles
+        # guard events: the values each deopt descriptor chain (inlined
+        # frames included) reads -> iteration-indexed roles, by value: a
+        # coalesced register holds several values, the one live at the guard
         events = []
         for op, counts_incl, written_before, store_before in raw_events:
             did = op[3]
-            grole = role_of_reg.get(op[1])
+            grole = roles.get(id(self._guarded[did]))
             if grole is None or grole[0] != "inv":
                 return None
-            descr = nc.deopts[did]
-            refs = set()
-            d = descr
-            while d is not None:  # inlined frames chain through parent
-                refs.update(r for _n, r, _k in d.env_slots)
-                refs.update(r for r, _k in d.stack)
-                if d.env_reg is not None:
-                    refs.add(d.env_reg)
-                d = d.parent
-            slots = []
-            for r in sorted(refs):
-                role = role_of_reg.get(r)
+            slots: Dict[int, tuple] = {}
+            for v in self._did_values[did]:
+                r = self.reg_of[id(v)]
+                role = roles.get(id(v))
                 if role is None:
                     if r in written_all:
                         return None  # loop-defined register without a role
@@ -746,8 +1002,10 @@ class Lowerer:
                     return None
                 if _role_needs_def(role) and r not in written_before and r not in phi_regs:
                     return None
-                slots.append((r, role))
-            tmpl = KernelFrameTemplate(slots, counts_incl[0], counts_incl[1], counts_incl[2])
+                if slots.setdefault(r, role) != role:
+                    return None
+            tmpl = KernelFrameTemplate(sorted(slots.items()), counts_incl[0], counts_incl[1],
+                                       counts_incl[2])
             events.append(KernelGuard(
                 did, grole, tmpl, store_before,
                 kind="gident" if op[0] == N.GIDENT else "gtype",
@@ -826,6 +1084,7 @@ class Lowerer:
                 return
             asm = fused[id(ins)]
             did = self.deopt_id(asm, expected=asm.expected)
+            self._guarded[did] = ins.args[0]
             self.emit(N.GTYPE, self.reg(ins.args[0]), ins.test_type, did)
             return
         if t is I.IsIdentical and id(ins) in fused:
@@ -833,6 +1092,7 @@ class Lowerer:
                 return
             asm = fused[id(ins)]
             did = self.deopt_id(asm, expected=asm.expected)
+            self._guarded[did] = ins.args[0]
             self.emit(N.GIDENT, self.reg(ins.args[0]), ins.expected, did)
             return
         if t is I.IsType:
@@ -883,8 +1143,11 @@ class Lowerer:
             self.emit(N.VLEN, self.reg(ins), self.reg(ins.args[0]))
             return
         if t is I.CastType:
-            # pure static refinement: a register copy
-            self.emit(N.MOVE, self.reg(ins), self.reg(ins.args[0]))
+            # pure static refinement: its input's register (``_coalesce``),
+            # a copy only of a constant
+            r, src = self.reg(ins), self.reg(ins.args[0])
+            if r != src:
+                self.emit(N.MOVE, r, src)
             return
         if t is I.Box:
             self.emit(N.BOX, self.reg(ins), self.reg(ins.args[0]), ins.kind)
@@ -1003,6 +1266,79 @@ class _BlockRef:
 
 def lower(graph: Graph, drop_deopt_exits: bool = False) -> NativeCode:
     return Lowerer(graph, drop_deopt_exits=drop_deopt_exits).lower()
+
+
+def descr_regs(descr) -> set:
+    """Every register a descriptor chain reads in ``build_framestate``."""
+    regs = set()
+    d = descr
+    while d is not None:  # inlined frames chain through parent
+        regs.update(r for _name, r, _kind in d.env_slots)
+        regs.update(r for r, _kind in d.stack)
+        if d.env_reg is not None:
+            regs.add(d.env_reg)
+        d = d.parent
+    return regs
+
+
+#: ops that write no destination register
+_NO_DST = frozenset((N.JMP, N.BRT, N.GTYPE, N.GIDENT, N.ASSUME, N.RET, N.CHECKFUN,
+                     N.STVAR_ENV, N.STSUPER, N.SHARE, N.KERNEL))
+#: guard op -> the operand position of its deopt id
+_DID_AT = {N.GTYPE: 3, N.GIDENT: 3, N.ASSUME: 2, N.VLOAD: 4, N.PMODI: 4, N.PIDIVI: 4}
+
+
+def unwritten_reads(nc: NativeCode) -> List[str]:
+    """The lowered side of the deopt contract, checked statically: every
+    register a deopt descriptor chain, an ``OsrEntry`` slot or a bulk
+    kernel's spill names is written on every path to the op that reads it.
+    Paths start at op 0 (parameters and constants written) or at an OSR
+    entry's index (constants and the entry's slots written).  A kernel's
+    spill names the registers its guards' descriptors read that their frame
+    templates do not rebuild.  Returns one line per violation."""
+    ops = nc.ops
+    consts = {r for r, v in enumerate(nc.reg_init) if v is not None}
+    entry_regs = {e.index: {r for r in [e.env_reg] if r is not None}
+                  | {s[1] for s in e.var_slots} | {s[0] for s in e.stack_slots}
+                  for e in nc.osr_entries.values()}
+    starts = [(0, consts | set(nc.param_regs))]
+    starts += [(i, consts | regs) for i, regs in entry_regs.items()]
+    bad = []
+    for start, init in starts:
+        state = {start: frozenset(init)}
+        work = [start]
+        while work:
+            i = work.pop()
+            written = state[i]
+            op = ops[i]
+            if op[0] in _DID_AT:
+                reads = [(descr_regs(nc.deopts[op[_DID_AT[op[0]]]]), "deopt %d" % op[_DID_AT[op[0]]])]
+            elif op[0] == N.KERNEL and nc.kernels[op[1]].kind != "disabled":
+                kd = nc.kernels[op[1]]
+                reads = [(descr_regs(nc.deopts[ev.did]) - {r for r, _ in ev.template.slots},
+                          "kernel %d" % op[1]) for ev in kd.events]
+            else:
+                reads = []
+            if i in entry_regs and i != start:
+                reads.append((entry_regs[i], "osr entry"))
+            for regs, what in reads:
+                bad.extend("%s from %d: op %d (%s) reads r%d unwritten"
+                           % (nc.name, start, i, what, r) for r in sorted(regs - written))
+            if op[0] not in _NO_DST:
+                written = written | {op[1]}
+            if op[0] == N.JMP:
+                succ = (op[1],)
+            elif op[0] == N.BRT:
+                succ = (op[2], op[3])
+            else:
+                succ = () if op[0] == N.RET else (i + 1,)
+            for j in succ:
+                old = state.get(j)
+                new = written if old is None else old & written
+                if new != old:
+                    state[j] = new
+                    work.append(j)
+    return sorted(set(bad))
 
 
 def branch_targets(ops: List[tuple]) -> set:

@@ -8,6 +8,9 @@ Python source: registers become plain locals (``r7``), each op becomes one
 statement (or a few), guards become ``if``-raise of a :class:`DeoptSignal`
 carrying the op's deopt-descriptor index, and bulk vector kernels become
 direct ``run_kernel`` calls with a statically computed spill/reload set.
+A template reads its operands' registers in place and writes its result
+after its last read of them, so one register may hold several values
+(``Lowerer._coalesce``: a cast and its input, a phi and its inputs).
 ``compile()`` turns the text into a module code object (``NativeCode.pycode``)
 and ``exec`` that into a single specialized function (``NativeCode.pyfunc``),
 both kept on the cache template the unit was cloned from so later install
@@ -74,7 +77,7 @@ from ..runtime.values import (
     rtype_quick,
 )
 from . import ops as N
-from .lower import branch_targets
+from .lower import branch_targets, descr_regs
 
 
 class DeoptSignal(Exception):
@@ -114,7 +117,7 @@ def _fail(ncode, vm, closure_env, sig, frame, base):
         # registers the generated code never bound keep their base value,
         # as in the reference loop's register file
         regs = list(ncode.reg_init if base is None else base)
-        for r in _descr_ref_regs(descr):
+        for r in descr_regs(descr):
             name = "r%d" % r
             if name in frame:
                 regs[r] = frame[name]
@@ -149,21 +152,6 @@ def _na_rtype(v):
     return RType(v.kind, scalar=True, maybe_na=True)
 
 
-def _descr_ref_regs(descr) -> set:
-    """Every register a descriptor chain reads in ``build_framestate``."""
-    regs = set()
-    d = descr
-    while d is not None:
-        for _name, reg, _kind in d.env_slots:
-            regs.add(reg)
-        for reg, _kind in d.stack:
-            regs.add(reg)
-        if d.env_reg is not None:
-            regs.add(d.env_reg)
-        d = d.parent
-    return regs
-
-
 def _kernel_regs(ncode, kd) -> Tuple[list, list]:
     """(spill, reload) register sets for one bulk-kernel call site.
 
@@ -185,7 +173,7 @@ def _kernel_regs(ncode, kd) -> Tuple[list, list]:
     if spec is not None and spec[0] == "reg":
         spill.add(spec[1])
     for ev in kd.events:
-        spill.update(_descr_ref_regs(ncode.deopts[ev.did]))
+        spill.update(descr_regs(ncode.deopts[ev.did]))
     reload = set()
     if kd.idx_reg is not None:
         reload.add(kd.idx_reg)
@@ -421,86 +409,87 @@ def _emit(ncode) -> Tuple[str, list]:
                 a = use(ins[2])
                 out(0, "%s = %s" % (defn(ins[1]), a))
             elif op == N.VLOAD:
-                out(0, "_v = %s" % use(ins[2]))
-                out(0, "_i = %s" % use(ins[3]))
-                out(0, "_d = _v.data")
-                out(0, "if _i < 1 or _i > len(_d):")
+                v, x = use(ins[2]), use(ins[3])
+                out(0, "_d = %s.data" % v)
+                out(0, "if %s < 1 or %s > len(_d):" % (x, x))
                 out(1, 'raise RError("subscript out of bounds")')
-                # an INT or LGL index is an int already; R truncates a DBL one
-                out(0, "_w = _d[%s - 1]" % ("_i" if ins[5] else "int(_i)"))
-                out(0, "if _w is None:")
-                out(1, raise_stmt(ins[4], observed="_naty(_v)"))
-                out(0, "%s = _w" % defn(ins[1]))
+                # the element goes straight to its register (the NA deopt's
+                # descriptor never reads it), unless that is the vector's;
+                # an INT or LGL index is an int already, R truncates a DBL one
+                w = "_w" if ins[1] == ins[2] else defn(ins[1])
+                out(0, "%s = _d[%s - 1]" % (w, x if ins[5] else "int(%s)" % x))
+                out(0, "if %s is None:" % w)
+                out(1, raise_stmt(ins[4], observed="_naty(%s)" % v))
+                if w == "_w":
+                    out(0, "%s = _w" % defn(ins[1]))
             elif op == N.PDIV:
-                out(0, "_v = %s" % use(ins[2]))
-                out(0, "_w = %s" % use(ins[3]))
+                a, b = use(ins[2]), use(ins[3])
                 d = defn(ins[1])
-                out(0, "if _w == 0:")
-                out(1, "if isinstance(_v, complex) or isinstance(_w, complex):")
+                out(0, "if %s == 0:" % b)
+                out(1, "if isinstance(%s, complex) or isinstance(%s, complex):" % (a, b))
                 out(2, 'raise RError("complex division by zero")')
-                out(1, '%s = float("nan") if _v == 0 else math.copysign(math.inf, _v)' % d)
+                out(1, '%s = float("nan") if %s == 0 else math.copysign(math.inf, %s)' % (d, a, a))
                 out(0, "else:")
-                out(1, "%s = _v / _w" % d)
+                out(1, "%s = %s / %s" % (d, a, b))
             elif op == N.GTYPE:
                 pend[2] += 1
-                out(0, "_v = %s" % use(ins[1]))
-                out(0, "if not (%s):" % match_expr("_v", ins[2]))
-                out(1, raise_stmt(ins[3], observed="_rq(_v)"))
+                v = use(ins[1])
+                out(0, "if not (%s):" % match_expr(v, ins[2]))
+                out(1, raise_stmt(ins[3], observed="_rq(%s)" % v))
                 out(0, "if _ch is not None and _ch.random() < _rate:")
-                out(1, raise_stmt(ins[3], observed="_rq(_v)", kind="_CHAOS"))
+                out(1, raise_stmt(ins[3], observed="_rq(%s)" % v, kind="_CHAOS"))
             elif op == N.VLEN:
                 a = use(ins[2])
                 out(0, "%s = len(%s.data)" % (defn(ins[1]), a))
             elif op == N.VSTORE:
-                out(0, "_v = %s" % use(ins[2]))
-                out(0, ("_i = %s" if ins[6] else "_i = int(%s)") % use(ins[3]))
-                out(0, "_w = %s" % use(ins[4]))
+                v, x, w = use(ins[2]), use(ins[3]), use(ins[4])
+                if not ins[6]:
+                    out(0, "_i = int(%s)" % x)
+                    x = "_i"
                 d = defn(ins[1])
                 kind, vkind = ins[5], ins[7]
                 widens = kind in (Kind.LGL, Kind.INT)
+                # in place, the result is the vector: a copy only into another register
+                keep = "%s = %s" % (d, v) if d != v else None
                 if vkind == kind or (widens and vkind == Kind.DBL):
                     # a guard proved the vector's kind: sharing and bounds are left
-                    out(0, "if _v.named <= 1 and 1 <= _i <= len(_v.data):")
-                    out(1, "_v.data[_i - 1] = %s" % ("_w" if vkind == kind else "float(_w)"))
-                    out(1, "%s = _v" % d)
+                    out(0, "if %s.named <= 1 and 1 <= %s <= len(%s.data):" % (v, x, v))
+                    out(1, "%s.data[%s - 1] = %s" % (v, x, w if vkind == kind else "float(%s)" % w))
                 else:
-                    out(0, "if isinstance(_v, RVector) and _v.named <= 1 and "
-                           "_v.kind == %s and 1 <= _i <= len(_v.data):" % K(kind))
-                    out(1, "_v.data[_i - 1] = _w")
-                    out(1, "%s = _v" % d)
+                    out(0, "if isinstance(%s, RVector) and %s.named <= 1 and %s.kind == %s "
+                           "and 1 <= %s <= len(%s.data):" % (v, v, v, K(kind), x, v))
+                    out(1, "%s.data[%s - 1] = %s" % (v, x, w))
                     if widens:
-                        out(0, "elif isinstance(_v, RVector) and _v.named <= 1 and "
-                               "1 <= _i <= len(_v.data) and _v.kind == %s:" % K(Kind.DBL))
-                        out(1, "_v.data[_i - 1] = float(_w)")
-                        out(1, "%s = _v" % d)
+                        if keep:
+                            out(1, keep)
+                        out(0, "elif isinstance(%s, RVector) and %s.named <= 1 and 1 <= %s "
+                               "<= len(%s.data) and %s.kind == %s:" % (v, v, x, v, v, K(Kind.DBL)))
+                        out(1, "%s.data[%s - 1] = float(%s)" % (v, x, w))
+                if keep:
+                    out(1, keep)
                 out(0, "else:")
-                out(1, "%s = _assign2(_v, RVector(%s, [_i]), RVector(%s, [_w]))"
-                       % (d, K(Kind.INT), K(kind)))
+                out(1, "%s = _assign2(%s, RVector(%s, [%s]), RVector(%s, [%s]))"
+                       % (d, v, K(Kind.INT), x, K(kind), w))
             elif op == N.BOX:
-                out(0, "_v = %s" % use(ins[2]))
-                kind = ins[3]
-                if kind == Kind.DBL:
-                    out(0, "if type(_v) is int:")
-                    out(1, "_v = float(_v)")
-                elif kind == Kind.INT:
-                    out(0, "if type(_v) is bool:")
-                    out(1, "_v = int(_v)")
-                elif kind == Kind.CPLX:
-                    out(0, "if not isinstance(_v, complex) and _v is not None:")
-                    out(1, "_v = complex(_v)")
-                out(0, "%s = RVector(%s, [_v])" % (defn(ins[1]), K(kind)))
+                a, kind = use(ins[2]), ins[3]
+                # the payload in its kind's representation (see execute_ref)
+                fix = {Kind.DBL: "float(%s) if type(%s) is int else %s",
+                       Kind.INT: "int(%s) if type(%s) is bool else %s",
+                       Kind.CPLX: "complex(%s) if not isinstance(%s, complex) and %s is not None "
+                                  "else %s"}.get(kind, "%s")
+                out(0, "%s = RVector(%s, [%s])" % (defn(ins[1]), K(kind),
+                                                   fix.replace("%s", a)))
             elif op == N.UNBOX:
                 a = use(ins[2])
                 out(0, "%s = %s.data[0]" % (defn(ins[1]), a))
             elif op == N.PPOW:
-                out(0, "_v = %s" % use(ins[2]))
-                out(0, "_w = %s" % use(ins[3]))
+                a, b = use(ins[2]), use(ins[3])
                 out(0, "try:")
-                out(1, "_x = _v ** _w")
+                out(1, "_x = %s ** %s" % (a, b))
                 out(0, "except (OverflowError, ZeroDivisionError):")
                 out(1, "_x = math.inf")
                 out(0, "if isinstance(_x, complex) and not "
-                       "(isinstance(_v, complex) or isinstance(_w, complex)):")
+                       "(isinstance(%s, complex) or isinstance(%s, complex)):" % (a, b))
                 out(1, '_x = float("nan")')
                 out(0, "elif isinstance(_x, int):")
                 out(1, "_x = float(_x)")
@@ -512,32 +501,29 @@ def _emit(ncode) -> Tuple[str, list]:
                 a = use(ins[2])
                 out(0, "%s = not %s" % (defn(ins[1]), a))
             elif op in (N.PMODI, N.PIDIVI):
-                out(0, "_w = %s" % use(ins[3]))
-                out(0, "if _w == 0:")
+                b, a = use(ins[3]), use(ins[2])
+                out(0, "if %s == 0:" % b)
                 out(1, raise_stmt(ins[4]))
-                a = use(ins[2])
-                out(0, "%s = %s %s _w"
-                       % (defn(ins[1]), a, "%" if op == N.PMODI else "//"))
+                out(0, "%s = %s %s %s" % (defn(ins[1]), a, "%" if op == N.PMODI else "//", b))
             elif op == N.PMODF:
-                out(0, "_w = %s" % use(ins[3]))
-                out(0, "_v = %s" % use(ins[2]))
-                out(0, '%s = float("nan") if _w == 0 else '
-                       "_v - math.floor(_v / _w) * _w" % defn(ins[1]))
+                b, a = use(ins[3]), use(ins[2])
+                out(0, '%s = float("nan") if %s == 0 else %s - math.floor(%s / %s) * %s'
+                       % (defn(ins[1]), b, a, a, b, b))
             elif op == N.PIDIVF:
-                out(0, "_w = %s" % use(ins[3]))
-                out(0, "_v = %s" % use(ins[2]))
+                b, a = use(ins[3]), use(ins[2])
                 d = defn(ins[1])
-                out(0, "if _w == 0:")
-                out(1, '%s = math.inf if _v > 0 else (-math.inf if _v < 0 else float("nan"))' % d)
+                out(0, "if %s == 0:" % b)
+                out(1, '%s = math.inf if %s > 0 else (-math.inf if %s < 0 else float("nan"))'
+                       % (d, a, a))
                 out(0, "else:")
-                out(1, "%s = float(math.floor(_v / _w))" % d)
+                out(1, "%s = float(math.floor(%s / %s))" % (d, a, b))
             elif op == N.GIDENT:
                 pend[2] += 1
-                out(0, "_v = %s" % use(ins[1]))
-                out(0, "if _v is not %s:" % K(ins[2]))
-                out(1, raise_stmt(ins[3], observed="_v"))
+                v = use(ins[1])
+                out(0, "if %s is not %s:" % (v, K(ins[2])))
+                out(1, raise_stmt(ins[3], observed=v))
                 out(0, "if _ch is not None and _ch.random() < _rate:")
-                out(1, raise_stmt(ins[3], observed="_v", kind="_CHAOS"))
+                out(1, raise_stmt(ins[3], observed=v, kind="_CHAOS"))
             elif op == N.ISTYPE:
                 a = use(ins[2])
                 out(0, "%s = _tm(%s, %s)" % (defn(ins[1]), a, K(ins[3])))
@@ -551,13 +537,17 @@ def _emit(ncode) -> Tuple[str, list]:
                 out(0, "if _ch is not None and _ch.random() < _rate:")
                 out(1, raise_stmt(ins[2], kind="_CHAOS"))
             elif op == N.FORCE:
-                out(0, "_v = %s" % use(ins[2]))
-                out(0, "%s = _force(_v, vm) if isinstance(_v, RPromise) else _v"
-                       % defn(ins[1]))
+                a = use(ins[2])
+                if ins[1] == ins[2]:
+                    out(0, "if isinstance(%s, RPromise):" % a)
+                    out(1, "%s = _force(%s, vm)" % (a, a))
+                else:
+                    out(0, "%s = _force(%s, vm) if isinstance(%s, RPromise) else %s"
+                           % (defn(ins[1]), a, a, a))
             elif op == N.AS_LGL:
-                out(0, "_v = %s" % use(ins[2]))
-                out(0, "%s = _v.is_true() if isinstance(_v, RVector) else _ab(_v)"
-                       % defn(ins[1]))
+                a = use(ins[2])
+                out(0, "%s = %s.is_true() if isinstance(%s, RVector) else _ab(%s)"
+                       % (defn(ins[1]), a, a, a))
             elif op in _GEN_CALL:
                 pend[1] += 1
                 a, b = use(ins[3]), use(ins[4])
@@ -573,10 +563,10 @@ def _emit(ncode) -> Tuple[str, list]:
                 out(0, "%s = %s(%s)" % (defn(ins[1]), _GEN_REGS[op], srcs))
             elif op == N.GEN_SEQLEN:
                 pend[1] += 1
-                out(0, "_v = %s" % use(ins[2]))
-                out(0, "if isinstance(_v, RVector):")
-                out(1, "_i = len(_v.data)")
-                out(0, "elif _v is NULL:")
+                a = use(ins[2])
+                out(0, "if isinstance(%s, RVector):" % a)
+                out(1, "_i = len(%s.data)" % a)
+                out(0, "elif %s is NULL:" % a)
                 out(1, "_i = 0")
                 out(0, "else:")
                 out(1, "_i = 1")
@@ -585,36 +575,31 @@ def _emit(ncode) -> Tuple[str, list]:
                 out(0, "if not isinstance(%s, (RClosure, RBuiltin)):" % use(ins[1]))
                 out(1, 'raise RError("attempt to apply non-function")')
             elif op == N.SHARE:
-                out(0, "_v = %s" % use(ins[1]))
-                out(0, "if isinstance(_v, RVector):")
-                out(1, "_v.named = 2")
-            elif op == N.LDVAR_ENV:
-                out(0, "_v = %s.get(%r)" % (use(ins[2]), ins[3]))
-                out(0, "if isinstance(_v, RPromise):")
-                out(1, "_v = _force(_v, vm)")
-                out(0, "%s = _v" % defn(ins[1]))
-            elif op == N.LDVAR_FREE:
-                out(0, "_v = closure_env.get(%r)" % (ins[2],))
-                out(0, "if isinstance(_v, RPromise):")
-                out(1, "_v = _force(_v, vm)")
-                out(0, "%s = _v" % defn(ins[1]))
+                a = use(ins[1])
+                out(0, "if isinstance(%s, RVector):" % a)
+                out(1, "%s.named = 2" % a)
+            elif op in (N.LDVAR_ENV, N.LDVAR_FREE):
+                env = use(ins[2]) if op == N.LDVAR_ENV else "closure_env"
+                d = defn(ins[1])
+                out(0, "%s = %s.get(%r)" % (d, env, ins[-1]))
+                out(0, "if isinstance(%s, RPromise):" % d)
+                out(1, "%s = _force(%s, vm)" % (d, d))
             elif op == N.STVAR_ENV:
-                out(0, "_e = %s" % use(ins[1]))
-                out(0, "_v = %s" % use(ins[3]))
-                out(0, "if isinstance(_v, RVector):")
-                out(1, "if _v.named == 0:")
-                out(2, "_v.named = 1")
-                out(1, "elif _e.bindings.get(%r) is not _v:" % (ins[2],))
-                out(2, "_v.named = 2")
-                out(0, "_e.set(%r, _v)" % (ins[2],))
+                e, v = use(ins[1]), use(ins[3])
+                out(0, "if isinstance(%s, RVector):" % v)
+                out(1, "if %s.named == 0:" % v)
+                out(2, "%s.named = 1" % v)
+                out(1, "elif %s.bindings.get(%r) is not %s:" % (e, ins[2], v))
+                out(2, "%s.named = 2" % v)
+                out(0, "%s.set(%r, %s)" % (e, ins[2], v))
             elif op == N.STSUPER:
-                out(0, "_v = %s" % use(ins[3]))
-                out(0, "if isinstance(_v, RVector):")
-                out(1, "_v.named = 2")
+                v = use(ins[3])
+                out(0, "if isinstance(%s, RVector):" % v)
+                out(1, "%s.named = 2" % v)
                 if ins[1] is not None:
-                    out(0, "%s.set_super(%r, _v)" % (use(ins[1]), ins[2]))
+                    out(0, "%s.set_super(%r, %s)" % (use(ins[1]), ins[2], v))
                 else:
-                    out(0, "_sas(closure_env, %r, _v)" % (ins[2],))
+                    out(0, "_sas(closure_env, %r, %s)" % (ins[2], v))
             elif op == N.LDFUN:
                 env = use(ins[2]) if ins[2] is not None else "closure_env"
                 out(0, "%s = %s.get_function(%r)" % (defn(ins[1]), env, ins[3]))

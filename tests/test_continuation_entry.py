@@ -15,12 +15,15 @@ then) leaves it through OSR-out, from a prologue block or from the loop.
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from conftest import FireAt, engine_signature, make_vm
 from repro.bench.programs import REGISTRY
 from repro.bench.programs.paper_examples import SUM_PHASE_SETUPS
 from repro.bytecode import opcodes as O
+from repro.native import ops as N
 from repro.osr.osr_hop import stale_site
 from repro.runtime.values import RClosure, RVector
 
@@ -247,3 +250,74 @@ def test_a_failed_guard_inside_an_eager_argument_resumes_there(deoptless):
             if deopt.fn_name == "bt_make":
                 hit.add(deopt.details["pc"])
     assert len(calls) == 2 and hit >= set(calls), (calls, hit)
+
+
+class _Where(FireAt):
+    """``FireAt(-1)`` that records where the reference engine makes each
+    draw: the unit and op index (None for a kernel's draws)."""
+
+    def __init__(self):
+        FireAt.__init__(self, -1)
+        self.at = []
+
+    def random(self):
+        f = sys._getframe(1)
+        self.at.append((f.f_locals["ncode"], f.f_locals["pc"])
+                       if f.f_code.co_name == "execute_ref" else None)
+        return FireAt.random(self)
+
+
+def _coalesced_loops(nc):
+    """The op indices of the loops (a backedge's target up to it) that hold
+    an op writing a register it reads: an induction ``i + 1`` or an in-place
+    store that shares its phi's register, so the latch copy is gone."""
+    at = set()
+    for j, op in enumerate(nc.ops):
+        if op[0] == N.JMP and op[1] <= j:
+            body = [nc.ops[i] for i in range(op[1], j + 1)]
+            if any((o[0] in (N.PADD, N.PSUB) and o[1] in o[2:4])
+                   or (o[0] == N.VSTORE and o[1] == o[2]) for o in body):
+                at.update(range(op[1], j + 1))
+    return at
+
+
+@pytest.mark.parametrize("program", ["fannkuchredux", "nbody"])
+def test_one_failed_draw_in_a_coalesced_loop(program):
+    """Where a phi and its latch value share a register, a guard failing in
+    that loop must still hand back the frame it names.  Fail one draw at a
+    time, strided over the draws the guards of the coalesced inner loops
+    make in one call, on both engines with deoptless on and off: the value,
+    the output and the globals are the interpreter's, and the two engines'
+    ``engine_signature`` agree."""
+    w = REGISTRY.get(program)
+    warm = [w.call_code(w.n_test)] * 3
+    _, _, _, expected = _run_calls(w, warm, (-1,), enable_jit=False)
+    vm = make_vm(enable_deoptless=True, chaos_rate=0.5, threaded_dispatch=False)
+    vm.chaos_rng = FireAt(-1)
+    vm.eval(w.source)
+    vm.eval(w.setup_code(w.n_test))
+    for stmt in warm:
+        vm.eval(stmt)
+    seen = vm.chaos_rng = _Where()
+    vm.eval(w.call_code(w.n_test))
+    loops = {}
+    inside = [k for k, at in enumerate(seen.at) if at is not None and at[1] in loops.setdefault(
+        id(at[0]), _coalesced_loops(at[0]))]
+    assert len(inside) > 20, "the call makes few draws in a coalesced loop"
+    swept = inside[::_stride(len(inside), 8)]
+    for k in swept:
+        unit = seen.at[k][0].name
+        for deoptless in (True, False):
+            runs = []
+            for threaded in (True, False):
+                vm, rng, mark, got = _run_calls(w, warm, (k,), enable_deoptless=deoptless,
+                                                chaos_rate=0.5, threaded_dispatch=threaded)
+                where = "draw %d (deoptless=%s, threaded=%s)" % (k, deoptless, threaded)
+                assert rng.left < 0 and got == expected, where
+                assert vm.state.compile_failures == 0 and vm.state.pycodegen_failures == 0
+                first = next(e for e in vm.state.events[mark:]
+                             if e.kind == "deopt" and e.details["reason"] == "chaos")
+                assert first.fn_name == unit, where  # the draw fails in that loop
+                runs.append(engine_signature(vm))
+            assert runs[0] == runs[1], "draw %d (deoptless=%s)" % (k, deoptless)
+    assert len(swept) >= 4

@@ -26,6 +26,7 @@ from repro.bench.programs import REGISTRY
 from repro.bytecode.interpreter import match_arguments
 from repro.jit import persist
 from repro.native import executor, ops as N, pycodegen
+from repro.native.lower import descr_regs
 from repro.runtime.env import REnvironment
 from repro.runtime.values import RClosure, RPromise, RVector
 
@@ -288,6 +289,39 @@ def test_a_loop_arm_leaves_for_two_arms():
     assert set(int(t[5:]) for t in targets) <= set(arms(src))
 
 
+FLIP_SRC = """
+flip <- function(p, n) {
+  i <- 1L
+  j <- n
+  while (i < j) {
+    t <- p[[i]]
+    p[[i]] <- p[[j]]
+    p[[j]] <- t
+    i <- i + 1L
+    j <- j - 1L
+  }
+  p
+}
+pv <- c(1L, 2L, 3L, 4L, 5L, 6L, 7L)
+"""
+
+
+def test_a_swap_loop_reads_its_registers_and_copies_nothing():
+    """fannkuch's reverse loop, which loads, guards and stores: every
+    template reads its operands in place (no ``_v``/``_i``/``_w = rN``
+    staging line), and the loop-carried ``i``, ``j`` and ``p`` share one
+    register with their latch values, whose live ranges end at the latch:
+    the Python loop copies no register, ``i + 1`` is ``rI = rI + rK`` and
+    the stores write the vector's own register."""
+    vm, _ = on_engines(FLIP_SRC, ["flip(pv, 7L)", "flip(pv, 4L)"], osr_threshold=100000)
+    src = pycodegen.source(compiled_unit(vm, "flip"))
+    assert not re.search(r"^ *_[viw] = r\d+$", src, re.M)
+    ((head, body),) = loop_arms(src).items()
+    assert [line for line in body if re.match(r"r\d+ = r\d+$", line)] == []
+    assert [line for line in body if re.match(r"(r\d+) = \1 [+-] r\d+$", line)]
+    assert sum(bool(re.match(r"(r\d+)\.data\[r\d+ - 1\] = r\d+$", line)) for line in body) == 2
+
+
 @pytest.mark.parametrize("draw", [3, 8, 13, 21])
 def test_a_chaos_deopt_inside_a_loop_arm_matches_the_interpreter(draw):
     """A guard that fails inside the Python loop raises out of it with the
@@ -456,7 +490,7 @@ def descriptor_only_regs(nc, bound):
     never binds (``bound``: the register numbers it does)."""
     only = {}
     for did, descr in enumerate(nc.deopts):
-        regs = pycodegen._descr_ref_regs(descr) - bound
+        regs = descr_regs(descr) - bound
         if regs:
             only[did] = regs
     return only
