@@ -11,16 +11,20 @@ lines by category and the builtin calls those lines make per steady call.  A bui
 counted once per occurrence in an executed line, so an ``and`` chain that stops early still
 counts its later calls: an upper bound, exact for the one-call lines that carry the cost
 (``int(_i)``, ``float(_w)``, ``len(_d)``).  ``counter`` lines flush the pending op counts
-(``_n``/``_g``/``_u +=``); ``dispatch`` lines choose and leave arms (``_b =``, ``continue``,
-``break``, ``if _b ==``, ``while True``).  Three more columns count, per steady call, what runs
-outside generated code: the bytecode ops the interpreter retires (``interp_ops``), the promises
-forced (``promises``: runs of a thunk or a default argument's code) and the closure entries that
+(``_n``/``_g``/``_u +=``); ``arm`` lines set or test the label variable ``_b`` (``_b =``,
+``if _b ==``, and the routing tests of a hop's label: ``if not _b:``, ``if _b or rC:``, ``if not
+_b or _b == k:``, ``if _b:``); ``loop`` lines are ``while True``, ``continue`` and ``break`` (one
+``dispatch`` column held both until every reducible loop nest became Python loops).  ``if not
+rN:`` is a ``guard`` (an ``Assume``) when a raise follows it and a ``branch`` otherwise.  Three
+more columns count, per steady call, what runs outside generated code: the bytecode ops the
+interpreter retires (``interp_ops``), the promises forced (``promises``: runs of a thunk or a default argument's code) and the closure entries that
 ask contextual dispatch for a version (``entry_disp``: ``RVM._dispatch_context_version``).
 The ``moves`` column counts every executed ``name = name`` line, whatever its category (a
 staging ``_i = r112`` is a ``subscript`` line and a move): the executed moves, read one way.
 DESIGN.md, "Python codegen backend", has the tables before and after typed subscripts,
-innermost Python loops and one local per value, and the primitive costs that price them; "Eager
-arguments for base builtins" has the last three columns before and after.  About a minute.
+innermost Python loops, one local per value and nested loops with joins, and the primitive costs
+that price them; "Eager arguments for base builtins" has the last three columns before and
+after.  About a minute.
 """
 import argparse, collections, importlib, os, re, sys
 
@@ -31,22 +35,27 @@ OUTSIDE = ("interp_ops", "promises", "entry_disp")
 _CALL = {b: re.compile(r"(?<![\w.])%s\(" % b) for b in BUILTINS}
 #: a register move or an operand staged into a scratch name
 MOVE = re.compile(r"^[A-Za-z_]\w* = [A-Za-z_]\w*$")
+BRANCH_NOT = re.compile(r"^if not r\d+:$")
 #: first matching pattern names a line's category
 CATEGORIES = (
     ("subscript", re.compile(r"_d = \w+\.data$|_d\[|\.data\[\w+ - 1\]|^_i = |1 <= \w+ <= len"
                              r"|^if \w+ < 1 or|_assign2")),
+    ("arm", re.compile(r"^_b = |^(el)?if (not )?_b\b")),
+    ("loop", re.compile(r"^continue$|^break$|^while True")),
     ("guard", re.compile(r"^if not |^if \w+ is not _K|^if _ch is not None|^raise ")),
     ("kernel", re.compile(r"_rs\b|_kern\(|_r\[|^_s = |_s == |is not int or type\(")),
     ("call", re.compile(r"_callf\(|call_closure\(|\.fn\(|^state\.native_ops \+= _n|^_n = 0")),
     ("counter", re.compile(r"^_[ngu] \+= ")),
-    ("dispatch", re.compile(r"^_b = |^continue$|^break$|^(el)?if _b == |^while True")),
     ("box", re.compile(r"RVector\(|\.data\[0\]|^if type\(_v\) is |^_v = (int|float|complex)\(_v\)")),
     ("move", re.compile(r"^(r\d+|_[vwi]) = (r\d+|_[vwi])$")),
     ("branch", re.compile(r"^if r\d+:$")),
 )
 
 
-def category(text):
+def category(text, following=""):
+    """A line's category; ``following`` is the next source line (see ``if not rN:`` above)."""
+    if BRANCH_NOT.match(text) and not following.strip().startswith("raise "):
+        return "branch"
     return next((name for name, pat in CATEGORIES if pat.search(text)), "other")
 
 
@@ -103,7 +112,7 @@ def census(prog, n, warmup):
         pycodegen._compile, interpreter.run, RVM._dispatch_context_version = compile_unit, run, dispatch
     for (code, lineno), k in hits.items():
         text = sources[code][lineno - 1].strip()
-        lines[category(text)] += k
+        lines[category(text, sources[code][lineno] if lineno < len(sources[code]) else "")] += k
         if MOVE.match(text):
             lines["moves"] += k
         for b, pat in _CALL.items():

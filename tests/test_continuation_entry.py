@@ -281,14 +281,16 @@ def _coalesced_loops(nc):
     return at
 
 
-@pytest.mark.parametrize("program", ["fannkuchredux", "nbody"])
+@pytest.mark.parametrize("program", ["fannkuchredux", "nbody", "bounce", "primes"])
 def test_one_failed_draw_in_a_coalesced_loop(program):
     """Where a phi and its latch value share a register, a guard failing in
     that loop must still hand back the frame it names.  Fail one draw at a
     time, strided over the draws the guards of the coalesced inner loops
     make in one call, on both engines with deoptless on and off: the value,
     the output and the globals are the interpreter's, and the two engines'
-    ``engine_signature`` agree."""
+    ``engine_signature`` agree.  ``bounce`` and ``primes`` hold ``if``/``else``
+    joins inside nested Python loops: a draw failing there raises out of two
+    loops with the pending counts of its path."""
     w = REGISTRY.get(program)
     warm = [w.call_code(w.n_test)] * 3
     _, _, _, expected = _run_calls(w, warm, (-1,), enable_jit=False)
